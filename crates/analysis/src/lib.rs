@@ -9,7 +9,7 @@
 //!   crossing, Figure 6.2),
 //! * [`find_break_even`] — the Table 5.1 read/write-ratio break-even
 //!   search, and
-//! * [`Table`] — ASCII rendering shared by the figure binaries.
+//! * [`Table`] — ASCII rendering shared by the exhibits.
 
 #![warn(missing_docs)]
 

@@ -68,7 +68,7 @@ impl Table {
     }
 }
 
-/// Format a float with 3 decimal places (the figure binaries' standard).
+/// Format a float with 3 decimal places (the exhibits' standard).
 pub fn fmt3(v: f64) -> String {
     format!("{v:.3}")
 }

@@ -1,4 +1,4 @@
-//! Reusable sweep drivers behind the figure binaries.
+//! Reusable sweep drivers behind the exhibits.
 //!
 //! Every driver builds a flat list of [`SweepJob`]s and hands it to the
 //! deterministic parallel executor ([`SweepRunner`]); results come back
@@ -8,7 +8,7 @@
 use crate::FigureOpts;
 use semcluster::{
     buffering_study_base, clustering_study_base, figure_5_11_combos, ReplicatedResult, SimConfig,
-    SweepJob, SweepOutcome, SweepRunner,
+    SweepJob, SweepRunner,
 };
 use semcluster_analysis::{find_break_even, BreakEven, Corners, FactorialDesign, Table};
 use semcluster_buffer::{PrefetchScope, ReplacementPolicy};
@@ -18,6 +18,7 @@ use semcluster_clustering::{
 use semcluster_sim::{Estimate, OnlineStats, SimRng};
 use semcluster_vdm::ObjectId;
 use semcluster_workload::{StructureDensity, WorkloadSpec};
+use std::sync::Mutex;
 
 /// A labelled sweep matrix of estimates.
 #[derive(Debug, Clone)]
@@ -55,16 +56,13 @@ impl Sweep {
     }
 }
 
-/// Run a batch of jobs on the shared executor without any output.
-pub fn run_sweep(opts: &FigureOpts, jobs: Vec<SweepJob>) -> SweepOutcome {
-    SweepRunner::new(opts.jobs).run(jobs)
-}
-
-/// Unpack a sweep outcome: under `--verbose` print every run's breakdown
-/// (submission order — deterministic at any thread count), report the
-/// host-side summary (wall-clock, speedup) to stderr, and panic if any
-/// run failed.
-pub fn collect(opts: &FigureOpts, outcome: SweepOutcome) -> Vec<ReplicatedResult> {
+/// Run a batch of jobs on the shared executor and collect the results
+/// (submission order). Under `--verbose` every run's breakdown is
+/// printed (submission order — deterministic at any thread count); the
+/// host-side summary (wall-clock, speedup) goes to stderr; any failed
+/// run panics.
+pub fn run_jobs(opts: &FigureOpts, jobs: Vec<SweepJob>) -> Vec<ReplicatedResult> {
+    let outcome = SweepRunner::new(opts.jobs).run(jobs);
     if opts.verbose {
         for (_, result) in outcome.ok_results() {
             crate::print_breakdown(&result.reports[0]);
@@ -77,28 +75,26 @@ pub fn collect(opts: &FigureOpts, outcome: SweepOutcome) -> Vec<ReplicatedResult
     }
 }
 
-/// Run a batch of jobs and collect the results (submission order).
-pub fn run_jobs(opts: &FigureOpts, jobs: Vec<SweepJob>) -> Vec<ReplicatedResult> {
-    collect(opts, run_sweep(opts, jobs))
-}
-
-/// Run a `rows × cols` grid of configurations (row-major submission) and
-/// fold each cell's replications with `cell`.
+/// Run a `workloads × cols` grid (row-major submission): each cell is
+/// `base` at the opts' scale, under its row's workload, with
+/// `set_col(cfg, column)` applied; `cell` folds its replications.
 pub fn run_grid(
     opts: &FigureOpts,
-    rows: Vec<String>,
+    base: SimConfig,
+    workloads: &[WorkloadSpec],
     cols: Vec<String>,
-    build: impl Fn(usize, usize) -> SimConfig,
+    set_col: impl Fn(&mut SimConfig, usize),
     cell: impl Fn(&ReplicatedResult) -> Estimate,
 ) -> Sweep {
+    let base = opts.apply(base);
+    let rows: Vec<String> = workloads.iter().map(|w| w.label()).collect();
     let mut jobs = Vec::with_capacity(rows.len() * cols.len());
-    for (r, row) in rows.iter().enumerate() {
+    for (workload, row) in workloads.iter().zip(&rows) {
         for (c, col) in cols.iter().enumerate() {
-            jobs.push(SweepJob::new(
-                format!("{row} / {col}"),
-                build(r, c),
-                opts.reps,
-            ));
+            let mut cfg = base.clone();
+            cfg.workload = workload.clone();
+            set_col(&mut cfg, c);
+            jobs.push(SweepJob::new(format!("{row} / {col}"), cfg, opts.reps));
         }
     }
     let results = run_jobs(opts, jobs);
@@ -113,9 +109,8 @@ fn response_cell(result: &ReplicatedResult) -> Estimate {
     result.response.clone()
 }
 
-/// The six workloads of Figures 5.1 / 5.9 / 5.11 (densities × rw 5, 100).
-pub fn corner_workloads() -> Vec<WorkloadSpec> {
-    WorkloadSpec::figure51_corners()
+fn labels<T: std::fmt::Display>(levels: &[T]) -> Vec<String> {
+    levels.iter().map(T::to_string).collect()
 }
 
 /// The density sweep of Figures 5.2–5.4 at a fixed rw ratio.
@@ -141,14 +136,10 @@ pub fn clustering_effect(opts: &FigureOpts, workloads: &[WorkloadSpec]) -> Sweep
     let policies = ClusteringPolicy::PAPER_LEVELS;
     run_grid(
         opts,
-        workloads.iter().map(|w| w.label()).collect(),
-        policies.iter().map(|p| p.to_string()).collect(),
-        |r, c| {
-            let mut cfg = opts.apply(clustering_study_base());
-            cfg.workload = workloads[r].clone();
-            cfg.clustering = policies[c];
-            cfg
-        },
+        clustering_study_base(),
+        workloads,
+        labels(&policies),
+        |cfg, c| cfg.clustering = policies[c],
         response_cell,
     )
 }
@@ -163,15 +154,10 @@ pub fn split_effect(opts: &FigureOpts, workloads: &[WorkloadSpec]) -> Sweep {
     ];
     run_grid(
         opts,
-        workloads.iter().map(|w| w.label()).collect(),
-        policies.iter().map(|p| p.to_string()).collect(),
-        |r, c| {
-            let mut cfg = opts.apply(clustering_study_base());
-            cfg.workload = workloads[r].clone();
-            cfg.clustering = ClusteringPolicy::NoLimit;
-            cfg.split = policies[c];
-            cfg
-        },
+        clustering_study_base().with_clustering(ClusteringPolicy::NoLimit),
+        workloads,
+        labels(&policies),
+        |cfg, c| cfg.split = policies[c],
         response_cell,
     )
 }
@@ -182,16 +168,10 @@ pub fn buffering_effect(opts: &FigureOpts, workloads: &[WorkloadSpec]) -> Sweep 
     let combos = figure_5_11_combos();
     run_grid(
         opts,
-        workloads.iter().map(|w| w.label()).collect(),
+        buffering_study_base(),
+        workloads,
         combos.iter().map(|(l, _, _)| l.to_string()).collect(),
-        |r, c| {
-            let (_, replacement, prefetch) = combos[c];
-            let mut cfg = opts.apply(buffering_study_base());
-            cfg.workload = workloads[r].clone();
-            cfg.replacement = replacement;
-            cfg.prefetch = prefetch;
-            cfg
-        },
+        |cfg, c| (_, cfg.replacement, cfg.prefetch) = combos[c],
         response_cell,
     )
 }
@@ -209,15 +189,10 @@ pub fn prefetch_effect(
     ];
     run_grid(
         opts,
-        workloads.iter().map(|w| w.label()).collect(),
-        scopes.iter().map(|s| s.to_string()).collect(),
-        |r, c| {
-            let mut cfg = opts.apply(buffering_study_base());
-            cfg.workload = workloads[r].clone();
-            cfg.replacement = replacement;
-            cfg.prefetch = scopes[c];
-            cfg
-        },
+        buffering_study_base().with_replacement(replacement),
+        workloads,
+        labels(&scopes),
+        |cfg, c| cfg.prefetch = scopes[c],
         response_cell,
     )
 }
@@ -229,17 +204,12 @@ pub fn prefetch_effect(
 /// write-transaction count.)
 pub fn log_io_effect(opts: &FigureOpts) -> Sweep {
     let policies = [ClusteringPolicy::NoCluster, ClusteringPolicy::NoLimit];
-    let workloads = density_workloads(5.0);
     run_grid(
         opts,
-        workloads.iter().map(|w| w.label()).collect(),
-        policies.iter().map(|p| p.to_string()).collect(),
-        |r, c| {
-            let mut cfg = opts.apply(clustering_study_base());
-            cfg.workload = workloads[r].clone();
-            cfg.clustering = policies[c];
-            cfg
-        },
+        clustering_study_base(),
+        &density_workloads(5.0),
+        labels(&policies),
+        |cfg, c| cfg.clustering = policies[c],
         |result| {
             let mut stats = OnlineStats::new();
             for report in &result.reports {
@@ -258,16 +228,16 @@ pub fn log_io_effect(opts: &FigureOpts) -> Sweep {
 pub fn break_even_for(opts: &FigureOpts, density: StructureDensity) -> BreakEven {
     let runner = SweepRunner::new(opts.jobs);
     let diff = |rw: f64| {
-        let mut clustered = opts.apply(clustering_study_base());
-        clustered.workload = WorkloadSpec::new(density, rw);
-        clustered.clustering = ClusteringPolicy::NoLimit;
-        let mut plain = opts.apply(clustering_study_base());
-        plain.workload = WorkloadSpec::new(density, rw);
-        plain.clustering = ClusteringPolicy::NoCluster;
+        let probe = |clustering| {
+            let mut cfg = opts.apply(clustering_study_base());
+            cfg.workload = WorkloadSpec::new(density, rw);
+            cfg.clustering = clustering;
+            SweepJob::of(cfg, opts.reps)
+        };
         let results = runner
             .run(vec![
-                SweepJob::of(clustered, opts.reps),
-                SweepJob::of(plain, opts.reps),
+                probe(ClusteringPolicy::NoLimit),
+                probe(ClusteringPolicy::NoCluster),
             ])
             .into_results()
             .expect("break-even probes must succeed");
@@ -335,10 +305,30 @@ pub fn factorial_config(opts: &FigureOpts, levels: &[bool]) -> SimConfig {
     cfg
 }
 
-/// Run the full 2^8 factorial; returns the per-run mean responses in run
-/// (mask) order.
+/// The per-run mean responses of the full 2^8 factorial, in run (mask)
+/// order. The sweep runs once per process and option set: Figures 6.1
+/// and 6.2 share it through an in-process memo keyed by every option
+/// that changes the responses (thread count does not — the sweep is
+/// deterministic).
 pub fn factorial_responses(opts: &FigureOpts) -> Vec<f64> {
+    type Key = (u64, u64, u64, u64, u32);
+    static MEMO: Mutex<Option<(Key, Vec<f64>)>> = Mutex::new(None);
+    let key = (
+        opts.seed,
+        opts.database_bytes,
+        opts.measured_txns,
+        opts.warmup_txns,
+        opts.reps,
+    );
+    let mut memo = MEMO.lock().expect("a panicking sweep ends the process");
+    if let Some((_, responses)) = memo.as_ref().filter(|(k, _)| *k == key) {
+        return responses.clone();
+    }
     let design = factorial_design();
+    eprintln!(
+        "running {} configurations (shared by 6.1/6.2)…",
+        design.runs()
+    );
     let jobs: Vec<SweepJob> = (0..design.runs())
         .map(|run| {
             SweepJob::new(
@@ -348,31 +338,11 @@ pub fn factorial_responses(opts: &FigureOpts) -> Vec<f64> {
             )
         })
         .collect();
-    run_jobs(opts, jobs)
+    let responses: Vec<f64> = run_jobs(opts, jobs)
         .iter()
         .map(|r| r.response.mean)
-        .collect()
-}
-
-/// Like [`factorial_responses`] but cached on disk (under the temp dir)
-/// so Figures 6.1 and 6.2 share one 2^8 sweep. The cache key includes
-/// every option that changes the responses (thread count does not — the
-/// sweep is deterministic).
-pub fn factorial_responses_cached(opts: &FigureOpts) -> Vec<f64> {
-    let key = format!(
-        "factorial_{}_{}_{}_{}_{}.cache",
-        opts.seed, opts.database_bytes, opts.measured_txns, opts.warmup_txns, opts.reps
-    );
-    let path = std::env::temp_dir().join(format!("semcluster_{key}"));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        let parsed: Vec<f64> = text.lines().filter_map(|l| l.trim().parse().ok()).collect();
-        if parsed.len() == factorial_design().runs() {
-            return parsed;
-        }
-    }
-    let responses = factorial_responses(opts);
-    let text: String = responses.iter().map(|v| format!("{v:.9}\n")).collect();
-    let _ = std::fs::write(&path, text);
+        .collect();
+    *memo = Some((key, responses.clone()));
     responses
 }
 
@@ -399,7 +369,7 @@ pub fn corners_from(design: &FactorialDesign, responses: &[f64], i: usize, j: us
 }
 
 /// Random dependency graph for the Figure 5.10 partition-cost study.
-pub fn random_dependency_graph(
+fn random_dependency_graph(
     rng: &mut SimRng,
     nodes: usize,
     arc_prob: f64,
@@ -550,7 +520,6 @@ mod tests {
 
     #[test]
     fn workload_families() {
-        assert_eq!(corner_workloads().len(), 6);
         assert_eq!(density_workloads(5.0).len(), 3);
         assert_eq!(rw_workloads(StructureDensity::Low3).len(), 4);
     }

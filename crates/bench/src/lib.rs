@@ -1,35 +1,42 @@
 //! # semcluster-bench
 //!
-//! Experiment drivers that regenerate every table and figure of the
-//! paper's evaluation, plus Criterion micro-benchmarks. One binary per
-//! exhibit (`fig3_2` … `fig6_2`, `table4_1`, `table5_1`, ablations,
-//! `repro_all`); the shared sweep logic lives here so binaries, the
-//! all-in-one runner and the benches stay in sync.
+//! The exhibit runner: every table and figure of the paper's
+//! evaluation, the ablations and the extension exhibits are entries of
+//! one static registry ([`exhibits::PAPER_SET`] + [`exhibits::EXTRAS`])
+//! driven by one binary, `figures`:
 //!
-//! Every sweep runs on the deterministic parallel executor
-//! ([`semcluster::SweepRunner`]): independent configurations fan out
-//! across `--jobs N` worker threads and are assembled in submission
-//! order, so stdout is byte-identical at any thread count. Only the
-//! sweep summary (wall-clock, speedup) goes to stderr.
+//! * `figures list` — print the registry;
+//! * `figures <name>…` — run the named exhibits in the order given;
+//! * `figures all` — run the paper set (Figures 3.2–6.2, Tables 4.1 and
+//!   5.1) in the paper's order, in one process.
+//!
+//! The shared sweep logic lives in [`experiments`]. Every sweep runs on
+//! the deterministic parallel executor ([`semcluster::SweepRunner`]):
+//! independent configurations fan out across `--jobs N` worker threads
+//! and are assembled in submission order, so stdout is byte-identical at
+//! any thread count. Only the sweep summary (wall-clock, speedup) goes
+//! to stderr. Host time is not measured here — the wall-clock ledger is
+//! `benchmark/`.
+//!
+//! Flags (after the subcommand): `--jobs N` — worker threads per sweep
+//! (default: the host's available parallelism); `--verbose` — print the
+//! response-time breakdown (cpu / reads / flushes / search / log / lock
+//! wait) for every configuration, in submission order.
 //!
 //! Environment knobs (all optional):
 //!
 //! * `SEMCLUSTER_REPS` — replications per configuration (default 3).
 //! * `SEMCLUSTER_FAST` — set to any value for a quick smoke pass
 //!   (smaller database, fewer transactions, 1 replication).
-//! * `SEMCLUSTER_JOBS` (or `--jobs N`) — worker threads per sweep
-//!   (default: the host's available parallelism).
-//! * `SEMCLUSTER_VERBOSE` (or `--verbose`) — print the response-time
-//!   breakdown (cpu / reads / flushes / search / log / lock wait) for
-//!   every configuration, in submission order.
 
 #![warn(missing_docs)]
 
+pub mod exhibits;
 pub mod experiments;
 
 use semcluster::{RunReport, SimConfig};
 
-/// Sweep options shared by all figure binaries.
+/// Sweep options shared by all exhibits.
 #[derive(Debug, Clone, Copy)]
 pub struct FigureOpts {
     /// Replications per configuration.
@@ -49,37 +56,28 @@ pub struct FigureOpts {
 }
 
 impl FigureOpts {
-    /// Resolve options from the environment (and `--verbose` /
-    /// `--jobs N` flags).
+    /// Resolve the run scale from the environment (`SEMCLUSTER_FAST`,
+    /// `SEMCLUSTER_REPS`); `verbose` and `jobs` start at their defaults
+    /// and are set from the command line by the caller.
     pub fn from_env() -> Self {
         let fast = std::env::var_os("SEMCLUSTER_FAST").is_some();
-        let verbose = std::env::var_os("SEMCLUSTER_VERBOSE").is_some()
-            || std::env::args().any(|a| a == "--verbose");
         let reps = std::env::var("SEMCLUSTER_REPS")
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(if fast { 1 } else { 3 });
-        let jobs = jobs_from_env();
-        if fast {
-            FigureOpts {
-                reps,
-                database_bytes: 4 * 1024 * 1024,
-                measured_txns: 500,
-                warmup_txns: 150,
-                seed: 42,
-                verbose,
-                jobs,
-            }
+        let (database_bytes, measured_txns, warmup_txns) = if fast {
+            (4 * 1024 * 1024, 500, 150)
         } else {
-            FigureOpts {
-                reps,
-                database_bytes: 32 * 1024 * 1024,
-                measured_txns: 2000,
-                warmup_txns: 400,
-                seed: 42,
-                verbose,
-                jobs,
-            }
+            (32 * 1024 * 1024, 2000, 400)
+        };
+        FigureOpts {
+            reps,
+            database_bytes,
+            measured_txns,
+            warmup_txns,
+            seed: 42,
+            verbose: false,
+            jobs: 0,
         }
     }
 
@@ -95,32 +93,6 @@ impl FigureOpts {
         }
         cfg
     }
-}
-
-/// Worker-thread count from `--jobs N` (argv) or `SEMCLUSTER_JOBS` (env);
-/// 0 (= available parallelism) when neither is given.
-pub fn jobs_from_env() -> usize {
-    let mut argv = std::env::args();
-    while let Some(arg) = argv.next() {
-        if arg == "--jobs" {
-            if let Some(n) = argv.next().and_then(|v| v.parse().ok()) {
-                return n;
-            }
-        } else if let Some(n) = arg.strip_prefix("--jobs=").and_then(|v| v.parse().ok()) {
-            return n;
-        }
-    }
-    std::env::var("SEMCLUSTER_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Print the standard exhibit banner.
-pub fn banner(exhibit: &str, caption: &str) {
-    println!("================================================================");
-    println!("{exhibit} — {caption}");
-    println!("================================================================");
 }
 
 /// Print one run's response-time attribution (used under `--verbose`).

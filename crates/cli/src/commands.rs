@@ -46,7 +46,7 @@ USAGE:
                          [--suite smoke|faults|timeline|profile|chaos|stats]
                          [--path FILE] [--jobs N]
   semclusterctl bench-report [--out FILE] [--jobs N]
-                         [--suite smoke|full|serve] [--folded FILE]
+                         [--suite smoke|full] [--folded FILE]
                          [--folded-metric wall_ns|sim_us|alloc_bytes|allocs|calls]
   semclusterctl serve    [--addr HOST:PORT] [--mode concurrent|oracle]
                          [--workers N] [--queue-cap N] [--deadline-ms N]
@@ -152,11 +152,6 @@ USAGE:
   terminal view (throughput, queue depth, rolling p50/p99, error rate);
   --raw prints the snapshot JSON verbatim instead. golden --suite stats
   pins the telemetry renders (synthetic replay + live oracle probe).
-  bench-report --suite serve boots an in-process server, runs a fixed
-  fault-free load, and snapshots sustained sessions/sec and p99 latency
-  from both sides (client-observed and server-side service time), plus
-  per-span attribution lines obs diff uses to name the server phase
-  behind a serve regression.
   crash-matrix crashes a small workload at every commit boundary plus
   sampled intra-transaction and torn-log points, replays recovery at
   each, and verifies ACID invariants (exit 1 on any violation).
@@ -1467,25 +1462,6 @@ pub fn cmd_bench_report(args: &Args) -> Result<String, CliError> {
     // the smoke rows keep the snapshot joinable (`obs diff`) against
     // historical BENCH_<n> trajectory points, while the full-scale rows
     // are what the CI perf wall compares between baseline and PR.
-    // `--suite serve` measures wall-clock serving throughput instead of
-    // simulated time: it boots an in-process concurrent server and runs
-    // a fixed fault-free load. The row still carries `mean_response_s`
-    // so `obs diff` joins it against prior serve snapshots.
-    if suite == "serve" {
-        let body = crate::servecmd::bench_serve_render()?;
-        let content = format!("{{\"bench_schema\":2,\"suite\":\"serve\"}}\n{body}");
-        let path = match args.get("out") {
-            Some(p) => std::path::PathBuf::from(p),
-            None => next_bench_path(std::path::Path::new(".")),
-        };
-        std::fs::write(&path, &content)
-            .map_err(|e| format!("bench-report: cannot write {}: {e}", path.display()))?;
-        return Ok(format!(
-            "bench report written to {} ({} reports)\n",
-            path.display(),
-            body.lines().count()
-        ));
-    }
     let sweep = match suite {
         "smoke" => golden_jobs(),
         "full" => {
@@ -1495,7 +1471,7 @@ pub fn cmd_bench_report(args: &Args) -> Result<String, CliError> {
         }
         other => {
             return Err(CliError::general(format!(
-                "bench-report: unknown suite {other:?} (expected smoke, full or serve)"
+                "bench-report: unknown suite {other:?} (expected smoke or full)"
             )))
         }
     };
@@ -2193,6 +2169,9 @@ mod tests {
         let out = dispatch(&parse(&format!("obs diff {out_path_s} {out_path_s}"))).unwrap();
         assert!(out.contains("none slower"));
         std::fs::remove_file(&out_path).unwrap();
+        // Host-time suites live in benchmark/, not in BENCH_<n>.json.
+        let err = dispatch(&parse("bench-report --suite serve")).unwrap_err();
+        assert!(err.to_string().contains("expected smoke or full"), "{err}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::args::Args;
 use crate::commands::config_from_args;
 use crate::error::CliError;
 use semcluster::serve::{
-    read_frame, run_load, write_frame, ErrorKind, LoadConfig, LoadSummary, Request, RequestCounts,
+    read_frame, run_load, write_frame, ErrorKind, LoadConfig, Request, RequestCounts,
     RequestStamps, Response, ServeConfig, ServeMode, ServeReport, ServeStats, Server, SloTracker,
     TxnOp, TxnRequest,
 };
@@ -403,93 +403,6 @@ fn stats_probe(addr: std::net::SocketAddr) -> Result<String, String> {
         Response::StatsOk { json, .. } => Ok(json),
         other => Err(format!("stats golden: expected StatsOk, got {other:?}")),
     }
-}
-
-/// Serve bench rows: boot an in-process concurrent server on a loopback
-/// port, run a fixed fault-free load, and emit one schema-2 row whose
-/// report joins with `obs diff` (it carries `mean_response_s`) plus the
-/// serving-specific stats (p99 latency, sustained sessions/sec).
-pub fn bench_serve_render() -> Result<String, CliError> {
-    let cfg = ServeConfig {
-        mode: ServeMode::Concurrent,
-        workers: 4,
-        queue_cap: 256,
-        ..ServeConfig::default()
-    };
-    let handle = Server::start(cfg, "127.0.0.1:0").map_err(|e| CliError::from_serve(&e))?;
-    let load = LoadConfig {
-        addr: handle.addr().to_string(),
-        connections: 4,
-        sessions_per_conn: 50,
-        txns_per_session: 4,
-        chaos: NetChaosConfig::none(),
-        pipeline: 16,
-        seed: 1989,
-        ..LoadConfig::default()
-    };
-    let summary = run_load(&load).map_err(|e| CliError::from_serve(&e))?;
-    handle.request_shutdown();
-    let report = handle.join().map_err(|e| CliError::from_serve(&e))?;
-    if report.acid_violations > 0 {
-        return Err(CliError::acid(format!(
-            "bench-report serve: {} ACID violation(s)",
-            report.acid_violations
-        )));
-    }
-    Ok(serve_bench_row(&summary, &report))
-}
-
-fn serve_bench_row(summary: &LoadSummary, report: &ServeReport) -> String {
-    // Server-side quantiles come from the drain-time stats snapshot:
-    // client-side p99 (above) includes the network and the client's own
-    // scheduling, server-side p99 only the service time — diverging
-    // trends between the two tell you *where* a regression lives.
-    let server_ms = |q: f64| -> f64 {
-        report
-            .stats
-            .latency("total")
-            .map_or(0.0, |h| h.quantile_bound_us(q) as f64 / 1e3)
-    };
-    let mut out = format!(
-        concat!(
-            "{{\"job\":\"serve-smoke\",\"rep\":0,\"report\":{{",
-            "\"mean_response_s\":{:.6},\"p50_ms\":{:.3},\"p99_ms\":{:.3},",
-            "\"server_p50_ms\":{:.3},\"server_p99_ms\":{:.3},",
-            "\"sessions_per_sec\":{:.2},\"sessions\":{},\"attempted\":{},\"acked\":{},",
-            "\"committed\":{},\"sheds\":{},\"deadline_misses\":{},\"retry_exhausted\":{},",
-            "\"group_commits\":{},\"group_txns\":{},\"acid_violations\":{}}}}}\n"
-        ),
-        summary.mean_ms / 1e3,
-        summary.p50_ms,
-        summary.p99_ms,
-        server_ms(0.50),
-        server_ms(0.99),
-        summary.sessions_per_sec,
-        summary.sessions,
-        summary.attempted,
-        summary.acked,
-        report.committed,
-        report.sheds,
-        report.deadline_misses,
-        report.retry_exhausted,
-        report.group_commits,
-        report.group_txns,
-        report.acid_violations,
-    );
-    // Profile-shaped attribution lines, one per server span: `obs diff`
-    // joins them on (job, phase) exactly like engine profile stacks, so
-    // a serve p99 regression names the responsible server phase.
-    for (phase, hist) in &report.stats.latency_us {
-        if *phase == "total" {
-            continue;
-        }
-        out.push_str(&format!(
-            "{{\"job\":\"serve-smoke\",\"phase\":\"serve;{phase}\",\"calls\":{},\
-             \"sim_us\":{},\"alloc_bytes\":0,\"allocs\":0}}\n",
-            hist.count, hist.sum_us
-        ));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ pub struct SimConfig {
     /// density-driven database. See `semcluster_workload::PhaseSchedule`.
     pub phases: Option<semcluster_workload::PhaseSchedule>,
     /// Retain log records so the run can end in a simulated crash and
-    /// recovery ([`crate::Engine::run_and_crash`]).
+    /// recovery ([`crate::Engine::run_and_crash_at`]).
     pub retain_log: bool,
     /// Transactions discarded as warmup before measurement starts.
     pub warmup_txns: u64,

@@ -624,7 +624,15 @@ impl CrashOutcome {
 fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
     let mut cfg = config.cfg.clone();
     cfg.retain_log = true;
-    let base = std::env::temp_dir().join(format!("semcluster-matrix-{}", std::process::id()));
+    // Unique per matrix run, not just per process: two matrices running
+    // on different threads of one process (the tier-1 durability tests)
+    // must not recover each other's half-written point directories.
+    static MATRIX_SEQ: AtomicUsize = AtomicUsize::new(0);
+    let base = std::env::temp_dir().join(format!(
+        "semcluster-matrix-{}-{}",
+        std::process::id(),
+        MATRIX_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let scratch_base = config
         .scratch_dir
         .clone()

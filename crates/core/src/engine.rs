@@ -681,19 +681,12 @@ impl Engine {
 
     /// Run to completion (warmup + measured transactions) and report.
     pub fn run(self) -> RunReport {
-        self.run_with_obs().0
-    }
-
-    /// Run to completion, returning the report plus a snapshot of the
-    /// metrics registry (counters reconcile with [`RunReport::io`]).
-    pub fn run_with_obs(self) -> (RunReport, MetricsSnapshot) {
-        let (report, obs) = self.run_observed();
-        (report, obs.metrics)
+        self.run_observed().0
     }
 
     /// Run to completion, returning the report plus everything the
-    /// observability layer collected (metrics snapshot, timeline,
-    /// placement audits).
+    /// observability layer collected (metrics snapshot — its counters
+    /// reconcile with [`RunReport::io`] — timeline, placement audits).
     pub fn run_observed(mut self) -> (RunReport, RunObservations) {
         self.drive();
         self.finalize_obs();
@@ -774,25 +767,15 @@ impl Engine {
         self.trace.flush();
     }
 
-    /// Run to completion, then simulate a server crash and recover from
-    /// the durable log (requires `cfg.retain_log`). Returns the run
-    /// report plus the recovery outcome — winners are exactly the
-    /// committed transactions, losers are in-flight ones whose records
-    /// spilled before the crash.
-    ///
-    /// This is the legacy single-point form; see
-    /// [`Engine::run_and_crash_at`] for arbitrary crash points.
-    pub fn run_and_crash(self) -> (RunReport, semcluster_wal::RecoveryOutcome) {
-        let outcome = self.run_and_crash_at(CrashPoint::End);
-        (outcome.report, outcome.recovery)
-    }
-
     /// Run until `point` fires (or to completion for
-    /// [`CrashPoint::End`]), crash there, replay recovery over the
-    /// durable log, and return the full [`CrashOutcome`] — including
-    /// the engine's ground truth (acknowledged commits, in-flight and
-    /// aborted transactions) so ACID invariants can be checked against
-    /// what the clients actually observed. Requires `cfg.retain_log`.
+    /// [`CrashPoint::End`]), simulate a server crash there, replay
+    /// recovery over the durable log, and return the full
+    /// [`CrashOutcome`] — including the engine's ground truth
+    /// (acknowledged commits, in-flight and aborted transactions) so
+    /// ACID invariants can be checked against what the clients actually
+    /// observed. Winners are exactly the committed transactions, losers
+    /// are in-flight ones whose records spilled before the crash.
+    /// Requires `cfg.retain_log`.
     ///
     /// A [`CrashPoint::MidFlush`] crash tears the log record that was
     /// being written; recovery truncates it (commit is only
@@ -801,7 +784,7 @@ impl Engine {
     pub fn run_and_crash_at(mut self, point: CrashPoint) -> CrashOutcome {
         assert!(
             self.cfg.retain_log,
-            "run_and_crash requires cfg.retain_log = true"
+            "run_and_crash_at requires cfg.retain_log = true"
         );
         self.crash_point = point;
         self.drive();
@@ -2325,12 +2308,6 @@ pub fn run_simulation(cfg: SimConfig) -> RunReport {
 }
 
 /// Run one configured simulation with observability attached, returning
-/// the report plus the final metrics snapshot.
-pub fn run_simulation_with_obs(cfg: SimConfig, obs: ObsConfig) -> (RunReport, MetricsSnapshot) {
-    Engine::with_obs(cfg, obs).run_with_obs()
-}
-
-/// Run one configured simulation with observability attached, returning
 /// the report plus everything collected (metrics, timeline, audits).
 pub fn run_simulation_observed(cfg: SimConfig, obs: ObsConfig) -> (RunReport, RunObservations) {
     Engine::with_obs(cfg, obs).run_observed()
@@ -2593,8 +2570,8 @@ mod crash_tests {
             ..SimConfig::default()
         }
         .with_workload(StructureDensity::Med5, 3.0);
-        let engine = Engine::new(cfg);
-        let (report, recovery) = engine.run_and_crash();
+        let outcome = Engine::new(cfg).run_and_crash_at(CrashPoint::End);
+        let (report, recovery) = (outcome.report, outcome.recovery);
         // Every winner committed; with force-on-commit nothing committed
         // can be lost, and in-flight losers are bounded by the user count.
         assert!(!recovery.winners.is_empty());
@@ -2614,7 +2591,7 @@ mod crash_tests {
 
     #[test]
     #[should_panic(expected = "retain_log")]
-    fn run_and_crash_requires_retention() {
+    fn run_and_crash_at_requires_retention() {
         let cfg = SimConfig {
             database_bytes: 512 * 1024,
             buffer_pages: 8,
@@ -2622,7 +2599,7 @@ mod crash_tests {
             measured_txns: 10,
             ..SimConfig::default()
         };
-        let _ = Engine::new(cfg).run_and_crash();
+        let _ = Engine::new(cfg).run_and_crash_at(CrashPoint::End);
     }
 
     #[test]

@@ -43,19 +43,13 @@ pub use crash::{
     MatrixBackend,
 };
 pub use durable::{DurableMirror, FileCrashArtifacts, MirrorStats};
-pub use engine::{
-    run_simulation, run_simulation_observed, run_simulation_with_obs, Engine, ObsConfig,
-    RunObservations,
-};
+pub use engine::{run_simulation, run_simulation_observed, Engine, ObsConfig, RunObservations};
 pub use error::EngineError;
 pub use metrics::{IoBreakdown, MetricsCollector, ResponseBreakdown, RunReport, SpanBreakdown};
 pub use presets::{
     buffering_study_base, clustering_study_base, figure_5_11_combos, workload_from_label,
 };
-pub use runner::{
-    replication_config, run_replicated, run_replicated_observed, run_replicated_with_obs,
-    ReplicatedResult,
-};
+pub use runner::{replication_config, run_replicated, run_replicated_observed, ReplicatedResult};
 pub use semcluster_faults::{CrashPoint, FaultConfig, FaultStats};
 pub use sweep::{
     default_parallelism, SinkFactory, SweepError, SweepItem, SweepJob, SweepOutcome, SweepRunner,

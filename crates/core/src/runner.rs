@@ -3,7 +3,6 @@
 use crate::config::SimConfig;
 use crate::engine::{run_simulation_observed, ObsConfig, RunObservations};
 use crate::metrics::RunReport;
-use semcluster_obs::{MetricsSnapshot, TraceSink};
 use semcluster_sim::{Estimate, OnlineStats};
 
 /// Mean response time with a confidence interval, plus the per-replication
@@ -63,23 +62,7 @@ pub fn replication_config(cfg: &SimConfig, r: u32) -> SimConfig {
 
 /// Run `cfg` `replications` times with derived seeds and fold the results.
 pub fn run_replicated(cfg: &SimConfig, replications: u32) -> ReplicatedResult {
-    run_replicated_with_obs(cfg, replications, &mut |_| None).0
-}
-
-/// Like [`run_replicated`], but each replication runs with an isolated
-/// metrics registry whose final snapshots are merged (in replication
-/// order) into one [`MetricsSnapshot`]; `sink_for` may attach a fresh
-/// trace sink per replication (`None` = no tracing).
-pub fn run_replicated_with_obs(
-    cfg: &SimConfig,
-    replications: u32,
-    sink_for: &mut dyn FnMut(u32) -> Option<Box<dyn TraceSink>>,
-) -> (ReplicatedResult, MetricsSnapshot) {
-    let (result, obs) = run_replicated_observed(cfg, replications, &mut |r| match sink_for(r) {
-        Some(sink) => ObsConfig::with_sink(sink),
-        None => ObsConfig::default(),
-    });
-    (result, obs.metrics)
+    run_replicated_observed(cfg, replications, &mut |_| ObsConfig::default()).0
 }
 
 /// The fully general replicated runner: `obs_for` builds a complete

@@ -195,8 +195,7 @@ impl FaultConfig {
 /// from the start of the run (warmup included).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CrashPoint {
-    /// Crash after the full run completes (the legacy
-    /// `run_and_crash` behaviour).
+    /// Crash after the full run completes.
     #[default]
     End,
     /// Crash after the k-th simulation event is processed (1-based).

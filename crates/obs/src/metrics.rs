@@ -10,7 +10,7 @@ use crate::json::{push_json_str, ObjWriter};
 use std::collections::BTreeMap;
 
 /// Power-of-two-bucket histogram of `u64` observations. Bucket `i`
-/// counts values `v` with `2^(i-1) < v <= 2^i` (bucket 0 counts zeros
+/// counts values `v` with `2^i <= v < 2^(i+1)` (bucket 0 counts zeros
 /// and ones), which is plenty of resolution for latency-style data
 /// while staying integer-exact.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -78,28 +78,28 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Upper bound of the bucket holding the q-quantile observation.
+    /// Upper bound on the q-quantile observation.
     ///
     /// This is **not** an exact quantile: the histogram only keeps
-    /// power-of-two bucket counts, so the returned value is the *upper
-    /// bound* `2^i` of the bucket the q-quantile observation fell into.
-    /// The true quantile lies somewhere in `(2^(i-1), 2^i]` — up to 2×
-    /// smaller than the reported bound. The estimate is coarse but
-    /// deterministic and merge-stable, which is what the golden gate
-    /// needs.
+    /// power-of-two bucket counts, so the returned value is the
+    /// inclusive upper edge `2^(i+1) - 1` of the bucket the q-quantile
+    /// observation fell into, clamped to the observed maximum. The true
+    /// quantile lies somewhere in `[2^i, 2^(i+1))` — up to 2× smaller
+    /// than the reported bound. The estimate is coarse but deterministic
+    /// and merge-stable, which is what the golden gate needs.
     pub fn quantile_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
-        let target = ((self.count as f64) * q).ceil() as u64;
+        let rank = ((self.count as f64 * q).ceil() as u64).clamp(1, self.count);
         let mut seen = 0;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
-            if seen >= target {
-                return 1u64 << i;
+            if seen >= rank {
+                return (u64::MAX >> (63 - i)).min(self.max);
             }
         }
-        1u64 << (self.buckets.len().saturating_sub(1))
+        self.max
     }
 
     fn to_json(&self) -> String {
@@ -446,8 +446,27 @@ mod tests {
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 2006);
         assert_eq!(h.max(), 1100);
-        assert!(h.quantile_bound(0.5) <= 4);
-        assert!(h.quantile_bound(1.0) >= 1024);
+    }
+
+    #[test]
+    fn quantile_bound_is_an_upper_bound_on_the_exact_quantile() {
+        let sorted = [0u64, 1, 2, 3, 7, 8, 900, 1023, 1024, 1100];
+        let mut h = Histogram::default();
+        for v in sorted {
+            h.observe(v);
+        }
+        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
+            let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
+            let exact = sorted[rank - 1];
+            let bound = h.quantile_bound(q);
+            assert!(bound >= exact, "q={q}: bound {bound} < exact {exact}");
+            assert!(bound <= h.max());
+        }
+        // One observation of 900 used to render as `p99<=512`.
+        let mut one = Histogram::default();
+        one.observe(900);
+        assert_eq!(one.quantile_bound(0.99), 900);
+        assert_eq!(Histogram::default().quantile_bound(0.5), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use semcluster::{
-    run_crash_matrix, run_simulation_with_obs, CrashMatrixConfig, FaultConfig, ObsConfig,
+    run_crash_matrix, run_simulation_observed, CrashMatrixConfig, FaultConfig, ObsConfig,
     SimConfig, SweepJob, SweepRunner,
 };
 use semcluster_clustering::ClusteringPolicy;
@@ -101,8 +101,8 @@ fn zero_rate_faults_are_inert() {
     let run = |cfg: SimConfig| {
         let buf = SyncBuf::default();
         let obs = ObsConfig::with_sink(Box::new(JsonlSink::new(buf.clone())));
-        let (report, snapshot) = run_simulation_with_obs(cfg, obs);
-        (report, snapshot, buf.bytes())
+        let (report, obs) = run_simulation_observed(cfg, obs);
+        (report, obs.metrics, buf.bytes())
     };
     let (ra, sa, ta) = run(base);
     let (rb, sb, tb) = run(explicit);
@@ -133,7 +133,8 @@ fn retry_exhaustion_aborts_transactions_but_the_run_completes() {
         },
         ..FaultConfig::default()
     };
-    let (report, snapshot) = run_simulation_with_obs(cfg, ObsConfig::default());
+    let (report, obs) = run_simulation_observed(cfg, ObsConfig::default());
+    let snapshot = obs.metrics;
     assert!(report.faults_enabled);
     assert!(
         report.faults.txn_aborts > 0,
@@ -177,7 +178,8 @@ fn graceful_degradation_engages_and_recovers() {
     };
     let buf = SyncBuf::default();
     let obs = ObsConfig::with_sink(Box::new(JsonlSink::new(buf.clone())));
-    let (report, snapshot) = run_simulation_with_obs(cfg, obs);
+    let (report, obs) = run_simulation_observed(cfg, obs);
+    let snapshot = obs.metrics;
     assert!(
         report.faults.degrade_enters > 0,
         "budget was never exceeded: {:?}",

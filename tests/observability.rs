@@ -3,7 +3,7 @@
 //! the exact response-time attribution invariant.
 
 use semcluster::{
-    run_simulation, run_simulation_with_obs, ObsConfig, RunReport, SimConfig, SpanBreakdown,
+    run_simulation, run_simulation_observed, ObsConfig, RunReport, SimConfig, SpanBreakdown,
 };
 use semcluster_buffer::{PrefetchScope, ReplacementPolicy};
 use semcluster_clustering::{ClusteringPolicy, SplitPolicy};
@@ -35,9 +35,9 @@ fn busy() -> SimConfig {
 fn traced_run(cfg: SimConfig) -> (RunReport, MetricsSnapshot, Vec<u8>) {
     let buf = SharedBuf::default();
     let sink = JsonlSink::new(buf.clone());
-    let (report, snapshot) = run_simulation_with_obs(cfg, ObsConfig::with_sink(Box::new(sink)));
+    let (report, obs) = run_simulation_observed(cfg, ObsConfig::with_sink(Box::new(sink)));
     let bytes = buf.bytes();
-    (report, snapshot, bytes)
+    (report, obs.metrics, bytes)
 }
 
 /// After a full engine run, `IoBreakdown::total()` must equal the sum of
