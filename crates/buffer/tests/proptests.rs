@@ -1,7 +1,7 @@
 //! Property-based tests for the buffer manager.
 
 use proptest::prelude::*;
-use semcluster_buffer::{Access, BufferPool, ReplacementPolicy};
+use semcluster_buffer::{Access, BufferPool, BufferStats, ReplacementPolicy};
 use semcluster_storage::PageId;
 use std::collections::HashSet;
 
@@ -13,7 +13,184 @@ fn policies() -> impl Strategy<Value = ReplacementPolicy> {
     ]
 }
 
+/// The keyed policies as a naive scan: frames in admission order with
+/// swap-remove eviction, the victim found by looking at every frame.
+struct ScanModel {
+    capacity: usize,
+    context_sensitive: bool,
+    /// `(page, key, dirty, pins)`, in the pool's slot order.
+    frames: Vec<(PageId, u64, bool, u32)>,
+    tick: u64,
+    stats: BufferStats,
+}
+
+impl ScanModel {
+    fn find(&mut self, page: PageId) -> Option<&mut (PageId, u64, bool, u32)> {
+        self.frames.iter_mut().find(|f| f.0 == page)
+    }
+
+    fn boost_amount(&self) -> u64 {
+        if self.context_sensitive {
+            (self.capacity as u64 / 2).max(1)
+        } else {
+            0
+        }
+    }
+
+    /// Whether admitting a non-resident page would find no victim.
+    fn stuck(&self) -> bool {
+        self.frames.len() == self.capacity && self.frames.iter().all(|f| f.3 > 0)
+    }
+
+    fn admit(&mut self, page: PageId, key: u64) -> Option<PageId> {
+        let mut write_back = None;
+        if self.frames.len() == self.capacity {
+            let slot = (0..self.frames.len())
+                .filter(|&s| self.frames[s].3 == 0)
+                .min_by_key(|&s| (self.frames[s].1, self.frames[s].0))
+                .expect("caller checked `stuck`");
+            let (victim, _, dirty, _) = self.frames.swap_remove(slot);
+            self.stats.evictions += 1;
+            if dirty {
+                self.stats.dirty_evictions += 1;
+                write_back = Some(victim);
+            }
+        }
+        self.frames.push((page, key, false, 0));
+        write_back
+    }
+
+    fn access(&mut self, page: PageId) -> Access {
+        self.tick += 1;
+        self.stats.requests += 1;
+        let (tick, cs) = (self.tick, self.context_sensitive);
+        if let Some(f) = self.find(page) {
+            f.1 = if cs { f.1.max(tick) } else { tick };
+            self.stats.hits += 1;
+            Access::Hit
+        } else {
+            self.stats.misses += 1;
+            Access::Miss {
+                evicted_dirty: self.admit(page, tick),
+            }
+        }
+    }
+
+    fn boost(&mut self, page: PageId) {
+        let raised = self.tick + self.boost_amount();
+        if !self.context_sensitive {
+            return;
+        }
+        if let Some(f) = self.find(page) {
+            f.1 = f.1.max(raised);
+            self.stats.boosts += 1;
+        }
+    }
+
+    fn refresh(&mut self, page: PageId) {
+        if self.context_sensitive {
+            return self.boost(page);
+        }
+        let tick = self.tick;
+        if let Some(f) = self.find(page) {
+            f.1 = tick;
+            self.stats.boosts += 1;
+        }
+    }
+
+    fn prefetch(&mut self, page: PageId) -> Option<PageId> {
+        if self.find(page).is_some() {
+            self.boost(page);
+            return None;
+        }
+        self.tick += 1;
+        self.stats.prefetch_reads += 1;
+        self.admit(page, self.tick + self.boost_amount())
+    }
+
+    fn install(&mut self, page: PageId) -> Option<PageId> {
+        if self.find(page).is_some() {
+            return None;
+        }
+        self.tick += 1;
+        self.admit(page, self.tick + self.boost_amount())
+    }
+}
+
 proptest! {
+    /// Victim identity: under LRU and context-sensitive replacement the
+    /// pool and a naive min-`(key, page)` scan, driven by one stream of
+    /// every operation that moves a key, a dirty bit or a pin, agree on
+    /// every result, write-back, the resident order and the counters
+    /// after every step. Page ranges are small so equal keys and ties on
+    /// `PageId` are common.
+    #[test]
+    fn pool_evicts_exactly_what_a_scan_would(
+        context_sensitive in any::<bool>(),
+        capacity in 1usize..10,
+        ops in proptest::collection::vec((0u32..24, 0u8..12), 1..600),
+    ) {
+        let policy = if context_sensitive {
+            ReplacementPolicy::ContextSensitive
+        } else {
+            ReplacementPolicy::Lru
+        };
+        let mut pool = BufferPool::new(capacity, policy, 0);
+        let mut model = ScanModel {
+            capacity,
+            context_sensitive,
+            frames: Vec::new(),
+            tick: 0,
+            stats: BufferStats::default(),
+        };
+        for &(raw, op) in &ops {
+            let page = PageId(raw);
+            let admits = op < 6 && !pool.contains(page);
+            if admits && model.stuck() {
+                continue; // every frame pinned: the pool would panic
+            }
+            match op {
+                0..=3 => prop_assert_eq!(pool.access(page), model.access(page)),
+                4 => prop_assert_eq!(pool.prefetch(page), model.prefetch(page)),
+                5 => prop_assert_eq!(pool.install(page), model.install(page)),
+                6 => {
+                    pool.boost(page);
+                    model.boost(page);
+                }
+                7 => {
+                    pool.refresh(page);
+                    model.refresh(page);
+                }
+                8 => {
+                    pool.mark_dirty(page);
+                    if let Some(f) = model.find(page) {
+                        f.2 = true;
+                    }
+                }
+                9 | 10 => {
+                    let pinned = pool.pin(page);
+                    let frame = model.find(page);
+                    prop_assert_eq!(pinned, frame.is_some());
+                    if let Some(f) = frame {
+                        f.3 += 1;
+                    }
+                }
+                _ => {
+                    if let Some(f) = model.find(page).filter(|f| f.3 > 0) {
+                        f.3 -= 1;
+                        pool.unpin(page);
+                    }
+                }
+            }
+            let resident: Vec<PageId> = model.frames.iter().map(|f| f.0).collect();
+            prop_assert_eq!(pool.resident_pages(), &resident[..]);
+            prop_assert_eq!(pool.stats(), model.stats);
+            let dirty: Vec<PageId> =
+                model.frames.iter().filter(|f| f.2).map(|f| f.0).collect();
+            prop_assert_eq!(pool.dirty_pages(), dirty);
+        }
+    }
+
     /// Under any policy and access stream: capacity is never exceeded,
     /// counters are conserved, and a hit is reported iff the page was
     /// resident (checked against a reference set).

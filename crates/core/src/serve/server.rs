@@ -732,13 +732,20 @@ fn submit_txn(
                 submitted_at_us: shared.now_us(),
                 reply: tx_self.clone(),
             };
+            // Enter the gauge before the send: an idle worker can dequeue
+            // and `queue_leave` before `try_send` even returns, and a leave
+            // on a gauge still at 0 wraps it to 2^64 - 1, which admission
+            // then reads as a full queue.
+            shared.stats.queue_enter();
             match job_tx.try_send(job) {
-                Ok(()) => {
-                    shared.stats.queue_enter();
-                    None
+                Ok(()) => None,
+                Err(refused) => {
+                    shared.stats.queue_leave();
+                    Some(match refused {
+                        TrySendError::Full(_) => ExecResult::Overloaded,
+                        TrySendError::Disconnected(_) => ExecResult::ShuttingDown,
+                    })
                 }
-                Err(TrySendError::Full(_)) => Some(ExecResult::Overloaded),
-                Err(TrySendError::Disconnected(_)) => Some(ExecResult::ShuttingDown),
             }
         }
         Some(ExecHandle::Oracle(tx)) => {

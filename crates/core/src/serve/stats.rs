@@ -454,7 +454,9 @@ impl ServeStats {
         self.group_txns.fetch_add(txns, Ordering::SeqCst);
     }
 
-    /// A job entered the bounded execution queue.
+    /// A job is about to enter the bounded execution queue. Call this
+    /// *before* the send — the consumer's [`ServeStats::queue_leave`] may
+    /// run before the send returns — and leave again if the send fails.
     pub fn queue_enter(&self) {
         self.queue_depth.fetch_add(1, Ordering::SeqCst);
     }
@@ -754,6 +756,42 @@ mod tests {
         assert_eq!(snap.max_us, 900);
         assert_eq!(snap.quantile_bound_us(0.5), 7);
         assert_eq!(snap.quantile_bound_us(0.99), 900, "clamped to max");
+    }
+
+    #[test]
+    fn queue_gauge_counts_a_job_from_enter_to_leave_whichever_side_runs_first() {
+        // `submit_txn`'s protocol: enter, then send; the worker leaves
+        // after its recv. Whether the worker was already waiting or only
+        // starts once the job is queued, it must see its own job counted
+        // when it dequeues — a leave on a gauge still at 0 would wrap.
+        for worker_waits_first in [true, false] {
+            let stats = &ServeStats::new();
+            let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<()>(1);
+            let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+            let submit = || {
+                stats.queue_enter();
+                assert_eq!(stats.queue_depth(), 1);
+                job_tx.try_send(()).expect("one free slot");
+            };
+            std::thread::scope(|s| {
+                if !worker_waits_first {
+                    submit();
+                }
+                let worker = s.spawn(move || {
+                    started_tx.send(()).expect("main is listening");
+                    job_rx.recv().expect("a job");
+                    let seen = stats.queue_depth();
+                    stats.queue_leave();
+                    seen
+                });
+                started_rx.recv().expect("worker started");
+                if worker_waits_first {
+                    submit();
+                }
+                assert_eq!(worker.join().expect("worker"), 1);
+            });
+            assert_eq!(stats.queue_depth(), 0);
+        }
     }
 
     #[test]

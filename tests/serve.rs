@@ -301,6 +301,45 @@ fn admission_control_sheds_under_pressure_without_breaking_acid() {
 }
 
 #[test]
+fn read_only_closed_loop_is_never_shed_by_an_idle_queue() {
+    // Read-only transactions finish in microseconds, so both workers sit
+    // idle in `recv` and dequeue a job before its submitter has returned
+    // from the send. The queue gauge must count the job by then: were it
+    // entered after the send, the worker's leave would wrap it below
+    // zero and admission would refuse the next window as OVERLOADED.
+    let handle = Server::start(
+        ServeConfig {
+            workers: 2,
+            queue_cap: 256,
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("start server");
+    let summary = semcluster::serve::run_load(&LoadConfig {
+        addr: handle.addr().to_string(),
+        connections: 2,
+        sessions_per_conn: 8,
+        txns_per_session: 2_000,
+        write_pct: 0,
+        pipeline: 8,
+        seed: 1989,
+        ..LoadConfig::default()
+    })
+    .expect("run load");
+    handle.request_shutdown();
+    let report = handle.join().expect("drain");
+    assert_eq!(summary.rejected_overloaded, 0);
+    assert_eq!(
+        report.sheds, 0,
+        "16 in flight against a 256-slot queue: nothing to shed"
+    );
+    assert_eq!(report.stats.gauge("queue_depth"), 0);
+    assert_eq!(summary.acked, summary.attempted);
+    assert!(report.clean_drain);
+}
+
+#[test]
 fn chaos_golden_matches_at_any_jobs_count() {
     // The committed chaos golden must verify unchanged regardless of
     // the thread count the suite is rendered with.
