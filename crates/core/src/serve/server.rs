@@ -2,9 +2,8 @@
 //!
 //! Std-only threading: one accept loop, one reader + one driver thread
 //! per connection, a bank of executor workers over a bounded job queue,
-//! and a group-commit coordinator batching WAL forces across
-//! concurrently committing transactions. Two modes share the wire
-//! protocol:
+//! and one committer thread batching WAL forces across concurrently
+//! committing transactions. Two modes share the wire protocol:
 //!
 //! * **Oracle** — a single executor thread owns a deterministic
 //!   [`Engine`] and advances it one transaction per TXN request; REPORT
@@ -14,11 +13,19 @@
 //!   simulator the correctness oracle for the served path.
 //! * **Concurrent** — worker threads drive one shared core (lock
 //!   manager + WAL + object values) with conservative all-or-nothing
-//!   locking, bounded retries with exponential backoff, and group
-//!   commit. At drain the server replays its own durable log through
-//!   [`semcluster_wal::recover`] and reports any acknowledged
-//!   transaction that recovery does not consider a winner as an ACID
-//!   violation.
+//!   locking, and the executor is event-driven: no worker blocks on a
+//!   log force, and no lock waiter sleeps past the release it waits
+//!   for. A worker applies a write transaction under the core mutex
+//!   (its one acquisition), hands it down a channel to the committer
+//!   and goes back to the queue; the committer gathers for the window,
+//!   then commits the whole batch, releases its locks and acknowledges
+//!   its members under a single mutex hold (`commit_thread`). A worker
+//!   whose lock set conflicts waits on a condvar that every lock
+//!   release signals, within a retry budget counted in elapsed time
+//!   (`acquire_locks`). At drain the server replays its own durable
+//!   log through [`semcluster_wal::recover`] and reports any
+//!   acknowledged transaction that recovery does not consider a winner
+//!   as an ACID violation.
 //!
 //! Hardening on every path: per-request deadlines (expired work is
 //! dropped, typed timeout replies), admission control with hysteresis
@@ -31,7 +38,7 @@ use std::io::Write as _;
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -81,7 +88,9 @@ pub struct ServeConfig {
     /// degradation-policy shape: exit at `exit_pct`% of the enter
     /// level after `window_txns` calm observations).
     pub admission: DegradationPolicy,
-    /// Retry budget for lock conflicts.
+    /// Retry budget for lock conflicts, counted in elapsed time: attempt
+    /// `k` lasts `backoff_after(k)` µs of waiting for a release, and the
+    /// request's deadline ends the wait early.
     pub retry: RetryPolicy,
     /// Group-commit gather window, in wall-clock microseconds.
     pub group_window_us: u64,
@@ -213,6 +222,11 @@ impl ServeReport {
 
 // ------------------------------------------------------------- executor
 
+/// Retained-log records reserved when the server starts (≈1.3 MB of
+/// address space; its pages are touched only as records land), so no
+/// flush regrows — and re-copies — the log under the core mutex.
+const RETAINED_LOG_RESERVE: usize = 1 << 15;
+
 /// The state every concurrent-mode transaction contends on: the lock
 /// table arbitrates access, the WAL makes effects durable, `values` is
 /// the object store the transactions actually read and write.
@@ -221,6 +235,45 @@ struct SharedCore {
     log: LogManager,
     values: Vec<u64>,
     next_lock_txn: u64,
+    /// Workers parked on [`Core::released`] right now. Read by whoever
+    /// releases locks, under the same mutex, so a release with nobody
+    /// waiting costs no wake-up call.
+    lock_waiters: usize,
+}
+
+/// The shared core paired with the condvar its lock releases signal: a
+/// worker whose lock set conflicted waits here and re-tries at the
+/// release it was waiting for, not at a timer.
+struct Core {
+    state: Mutex<SharedCore>,
+    released: Condvar,
+}
+
+impl Core {
+    fn new(objects: u32) -> Core {
+        let mut log = LogManager::with_retention(LogConfig::default());
+        log.reserve_retained(RETAINED_LOG_RESERVE);
+        Core {
+            state: Mutex::new(SharedCore {
+                locks: LockManager::new(),
+                log,
+                values: vec![0; objects.max(1) as usize],
+                next_lock_txn: 1,
+                lock_waiters: 0,
+            }),
+            released: Condvar::new(),
+        }
+    }
+
+    /// Unlock the core after releasing object locks, waking the workers
+    /// parked on a conflict (once the mutex is free for them to take).
+    fn unlock_after_release(&self, c: MutexGuard<'_, SharedCore>) {
+        let wake = c.lock_waiters > 0;
+        drop(c);
+        if wake {
+            self.released.notify_all();
+        }
+    }
 }
 
 struct Job {
@@ -232,6 +285,17 @@ struct Job {
     /// stamp chain.
     submitted_at_us: u64,
     reply: Sender<ConnEvent>,
+}
+
+impl Job {
+    fn resolve(self, result: ExecResult, stamps: Option<RequestStamps>) {
+        let _ = self.reply.send(ConnEvent::Executed {
+            session: self.session,
+            client_txn: self.client_txn,
+            result,
+            stamps,
+        });
+    }
 }
 
 enum OracleJob {
@@ -252,203 +316,268 @@ enum ExecHandle {
     Oracle(Sender<OracleJob>),
 }
 
-/// Group-commit coordinator: the first committer in an idle window
-/// becomes leader, sleeps the gather window, then flushes the whole
-/// batch with one [`LogManager::commit_group`] call. Followers block
-/// until their epoch is flushed. Object locks are held across the wait
-/// (strict two-phase locking through commit), which is exactly the
-/// contention the lock manager's all-or-nothing acquisition arbitrates.
-struct GroupCommitter {
-    state: Mutex<GroupState>,
-    cv: Condvar,
-    window_us: u64,
+/// A write transaction a worker has applied under its locks and handed
+/// to the committer: its update records are in the log tail, its commit
+/// record is not yet forced, and its object locks stay held until it is
+/// (strict two-phase locking through the durability point).
+struct PendingCommit {
+    job: Job,
+    token: TxnToken,
+    lock_id: TxnId,
+    /// Stamps through t3; the committer fills `committed_us`.
+    stamps: RequestStamps,
 }
 
-struct GroupState {
-    batch: Vec<TxnToken>,
-    epoch: u64,
-    completed_epoch: u64,
-    leader: bool,
-    last_lsn: u64,
-}
-
-impl GroupCommitter {
-    fn new(window_us: u64) -> Self {
-        GroupCommitter {
-            state: Mutex::new(GroupState {
-                batch: Vec::new(),
-                epoch: 1,
-                completed_epoch: 0,
-                leader: false,
-                last_lsn: 0,
-            }),
-            cv: Condvar::new(),
-            window_us,
+/// The group committer: the one thread that forces the log. It blocks
+/// for the first pending commit, gathers for the window, drains whatever
+/// else the workers handed off meanwhile, and then holds the core mutex
+/// **once** for the whole batch — one [`LogManager::commit_group`], then
+/// every member's locks released — before acknowledging each member to
+/// its connection (ack strictly after the force). Workers never wait for
+/// it; it exits when the last worker drops its sender.
+fn commit_thread(rx: Receiver<PendingCommit>, core: Arc<Core>, shared: Arc<Shared>) {
+    let window = Duration::from_micros(shared.cfg.group_window_us);
+    let mut batch: Vec<PendingCommit> = Vec::new();
+    let mut tokens: Vec<TxnToken> = Vec::new();
+    while let Ok(first) = rx.recv() {
+        batch.push(first);
+        if !window.is_zero() {
+            thread::sleep(window);
         }
-    }
-
-    fn commit(&self, token: TxnToken, core: &Mutex<SharedCore>, stats: &ServeStats) -> u64 {
-        let (my_epoch, am_leader) = {
-            let mut st = self.state.lock().unwrap();
-            st.batch.push(token);
-            let e = st.epoch;
-            let lead = !st.leader;
-            if lead {
-                st.leader = true;
+        batch.extend(rx.try_iter());
+        tokens.extend(batch.iter().map(|p| p.token));
+        // A worker that panicked under the core mutex poisoned it: the
+        // batch cannot be made durable, so its members are failed (typed
+        // INTERNAL) rather than the committer dying too and stranding
+        // every session behind it.
+        let commit_lsn = core.state.lock().ok().map(|mut c| {
+            let forces = c.log.commit_group(&tokens);
+            let lsn = c.log.current_lsn();
+            for p in &batch {
+                c.locks.release_all(p.lock_id);
             }
-            (e, lead)
-        };
-        if am_leader {
-            loop {
-                if self.window_us > 0 {
-                    thread::sleep(Duration::from_micros(self.window_us));
+            core.unlock_after_release(c);
+            shared
+                .stats
+                .record_group_flush(tokens.len() as u64, u64::from(forces));
+            lsn
+        });
+        tokens.clear();
+        let committed_us = shared.now_us();
+        for mut p in batch.drain(..) {
+            match commit_lsn {
+                Some(commit_lsn) => {
+                    p.stamps.committed_us = committed_us;
+                    let result = ExecResult::Committed {
+                        token: Some(p.token.raw()),
+                        commit_lsn,
+                        completed: shared.stats.record_commit(),
+                        done: false,
+                    };
+                    p.job.resolve(result, Some(p.stamps));
                 }
-                let (batch, epoch) = {
-                    let mut st = self.state.lock().unwrap();
-                    if st.batch.is_empty() {
-                        st.leader = false;
-                        break;
-                    }
-                    let b = std::mem::take(&mut st.batch);
-                    let e = st.epoch;
-                    st.epoch += 1;
-                    (b, e)
-                };
-                let (lsn, forces) = {
-                    let mut core = core.lock().unwrap();
-                    let forces = core.log.commit_group(&batch);
-                    (core.log.current_lsn(), forces)
-                };
-                stats.record_group_flush(batch.len() as u64, u64::from(forces));
-                let mut st = self.state.lock().unwrap();
-                st.completed_epoch = epoch;
-                st.last_lsn = lsn;
-                self.cv.notify_all();
+                None => p.job.resolve(
+                    ExecResult::Failed("core mutex poisoned before the commit force".into()),
+                    None,
+                ),
             }
-            self.state.lock().unwrap().last_lsn
-        } else {
-            let mut st = self.state.lock().unwrap();
-            while st.completed_epoch < my_epoch {
-                st = self.cv.wait(st).unwrap();
-            }
-            st.last_lsn
         }
     }
 }
 
-/// Build the (deduplicated, mode-joined) lock set for a transaction.
-fn lockset(ops: &[TxnOp], objects: u32) -> Vec<(ObjectId, LockMode)> {
-    let mut set: Vec<(ObjectId, LockMode)> = Vec::with_capacity(ops.len());
-    for op in ops {
-        let id = ObjectId(op.object % objects.max(1));
+/// Build the (deduplicated, mode-joined) lock set for a transaction into
+/// `set`, a buffer the worker reuses from job to job. Sorted by object:
+/// acquisition is all-or-nothing, so no order is relied on.
+fn lockset(ops: &[TxnOp], objects: u32, set: &mut Vec<(ObjectId, LockMode)>) {
+    set.clear();
+    set.extend(ops.iter().map(|op| {
         let mode = if op.write {
             LockMode::Exclusive
         } else {
             LockMode::Shared
         };
-        match set.iter_mut().find(|(o, _)| *o == id) {
-            Some((_, m)) => *m = m.join(mode),
-            None => set.push((id, mode)),
+        (ObjectId(op.object % objects.max(1)), mode)
+    }));
+    set.sort_unstable_by_key(|&(object, _)| object);
+    set.dedup_by(|dup, kept| {
+        let same = dup.0 == kept.0;
+        if same {
+            kept.1 = kept.1.join(dup.1);
         }
-    }
-    set
+        same
+    });
 }
 
-/// Execute one transaction against the shared core. On commit, returns
-/// the attribution stamps with everything up to t4 (`committed_us`)
-/// filled in — `submitted_us`/`dequeued_us` are copied from the job, and
-/// the driver stamps `replied_us` when the TxnOk actually hits the
-/// socket. Non-commit outcomes carry no stamps (nothing was serviced).
-fn execute_txn(
-    ops: &[TxnOp],
-    shared: &Shared,
-    core: &Mutex<SharedCore>,
-    group: &GroupCommitter,
-    submitted_at_us: u64,
-    dequeued_us: u64,
-) -> (ExecResult, Option<RequestStamps>) {
-    let objects = shared.cfg.objects;
-    let retry = &shared.cfg.retry;
-    let stats = &shared.stats;
-    let requests = lockset(ops, objects);
-    let has_write = ops.iter().any(|op| op.write);
+/// Take every lock in `requests` or none, returning the core still
+/// locked. A conflict waits on [`Core::released`] instead of sleeping,
+/// and the retry budget is a *time* budget: attempt `k` lasts until
+/// `retry.backoff_after(k)` has elapsed, a release re-tries without
+/// consuming an attempt, and only an elapsed interval does — so
+/// `RETRY_EXHAUSTED` means the conflict lasted the whole budget
+/// (2 + 4 + 8 ms under the default policy), however many releases woke
+/// the waiter meanwhile. The wait is also cut short by the job's
+/// deadline. All-or-nothing acquisition means no hold-and-wait, hence no
+/// deadlock.
+fn acquire_locks<'a>(
+    core: &'a Core,
+    requests: &[(ObjectId, LockMode)],
+    retry: &RetryPolicy,
+    deadline_at: Instant,
+) -> Result<(MutexGuard<'a, SharedCore>, TxnId), ExecResult> {
+    let max_attempts = retry.max_attempts.max(1);
     let mut attempt = 1u32;
+    let mut attempt_ends: Option<Instant> = None;
+    let mut c = core.state.lock().unwrap();
+    loop {
+        let lock_id = TxnId(c.next_lock_txn);
+        if c.locks.try_acquire_all(lock_id, requests) {
+            c.next_lock_txn += 1;
+            return Ok((c, lock_id));
+        }
+        if attempt >= max_attempts {
+            return Err(ExecResult::RetryExhausted { attempts: attempt });
+        }
+        let now = Instant::now();
+        if now >= deadline_at {
+            return Err(ExecResult::DeadlineExceeded);
+        }
+        let ends = *attempt_ends
+            .get_or_insert_with(|| now + Duration::from_micros(retry.backoff_after(attempt)));
+        if now < ends {
+            c.lock_waiters += 1;
+            let wait = ends.min(deadline_at) - now;
+            c = core.released.wait_timeout(c, wait).unwrap().0;
+            c.lock_waiters -= 1;
+        }
+        if Instant::now() >= ends {
+            attempt += 1;
+            attempt_ends = None;
+        }
+    }
+}
+
+/// How a worker left a transaction.
+enum Executed {
+    /// Resolved on the worker. A commit (the read-only fast path)
+    /// carries its attribution stamps through t4; other outcomes carry
+    /// none (nothing was serviced).
+    Resolved(ExecResult, Option<RequestStamps>),
+    /// A write transaction, applied and logged under its locks, whose
+    /// commit record the committer has yet to force.
+    AwaitingForce {
+        token: TxnToken,
+        lock_id: TxnId,
+        /// Stamps through t3 (`executed_us`).
+        stamps: RequestStamps,
+    },
+}
+
+/// Execute one transaction against the shared core, taking the core
+/// mutex once. `submitted_us`/`dequeued_us` of the stamps are copied from
+/// the job; the committer stamps `committed_us` after the force and the
+/// driver stamps `replied_us` when the TxnOk actually hits the socket.
+fn execute_txn(
+    job: &Job,
+    dequeued_us: u64,
+    requests: &mut Vec<(ObjectId, LockMode)>,
+    core: &Core,
+    shared: &Shared,
+) -> Executed {
+    let objects = shared.cfg.objects.max(1);
+    let ops = &job.ops;
+    lockset(ops, objects, requests);
     let mut stamps = RequestStamps {
-        submitted_us: submitted_at_us,
+        submitted_us: job.submitted_at_us,
         dequeued_us,
         ..RequestStamps::default()
     };
-    let token: Option<TxnToken> = loop {
-        let mut c = core.lock().unwrap();
-        let lock_id = TxnId(c.next_lock_txn);
-        if c.locks.try_acquire_all(lock_id, &requests) {
-            stamps.locked_us = shared.now_us();
-            c.next_lock_txn += 1;
-            if !has_write {
-                // Read-only commit fast-path: no update records means
-                // recovery has nothing to redo, so the transaction
-                // never enters the log and never waits for a force.
-                // Its "commit LSN" is whatever is already durable.
-                for op in ops {
-                    let _ = c.values[(op.object % objects.max(1)) as usize];
-                }
-                let lsn = c.log.current_lsn();
-                c.locks.release_all(lock_id);
-                drop(c);
-                stamps.executed_us = shared.now_us();
-                // No group-commit wait on the fast path: t4 == t3.
-                stamps.committed_us = stamps.executed_us;
-                let completed = stats.record_commit();
-                return (
-                    ExecResult::Committed {
-                        token: None,
-                        commit_lsn: lsn,
-                        completed,
-                        done: false,
-                    },
-                    Some(stamps),
-                );
-            }
-            let token = c.log.begin();
-            for op in ops {
-                let slot = (op.object % objects.max(1)) as usize;
-                if op.write {
-                    c.values[slot] = c.values[slot].wrapping_add(1);
-                    c.log.log_update(token, PageId((slot as u32) >> 4), 64);
-                } else {
-                    // Reads still go through the lock: hold S until commit.
-                    let _ = c.values[slot];
-                }
-            }
-            drop(c);
-            stamps.executed_us = shared.now_us();
-            let lsn = group.commit(token, core, stats);
-            let completed = stats.record_commit();
-            core.lock().unwrap().locks.release_all(lock_id);
-            stamps.committed_us = shared.now_us();
-            return (
-                ExecResult::Committed {
-                    token: Some(token.raw()),
-                    commit_lsn: lsn,
-                    completed,
-                    done: false,
-                },
-                Some(stamps),
-            );
-        }
-        drop(c);
-        if attempt >= retry.max_attempts.max(1) {
-            break None;
-        }
-        // Exponential backoff on the transient conflict, capped so a
-        // pathological config cannot stall a worker for seconds.
-        thread::sleep(Duration::from_micros(
-            retry.backoff_after(attempt).min(20_000),
-        ));
-        attempt += 1;
+    let (mut c, lock_id) = match acquire_locks(core, requests, &shared.cfg.retry, job.deadline_at) {
+        Ok(held) => held,
+        Err(result) => return Executed::Resolved(result, None),
     };
-    debug_assert!(token.is_none());
-    (ExecResult::RetryExhausted { attempts: attempt }, None)
+    stamps.locked_us = shared.now_us();
+    if !ops.iter().any(|op| op.write) {
+        // Read-only commit fast-path: no update records means recovery
+        // has nothing to redo, so the transaction never enters the log
+        // and never waits for a force. Its "commit LSN" is whatever is
+        // already durable.
+        for op in ops {
+            let _ = c.values[(op.object % objects) as usize];
+        }
+        let commit_lsn = c.log.current_lsn();
+        c.locks.release_all(lock_id);
+        core.unlock_after_release(c);
+        stamps.executed_us = shared.now_us();
+        // No group-commit wait on the fast path: t4 == t3.
+        stamps.committed_us = stamps.executed_us;
+        let result = ExecResult::Committed {
+            token: None,
+            commit_lsn,
+            completed: shared.stats.record_commit(),
+            done: false,
+        };
+        return Executed::Resolved(result, Some(stamps));
+    }
+    let token = c.log.begin();
+    for op in ops {
+        let slot = (op.object % objects) as usize;
+        if op.write {
+            c.values[slot] = c.values[slot].wrapping_add(1);
+            c.log.log_update(token, PageId((slot as u32) >> 4), 64);
+        } else {
+            // Reads still go through the lock: hold S until commit.
+            let _ = c.values[slot];
+        }
+    }
+    drop(c);
+    stamps.executed_us = shared.now_us();
+    Executed::AwaitingForce {
+        token,
+        lock_id,
+        stamps,
+    }
+}
+
+/// Everything a worker does with a dequeued job: execute it, then either
+/// resolve it to its connection or hand it to the committer and move on.
+fn process_job(
+    job: Job,
+    dequeued_us: u64,
+    requests: &mut Vec<(ObjectId, LockMode)>,
+    core: &Core,
+    commits: &Sender<PendingCommit>,
+    shared: &Shared,
+) {
+    if Instant::now() >= job.deadline_at {
+        // Deadline expired while queued: drop the work unexecuted.
+        return job.resolve(ExecResult::DeadlineExceeded, None);
+    }
+    match execute_txn(&job, dequeued_us, requests, core, shared) {
+        Executed::Resolved(result, stamps) => job.resolve(result, stamps),
+        Executed::AwaitingForce {
+            token,
+            lock_id,
+            stamps,
+        } => {
+            let pending = PendingCommit {
+                job,
+                token,
+                lock_id,
+                stamps,
+            };
+            if let Err(mpsc::SendError(p)) = commits.send(pending) {
+                // The committer is gone, so nothing will ever force this
+                // transaction: give its locks back and fail it now (typed
+                // INTERNAL) instead of leaving the client to its deadline.
+                let mut c = core.state.lock().unwrap();
+                c.log.abort(p.token);
+                c.locks.release_all(p.lock_id);
+                core.unlock_after_release(c);
+                p.job
+                    .resolve(ExecResult::Failed("commit thread is gone".into()), None);
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------------ conn glue
@@ -487,6 +616,20 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(cfg: ServeConfig, shutdown: Arc<AtomicBool>, exec: Option<ExecHandle>) -> Shared {
+        Shared {
+            admission: Mutex::new(AdmissionControl::new(cfg.queue_cap.max(1), &cfg.admission)),
+            slo: Mutex::new(SloTracker::new(cfg.slo_window)),
+            cfg,
+            stats: ServeStats::new(),
+            shutdown,
+            start: Instant::now(),
+            acked_tokens: Mutex::new(Vec::new()),
+            exec: Mutex::new(exec),
+            request_trace: Mutex::new(Vec::new()),
+        }
+    }
+
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
     }
@@ -654,10 +797,11 @@ fn conn_driver(
                     }
                 }
                 FsmAction::Submit(txn) => {
-                    if let Some(result) = submit_txn(&shared, exec.as_ref(), &tx_self, &txn) {
+                    let (session, client_txn) = (txn.session, txn.client_txn);
+                    if let Some(result) = submit_txn(&shared, exec.as_ref(), &tx_self, txn) {
                         inputs.push_back(ConnEvent::Executed {
-                            session: txn.session,
-                            client_txn: txn.client_txn,
+                            session,
+                            client_txn,
                             result,
                             stamps: None,
                         });
@@ -706,7 +850,7 @@ fn submit_txn(
     shared: &Shared,
     exec: Option<&ExecHandle>,
     tx_self: &Sender<ConnEvent>,
-    txn: &TxnRequest,
+    txn: TxnRequest,
 ) -> Option<ExecResult> {
     if shared.shutdown.load(Ordering::SeqCst) {
         return Some(ExecResult::ShuttingDown);
@@ -727,7 +871,7 @@ fn submit_txn(
             let job = Job {
                 session: txn.session,
                 client_txn: txn.client_txn,
-                ops: txn.ops.clone(),
+                ops: txn.ops,
                 deadline_at: Instant::now() + Duration::from_millis(u64::from(deadline_ms)),
                 submitted_at_us: shared.now_us(),
                 reply: tx_self.clone(),
@@ -768,10 +912,11 @@ fn submit_txn(
 
 fn worker_thread(
     rx: Arc<Mutex<Receiver<Job>>>,
-    core: Arc<Mutex<SharedCore>>,
-    group: Arc<GroupCommitter>,
+    core: Arc<Core>,
+    commits: Sender<PendingCommit>,
     shared: Arc<Shared>,
 ) {
+    let mut requests = Vec::new();
     loop {
         let job = match rx.lock().unwrap().recv() {
             Ok(job) => job,
@@ -781,25 +926,7 @@ fn worker_thread(
         // t1: the job left the queue — everything before this instant
         // is admission wait.
         let dequeued_us = shared.now_us();
-        let (result, stamps) = if Instant::now() >= job.deadline_at {
-            // Deadline expired while queued: drop the work unexecuted.
-            (ExecResult::DeadlineExceeded, None)
-        } else {
-            execute_txn(
-                &job.ops,
-                &shared,
-                &core,
-                &group,
-                job.submitted_at_us,
-                dequeued_us,
-            )
-        };
-        let _ = job.reply.send(ConnEvent::Executed {
-            session: job.session,
-            client_txn: job.client_txn,
-            result,
-            stamps,
-        });
+        process_job(job, dequeued_us, &mut requests, &core, &commits, &shared);
     }
 }
 
@@ -1008,11 +1135,7 @@ fn metrics_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool
 /// right after, once the `Shared` handle they need is constructed.
 enum ExecSetup {
     Oracle(Receiver<OracleJob>, Box<SimConfig>),
-    Concurrent(
-        Arc<Mutex<Receiver<Job>>>,
-        Arc<Mutex<SharedCore>>,
-        Arc<GroupCommitter>,
-    ),
+    Concurrent(Arc<Mutex<Receiver<Job>>>, Arc<Core>),
 }
 
 #[allow(clippy::too_many_lines)]
@@ -1025,7 +1148,7 @@ fn accept_loop(
     let timeline_interval = cfg.timeline_interval_ms;
     // Executor backend.
     let mut worker_handles: Vec<JoinHandle<()>> = Vec::new();
-    let mut core_for_verdict: Option<Arc<Mutex<SharedCore>>> = None;
+    let mut core_for_verdict: Option<Arc<Core>> = None;
     let (exec, setup) = match &cfg.mode {
         ServeMode::Oracle(sim) => {
             let (tx, rx) = mpsc::channel::<OracleJob>();
@@ -1034,31 +1157,15 @@ fn accept_loop(
         ServeMode::Concurrent => {
             let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_cap.max(1));
             let rx = Arc::new(Mutex::new(rx));
-            let core = Arc::new(Mutex::new(SharedCore {
-                locks: LockManager::new(),
-                log: LogManager::with_retention(LogConfig::default()),
-                values: vec![0; cfg.objects.max(1) as usize],
-                next_lock_txn: 1,
-            }));
+            // Built (and its retained log reserved) here, on the accept
+            // thread: what lives as long as the server is sized once, by
+            // the thread that lives as long, not regrown by a worker.
+            let core = Arc::new(Core::new(cfg.objects));
             core_for_verdict = Some(Arc::clone(&core));
-            let group = Arc::new(GroupCommitter::new(cfg.group_window_us));
-            (
-                ExecHandle::Concurrent(tx),
-                ExecSetup::Concurrent(rx, core, group),
-            )
+            (ExecHandle::Concurrent(tx), ExecSetup::Concurrent(rx, core))
         }
     };
-    let shared = Arc::new(Shared {
-        admission: Mutex::new(AdmissionControl::new(cfg.queue_cap.max(1), &cfg.admission)),
-        slo: Mutex::new(SloTracker::new(cfg.slo_window)),
-        cfg,
-        stats: ServeStats::new(),
-        shutdown: Arc::clone(&shutdown),
-        start: Instant::now(),
-        acked_tokens: Mutex::new(Vec::new()),
-        exec: Mutex::new(Some(exec)),
-        request_trace: Mutex::new(Vec::new()),
-    });
+    let shared = Arc::new(Shared::new(cfg, Arc::clone(&shutdown), Some(exec)));
     match setup {
         ExecSetup::Oracle(rx, sim) => {
             let shared2 = Arc::clone(&shared);
@@ -1069,19 +1176,30 @@ fn accept_loop(
                     .expect("spawn oracle thread"),
             );
         }
-        ExecSetup::Concurrent(rx, core, group) => {
+        ExecSetup::Concurrent(rx, core) => {
+            // The workers hold the only senders, so the committer exits
+            // once the last of them has; pushed last, it is joined last.
+            let (commits, commit_rx) = mpsc::channel::<PendingCommit>();
             for w in 0..shared.cfg.workers.max(1) {
                 let rx = Arc::clone(&rx);
                 let core = Arc::clone(&core);
-                let group = Arc::clone(&group);
+                let commits = commits.clone();
                 let shared = Arc::clone(&shared);
                 worker_handles.push(
                     thread::Builder::new()
                         .name(format!("serve-worker-{w}"))
-                        .spawn(move || worker_thread(rx, core, group, shared))
+                        .spawn(move || worker_thread(rx, core, commits, shared))
                         .expect("spawn worker"),
                 );
             }
+            drop(commits);
+            let shared2 = Arc::clone(&shared);
+            worker_handles.push(
+                thread::Builder::new()
+                    .name("serve-commit".into())
+                    .spawn(move || commit_thread(commit_rx, core, shared2))
+                    .expect("spawn commit thread"),
+            );
         }
     }
     // Sampler: always runs — it is what advances the SLO window — and
@@ -1206,7 +1324,9 @@ fn accept_loop(
     // acked transaction must be a winner.
     let acid_violations = match core_for_verdict {
         Some(core) => {
-            let mut core = core.lock().unwrap();
+            // A thread that died under the mutex already reads as an
+            // unclean drain; the log it leaves is still the one to judge.
+            let mut core = core.state.lock().unwrap_or_else(PoisonError::into_inner);
             let durable = core.log.crash();
             let outcome = recover(&durable);
             let mut winners: Vec<u64> = outcome.winners.iter().map(|t| t.raw()).collect();
@@ -1247,5 +1367,236 @@ fn accept_loop(
         timeline,
         stats,
         request_trace,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn op(write: bool, object: u32) -> TxnOp {
+        TxnOp { write, object }
+    }
+
+    fn shared(retry: RetryPolicy) -> Shared {
+        let cfg = ServeConfig {
+            retry,
+            objects: 16,
+            ..ServeConfig::default()
+        };
+        Shared::new(cfg, Arc::new(AtomicBool::new(false)), None)
+    }
+
+    /// No second chance: a lock conflict resolves at once.
+    fn one_attempt() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        }
+    }
+
+    fn job(client_txn: u64, ops: Vec<TxnOp>, reply: &Sender<ConnEvent>) -> Job {
+        Job {
+            session: 1,
+            client_txn,
+            ops,
+            deadline_at: Instant::now() + Duration::from_secs(30),
+            submitted_at_us: 0,
+            reply: reply.clone(),
+        }
+    }
+
+    fn executed(replies: &Receiver<ConnEvent>) -> (u64, ExecResult) {
+        match replies.try_recv() {
+            Ok(ConnEvent::Executed {
+                client_txn, result, ..
+            }) => (client_txn, result),
+            _ => panic!("expected an Executed event"),
+        }
+    }
+
+    #[test]
+    fn lockset_dedups_and_joins_modes_whatever_the_op_order() {
+        let mut set = vec![(ObjectId(99), LockMode::Shared)];
+        // Object 3 is read, written (as 19 % 16) and read again; object 1
+        // is only read; object 5 only written.
+        let ops = [
+            op(false, 3),
+            op(false, 1),
+            op(true, 19),
+            op(true, 5),
+            op(false, 3),
+        ];
+        lockset(&ops, 16, &mut set);
+        let expect = vec![
+            (ObjectId(1), LockMode::Shared),
+            (ObjectId(3), LockMode::Exclusive),
+            (ObjectId(5), LockMode::Exclusive),
+        ];
+        assert_eq!(set, expect, "the reused buffer holds only this lock set");
+        let mut reversed = Vec::new();
+        let rev: Vec<TxnOp> = ops.iter().rev().copied().collect();
+        lockset(&rev, 16, &mut reversed);
+        assert_eq!(reversed, expect, "op order does not show in the set");
+        // Nor does acquisition lean on it: any order takes the same locks.
+        let mut locks = LockManager::new();
+        let backwards: Vec<_> = expect.iter().rev().copied().collect();
+        assert!(locks.try_acquire_all(TxnId(1), &backwards));
+        assert!(!locks.try_acquire_all(TxnId(2), &[(ObjectId(1), LockMode::Exclusive)]));
+        locks.release_all(TxnId(1));
+        assert!(locks.try_acquire_all(TxnId(2), &expect));
+        // `objects == 0` is read as 1: everything maps to object 0.
+        lockset(&[op(false, 7), op(true, 9)], 0, &mut set);
+        assert_eq!(set, vec![(ObjectId(0), LockMode::Exclusive)]);
+    }
+
+    #[test]
+    fn a_dead_committer_fails_the_transaction_and_frees_its_locks() {
+        let shared = shared(one_attempt());
+        let core = Core::new(shared.cfg.objects);
+        let (reply, replies) = mpsc::channel();
+        let mut requests = Vec::new();
+        let (commits, commit_rx) = mpsc::channel();
+        drop(commit_rx);
+        process_job(
+            job(1, vec![op(true, 7)], &reply),
+            0,
+            &mut requests,
+            &core,
+            &commits,
+            &shared,
+        );
+        let (client_txn, result) = executed(&replies);
+        assert_eq!(client_txn, 1);
+        assert!(
+            matches!(result, ExecResult::Failed(_)),
+            "expected Failed, got {result:?}"
+        );
+        assert_eq!(core.state.lock().unwrap().log.open_transactions(), 0);
+
+        // The same object is free at once: with a single attempt a held
+        // lock would resolve this job as RetryExhausted, not hand it off.
+        let (commits, commit_rx) = mpsc::channel();
+        process_job(
+            job(2, vec![op(true, 7)], &reply),
+            0,
+            &mut requests,
+            &core,
+            &commits,
+            &shared,
+        );
+        assert!(replies.try_recv().is_err(), "handed off, not yet resolved");
+        let pending = commit_rx.try_recv().expect("handed to the committer");
+        assert_eq!(pending.job.client_txn, 2);
+        // ...and while that one awaits its force, a third conflicts.
+        process_job(
+            job(3, vec![op(false, 7)], &reply),
+            0,
+            &mut requests,
+            &core,
+            &commits,
+            &shared,
+        );
+        assert_eq!(
+            executed(&replies),
+            (3, ExecResult::RetryExhausted { attempts: 1 })
+        );
+    }
+
+    #[test]
+    fn the_committer_survives_a_poisoned_core_and_fails_its_batch() {
+        let shared = Arc::new(shared(one_attempt()));
+        let core = Arc::new(Core::new(shared.cfg.objects));
+        let (reply, replies) = mpsc::channel();
+        let (commits, commit_rx) = mpsc::channel();
+        process_job(
+            job(1, vec![op(true, 2)], &reply),
+            0,
+            &mut Vec::new(),
+            &core,
+            &commits,
+            &shared,
+        );
+        let poisoner = Arc::clone(&core);
+        let died = thread::spawn(move || {
+            let _held = poisoner.state.lock().unwrap();
+            panic!("a worker dies under the core mutex");
+        })
+        .join();
+        assert!(died.is_err() && core.state.is_poisoned());
+        drop(commits);
+        let committer = {
+            let (core, shared) = (Arc::clone(&core), Arc::clone(&shared));
+            thread::spawn(move || commit_thread(commit_rx, core, shared))
+        };
+        assert!(committer.join().is_ok(), "no second panic");
+        let (client_txn, result) = executed(&replies);
+        assert_eq!(client_txn, 1);
+        assert!(matches!(result, ExecResult::Failed(_)), "got {result:?}");
+        assert_eq!(shared.stats.snapshot(0, false).counter("committed"), 0);
+    }
+
+    #[test]
+    fn a_lock_wait_ends_at_the_deadline_or_when_the_time_budget_is_spent() {
+        let core = Core::new(16);
+        let x = [(ObjectId(4), LockMode::Exclusive)];
+        let far = Instant::now() + Duration::from_secs(30);
+        let (c, holder) = acquire_locks(&core, &x, &one_attempt(), far).expect("free object");
+        drop(c);
+        // Two attempts, 5 ms apart: exhausted only once 5 ms have passed.
+        let retry = RetryPolicy {
+            max_attempts: 2,
+            backoff_us: 5_000,
+            backoff_mult: 2,
+        };
+        let began = Instant::now();
+        let err = acquire_locks(&core, &x, &retry, far).err();
+        assert_eq!(err, Some(ExecResult::RetryExhausted { attempts: 2 }));
+        assert!(began.elapsed() >= Duration::from_millis(5));
+        // A deadline inside the first interval cuts the wait short.
+        let began = Instant::now();
+        let err = acquire_locks(&core, &x, &retry, began + Duration::from_millis(1)).err();
+        assert_eq!(err, Some(ExecResult::DeadlineExceeded));
+        assert!(began.elapsed() >= Duration::from_millis(1));
+        assert_eq!(core.state.lock().unwrap().lock_waiters, 0);
+        // Once released, the object is granted immediately.
+        let mut c = core.state.lock().unwrap();
+        c.locks.release_all(holder);
+        core.unlock_after_release(c);
+        assert!(acquire_locks(&core, &x, &one_attempt(), far).is_ok());
+    }
+
+    #[test]
+    fn a_release_wakes_the_waiter_long_before_its_attempt_would_end() {
+        let core = Arc::new(Core::new(16));
+        let x = [(ObjectId(4), LockMode::Exclusive)];
+        let far = Instant::now() + Duration::from_secs(600);
+        let (c, holder) = acquire_locks(&core, &x, &one_attempt(), far).expect("free object");
+        drop(c);
+        // One 60 s interval and then no attempt left: only a wake-up by
+        // the release — one that spends no attempt — lets this succeed.
+        let retry = RetryPolicy {
+            max_attempts: 2,
+            backoff_us: 60_000_000,
+            backoff_mult: 2,
+        };
+        let waiter = {
+            let core = Arc::clone(&core);
+            thread::spawn(move || acquire_locks(&core, &x, &retry, far).map(|(_, id)| id))
+        };
+        let began = Instant::now();
+        loop {
+            let mut c = core.state.lock().unwrap();
+            if c.lock_waiters == 1 {
+                c.locks.release_all(holder);
+                core.unlock_after_release(c);
+                break;
+            }
+            drop(c);
+            thread::yield_now();
+        }
+        let granted = waiter.join().expect("waiter thread");
+        assert!(granted.is_ok(), "got {granted:?}");
+        assert!(began.elapsed() < Duration::from_secs(30));
     }
 }

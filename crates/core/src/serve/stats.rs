@@ -211,7 +211,7 @@ pub struct RequestStamps {
     /// Dequeued by an executor (t1): `t1 - t0` is admission wait.
     pub dequeued_us: u64,
     /// All object locks held (t2): `t2 - t1` is lock wait, including
-    /// backoff sleeps between acquisition attempts.
+    /// the waits for a release between acquisition attempts.
     pub locked_us: u64,
     /// Ops applied and WAL records appended (t3): `t3 - t2` is engine
     /// execution.
@@ -236,7 +236,7 @@ impl RequestStamps {
 pub struct RequestSpans {
     /// Queue wait between admission and dequeue.
     pub admission_wait_us: u64,
-    /// Lock acquisition, including conflict backoff.
+    /// Lock acquisition, including waiting out conflicts.
     pub lock_wait_us: u64,
     /// Applying operations and appending WAL records.
     pub engine_exec_us: u64,

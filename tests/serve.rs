@@ -5,7 +5,7 @@
 //! and jobs-invariance of the chaos golden.
 
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use semcluster::serve::{
     read_frame, write_frame, ErrorKind, Frame, LoadConfig, Request, Response, ServeConfig,
@@ -13,7 +13,7 @@ use semcluster::serve::{
 };
 use semcluster::{run_simulation, SimConfig};
 use semcluster_cli::{dispatch, Args};
-use semcluster_faults::NetChaosConfig;
+use semcluster_faults::{NetChaosConfig, RetryPolicy};
 
 fn small_sim() -> SimConfig {
     SimConfig {
@@ -38,6 +38,10 @@ fn recv(stream: &mut TcpStream) -> Response {
 
 fn connect(addr: std::net::SocketAddr, sessions: u32) -> (TcpStream, u32) {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    // Back-to-back frames must reach the server back to back: with
+    // Nagle on, the second waits for the ACK of the first, which the
+    // server delays until it has a reply to carry it.
+    stream.set_nodelay(true).expect("nodelay");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
@@ -189,10 +193,12 @@ fn ten_thousand_concurrent_sessions_sustained() {
 
 #[test]
 fn deadline_expires_mid_request_with_a_typed_error() {
-    // A huge group-commit window makes every write commit take ≥300 ms;
-    // a 30 ms deadline must fire first, as a typed DEADLINE error. The
-    // transaction may still commit afterwards — committed-but-unacked
-    // is legal; the verdict only forbids acked-but-not-durable.
+    // A huge group-commit window keeps the committer gathering for
+    // ≥300 ms before it forces this write (the worker itself is long back
+    // at the queue); a 30 ms deadline must fire first, as a typed DEADLINE
+    // error from the connection's deadline sweep. The transaction still
+    // commits afterwards — committed-but-unacked is legal; the verdict
+    // only forbids acked-but-not-durable.
     let handle = Server::start(
         ServeConfig {
             group_window_us: 300_000,
@@ -264,10 +270,13 @@ fn malformed_frames_are_rejected_and_the_connection_closed() {
 
 #[test]
 fn admission_control_sheds_under_pressure_without_breaking_acid() {
-    // One worker, a one-slot queue, and a slow commit window guarantee
-    // the bounded queue fills; admission control must shed with typed
-    // OVERLOADED errors rather than queueing unboundedly, and every
-    // ack that does happen must still be durable.
+    // One worker and a one-slot queue against four connections that
+    // each pipeline 32: the drivers submit faster than a single worker
+    // dequeues, and the slow commit window keeps written objects locked
+    // for 20 ms at a time, so the worker also spends stretches waiting
+    // on conflicts. The bounded queue fills; admission control must shed
+    // with typed OVERLOADED errors rather than queueing unboundedly, and
+    // every ack that does happen must still be durable.
     let handle = Server::start(
         ServeConfig {
             workers: 1,
@@ -298,6 +307,185 @@ fn admission_control_sheds_under_pressure_without_breaking_acid() {
     assert_eq!(summary.rejected_overloaded, report.sheds);
     assert_eq!(report.acid_violations, 0);
     assert!(report.acked <= report.committed);
+}
+
+fn write_one(session: u32, client_txn: u64, object: u32) -> Request {
+    Request::Txn(TxnRequest {
+        session,
+        client_txn,
+        deadline_ms: 10_000,
+        ops: vec![TxnOp {
+            write: true,
+            object,
+        }],
+    })
+}
+
+#[test]
+fn group_commit_carries_several_transactions_per_force() {
+    let handle = Server::start(
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("start server");
+    let summary = semcluster::serve::run_load(&LoadConfig {
+        addr: handle.addr().to_string(),
+        connections: 2,
+        sessions_per_conn: 8,
+        txns_per_session: 100,
+        write_pct: 100,
+        pipeline: 8,
+        seed: 1989,
+        ..LoadConfig::default()
+    })
+    .expect("run load");
+    handle.request_shutdown();
+    let report = handle.join().expect("drain");
+    assert_eq!(summary.acked, summary.attempted);
+    assert_eq!(report.group_txns, summary.acked, "every write was forced");
+    // 16 writes in flight and a 200 µs gather window: a force that
+    // carries one transaction means the workers were parked behind it.
+    assert!(
+        report.group_txns >= 2 * report.group_commits,
+        "{} transactions over {} forces",
+        report.group_txns,
+        report.group_commits
+    );
+    assert_eq!(report.acid_violations, 0);
+    assert!(report.clean_drain);
+}
+
+#[test]
+fn a_commit_window_does_not_park_the_worker() {
+    // One worker, a 50 ms window, eight pipelined writes on eight
+    // objects: the worker hands each to the committer and takes the next,
+    // so all eight ride one force. A worker that sat out the window per
+    // transaction would need eight windows (≥400 ms).
+    let handle = Server::start(
+        ServeConfig {
+            workers: 1,
+            group_window_us: 50_000,
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("start server");
+    let (mut stream, session) = connect(handle.addr(), 1);
+    let sent = Instant::now();
+    for i in 0..8 {
+        send(&mut stream, &write_one(session, i, i as u32));
+    }
+    for _ in 0..8 {
+        assert!(matches!(recv(&mut stream), Response::TxnOk { .. }));
+    }
+    let took = sent.elapsed();
+    assert!(
+        took < Duration::from_millis(200),
+        "eight acks took {took:?}"
+    );
+    send(&mut stream, &Request::Bye);
+    assert!(matches!(recv(&mut stream), Response::ByeOk));
+    handle.request_shutdown();
+    let report = handle.join().expect("drain");
+    assert_eq!(report.acked, 8);
+    assert_eq!(report.acid_violations, 0);
+    assert!(report.clean_drain);
+}
+
+#[test]
+fn a_lock_waiter_is_woken_by_the_release_not_by_the_clock() {
+    // The second transaction conflicts with the first for one 20 ms
+    // window. Its only retry interval is 500 ms long, so acquiring in
+    // time takes a wake-up at the release — and one that spends no
+    // attempt, or the budget of two would be gone.
+    let handle = Server::start(
+        ServeConfig {
+            retry: RetryPolicy {
+                max_attempts: 2,
+                backoff_us: 500_000,
+                ..RetryPolicy::default()
+            },
+            group_window_us: 20_000,
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("start server");
+    let (mut stream, session) = connect(handle.addr(), 1);
+    let sent = Instant::now();
+    send(&mut stream, &write_one(session, 1, 9));
+    send(&mut stream, &write_one(session, 2, 9));
+    for _ in 0..2 {
+        let reply = recv(&mut stream);
+        assert!(matches!(reply, Response::TxnOk { .. }), "got {reply:?}");
+    }
+    let took = sent.elapsed();
+    assert!(took < Duration::from_millis(250), "two acks took {took:?}");
+    send(&mut stream, &Request::Bye);
+    assert!(matches!(recv(&mut stream), Response::ByeOk));
+    handle.request_shutdown();
+    let report = handle.join().expect("drain");
+    assert_eq!(report.retry_exhausted, 0);
+    assert_eq!(report.acked, 2);
+    assert_eq!(report.acid_violations, 0);
+}
+
+#[test]
+fn the_retry_budget_still_bites_under_continuous_conflict() {
+    // Whichever write takes the lock keeps it for the whole 300 ms
+    // window; the other has two attempts 5 ms apart, so it must be
+    // refused — after those 5 ms, not at its first conflict, and long
+    // before the winner commits. (Two workers dequeue the pair, so either
+    // may win; the loser's first conflict follows the second send.)
+    let handle = Server::start(
+        ServeConfig {
+            retry: RetryPolicy {
+                max_attempts: 2,
+                backoff_us: 5_000,
+                ..RetryPolicy::default()
+            },
+            group_window_us: 300_000,
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("start server");
+    let (mut stream, session) = connect(handle.addr(), 1);
+    send(&mut stream, &write_one(session, 1, 9));
+    let sent = Instant::now();
+    send(&mut stream, &write_one(session, 2, 9));
+    let loser = match recv(&mut stream) {
+        Response::Error {
+            kind, client_txn, ..
+        } => {
+            assert_eq!(kind, ErrorKind::RetryExhausted);
+            client_txn
+        }
+        other => panic!("expected RETRY_EXHAUSTED first, got {other:?}"),
+    };
+    let refused = sent.elapsed();
+    assert!(
+        refused >= Duration::from_millis(5),
+        "refused in {refused:?}"
+    );
+    assert!(
+        refused < Duration::from_millis(200),
+        "refused in {refused:?}"
+    );
+    match recv(&mut stream) {
+        Response::TxnOk { client_txn, .. } => assert_eq!(client_txn, 3 - loser),
+        other => panic!("expected TxnOk for the other write, got {other:?}"),
+    }
+    send(&mut stream, &Request::Bye);
+    assert!(matches!(recv(&mut stream), Response::ByeOk));
+    handle.request_shutdown();
+    let report = handle.join().expect("drain");
+    assert_eq!(report.retry_exhausted, 1);
+    assert_eq!(report.acked, 1, "the winner is acknowledged");
+    assert_eq!(report.acid_violations, 0, "and durable");
 }
 
 #[test]

@@ -119,6 +119,69 @@ fn server_side_attribution_sums_exactly_to_service_time() {
 }
 
 #[test]
+fn the_commit_window_is_billed_to_commit_wait_alone() {
+    // One worker, a 20 ms gather window, eight pipelined writes on eight
+    // objects (no conflicts). Each request sits out the window exactly
+    // once, in `commit_wait`; a worker parked by the commit would show
+    // the same milliseconds as `admission_wait` of the requests queued
+    // behind it.
+    let window_us = 20_000;
+    let handle = Server::start(
+        ServeConfig {
+            workers: 1,
+            group_window_us: window_us,
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("start server");
+    let (mut stream, session) = connect(handle.addr(), 1);
+    stream.set_nodelay(true).expect("nodelay");
+    for i in 0..8u64 {
+        send(
+            &mut stream,
+            &Request::Txn(semcluster::serve::TxnRequest {
+                session,
+                client_txn: i,
+                deadline_ms: 10_000,
+                ops: vec![semcluster::serve::TxnOp {
+                    write: true,
+                    object: i as u32,
+                }],
+            }),
+        );
+    }
+    for _ in 0..8 {
+        assert!(matches!(recv(&mut stream), Response::TxnOk { .. }));
+    }
+    send(&mut stream, &Request::Bye);
+    assert!(matches!(recv(&mut stream), Response::ByeOk));
+    handle.request_shutdown();
+    let report = handle.join().expect("drain");
+    let sum_us = |phase: &str| {
+        let h = report.stats.latency(phase).expect("span histogram");
+        assert_eq!(h.count, 8, "every request records {phase}");
+        h.sum_us
+    };
+    let commit_wait = sum_us("commit_wait");
+    assert!(
+        commit_wait >= window_us,
+        "eight requests waited {commit_wait} us in all for a {window_us} us window"
+    );
+    let on_the_worker = sum_us("lock_wait") + sum_us("engine_exec");
+    assert!(
+        on_the_worker < 8 * 1_000,
+        "lock_wait + engine_exec took {on_the_worker} us over eight requests"
+    );
+    let admission_wait = sum_us("admission_wait");
+    assert!(
+        admission_wait < commit_wait / 4,
+        "admission_wait {admission_wait} us against commit_wait {commit_wait} us"
+    );
+    assert_eq!(report.acid_violations, 0);
+}
+
+#[test]
 fn stats_opcode_round_trips_and_counts_itself() {
     // The drain linger keeps our idle connection probeable after
     // request_shutdown(); without it, closing the connection races the
