@@ -43,14 +43,16 @@ use semcluster_clustering::{
 use semcluster_faults::{CrashPoint, FaultState, IoError, IoOp};
 use semcluster_lock::{LockManager, LockMode};
 use semcluster_obs::{
-    milli, AuditKind, AuditSink, CandidateAudit, FaultOp, FlushCause, LogFlushKind,
+    milli, AuditKind, AuditSink, CandidateAudit, CounterId, FaultOp, FlushCause, LogFlushKind,
     MetricsRegistry, MetricsSnapshot, NoopSink, Phase, PhaseProfiler, PhaseToken, PlacementAudit,
     ProfileReport, ReadCause, SplitVerdict, Timeline, TimelineSample, TimelineSampler, TraceEvent,
     TraceSink,
 };
 use semcluster_sim::{EventQueue, FcfsServer, ServerBank, SimDuration, SimRng, SimTime};
 use semcluster_storage::{DiskLayout, PageId, StorageManager, StoreError, WalOp};
-use semcluster_vdm::{derive_version, Database, ObjectId, ObjectName, RelKind, SyntheticDbSpec};
+use semcluster_vdm::{
+    derive_version, Database, ObjectId, ObjectName, RelKind, SyntheticDbSpec, WalkScratch,
+};
 use semcluster_wal::LogManager;
 use semcluster_workload::{
     sample_read_kind, sample_session_length, sample_write_shape, CreateMode, QueryKind,
@@ -69,40 +71,66 @@ const WORKING_SET_CAP: usize = 64;
 /// for the adaptive clustering policy.
 const RW_WINDOW: usize = 100;
 
+/// Handles to every counter the engine bumps, resolved once by
+/// [`engine_registry`] so a bump on a hot path is an indexed add, not a
+/// search for the name.
+#[derive(Debug, Clone, Copy)]
+struct EngineCounters {
+    buffer_hit: CounterId,
+    buffer_miss: CounterId,
+    buffer_evict_dirty: CounterId,
+    io_read_demand: CounterId,
+    cluster_search_candidate_io: CounterId,
+    cluster_split: CounterId,
+    cluster_recluster_move: CounterId,
+    split_io: CounterId,
+    lock_wait: CounterId,
+    prefetch_issue: CounterId,
+    prefetch_io: CounterId,
+    wal_flush_before_image: CounterId,
+    wal_flush_full: CounterId,
+    wal_flush_commit: CounterId,
+    fault_io_read_error: CounterId,
+    fault_io_write_error: CounterId,
+    fault_io_retry: CounterId,
+    fault_log_stall: CounterId,
+    fault_txn_abort: CounterId,
+    fault_degrade_enter: CounterId,
+    fault_degrade_exit: CounterId,
+}
+
 /// Build the engine's metrics registry with every counter the hot
 /// paths bump pre-declared at zero. First-touch of a counter name
 /// allocates its `String` key and possibly a tree node; declaring them
 /// all here — before any profiled phase opens — keeps the zero-alloc
 /// pins on the inner loops honest. Zero-valued counters are filtered
 /// out of snapshots, so unfired declarations are invisible.
-fn engine_registry() -> MetricsRegistry {
+fn engine_registry() -> (MetricsRegistry, EngineCounters) {
     let mut r = MetricsRegistry::new();
-    for name in [
-        "buffer.hit",
-        "buffer.miss",
-        "buffer.evict.dirty",
-        "io.read.demand",
-        "cluster.search.candidate_io",
-        "cluster.split",
-        "cluster.recluster.move",
-        "split.io",
-        "lock.wait",
-        "prefetch.issue",
-        "prefetch.io",
-        "wal.flush.before_image",
-        "wal.flush.full",
-        "wal.flush.commit",
-        "fault.io.read_error",
-        "fault.io.write_error",
-        "fault.io.retry",
-        "fault.log.stall",
-        "fault.txn.abort",
-        "fault.degrade.enter",
-        "fault.degrade.exit",
-    ] {
-        r.declare(name);
-    }
-    r
+    let counters = EngineCounters {
+        buffer_hit: r.declare("buffer.hit"),
+        buffer_miss: r.declare("buffer.miss"),
+        buffer_evict_dirty: r.declare("buffer.evict.dirty"),
+        io_read_demand: r.declare("io.read.demand"),
+        cluster_search_candidate_io: r.declare("cluster.search.candidate_io"),
+        cluster_split: r.declare("cluster.split"),
+        cluster_recluster_move: r.declare("cluster.recluster.move"),
+        split_io: r.declare("split.io"),
+        lock_wait: r.declare("lock.wait"),
+        prefetch_issue: r.declare("prefetch.issue"),
+        prefetch_io: r.declare("prefetch.io"),
+        wal_flush_before_image: r.declare("wal.flush.before_image"),
+        wal_flush_full: r.declare("wal.flush.full"),
+        wal_flush_commit: r.declare("wal.flush.commit"),
+        fault_io_read_error: r.declare("fault.io.read_error"),
+        fault_io_write_error: r.declare("fault.io.write_error"),
+        fault_io_retry: r.declare("fault.io.retry"),
+        fault_log_stall: r.declare("fault.log.stall"),
+        fault_txn_abort: r.declare("fault.txn.abort"),
+        fault_degrade_enter: r.declare("fault.degrade.enter"),
+        fault_degrade_exit: r.declare("fault.degrade.exit"),
+    };
+    (r, counters)
 }
 
 /// Map the fault layer's I/O kind onto the trace vocabulary.
@@ -298,6 +326,12 @@ pub struct Engine {
     /// Named counters/gauges/histograms, reset at measurement start so
     /// snapshots reconcile with [`RunReport::io`].
     registry: MetricsRegistry,
+    /// Handles to the registry's counters.
+    counters: EngineCounters,
+    /// Reusable traversal state and result buffer for reads and session
+    /// checkouts, so neither allocates per call.
+    walk: WalkScratch,
+    read_objects: Vec<ObjectId>,
     /// Typed event sink (NoopSink unless the caller attached one).
     trace: Box<dyn TraceSink>,
     /// Fixed-interval timeline sampler (None unless enabled).
@@ -400,6 +434,7 @@ impl Engine {
         let mut locks = LockManager::new();
         locks.ensure_object_capacity(db.object_count() + 64);
         let queue = EventQueue::with_capacity(cfg.users as usize * 4 + 16);
+        let (registry, counters) = engine_registry();
         let mut engine = Engine {
             cfg,
             db,
@@ -425,7 +460,10 @@ impl Engine {
             measure_start: SimTime::ZERO,
             create_seq: 0,
             disk_service,
-            registry: engine_registry(),
+            registry,
+            counters,
+            walk: WalkScratch::default(),
+            read_objects: Vec::with_capacity(WORKING_SET_CAP),
             trace: obs.sink,
             timeline: obs.timeline_interval_us.map(TimelineSampler::new),
             audit: obs.audit_capacity.map(AuditSink::with_capacity),
@@ -989,7 +1027,7 @@ impl Engine {
             self.users[u as usize].parked = Some((ops, now));
             self.parked_fifo.push_back(u);
             self.metrics.lock_waits += 1;
-            self.registry.inc("lock.wait");
+            self.registry.bump(self.counters.lock_wait);
             if self.trace.enabled() {
                 self.trace.emit(&TraceEvent::LockWait { at: now, user: u });
             }
@@ -1220,10 +1258,10 @@ impl Engine {
     /// graceful-degradation window; record any mode transition.
     fn observe_degradation(&mut self, search_us: u64, now: SimTime) {
         if let Some(entered) = self.faults.observe_txn_search(search_us) {
-            self.registry.inc(if entered {
-                "fault.degrade.enter"
+            self.registry.bump(if entered {
+                self.counters.fault_degrade_enter
             } else {
-                "fault.degrade.exit"
+                self.counters.fault_degrade_exit
             });
             if self.trace.enabled() {
                 self.trace.emit(&TraceEvent::Degrade { at: now, entered });
@@ -1262,7 +1300,7 @@ impl Engine {
             }
         }
         self.faults.stats.txn_aborts += 1;
-        self.registry.inc("fault.txn.abort");
+        self.registry.bump(self.counters.fault_txn_abort);
         self.tl.aborts += 1;
         if self.abort_reasons.len() < 8 {
             self.abort_reasons.push(err.to_string());
@@ -1310,12 +1348,16 @@ impl Engine {
         // Seed the working set with a checkout: a random root plus its
         // transitive components.
         let root = self.pick_uniform();
-        let mut seed = vec![root];
-        seed.extend(self.db.graph().transitive_components(root, 8));
+        let seed = &mut self.read_objects;
+        seed.clear();
+        seed.push(root);
+        self.db
+            .graph()
+            .transitive_components(root, 8, &mut self.walk, seed);
         let user = &mut self.users[u as usize];
         user.session_left = len;
         user.working_set.clear();
-        user.working_set.extend(seed);
+        user.working_set.extend(seed.iter().copied());
     }
 
     fn pick_uniform(&mut self) -> ObjectId {
@@ -1511,9 +1553,9 @@ impl Engine {
             if !failed {
                 return Ok(done);
             }
-            self.registry.inc(match op {
-                IoOp::Read => "fault.io.read_error",
-                IoOp::Write => "fault.io.write_error",
+            self.registry.bump(match op {
+                IoOp::Read => self.counters.fault_io_read_error,
+                IoOp::Write => self.counters.fault_io_write_error,
                 IoOp::Log => unreachable!(),
             });
             if self.trace.enabled() {
@@ -1538,7 +1580,7 @@ impl Engine {
             t = done + SimDuration::from_micros(backoff);
             attempt += 1;
             self.faults.stats.retries += 1;
-            self.registry.inc("fault.io.retry");
+            self.registry.bump(self.counters.fault_io_retry);
             if self.trace.enabled() {
                 self.trace.emit(&TraceEvent::IoRetry {
                     at: t,
@@ -1567,13 +1609,13 @@ impl Engine {
         let tok = self.prof_enter(Phase::BufferLookup);
         match self.pool.access(page) {
             Access::Hit => {
-                self.registry.inc("buffer.hit");
+                self.registry.bump(self.counters.buffer_hit);
                 self.tl.hits += 1;
                 self.prof_exit(tok, 0);
                 Ok(t)
             }
             Access::Miss { evicted_dirty } => {
-                self.registry.inc("buffer.miss");
+                self.registry.bump(self.counters.buffer_miss);
                 self.tl.misses += 1;
                 let issued = t;
                 let mut ios = 1u32;
@@ -1605,12 +1647,13 @@ impl Engine {
                 match cause {
                     ReadCause::Demand => {
                         self.metrics.io.data_reads += 1;
-                        self.registry.inc("io.read.demand");
+                        self.registry.bump(self.counters.io_read_demand);
                         self.cur_span.data_read_us += wait;
                     }
                     ReadCause::ClusterSearch => {
                         self.metrics.io.cluster_search_ios += 1;
-                        self.registry.inc("cluster.search.candidate_io");
+                        self.registry
+                            .bump(self.counters.cluster_search_candidate_io);
                         self.cur_span.cluster_search_us += wait;
                     }
                 }
@@ -1669,11 +1712,11 @@ impl Engine {
         match cause {
             FlushCause::Evict => {
                 self.metrics.io.dirty_writebacks += 1;
-                self.registry.inc("buffer.evict.dirty");
+                self.registry.bump(self.counters.buffer_evict_dirty);
             }
             FlushCause::Split => {
                 self.metrics.io.split_ios += 1;
-                self.registry.inc("split.io");
+                self.registry.bump(self.counters.split_io);
             }
             FlushCause::Prefetch => unreachable!("prefetch write-backs are asynchronous"),
         }
@@ -1711,7 +1754,7 @@ impl Engine {
         }
         let stall = self.faults.log_stall_us();
         let issue = if stall > 0 {
-            self.registry.inc("fault.log.stall");
+            self.registry.bump(self.counters.fault_log_stall);
             if self.trace.enabled() {
                 self.trace.emit(&TraceEvent::LogStall {
                     at: t,
@@ -1724,10 +1767,10 @@ impl Engine {
         };
         let done = self.log_disk.submit(issue, self.disk_service);
         self.metrics.io.log_ios += 1;
-        self.registry.inc(match kind {
-            LogFlushKind::BeforeImage => "wal.flush.before_image",
-            LogFlushKind::Full => "wal.flush.full",
-            LogFlushKind::Commit => "wal.flush.commit",
+        self.registry.bump(match kind {
+            LogFlushKind::BeforeImage => self.counters.wal_flush_before_image,
+            LogFlushKind::Full => self.counters.wal_flush_full,
+            LogFlushKind::Commit => self.counters.wal_flush_commit,
         });
         self.cur_span.log_us += done.since(t).as_micros();
         self.prof_exit(tok, done.since(t).as_micros());
@@ -1813,7 +1856,7 @@ impl Engine {
         }
         let effect = apply_prefetch(&mut self.pool, &group, scope);
         if !effect.fetched.is_empty() || !effect.write_backs.is_empty() {
-            self.registry.inc("prefetch.issue");
+            self.registry.bump(self.counters.prefetch_issue);
             if self.trace.enabled() {
                 self.trace.emit(&TraceEvent::PrefetchIssue {
                     at: t,
@@ -1831,7 +1874,7 @@ impl Engine {
             let service = self.disk_service.times(self.faults.disk_mult(d as u32));
             let done = self.disks.submit_to(d, t, service);
             self.metrics.io.prefetch_ios += 1;
-            self.registry.inc("prefetch.io");
+            self.registry.bump(self.counters.prefetch_io);
             if self.trace.enabled() {
                 self.trace.emit(&TraceEvent::PrefetchIo {
                     at: t,
@@ -1847,7 +1890,7 @@ impl Engine {
             let service = self.disk_service.times(self.faults.disk_mult(d as u32));
             let done = self.disks.submit_to(d, t, service);
             self.metrics.io.prefetch_ios += 1;
-            self.registry.inc("prefetch.io");
+            self.registry.bump(self.counters.prefetch_io);
             if self.trace.enabled() {
                 self.trace.emit(&TraceEvent::PrefetchIo {
                     at: t,
@@ -1878,13 +1921,25 @@ impl Engine {
             QueryKind::CorrespondentRetrieval => semcluster_vdm::ReadQuery::CorrespondentRetrieval,
             QueryKind::Mutation => unreachable!("reads only"),
         };
-        let objects = semcluster_vdm::execute_read(&self.db, query, root);
+        semcluster_vdm::execute_read(
+            &self.db,
+            query,
+            root,
+            &mut self.walk,
+            &mut self.read_objects,
+        );
 
-        let cpu_time = self.cfg.cpu_per_access.times(objects.len() as u64);
+        let cpu_time = self
+            .cfg
+            .cpu_per_access
+            .times(self.read_objects.len() as u64);
         let cpu_done = self.cpu.submit(now, cpu_time);
 
         let mut t = now;
-        for (i, &obj) in objects.iter().enumerate() {
+        // By index: the accesses below need `&mut self`, and none of them
+        // touches `read_objects`.
+        for i in 0..self.read_objects.len() {
+            let obj = self.read_objects[i];
             if let Some(page) = self.store.page_of(obj) {
                 t = self.charge_access(page, t, ReadCause::Demand)?;
             }
@@ -2056,7 +2111,7 @@ impl Engine {
                         }
                     }
                     self.metrics.splits += 1;
-                    self.registry.inc("cluster.split");
+                    self.registry.bump(self.counters.cluster_split);
                     if self.trace.enabled() {
                         self.trace.emit(&TraceEvent::Split {
                             at: t,
@@ -2218,7 +2273,7 @@ impl Engine {
                         },
                     );
                     self.metrics.recluster_moves += 1;
-                    self.registry.inc("cluster.recluster.move");
+                    self.registry.bump(self.counters.cluster_recluster_move);
                     if self.trace.enabled() {
                         self.trace.emit(&TraceEvent::ReclusterMove {
                             at: t,

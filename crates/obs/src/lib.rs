@@ -37,7 +37,7 @@ mod trace;
 
 pub use audit::{milli, AuditKind, AuditSink, CandidateAudit, PlacementAudit, SplitVerdict};
 pub use chrome::ChromeTraceSink;
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{CounterId, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use profile::{
     allocation_counts, CountingAlloc, FoldedMetric, Phase, PhaseProfiler, PhaseStats, PhaseToken,
     ProfileReport,

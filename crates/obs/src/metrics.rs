@@ -3,8 +3,8 @@
 //! `disk.3.busy_us`), snapshot/diff support and JSON + ASCII-table
 //! export.
 //!
-//! Everything is integer-valued and stored in `BTreeMap`s, so snapshots
-//! are deterministic: same run → same snapshot, byte for byte.
+//! Everything is integer-valued and keyed through `BTreeMap`s, so
+//! snapshots are deterministic: same run → same snapshot, byte for byte.
 
 use crate::json::{push_json_str, ObjWriter};
 use std::collections::BTreeMap;
@@ -120,11 +120,20 @@ impl Histogram {
     }
 }
 
+/// Handle to a declared counter: [`MetricsRegistry::bump`] through it
+/// is one indexed add, where [`MetricsRegistry::inc`] searches the name
+/// table. Valid only for the registry that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(usize);
+
 /// Registry of named metrics. Dotted names form the hierarchy; the
 /// registry itself is flat (a scope is just a name prefix).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
+    /// Counter values, by [`CounterId`].
+    counters: Vec<u64>,
+    /// Counter names, sorted, each with its slot in `counters`.
+    counter_ids: BTreeMap<String, CounterId>,
     gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<String, Histogram>,
 }
@@ -142,29 +151,39 @@ impl MetricsRegistry {
 
     /// Increment counter `name` by `n`. Creates the counter on first use.
     pub fn add(&mut self, name: &str, n: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += n;
-        } else {
-            self.counters.insert(name.to_string(), n);
-        }
+        let id = self.declare(name);
+        self.counters[id.0] += n;
     }
 
-    /// Pre-create counter `name` at zero if absent. Declaring every
-    /// counter up front (outside the engine's profiled hot phases)
-    /// makes the first [`MetricsRegistry::inc`] of each name a pure
-    /// `BTreeMap` lookup — no `String` or tree-node allocation inside
-    /// a profiled phase. Zero-valued counters never appear in
+    /// Increment a declared counter by one — the hot-path spelling of
+    /// [`MetricsRegistry::inc`].
+    #[inline]
+    pub fn bump(&mut self, id: CounterId) {
+        self.counters[id.0] += 1;
+    }
+
+    /// Create counter `name` at zero if absent and return its handle.
+    /// Declaring every hot counter up front (outside the engine's
+    /// profiled phases) keeps `String` and tree-node allocation out of
+    /// those phases and lets the hot paths [`MetricsRegistry::bump`] by
+    /// index. Zero-valued counters never appear in
     /// [`MetricsRegistry::snapshot`], so declaring is observationally
     /// free.
-    pub fn declare(&mut self, name: &str) {
-        if !self.counters.contains_key(name) {
-            self.counters.insert(name.to_string(), 0);
+    pub fn declare(&mut self, name: &str) -> CounterId {
+        if let Some(&id) = self.counter_ids.get(name) {
+            return id;
         }
+        let id = CounterId(self.counters.len());
+        self.counters.push(0);
+        self.counter_ids.insert(name.to_string(), id);
+        id
     }
 
     /// Current value of counter `name` (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counter_ids
+            .get(name)
+            .map_or(0, |id| self.counters[id.0])
     }
 
     /// Set gauge `name` to `v`.
@@ -200,32 +219,30 @@ impl MetricsRegistry {
     /// Clear every metric (used when the measured interval begins, so
     /// counters reconcile with per-run report totals).
     ///
-    /// Counter *keys* are retained and their values zeroed in place:
-    /// counters are bumped inside the engine's profiled hot phases, and
-    /// keeping the keys makes every post-warmup [`MetricsRegistry::inc`]
-    /// a pure `BTreeMap` lookup — no `String` allocation inside a
-    /// profiled phase. Zero-valued counters are filtered out of
+    /// Counter *names* are retained and their values zeroed in place,
+    /// so every [`CounterId`] stays valid and a post-warmup
+    /// [`MetricsRegistry::inc`] allocates no `String` inside a profiled
+    /// phase. Zero-valued counters are filtered out of
     /// [`MetricsRegistry::snapshot`], so the observable state is
     /// byte-identical to a full clear.
     pub fn reset(&mut self) {
-        for v in self.counters.values_mut() {
-            *v = 0;
-        }
+        self.counters.fill(0);
         self.gauges.clear();
         self.histograms.clear();
     }
 
     /// Deterministic point-in-time copy of every metric. Zero-valued
-    /// counters (keys retained by [`MetricsRegistry::reset`] purely as
-    /// an allocation optimisation) are omitted — a counter that never
-    /// fired is indistinguishable from one that was never created.
+    /// counters (declared, or retained by [`MetricsRegistry::reset`])
+    /// are omitted — a counter that never fired is indistinguishable
+    /// from one that was never created.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
-                .counters
+                .counter_ids
                 .iter()
-                .filter(|&(_, &v)| v > 0)
-                .map(|(k, &v)| (k.clone(), v))
+                .map(|(k, id)| (k, self.counters[id.0]))
+                .filter(|&(_, v)| v > 0)
+                .map(|(k, v)| (k.clone(), v))
                 .collect(),
             gauges: self.gauges.clone(),
             histograms: self.histograms.clone(),
@@ -422,6 +439,36 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter("buffer.hit"), 3);
         assert_eq!(snap.gauge("disk.0.busy_us"), 1234);
+    }
+
+    #[test]
+    fn bump_by_handle_is_inc_by_name() {
+        let mut r = MetricsRegistry::new();
+        let z = r.declare("z.declared_first");
+        let a = r.declare("a.declared_second");
+        let idle = r.declare("idle");
+        assert_eq!(r.declare("z.declared_first"), z, "declare is idempotent");
+        assert!(
+            r.snapshot().counters.is_empty(),
+            "declared zeros are filtered"
+        );
+        r.bump(z);
+        r.inc("z.declared_first");
+        r.bump(a);
+        assert_eq!(r.counter("z.declared_first"), 2);
+        let mut by_name = MetricsRegistry::new();
+        by_name.add("z.declared_first", 2);
+        by_name.inc("a.declared_second");
+        assert_eq!(r.snapshot(), by_name.snapshot());
+        assert_eq!(r.snapshot().to_json(), by_name.snapshot().to_json());
+        assert_eq!(
+            r.snapshot().to_ascii_table(),
+            by_name.snapshot().to_ascii_table()
+        );
+        r.reset();
+        assert!(r.snapshot().counters.is_empty());
+        r.bump(idle);
+        assert_eq!(r.counter("idle"), 1, "handles survive reset");
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use db::{Database, DbError};
 pub use dethash::{
     det_map_with_capacity, det_set_with_capacity, DetHashMap, DetHashSet, DetHasher, DetState,
 };
-pub use graph::{GraphError, StructureGraph};
+pub use graph::{GraphError, StructureGraph, WalkScratch, MAX_DEGREE};
 pub use id::{ObjectId, TypeId};
 pub use inherit::{derive_version, CopyVsRefModel, DerivedVersion, ImplChoice};
 pub use name::{ObjectName, ParseNameError};

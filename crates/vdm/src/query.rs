@@ -7,6 +7,7 @@
 //! through here so the semantics live in exactly one place.
 
 use crate::db::Database;
+use crate::graph::WalkScratch;
 use crate::id::ObjectId;
 
 /// The read query types of §4.1 (mutation, type 7, is an engine-side
@@ -19,7 +20,10 @@ pub enum ReadQuery {
     /// accesses mostly return a single object).
     ComponentRetrieval,
     /// (3) Composite retrieval: the object plus up to `fanout` transitive
-    /// components (breadth-first).
+    /// components, in [`StructureGraph::transitive_components`] order
+    /// (depth-first, last-reported component expanded first).
+    ///
+    /// [`StructureGraph::transitive_components`]: crate::StructureGraph::transitive_components
     CompositeRetrieval {
         /// Maximum components returned.
         fanout: usize,
@@ -32,26 +36,34 @@ pub enum ReadQuery {
     CorrespondentRetrieval,
 }
 
-/// Execute a read query rooted at `root`; the result always starts with
-/// `root` itself, followed by the related objects in traversal order.
-/// Tombstoned (deleted) objects are filtered out.
-pub fn execute_read(db: &Database, query: ReadQuery, root: ObjectId) -> Vec<ObjectId> {
+/// Execute a read query rooted at `root` into `out` (cleared first): the
+/// result always starts with `root` itself, followed by the related
+/// objects in traversal order. Tombstoned (deleted) objects are filtered
+/// out. `walk` and `out` are the caller's to reuse, so a query allocates
+/// nothing once they have grown.
+pub fn execute_read(
+    db: &Database,
+    query: ReadQuery,
+    root: ObjectId,
+    walk: &mut WalkScratch,
+    out: &mut Vec<ObjectId>,
+) {
     let graph = db.graph();
-    let mut out = vec![root];
+    out.clear();
+    out.push(root);
     match query {
         ReadQuery::SimpleLookup => {}
         ReadQuery::ComponentRetrieval => {
             out.extend(graph.composites(root).iter().take(1).copied());
         }
         ReadQuery::CompositeRetrieval { fanout } => {
-            out.extend(graph.transitive_components(root, fanout));
+            graph.transitive_components(root, fanout, walk, out);
         }
         ReadQuery::DescendantRetrieval => out.extend_from_slice(graph.descendants(root)),
         ReadQuery::AncestorRetrieval => out.extend_from_slice(graph.ancestors(root)),
         ReadQuery::CorrespondentRetrieval => out.extend_from_slice(graph.correspondents(root)),
     }
     out.retain(|&o| db.is_live(o));
-    out
 }
 
 #[cfg(test)]
@@ -60,6 +72,12 @@ mod tests {
     use crate::name::ObjectName;
     use crate::relationship::{RelFrequencies, RelKind};
     use crate::types::TypeLattice;
+
+    fn execute_read(db: &Database, query: ReadQuery, root: ObjectId) -> Vec<ObjectId> {
+        let mut out = vec![ObjectId(u32::MAX)]; // stale content must be cleared
+        super::execute_read(db, query, root, &mut WalkScratch::default(), &mut out);
+        out
+    }
 
     fn fixture() -> (Database, ObjectId, Vec<ObjectId>) {
         let mut lattice = TypeLattice::new();
