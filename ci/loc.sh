@@ -6,7 +6,7 @@
 # unindented `#[cfg(test)]` (its test module; an indented one gates a
 # test-only item inside non-test code), or the whole file when it has
 # none. Files under a `tests/` directory are not scanned at all. The
-# total is the number ROADMAP item 3 tracks: a PR that claims to
+# total is the number ROADMAP item 6 tracks: a PR that claims to
 # simplify must lower it without reformatting, comment deletion or
 # moving code into tests.
 set -euo pipefail

@@ -7,8 +7,8 @@ use semcluster::{buffering_study_base, clustering_study_base, FaultConfig, Sweep
 use semcluster_analysis::Table;
 use semcluster_buffer::{AccessHint, PrefetchScope, ReplacementPolicy};
 use semcluster_clustering::{
-    broken_arc_weight, plan_placement, plan_recluster, static_recluster, AllResident,
-    ClusteringPolicy, HintPolicy, PlacementTarget, WeightModel,
+    broken_arc_weight, plan_placement_in, plan_recluster_in, static_recluster, AllResident,
+    ClusteringPolicy, HintPolicy, PlacementTarget, ScoreScratch, WeightModel,
 };
 use semcluster_sim::SimRng;
 use semcluster_storage::StorageManager;
@@ -340,6 +340,7 @@ pub fn ext_static_drift(_: &FigureOpts) {
     let mut static_store = initial.clone();
     let mut dynamic_store = initial;
     let mut rng = SimRng::seed_from_u64(9);
+    let mut scratch = ScoreScratch::new();
     let ty = db.lattice().id_of("layout").unwrap();
     let steps = 6;
     let per_step = 120;
@@ -361,7 +362,7 @@ pub fn ext_static_drift(_: &FigureOpts) {
             // Static variant: plain append (no run-time clustering).
             static_store.append(id, size).unwrap();
             // Dynamic variant: clustered placement + reclustering.
-            let plan = plan_placement(
+            let plan = plan_placement_in(
                 &db,
                 &dynamic_store,
                 &AllResident,
@@ -369,6 +370,7 @@ pub fn ext_static_drift(_: &FigureOpts) {
                 &model,
                 id,
                 size,
+                &mut scratch,
             );
             match plan.target {
                 PlacementTarget::Existing(p) => {
@@ -378,7 +380,8 @@ pub fn ext_static_drift(_: &FigureOpts) {
                     dynamic_store.append(id, size).unwrap();
                 }
             }
-            if let Some(mv) = plan_recluster(
+            scratch.put_examined(plan.examined);
+            if let Some(mv) = plan_recluster_in(
                 &db,
                 &dynamic_store,
                 &AllResident,
@@ -386,8 +389,10 @@ pub fn ext_static_drift(_: &FigureOpts) {
                 &model,
                 anchor,
                 1.0,
+                &mut scratch,
             ) {
                 let _ = dynamic_store.move_object(anchor, mv.to);
+                scratch.put_examined(mv.examined);
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Minimal dependency-free flag parsing.
 
-use std::collections::HashMap;
+use crate::error::CliError;
+use std::collections::BTreeMap;
 
 /// Parsed command line: a subcommand, positional arguments and
 /// `--key value` / `--flag` options.
@@ -10,18 +11,18 @@ pub struct Args {
     pub command: Option<String>,
     /// Remaining positional arguments.
     pub positional: Vec<String>,
-    options: HashMap<String, String>,
+    options: BTreeMap<String, String>,
 }
 
 impl Args {
     /// Parse an argument list (without the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
+    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, CliError> {
         let mut args = Args::default();
         let mut iter = argv.into_iter().peekable();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
                 if key.is_empty() {
-                    return Err("stray `--`".into());
+                    return Err(CliError::usage("stray `--`"));
                 }
                 let value = match iter.peek() {
                     Some(v) if !v.starts_with("--") => iter.next().expect("peeked"),
@@ -42,14 +43,19 @@ impl Args {
         self.options.get(key).map(String::as_str)
     }
 
-    /// Typed option with default.
-    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    /// Typed option with default; an unparsable value is a usage error.
+    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
         match self.options.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("--{key}: cannot parse {v:?}")),
+                .map_err(|_| CliError::usage(format!("--{key}: cannot parse {v:?}"))),
         }
+    }
+
+    /// Every `--key` given, in name order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().map(String::as_str)
     }
 
     /// Boolean flag (present means true).

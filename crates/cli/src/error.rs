@@ -1,17 +1,16 @@
 //! Typed CLI errors carrying a distinct process exit code, so CI can
-//! tell a missing bench snapshot or a schema mismatch from an ordinary
-//! failure without parsing stderr.
+//! tell a rejected flag, a schema mismatch or an unreachable server
+//! from an ordinary failure without parsing stderr.
 
 use std::fmt;
 use std::ops::Deref;
 
 /// Ordinary failure.
 pub const EXIT_FAILURE: i32 = 1;
-/// A required input file does not exist. (`2` is taken by argv parse
-/// errors in `main`.)
-pub const EXIT_MISSING_INPUT: i32 = 3;
-/// An input file exists but carries an unknown or absent schema
-/// version.
+/// Bad command line: an unknown subcommand or flag, a stray argument,
+/// or a flag value outside its domain. Nothing ran.
+pub const EXIT_USAGE: i32 = 2;
+/// A peer's snapshot carries a schema version this build cannot read.
 pub const EXIT_BAD_SCHEMA: i32 = 4;
 /// A network operation (bind, connect, send) failed: the service is
 /// unavailable.
@@ -28,58 +27,46 @@ pub const EXIT_ACID: i32 = 7;
 pub struct CliError {
     /// Human-readable message.
     pub message: String,
-    /// Process exit code ([`EXIT_FAILURE`], [`EXIT_MISSING_INPUT`] or
-    /// [`EXIT_BAD_SCHEMA`]).
+    /// Process exit code (one of the `EXIT_*` constants).
     pub code: i32,
 }
 
 impl CliError {
+    fn new(code: i32, message: impl Into<String>) -> Self {
+        CliError {
+            message: message.into(),
+            code,
+        }
+    }
+
     /// An ordinary failure (exit code 1).
     pub fn general(message: impl Into<String>) -> Self {
-        CliError {
-            message: message.into(),
-            code: EXIT_FAILURE,
-        }
+        Self::new(EXIT_FAILURE, message)
     }
 
-    /// A required input file is missing (exit code 3).
-    pub fn missing_input(message: impl Into<String>) -> Self {
-        CliError {
-            message: message.into(),
-            code: EXIT_MISSING_INPUT,
-        }
+    /// The command line is unusable (exit code 2).
+    pub fn usage(message: impl Into<String>) -> Self {
+        Self::new(EXIT_USAGE, message)
     }
 
-    /// An input file has an unknown schema version (exit code 4).
+    /// A snapshot has an unknown schema version (exit code 4).
     pub fn bad_schema(message: impl Into<String>) -> Self {
-        CliError {
-            message: message.into(),
-            code: EXIT_BAD_SCHEMA,
-        }
+        Self::new(EXIT_BAD_SCHEMA, message)
     }
 
     /// A network operation failed (exit code 5).
     pub fn unavailable(message: impl Into<String>) -> Self {
-        CliError {
-            message: message.into(),
-            code: EXIT_UNAVAILABLE,
-        }
+        Self::new(EXIT_UNAVAILABLE, message)
     }
 
     /// A peer violated the wire protocol (exit code 6).
     pub fn protocol(message: impl Into<String>) -> Self {
-        CliError {
-            message: message.into(),
-            code: EXIT_PROTOCOL,
-        }
+        Self::new(EXIT_PROTOCOL, message)
     }
 
     /// Acked transactions were not durable at drain (exit code 7).
     pub fn acid(message: impl Into<String>) -> Self {
-        CliError {
-            message: message.into(),
-            code: EXIT_ACID,
-        }
+        Self::new(EXIT_ACID, message)
     }
 
     /// Map a serve-path error onto the CLI's typed exit codes.
@@ -96,12 +83,6 @@ impl CliError {
 
 impl From<String> for CliError {
     fn from(message: String) -> Self {
-        CliError::general(message)
-    }
-}
-
-impl From<&str> for CliError {
-    fn from(message: &str) -> Self {
         CliError::general(message)
     }
 }

@@ -7,7 +7,7 @@
 //! semclusterctl reorg --modules 30
 //! ```
 
-use semcluster_cli::{dispatch, Args, USAGE};
+use semcluster_cli::{dispatch, Args};
 
 /// Thread-local allocation accounting for `simulate --profile` and the
 /// profile golden suite. The wrapper forwards straight to the system
@@ -18,20 +18,10 @@ use semcluster_cli::{dispatch, Args, USAGE};
 static ALLOC: semcluster_obs::CountingAlloc = semcluster_obs::CountingAlloc;
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match Args::parse(argv) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    match dispatch(&parsed) {
+    match Args::parse(std::env::args().skip(1)).and_then(|args| dispatch(&args)) {
         Ok(output) => print!("{output}"),
         Err(e) => {
-            // Exit codes: 1 general failure, 2 argv parse error, 3
-            // missing input file, 4 unknown input schema, 5 network
-            // unavailable, 6 protocol violation, 7 ACID violation.
+            // The exit codes are listed once, on `dispatch`.
             eprintln!("error: {e}");
             std::process::exit(e.code);
         }

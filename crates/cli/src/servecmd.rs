@@ -1,5 +1,5 @@
-//! The `serve` and `load` subcommands, the chaos and stats golden
-//! suites, and the serve bench rows.
+//! The `serve` and `load` subcommands and the chaos and stats golden
+//! suites.
 //!
 //! `serve` boots the multi-client TCP server (oracle or concurrent
 //! mode), prints `listening on ADDR` once bound (and `metrics on ADDR`
@@ -13,25 +13,17 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use crate::args::Args;
-use crate::commands::config_from_args;
+use crate::commands::CONFIG_FLAGS;
 use crate::error::CliError;
+use crate::simulate::config_from_args;
 use semcluster::serve::{
     read_frame, run_load, write_frame, ErrorKind, LoadConfig, Request, RequestCounts,
     RequestStamps, Response, ServeConfig, ServeMode, ServeReport, ServeStats, Server, SloTracker,
     TxnOp, TxnRequest,
 };
-use semcluster::{workload_from_label, SimConfig};
 use semcluster_faults::{NetChaosConfig, NetChaosPlan};
 use semcluster_obs::{ChromeTraceSink, TraceSink};
 
-/// Committed golden for the network-chaos plans.
-pub const CHAOS_GOLDEN_PATH: &str = "goldens/chaos.json";
-
-/// Committed golden for the telemetry renders (synthetic registry
-/// replay + a live oracle-mode STATS probe).
-pub const STATS_GOLDEN_PATH: &str = "goldens/stats.json";
-
-#[cfg(unix)]
 mod sig {
     //! Std-only SIGTERM/SIGINT hook: a C `signal(2)` binding flipping
     //! one atomic flag the serve loop polls. No runtime work happens in
@@ -67,27 +59,22 @@ mod sig {
     }
 }
 
-#[cfg(not(unix))]
-mod sig {
-    //! Non-unix fallback: no signal hook; drain comes from a client
-    //! SHUTDOWN frame only.
-    pub fn install() {}
-
-    pub fn stopped() -> bool {
-        false
-    }
-}
-
 /// Build a [`ServeConfig`] from flags.
 fn serve_config_from_args(args: &Args) -> Result<ServeConfig, CliError> {
     let mode = match args.get("mode").unwrap_or("concurrent") {
-        "concurrent" => ServeMode::Concurrent,
-        "oracle" => {
-            let sim = config_from_args(args).map_err(CliError::general)?;
-            ServeMode::Oracle(Box::new(sim))
+        "concurrent" => {
+            // The shared core never builds a simulator; say so rather
+            // than run with a configuration flag silently dropped.
+            if let Some(flag) = CONFIG_FLAGS.iter().find(|f| args.flag(f)) {
+                return Err(CliError::usage(format!(
+                    "serve: --{flag} configures the simulator; it needs --mode oracle"
+                )));
+            }
+            ServeMode::Concurrent
         }
+        "oracle" => ServeMode::Oracle(Box::new(config_from_args(args)?)),
         other => {
-            return Err(CliError::general(format!(
+            return Err(CliError::usage(format!(
                 "serve: unknown mode {other:?} (expected concurrent or oracle)"
             )))
         }
@@ -120,13 +107,12 @@ fn serve_config_from_args(args: &Args) -> Result<ServeConfig, CliError> {
     })
 }
 
-/// `serve` subcommand: bind, announce, drain on signal, report.
+/// `serve` subcommand: bind, announce, drain on signal, then emit the
+/// verdict JSON, mapping ACID violations to their typed exit code.
 pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let cfg = serve_config_from_args(args)?;
-    let addr = args.get("addr").unwrap_or("127.0.0.1:0").to_string();
-    let timeline_path = args.get("timeline").map(str::to_string);
-    let chrome_path = args.get("chrome-trace").map(str::to_string);
-    let handle = Server::start(cfg, &addr).map_err(|e| CliError::from_serve(&e))?;
+    let addr = args.get("addr").unwrap_or("127.0.0.1:0");
+    let handle = Server::start(cfg, addr).map_err(|e| CliError::from_serve(&e))?;
     // Announce readiness on stdout immediately (CI polls for this).
     println!("listening on {}", handle.addr());
     if let Some(metrics) = handle.metrics_addr() {
@@ -143,20 +129,9 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         std::thread::sleep(Duration::from_millis(50));
     }
     let report = handle.join().map_err(|e| CliError::from_serve(&e))?;
-    render_serve_outcome(&report, timeline_path.as_deref(), chrome_path.as_deref())
-}
-
-/// Shared verdict rendering for `cmd_serve` and the in-process bench
-/// path: write the timeline and Chrome-trace artifacts if requested,
-/// emit the verdict JSON, and map ACID violations to their typed exit
-/// code. The artifacts are written before the ACID check so a failing
-/// run still leaves its diagnostics behind.
-fn render_serve_outcome(
-    report: &ServeReport,
-    timeline_path: Option<&str>,
-    chrome_path: Option<&str>,
-) -> Result<String, CliError> {
-    if let Some(path) = timeline_path {
+    // The timeline and Chrome-trace artifacts are written before the
+    // ACID check so a failing run still leaves its diagnostics behind.
+    if let Some(path) = args.get("timeline") {
         let timeline = report
             .timeline
             .as_ref()
@@ -164,8 +139,8 @@ fn render_serve_outcome(
         std::fs::write(path, timeline.to_json())
             .map_err(|e| CliError::general(format!("serve: cannot write {path}: {e}")))?;
     }
-    if let Some(path) = chrome_path {
-        write_serve_chrome_trace(report, path)?;
+    if let Some(path) = args.get("chrome-trace") {
+        write_serve_chrome_trace(&report, path)?;
     }
     let json = report.to_json();
     if report.acid_violations > 0 {
@@ -205,7 +180,7 @@ fn load_config_from_args(args: &Args) -> Result<LoadConfig, CliError> {
     let chaos = match args.get("chaos") {
         None => NetChaosConfig::none(),
         Some(name) => NetChaosConfig::preset(name).ok_or_else(|| {
-            CliError::general(format!(
+            CliError::usage(format!(
                 "load: unknown chaos preset {name:?} (expected {})",
                 NetChaosConfig::PRESETS.join(" or ")
             ))
@@ -214,7 +189,7 @@ fn load_config_from_args(args: &Args) -> Result<LoadConfig, CliError> {
     Ok(LoadConfig {
         addr: args
             .get("addr")
-            .ok_or_else(|| CliError::general("load: --addr HOST:PORT is required"))?
+            .ok_or_else(|| CliError::usage("load: --addr HOST:PORT is required"))?
             .to_string(),
         connections: args.get_parsed("connections", defaults.connections)?,
         sessions_per_conn: args.get_parsed("sessions", defaults.sessions_per_conn)?,
@@ -326,18 +301,9 @@ pub fn stats_golden_render(_jobs: usize) -> Result<String, String> {
     out.push_str(&snap.to_prometheus());
 
     out.push_str("{\"section\":\"oracle-live\"}\n");
-    let sim = SimConfig {
-        workload: workload_from_label("low3-5").ok_or("stats golden: unknown workload label")?,
-        database_bytes: 2 * 1024 * 1024,
-        buffer_pages: 24,
-        warmup_txns: 40,
-        measured_txns: 120,
-        seed: 1989,
-        ..SimConfig::default()
-    };
     let handle = Server::start(
         ServeConfig {
-            mode: ServeMode::Oracle(Box::new(sim)),
+            mode: ServeMode::Oracle(Box::new(crate::golden::tiny("low3-5", 1989))),
             ..ServeConfig::default()
         },
         "127.0.0.1:0",

@@ -1,0 +1,202 @@
+//! The offline tools: `trace`, `inspect`, `reorg` and `crash-matrix`.
+
+use crate::args::Args;
+use crate::error::CliError;
+use semcluster::{run_crash_matrix, workload_from_label, CrashMatrixConfig, MatrixBackend};
+use semcluster_analysis::Table;
+use semcluster_clustering::{static_recluster, WeightModel};
+use semcluster_sim::SimRng;
+use semcluster_storage::StorageManager;
+use semcluster_vdm::{RelKind, SyntheticDbSpec};
+use semcluster_workload::{analyze, generate_trace, oct_tools};
+
+/// `trace` subcommand.
+pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
+    let invocations: usize = args.get_parsed("invocations", 50)?;
+    let seed: u64 = args.get_parsed("seed", 1989)?;
+    let mut rng = SimRng::seed_from_u64(seed);
+    let tools = oct_tools();
+    let trace = generate_trace(&tools, invocations, &mut rng);
+    let stats = analyze(&trace);
+    let mut table = Table::new(vec!["tool", "R/W", "I/O per s", "low/med/high density"]);
+    for s in &stats {
+        let rw = if s.rw_ratio().is_finite() {
+            format!("{:.2}", s.rw_ratio())
+        } else {
+            "inf".into()
+        };
+        table.row(vec![
+            s.tool.clone(),
+            rw,
+            format!("{:.1}", s.io_rate()),
+            format!(
+                "{:.0}/{:.0}/{:.0} %",
+                s.density_shares[0] * 100.0,
+                s.density_shares[1] * 100.0,
+                s.density_shares[2] * 100.0
+            ),
+        ]);
+    }
+    Ok(table.render())
+}
+
+/// `inspect` subcommand: synthesize a database and report its shape and
+/// layout quality under clustered vs scattered placement.
+pub fn cmd_inspect(args: &Args) -> Result<String, CliError> {
+    let mbytes: u64 = args.get_parsed("mbytes", 8)?;
+    let seed: u64 = args.get_parsed("seed", 42)?;
+    let label = args.get("workload").unwrap_or("med5-10");
+    let workload = workload_from_label(label)
+        .ok_or_else(|| CliError::usage(format!("unknown workload {label:?}")))?;
+    let (fanout, depth) = match workload.density {
+        semcluster_workload::StructureDensity::Low3 => ((1, 3), 6),
+        semcluster_workload::StructureDensity::Med5 => ((4, 9), 3),
+        semcluster_workload::StructureDensity::High10 => ((10, 15), 2),
+    };
+    let target = mbytes * 1024 * 1024 / 320;
+    let mean_fanout = (fanout.0 + fanout.1) as f64 / 2.0;
+    let mut tree = 1.0;
+    let mut level = 1.0;
+    for _ in 0..depth {
+        level *= mean_fanout;
+        tree += level;
+    }
+    let modules = ((target as f64 / (tree * 2.4)).round() as usize).max(1);
+    let (db, stats) = SyntheticDbSpec {
+        modules,
+        depth,
+        fanout,
+        seed,
+        ..SyntheticDbSpec::default()
+    }
+    .build();
+    let mut by_kind = [0u64; 4];
+    for (kind, _, _) in db.graph().edges() {
+        by_kind[kind.index()] += 1;
+    }
+    let model = WeightModel::no_hints();
+    let mut scattered = StorageManager::new(4096);
+    for obj in db.objects() {
+        scattered
+            .append(obj.id, obj.size_bytes())
+            .map_err(|e| e.to_string())?;
+    }
+    let (clustered, report) = static_recluster(&db, &scattered, &model, 0.3);
+    let mut table = Table::new(vec!["property", "value"]);
+    table.row(vec!["objects".to_string(), stats.objects.to_string()]);
+    for (label, kind) in [
+        ("configuration edges", RelKind::Configuration),
+        ("version edges", RelKind::VersionHistory),
+        ("correspondence edges", RelKind::Correspondence),
+        ("inheritance edges", RelKind::Inheritance),
+    ] {
+        table.row(vec![label.to_string(), by_kind[kind.index()].to_string()]);
+    }
+    table.row(vec![
+        "pages (scattered / clustered)".to_string(),
+        format!("{} / {}", scattered.page_count(), clustered.page_count()),
+    ]);
+    table.row(vec![
+        "broken arc weight (scattered / clustered)".to_string(),
+        format!("{:.0} / {:.0}", report.broken_before, report.broken_after),
+    ]);
+    table.row(vec![
+        "layout improvement".to_string(),
+        format!("{:.0} %", report.improvement() * 100.0),
+    ]);
+    Ok(table.render())
+}
+
+/// `reorg` subcommand: offline reorganisation demo.
+pub fn cmd_reorg(args: &Args) -> Result<String, CliError> {
+    let modules: usize = args.get_parsed("modules", 20)?;
+    let seed: u64 = args.get_parsed("seed", 7)?;
+    let (db, _) = SyntheticDbSpec {
+        modules,
+        depth: 3,
+        fanout: (2, 4),
+        seed,
+        ..SyntheticDbSpec::default()
+    }
+    .build();
+    let model = WeightModel::no_hints();
+    let mut store = StorageManager::new(4096);
+    let n = db.object_count();
+    for k in 0..n {
+        let idx = (k * 613) % n;
+        let obj = db.get(semcluster_vdm::ObjectId(idx as u32)).unwrap();
+        store
+            .append(obj.id, obj.size_bytes())
+            .map_err(|e| e.to_string())?;
+    }
+    let (_, report) = static_recluster(&db, &store, &model, 0.3);
+    Ok(format!(
+        "reorganised {} objects onto {} pages\nbroken arc weight: {:.0} → {:.0} ({:.0}% repaired)\n",
+        report.objects,
+        report.pages,
+        report.broken_before,
+        report.broken_after,
+        report.improvement() * 100.0
+    ))
+}
+
+/// `crash-matrix` subcommand: run the exhaustive crash-recovery matrix
+/// and fail (exit 1) on any ACID violation.
+pub fn cmd_crash_matrix(args: &Args) -> Result<String, CliError> {
+    let preset = args.get("preset").unwrap_or("smoke");
+    let mut mc = match preset {
+        "smoke" => CrashMatrixConfig::smoke(),
+        "deep" => CrashMatrixConfig::deep(),
+        other => {
+            return Err(CliError::usage(format!(
+                "--preset: expected smoke or deep, got {other:?}"
+            )))
+        }
+    };
+    mc.event_samples = args.get_parsed("samples", mc.event_samples)?;
+    mc.jobs = args.get_parsed("jobs", mc.jobs)?;
+    mc.cfg.seed = args.get_parsed("seed", mc.cfg.seed)?;
+    if let Some(dir) = args.get("scratch-dir") {
+        mc.scratch_dir = Some(std::path::PathBuf::from(dir));
+    }
+    let backends = match args.get("backend").unwrap_or("sim") {
+        "sim" => vec![MatrixBackend::Sim],
+        "file" => vec![MatrixBackend::File],
+        "both" => vec![MatrixBackend::Sim, MatrixBackend::File],
+        other => {
+            return Err(CliError::usage(format!(
+                "--backend: expected sim, file or both, got {other:?}"
+            )))
+        }
+    };
+    let labelled = backends.len() > 1;
+    let mut out = String::new();
+    for backend in backends {
+        mc.backend = backend;
+        let report = run_crash_matrix(&mc);
+        if report.violation_count() > 0 {
+            return Err(format!("backend {}:\n{}", backend.name(), report.render()).into());
+        }
+        if args.flag("json") {
+            out.push_str(&format!(
+                concat!(
+                    "{{\"backend\":{backend:?},\"points\":{points},",
+                    "\"commits\":{commits},\"events\":{events},",
+                    "\"log_flushes\":{flushes},\"violations\":{violations}}}\n"
+                ),
+                backend = backend.name(),
+                points = report.points.len(),
+                commits = report.total_commits,
+                events = report.total_events,
+                flushes = report.total_flushes,
+                violations = report.violation_count(),
+            ));
+        } else {
+            if labelled {
+                out.push_str(&format!("== backend {} ==\n", backend.name()));
+            }
+            out.push_str(&report.render());
+        }
+    }
+    Ok(out)
+}

@@ -14,9 +14,19 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use crate::args::Args;
-use crate::commands::json_num_field;
 use crate::error::CliError;
 use semcluster::serve::{read_frame, write_frame, Request, Response, ServeError, STATS_SCHEMA};
+
+/// Extract a `"key":<number>` field from a snapshot's JSON text.
+fn json_num_field(line: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\":");
+    let start = line.find(&pat)? + pat.len();
+    let rest = &line[start..];
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
 
 /// The fields `top` extracts from one snapshot. Parsed leniently:
 /// a missing field renders as 0 rather than failing the poll loop.
@@ -100,7 +110,7 @@ fn net_err(context: &str, source: &str) -> CliError {
 pub fn cmd_top(args: &Args) -> Result<String, CliError> {
     let addr = args
         .get("addr")
-        .ok_or_else(|| CliError::general("top: --addr HOST:PORT is required"))?;
+        .ok_or_else(|| CliError::usage("top: --addr HOST:PORT is required"))?;
     let interval_ms: u64 = args.get_parsed("interval-ms", 1000u64)?;
     let count: u64 = args.get_parsed("count", 0u64)?;
     let raw = args.flag("raw");

@@ -1,32 +1,29 @@
 //! Dense, reusable scratch arenas for the clustering hot path.
 //!
-//! The scoring functions in [`crate::cost`] historically accumulated arc
-//! weights in `DetHashMap`s and returned freshly allocated `Vec`s — one
-//! map and one vector per placement decision. At full paper scale
-//! (≈1.6 M objects, thousands of placement decisions per run) that
-//! allocation pressure dominated the hot phases. [`ScoreScratch`] replaces
-//! the maps with *epoch-stamped dense arrays* indexed by `ObjectId` /
-//! `PageId`: clearing between decisions is a single epoch bump, touched
-//! keys are recorded in first-touch order, and every output list is a
-//! reusable vector whose capacity persists across calls.
+//! The scoring functions in [`crate::cost`] accumulate arc weights per
+//! related object and per candidate page — thousands of placement
+//! decisions per run at full paper scale (≈1.6 M objects), where a map
+//! and a fresh vector per decision would dominate the hot phases.
+//! [`ScoreScratch`] gives them *epoch-stamped dense arrays* indexed by
+//! `ObjectId` / `PageId` instead: clearing between decisions is a single
+//! epoch bump, touched keys are recorded in first-touch order, and every
+//! output list is a reusable vector whose capacity persists across calls.
 //!
 //! ## Determinism contract
 //!
-//! The scratch-based accumulators are *bit-for-bit* equivalent to the
-//! map-based reference implementations:
+//! The accumulators are *bit-for-bit* equivalent to the naive map-based
+//! fold kept as the model in `tests/arena_equivalence.rs`:
 //!
 //! * weights are accumulated per key in exactly the traversal order of
-//!   [`StructureGraph::for_each_related`] (the same order the map-based
-//!   code folded them in), so each key's `f64` sum sees the identical
-//!   addition sequence;
-//! * output lists are sorted with the same *total* comparator (weight
+//!   [`StructureGraph::for_each_related`], so each key's `f64` sum sees
+//!   the identical addition sequence;
+//! * output lists are sorted with a *total* comparator (weight
 //!   descending, id ascending — keys are unique, so there are no ties),
-//!   which makes `sort_unstable_by` produce the identical permutation the
-//!   reference's stable sort does, without the stable sort's scratch
-//!   allocation.
+//!   which makes `sort_unstable_by` produce the identical permutation a
+//!   stable sort does, without the stable sort's scratch allocation.
 //!
-//! Proptest equivalence suites in `crates/clustering/tests` hold the two
-//! implementations against each other across randomized databases.
+//! The proptest suite holds the two against each other across
+//! randomized databases.
 //!
 //! [`StructureGraph::for_each_related`]: semcluster_vdm::StructureGraph::for_each_related
 

@@ -12,7 +12,6 @@ use crate::arena::{sort_scored, ScoreScratch};
 use crate::config::HintPolicy;
 use semcluster_buffer::AccessHint;
 use semcluster_storage::{PageId, StorageManager};
-use semcluster_vdm::DetHashMap;
 use semcluster_vdm::{Database, ObjectId, RelKind};
 
 /// How strongly a user hint amplifies its relationship's weights.
@@ -73,85 +72,14 @@ impl WeightModel {
     }
 }
 
-/// All objects related to `object`, with effective arc weights. Parallel
-/// arcs (e.g. an object that is both a component and a correspondent) are
-/// merged by summing weights.
-pub fn weighted_neighbors(
-    db: &Database,
-    model: &WeightModel,
-    object: ObjectId,
-) -> Vec<(ObjectId, f64)> {
-    let Ok(freqs) = db.frequencies_of(object) else {
-        return Vec::new();
-    };
-    let mut acc: DetHashMap<ObjectId, f64> = DetHashMap::default();
-    for (kind, dir, other) in db.graph().related(object) {
-        let base = freqs.weight(kind, dir);
-        let w = model.arc_weight(kind, base);
-        *acc.entry(other).or_insert(0.0) += w;
-    }
-    let mut out: Vec<(ObjectId, f64)> = acc.into_iter().collect();
-    // Deterministic order: weight descending, id ascending.
-    out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
-    out
-}
-
 /// Weight discount applied to two-hop cluster-neighbourhood arcs.
 pub const TWO_HOP_DECAY: f64 = 0.25;
 
-/// The extended cluster neighbourhood of `object`: direct relatives plus
-/// their relatives at decayed weight. The clustering algorithm explores
-/// this wider pool when searching candidate pages — a cluster often has
-/// room on a page adjacent (in graph terms) to the full preferred page —
-/// and it is precisely this exploration whose I/O the candidate-pool
-/// policy bounds.
-pub fn extended_neighbors(
-    db: &Database,
-    model: &WeightModel,
-    object: ObjectId,
-) -> Vec<(ObjectId, f64)> {
-    let direct = weighted_neighbors(db, model, object);
-    let mut acc: DetHashMap<ObjectId, f64> = direct.iter().copied().collect();
-    for &(hop, w1) in &direct {
-        let Ok(freqs) = db.frequencies_of(hop) else {
-            continue;
-        };
-        for (kind, dir, two) in db.graph().related(hop) {
-            if two == object {
-                continue;
-            }
-            let w2 = model.arc_weight(kind, freqs.weight(kind, dir));
-            let w = TWO_HOP_DECAY * w1.min(w2);
-            *acc.entry(two).or_insert(0.0) += w;
-        }
-    }
-    let mut out: Vec<(ObjectId, f64)> = acc.into_iter().collect();
-    out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
-    out
-}
-
-/// Candidate pages for placing `object`, scored by total affinity (sum of
-/// arc weights of related objects resident on the page), best first.
-/// Unplaced related objects contribute nothing.
-pub fn candidate_pages(
-    store: &StorageManager,
-    neighbors: &[(ObjectId, f64)],
-) -> Vec<(PageId, f64)> {
-    let mut affinity: DetHashMap<PageId, f64> = DetHashMap::default();
-    for &(obj, w) in neighbors {
-        if let Some(page) = store.page_of(obj) {
-            *affinity.entry(page).or_insert(0.0) += w;
-        }
-    }
-    let mut out: Vec<(PageId, f64)> = affinity.into_iter().collect();
-    out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
-    out
-}
-
-/// Allocation-free [`weighted_neighbors`]: folds arc weights through the
-/// dense accumulator in `scratch` and leaves the sorted result in
-/// `scratch.direct`. Bit-for-bit equivalent to the map-based reference
-/// (see the determinism contract in [`crate::arena`]).
+/// All objects related to `object`, with effective arc weights, left in
+/// `scratch.direct` sorted weight descending, id ascending. Parallel
+/// arcs (e.g. an object that is both a component and a correspondent)
+/// are merged by summing weights in traversal order (the determinism
+/// contract in [`crate::arena`]).
 pub fn weighted_neighbors_in(
     db: &Database,
     model: &WeightModel,
@@ -173,10 +101,14 @@ pub fn weighted_neighbors_in(
     sort_scored(&mut scratch.direct);
 }
 
-/// Allocation-free [`extended_neighbors`]: reads the direct neighbours
-/// already in `scratch.direct` (fill with [`weighted_neighbors_in`]
-/// first) and leaves the sorted two-hop neighbourhood in
-/// `scratch.extended`.
+/// The extended cluster neighbourhood of `object`: direct relatives plus
+/// their relatives at decayed weight. The clustering algorithm explores
+/// this wider pool when searching candidate pages — a cluster often has
+/// room on a page adjacent (in graph terms) to the full preferred page —
+/// and it is precisely this exploration whose I/O the candidate-pool
+/// policy bounds. Reads the direct neighbours already in
+/// `scratch.direct` (fill with [`weighted_neighbors_in`] first) and
+/// leaves the sorted two-hop neighbourhood in `scratch.extended`.
 pub fn extended_neighbors_in(
     db: &Database,
     model: &WeightModel,
@@ -191,8 +123,7 @@ pub fn extended_neighbors_in(
         extended,
         ..
     } = scratch;
-    // Seed with the direct neighbours (sorted order — the same insertion
-    // order the reference's `collect()` sees).
+    // Seed with the direct neighbours, in their sorted order.
     for &(id, w) in direct.iter() {
         obj.add(extended, id.index(), id, w);
     }
@@ -212,9 +143,11 @@ pub fn extended_neighbors_in(
     sort_scored(extended);
 }
 
-/// Allocation-free [`candidate_pages`]: scores the pages holding the
-/// extended neighbourhood already in `scratch.extended` and leaves the
-/// sorted candidates in `scratch.pages`.
+/// Candidate pages for placing an object, scored by total affinity (sum
+/// of arc weights of related objects resident on the page), best first:
+/// scores the pages holding the extended neighbourhood already in
+/// `scratch.extended` and leaves the sorted candidates in
+/// `scratch.pages`. Unplaced related objects contribute nothing.
 pub fn candidate_pages_in(store: &StorageManager, scratch: &mut ScoreScratch) {
     scratch.pages.clear();
     scratch.page.begin();
@@ -290,10 +223,16 @@ mod tests {
         (db, store, x, [comp, parent, corr])
     }
 
+    fn direct(db: &Database, model: &WeightModel, object: ObjectId) -> Vec<(ObjectId, f64)> {
+        let mut scratch = ScoreScratch::new();
+        weighted_neighbors_in(db, model, object, &mut scratch);
+        scratch.direct
+    }
+
     #[test]
     fn neighbors_weighted_by_type_profile() {
         let (db, _, x, [comp, parent, corr]) = fixture();
-        let n = weighted_neighbors(&db, &WeightModel::no_hints(), x);
+        let n = direct(&db, &WeightModel::no_hints(), x);
         let get = |o| n.iter().find(|&&(id, _)| id == o).map(|&(_, w)| w);
         assert_eq!(get(comp), Some(3.0)); // config_down
         assert_eq!(get(parent), Some(2.0)); // version_up (x → ancestor)
@@ -305,7 +244,7 @@ mod tests {
     fn hints_amplify_their_relationship() {
         let (db, _, x, [comp, _, corr]) = fixture();
         let model = WeightModel::with_hint(AccessHint::ByCorrespondence);
-        let n = weighted_neighbors(&db, &model, x);
+        let n = direct(&db, &model, x);
         let get = |o| n.iter().find(|&&(id, _)| id == o).map(|&(_, w)| w);
         assert_eq!(get(corr), Some(4.0)); // 1.0 × HINT_MULTIPLIER
         assert_eq!(get(comp), Some(3.0)); // untouched
@@ -329,14 +268,21 @@ mod tests {
         let shared = store.allocate_page();
         store.move_object(comp, shared).unwrap();
         store.move_object(parent, shared).unwrap();
-        let n = weighted_neighbors(&db, &WeightModel::no_hints(), x);
-        let cands = candidate_pages(&store, &n);
+        // Score the direct neighbourhood alone: x's relatives have no
+        // relatives of their own besides x.
+        let mut scratch = ScoreScratch::new();
+        scratch.extended = direct(&db, &WeightModel::no_hints(), x);
+        candidate_pages_in(&store, &mut scratch);
+        let cands = &scratch.pages;
         assert_eq!(cands[0].0, shared);
         assert!((cands[0].1 - 5.0).abs() < 1e-12); // 3 + 2
         assert_eq!(cands.len(), 2);
         let _ = corr;
     }
 
+    /// A scratch reused dirty across objects of different degrees must
+    /// score exactly as a fresh one does (the map-based reference fold
+    /// lives in `tests/arena_equivalence.rs`).
     #[test]
     fn scratch_scoring_matches_reference() {
         let (db, mut store, x, [comp, parent, _]) = fixture();
@@ -346,16 +292,23 @@ mod tests {
         let model = WeightModel::with_hint(AccessHint::ByConfiguration);
         let mut scratch = ScoreScratch::new();
         for probe in [x, comp, parent] {
-            weighted_neighbors_in(&db, &model, probe, &mut scratch);
-            assert_eq!(scratch.direct, weighted_neighbors(&db, &model, probe));
-            extended_neighbors_in(&db, &model, probe, &mut scratch);
-            assert_eq!(scratch.extended, extended_neighbors(&db, &model, probe));
-            candidate_pages_in(&store, &mut scratch);
-            assert_eq!(
-                scratch.pages,
-                candidate_pages(&store, &extended_neighbors(&db, &model, probe))
-            );
+            let mut fresh = ScoreScratch::new();
+            for s in [&mut scratch, &mut fresh] {
+                weighted_neighbors_in(&db, &model, probe, s);
+                extended_neighbors_in(&db, &model, probe, s);
+                candidate_pages_in(&store, s);
+            }
+            assert_eq!(scratch.direct, fresh.direct);
+            assert_eq!(scratch.extended, fresh.extended);
+            assert_eq!(scratch.pages, fresh.pages);
         }
+        // comp's only relative is x (config_up 1.0 × 4); x's other
+        // relatives arrive two-hop at 0.25 × min(4.0, their arc).
+        weighted_neighbors_in(&db, &model, comp, &mut scratch);
+        extended_neighbors_in(&db, &model, comp, &mut scratch);
+        assert_eq!(scratch.direct, vec![(x, 4.0)]);
+        assert_eq!(scratch.extended[0], (x, 4.0));
+        assert_eq!(scratch.extended.len(), 3);
     }
 
     #[test]
@@ -364,7 +317,7 @@ mod tests {
         let shared = store.allocate_page();
         store.move_object(comp, shared).unwrap();
         store.move_object(parent, shared).unwrap();
-        let n = weighted_neighbors(&db, &WeightModel::no_hints(), x);
+        let n = direct(&db, &WeightModel::no_hints(), x);
         // Placing x on `shared` breaks only the corr arc (1.0).
         assert!((placement_cost(&store, &n, shared) - 1.0).abs() < 1e-12);
         // Placing x on corr's page breaks comp+parent arcs (5.0).

@@ -4,14 +4,15 @@
 //!
 //! * an arc-weight model turning type-inherited traversal frequencies and
 //!   user hints into placement affinities ([`WeightModel`],
-//!   [`weighted_neighbors`], [`candidate_pages`], [`placement_cost`]),
+//!   [`weighted_neighbors_in`], [`candidate_pages_in`],
+//!   [`placement_cost`]) over a caller-owned [`ScoreScratch`],
 //! * the candidate-page search with buffer-only / k-I/O-limited /
-//!   unbounded pools ([`plan_placement`]),
+//!   unbounded pools ([`plan_placement_in`]),
 //! * page splitting when the preferred candidate overflows — greedy
 //!   single-pass [`linear_split`] vs the exact [`optimal_split`] — gated
 //!   by a cost comparison ([`consider_split`]), and
 //! * run-time reclustering of existing objects when their structure
-//!   changes ([`plan_recluster`]).
+//!   changes ([`plan_recluster_in`]).
 //!
 //! Searches produce *plans*; the simulation engine executes them so every
 //! candidate-page read is charged through the buffer manager to the
@@ -32,18 +33,18 @@ mod split;
 pub use arena::ScoreScratch;
 pub use config::{ClusteringPolicy, HintPolicy, SplitPolicy};
 pub use cost::{
-    candidate_pages, candidate_pages_in, extended_neighbors, extended_neighbors_in, placement_cost,
-    weighted_neighbors, weighted_neighbors_in, WeightModel, HINT_MULTIPLIER, TWO_HOP_DECAY,
+    candidate_pages_in, extended_neighbors_in, placement_cost, weighted_neighbors_in, WeightModel,
+    HINT_MULTIPLIER, TWO_HOP_DECAY,
 };
 pub use locality::page_locality;
 pub use offline::{broken_arc_weight, static_recluster, ReorgReport};
 pub use placement::{
-    execute_placement, plan_placement, plan_placement_in, AllResident, ExaminedCandidate,
-    PlacementPlan, PlacementTarget, ResidencyView, MAX_EXAMINED,
+    execute_placement, plan_placement_in, AllResident, ExaminedCandidate, PlacementPlan,
+    PlacementTarget, ResidencyView, MAX_EXAMINED,
 };
 pub use recluster::{
-    consider_split, execute_split, plan_recluster, plan_recluster_in, ReclusterPlan, SplitOutcome,
-    SplitPlan, SPLIT_OVERHEAD_WEIGHT,
+    consider_split, execute_split, plan_recluster_in, ReclusterPlan, SplitOutcome, SplitPlan,
+    SPLIT_OVERHEAD_WEIGHT,
 };
 pub use split::{
     build_dependency_graph, linear_split, optimal_split, DependencyGraph, Partition, SplitError,

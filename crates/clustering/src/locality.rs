@@ -10,7 +10,7 @@
 //! locality determines the hit ratio the paper's figures track.
 //!
 //! This runs on every timeline sample, so it walks the graph's adjacency
-//! slices directly instead of going through `weighted_neighbors` — no
+//! slices directly instead of going through `weighted_neighbors_in` — no
 //! allocation, no sort, and parallel arcs of different kinds each count
 //! as their own co-reference (each is a distinct traversal the layout
 //! can satisfy or fault). "No allocation" is not just an intention:

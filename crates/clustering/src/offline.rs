@@ -8,9 +8,10 @@
 //! static layout *drift* as structures keep changing — the reason the
 //! paper argues for run-time reclustering.
 
+use crate::arena::ScoreScratch;
 use crate::config::ClusteringPolicy;
 use crate::cost::WeightModel;
-use crate::placement::{plan_placement, AllResident, PlacementTarget};
+use crate::placement::{plan_placement_in, AllResident, PlacementTarget};
 use semcluster_storage::{StorageManager, PAGE_OVERHEAD_BYTES};
 use semcluster_vdm::Database;
 
@@ -75,9 +76,12 @@ pub fn static_recluster(
     let mut fresh = StorageManager::new(old.page_bytes());
     let capacity = old.page_bytes() - PAGE_OVERHEAD_BYTES;
     let reserve = (capacity as f64 * slack_fraction) as u32;
+    // One scratch for the whole pass: a fresh one per object would regrow
+    // its object-indexed arrays from empty every time — O(n²) overall.
+    let mut scratch = ScoreScratch::with_capacity(db.object_count(), old.page_count());
     for obj in db.objects() {
         let size = obj.size_bytes();
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             db,
             &fresh,
             &AllResident,
@@ -85,6 +89,7 @@ pub fn static_recluster(
             model,
             obj.id,
             size,
+            &mut scratch,
         );
         match plan.target {
             PlacementTarget::Existing(page) => fresh
@@ -96,6 +101,7 @@ pub fn static_recluster(
                     .expect("append cannot fail");
             }
         }
+        scratch.put_examined(plan.examined);
     }
     let report = ReorgReport {
         objects: db.object_count(),

@@ -86,32 +86,6 @@ pub struct PlacementPlan {
     pub chosen_affinity: f64,
 }
 
-/// Rank candidates and find a home for `object` of `size` bytes.
-///
-/// Convenience wrapper over [`plan_placement_in`] with throwaway scratch;
-/// hot paths should own a [`ScoreScratch`] and call the `_in` variant.
-pub fn plan_placement(
-    db: &Database,
-    store: &StorageManager,
-    residency: &impl ResidencyView,
-    policy: ClusteringPolicy,
-    model: &WeightModel,
-    object: ObjectId,
-    size: u32,
-) -> PlacementPlan {
-    let mut scratch = ScoreScratch::new();
-    plan_placement_in(
-        db,
-        store,
-        residency,
-        policy,
-        model,
-        object,
-        size,
-        &mut scratch,
-    )
-}
-
 /// Rank candidates and find a home for `object` of `size` bytes, using
 /// `scratch` for every intermediate — the only allocation-visible state
 /// is the plan's `examined` list, which is recycled from `scratch` and
@@ -263,7 +237,7 @@ mod tests {
     #[test]
     fn no_cluster_always_appends() {
         let (db, store, new, _) = fixture();
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             &db,
             &store,
             &AllResident,
@@ -271,6 +245,7 @@ mod tests {
             &WeightModel::no_hints(),
             new,
             100,
+            &mut ScoreScratch::new(),
         );
         assert_eq!(plan.target, PlacementTarget::Append);
         assert_eq!(plan.search_ios, 0);
@@ -280,7 +255,7 @@ mod tests {
     #[test]
     fn best_affinity_candidate_wins() {
         let (db, store, new, [p0, ..]) = fixture();
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             &db,
             &store,
             &AllResident,
@@ -288,6 +263,7 @@ mod tests {
             &WeightModel::no_hints(),
             new,
             100,
+            &mut ScoreScratch::new(),
         );
         assert_eq!(plan.target, PlacementTarget::Existing(p0));
         assert_eq!(plan.chosen_affinity, 5.0); // the config_down arc to comp
@@ -302,7 +278,7 @@ mod tests {
                 p == self.0
             }
         }
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             &db,
             &store,
             &Only(p1),
@@ -310,6 +286,7 @@ mod tests {
             &WeightModel::no_hints(),
             new,
             100,
+            &mut ScoreScratch::new(),
         );
         assert_eq!(plan.target, PlacementTarget::Existing(p1));
         assert_eq!(plan.search_ios, 0);
@@ -325,7 +302,7 @@ mod tests {
         store.place(filler_a, cap - 100, p0).unwrap();
         store.place(filler_b, cap - 100, p1).unwrap();
         // With a 1-I/O limit and nothing resident, only p0 is examinable.
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             &db,
             &store,
             &NoneResident,
@@ -333,13 +310,14 @@ mod tests {
             &WeightModel::no_hints(),
             new,
             100,
+            &mut ScoreScratch::new(),
         );
         assert_eq!(plan.search_ios, 1);
         assert_eq!(plan.examined.len(), 1);
         assert_eq!(plan.target, PlacementTarget::Append);
         assert_eq!(plan.preferred_full, Some(p0));
         // With no limit the search reaches the third page.
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             &db,
             &store,
             &NoneResident,
@@ -347,6 +325,7 @@ mod tests {
             &WeightModel::no_hints(),
             new,
             100,
+            &mut ScoreScratch::new(),
         );
         assert_eq!(plan.search_ios, 3);
         assert!(matches!(plan.target, PlacementTarget::Existing(_)));
@@ -361,7 +340,7 @@ mod tests {
         let loner = db
             .create_object(ObjectName::new("LONER", 1, "layout"), layout, 50)
             .unwrap();
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             &db,
             &store,
             &AllResident,
@@ -369,6 +348,7 @@ mod tests {
             &WeightModel::no_hints(),
             loner,
             50,
+            &mut ScoreScratch::new(),
         );
         assert_eq!(plan.target, PlacementTarget::Append);
     }
@@ -376,7 +356,7 @@ mod tests {
     #[test]
     fn execute_places_or_appends() {
         let (db, mut store, new, [p0, ..]) = fixture();
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             &db,
             &store,
             &AllResident,
@@ -384,6 +364,7 @@ mod tests {
             &WeightModel::no_hints(),
             new,
             100,
+            &mut ScoreScratch::new(),
         );
         let landed = execute_placement(&mut store, new, 100, &plan).unwrap();
         assert_eq!(landed, p0);

@@ -5,7 +5,7 @@
 //! * [`consider_split`] — when the preferred candidate page is full, split
 //!   it if the expected access cost after splitting beats placing the new
 //!   object on the next-best candidate; otherwise fall through.
-//! * [`plan_recluster`] — when an existing object's structure changes, the
+//! * [`plan_recluster_in`] — when an existing object's structure changes, the
 //!   run-time reclustering algorithm re-evaluates its placement and moves
 //!   it if the expected-cost improvement clears a threshold.
 
@@ -142,33 +142,9 @@ pub struct ReclusterPlan {
 /// `policy`'s I/O budget) improves expected access cost by more than
 /// `min_gain` and has room.
 ///
-/// Convenience wrapper over [`plan_recluster_in`] with throwaway scratch;
-/// hot paths should own a [`ScoreScratch`] and call the `_in` variant.
-pub fn plan_recluster(
-    db: &Database,
-    store: &StorageManager,
-    residency: &impl ResidencyView,
-    policy: ClusteringPolicy,
-    model: &WeightModel,
-    object: ObjectId,
-    min_gain: f64,
-) -> Option<ReclusterPlan> {
-    let mut scratch = ScoreScratch::new();
-    plan_recluster_in(
-        db,
-        store,
-        residency,
-        policy,
-        model,
-        object,
-        min_gain,
-        &mut scratch,
-    )
-}
-
-/// [`plan_recluster`] with caller-owned scratch. A returned plan's
-/// `examined` list is recycled from `scratch`; hand it back with
-/// [`ScoreScratch::put_examined`] once the plan has been consumed.
+/// A returned plan's `examined` list is recycled from `scratch`; hand it
+/// back with [`ScoreScratch::put_examined`] once the plan has been
+/// consumed.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_recluster_in(
     db: &Database,
@@ -392,7 +368,7 @@ mod tests {
             store.place(r, 50, home).unwrap();
             relatives.push(r);
         }
-        let plan = plan_recluster(
+        let plan = plan_recluster_in(
             &db,
             &store,
             &AllResident,
@@ -400,6 +376,7 @@ mod tests {
             &WeightModel::no_hints(),
             obj,
             0.0,
+            &mut ScoreScratch::new(),
         )
         .expect("relatives all live on `home`");
         assert_eq!(plan.to, home);
@@ -424,25 +401,27 @@ mod tests {
         db.relate(RelKind::Configuration, r, obj).unwrap();
         store.place(r, 50, home).unwrap();
         // Gain is 4.0 (config_up weight); a higher threshold blocks it.
-        assert!(plan_recluster(
+        assert!(plan_recluster_in(
             &db,
             &store,
             &AllResident,
             ClusteringPolicy::NoLimit,
             &WeightModel::no_hints(),
             obj,
-            10.0
+            10.0,
+            &mut ScoreScratch::new(),
         )
         .is_none());
         // NoCluster never reclusters.
-        assert!(plan_recluster(
+        assert!(plan_recluster_in(
             &db,
             &store,
             &AllResident,
             ClusteringPolicy::NoCluster,
             &WeightModel::no_hints(),
             obj,
-            0.0
+            0.0,
+            &mut ScoreScratch::new(),
         )
         .is_none());
         // Zero-I/O policy with nothing resident cannot see the candidate.
@@ -452,14 +431,15 @@ mod tests {
                 false
             }
         }
-        assert!(plan_recluster(
+        assert!(plan_recluster_in(
             &db,
             &store,
             &NoneRes,
             ClusteringPolicy::WithinBuffer,
             &WeightModel::no_hints(),
             obj,
-            0.0
+            0.0,
+            &mut ScoreScratch::new(),
         )
         .is_none());
     }

@@ -1,24 +1,90 @@
 //! Property-based equivalence tests for the arena-backed hot paths.
 //!
-//! The data-oriented refactor replaced the map-based scoring pipeline
-//! (`weighted_neighbors` / `extended_neighbors` / `candidate_pages`) with
-//! dense-accumulator `_in` variants that reuse a caller-owned
-//! [`ScoreScratch`]. The map-based functions are kept as the reference
-//! implementations; these tests drive both over randomized databases,
-//! placements, policies and residency views and require *identical*
-//! results — not just the same winner, but the same scores, the same
-//! order, the same examined lists and the same charged search I/O. Any
-//! divergence is a golden-output break waiting to happen.
+//! The scoring pipeline (`weighted_neighbors_in` / `extended_neighbors_in`
+//! / `candidate_pages_in`) folds arc weights through dense accumulators
+//! in a caller-owned [`ScoreScratch`]. The map-based fold it replaced
+//! lives on here, and only here, as the reference model ([`reference`]);
+//! these tests drive both over randomized databases, placements, policies
+//! and residency views and require *identical* results — not just the
+//! same winner, but the same scores, the same order, the same examined
+//! lists and the same charged search I/O. The planners' reference is the
+//! same planner over a fresh scratch: a scratch reused dirty across
+//! objects must never show. Any divergence is a golden-output break
+//! waiting to happen.
 
 use proptest::prelude::*;
 use semcluster_buffer::AccessHint;
 use semcluster_clustering::{
-    candidate_pages, candidate_pages_in, extended_neighbors, extended_neighbors_in, plan_placement,
-    plan_placement_in, plan_recluster, plan_recluster_in, weighted_neighbors,
+    candidate_pages_in, extended_neighbors_in, plan_placement_in, plan_recluster_in,
     weighted_neighbors_in, AllResident, ClusteringPolicy, ResidencyView, ScoreScratch, WeightModel,
 };
 use semcluster_storage::{PageId, StorageManager, DEFAULT_PAGE_BYTES};
 use semcluster_vdm::{Database, ObjectId, SyntheticDbSpec};
+
+/// The map-based scoring fold: one hash map and one fresh vector per
+/// call, sorted weight descending / id ascending.
+mod reference {
+    use semcluster_clustering::{WeightModel, TWO_HOP_DECAY};
+    use semcluster_storage::{PageId, StorageManager};
+    use semcluster_vdm::{Database, DetHashMap, ObjectId};
+    use std::hash::Hash;
+
+    fn sorted<K: Ord + Copy + Hash>(acc: DetHashMap<K, f64>) -> Vec<(K, f64)> {
+        let mut out: Vec<(K, f64)> = acc.into_iter().collect();
+        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        out
+    }
+
+    pub fn weighted_neighbors(
+        db: &Database,
+        model: &WeightModel,
+        object: ObjectId,
+    ) -> Vec<(ObjectId, f64)> {
+        let Ok(freqs) = db.frequencies_of(object) else {
+            return Vec::new();
+        };
+        let mut acc: DetHashMap<ObjectId, f64> = DetHashMap::default();
+        for (kind, dir, other) in db.graph().related(object) {
+            *acc.entry(other).or_insert(0.0) += model.arc_weight(kind, freqs.weight(kind, dir));
+        }
+        sorted(acc)
+    }
+
+    pub fn extended_neighbors(
+        db: &Database,
+        model: &WeightModel,
+        object: ObjectId,
+    ) -> Vec<(ObjectId, f64)> {
+        let direct = weighted_neighbors(db, model, object);
+        let mut acc: DetHashMap<ObjectId, f64> = direct.iter().copied().collect();
+        for &(hop, w1) in &direct {
+            let Ok(freqs) = db.frequencies_of(hop) else {
+                continue;
+            };
+            for (kind, dir, two) in db.graph().related(hop) {
+                if two == object {
+                    continue;
+                }
+                let w2 = model.arc_weight(kind, freqs.weight(kind, dir));
+                *acc.entry(two).or_insert(0.0) += TWO_HOP_DECAY * w1.min(w2);
+            }
+        }
+        sorted(acc)
+    }
+
+    pub fn candidate_pages(
+        store: &StorageManager,
+        neighbors: &[(ObjectId, f64)],
+    ) -> Vec<(PageId, f64)> {
+        let mut affinity: DetHashMap<PageId, f64> = DetHashMap::default();
+        for &(obj, w) in neighbors {
+            if let Some(page) = store.page_of(obj) {
+                *affinity.entry(page).or_insert(0.0) += w;
+            }
+        }
+        sorted(affinity)
+    }
+}
 
 /// Deterministic pseudo-random residency: a pure function of (salt,
 /// page), so the reference and arena paths observe the same view without
@@ -125,9 +191,9 @@ proptest! {
         let mut scratch = ScoreScratch::new();
         for probe in (0..db.object_count()).step_by(3) {
             let object = ObjectId(probe as u32);
-            let direct = weighted_neighbors(&db, &model, object);
-            let extended = extended_neighbors(&db, &model, object);
-            let pages = candidate_pages(&store, &extended);
+            let direct = reference::weighted_neighbors(&db, &model, object);
+            let extended = reference::extended_neighbors(&db, &model, object);
+            let pages = reference::candidate_pages(&store, &extended);
 
             weighted_neighbors_in(&db, &model, object, &mut scratch);
             prop_assert_eq!(&scratch.direct, &direct, "direct neighbours diverge");
@@ -156,7 +222,9 @@ proptest! {
         let mut scratch = ScoreScratch::new();
         for probe in (0..db.object_count()).step_by(4) {
             let object = ObjectId(probe as u32);
-            let reference = plan_placement(&db, &store, &residency, policy, &model, object, size);
+            let reference = plan_placement_in(
+                &db, &store, &residency, policy, &model, object, size, &mut ScoreScratch::new(),
+            );
             let arena =
                 plan_placement_in(&db, &store, &residency, policy, &model, object, size, &mut scratch);
             prop_assert_eq!(&arena, &reference, "placement plan diverges for {:?}", object);
@@ -189,8 +257,9 @@ proptest! {
         let mut scratch = ScoreScratch::new();
         for probe in (0..db.object_count()).step_by(4) {
             let object = ObjectId(probe as u32);
-            let reference =
-                plan_recluster(&db, &store, &residency, policy, &model, object, min_gain);
+            let reference = plan_recluster_in(
+                &db, &store, &residency, policy, &model, object, min_gain, &mut ScoreScratch::new(),
+            );
             let arena = plan_recluster_in(
                 &db, &store, &residency, policy, &model, object, min_gain, &mut scratch,
             );

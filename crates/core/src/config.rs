@@ -204,27 +204,9 @@ impl SimConfig {
         self
     }
 
-    /// Set the hint policy.
-    pub fn with_hints(mut self, p: HintPolicy) -> Self {
-        self.hints = p;
-        self
-    }
-
     /// Set the master seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Set buffer pool size.
-    pub fn with_buffer_pages(mut self, frames: usize) -> Self {
-        self.buffer_pages = frames;
-        self
-    }
-
-    /// Set the fault-injection configuration.
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = faults;
         self
     }
 }

@@ -15,13 +15,13 @@ use crate::config::SimConfig;
 use crate::durable::{DurableMirror, FileCrashArtifacts};
 use crate::engine::Engine;
 use crate::metrics::RunReport;
+use crate::sweep::ordered_parallel_map;
 use semcluster_faults::{CrashPoint, FsFaultConfig};
 use semcluster_storage::{recover_dir, FileRecoveryOutcome, PAGES_FILE, WAL_FILE};
 use semcluster_vdm::DetHashSet;
 use semcluster_wal::{DurableLog, RecordKind, RecoveryOutcome, TxnToken};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Everything a crashed run leaves behind: the simulation's report up to
 /// the crash, the durable log, the recovery replay over it, and the
@@ -302,6 +302,25 @@ pub struct CrashPointResult {
     pub scratch: Option<String>,
 }
 
+impl CrashPointResult {
+    /// A result with nothing recorded yet.
+    fn new(point: CrashPoint) -> Self {
+        CrashPointResult {
+            point,
+            acked: 0,
+            winners: 0,
+            losers: 0,
+            truncated: 0,
+            violations: Vec::new(),
+            torn_write: false,
+            fsync_failed: false,
+            repaired_pages: 0,
+            wal_truncated: 0,
+            scratch: None,
+        }
+    }
+}
+
 /// The whole matrix: probe-run totals plus one result per crash point,
 /// in deterministic point order.
 #[derive(Debug)]
@@ -406,52 +425,6 @@ fn sample_range(lo: u64, max: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Fill one result slot per point, either serially or with a scoped
-/// worker pool pulling from a shared counter. Result order is the point
-/// order regardless of worker count.
-fn run_slots<F>(points: &[CrashPoint], threads: usize, run_point: F) -> Vec<CrashPointResult>
-where
-    F: Fn(usize, CrashPoint) -> CrashPointResult + Sync,
-{
-    let n = points.len();
-    let mut slots: Vec<Option<CrashPointResult>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    if threads == 1 {
-        for (i, &point) in points.iter().enumerate() {
-            slots[i] = Some(run_point(i, point));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let out: Vec<Mutex<&mut Option<CrashPointResult>>> =
-            slots.iter_mut().map(Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = run_point(i, points[i]);
-                    **out[i].lock().expect("matrix result slot poisoned") = Some(item);
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every matrix slot filled by a worker"))
-        .collect()
-}
-
-fn thread_count(jobs: usize, n: usize) -> usize {
-    if jobs == 0 {
-        crate::sweep::default_parallelism()
-    } else {
-        jobs
-    }
-    .clamp(1, n.max(1))
-}
-
 /// Run the exhaustive crash-recovery matrix: probe the workload once to
 /// learn its commit/event/flush totals, then crash it at every commit
 /// boundary, at `event_samples` intra-transaction points, and at
@@ -469,56 +442,47 @@ pub fn run_crash_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
     }
 }
 
+/// The crash points both backends share: every commit boundary, then
+/// the sampled intra-transaction events and torn-log flushes of the
+/// uncrashed `probe` run.
+fn logical_points(config: &CrashMatrixConfig, probe: &CrashOutcome) -> Vec<CrashPoint> {
+    let commits = (1..=probe.commits_seen).map(CrashPoint::Commit);
+    let events = sample_points(probe.events_seen, config.event_samples);
+    let flushes = sample_points(probe.log_flushes_seen, config.mid_flush_samples);
+    commits
+        .chain(events.into_iter().map(CrashPoint::Event))
+        .chain(flushes.into_iter().map(CrashPoint::MidFlush))
+        .collect()
+}
+
 fn run_sim_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
     let mut cfg = config.cfg.clone();
     cfg.retain_log = true;
 
     // Probe: run to completion to learn the crash-point space.
     let probe = Engine::new(cfg.clone()).run_and_crash_at(CrashPoint::End);
-    let (total_commits, total_events, total_flushes) = (
-        probe.commits_seen,
-        probe.events_seen,
-        probe.log_flushes_seen,
-    );
+    let points = logical_points(config, &probe);
 
-    let mut points: Vec<CrashPoint> = Vec::new();
-    for k in 1..=total_commits {
-        points.push(CrashPoint::Commit(k));
-    }
-    for k in sample_points(total_events, config.event_samples) {
-        points.push(CrashPoint::Event(k));
-    }
-    for k in sample_points(total_flushes, config.mid_flush_samples) {
-        points.push(CrashPoint::MidFlush(k));
-    }
-
-    let threads = thread_count(config.jobs, points.len());
-    let run_point = |_idx: usize, point: CrashPoint| -> CrashPointResult {
+    let run_point = |_idx: usize, &point: &CrashPoint| -> CrashPointResult {
         let outcome = Engine::new(cfg.clone()).run_and_crash_at(point);
-        let violations = outcome.verify_acid();
         CrashPointResult {
-            point,
             acked: outcome.acked.len(),
             winners: outcome.recovery.winners.len(),
             losers: outcome.recovery.losers.len(),
             truncated: outcome.recovery.truncated,
-            violations,
-            torn_write: false,
-            fsync_failed: false,
-            repaired_pages: 0,
-            wal_truncated: 0,
-            scratch: None,
+            violations: outcome.verify_acid(),
+            ..CrashPointResult::new(point)
         }
     };
 
     CrashMatrixReport {
         backend: MatrixBackend::Sim,
-        total_commits,
-        total_events,
-        total_flushes,
+        total_commits: probe.commits_seen,
+        total_events: probe.events_seen,
+        total_flushes: probe.log_flushes_seen,
         total_syscalls: 0,
         total_fsyncs: 0,
-        points: run_slots(&points, threads, run_point),
+        points: ordered_parallel_map(config.jobs, &points, run_point),
     }
 }
 
@@ -619,6 +583,24 @@ impl CrashOutcome {
         }
         v
     }
+
+    /// Recover the real store files under `root` twice — recovery must
+    /// be an idempotent byte-level no-op — and run [`Self::verify_file`]
+    /// over the pair. Returns the first pass's outcome with every
+    /// violation found (a failed second pass is one); `Err` when the
+    /// first pass itself fails.
+    pub fn recover_and_verify(
+        &self,
+        root: &Path,
+    ) -> Result<(FileRecoveryOutcome, Vec<String>), String> {
+        let rec1 = recover_dir(root).map_err(|e| format!("file recovery failed: {e}"))?;
+        let snap1 = store_bytes(root);
+        let violations = match recover_dir(root) {
+            Err(e) => vec![format!("file recovery (2nd pass) failed: {e}")],
+            Ok(rec2) => self.verify_file(&rec1, &rec2, snap1 == store_bytes(root)),
+        };
+        Ok((rec1, violations))
+    }
 }
 
 fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
@@ -666,22 +648,8 @@ fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
         artifacts.report.stats.fsyncs,
     );
     let (ckpt_syscalls, ckpt_fsyncs) = (artifacts.checkpoint_syscalls, artifacts.checkpoint_fsyncs);
-    let (total_commits, total_events, total_flushes) = (
-        probe.commits_seen,
-        probe.events_seen,
-        probe.log_flushes_seen,
-    );
 
-    let mut points: Vec<CrashPoint> = Vec::new();
-    for k in 1..=total_commits {
-        points.push(CrashPoint::Commit(k));
-    }
-    for k in sample_points(total_events, config.event_samples) {
-        points.push(CrashPoint::Event(k));
-    }
-    for k in sample_points(total_flushes, config.mid_flush_samples) {
-        points.push(CrashPoint::MidFlush(k));
-    }
+    let mut points = logical_points(config, &probe);
     for k in sample_range(ckpt_syscalls + 1, total_syscalls, config.syscall_samples) {
         points.push(CrashPoint::Syscall(k));
     }
@@ -689,24 +657,11 @@ fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
         points.push(CrashPoint::FsyncFail(k));
     }
 
-    let threads = thread_count(config.jobs, points.len());
-    let run_point = |idx: usize, point: CrashPoint| -> CrashPointResult {
+    let run_point = |idx: usize, &point: &CrashPoint| -> CrashPointResult {
         let dirname = format!("pt{idx:03}-{}", point.label().replace(':', "-"));
         let root = base.join(&dirname);
         let _ = std::fs::remove_dir_all(&root);
-        let mut result = CrashPointResult {
-            point,
-            acked: 0,
-            winners: 0,
-            losers: 0,
-            truncated: 0,
-            violations: Vec::new(),
-            torn_write: false,
-            fsync_failed: false,
-            repaired_pages: 0,
-            wal_truncated: 0,
-            scratch: None,
-        };
+        let mut result = CrashPointResult::new(point);
 
         let mut engine = Engine::new(cfg.clone());
         match DurableMirror::create(&root, file_fault_cfg(config, idx as u64, point))
@@ -730,23 +685,10 @@ fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
                     .expect("mirror was attached, so artifacts exist");
                 result.torn_write = artifacts.report.torn.is_some();
                 result.fsync_failed = artifacts.report.stats.fsync_failures > 0;
-                match recover_dir(&root) {
-                    Err(e) => result.violations.push(format!("file recovery failed: {e}")),
-                    Ok(rec1) => {
-                        let snap1 = store_bytes(&root);
-                        match recover_dir(&root) {
-                            Err(e) => result
-                                .violations
-                                .push(format!("file recovery (2nd pass) failed: {e}")),
-                            Ok(rec2) => {
-                                let bytes_stable = snap1 == store_bytes(&root);
-                                result.violations.extend(outcome.verify_file(
-                                    &rec1,
-                                    &rec2,
-                                    bytes_stable,
-                                ));
-                            }
-                        }
+                match outcome.recover_and_verify(&root) {
+                    Err(e) => result.violations.push(e),
+                    Ok((rec1, violations)) => {
+                        result.violations.extend(violations);
                         result.winners = rec1.winners.len();
                         result.losers = rec1.losers.len();
                         result.truncated = rec1.wal_truncated_bytes.min(u32::MAX as u64) as u32;
@@ -767,14 +709,14 @@ fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
         result
     };
 
-    let points_out = run_slots(&points, threads, run_point);
+    let points_out = ordered_parallel_map(config.jobs, &points, run_point);
     let _ = std::fs::remove_dir_all(&base);
 
     CrashMatrixReport {
         backend: MatrixBackend::File,
-        total_commits,
-        total_events,
-        total_flushes,
+        total_commits: probe.commits_seen,
+        total_events: probe.events_seen,
+        total_flushes: probe.log_flushes_seen,
         total_syscalls,
         total_fsyncs,
         points: points_out,

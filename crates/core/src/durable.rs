@@ -20,7 +20,7 @@
 //! compiled in — the same inertness discipline as tracing and
 //! profiling.
 
-use semcluster_faults::{FsCrashReport, FsFaultConfig, FsStats};
+use semcluster_faults::{FsCrashReport, FsFaultConfig};
 use semcluster_storage::{FilePageStore, StorageManager, StoreError, WalOp};
 use std::path::{Path, PathBuf};
 
@@ -113,11 +113,6 @@ impl DurableMirror {
     /// Whether an injected crash point has killed the backend.
     pub fn crashed(&self) -> bool {
         self.store.is_crashed()
-    }
-
-    /// Filesystem counters.
-    pub fn fs_stats(&self) -> FsStats {
-        self.store.stats()
     }
 
     /// Durable-traffic counters.

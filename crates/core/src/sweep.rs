@@ -273,43 +273,8 @@ impl SweepRunner {
     /// Run every job and assemble the outcome in submission order.
     pub fn run(&self, jobs: Vec<SweepJob>) -> SweepOutcome {
         let started = Instant::now();
-        let n = jobs.len();
-        let threads = self.jobs.clamp(1, n.max(1));
-        let mut slots: Vec<Option<SweepItem>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        if threads == 1 {
-            // Serial fast path: no pool, identical assembly.
-            for (index, job) in jobs.into_iter().enumerate() {
-                slots[index] = Some(self.run_one(index, job));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let jobs: Vec<Mutex<Option<SweepJob>>> =
-                jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-            let out: Vec<Mutex<&mut Option<SweepItem>>> =
-                slots.iter_mut().map(Mutex::new).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= n {
-                            break;
-                        }
-                        let job = jobs[index]
-                            .lock()
-                            .expect("job mutex poisoned: a worker panicked while taking a job")
-                            .take()
-                            .expect("job index dispensed twice: the atomic cursor guarantees one owner per job");
-                        let item = self.run_one(index, job);
-                        **out[index].lock().expect("result mutex poisoned: a worker panicked while storing its item") = Some(item);
-                    });
-                }
-            });
-        }
-        let items: Vec<SweepItem> = slots
-            .into_iter()
-            .map(|s| s.expect("worker pool exited with an unfilled result slot; every index < n is claimed exactly once"))
-            .collect();
+        let threads = self.jobs.clamp(1, jobs.len().max(1));
+        let items = ordered_parallel_map(threads, &jobs, |index, job| self.run_one(index, job));
         // Join: fold metrics, timelines and wall-clocks in submission
         // order (both merges are order-independent anyway).
         let mut metrics = MetricsSnapshot::default();
@@ -349,14 +314,14 @@ impl SweepRunner {
         }
     }
 
-    fn run_one(&self, index: usize, job: SweepJob) -> SweepItem {
+    fn run_one(&self, index: usize, job: &SweepJob) -> SweepItem {
         let SweepJob { label, cfg, reps } = job;
         let t0 = Instant::now();
         let factory = self.sink_factory.as_deref();
         let interval = self.timeline_interval_us;
         let profiled = self.profile;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_replicated_observed(&cfg, reps, &mut |rep| {
+            run_replicated_observed(cfg, *reps, &mut |rep| {
                 let mut obs = match factory.and_then(|f| f(index, rep)) {
                     Some(sink) => ObsConfig::with_sink(sink),
                     None => ObsConfig::default(),
@@ -385,7 +350,7 @@ impl SweepRunner {
         };
         SweepItem {
             index,
-            label,
+            label: label.clone(),
             result,
             metrics,
             timeline,
@@ -393,6 +358,51 @@ impl SweepRunner {
             wall: t0.elapsed(),
         }
     }
+}
+
+/// Map `f` over `items` on up to `threads` scoped workers (`0` = the
+/// host's available parallelism) pulling indices from a shared atomic
+/// cursor, and return the results in item order — so the output never
+/// depends on worker count or completion order. One thread runs inline.
+pub(crate) fn ordered_parallel_map<T: Sync, R: Send>(
+    threads: usize,
+    items: &[T],
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let n = items.len();
+    let threads = if threads == 0 {
+        default_parallelism()
+    } else {
+        threads
+    }
+    .clamp(1, n.max(1));
+    if threads == 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
+    slots.resize_with(n, || None);
+    let next = AtomicUsize::new(0);
+    let out: Vec<Mutex<&mut Option<R>>> = slots.iter_mut().map(Mutex::new).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= n {
+                    break;
+                }
+                let item = f(index, &items[index]);
+                **out[index]
+                    .lock()
+                    .expect("result mutex poisoned: a worker panicked while storing its item") =
+                    Some(item);
+            });
+        }
+    });
+    drop(out);
+    slots
+        .into_iter()
+        .map(|s| s.expect("every index < n is claimed exactly once by the atomic cursor"))
+        .collect()
 }
 
 /// The host's available parallelism (1 when unknown).

@@ -262,11 +262,6 @@ impl FaultedDir {
         Ok(FsFile(self.files.len() - 1))
     }
 
-    /// Path of a managed file.
-    pub fn path_of(&self, id: FsFile) -> &Path {
-        &self.files[id.0].path
-    }
-
     /// Injection/syscall counters so far.
     pub fn stats(&self) -> FsStats {
         self.stats

@@ -29,15 +29,6 @@ impl Estimate {
     pub fn overlaps(&self, other: &Estimate) -> bool {
         (self.mean - other.mean).abs() <= self.ci95 + other.ci95
     }
-
-    /// Relative CI half-width (`ci95 / mean`; 0 when the mean is 0).
-    pub fn relative_error(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.ci95 / self.mean.abs()
-        }
-    }
 }
 
 /// Run `f` once per replication with an independent seeded RNG and fold the

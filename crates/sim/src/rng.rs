@@ -73,11 +73,6 @@ impl SimRng {
         SimDuration::from_micros(self.exp_f64(mean.as_micros() as f64).round() as u64)
     }
 
-    /// Uniform simulated-time span in `[lo, hi]`.
-    pub fn uniform_duration(&mut self, lo: SimDuration, hi: SimDuration) -> SimDuration {
-        SimDuration::from_micros(self.range_inclusive(lo.as_micros(), hi.as_micros()))
-    }
-
     /// Sample an index from unnormalised non-negative weights.
     ///
     /// # Panics

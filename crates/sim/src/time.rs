@@ -80,12 +80,6 @@ impl SimDuration {
         }
     }
 
-    /// Construct from fractional milliseconds, rounding to the nearest
-    /// microsecond. Negative inputs clamp to zero.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// Raw microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -94,11 +88,6 @@ impl SimDuration {
     /// Length in seconds as a float (for reporting only).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Length in milliseconds as a float (for reporting only).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// Integer multiple of this span.

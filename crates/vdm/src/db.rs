@@ -90,11 +90,6 @@ impl Database {
         &self.lattice
     }
 
-    /// The type lattice (mutable access, for schema evolution).
-    pub fn lattice_mut(&mut self) -> &mut TypeLattice {
-        &mut self.lattice
-    }
-
     /// The structure graph (immutable access).
     pub fn graph(&self) -> &StructureGraph {
         &self.graph

@@ -9,7 +9,9 @@
 use semcluster_buffer::{
     apply_prefetch, prefetch_group, AccessHint, BufferPool, PrefetchScope, ReplacementPolicy,
 };
-use semcluster_clustering::{plan_placement, AllResident, ClusteringPolicy, WeightModel};
+use semcluster_clustering::{
+    plan_placement_in, AllResident, ClusteringPolicy, ScoreScratch, WeightModel,
+};
 use semcluster_sim::SimRng;
 use semcluster_storage::{StorageManager, DEFAULT_PAGE_BYTES, PAGE_OVERHEAD_BYTES};
 use semcluster_vdm::{Database, ObjectId, SyntheticDbSpec};
@@ -74,10 +76,11 @@ fn main() {
     // Cluster it the way the paper's storage manager would.
     let mut store = StorageManager::new(DEFAULT_PAGE_BYTES);
     let model = WeightModel::with_hint(AccessHint::ByConfiguration);
+    let mut scratch = ScoreScratch::new();
     let reserve = (DEFAULT_PAGE_BYTES - PAGE_OVERHEAD_BYTES) * 3 / 10;
     for obj in db.objects() {
         let size = obj.size_bytes();
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             &db,
             &store,
             &AllResident,
@@ -85,6 +88,7 @@ fn main() {
             &model,
             obj.id,
             size,
+            &mut scratch,
         );
         match plan.target {
             semcluster_clustering::PlacementTarget::Existing(p) => {
@@ -95,6 +99,7 @@ fn main() {
                 .map(|_| ())
                 .unwrap(),
         }
+        scratch.put_examined(plan.examined);
     }
     println!("placed on {} pages\n", store.page_count());
 

@@ -8,7 +8,8 @@
 //! ```
 
 use semcluster_clustering::{
-    plan_placement, plan_recluster, AllResident, ClusteringPolicy, PlacementTarget, WeightModel,
+    plan_placement_in, plan_recluster_in, AllResident, ClusteringPolicy, PlacementTarget,
+    ScoreScratch, WeightModel,
 };
 use semcluster_storage::{StorageManager, DEFAULT_PAGE_BYTES};
 use semcluster_vdm::{
@@ -86,9 +87,10 @@ fn main() {
     // ---- 3. Physical placement through the clusterer.
     let mut store = StorageManager::new(DEFAULT_PAGE_BYTES);
     let model = WeightModel::no_hints();
+    let mut scratch = ScoreScratch::new();
     for id in [alu2, carry, alu3n] {
         let size = db.get(id).unwrap().size_bytes();
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             &db,
             &store,
             &AllResident,
@@ -96,6 +98,7 @@ fn main() {
             &model,
             id,
             size,
+            &mut scratch,
         );
         match plan.target {
             PlacementTarget::Existing(p) => store.place(id, size, p).unwrap(),
@@ -103,6 +106,7 @@ fn main() {
                 store.append(id, size).unwrap();
             }
         };
+        scratch.put_examined(plan.examined);
     }
     println!(
         "ALU[2].layout and CARRY-PROPAGATE[1].layout co-resident: {}",
@@ -124,7 +128,7 @@ fn main() {
     // ---- 5. Place the new version; the clusterer pulls it next to its
     // inheritance provider and correspondence partners.
     let size = db.get(derived.id).unwrap().size_bytes();
-    let plan = plan_placement(
+    let plan = plan_placement_in(
         &db,
         &store,
         &AllResident,
@@ -132,6 +136,7 @@ fn main() {
         &model,
         derived.id,
         size,
+        &mut scratch,
     );
     let landed = match plan.target {
         PlacementTarget::Existing(p) => {
@@ -140,6 +145,7 @@ fn main() {
         }
         PlacementTarget::Append => store.append(derived.id, size).unwrap(),
     };
+    scratch.put_examined(plan.examined);
     println!(
         "\nALU[3].layout placed on {landed}, with its parent: {}",
         store.co_resident(derived.id, alu2)
@@ -148,7 +154,7 @@ fn main() {
     // ---- 6. Structure change + run-time reclustering: CARRY moves out.
     let far = store.allocate_page();
     store.move_object(carry, far).unwrap();
-    if let Some(plan) = plan_recluster(
+    if let Some(plan) = plan_recluster_in(
         &db,
         &store,
         &AllResident,
@@ -156,6 +162,7 @@ fn main() {
         &model,
         carry,
         0.0,
+        &mut scratch,
     ) {
         println!(
             "\nreclusterer proposes moving CARRY back to {} (gain {:.1})",

@@ -5,8 +5,8 @@ use semcluster_buffer::{
     apply_prefetch, prefetch_group, AccessHint, BufferPool, PrefetchScope, ReplacementPolicy,
 };
 use semcluster_clustering::{
-    execute_placement, plan_placement, plan_recluster, AllResident, ClusteringPolicy,
-    PlacementTarget, WeightModel,
+    execute_placement, plan_placement_in, plan_recluster_in, AllResident, ClusteringPolicy,
+    PlacementTarget, ScoreScratch, WeightModel,
 };
 use semcluster_storage::{StorageManager, DEFAULT_PAGE_BYTES};
 use semcluster_vdm::{RelKind, SyntheticDbSpec};
@@ -29,6 +29,7 @@ fn spec(seed: u64) -> SyntheticDbSpec {
 fn affinity_load_co_locates_related_objects() {
     let (db, _) = spec(11).build();
     let model = WeightModel::no_hints();
+    let mut scratch = ScoreScratch::new();
 
     let mut clustered = StorageManager::new(DEFAULT_PAGE_BYTES);
     // As the engine does on load: leave ~30 % slack on appended pages so
@@ -36,7 +37,7 @@ fn affinity_load_co_locates_related_objects() {
     let reserve = (DEFAULT_PAGE_BYTES - semcluster_storage::PAGE_OVERHEAD_BYTES) * 3 / 10;
     for obj in db.objects() {
         let size = obj.size_bytes();
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             &db,
             &clustered,
             &AllResident,
@@ -44,6 +45,7 @@ fn affinity_load_co_locates_related_objects() {
             &model,
             obj.id,
             size,
+            &mut scratch,
         );
         match plan.target {
             PlacementTarget::Existing(page) => {
@@ -53,6 +55,7 @@ fn affinity_load_co_locates_related_objects() {
                 clustered.append_reserving(obj.id, size, reserve).unwrap();
             }
         }
+        scratch.put_examined(plan.examined);
     }
 
     let mut scattered = StorageManager::new(DEFAULT_PAGE_BYTES);
@@ -96,6 +99,7 @@ fn affinity_load_co_locates_related_objects() {
 fn reclustering_reduces_broken_arcs() {
     let (db, _) = spec(13).build();
     let model = WeightModel::no_hints();
+    let mut scratch = ScoreScratch::new();
     let mut store = StorageManager::new(DEFAULT_PAGE_BYTES);
     let n = db.object_count();
     for k in 0..n {
@@ -114,7 +118,7 @@ fn reclustering_reduces_broken_arcs() {
     for pass in 0..3 {
         for i in 0..n {
             let id = semcluster_vdm::ObjectId(i as u32);
-            if let Some(plan) = plan_recluster(
+            if let Some(plan) = plan_recluster_in(
                 &db,
                 &store,
                 &AllResident,
@@ -122,10 +126,12 @@ fn reclustering_reduces_broken_arcs() {
                 &model,
                 id,
                 0.5,
+                &mut scratch,
             ) {
                 if store.move_object(id, plan.to).is_ok() {
                     moves += 1;
                 }
+                scratch.put_examined(plan.examined);
             }
         }
         let _ = pass;
@@ -145,10 +151,11 @@ fn reclustering_reduces_broken_arcs() {
 fn prefetch_groups_shrink_after_clustering() {
     let (db, _) = spec(17).build();
     let model = WeightModel::no_hints();
+    let mut scratch = ScoreScratch::new();
     let mut store = StorageManager::new(DEFAULT_PAGE_BYTES);
     for obj in db.objects() {
         let size = obj.size_bytes();
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             &db,
             &store,
             &AllResident,
@@ -156,8 +163,10 @@ fn prefetch_groups_shrink_after_clustering() {
             &model,
             obj.id,
             size,
+            &mut scratch,
         );
         execute_placement(&mut store, obj.id, size, &plan).unwrap();
+        scratch.put_examined(plan.examined);
     }
     let mut pool = BufferPool::new(16, ReplacementPolicy::ContextSensitive, 5);
     let mut total_group = 0usize;
@@ -185,10 +194,11 @@ fn prefetch_groups_shrink_after_clustering() {
 fn plans_execute_as_stated() {
     let (db, _) = spec(23).build();
     let model = WeightModel::no_hints();
+    let mut scratch = ScoreScratch::new();
     let mut store = StorageManager::new(DEFAULT_PAGE_BYTES);
     for obj in db.objects() {
         let size = obj.size_bytes();
-        let plan = plan_placement(
+        let plan = plan_placement_in(
             &db,
             &store,
             &AllResident,
@@ -196,6 +206,7 @@ fn plans_execute_as_stated() {
             &model,
             obj.id,
             size,
+            &mut scratch,
         );
         let landed = execute_placement(&mut store, obj.id, size, &plan).unwrap();
         match plan.target {
@@ -203,6 +214,7 @@ fn plans_execute_as_stated() {
             PlacementTarget::Append => {}
         }
         assert_eq!(store.page_of(obj.id), Some(landed));
+        scratch.put_examined(plan.examined);
     }
     assert_eq!(
         store.used_bytes(),
