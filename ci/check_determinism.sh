@@ -14,9 +14,11 @@
 # sets whose order provably never leaks) are listed one-per-line in
 # ci/dethash_allowlist.txt, with a comment in the file explaining why.
 #
-# Scope: library sources of the simulation-state crates only. Tests,
-# benches and the vdm crate (which defines the Det wrappers) are out of
-# scope.
+# Scope: library sources of the simulation-state crates only; tests and
+# benches are out of scope. crates/vdm/src is in scope — its object
+# catalog is written inside the profiled run phase on every create —
+# with dethash.rs, which defines the Det wrappers over the std types, as
+# its one allowlisted file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,6 +31,7 @@ scope=(
     crates/wal/src
     crates/storage/src
     crates/faults/src
+    crates/vdm/src
 )
 
 # \bHash(Map|Set)\b matches the std types but not DetHashMap/DetHashSet

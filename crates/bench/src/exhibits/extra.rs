@@ -115,8 +115,8 @@ pub fn ablate_copyref(_: &FigureOpts) {
         let mut derived_count = 0u64;
         for p in parents {
             let d = derive_version(&mut db, p, &model).unwrap();
-            copied += d.copied.len();
-            referenced += d.referenced.len();
+            copied += d.copied.count_ones() as usize;
+            referenced += d.referenced.count_ones() as usize;
             bytes += u64::from(db.get(d.id).map_or(0, |o| o.size_bytes()));
             derived_count += 1;
         }

@@ -51,7 +51,7 @@ use semcluster_obs::{
 use semcluster_sim::{EventQueue, FcfsServer, ServerBank, SimDuration, SimRng, SimTime};
 use semcluster_storage::{DiskLayout, PageId, StorageManager, StoreError, WalOp};
 use semcluster_vdm::{
-    derive_version, Database, ObjectId, ObjectName, RelKind, SyntheticDbSpec, WalkScratch,
+    derive_version, Database, NameKey, ObjectId, RelKind, SyntheticDbSpec, WalkScratch,
 };
 use semcluster_wal::LogManager;
 use semcluster_workload::{
@@ -59,6 +59,7 @@ use semcluster_workload::{
     StructureDensity,
 };
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 
 /// Maximum related pages boosted per object access under the
 /// context-sensitive policy.
@@ -322,6 +323,8 @@ pub struct Engine {
     measuring: bool,
     measure_start: SimTime,
     create_seq: u64,
+    /// Reused buffer `exec_create` formats a generated base name into.
+    name_buf: String,
     disk_service: SimDuration,
     /// Named counters/gauges/histograms, reset at measurement start so
     /// snapshots reconcile with [`RunReport::io`].
@@ -394,14 +397,14 @@ impl Engine {
     /// Build the engine with an attached observability configuration.
     pub fn with_obs(cfg: SimConfig, obs: ObsConfig) -> Self {
         let mut rng = SimRng::seed_from_u64(cfg.seed);
-        let db = Self::build_database(&cfg, &mut rng);
+        let (db, module_starts) = Self::build_database(&cfg, &mut rng);
         let weights = match cfg.hints {
             semcluster_clustering::HintPolicy::UserHints => {
                 WeightModel::with_hint(cfg.session_hint)
             }
             semcluster_clustering::HintPolicy::NoHints => WeightModel::no_hints(),
         };
-        let store = Self::load_database(&cfg, &db, &weights, &mut rng);
+        let store = Self::load_database(&cfg, &db, &module_starts, &weights, &mut rng);
         let log = if cfg.retain_log {
             LogManager::with_retention(cfg.log)
         } else {
@@ -459,6 +462,7 @@ impl Engine {
             measuring: false,
             measure_start: SimTime::ZERO,
             create_seq: 0,
+            name_buf: String::new(),
             disk_service,
             registry,
             counters,
@@ -505,7 +509,9 @@ impl Engine {
         &self.store
     }
 
-    fn build_database(cfg: &SimConfig, rng: &mut SimRng) -> Database {
+    /// The synthetic database plus the first object id of each of its
+    /// modules (contiguous id ranges, ascending).
+    fn build_database(cfg: &SimConfig, rng: &mut SimRng) -> (Database, Vec<ObjectId>) {
         let (fanout, depth) = match cfg.workload.density {
             StructureDensity::Low3 => ((1usize, 3usize), 6usize),
             StructureDensity::Med5 => ((4, 9), 3),
@@ -533,28 +539,24 @@ impl Engine {
             body_bytes: (64, 512),
             seed: rng.below(u64::MAX / 2),
         };
-        spec.build().0
+        let (db, stats) = spec.build();
+        (db, stats.module_starts)
     }
 
     /// The interleaved "design history" order the database was populated
     /// in: engineers work in sessions of ~`chunk` operations on one
     /// module, in random order within the module, and modules interleave.
-    fn history_order(db: &Database, rng: &mut SimRng, chunk: usize) -> Vec<ObjectId> {
-        // The synthetic builder names objects `M{m}N{n}` (and derived
-        // versions share the base), so the module index is recoverable
-        // from the name.
-        let module_of = |base: &str| -> usize {
-            base.strip_prefix('M')
-                .and_then(|rest| rest.split('N').next())
-                .and_then(|digits| digits.parse::<usize>().ok())
-                .unwrap_or(0)
-        };
-        let mut modules: Vec<Vec<ObjectId>> = Vec::new();
+    fn history_order(
+        db: &Database,
+        module_starts: &[ObjectId],
+        rng: &mut SimRng,
+        chunk: usize,
+    ) -> Vec<ObjectId> {
+        // Module `m` is the id range from `module_starts[m]` to the next
+        // start (the builder's trees, then their derived versions).
+        let mut modules: Vec<Vec<ObjectId>> = vec![Vec::new(); module_starts.len()];
         for obj in db.objects() {
-            let m = module_of(&obj.name.base);
-            if m >= modules.len() {
-                modules.resize_with(m + 1, Vec::new);
-            }
+            let m = module_starts.partition_point(|&start| start <= obj.id) - 1;
             modules[m].push(obj.id);
         }
         // Random creation order within each module.
@@ -592,6 +594,7 @@ impl Engine {
     fn load_database(
         cfg: &SimConfig,
         db: &Database,
+        module_starts: &[ObjectId],
         weights: &WeightModel,
         rng: &mut SimRng,
     ) -> StorageManager {
@@ -629,7 +632,7 @@ impl Engine {
         match cfg.clustering {
             ClusteringPolicy::NoCluster => {
                 // Arrival-order append over the interleaved history.
-                for id in Self::history_order(db, rng, 16) {
+                for id in Self::history_order(db, module_starts, rng, 16) {
                     let obj = db
                         .get(id)
                         .expect("seeded object ids are dense in 0..object_count");
@@ -647,7 +650,7 @@ impl Engine {
                     queue: VecDeque::new(),
                 };
                 let mut scratch = ScoreScratch::with_capacity(db.object_count(), 0);
-                for id in Self::history_order(db, rng, 16) {
+                for id in Self::history_order(db, module_starts, rng, 16) {
                     let size = db
                         .get(id)
                         .expect("seeded object ids are dense in 0..object_count")
@@ -1973,19 +1976,26 @@ impl Engine {
         // condition (the create aborts), not an invariant violation.
         let id = match mode {
             CreateMode::NewComponent => {
-                let (rep, ty) = {
-                    let a = self.db.get(anchor).map_err(|_| EngineError::Placement {
+                let a = *self
+                    .db
+                    .get_live(anchor)
+                    .map_err(|_| EngineError::Placement {
                         object: anchor.0,
                         detail: "create anchor no longer exists",
                     })?;
-                    (a.name.rep.clone(), a.ty)
-                };
                 self.create_seq += 1;
-                let name = ObjectName::new(format!("w{}", self.create_seq), 1, rep);
+                self.name_buf.clear();
+                write!(self.name_buf, "w{}", self.create_seq)
+                    .expect("writing to a String cannot fail");
+                let name = NameKey {
+                    base: self.db.intern(&self.name_buf),
+                    version: 1,
+                    rep: a.name.rep,
+                };
                 let body = self.rng.range_inclusive(64, 512) as u32;
                 let id = self
                     .db
-                    .create_object(name, ty, body)
+                    .create_object_key(name, a.ty, body)
                     .expect("generated names are unique (monotone create_seq)");
                 self.db
                     .relate(RelKind::Configuration, anchor, id)
@@ -2601,12 +2611,33 @@ mod delete_tests {
         };
         cfg.workload = semcluster_workload::WorkloadSpec::new(StructureDensity::Med5, 2.0);
         cfg.workload.delete_fraction = 0.5;
-        let report = run_simulation(cfg);
+        let mut engine = Engine::new(cfg);
+        engine.drive();
+        let report = engine.report();
         assert!(
             report.objects_deleted > 0,
             "write-heavy load with delete_fraction=0.5 must delete"
         );
-        assert_eq!(report.txns, 1500, "deletions must not wedge the engine");
+        // A create anchored on an object an earlier checkin deleted
+        // aborts with the typed placement error; everything else commits.
+        assert!(report.faults.txn_aborts > 0, "no create met a tombstone");
+        assert!(report
+            .abort_reasons
+            .iter()
+            .all(|r| r.contains("anchor no longer exists")));
+        assert_eq!(
+            report.txns + report.faults.txn_aborts,
+            1500,
+            "deletions must not wedge the engine"
+        );
+        let db = engine.database();
+        assert!(db.object_count() > db.objects().count());
+        for (kind, from, to) in db.graph().edges() {
+            assert!(
+                db.is_live(from) && db.is_live(to),
+                "{kind} edge {from}→{to} names a tombstone"
+            );
+        }
     }
 }
 

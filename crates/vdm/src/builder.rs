@@ -10,11 +10,12 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write;
 
 use crate::db::Database;
 use crate::id::{ObjectId, TypeId};
 use crate::inherit::{derive_version, CopyVsRefModel};
-use crate::name::ObjectName;
+use crate::name::{NameKey, Sym};
 use crate::relationship::{RelFrequencies, RelKind};
 use crate::types::{AttrDef, TypeLattice};
 
@@ -66,6 +67,10 @@ pub struct BuildStats {
     pub correspondence_edges: usize,
     /// Derived versions created.
     pub versions: usize,
+    /// First object id of each module, ascending: module `m` owns the
+    /// contiguous ids from `module_starts[m]` up to the next start (its
+    /// trees in every representation, then its derived versions).
+    pub module_starts: Vec<ObjectId>,
 }
 
 impl SyntheticDbSpec {
@@ -123,19 +128,35 @@ impl SyntheticDbSpec {
             configuration_edges: 0,
             correspondence_edges: 0,
             versions: 0,
+            module_starts: Vec::with_capacity(self.modules),
         };
+        let reps: Vec<Sym> = self.representations.iter().map(|r| db.intern(r)).collect();
+        let mut base_name = String::new();
 
         for m in 0..self.modules {
-            // Same topology in every representation so twins align.
+            stats.module_starts.push(ObjectId(db.object_count() as u32));
+            // Same topology in every representation so twins align, and
+            // twins share one base name.
             let topology = self.sample_topology(&mut rng);
+            let bases: Vec<Sym> = (0..topology.len())
+                .map(|n| {
+                    base_name.clear();
+                    write!(base_name, "M{m}N{n}").expect("writing to a String cannot fail");
+                    db.intern(&base_name)
+                })
+                .collect();
             let mut per_rep: Vec<Vec<ObjectId>> = Vec::new();
-            for (r, rep) in self.representations.iter().enumerate() {
+            for (r, &rep) in reps.iter().enumerate() {
                 let mut ids = Vec::with_capacity(topology.len());
                 for (n, &parent) in topology.iter().enumerate() {
                     let body = rng.gen_range(self.body_bytes.0..=self.body_bytes.1);
-                    let name = ObjectName::new(format!("M{m}N{n}"), 1, rep.clone());
+                    let name = NameKey {
+                        base: bases[n],
+                        version: 1,
+                        rep,
+                    };
                     let id = db
-                        .create_object(name, rep_types[r], body)
+                        .create_object_key(name, rep_types[r], body)
                         .expect("synthetic names are unique");
                     stats.objects += 1;
                     if let Some(p) = parent {

@@ -3,14 +3,21 @@
 //!
 //! This is the *logical* half of the DBMS; physical placement lives in
 //! `semcluster-storage` and is driven by `semcluster-clustering`.
+//!
+//! The catalog holds no per-object heap: an object is one `Copy`
+//! [`DesignObject`] record, its name a [`NameKey`] into the database's
+//! string interner, its attribute slots the type's resolved list seen
+//! through the record's inheritance masks. [`ObjectName`] is the value
+//! type at the boundary; the `_key` siblings serve bulk creators.
 
+use crate::dethash::DetHashMap;
 use crate::graph::{GraphError, StructureGraph};
 use crate::id::{ObjectId, TypeId};
-use crate::name::ObjectName;
-use crate::object::{AttrImpl, AttrInstance, DesignObject};
+use crate::name::{Interner, NameKey, ObjectName, Sym};
+use crate::object::{AttrInstance, DesignObject};
 use crate::relationship::{RelFrequencies, RelKind};
 use crate::types::{TypeError, TypeLattice};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// Errors raised by logical-database operations.
@@ -64,10 +71,11 @@ impl From<GraphError> for DbError {
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     lattice: TypeLattice,
+    names: Interner,
     objects: Vec<DesignObject>,
     live: Vec<bool>,
-    by_name: HashMap<ObjectName, ObjectId>,
-    latest: HashMap<(String, String), u32>,
+    by_name: DetHashMap<NameKey, ObjectId>,
+    latest: DetHashMap<(Sym, Sym), u32>,
     graph: StructureGraph,
 }
 
@@ -100,6 +108,11 @@ impl Database {
         self.objects.len()
     }
 
+    /// Intern `s` in this database's name table.
+    pub fn intern(&mut self, s: &str) -> Sym {
+        self.names.intern(s)
+    }
+
     /// Create a new object. Attribute slots are instantiated locally from
     /// the type's resolved attribute definitions; instance-to-instance
     /// inheritance (see [`derive_version`](crate::derive_version)) can later rewrite them.
@@ -109,70 +122,121 @@ impl Database {
         ty: TypeId,
         body_bytes: u32,
     ) -> Result<ObjectId, DbError> {
-        if self.by_name.contains_key(&name) {
-            return Err(DbError::DuplicateName(name));
-        }
-        let attrs: Vec<AttrInstance> = self
-            .lattice
-            .resolve_attributes(ty)?
-            .into_iter()
-            .map(|d| AttrInstance {
-                name: d.name,
-                size_bytes: d.size_bytes,
-                implementation: AttrImpl::Local,
-            })
-            .collect();
+        let key = NameKey {
+            base: self.names.intern(&name.base),
+            version: name.version,
+            rep: self.names.intern(&name.rep),
+        };
+        self.create_object_key(key, ty, body_bytes)
+    }
+
+    /// [`create_object`](Database::create_object) for a name whose
+    /// strings are already interned here.
+    pub fn create_object_key(
+        &mut self,
+        name: NameKey,
+        ty: TypeId,
+        body_bytes: u32,
+    ) -> Result<ObjectId, DbError> {
+        let Entry::Vacant(by_name) = self.by_name.entry(name) else {
+            return Err(DbError::DuplicateName(self.materialise(name)));
+        };
+        let attrs = self.lattice.resolve_attributes(ty)?;
         let id = ObjectId(self.objects.len() as u32);
-        self.by_name.insert(name.clone(), id);
-        let lineage = (name.base.clone(), name.rep.clone());
-        match self.latest.get_mut(&lineage) {
-            Some(v) => *v = (*v).max(name.version),
-            None => {
-                self.latest.insert(lineage, name.version);
-            }
-        }
+        by_name.insert(id);
+        let latest = self.latest.entry((name.base, name.rep)).or_insert(0);
+        *latest = (*latest).max(name.version);
         self.objects.push(DesignObject {
             id,
             name,
             ty,
             body_bytes,
-            attrs,
+            attr_bytes: attrs.iter().map(|a| a.size_bytes).sum(),
+            provider: id,
+            copied: 0,
+            referenced: 0,
         });
         self.live.push(true);
         self.graph.ensure_node(id);
         Ok(id)
     }
 
-    /// Look up an object by id.
+    /// The record of `id`, for `derive_version` to write its inheritance
+    /// state into.
+    pub(crate) fn record_mut(&mut self, id: ObjectId) -> &mut DesignObject {
+        &mut self.objects[id.index()]
+    }
+
+    /// Look up an object by id. Tombstones stay readable (their record is
+    /// what a deletion is accounted with); [`get_live`](Database::get_live)
+    /// and every mutator refuse them.
     pub fn get(&self, id: ObjectId) -> Result<&DesignObject, DbError> {
         self.objects
             .get(id.index())
             .ok_or(DbError::UnknownObject(id))
     }
 
-    /// Mutable lookup by id.
-    pub fn get_mut(&mut self, id: ObjectId) -> Result<&mut DesignObject, DbError> {
-        self.objects
-            .get_mut(id.index())
-            .ok_or(DbError::UnknownObject(id))
+    /// [`get`](Database::get), but [`DbError::Deleted`] for a tombstone:
+    /// a deleted object is not one a relationship or a derivation may name.
+    pub fn get_live(&self, id: ObjectId) -> Result<&DesignObject, DbError> {
+        match self.get(id) {
+            Ok(_) if !self.live[id.index()] => Err(DbError::Deleted(id)),
+            found => found,
+        }
+    }
+
+    /// The attribute slots of `id`, in the order of its type's resolved
+    /// attribute list.
+    pub fn attrs_of(
+        &self,
+        id: ObjectId,
+    ) -> Result<impl Iterator<Item = AttrInstance<'_>> + '_, DbError> {
+        let obj = *self.get(id)?;
+        let defs = self.lattice.resolve_attributes(obj.ty)?;
+        Ok(defs.iter().enumerate().map(move |(slot, d)| AttrInstance {
+            name: &d.name,
+            size_bytes: d.size_bytes,
+            implementation: obj.implementation(slot),
+        }))
+    }
+
+    /// The external name of `id`, materialised for display.
+    pub fn name_of(&self, id: ObjectId) -> Result<ObjectName, DbError> {
+        Ok(self.materialise(self.get(id)?.name))
+    }
+
+    fn materialise(&self, key: NameKey) -> ObjectName {
+        ObjectName::new(
+            self.names.get(key.base),
+            key.version,
+            self.names.get(key.rep),
+        )
     }
 
     /// Look up an object by its `name[i].type` triple.
     pub fn lookup(&self, name: &ObjectName) -> Option<ObjectId> {
-        self.by_name.get(name).copied()
+        let key = NameKey {
+            base: self.names.find(&name.base)?,
+            version: name.version,
+            rep: self.names.find(&name.rep)?,
+        };
+        self.by_name.get(&key).copied()
     }
 
     /// Latest version number in use for `base`/`rep` (None if unused).
     pub fn latest_version(&self, base: &str, rep: &str) -> Option<u32> {
-        self.latest
-            .get(&(base.to_string(), rep.to_string()))
-            .copied()
+        self.latest_version_key(self.names.find(base)?, self.names.find(rep)?)
+    }
+
+    /// [`latest_version`](Database::latest_version) by interned lineage.
+    pub fn latest_version_key(&self, base: Sym, rep: Sym) -> Option<u32> {
+        self.latest.get(&(base, rep)).copied()
     }
 
     /// Add a structural relationship.
     pub fn relate(&mut self, kind: RelKind, from: ObjectId, to: ObjectId) -> Result<(), DbError> {
-        self.check_exists(from)?;
-        self.check_exists(to)?;
+        self.get_live(from)?;
+        self.get_live(to)?;
         self.graph.add_edge(kind, from, to)?;
         Ok(())
     }
@@ -210,10 +274,7 @@ impl Database {
     /// Deletion is refused while any other object inherits an attribute
     /// from this one by reference (the value would dangle).
     pub fn delete_object(&mut self, id: ObjectId) -> Result<(), DbError> {
-        self.check_exists(id)?;
-        if !self.live[id.index()] {
-            return Err(DbError::Deleted(id));
-        }
+        self.get_live(id)?;
         if !self.graph.inheritors(id).is_empty() {
             return Err(DbError::HasInheritors(id));
         }
@@ -224,24 +285,16 @@ impl Database {
             };
             self.graph.remove_edge(kind, from, to)?;
         }
-        let name = self.objects[id.index()].name.clone();
-        self.by_name.remove(&name);
+        self.by_name.remove(&self.objects[id.index()].name);
         self.live[id.index()] = false;
         Ok(())
-    }
-
-    fn check_exists(&self, id: ObjectId) -> Result<(), DbError> {
-        if id.index() < self.objects.len() {
-            Ok(())
-        } else {
-            Err(DbError::UnknownObject(id))
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::AttrImpl;
     use crate::types::AttrDef;
 
     fn db_with_type() -> (Database, TypeId) {
@@ -266,7 +319,18 @@ mod tests {
         assert_eq!(db.lookup(&name), Some(id));
         let obj = db.get(id).unwrap();
         assert_eq!(obj.body_bytes, 200);
-        assert_eq!(obj.attrs.len(), 1); // instantiated from the type
+        assert_eq!(obj.size_bytes(), 200 + 32);
+        assert_eq!(db.name_of(id).unwrap(), name);
+        // Slots are instantiated from the type.
+        let slots: Vec<_> = db.attrs_of(id).unwrap().collect();
+        assert_eq!(
+            slots,
+            [AttrInstance {
+                name: "bbox",
+                size_bytes: 32,
+                implementation: AttrImpl::Local
+            }]
+        );
         assert_eq!(db.object_count(), 1);
     }
 
@@ -331,6 +395,13 @@ mod tests {
         assert_eq!(db.lookup(&ObjectName::new("B", 1, "layout")), None);
         // Double delete and relating to a tombstone both fail.
         assert_eq!(db.delete_object(b), Err(DbError::Deleted(b)));
+        for (from, to) in [(a, b), (b, a)] {
+            assert_eq!(
+                db.relate(RelKind::Configuration, from, to),
+                Err(DbError::Deleted(b))
+            );
+        }
+        assert_eq!(db.graph().edge_count(), 0);
         assert_eq!(db.objects().count(), 1);
         // The freed name can be reused.
         let b2 = db

@@ -17,7 +17,8 @@
 
 use crate::db::{Database, DbError};
 use crate::id::ObjectId;
-use crate::object::{AttrImpl, REF_SIZE_BYTES};
+use crate::name::NameKey;
+use crate::object::REF_SIZE_BYTES;
 use crate::relationship::RelKind;
 
 /// Cost weights for the copy-vs-reference decision. All unit-free; only
@@ -79,17 +80,31 @@ impl CopyVsRefModel {
 }
 
 /// Result of deriving a new version.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DerivedVersion {
     /// The new object.
     pub id: ObjectId,
-    /// Attribute names implemented by copy.
-    pub copied: Vec<String>,
-    /// Attribute names implemented by reference (each added an
-    /// inheritance edge parent → child).
-    pub referenced: Vec<String>,
+    /// Slots implemented by copy: bit `i` is entry `i` of the type's
+    /// resolved attribute list.
+    pub copied: u32,
+    /// Slots implemented by reference (any set bit added one inheritance
+    /// edge parent → child).
+    pub referenced: u32,
     /// Number of correspondence relationships inherited from the parent.
     pub inherited_correspondences: usize,
+}
+
+impl DerivedVersion {
+    /// Names of the slots in `mask` (`self.copied` or `self.referenced`),
+    /// in slot order.
+    pub fn names<'a>(&self, db: &'a Database, mask: u32) -> Vec<&'a str> {
+        let slots = db.attrs_of(self.id).expect("derived from this database");
+        slots
+            .enumerate()
+            .filter(|(slot, _)| mask & (1 << slot) != 0)
+            .map(|(_, a)| a.name)
+            .collect()
+    }
 }
 
 /// Derive a new descendant version of `parent`.
@@ -102,64 +117,58 @@ pub struct DerivedVersion {
 /// * implements each inheritable attribute by copy or by reference per
 ///   `model`; by-reference attributes add an inheritance edge so the
 ///   physical layer can cluster child near parent.
+///
+/// A deleted `parent` is refused with [`DbError::Deleted`].
 pub fn derive_version(
     db: &mut Database,
     parent: ObjectId,
     model: &CopyVsRefModel,
 ) -> Result<DerivedVersion, DbError> {
-    let (parent_name, parent_ty, parent_body) = {
-        let p = db.get(parent)?;
-        (p.name.clone(), p.ty, p.body_bytes)
+    let p = *db.get_live(parent)?;
+    let latest = db.latest_version_key(p.name.base, p.name.rep);
+    let child_name = NameKey {
+        version: latest.unwrap_or(p.name.version) + 1,
+        ..p.name
     };
-    let next = db
-        .latest_version(&parent_name.base, &parent_name.rep)
-        .map(|v| v + 1)
-        .unwrap_or(parent_name.version + 1);
-    let child_name =
-        crate::name::ObjectName::new(parent_name.base.clone(), next, parent_name.rep.clone());
 
-    let child = db.create_object(child_name, parent_ty, parent_body)?;
+    let child = db.create_object_key(child_name, p.ty, p.body_bytes)?;
     db.relate(RelKind::VersionHistory, parent, child)?;
 
-    // Inherit correspondences: the paper's default propagation rule.
-    let correspondents: Vec<ObjectId> = db.graph().correspondents(parent).to_vec();
+    // Inherit correspondences: the paper's default propagation rule. The
+    // new edges join `child` and a correspondent, never `parent`, so its
+    // list can be read in place while they are added.
     let mut inherited = 0;
-    for c in correspondents {
+    for i in 0..db.graph().correspondents(parent).len() {
+        let c = db.graph().correspondents(parent)[i];
         if db.relate(RelKind::Correspondence, child, c).is_ok() {
             inherited += 1;
         }
     }
 
     // Copy-vs-reference decisions for inheritable attributes.
-    let defs = db.lattice().resolve_attributes(parent_ty)?;
-    let mut copied = Vec::new();
-    let mut referenced = Vec::new();
-    let mut any_reference = false;
-    {
-        let child_obj = db.get_mut(child)?;
-        for def in &defs {
-            if !def.inheritable {
-                continue;
-            }
-            let slot = child_obj
-                .attrs
-                .iter_mut()
-                .find(|a| a.name == def.name)
-                .expect("created from the same resolved definitions");
-            match model.decide(def.size_bytes, def.read_weight, def.update_weight) {
-                ImplChoice::Copy => {
-                    slot.implementation = AttrImpl::CopiedFrom(parent);
-                    copied.push(def.name.clone());
-                }
-                ImplChoice::Reference => {
-                    slot.implementation = AttrImpl::ReferenceTo(parent);
-                    referenced.push(def.name.clone());
-                    any_reference = true;
-                }
+    let (mut copied, mut referenced, mut attr_bytes) = (0u32, 0u32, 0u32);
+    for (slot, def) in db.lattice().resolve_attributes(p.ty)?.iter().enumerate() {
+        attr_bytes += def.size_bytes;
+        if !def.inheritable {
+            continue;
+        }
+        match model.decide(def.size_bytes, def.read_weight, def.update_weight) {
+            ImplChoice::Copy => copied |= 1 << slot,
+            ImplChoice::Reference => {
+                referenced |= 1 << slot;
+                attr_bytes = attr_bytes - def.size_bytes + REF_SIZE_BYTES;
             }
         }
     }
-    if any_reference {
+    // The only writer of a record's inheritance state, once per object:
+    // every rewritten slot names the same provider.
+    let record = db.record_mut(child);
+    debug_assert!(record.copied | record.referenced == 0 && copied & referenced == 0);
+    record.provider = parent;
+    record.copied = copied;
+    record.referenced = referenced;
+    record.attr_bytes = attr_bytes;
+    if referenced != 0 {
         db.relate(RelKind::Inheritance, parent, child)?;
     }
 
@@ -175,6 +184,7 @@ pub fn derive_version(
 mod tests {
     use super::*;
     use crate::name::ObjectName;
+    use crate::object::AttrImpl;
     use crate::relationship::RelFrequencies;
     use crate::types::{AttrDef, TypeLattice};
 
@@ -237,7 +247,7 @@ mod tests {
         let derived = derive_version(&mut db, alu2, &CopyVsRefModel::default()).unwrap();
         assert_eq!(derived.inherited_correspondences, 1);
         assert_eq!(
-            db.get(derived.id).unwrap().name,
+            db.name_of(derived.id).unwrap(),
             ObjectName::new("ALU", 3, "layout")
         );
         assert!(db.graph().correspondents(derived.id).contains(&alu3n));
@@ -248,20 +258,35 @@ mod tests {
     fn copy_vs_reference_split_follows_costs() {
         let (mut db, alu2, _) = setup();
         let derived = derive_version(&mut db, alu2, &CopyVsRefModel::default()).unwrap();
-        assert_eq!(derived.copied, vec!["owner".to_string()]);
-        assert_eq!(derived.referenced, vec!["design-rules".to_string()]);
+        assert_eq!(derived.names(&db, derived.copied), ["owner"]);
+        assert_eq!(derived.names(&db, derived.referenced), ["design-rules"]);
         // Reference created an inheritance edge the clusterer can see.
         assert_eq!(db.graph().providers(derived.id), &[alu2]);
         // Non-inheritable attribute stayed local.
-        let child = db.get(derived.id).unwrap();
+        let implementation = |name: &str| {
+            let mut slots = db.attrs_of(derived.id).unwrap();
+            slots.find(|a| a.name == name).unwrap().implementation
+        };
+        assert_eq!(implementation("checksum"), AttrImpl::Local);
+        assert_eq!(implementation("owner"), AttrImpl::CopiedFrom(alu2));
+        assert_eq!(implementation("design-rules"), AttrImpl::ReferenceTo(alu2));
+        // The by-reference slot stores a link, not the 4 KiB value.
         assert_eq!(
-            child.attr("checksum").unwrap().implementation,
-            AttrImpl::Local
+            db.get(derived.id).unwrap().size_bytes(),
+            500 + 16 + REF_SIZE_BYTES + 8
         );
+    }
+
+    #[test]
+    fn deleted_parent_is_refused() {
+        let (mut db, alu2, _) = setup();
+        db.delete_object(alu2).unwrap();
+        let before = db.object_count();
         assert_eq!(
-            child.attr("design-rules").unwrap().implementation,
-            AttrImpl::ReferenceTo(alu2)
+            derive_version(&mut db, alu2, &CopyVsRefModel::default()).unwrap_err(),
+            DbError::Deleted(alu2)
         );
+        assert_eq!(db.object_count(), before);
     }
 
     #[test]

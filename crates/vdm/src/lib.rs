@@ -19,6 +19,16 @@
 //! * the copy-vs-reference cost model ([`CopyVsRefModel`]) whose decisions
 //!   add or remove inheritance arcs from that graph.
 //!
+//! Both halves of the model are flat: a [`StructureGraph`] node is one
+//! cache line, and the object catalog is one fixed-size `Copy`
+//! [`DesignObject`] per object with no heap behind it — names are
+//! [`NameKey`]s into the [`Database`]'s string interner, a type's
+//! attribute list is resolved once when the type is defined, and an
+//! instance keeps only its provider and two slot masks. Owned
+//! [`ObjectName`]s exist at the API boundary and for display
+//! ([`Database::name_of`]); attribute slots are a borrowing view
+//! ([`Database::attrs_of`]). DESIGN.md §14.5 has the layout.
+//!
 //! ```
 //! use semcluster_vdm::{
 //!     CopyVsRefModel, Database, ObjectName, RelFrequencies, RelKind, TypeLattice,
@@ -62,9 +72,9 @@ pub use dethash::{
 pub use graph::{GraphError, StructureGraph, WalkScratch, MAX_DEGREE};
 pub use id::{ObjectId, TypeId};
 pub use inherit::{derive_version, CopyVsRefModel, DerivedVersion, ImplChoice};
-pub use name::{ObjectName, ParseNameError};
+pub use name::{NameKey, ObjectName, ParseNameError, Sym};
 pub use object::{AttrImpl, AttrInstance, DesignObject, REF_SIZE_BYTES};
 pub use query::{execute_read, ReadQuery};
 pub use relationship::{Direction, RelFrequencies, RelKind};
-pub use types::{AttrDef, OpDef, TypeDef, TypeError, TypeLattice};
+pub use types::{AttrDef, OpDef, TypeDef, TypeError, TypeLattice, MAX_RESOLVED_ATTRS};
 pub use validate::{validate, Violation};

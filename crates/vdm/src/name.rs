@@ -3,10 +3,95 @@
 //! The Version Data Model denotes every object by the triple
 //! `name[i].type` — e.g. `ALU[4].layout` is version 4 of the ALU's layout
 //! representation. [`ObjectName`] stores the triple and round-trips through
-//! the paper's textual syntax.
+//! the paper's textual syntax; it is the value type at the API boundary.
+//! Inside the catalog a name is a [`NameKey`]: the same triple with both
+//! strings replaced by [`Sym`] handles into the database's interner, so
+//! it is 12 bytes, `Copy`, and hashes without touching a string.
 
+use crate::dethash::DetState;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::str::FromStr;
+
+/// Handle of an interned string; equal handles ⇔ equal strings within
+/// one [`Database`](crate::Database).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Sym(u32);
+
+/// The catalog's form of `base[version].representation`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct NameKey {
+    /// Interned design-object name.
+    pub base: Sym,
+    /// Version number `i` in `name[i].type`.
+    pub version: u32,
+    /// Interned representation type name.
+    pub rep: Sym,
+}
+
+/// String interner: every distinct string is stored once, end to end in
+/// one arena, and found through an open-addressing table of handles
+/// (FNV-1a, linear probing, load ≤ ½) — so interning allocates only when
+/// one of its three vectors doubles.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Interner {
+    arena: String,
+    /// `ends[i]` is where string `i` stops in `arena` (it starts where
+    /// string `i - 1` stopped).
+    ends: Vec<u32>,
+    /// `Sym + 1`, or 0 for an empty slot; length is 0 or a power of two.
+    slots: Vec<u32>,
+}
+
+impl Interner {
+    /// The string behind `sym`. Panics on a handle from another interner
+    /// that is out of range here (a caller bug).
+    pub(crate) fn get(&self, sym: Sym) -> &str {
+        let i = sym.0 as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.arena[start..self.ends[i] as usize]
+    }
+
+    /// Slot holding `s`, or the empty slot where it would go.
+    fn probe(&self, s: &str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = DetState.hash_one(s) as usize & mask;
+        while self.slots[at] != 0 && self.get(Sym(self.slots[at] - 1)) != s {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// The handle of `s` if it was interned before.
+    pub(crate) fn find(&self, s: &str) -> Option<Sym> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.slots[self.probe(s)].checked_sub(1).map(Sym)
+    }
+
+    /// The handle of `s`, storing it on first sight.
+    pub(crate) fn intern(&mut self, s: &str) -> Sym {
+        if (self.ends.len() + 1) * 2 > self.slots.len() {
+            let doubled = (self.slots.len() * 2).max(16);
+            self.slots.clear();
+            self.slots.resize(doubled, 0);
+            for i in 0..self.ends.len() as u32 {
+                let at = self.probe(self.get(Sym(i)));
+                self.slots[at] = i + 1;
+            }
+        }
+        let at = self.probe(s);
+        if let Some(found) = self.slots[at].checked_sub(1) {
+            return Sym(found);
+        }
+        self.arena.push_str(s);
+        let end = u32::try_from(self.arena.len()).expect("interned names fit 4 GiB");
+        self.ends.push(end);
+        self.slots[at] = self.ends.len() as u32;
+        Sym(self.slots[at] - 1)
+    }
+}
 
 /// The external name triple `base[version].representation`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -136,6 +221,28 @@ mod tests {
         ] {
             assert!(bad.parse::<ObjectName>().is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn interner_stores_each_string_once() {
+        let mut names = Interner::default();
+        assert_eq!(names.find("ALU"), None);
+        let words: Vec<String> = (0..1000).map(|i| format!("M{}N{}", i / 7, i % 7)).collect();
+        let syms: Vec<Sym> = words.iter().map(|w| names.intern(w)).collect();
+        for (w, &sym) in words.iter().zip(&syms) {
+            assert_eq!(names.get(sym), w);
+            assert_eq!(names.find(w), Some(sym));
+            assert_eq!(names.intern(w), sym);
+        }
+        assert_eq!(names.ends.len(), 1000);
+        assert_eq!(
+            names.arena.len(),
+            words.iter().map(String::len).sum::<usize>()
+        );
+        // The empty string and a prefix of a stored one are names too.
+        let empty = names.intern("");
+        assert_eq!(names.get(empty), "");
+        assert_eq!(names.find("M1"), None);
     }
 
     #[test]

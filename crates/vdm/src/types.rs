@@ -10,8 +10,13 @@
 
 use crate::id::TypeId;
 use crate::relationship::RelFrequencies;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
+
+/// Most attributes a type may resolve to: an instance records which of
+/// its slots were inherited by copy and by reference as two `u32` masks
+/// over the resolved list.
+pub const MAX_RESOLVED_ATTRS: usize = 32;
 
 /// Definition of an attribute on a type.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,6 +83,9 @@ pub enum TypeError {
     DuplicateName(String),
     /// Lookup of an unknown type id.
     UnknownType(TypeId),
+    /// The named type would resolve to this many attributes, more than
+    /// [`MAX_RESOLVED_ATTRS`].
+    TooManyAttributes(String, usize),
 }
 
 impl fmt::Display for TypeError {
@@ -87,6 +95,10 @@ impl fmt::Display for TypeError {
             TypeError::CycleDetected(n) => write!(f, "type {n:?} would create a supertype cycle"),
             TypeError::DuplicateName(n) => write!(f, "type name {n:?} already defined"),
             TypeError::UnknownType(t) => write!(f, "unknown type {t}"),
+            TypeError::TooManyAttributes(n, count) => write!(
+                f,
+                "type {n:?} resolves to {count} attributes (limit {MAX_RESOLVED_ATTRS})"
+            ),
         }
     }
 }
@@ -98,7 +110,14 @@ impl std::error::Error for TypeError {}
 #[derive(Debug, Clone, Default)]
 pub struct TypeLattice {
     types: Vec<TypeDef>,
-    by_name: HashMap<String, TypeId>,
+    /// Per type, the attribute list [`resolve_attributes`] answers with.
+    /// Supertypes exist before their subtypes and a [`TypeDef`] never
+    /// changes, so it is computed once, in [`define`].
+    ///
+    /// [`resolve_attributes`]: TypeLattice::resolve_attributes
+    /// [`define`]: TypeLattice::define
+    resolved: Vec<Vec<AttrDef>>,
+    by_name: BTreeMap<String, TypeId>,
 }
 
 impl TypeLattice {
@@ -118,7 +137,8 @@ impl TypeLattice {
     }
 
     /// Define a new type. Supertypes must already exist (so cycles are
-    /// impossible by construction, but we still validate ids).
+    /// impossible by construction, but we still validate ids), and the
+    /// type's resolved attribute list must fit [`MAX_RESOLVED_ATTRS`].
     pub fn define(
         &mut self,
         name: impl Into<String>,
@@ -145,8 +165,31 @@ impl TypeLattice {
             operations,
             frequencies,
         });
+        let resolved = self.resolve_from_definitions(id);
+        if resolved.len() > MAX_RESOLVED_ATTRS {
+            self.types.pop();
+            return Err(TypeError::TooManyAttributes(name, resolved.len()));
+        }
+        self.resolved.push(resolved);
         self.by_name.insert(name, id);
         Ok(id)
+    }
+
+    /// `id`'s own attributes, then each ancestor's in [`ancestors`]
+    /// order, the first definition of a name winning.
+    ///
+    /// [`ancestors`]: TypeLattice::ancestors
+    fn resolve_from_definitions(&self, id: TypeId) -> Vec<AttrDef> {
+        let mut out: Vec<AttrDef> = Vec::new();
+        let ancestors = self.ancestors(id).expect("supertypes were validated");
+        for ty in std::iter::once(id).chain(ancestors) {
+            for a in &self.types[ty.index()].attributes {
+                if !out.iter().any(|existing| existing.name == a.name) {
+                    out.push(a.clone());
+                }
+            }
+        }
+        out
     }
 
     /// Shorthand: define a root type with only a name and frequencies.
@@ -196,24 +239,13 @@ impl TypeLattice {
 
     /// The full attribute set visible on `id`: its own attributes plus all
     /// inherited ones, with subtype definitions shadowing supertype
-    /// definitions of the same name.
-    pub fn resolve_attributes(&self, id: TypeId) -> Result<Vec<AttrDef>, TypeError> {
-        let mut out: Vec<AttrDef> = Vec::new();
-        let mut have: HashMap<&str, ()> = HashMap::new();
-        let own = self.get(id)?;
-        for a in &own.attributes {
-            if have.insert(a.name.as_str(), ()).is_none() {
-                out.push(a.clone());
-            }
+    /// definitions of the same name. An instance's slot `i` is entry `i`
+    /// of this list.
+    pub fn resolve_attributes(&self, id: TypeId) -> Result<&[AttrDef], TypeError> {
+        match self.resolved.get(id.index()) {
+            Some(attrs) => Ok(attrs),
+            None => Err(TypeError::UnknownType(id)),
         }
-        for anc in self.ancestors(id)? {
-            for a in &self.get(anc)?.attributes {
-                if !out.iter().any(|existing| existing.name == a.name) {
-                    out.push(a.clone());
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// The full operation set visible on `id`, subtype definitions winning.
@@ -305,6 +337,103 @@ mod tests {
         assert_eq!(names, ["owner", "bbox", "timestamp"]);
         // The subtype's 64-byte owner wins over the base's 16-byte one.
         assert_eq!(attrs[0].size_bytes, 64);
+    }
+
+    /// The per-call resolution `resolve_attributes` used to run on every
+    /// create: `define` must have stored exactly its answer.
+    fn resolve_per_call(l: &TypeLattice, id: TypeId) -> Vec<AttrDef> {
+        let mut out: Vec<AttrDef> = Vec::new();
+        let mut have = std::collections::BTreeSet::new();
+        for a in &l.get(id).unwrap().attributes {
+            if have.insert(a.name.as_str()) {
+                out.push(a.clone());
+            }
+        }
+        for anc in l.ancestors(id).unwrap() {
+            for a in &l.get(anc).unwrap().attributes {
+                if !out.iter().any(|existing| existing.name == a.name) {
+                    out.push(a.clone());
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn resolution_at_define_equals_per_call_resolution() {
+        let (mut l, base, cell, mc) = lattice();
+        // A diamond with a repeated own name and a non-inheritable slot.
+        let shadow = l
+            .define(
+                "shadow",
+                vec![mc, base],
+                vec![
+                    AttrDef::new("bbox", 48),
+                    AttrDef::new("bbox", 1),
+                    AttrDef {
+                        inheritable: false,
+                        ..AttrDef::new("checksum", 8)
+                    },
+                ],
+                vec![],
+                RelFrequencies::UNIFORM,
+            )
+            .unwrap();
+        for ty in [base, cell, mc, shadow] {
+            assert_eq!(l.resolve_attributes(ty).unwrap(), resolve_per_call(&l, ty));
+        }
+        assert_eq!(
+            l.resolve_attributes(TypeId(99)),
+            Err(TypeError::UnknownType(TypeId(99)))
+        );
+    }
+
+    #[test]
+    fn type_wider_than_the_slot_masks_is_refused() {
+        let mut l = TypeLattice::new();
+        let attrs = |prefix: &str, n: usize| -> Vec<AttrDef> {
+            (0..n)
+                .map(|i| AttrDef::new(format!("{prefix}{i}"), 4))
+                .collect()
+        };
+        let wide = l
+            .define(
+                "wide",
+                vec![],
+                attrs("a", MAX_RESOLVED_ATTRS),
+                vec![],
+                RelFrequencies::UNIFORM,
+            )
+            .unwrap();
+        assert_eq!(
+            l.resolve_attributes(wide).unwrap().len(),
+            MAX_RESOLVED_ATTRS
+        );
+        // One inherited name too many: refused, and the lattice is as it was.
+        assert_eq!(
+            l.define(
+                "wider",
+                vec![wide],
+                attrs("b", 1),
+                vec![],
+                RelFrequencies::UNIFORM
+            ),
+            Err(TypeError::TooManyAttributes(
+                "wider".into(),
+                MAX_RESOLVED_ATTRS + 1
+            ))
+        );
+        assert_eq!(l.len(), 1);
+        assert_eq!(l.id_of("wider"), None);
+        // Shadowing an inherited name does not widen the list.
+        l.define(
+            "wider",
+            vec![wide],
+            attrs("a", 1),
+            vec![],
+            RelFrequencies::UNIFORM,
+        )
+        .unwrap();
     }
 
     #[test]

@@ -71,17 +71,18 @@ pub fn validate(db: &Database) -> Vec<Violation> {
             continue;
         }
         match kind {
+            // Interned handles compare as the strings they stand for.
             RelKind::VersionHistory => {
-                let a = db.get(from).expect("checked");
-                let b = db.get(to).expect("checked");
-                if !(a.name.base == b.name.base && a.name.rep == b.name.rep) {
+                let a = db.get(from).expect("checked").name;
+                let b = db.get(to).expect("checked").name;
+                if !(a.base == b.base && a.rep == b.rep) {
                     out.push(Violation::VersionLineageMismatch(from, to));
                 }
             }
             RelKind::Correspondence => {
-                let a = db.get(from).expect("checked");
-                let b = db.get(to).expect("checked");
-                if !a.name.same_entity(&b.name) {
+                let a = db.get(from).expect("checked").name;
+                let b = db.get(to).expect("checked").name;
+                if !(a.base == b.base && a.rep != b.rep) {
                     out.push(Violation::CorrespondenceMismatch(from, to));
                 }
             }
@@ -103,14 +104,14 @@ pub fn validate(db: &Database) -> Vec<Violation> {
     // Attribute providers must exist and by-reference slots must have a
     // visible inheritance edge.
     for obj in db.objects() {
-        for attr in &obj.attrs {
+        for attr in db.attrs_of(obj.id).expect("live object of this database") {
             match attr.implementation {
                 AttrImpl::Local => {}
                 AttrImpl::CopiedFrom(p) => {
                     if !exists(p) {
                         out.push(Violation::DanglingAttributeProvider(
                             obj.id,
-                            attr.name.clone(),
+                            attr.name.to_string(),
                             p,
                         ));
                     }
@@ -119,7 +120,7 @@ pub fn validate(db: &Database) -> Vec<Violation> {
                     if !exists(p) {
                         out.push(Violation::DanglingAttributeProvider(
                             obj.id,
-                            attr.name.clone(),
+                            attr.name.to_string(),
                             p,
                         ));
                     } else if !db.graph().providers(obj.id).contains(&p) {

@@ -115,14 +115,19 @@ fn main() {
 
     // ---- 4. Checkout-edit-checkin: derive ALU[3].layout.
     let derived = derive_version(&mut db, alu2, &CopyVsRefModel::default()).unwrap();
-    let child = db.get(derived.id).unwrap();
-    println!("\nderived {}:", child.name);
-    println!("  copied attributes     : {:?}", derived.copied);
-    println!("  by-reference via link : {:?}", derived.referenced);
+    println!("\nderived {}:", db.name_of(derived.id).unwrap());
+    println!(
+        "  copied attributes     : {:?}",
+        derived.names(&db, derived.copied)
+    );
+    println!(
+        "  by-reference via link : {:?}",
+        derived.names(&db, derived.referenced)
+    );
     println!(
         "  inherited correspondences: {} (→ {})",
         derived.inherited_correspondences,
-        db.get(alu3n).unwrap().name
+        db.name_of(alu3n).unwrap()
     );
 
     // ---- 5. Place the new version; the clusterer pulls it next to its

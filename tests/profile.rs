@@ -138,3 +138,65 @@ fn simulate_profile_emits_schema_line() {
         "wall-clock material leaked onto stdout"
     );
 }
+
+/// The object catalog's create path is allocation-free: a record is
+/// `Copy`, names are interned into one arena and a derivation reports
+/// masks, so 10 000 derivations — and 10 000 creates the way the engine's
+/// `exec_create` makes them, each under a name never seen before — cost
+/// only the doublings of the catalog's own vectors and tables. (The
+/// string-keyed catalog made 26.5 and 14.2 allocator calls per call.)
+#[test]
+fn catalog_creates_and_derivations_do_not_allocate() {
+    use semcluster_vdm::{derive_version, NameKey, ObjectId, RelKind, SyntheticDbSpec};
+    use std::fmt::Write as _;
+
+    const CALLS: u32 = 10_000;
+    let (mut db, stats) = SyntheticDbSpec {
+        modules: 150,
+        version_prob: 0.0,
+        seed: 1989,
+        ..SyntheticDbSpec::default()
+    }
+    .build();
+    assert!(stats.objects > CALLS as usize);
+    let model = semcluster_vdm::CopyVsRefModel::default();
+
+    let (_, before) = allocation_counts();
+    let mut by_reference = 0;
+    for parent in 0..CALLS {
+        let derived = derive_version(&mut db, ObjectId(parent), &model).expect("live parent");
+        by_reference += derived.referenced.count_ones();
+    }
+    let (_, after) = allocation_counts();
+    assert!(by_reference >= CALLS, "derivations inherited nothing");
+    assert!(
+        after - before <= 64,
+        "{CALLS} derivations made {} allocator calls",
+        after - before
+    );
+
+    let mut name_buf = String::with_capacity(16);
+    let (_, before) = allocation_counts();
+    for seq in 0..CALLS {
+        let anchor = *db.get(ObjectId(seq)).expect("built object");
+        name_buf.clear();
+        write!(name_buf, "w{seq}").expect("writing to a String cannot fail");
+        let name = NameKey {
+            base: db.intern(&name_buf),
+            version: 1,
+            rep: anchor.name.rep,
+        };
+        let id = db
+            .create_object_key(name, anchor.ty, 256)
+            .expect("fresh name");
+        db.relate(RelKind::Configuration, anchor.id, id)
+            .expect("fresh edge");
+    }
+    let (_, after) = allocation_counts();
+    assert!(
+        after - before <= 64,
+        "{CALLS} fresh-named creates made {} allocator calls",
+        after - before
+    );
+    assert_eq!(db.object_count(), stats.objects + 2 * CALLS as usize);
+}
