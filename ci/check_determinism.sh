@@ -18,7 +18,10 @@
 # benches are out of scope. crates/vdm/src is in scope — its object
 # catalog is written inside the profiled run phase on every create —
 # with dethash.rs, which defines the Det wrappers over the std types, as
-# its one allowlisted file.
+# its one allowlisted file. crates/workload/src and crates/sim/src are in
+# scope because the transaction generator and the RNG it draws from
+# decide every simulated byte from there; neither holds a std hash
+# container, so the allowlist does not grow.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +35,8 @@ scope=(
     crates/storage/src
     crates/faults/src
     crates/vdm/src
+    crates/workload/src
+    crates/sim/src
 )
 
 # \bHash(Map|Set)\b matches the std types but not DetHashMap/DetHashSet

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Size ledger: non-test Rust lines per crate and in total.
+# Size ledger: non-test Rust lines per crate and in total, then the five
+# largest files (ROADMAP item 1: no engine module over ~800).
 #
 # Counts, for every .rs file under crates/*/src, crates/*/benches,
 # vendor/*/src and the root src/, the lines before the file's first
@@ -13,12 +14,25 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 shopt -s nullglob
+
+# "<lines> <file>" for every .rs file under the given directories.
+count_files() {
+    find "$@" -name '*.rs' -print0 |
+        xargs -0 -r awk 'FNR == 1 { if (file) print n, file; file = FILENAME; n = 0; counting = 1 }
+            /^#\[cfg\(test\)\]/ { counting = 0 } counting { n++ } END { if (file) print n, file }'
+}
+
 total=0
+roots=()
 for root in crates/*/src crates/*/benches vendor/*/src src; do
     [ -d "$root" ] || continue
-    lines=$(find "$root" -name '*.rs' -print0 |
-        xargs -0 -r awk 'FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 } counting { n++ } END { print n + 0 }')
+    roots+=("$root")
+    lines=$(count_files "$root" | awk '{ n += $1 } END { print n + 0 }')
     printf '%8d  %s\n' "$lines" "$root"
     total=$((total + lines))
 done
 printf '%8d  total\n' "$total"
+echo 'largest files:'
+count_files "${roots[@]}" | sort -k1,1nr -k2 | head -5 | while read -r lines file; do
+    printf '%8d  %s\n' "$lines" "$file"
+done

@@ -502,6 +502,27 @@ mod tests {
         );
     }
 
+    /// `inspect` builds the database the engine builds for the label and
+    /// size (`StructureDensity::database_spec`): sized for a 0.2 version
+    /// probability and built with it, not with the builder's default.
+    #[test]
+    fn inspect_output_is_pinned() {
+        let out = dispatch(&parse("inspect --mbytes 8 --workload med5-10")).unwrap();
+        assert_eq!(
+            &*out,
+            "property                                   value\n\
+             ---------------------------------------------------------\n\
+             objects                                    25498\n\
+             configuration edges                        21312\n\
+             version edges                              4118\n\
+             correspondence edges                       7785\n\
+             inheritance edges                          4118\n\
+             pages (scattered / clustered)              2077 / 2144\n\
+             broken arc weight (scattered / clustered)  107656 / 98978\n\
+             layout improvement                         8 %\n"
+        );
+    }
+
     /// The `--flag` tokens of `name`'s synopsis block in [`USAGE`], with
     /// `CONFIG` standing for the tokens of the `CONFIG:` block.
     fn synopsis_flags(name: &str) -> Vec<String> {

@@ -2,7 +2,9 @@
 
 use crate::args::Args;
 use crate::error::CliError;
-use semcluster::{run_crash_matrix, workload_from_label, CrashMatrixConfig, MatrixBackend};
+use semcluster::{
+    run_crash_matrix, workload_from_label, CrashMatrixConfig, MatrixBackend, SimConfig,
+};
 use semcluster_analysis::Table;
 use semcluster_clustering::{static_recluster, WeightModel};
 use semcluster_sim::SimRng;
@@ -48,28 +50,9 @@ pub fn cmd_inspect(args: &Args) -> Result<String, CliError> {
     let label = args.get("workload").unwrap_or("med5-10");
     let workload = workload_from_label(label)
         .ok_or_else(|| CliError::usage(format!("unknown workload {label:?}")))?;
-    let (fanout, depth) = match workload.density {
-        semcluster_workload::StructureDensity::Low3 => ((1, 3), 6),
-        semcluster_workload::StructureDensity::Med5 => ((4, 9), 3),
-        semcluster_workload::StructureDensity::High10 => ((10, 15), 2),
-    };
-    let target = mbytes * 1024 * 1024 / 320;
-    let mean_fanout = (fanout.0 + fanout.1) as f64 / 2.0;
-    let mut tree = 1.0;
-    let mut level = 1.0;
-    for _ in 0..depth {
-        level *= mean_fanout;
-        tree += level;
-    }
-    let modules = ((target as f64 / (tree * 2.4)).round() as usize).max(1);
-    let (db, stats) = SyntheticDbSpec {
-        modules,
-        depth,
-        fanout,
-        seed,
-        ..SyntheticDbSpec::default()
-    }
-    .build();
+    // The database `simulate` builds for this label at this size.
+    let target = (mbytes << 20) / SimConfig::MEAN_OBJECT_BYTES;
+    let (db, stats) = workload.density.database_spec(target, seed).build();
     let mut by_kind = [0u64; 4];
     for (kind, _, _) in db.graph().edges() {
         by_kind[kind.index()] += 1;

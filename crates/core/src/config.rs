@@ -18,7 +18,6 @@ use semcluster_clustering::{ClusteringPolicy, HintPolicy, SplitPolicy};
 use semcluster_faults::FaultConfig;
 use semcluster_sim::SimDuration;
 use semcluster_storage::DiskParams;
-use semcluster_vdm::CopyVsRefModel;
 use semcluster_wal::LogConfig;
 use semcluster_workload::{StructureDensity, WorkloadSpec};
 
@@ -62,13 +61,6 @@ pub struct SimConfig {
     pub log: LogConfig,
     /// CPU service per logical page access.
     pub cpu_per_access: SimDuration,
-    /// Extra CPU service for running a page-split partition.
-    pub cpu_per_split: SimDuration,
-    /// Copy-vs-reference model for derived versions.
-    pub inherit_model: CopyVsRefModel,
-    /// Minimum expected-cost gain before run-time reclustering moves an
-    /// object.
-    pub recluster_min_gain: f64,
     /// Override of the context-sensitive priority boost, in access ticks
     /// (None = the pool default of half the capacity).
     pub context_boost_ticks: Option<u64>,
@@ -87,9 +79,6 @@ pub struct SimConfig {
     pub warmup_txns: u64,
     /// Transactions measured after warmup.
     pub measured_txns: u64,
-    /// Probability that a session operation targets the session's working
-    /// set rather than a uniformly random object.
-    pub working_set_bias: f64,
     /// Fault-injection configuration. The default is inert: no faults,
     /// and the engine's output is byte-identical to a fault-free build.
     pub faults: FaultConfig,
@@ -116,16 +105,12 @@ impl Default for SimConfig {
             disk: DiskParams::default(),
             log: LogConfig::default(),
             cpu_per_access: SimDuration::from_millis(2),
-            cpu_per_split: SimDuration::from_millis(5),
-            inherit_model: CopyVsRefModel::default(),
-            recluster_min_gain: 3.0,
             context_boost_ticks: None,
             locking: true,
             phases: None,
             retain_log: false,
             warmup_txns: 400,
             measured_txns: 2000,
-            working_set_bias: 0.7,
             faults: FaultConfig::default(),
             seed: 42,
         }

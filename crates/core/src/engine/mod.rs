@@ -1,0 +1,1153 @@
+//! The integrated simulation engine.
+//!
+//! A closed queueing network after Figure 4.1: `users` workstations with
+//! exponential think times submit transactions to a file server holding
+//! the buffer manager, cluster manager and log manager, backed by one CPU
+//! and `disks` FCFS disks. Every logical page access can expand into 0–3
+//! physical I/Os (dirty-page flush, log I/O, demand read), exactly as §4
+//! describes.
+//!
+//! The engine *executes*; it does not decide what is asked. The users —
+//! sessions, working sets, the read/write mix, the choice of query and
+//! target — are a [`Generator`], which the driver asks for one
+//! [`Transaction`] each time a user stops thinking and which hears back
+//! only through `remember` (DESIGN.md §3.1). The file server is this
+//! module — state, constructor, public API, end-of-run reporting — and
+//! four children that share its private fields:
+//!
+//! * `load` — the synthetic database and its history-shaped layout;
+//! * `driver` — the event loop: think/op/txn-done, lock park and wake,
+//!   the measurement window, crash points;
+//! * `exec` — one `TxnOp` through buffer, cluster manager and log;
+//! * `charge` — what each access costs in simulated time and physical
+//!   I/O, fault retries included.
+//!
+//! ## Model notes (documented deviations and interpretations)
+//!
+//! * **Initial placement reflects the policy's history.** A database that
+//!   has lived under `No_Cluster` is laid out in arrival order with
+//!   interleaved design activity (scattered); one that has lived under any
+//!   clustering policy is affinity-placed. Run-time differences (search
+//!   I/O charges, new-object placement, reclustering, splits) then play
+//!   out on top, as in the paper.
+//! * **Prefetch is asynchronous**: prefetch I/Os load the disks but are
+//!   not on the issuing transaction's critical path (§5.2's
+//!   prefetch-within-database could not win otherwise).
+//! * **Intra-transaction I/O is serial** (navigation is a dependency
+//!   chain); I/Os of different users interleave through the shared FCFS
+//!   servers.
+
+mod charge;
+mod driver;
+mod exec;
+mod load;
+
+use crate::config::SimConfig;
+use crate::crash::CrashOutcome;
+use crate::durable::DurableMirror;
+use crate::metrics::{MetricsCollector, RunReport, SpanBreakdown};
+use semcluster_buffer::BufferPool;
+use semcluster_clustering::{HintPolicy, ScoreScratch, WeightModel};
+use semcluster_faults::{CrashPoint, FaultState, IoOp};
+use semcluster_lock::{LockManager, LockMode};
+use semcluster_obs::{
+    AuditSink, CounterId, FaultOp, MetricsRegistry, MetricsSnapshot, NoopSink, Phase,
+    PhaseProfiler, PhaseToken, PlacementAudit, ProfileReport, Timeline, TimelineSampler,
+    TraceEvent, TraceSink,
+};
+use semcluster_sim::{EventQueue, FcfsServer, ServerBank, SimDuration, SimRng, SimTime};
+use semcluster_storage::{DiskLayout, StorageManager, StoreError, WalOp};
+use semcluster_vdm::{Database, ObjectId, WalkScratch};
+use semcluster_wal::{LogManager, TxnToken};
+use semcluster_workload::{Generator, Transaction};
+use std::collections::VecDeque;
+
+/// Maximum related pages boosted per object access under the
+/// context-sensitive policy.
+const CONTEXT_BOOST_FANOUT: usize = 8;
+
+/// Transactions remembered when estimating the run-time read/write ratio
+/// for the adaptive clustering policy.
+const RW_WINDOW: usize = 100;
+
+/// Handles to every counter the engine bumps, resolved once by
+/// [`engine_registry`] so a bump on a hot path is an indexed add, not a
+/// search for the name.
+#[derive(Debug, Clone, Copy)]
+struct EngineCounters {
+    buffer_hit: CounterId,
+    buffer_miss: CounterId,
+    buffer_evict_dirty: CounterId,
+    io_read_demand: CounterId,
+    cluster_search_candidate_io: CounterId,
+    cluster_split: CounterId,
+    cluster_recluster_move: CounterId,
+    split_io: CounterId,
+    lock_wait: CounterId,
+    prefetch_issue: CounterId,
+    prefetch_io: CounterId,
+    wal_flush_before_image: CounterId,
+    wal_flush_full: CounterId,
+    wal_flush_commit: CounterId,
+    fault_io_read_error: CounterId,
+    fault_io_write_error: CounterId,
+    fault_io_retry: CounterId,
+    fault_log_stall: CounterId,
+    fault_txn_abort: CounterId,
+    fault_degrade_enter: CounterId,
+    fault_degrade_exit: CounterId,
+}
+
+/// Build the engine's metrics registry with every counter the hot
+/// paths bump pre-declared at zero. First-touch of a counter name
+/// allocates its `String` key and possibly a tree node; declaring them
+/// all here — before any profiled phase opens — keeps the zero-alloc
+/// pins on the inner loops honest. Zero-valued counters are filtered
+/// out of snapshots, so unfired declarations are invisible.
+fn engine_registry() -> (MetricsRegistry, EngineCounters) {
+    let mut r = MetricsRegistry::new();
+    let counters = EngineCounters {
+        buffer_hit: r.declare("buffer.hit"),
+        buffer_miss: r.declare("buffer.miss"),
+        buffer_evict_dirty: r.declare("buffer.evict.dirty"),
+        io_read_demand: r.declare("io.read.demand"),
+        cluster_search_candidate_io: r.declare("cluster.search.candidate_io"),
+        cluster_split: r.declare("cluster.split"),
+        cluster_recluster_move: r.declare("cluster.recluster.move"),
+        split_io: r.declare("split.io"),
+        lock_wait: r.declare("lock.wait"),
+        prefetch_issue: r.declare("prefetch.issue"),
+        prefetch_io: r.declare("prefetch.io"),
+        wal_flush_before_image: r.declare("wal.flush.before_image"),
+        wal_flush_full: r.declare("wal.flush.full"),
+        wal_flush_commit: r.declare("wal.flush.commit"),
+        fault_io_read_error: r.declare("fault.io.read_error"),
+        fault_io_write_error: r.declare("fault.io.write_error"),
+        fault_io_retry: r.declare("fault.io.retry"),
+        fault_log_stall: r.declare("fault.log.stall"),
+        fault_txn_abort: r.declare("fault.txn.abort"),
+        fault_degrade_enter: r.declare("fault.degrade.enter"),
+        fault_degrade_exit: r.declare("fault.degrade.exit"),
+    };
+    (r, counters)
+}
+
+/// Map the fault layer's I/O kind onto the trace vocabulary.
+fn fault_op(op: IoOp) -> FaultOp {
+    match op {
+        IoOp::Read => FaultOp::Read,
+        IoOp::Write => FaultOp::Write,
+        IoOp::Log => FaultOp::Log,
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+#[allow(clippy::enum_variant_names)]
+enum Event {
+    ThinkDone(u32),
+    OpDone(u32),
+    TxnDone(u32),
+}
+
+#[derive(Debug)]
+struct ActiveTxn {
+    txn: Transaction,
+    next_op: usize,
+    started: SimTime,
+    is_read: bool,
+    token: Option<TxnToken>,
+    /// Global transaction sequence number (trace identity).
+    id: u64,
+    /// Exact response-time attribution accumulated so far.
+    span: SpanBreakdown,
+}
+
+/// Observability wiring for an engine run.
+///
+/// The default is behaviourally free: a [`NoopSink`] whose
+/// `enabled() == false` short-circuits event construction, no timeline
+/// sampling and no placement auditing, so an uninstrumented run does no
+/// observability work beyond a branch. Every observer is pure —
+/// attaching one changes no simulation result.
+pub struct ObsConfig {
+    /// Trace sink receiving every typed event, stamped in simulated time.
+    pub sink: Box<dyn TraceSink>,
+    /// When set, sample the timeline signals every this many simulated
+    /// microseconds (see [`Timeline`]).
+    pub timeline_interval_us: Option<u64>,
+    /// When set, record a [`PlacementAudit`] for every (re)cluster
+    /// decision, retaining the most recent this-many records.
+    pub audit_capacity: Option<usize>,
+    /// When true, bracket the engine's hot paths with a
+    /// [`PhaseProfiler`] and return the per-phase self costs in
+    /// [`RunObservations::profile`]. Purely observational: the simulated
+    /// results are byte-identical with profiling on or off.
+    pub profile: bool,
+}
+
+impl Default for ObsConfig {
+    fn default() -> Self {
+        ObsConfig {
+            sink: Box::new(NoopSink),
+            timeline_interval_us: None,
+            audit_capacity: None,
+            profile: false,
+        }
+    }
+}
+
+impl ObsConfig {
+    /// Wire a specific trace sink.
+    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
+        ObsConfig {
+            sink,
+            ..ObsConfig::default()
+        }
+    }
+
+    /// Enable timeline sampling at `interval_us` simulated microseconds.
+    pub fn timeline(mut self, interval_us: u64) -> Self {
+        self.timeline_interval_us = Some(interval_us);
+        self
+    }
+
+    /// Enable placement auditing, retaining the last `capacity` records.
+    pub fn audit(mut self, capacity: usize) -> Self {
+        self.audit_capacity = Some(capacity);
+        self
+    }
+
+    /// Enable hierarchical phase profiling.
+    pub fn profile(mut self) -> Self {
+        self.profile = true;
+        self
+    }
+}
+
+/// Everything the observability layer collected during one run (or,
+/// after merging, across the runs of a sweep).
+#[derive(Default)]
+pub struct RunObservations {
+    /// Final metrics-registry snapshot (counters reconcile with
+    /// [`RunReport::io`]).
+    pub metrics: MetricsSnapshot,
+    /// Sampled timeline, when sampling was enabled.
+    pub timeline: Option<Timeline>,
+    /// Retained placement audits, oldest first, when auditing was
+    /// enabled (runs are concatenated in replication order on merge).
+    pub audits: Vec<PlacementAudit>,
+    /// Per-phase self-cost profile, when profiling was enabled (runs
+    /// merge by per-stack sums, order-independently).
+    pub profile: Option<ProfileReport>,
+}
+
+impl RunObservations {
+    /// Merge another run's observations into this one. Metrics,
+    /// timelines and profiles merge order-independently; audits
+    /// concatenate.
+    pub fn absorb(&mut self, other: RunObservations) {
+        self.metrics.merge(&other.metrics);
+        match (&mut self.timeline, other.timeline) {
+            (Some(mine), Some(theirs)) => mine.merge(&theirs),
+            (slot @ None, Some(theirs)) => *slot = Some(theirs),
+            _ => {}
+        }
+        self.audits.extend(other.audits);
+        match (&mut self.profile, other.profile) {
+            (Some(mine), Some(theirs)) => mine.merge(&theirs),
+            (slot @ None, Some(theirs)) => *slot = Some(theirs),
+            _ => {}
+        }
+    }
+}
+
+/// Never-reset whole-run counters feeding the timeline sampler. These
+/// are kept separate from the metrics registry, which resets when the
+/// measured interval begins; the timeline spans warmup too, and its
+/// per-interval deltas must not jump backwards at that boundary.
+#[derive(Debug, Clone, Copy, Default)]
+struct TimelineCounters {
+    hits: u64,
+    misses: u64,
+    commits: u64,
+    aborts: u64,
+}
+
+#[derive(Debug, Default)]
+struct UserState {
+    txn: Option<ActiveTxn>,
+    /// Transaction blocked on locks, and when it was submitted.
+    parked: Option<(Transaction, SimTime)>,
+}
+
+impl UserState {
+    const IN_FLIGHT: &'static str =
+        "user owns a transaction in flight (op/txn events only fire for active transactions)";
+
+    fn active(&mut self) -> &mut ActiveTxn {
+        self.txn.as_mut().expect(Self::IN_FLIGHT)
+    }
+
+    fn take_active(&mut self) -> ActiveTxn {
+        self.txn.take().expect(Self::IN_FLIGHT)
+    }
+}
+
+/// The simulated OODBMS server plus its client population.
+pub struct Engine {
+    cfg: SimConfig,
+    db: Database,
+    store: StorageManager,
+    pool: BufferPool,
+    log: LogManager,
+    disks: ServerBank,
+    log_disk: FcfsServer,
+    cpu: FcfsServer,
+    layout: DiskLayout,
+    queue: EventQueue<Event>,
+    /// The client population: decides what each user submits next.
+    generator: Generator,
+    users: Vec<UserState>,
+    /// The run's one random stream, lent to the generator per call.
+    rng: SimRng,
+    weights: WeightModel,
+    locks: LockManager,
+    /// Reusable dense scoring scratch threaded through every placement
+    /// and recluster decision (DESIGN.md §14): pre-grown outside the
+    /// profiled phases so candidate scoring never allocates.
+    scratch: ScoreScratch,
+    /// Reusable hierarchical lock-request buffer for [`Self::try_lock`].
+    lock_requests: Vec<(ObjectId, LockMode)>,
+    parked_fifo: VecDeque<u32>,
+    /// Sliding window of recent transaction kinds (true = read) for the
+    /// adaptive clustering policy.
+    recent_kinds: VecDeque<bool>,
+    metrics: MetricsCollector,
+    completed: u64,
+    measuring: bool,
+    measure_start: SimTime,
+    create_seq: u64,
+    /// Reused buffer `exec_create` formats a generated base name into.
+    name_buf: String,
+    disk_service: SimDuration,
+    /// Named counters/gauges/histograms, reset at measurement start so
+    /// snapshots reconcile with [`RunReport::io`].
+    registry: MetricsRegistry,
+    /// Handles to the registry's counters.
+    counters: EngineCounters,
+    /// Reusable traversal state and result buffer for reads and (lent
+    /// to the generator) session checkouts, so neither allocates per
+    /// call.
+    walk: WalkScratch,
+    read_objects: Vec<ObjectId>,
+    /// Typed event sink (NoopSink unless the caller attached one).
+    trace: Box<dyn TraceSink>,
+    /// Fixed-interval timeline sampler (None unless enabled).
+    timeline: Option<TimelineSampler>,
+    /// Bounded placement-audit recorder (None unless enabled).
+    audit: Option<AuditSink>,
+    /// Hierarchical phase profiler (None unless enabled); pure observer.
+    profiler: Option<PhaseProfiler>,
+    /// The profiler's final report, staged by [`Self::finalize_obs`]
+    /// *before* any trace emission so the report never observes its own
+    /// export.
+    profile_report: Option<ProfileReport>,
+    /// Whole-run counters backing the timeline's per-interval deltas.
+    tl: TimelineCounters,
+    /// Global transaction sequence number.
+    txn_seq: u64,
+    /// Scratch attribution for the operation currently executing; drained
+    /// into the owning transaction's span after each operation.
+    cur_span: SpanBreakdown,
+    /// Deterministic fault-injection state (inert unless configured).
+    faults: FaultState,
+    /// Where a crash-and-recover run pulls the plug.
+    crash_point: CrashPoint,
+    /// Set when the crash point fires; the drive loop stops at the next
+    /// event boundary.
+    crash_pending: bool,
+    /// Simulation events processed (crash-point `event:K` counter).
+    events_seen: u64,
+    /// Write-transaction commits logged (crash-point `commit:K` counter).
+    commits_seen: u64,
+    /// Physical log I/Os issued (crash-point `midflush:K` counter).
+    log_flushes_seen: u64,
+    /// Tokens whose commit was acknowledged to the user (TxnDone) —
+    /// ground truth for crash-matrix verification. Only tracked with
+    /// `retain_log`.
+    acked_commits: Vec<TxnToken>,
+    /// Tokens aborted after retry exhaustion (ground truth; only
+    /// tracked with `retain_log`).
+    aborted_tokens: Vec<TxnToken>,
+    /// First few abort reasons, for the run report.
+    abort_reasons: Vec<String>,
+    /// Optional durable file-backed mirror (DESIGN.md §15). `None` in
+    /// every simulated run; each hook is then a single branch, keeping
+    /// the golden suites byte-identical.
+    mirror: Option<DurableMirror>,
+    /// Tokens whose durable commit fsync failed — must never be acked.
+    mirror_failed: Vec<TxnToken>,
+    /// Tokens that reached TxnDone but whose durable commit had failed;
+    /// the matrix verifies these are NOT required to survive recovery.
+    unacked_commits: Vec<TxnToken>,
+}
+
+impl Engine {
+    /// Build the engine: synthesise the database, lay it out under the
+    /// configured policy's history, and prime the event queue.
+    pub fn new(cfg: SimConfig) -> Self {
+        Self::with_obs(cfg, ObsConfig::default())
+    }
+
+    /// Build the engine with an attached observability configuration.
+    pub fn with_obs(cfg: SimConfig, obs: ObsConfig) -> Self {
+        let mut rng = SimRng::seed_from_u64(cfg.seed);
+        let (db, module_starts) = load::build_database(&cfg, &mut rng);
+        let weights = match cfg.hints {
+            HintPolicy::UserHints => WeightModel::with_hint(cfg.session_hint),
+            HintPolicy::NoHints => WeightModel::no_hints(),
+        };
+        let store = load::load_database(&cfg, &db, &module_starts, &weights, &mut rng);
+        let log = if cfg.retain_log {
+            LogManager::with_retention(cfg.log)
+        } else {
+            LogManager::new(cfg.log)
+        };
+        let mut pool = BufferPool::new(
+            cfg.buffer_pages,
+            cfg.replacement,
+            rng.below(u32::MAX as u64),
+        );
+        if let Some(boost) = cfg.context_boost_ticks {
+            pool.set_boost_amount(boost);
+        }
+        pool.ensure_page_capacity(store.page_count() + 64);
+        let disks = ServerBank::new("disk", cfg.disks as usize);
+        let log_disk = FcfsServer::new("log-disk");
+        let cpu = FcfsServer::new("cpu");
+        let layout = DiskLayout::new(cfg.disks);
+        let generator = Generator::new(cfg.workload.clone(), cfg.phases.clone(), cfg.users);
+        let users = (0..cfg.users).map(|_| UserState::default()).collect();
+        let disk_service = SimDuration::from_micros(cfg.disk.service_us());
+        let faults = FaultState::new(cfg.seed, cfg.faults.clone());
+        let scratch = ScoreScratch::with_capacity(db.object_count() + 64, store.page_count() + 64);
+        let mut locks = LockManager::new();
+        locks.ensure_object_capacity(db.object_count() + 64);
+        let queue = EventQueue::with_capacity(cfg.users as usize * 4 + 16);
+        let (registry, counters) = engine_registry();
+        let mut engine = Engine {
+            cfg,
+            db,
+            store,
+            pool,
+            log,
+            disks,
+            log_disk,
+            cpu,
+            layout,
+            queue,
+            generator,
+            users,
+            rng,
+            weights,
+            locks,
+            scratch,
+            lock_requests: Vec::with_capacity(64),
+            parked_fifo: VecDeque::new(),
+            recent_kinds: VecDeque::with_capacity(RW_WINDOW),
+            metrics: MetricsCollector::default(),
+            completed: 0,
+            measuring: false,
+            measure_start: SimTime::ZERO,
+            create_seq: 0,
+            name_buf: String::new(),
+            disk_service,
+            registry,
+            counters,
+            walk: WalkScratch::default(),
+            read_objects: Vec::with_capacity(64),
+            trace: obs.sink,
+            timeline: obs.timeline_interval_us.map(TimelineSampler::new),
+            audit: obs.audit_capacity.map(AuditSink::with_capacity),
+            profiler: obs.profile.then(PhaseProfiler::new),
+            profile_report: None,
+            tl: TimelineCounters::default(),
+            txn_seq: 0,
+            cur_span: SpanBreakdown::default(),
+            faults,
+            crash_point: CrashPoint::End,
+            crash_pending: false,
+            events_seen: 0,
+            commits_seen: 0,
+            log_flushes_seen: 0,
+            acked_commits: Vec::new(),
+            aborted_tokens: Vec::new(),
+            abort_reasons: Vec::new(),
+            mirror: None,
+            mirror_failed: Vec::new(),
+            unacked_commits: Vec::new(),
+        };
+        for u in 0..engine.cfg.users {
+            engine.generator.start_session(
+                u,
+                &engine.db,
+                &mut engine.rng,
+                &mut engine.walk,
+                &mut engine.read_objects,
+            );
+            let think = engine.rng.exp_duration(engine.cfg.think_time);
+            engine
+                .queue
+                .schedule(SimTime::ZERO + think, Event::ThinkDone(u));
+        }
+        engine
+    }
+
+    /// Immutable view of the logical database (for examples/tests).
+    pub fn database(&self) -> &Database {
+        &self.db
+    }
+
+    /// Immutable view of physical placement (for examples/tests).
+    pub fn store(&self) -> &StorageManager {
+        &self.store
+    }
+
+    /// Run to completion (warmup + measured transactions) and report.
+    pub fn run(self) -> RunReport {
+        self.run_observed().0
+    }
+
+    /// Run to completion, returning the report plus everything the
+    /// observability layer collected (metrics snapshot — its counters
+    /// reconcile with [`RunReport::io`] — timeline, placement audits).
+    pub fn run_observed(mut self) -> (RunReport, RunObservations) {
+        self.drive();
+        self.finalize_obs();
+        let report = self.report();
+        let obs = RunObservations {
+            metrics: self.registry.snapshot(),
+            timeline: self.timeline.take().map(TimelineSampler::into_timeline),
+            audits: self
+                .audit
+                .take()
+                .map(AuditSink::into_records)
+                .unwrap_or_default(),
+            profile: self.profile_report.take(),
+        };
+        (report, obs)
+    }
+
+    /// Open a profiled phase. One branch when profiling is off.
+    #[inline]
+    fn prof_enter(&mut self, phase: Phase) -> Option<PhaseToken> {
+        self.profiler.as_mut().map(|p| p.enter(phase))
+    }
+
+    /// Close a profiled phase, attributing `sim_us` of simulated self
+    /// cost to it.
+    #[inline]
+    fn prof_exit(&mut self, token: Option<PhaseToken>, sim_us: u64) {
+        if let Some(token) = token {
+            self.profiler
+                .as_mut()
+                .expect("a live token implies a live profiler")
+                .exit(token, sim_us);
+        }
+    }
+
+    /// Deliver a trace event, constructing it only when a sink listens.
+    #[inline]
+    fn emit(&mut self, event: impl FnOnce() -> TraceEvent) {
+        if self.trace.enabled() {
+            self.trace.emit(&event());
+        }
+    }
+
+    /// Stamp end-of-run utilisation gauges and flush the trace sink.
+    fn finalize_obs(&mut self) {
+        for i in 0..self.disks.len() {
+            let busy = self.disks.member(i).busy_time().as_micros();
+            self.registry
+                .set_gauge(&format!("disk.{i}.busy_us"), busy as i64);
+        }
+        self.registry.set_gauge(
+            "log_disk.busy_us",
+            self.log_disk.busy_time().as_micros() as i64,
+        );
+        self.registry
+            .set_gauge("cpu.busy_us", self.cpu.busy_time().as_micros() as i64);
+        self.registry.set_gauge(
+            "lock.wait_us",
+            self.metrics.lock_wait_time.as_micros() as i64,
+        );
+        if let Some(profiler) = self.profiler.as_mut() {
+            profiler.add_root_sim_us(self.queue.now().as_micros());
+            let report = profiler.report();
+            // Counter events ride the trace stream; the report itself is
+            // staged first so exporting it cannot perturb its numbers.
+            if self.trace.enabled() {
+                let at = self.queue.now();
+                for (path, s) in report.phases() {
+                    self.trace.emit(&TraceEvent::ProfilePhase {
+                        at,
+                        path: path.to_string(),
+                        calls: s.calls,
+                        sim_us: s.sim_us,
+                        alloc_bytes: s.alloc_bytes,
+                        allocs: s.allocs,
+                    });
+                }
+            }
+            self.profile_report = Some(report);
+        }
+        self.trace.flush();
+    }
+
+    /// Run until `point` fires (or to completion for
+    /// [`CrashPoint::End`]), simulate a server crash there, replay
+    /// recovery over the durable log, and return the full
+    /// [`CrashOutcome`] — including the engine's ground truth
+    /// (acknowledged commits, in-flight and aborted transactions) so
+    /// ACID invariants can be checked against what the clients actually
+    /// observed. Winners are exactly the committed transactions, losers
+    /// are in-flight ones whose records spilled before the crash.
+    /// Requires `cfg.retain_log`.
+    ///
+    /// A [`CrashPoint::MidFlush`] crash tears the log record that was
+    /// being written; recovery truncates it (commit is only
+    /// acknowledged after its force completes, so a torn record never
+    /// belongs to an acknowledged transaction).
+    pub fn run_and_crash_at(mut self, point: CrashPoint) -> CrashOutcome {
+        assert!(
+            self.cfg.retain_log,
+            "run_and_crash_at requires cfg.retain_log = true"
+        );
+        self.crash_point = point;
+        self.drive();
+        self.finalize_obs();
+        let report = self.report();
+        let in_flight: Vec<TxnToken> = self
+            .users
+            .iter()
+            .filter_map(|u| u.txn.as_ref().and_then(|t| t.token))
+            .collect();
+        let durable = match point {
+            CrashPoint::MidFlush(_) => self.log.crash_torn(),
+            _ => self.log.crash(),
+        };
+        let recovery = semcluster_wal::recover(&durable);
+        let file = self
+            .mirror
+            .take()
+            .map(|m| m.crash(matches!(point, CrashPoint::MidFlush(_))));
+        CrashOutcome {
+            point,
+            report,
+            durable,
+            recovery,
+            acked: self.acked_commits,
+            unacked: self.unacked_commits,
+            in_flight,
+            aborted: self.aborted_tokens,
+            events_seen: self.events_seen,
+            commits_seen: self.commits_seen,
+            log_flushes_seen: self.log_flushes_seen,
+            file,
+        }
+    }
+
+    /// Attach a durable file-backed mirror: writes the checkpoint image
+    /// of the store as laid out right now, then shadows every storage
+    /// effect for the rest of the run. Call before [`Engine::run`] or
+    /// [`Engine::run_and_crash_at`].
+    pub fn attach_mirror(&mut self, mut mirror: DurableMirror) -> Result<(), StoreError> {
+        mirror.checkpoint(&self.store)?;
+        self.mirror = Some(mirror);
+        Ok(())
+    }
+
+    /// Mirror one logical storage op (single branch when detached).
+    fn mirror_op(&mut self, token: TxnToken, op: WalOp) {
+        if let Some(m) = self.mirror.as_mut() {
+            m.op(token.raw(), op);
+        }
+    }
+
+    /// Advance the simulation to the next transaction boundary: process
+    /// events until one more transaction completes. Returns `true` when
+    /// a transaction completed and `false` when the run is over (the
+    /// configured warmup + measured target was reached). Stepping to
+    /// every boundary and then calling [`Engine::run_observed`] produces
+    /// output byte-identical to an uninterrupted run — the oracle
+    /// contract the serialized server mode is tested against.
+    pub fn step_transaction(&mut self) -> bool {
+        let before = self.completed;
+        while self.completed == before {
+            if !self.step_event() {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Transactions completed so far (warmup + measured).
+    pub fn completed_txns(&self) -> u64 {
+        self.completed
+    }
+
+    /// Total transactions the run will execute (warmup + measured).
+    pub fn target_txns(&self) -> u64 {
+        self.cfg.warmup_txns + self.cfg.measured_txns
+    }
+
+    fn report(&self) -> RunReport {
+        let now = self.queue.now();
+        let span = now - self.measure_start;
+        let mut report = RunReport::new(
+            self.cfg.label(),
+            &self.metrics,
+            self.pool.stats(),
+            self.log.stats(),
+            self.disks.mean_utilization(now),
+            self.cpu.utilization(now),
+            span,
+        );
+        report.breakdown.think_s = self.cfg.think_time.as_secs_f64();
+        report.faults_enabled = self.faults.enabled();
+        report.faults = self.faults.stats;
+        report.abort_reasons = self.abort_reasons.clone();
+        report
+    }
+}
+
+/// Run one configured simulation to completion.
+pub fn run_simulation(cfg: SimConfig) -> RunReport {
+    Engine::new(cfg).run()
+}
+
+/// Run one configured simulation with observability attached, returning
+/// the report plus everything collected (metrics, timeline, audits).
+pub fn run_simulation_observed(cfg: SimConfig, obs: ObsConfig) -> (RunReport, RunObservations) {
+    Engine::with_obs(cfg, obs).run_observed()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use semcluster_buffer::{AccessHint, PrefetchScope, ReplacementPolicy};
+    use semcluster_clustering::{ClusteringPolicy, SplitPolicy};
+    use semcluster_workload::StructureDensity;
+
+    fn tiny() -> SimConfig {
+        SimConfig {
+            database_bytes: 2 * 1024 * 1024,
+            buffer_pages: 24,
+            warmup_txns: 100,
+            measured_txns: 400,
+            ..SimConfig::default()
+        }
+    }
+
+    #[test]
+    fn run_completes_and_measures() {
+        let report = run_simulation(tiny());
+        assert_eq!(report.txns, 400);
+        assert!(report.mean_response_s > 0.0);
+        assert!(report.reads > report.writes, "rw=5 workload");
+        assert!(report.hit_ratio > 0.0 && report.hit_ratio <= 1.0);
+        assert!(report.measured_span_s > 0.0);
+    }
+
+    #[test]
+    fn same_seed_same_result() {
+        let a = run_simulation(tiny());
+        let b = run_simulation(tiny());
+        assert_eq!(a.mean_response_s, b.mean_response_s);
+        assert_eq!(a.io, b.io);
+        let c = run_simulation(tiny().with_seed(99));
+        assert_ne!(a.mean_response_s, c.mean_response_s);
+    }
+
+    #[test]
+    fn clustering_beats_no_clustering_at_high_density_high_rw() {
+        let base = SimConfig {
+            workload: semcluster_workload::WorkloadSpec::new(StructureDensity::High10, 100.0),
+            ..tiny()
+        };
+        let clustered = run_simulation(base.clone().with_clustering(ClusteringPolicy::NoLimit));
+        let scattered = run_simulation(base.with_clustering(ClusteringPolicy::NoCluster));
+        assert!(
+            clustered.mean_response_s < scattered.mean_response_s,
+            "clustered {} vs scattered {}",
+            clustered.mean_response_s,
+            scattered.mean_response_s
+        );
+    }
+
+    #[test]
+    fn clustering_coalesces_before_images() {
+        // Figure 5.5's mechanism: clustered updates of related objects
+        // share pages, so fewer before-images are logged per committed
+        // write transaction. Compare the per-commit rate (totals are
+        // diluted by the random write-transaction counts of each run).
+        let mut base = tiny();
+        base.measured_txns = 2000;
+        base.workload = semcluster_workload::WorkloadSpec::new(StructureDensity::Med5, 2.0);
+        let clustered = run_simulation(base.clone().with_clustering(ClusteringPolicy::NoLimit));
+        let scattered = run_simulation(base.with_clustering(ClusteringPolicy::NoCluster));
+        let rate =
+            |r: &crate::RunReport| r.log.before_image_ios as f64 / r.log.commits.max(1) as f64;
+        assert!(
+            rate(&clustered) < rate(&scattered),
+            "clustered {:.3} vs scattered {:.3} images/commit",
+            rate(&clustered),
+            rate(&scattered)
+        );
+    }
+
+    #[test]
+    fn context_prefetch_beats_lru_no_prefetch() {
+        let base = SimConfig {
+            workload: semcluster_workload::WorkloadSpec::new(StructureDensity::High10, 100.0),
+            clustering: ClusteringPolicy::NoLimit,
+            split: SplitPolicy::Linear,
+            ..tiny()
+        };
+        let smart = run_simulation(
+            base.clone()
+                .with_replacement(ReplacementPolicy::ContextSensitive)
+                .with_prefetch(PrefetchScope::WithinDatabase),
+        );
+        let naive = run_simulation(
+            base.with_replacement(ReplacementPolicy::Lru)
+                .with_prefetch(PrefetchScope::None),
+        );
+        assert!(
+            smart.mean_response_s < naive.mean_response_s,
+            "smart {} vs naive {}",
+            smart.mean_response_s,
+            naive.mean_response_s
+        );
+    }
+
+    #[test]
+    fn user_hints_do_not_break_runs() {
+        let mut cfg = tiny();
+        cfg.hints = HintPolicy::UserHints;
+        cfg.session_hint = AccessHint::ByConfiguration;
+        let report = run_simulation(cfg);
+        assert_eq!(report.txns, 400);
+    }
+
+    #[test]
+    fn splits_happen_under_split_policy() {
+        let mut cfg = tiny();
+        cfg.split = SplitPolicy::Linear;
+        cfg.clustering = ClusteringPolicy::NoLimit;
+        cfg.workload = semcluster_workload::WorkloadSpec::new(StructureDensity::High10, 2.0);
+        cfg.measured_txns = 800;
+        let report = run_simulation(cfg);
+        // Write-heavy high-density load on a clustered store must
+        // eventually overflow preferred pages.
+        assert!(
+            report.splits > 0,
+            "expected splits, got {:?}",
+            report.splits
+        );
+    }
+}
+
+#[cfg(test)]
+mod lock_tests {
+    use super::*;
+    use semcluster_workload::StructureDensity;
+
+    #[test]
+    fn locking_produces_waits_under_contention() {
+        // A small, write-heavy database with nearly no think time keeps
+        // all ten users concurrently active, maximising composite-lock
+        // collisions.
+        let mut cfg = SimConfig {
+            database_bytes: 256 * 1024,
+            buffer_pages: 16,
+            warmup_txns: 50,
+            measured_txns: 600,
+            ..SimConfig::default()
+        };
+        cfg.think_time = SimDuration::from_millis(100);
+        cfg.workload = semcluster_workload::WorkloadSpec::new(StructureDensity::Med5, 0.5);
+        let locked = run_simulation(cfg.clone());
+        assert!(
+            locked.lock_waits > 0,
+            "expected lock waits under contention"
+        );
+        assert!(locked.mean_lock_wait_s >= 0.0);
+        cfg.locking = false;
+        let unlocked = run_simulation(cfg);
+        assert_eq!(unlocked.lock_waits, 0);
+        // Both complete the full measured load either way.
+        assert_eq!(locked.txns, 600);
+        assert_eq!(unlocked.txns, 600);
+    }
+
+    #[test]
+    fn locking_preserves_determinism() {
+        let cfg = SimConfig {
+            database_bytes: 1024 * 1024,
+            buffer_pages: 16,
+            warmup_txns: 50,
+            measured_txns: 300,
+            ..SimConfig::default()
+        };
+        let a = run_simulation(cfg.clone());
+        let b = run_simulation(cfg);
+        assert_eq!(a.mean_response_s, b.mean_response_s);
+        assert_eq!(a.lock_waits, b.lock_waits);
+    }
+}
+
+#[cfg(test)]
+mod adaptive_tests {
+    use super::*;
+    use semcluster_clustering::ClusteringPolicy;
+    use semcluster_workload::{PhaseSchedule, StructureDensity};
+
+    fn phased(policy: ClusteringPolicy) -> SimConfig {
+        SimConfig {
+            database_bytes: 2 * 1024 * 1024,
+            buffer_pages: 24,
+            warmup_txns: 100,
+            measured_txns: 800,
+            clustering: policy,
+            phases: Some(PhaseSchedule::mosaico(StructureDensity::Med5, 80)),
+            ..SimConfig::default()
+        }
+    }
+
+    #[test]
+    fn phased_workload_runs_and_differs_from_static() {
+        let phased_report = run_simulation(phased(ClusteringPolicy::NoLimit));
+        assert_eq!(phased_report.txns, 800);
+        // The MOSAICO cycle is write-heavy on average (rw 0.52 phase), so
+        // the write count must be much higher than a static rw=46 mix.
+        assert!(
+            phased_report.writes > phased_report.txns / 10,
+            "phases should inject write-heavy intervals: {} writes",
+            phased_report.writes
+        );
+    }
+
+    #[test]
+    fn adaptive_policy_tracks_the_best_fixed_policy() {
+        let adaptive = run_simulation(phased(ClusteringPolicy::Adaptive));
+        let bounded = run_simulation(phased(ClusteringPolicy::IoLimit(2)));
+        let unbounded = run_simulation(phased(ClusteringPolicy::NoLimit));
+        let best = bounded.mean_response_s.min(unbounded.mean_response_s);
+        // Adaptive should be within 15% of the better fixed policy.
+        assert!(
+            adaptive.mean_response_s <= best * 1.15,
+            "adaptive {:.4} vs best fixed {:.4}",
+            adaptive.mean_response_s,
+            best
+        );
+    }
+}
+
+#[cfg(test)]
+mod delete_tests {
+    use super::*;
+    use semcluster_obs::{shared, AbortCause, ChromeTraceSink, RingBufferSink, SharedBuf};
+    use semcluster_workload::{StructureDensity, WorkloadSpec};
+
+    /// A write-heavy run in which half the component updates delete.
+    fn deleting() -> SimConfig {
+        let mut cfg = SimConfig {
+            database_bytes: 1024 * 1024,
+            buffer_pages: 16,
+            warmup_txns: 50,
+            measured_txns: 1500,
+            ..SimConfig::default()
+        };
+        cfg.workload = WorkloadSpec::new(StructureDensity::Med5, 2.0);
+        cfg.workload.delete_fraction = 0.5;
+        cfg
+    }
+
+    #[test]
+    fn deletions_happen_and_are_accounted() {
+        let mut engine = Engine::new(deleting());
+        engine.drive();
+        let report = engine.report();
+        assert!(
+            report.objects_deleted > 0,
+            "write-heavy load with delete_fraction=0.5 must delete"
+        );
+        // A create anchored on an object an earlier checkin deleted
+        // aborts with the typed placement error; everything else commits.
+        assert!(report.faults.txn_aborts > 0, "no create met a tombstone");
+        assert!(report
+            .abort_reasons
+            .iter()
+            .all(|r| r.contains("anchor no longer exists")));
+        assert_eq!(
+            report.txns + report.faults.txn_aborts,
+            1500,
+            "deletions must not wedge the engine"
+        );
+        let db = engine.database();
+        assert!(db.object_count() > db.objects().count());
+        for (kind, from, to) in db.graph().edges() {
+            assert!(
+                db.is_live(from) && db.is_live(to),
+                "{kind} edge {from}→{to} names a tombstone"
+            );
+        }
+    }
+
+    /// Users whose transaction the end of the run caught in flight.
+    fn in_flight(engine: &Engine) -> impl Iterator<Item = (usize, &ActiveTxn)> + '_ {
+        let users = engine.users.iter().enumerate();
+        users.filter_map(|(u, user)| Some((u, user.txn.as_ref()?)))
+    }
+
+    #[test]
+    fn every_begun_transaction_ends_exactly_once_in_the_trace() {
+        let ring = shared(RingBufferSink::with_capacity(1 << 17));
+        let mut engine = Engine::with_obs(deleting(), ObsConfig::with_sink(Box::new(ring.clone())));
+        engine.drive();
+        engine.finalize_obs();
+        let ring = ring.borrow();
+        assert_eq!(ring.total_seen(), ring.len() as u64, "ring dropped events");
+
+        let mut open = std::collections::BTreeSet::new();
+        let (mut commits, mut placement_aborts) = (0, 0);
+        for event in ring.events() {
+            match *event {
+                TraceEvent::TxnBegin { txn, .. } => assert!(open.insert(txn), "{txn} began twice"),
+                TraceEvent::TxnCommit { txn, .. } => {
+                    commits += 1;
+                    assert!(open.remove(&txn), "{txn} ended unbegun or twice");
+                }
+                TraceEvent::TxnAbort { txn, cause, .. } => {
+                    assert!(matches!(cause, AbortCause::Placement { .. }));
+                    placement_aborts += 1;
+                    assert!(open.remove(&txn), "{txn} ended unbegun or twice");
+                }
+                _ => {}
+            }
+        }
+        // The whole-run counters, not the report's: the trace spans the
+        // warmup too.
+        assert_eq!(commits, engine.tl.commits);
+        assert_eq!(placement_aborts, engine.tl.aborts);
+        assert!(engine.report().faults.txn_aborts > 0);
+        // Only what the end of the run caught in flight is still open.
+        assert!(open
+            .into_iter()
+            .eq(in_flight(&engine).map(|(_, txn)| txn.id)));
+    }
+
+    #[test]
+    fn chrome_trace_closes_every_transaction_span() {
+        let buf = SharedBuf::new();
+        let sink = ChromeTraceSink::new(buf.clone());
+        let mut engine = Engine::with_obs(deleting(), ObsConfig::with_sink(Box::new(sink)));
+        engine.drive();
+        engine.finalize_obs();
+        assert!(engine.tl.aborts > 0);
+        let text = String::from_utf8(buf.bytes()).unwrap();
+        // Per user lane: begins minus ends.
+        let mut depth = vec![0i64; engine.users.len()];
+        for line in text.lines() {
+            let step = if line.contains(r#""name":"txn","ph":"B""#) {
+                1
+            } else if line.contains(r#""name":"txn","ph":"E""#) {
+                -1
+            } else {
+                continue;
+            };
+            let tid = line
+                .split(r#""tid":"#)
+                .nth(1)
+                .expect("txn records carry a tid");
+            let tid: usize = tid[..tid.find([',', '}']).unwrap()].parse().unwrap();
+            depth[tid] += step;
+            assert!(
+                (0..=1).contains(&depth[tid]),
+                "lane {tid} nests or underflows"
+            );
+        }
+        let mut expected = vec![0i64; engine.users.len()];
+        for (u, _) in in_flight(&engine) {
+            expected[u] = 1;
+        }
+        assert_eq!(
+            depth, expected,
+            "a span is open on a lane with nothing in flight"
+        );
+    }
+}
+
+#[cfg(test)]
+mod crash_tests {
+    use super::*;
+    use semcluster_workload::StructureDensity;
+
+    #[test]
+    fn crash_recovery_matches_commit_history() {
+        let cfg = SimConfig {
+            database_bytes: 1024 * 1024,
+            buffer_pages: 16,
+            warmup_txns: 30,
+            measured_txns: 300,
+            retain_log: true,
+            ..SimConfig::default()
+        }
+        .with_workload(StructureDensity::Med5, 3.0);
+        let outcome = Engine::new(cfg).run_and_crash_at(CrashPoint::End);
+        let (report, recovery) = (outcome.report, outcome.recovery);
+        // Every winner committed; with force-on-commit nothing committed
+        // can be lost, and in-flight losers are bounded by the user count.
+        assert!(!recovery.winners.is_empty());
+        assert!(
+            recovery.losers.len() <= 10,
+            "{} losers",
+            recovery.losers.len()
+        );
+        assert!(
+            !recovery.redone.is_empty(),
+            "committed updates must be redone"
+        );
+        assert!(report.writes > 0);
+        // Redo page set is a subset of pages the store knows.
+        assert!(!recovery.dirty_pages.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "retain_log")]
+    fn run_and_crash_at_requires_retention() {
+        let cfg = SimConfig {
+            database_bytes: 512 * 1024,
+            buffer_pages: 8,
+            warmup_txns: 5,
+            measured_txns: 10,
+            ..SimConfig::default()
+        };
+        let _ = Engine::new(cfg).run_and_crash_at(CrashPoint::End);
+    }
+
+    #[test]
+    fn percentiles_are_ordered() {
+        let report = run_simulation(SimConfig {
+            database_bytes: 1024 * 1024,
+            buffer_pages: 16,
+            warmup_txns: 30,
+            measured_txns: 300,
+            ..SimConfig::default()
+        });
+        assert!(report.p50_response_s <= report.p95_response_s);
+        assert!(report.p95_response_s <= report.max_response_s + 0.011);
+        assert!(report.p50_response_s > 0.0);
+    }
+}

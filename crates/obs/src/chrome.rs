@@ -31,7 +31,7 @@
 //! Output is deterministic: same run, byte-identical trace file.
 
 use crate::json::ObjWriter;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::{AbortCause, TraceEvent, TraceSink};
 use std::io::Write;
 
 const PID_TXNS: u64 = 1;
@@ -221,11 +221,7 @@ impl<W: Write> ChromeTraceSink<W> {
                 }),
             },
             TraceEvent::TxnAbort {
-                user,
-                txn,
-                page,
-                disk,
-                ..
+                user, txn, cause, ..
             } => Record {
                 name: "txn",
                 ph: "E",
@@ -234,10 +230,15 @@ impl<W: Write> ChromeTraceSink<W> {
                 pid: PID_TXNS,
                 tid: user as u64,
                 args: args(|w| {
-                    w.u64("txn", txn)
-                        .bool("aborted", true)
-                        .u64("page", page.0 as u64)
-                        .u64("disk", disk as u64);
+                    w.u64("txn", txn).bool("aborted", true);
+                    match cause {
+                        AbortCause::Io { page, disk, .. } => {
+                            w.u64("page", page.0 as u64).u64("disk", disk as u64);
+                        }
+                        AbortCause::Placement { object } => {
+                            w.u64("object", object as u64);
+                        }
+                    }
                 }),
             },
             TraceEvent::PageRead {

@@ -45,6 +45,6 @@ pub use profile::{
 pub use serve_timeline::{ServePoint, ServeTimeline};
 pub use timeline::{Timeline, TimelinePoint, TimelineSample, TimelineSampler};
 pub use trace::{
-    shared, FaultOp, FlushCause, JsonlSink, LogFlushKind, NoopSink, ReadCause, RingBufferSink,
-    SharedBuf, SharedSink, SyncBuf, TraceEvent, TraceSink,
+    shared, AbortCause, FaultOp, FlushCause, JsonlSink, LogFlushKind, NoopSink, ReadCause,
+    RingBufferSink, SharedBuf, SharedSink, SyncBuf, TraceEvent, TraceSink,
 };

@@ -95,6 +95,26 @@ impl FaultOp {
     }
 }
 
+/// Why a transaction aborted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AbortCause {
+    /// A page I/O exhausted its retry budget.
+    Io {
+        /// The I/O kind that exhausted its retries.
+        op: FaultOp,
+        /// Page whose I/O failed.
+        page: PageId,
+        /// Disk that failed.
+        disk: u32,
+    },
+    /// No feasible placement: the object (for a create on a deleted
+    /// anchor, the anchor) could not be placed.
+    Placement {
+        /// The object the placement concerned.
+        object: u32,
+    },
+}
+
 /// One observable moment of the simulation. All `at` fields are
 /// simulated time; `done` fields are the completion times the FCFS
 /// servers computed for the corresponding physical I/O.
@@ -274,7 +294,8 @@ pub enum TraceEvent {
         /// Stall length in simulated µs.
         stall_us: u64,
     },
-    /// A transaction aborted after exhausting its I/O retry budget.
+    /// A transaction aborted. Every [`TraceEvent::TxnBegin`] is closed
+    /// by exactly one of this and [`TraceEvent::TxnCommit`].
     TxnAbort {
         /// Abort time.
         at: SimTime,
@@ -282,12 +303,8 @@ pub enum TraceEvent {
         user: u32,
         /// Global transaction sequence number.
         txn: u64,
-        /// The I/O kind that exhausted its retries.
-        op: FaultOp,
-        /// Page whose I/O failed.
-        page: PageId,
-        /// Disk that failed.
-        disk: u32,
+        /// What made it abort.
+        cause: AbortCause,
     },
     /// The engine crossed a graceful-degradation boundary.
     Degrade {
@@ -503,18 +520,19 @@ impl TraceEvent {
                 w.u64("stall_us", stall_us);
             }
             TraceEvent::TxnAbort {
-                user,
-                txn,
-                op,
-                page,
-                disk,
-                ..
+                user, txn, cause, ..
             } => {
-                w.u64("user", user as u64)
-                    .u64("txn", txn)
-                    .str("op", op.as_str())
-                    .u64("page", page.0 as u64)
-                    .u64("disk", disk as u64);
+                w.u64("user", user as u64).u64("txn", txn);
+                match cause {
+                    AbortCause::Io { op, page, disk } => {
+                        w.str("op", op.as_str())
+                            .u64("page", page.0 as u64)
+                            .u64("disk", disk as u64);
+                    }
+                    AbortCause::Placement { object } => {
+                        w.str("op", "placement").u64("object", object as u64);
+                    }
+                }
             }
             TraceEvent::Degrade { entered, .. } => {
                 w.bool("entered", entered);
@@ -760,6 +778,29 @@ mod tests {
         assert_eq!(
             j,
             r#"{"t":100,"ev":"page_read","page":7,"disk":2,"cause":"demand","done":130}"#
+        );
+    }
+
+    #[test]
+    fn abort_json_shape_per_cause() {
+        let abort = |cause| TraceEvent::TxnAbort {
+            at: SimTime::from_micros(9),
+            user: 3,
+            txn: 41,
+            cause,
+        };
+        let io = AbortCause::Io {
+            op: FaultOp::Write,
+            page: PageId(7),
+            disk: 2,
+        };
+        assert_eq!(
+            abort(io).to_json(),
+            r#"{"t":9,"ev":"txn_abort","user":3,"txn":41,"op":"write","page":7,"disk":2}"#
+        );
+        assert_eq!(
+            abort(AbortCause::Placement { object: 12 }).to_json(),
+            r#"{"t":9,"ev":"txn_abort","user":3,"txn":41,"op":"placement","object":12}"#
         );
     }
 

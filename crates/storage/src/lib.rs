@@ -26,7 +26,6 @@
 pub mod codec;
 mod disk;
 mod filestore;
-mod fsm;
 mod page;
 mod pagestore;
 mod store;
@@ -39,7 +38,6 @@ pub use disk::{DiskLayout, DiskParams};
 pub use filestore::{
     read_wal, recover_dir, FilePageStore, FileRecoveryOutcome, RecoveredPage, PAGES_FILE, WAL_FILE,
 };
-pub use fsm::FreeSpaceMap;
 pub use page::{Page, PageError, PageId, DEFAULT_PAGE_BYTES, PAGE_OVERHEAD_BYTES};
 pub use pagestore::{MemPageStore, PageStore, StoreError};
 pub use store::{StorageError, StorageManager};

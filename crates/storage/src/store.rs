@@ -89,6 +89,16 @@ impl StorageManager {
         self.dir.get(object.index()).copied().flatten()
     }
 
+    /// The recorded size of a placed object.
+    pub fn size_of(&self, object: ObjectId) -> Option<u32> {
+        let page = self.page_of(object)?;
+        self.pages[page.index()]
+            .objects()
+            .iter()
+            .find(|&&(o, _)| o == object)
+            .map(|&(_, size)| size)
+    }
+
     /// Whether two objects share a page.
     pub fn co_resident(&self, a: ObjectId, b: ObjectId) -> bool {
         match (self.page_of(a), self.page_of(b)) {
@@ -115,20 +125,7 @@ impl StorageManager {
     /// no-clustering baseline. Allocates a new page when the current one
     /// cannot hold the object.
     pub fn append(&mut self, object: ObjectId, size: u32) -> Result<PageId, StorageError> {
-        if let Some(existing) = self.page_of(object) {
-            return Err(StorageError::AlreadyPlaced(object, existing));
-        }
-        let target = match self.append_cursor {
-            Some(pid) if self.pages[pid.index()].fits(size) => pid,
-            _ => {
-                let pid = self.allocate_page();
-                self.append_cursor = Some(pid);
-                pid
-            }
-        };
-        self.pages[target.index()].insert(object, size)?;
-        self.set_dir(object, Some(target));
-        Ok(target)
+        self.append_reserving(object, size, 0)
     }
 
     /// Like [`StorageManager::append`] but opens a fresh page once the
@@ -184,12 +181,7 @@ impl StorageManager {
         if from == to {
             return Ok(from);
         }
-        let size = self.pages[from.index()]
-            .objects()
-            .iter()
-            .find(|&&(o, _)| o == object)
-            .map(|&(_, s)| s)
-            .expect("directory and page agree");
+        let size = self.size_of(object).expect("directory and page agree");
         // Check destination first so failure leaves the source intact.
         self.pages[to.index()].insert(object, size)?;
         self.pages[from.index()]
@@ -315,6 +307,24 @@ mod tests {
         assert_eq!(s.page_of(o(3)), None);
         assert_eq!(s.page(page).unwrap().used(), 0);
         assert_eq!(s.remove(o(3)), Err(StorageError::NotPlaced(o(3))));
+    }
+
+    #[test]
+    fn size_of_follows_the_object() {
+        let mut s = store();
+        assert_eq!(s.size_of(o(1)), None, "never placed");
+        let p0 = s.append(o(1), 100).unwrap();
+        s.append(o(2), 250).unwrap();
+        assert_eq!(s.size_of(o(1)), Some(100));
+        assert_eq!(s.size_of(o(2)), Some(250));
+        s.resize(o(1), 180).unwrap();
+        assert_eq!(s.size_of(o(1)), Some(180));
+        let p1 = s.allocate_page();
+        assert_eq!(s.move_object(o(2), p1).unwrap(), p0);
+        assert_eq!(s.size_of(o(2)), Some(250), "a move keeps the size");
+        s.remove(o(2)).unwrap();
+        assert_eq!(s.size_of(o(2)), None, "removed");
+        assert_eq!(s.size_of(o(99)), None, "beyond the directory");
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //!
 //! * the seven engineering-DB query types ([`QueryKind`]),
 //! * workload characterisation by structure density and read/write ratio
-//!   ([`StructureDensity`], [`WorkloadSpec`]),
-//! * sessions of 5–20 transactions with checkout/checkin macros
-//!   ([`Session`], [`checkout`], [`checkin`]),
-//! * stochastic transaction generation against a live database
-//!   ([`gen_transaction`]),
+//!   ([`StructureDensity`], [`WorkloadSpec`]), optionally phased
+//!   ([`PhaseSchedule`]), and the synthetic database a density implies
+//!   ([`StructureDensity::database_spec`]),
+//! * the transaction vocabulary ([`Transaction`], [`TxnOp`]) and the one
+//!   way to produce it: a [`Generator`] holding each user's session of
+//!   5–20 transactions and its working set, which the engine asks for
+//!   the next transaction and then executes — the generator is the
+//!   "users" box of Figure 4.1, the engine everything behind it,
 //! * OCT tool profiles ([`oct_tools`]) encoding Figures 3.2–3.4, a
 //!   synthetic trace generator ([`generate_trace`]) and the analyzer
 //!   ([`analyze`]) that recovers those figures from a trace.
@@ -24,14 +27,10 @@ mod session;
 mod spec;
 pub mod trace;
 
-pub use generator::{
-    gen_read, gen_transaction, gen_write, pick_object, sample_read_kind, sample_write_shape,
-};
+pub use generator::Generator;
 pub use oct::{oct_tools, ToolProfile};
 pub use phases::PhaseSchedule;
 pub use query::QueryKind;
-pub use session::{
-    checkin, checkout, sample_session_length, CreateMode, Session, Transaction, TxnOp,
-};
+pub use session::{CreateMode, Transaction, TxnOp};
 pub use spec::{StructureDensity, WorkloadSpec};
 pub use trace::{analyze, generate_invocation, generate_trace, Invocation, ToolStats, TraceOp};

@@ -1,11 +1,12 @@
-//! Sessions and transactions.
+//! Transactions and session length.
 //!
 //! §4.1: "every object read and write operation is a transaction.
 //! Furthermore, a user session is composed of 5 to 20 transactions with
-//! various read/write ratios." Checkout/checkin are macros over the seven
-//! query types: a checkout is several component retrievals plus one
-//! corresponding-object retrieval; a checkin is some insertions and
-//! updates.
+//! various read/write ratios." A read transaction is one query of types
+//! 1–6; a write transaction is a checkin — "some object insertions and
+//! updating", query type 7 — under one commit. [`TxnOp`] is the whole
+//! vocabulary: what [`crate::Generator`] emits is what the engine
+//! executes.
 
 use crate::query::QueryKind;
 use crate::spec::WorkloadSpec;
@@ -32,6 +33,12 @@ pub enum TxnOp {
     /// Update an existing object in place.
     Update {
         /// The object being updated.
+        target: ObjectId,
+    },
+    /// Delete an existing object (a checkin dropping an obsolete
+    /// component).
+    Delete {
+        /// The object being deleted.
         target: ObjectId,
     },
 }
@@ -61,62 +68,8 @@ impl Transaction {
     }
 }
 
-/// A user session: 5–20 transactions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Session {
-    /// The transactions, in submission order.
-    pub transactions: Vec<Transaction>,
-}
-
-impl Session {
-    /// Count of read transactions.
-    pub fn reads(&self) -> usize {
-        self.transactions.iter().filter(|t| t.is_read()).count()
-    }
-
-    /// Count of write transactions.
-    pub fn writes(&self) -> usize {
-        self.transactions.len() - self.reads()
-    }
-}
-
-/// Build a checkout macro: `components` component retrievals plus one
-/// corresponding-objects retrieval, all rooted at `root` (§4.1).
-pub fn checkout(root: ObjectId, components: usize) -> Vec<Transaction> {
-    let mut txns = Vec::with_capacity(components + 1);
-    for _ in 0..components {
-        txns.push(Transaction {
-            ops: vec![TxnOp::Read {
-                kind: QueryKind::CompositeRetrieval,
-                root,
-            }],
-        });
-    }
-    txns.push(Transaction {
-        ops: vec![TxnOp::Read {
-            kind: QueryKind::CorrespondentRetrieval,
-            root,
-        }],
-    });
-    txns
-}
-
-/// Build a checkin macro: one transaction inserting `inserts` new
-/// components under `anchor` and updating the anchor (§4.1).
-pub fn checkin(anchor: ObjectId, inserts: usize) -> Transaction {
-    let mut ops = Vec::with_capacity(inserts + 1);
-    for _ in 0..inserts {
-        ops.push(TxnOp::Create {
-            anchor,
-            mode: CreateMode::NewComponent,
-        });
-    }
-    ops.push(TxnOp::Update { target: anchor });
-    Transaction { ops }
-}
-
 /// Sample the number of transactions in a session from the spec's range.
-pub fn sample_session_length(spec: &WorkloadSpec, rng: &mut SimRng) -> u32 {
+pub(crate) fn sample_session_length(spec: &WorkloadSpec, rng: &mut SimRng) -> u32 {
     rng.range_inclusive(spec.session_txns.0 as u64, spec.session_txns.1 as u64) as u32
 }
 
@@ -124,37 +77,6 @@ pub fn sample_session_length(spec: &WorkloadSpec, rng: &mut SimRng) -> u32 {
 mod tests {
     use super::*;
     use crate::spec::StructureDensity;
-
-    #[test]
-    fn checkout_shape() {
-        let txns = checkout(ObjectId(3), 4);
-        assert_eq!(txns.len(), 5);
-        assert!(txns.iter().all(|t| t.is_read()));
-        assert!(matches!(
-            txns[4].ops[0],
-            TxnOp::Read {
-                kind: QueryKind::CorrespondentRetrieval,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn checkin_shape() {
-        let txn = checkin(ObjectId(7), 3);
-        assert_eq!(txn.ops.len(), 4);
-        assert!(!txn.is_read());
-        assert!(matches!(txn.ops[3], TxnOp::Update { .. }));
-    }
-
-    #[test]
-    fn session_counts() {
-        let s = Session {
-            transactions: vec![checkout(ObjectId(1), 1).remove(0), checkin(ObjectId(1), 1)],
-        };
-        assert_eq!(s.reads(), 1);
-        assert_eq!(s.writes(), 1);
-    }
 
     #[test]
     fn session_length_in_spec_range() {

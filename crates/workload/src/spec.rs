@@ -2,6 +2,7 @@
 //! (Table 4.1, parameters F and G).
 
 use semcluster_sim::SimRng;
+use semcluster_vdm::SyntheticDbSpec;
 use std::fmt;
 
 /// Structure-density operating levels. "Low-3 means every structural
@@ -37,6 +38,42 @@ impl StructureDensity {
             StructureDensity::Low3 => (1, 3),
             StructureDensity::Med5 => (4, 9),
             StructureDensity::High10 => (10, 15),
+        }
+    }
+
+    /// The synthetic database a workload at this density runs against:
+    /// two representations of configuration trees whose composites fan
+    /// out over [`Self::fanout_range`], deep enough that low-density
+    /// trees are still worth navigating, in as many modules as bring the
+    /// expected population to `target_objects`.
+    pub fn database_spec(self, target_objects: u64, seed: u64) -> SyntheticDbSpec {
+        let fanout = self.fanout_range();
+        let depth = match self {
+            StructureDensity::Low3 => 6,
+            StructureDensity::Med5 => 3,
+            StructureDensity::High10 => 2,
+        };
+        let representations = vec!["layout".to_string(), "netlist".to_string()];
+        let version_prob = 0.2;
+        // Expected nodes of one configuration tree, then of one module:
+        // a tree per representation plus the derived versions.
+        let mean_fanout = (fanout.0 + fanout.1) as f64 / 2.0;
+        let mut tree_nodes = 1.0;
+        let mut level = 1.0;
+        for _ in 0..depth {
+            level *= mean_fanout;
+            tree_nodes += level;
+        }
+        let per_module = tree_nodes * representations.len() as f64 * (1.0 + version_prob);
+        SyntheticDbSpec {
+            modules: ((target_objects as f64 / per_module).round() as usize).max(1),
+            depth,
+            fanout,
+            representations,
+            correspondence_prob: 0.5,
+            version_prob,
+            body_bytes: (64, 512),
+            seed,
         }
     }
 
@@ -147,6 +184,26 @@ mod tests {
             let f = StructureDensity::High10.sample_fanout(&mut rng);
             assert!(f >= 10);
         }
+    }
+
+    #[test]
+    fn database_spec_sizes_to_the_target() {
+        for density in StructureDensity::ALL {
+            let spec = density.database_spec(20_000, 7);
+            assert_eq!(spec.fanout, density.fanout_range());
+            assert_eq!(spec.seed, 7);
+            let (db, stats) = spec.build();
+            assert_eq!(stats.module_starts.len(), spec.modules);
+            // The module count is sized from expected tree sizes; the
+            // deep low-density trees vary the most around them.
+            let built = db.object_count() as f64;
+            assert!(
+                (built / 20_000.0 - 1.0).abs() < 0.2,
+                "{density}: {built} objects for a 20 000 target"
+            );
+        }
+        // A target below one module still builds one.
+        assert_eq!(StructureDensity::High10.database_spec(1, 7).modules, 1);
     }
 
     #[test]

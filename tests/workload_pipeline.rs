@@ -2,10 +2,9 @@
 //! the transaction generator against a synthetic database.
 
 use semcluster_sim::SimRng;
-use semcluster_vdm::SyntheticDbSpec;
+use semcluster_vdm::{SyntheticDbSpec, WalkScratch};
 use semcluster_workload::{
-    analyze, gen_transaction, generate_trace, oct_tools, QueryKind, StructureDensity, TxnOp,
-    WorkloadSpec,
+    analyze, generate_trace, oct_tools, Generator, QueryKind, StructureDensity, TxnOp, WorkloadSpec,
 };
 
 #[test]
@@ -61,10 +60,18 @@ fn generated_transactions_are_executable_against_db() {
     let (db, _) = SyntheticDbSpec::default().build();
     let spec = WorkloadSpec::new(StructureDensity::Med5, 5.0);
     let mut rng = SimRng::seed_from_u64(3);
+    let mut generator = Generator::new(spec, None, 1);
+    generator.start_session(
+        0,
+        &db,
+        &mut rng,
+        &mut WalkScratch::default(),
+        &mut Vec::new(),
+    );
     let mut reads = 0usize;
     let mut writes = 0usize;
-    for _ in 0..2000 {
-        let txn = gen_transaction(&db, &spec, &mut rng);
+    for completed in 0..2000 {
+        let txn = generator.next_transaction(0, completed, &db, &mut rng);
         assert!(!txn.ops.is_empty());
         if txn.is_read() {
             reads += 1;
@@ -81,7 +88,7 @@ fn generated_transactions_are_executable_against_db() {
                 TxnOp::Create { anchor, .. } => {
                     assert!(anchor.index() < db.object_count());
                 }
-                TxnOp::Update { target } => {
+                TxnOp::Update { target } | TxnOp::Delete { target } => {
                     assert!(target.index() < db.object_count());
                 }
             }
