@@ -74,13 +74,17 @@ echo "determinism guard: OK (no raw HashMap/HashSet in simulation state)"
 # argument (now_ms / microsecond stamps) and randomness only as a keyed
 # hash of (seed, coordinates). The impure server/load modules own the
 # real clocks and sockets; wall-clock reads on the serve path are
-# confined to server.rs and load.rs.
+# confined to server.rs and load.rs. crates/obs/src/metrics.rs is on the
+# list because the log₂ histogram — bucket math, quantile bound and the
+# atomic cell stats.rs records into — lives there, and the stats golden
+# replays it byte-exactly.
 pure=(
     crates/core/src/serve/protocol.rs
     crates/core/src/serve/session.rs
     crates/core/src/serve/admission.rs
     crates/core/src/serve/stats.rs
     crates/core/src/serve/slo.rs
+    crates/obs/src/metrics.rs
     crates/faults/src/netchaos.rs
 )
 impure_hits=$(grep -n -E 'Instant::now|SystemTime::now|thread_rng|rand::random' "${pure[@]}" || true)
@@ -91,4 +95,4 @@ if [ -n "$impure_hits" ]; then
     echo "keyed hash of (seed, coordinates) instead." >&2
     exit 1
 fi
-echo "determinism guard: OK (serve FSM/protocol/admission/stats/slo/chaos are clock- and RNG-free)"
+echo "determinism guard: OK (serve FSM/protocol/admission/stats/slo/chaos and the obs histogram are clock- and RNG-free)"

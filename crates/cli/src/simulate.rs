@@ -389,9 +389,9 @@ fn simulate_instrumented(args: &Args, cfg: SimConfig) -> Result<String, CliError
     let mut out = String::new();
     match args.get("metrics") {
         Some("json") => {
-            // Report + registry snapshot in one parseable object, so the
-            // per-category counters can be reconciled against the I/O
-            // breakdown they mirror. The profile section holds only
+            // Report + registry snapshot in one parseable object: the
+            // per-category counters beside the I/O breakdown that is
+            // read from them. The profile section holds only
             // deterministic counters (wall clock stays on stderr).
             out.push_str("{\"report\":");
             out.push_str(&report.to_json());

@@ -15,7 +15,9 @@ use std::time::Duration;
 
 use crate::args::Args;
 use crate::error::CliError;
-use semcluster::serve::{read_frame, write_frame, Request, Response, ServeError, STATS_SCHEMA};
+use semcluster::serve::{
+    read_frame, write_frame, Request, Response, ServeError, COUNTER_NAMES, STATS_SCHEMA,
+};
 
 /// Extract a `"key":<number>` field from a snapshot's JSON text.
 fn json_num_field(line: &str, key: &str) -> Option<f64> {
@@ -43,16 +45,6 @@ struct TopSample {
     shed_ppm: u64,
 }
 
-/// Error-counter keys summed into the `errors` column.
-const ERR_KEYS: [&str; 6] = [
-    "err.overloaded",
-    "err.deadline",
-    "err.malformed",
-    "err.shutting_down",
-    "err.retry_exhausted",
-    "err.internal",
-];
-
 impl TopSample {
     fn parse(json: &str) -> TopSample {
         let field = |key: &str| json_num_field(json, key).unwrap_or(0.0) as u64;
@@ -62,7 +54,12 @@ impl TopSample {
         TopSample {
             uptime_ms: field("uptime_ms"),
             txn_ok: field("txn_ok"),
-            errors: ERR_KEYS.iter().map(|k| field(k)).sum(),
+            // Every typed-error counter, as the SLO tracker sums them.
+            errors: COUNTER_NAMES
+                .iter()
+                .filter(|name| name.starts_with("err."))
+                .map(|name| field(name))
+                .sum(),
             queue_depth: field("queue_depth"),
             sessions_live: field("sessions_live"),
             draining: field("draining"),

@@ -148,12 +148,10 @@ impl Engine {
                 let wait = end.since(read_issued).as_micros();
                 match cause {
                     ReadCause::Demand => {
-                        self.metrics.io.data_reads += 1;
                         self.registry.bump(self.counters.io_read_demand);
                         self.cur_span.data_read_us += wait;
                     }
                     ReadCause::ClusterSearch => {
-                        self.metrics.io.cluster_search_ios += 1;
                         self.registry
                             .bump(self.counters.cluster_search_candidate_io);
                         self.cur_span.cluster_search_us += wait;
@@ -211,11 +209,9 @@ impl Engine {
         let done = outcome?;
         match cause {
             FlushCause::Evict => {
-                self.metrics.io.dirty_writebacks += 1;
                 self.registry.bump(self.counters.buffer_evict_dirty);
             }
             FlushCause::Split => {
-                self.metrics.io.split_ios += 1;
                 self.registry.bump(self.counters.split_io);
             }
             FlushCause::Prefetch => unreachable!("prefetch write-backs are asynchronous"),
@@ -266,7 +262,6 @@ impl Engine {
             t
         };
         let done = self.log_disk.submit(issue, self.disk_service);
-        self.metrics.io.log_ios += 1;
         self.registry.bump(match kind {
             LogFlushKind::BeforeImage => self.counters.wal_flush_before_image,
             LogFlushKind::Full => self.counters.wal_flush_full,
@@ -371,7 +366,6 @@ impl Engine {
             let d = self.layout.disk_of(page) as usize;
             let service = self.disk_service.times(self.faults.disk_mult(d as u32));
             let done = self.disks.submit_to(d, t, service);
-            self.metrics.io.prefetch_ios += 1;
             self.registry.bump(self.counters.prefetch_io);
             self.emit(|| TraceEvent::PrefetchIo {
                 at: t,

@@ -124,7 +124,6 @@ impl Engine {
             // Conservative pre-declaration failed: park until a release.
             self.users[u as usize].parked = Some((txn, now));
             self.parked_fifo.push_back(u);
-            self.metrics.lock_waits += 1;
             self.registry.bump(self.counters.lock_wait);
             self.emit(|| TraceEvent::LockWait { at: now, user: u });
             return;
@@ -386,8 +385,8 @@ impl Engine {
         self.measuring = true;
         self.measure_start = now;
         self.metrics = MetricsCollector::default();
-        // Counters restart with the measured interval so the final
-        // snapshot reconciles with the RunReport's I/O breakdown.
+        // Counters restart with the measured interval: the RunReport
+        // reads its I/O breakdown from them.
         self.registry.reset();
         self.pool.reset_stats();
         self.log.reset_stats();

@@ -305,7 +305,6 @@ impl Engine {
                         );
                     }
                 }
-                self.metrics.splits += 1;
                 self.registry.bump(self.counters.cluster_split);
                 self.emit(|| TraceEvent::Split {
                     at: t,
@@ -425,7 +424,6 @@ impl Engine {
                             to: plan.to.0,
                         },
                     );
-                    self.metrics.recluster_moves += 1;
                     self.registry.bump(self.counters.cluster_recluster_move);
                     self.emit(|| TraceEvent::ReclusterMove {
                         at: t,

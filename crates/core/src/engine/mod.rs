@@ -45,7 +45,7 @@ mod load;
 use crate::config::SimConfig;
 use crate::crash::CrashOutcome;
 use crate::durable::DurableMirror;
-use crate::metrics::{MetricsCollector, RunReport, SpanBreakdown};
+use crate::metrics::{EventCounts, IoBreakdown, MetricsCollector, RunReport, SpanBreakdown};
 use semcluster_buffer::BufferPool;
 use semcluster_clustering::{HintPolicy, ScoreScratch, WeightModel};
 use semcluster_faults::{CrashPoint, FaultState, IoOp};
@@ -228,8 +228,8 @@ impl ObsConfig {
 /// after merging, across the runs of a sweep).
 #[derive(Default)]
 pub struct RunObservations {
-    /// Final metrics-registry snapshot (counters reconcile with
-    /// [`RunReport::io`]).
+    /// Final metrics-registry snapshot ([`RunReport::io`] is read from
+    /// these counters).
     pub metrics: MetricsSnapshot,
     /// Sampled timeline, when sampling was enabled.
     pub timeline: Option<Timeline>,
@@ -330,8 +330,9 @@ pub struct Engine {
     /// Reused buffer `exec_create` formats a generated base name into.
     name_buf: String,
     disk_service: SimDuration,
-    /// Named counters/gauges/histograms, reset at measurement start so
-    /// snapshots reconcile with [`RunReport::io`].
+    /// Named counters/gauges/histograms, reset at measurement start.
+    /// The only count of each engine event: [`Self::report`] reads
+    /// [`RunReport::io`] and the split/move/lock-wait totals from here.
     registry: MetricsRegistry,
     /// Handles to the registry's counters.
     counters: EngineCounters,
@@ -519,8 +520,8 @@ impl Engine {
     }
 
     /// Run to completion, returning the report plus everything the
-    /// observability layer collected (metrics snapshot — its counters
-    /// reconcile with [`RunReport::io`] — timeline, placement audits).
+    /// observability layer collected (metrics snapshot — the counters
+    /// [`RunReport::io`] is read from — timeline, placement audits).
     pub fn run_observed(mut self) -> (RunReport, RunObservations) {
         self.drive();
         self.finalize_obs();
@@ -701,12 +702,31 @@ impl Engine {
         self.cfg.warmup_txns + self.cfg.measured_txns
     }
 
+    /// Assemble the run report. Event totals are read off the registry
+    /// — the engine's one ledger — so the report and a `--metrics`
+    /// snapshot cannot disagree (DESIGN.md §9.2 is this mapping).
     fn report(&self) -> RunReport {
         let now = self.queue.now();
         let span = now - self.measure_start;
+        let c = &self.counters;
+        let n = |id| self.registry.value(id);
+        let events = EventCounts {
+            io: IoBreakdown {
+                data_reads: n(c.io_read_demand),
+                dirty_writebacks: n(c.buffer_evict_dirty),
+                log_ios: n(c.wal_flush_before_image) + n(c.wal_flush_full) + n(c.wal_flush_commit),
+                cluster_search_ios: n(c.cluster_search_candidate_io),
+                prefetch_ios: n(c.prefetch_io),
+                split_ios: n(c.split_io),
+            },
+            splits: n(c.cluster_split),
+            recluster_moves: n(c.cluster_recluster_move),
+            lock_waits: n(c.lock_wait),
+        };
         let mut report = RunReport::new(
             self.cfg.label(),
             &self.metrics,
+            events,
             self.pool.stats(),
             self.log.stats(),
             self.disks.mean_utilization(now),

@@ -45,7 +45,9 @@ pub use crash::{
 pub use durable::{DurableMirror, FileCrashArtifacts, MirrorStats};
 pub use engine::{run_simulation, run_simulation_observed, Engine, ObsConfig, RunObservations};
 pub use error::EngineError;
-pub use metrics::{IoBreakdown, MetricsCollector, ResponseBreakdown, RunReport, SpanBreakdown};
+pub use metrics::{
+    EventCounts, IoBreakdown, MetricsCollector, ResponseBreakdown, RunReport, SpanBreakdown,
+};
 pub use presets::{
     buffering_study_base, clustering_study_base, figure_5_11_combos, workload_from_label,
 };

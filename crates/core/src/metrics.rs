@@ -35,6 +35,22 @@ impl IoBreakdown {
     }
 }
 
+/// The event totals a [`RunReport`] reads from the engine's counter
+/// registry rather than from the [`MetricsCollector`]: each event is
+/// counted once, there (DESIGN.md §9.2 lists which counter feeds which
+/// field).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Physical-I/O breakdown.
+    pub io: IoBreakdown,
+    /// Page splits performed.
+    pub splits: u64,
+    /// Run-time recluster moves performed.
+    pub recluster_moves: u64,
+    /// Transactions that had to wait for locks.
+    pub lock_waits: u64,
+}
+
 /// Per-transaction response-time attribution in integer simulated
 /// microseconds.
 ///
@@ -137,7 +153,8 @@ impl ResponseBreakdown {
     }
 }
 
-/// Collects per-transaction observations during the measured interval.
+/// Collects per-transaction observations during the measured interval
+/// — what has no counter in the engine's registry.
 #[derive(Debug, Clone)]
 pub struct MetricsCollector {
     /// Response time of every transaction, in seconds.
@@ -148,18 +165,10 @@ pub struct MetricsCollector {
     pub read_response: OnlineStats,
     /// Response time of write transactions.
     pub write_response: OnlineStats,
-    /// I/O breakdown.
-    pub io: IoBreakdown,
-    /// Page splits performed.
-    pub splits: u64,
-    /// Run-time recluster moves performed.
-    pub recluster_moves: u64,
     /// Objects created during measurement.
     pub objects_created: u64,
     /// Objects deleted during measurement.
     pub objects_deleted: u64,
-    /// Transactions that had to wait for locks.
-    pub lock_waits: u64,
     /// Total time transactions spent waiting for locks.
     pub lock_wait_time: SimDuration,
     /// Exact response-time attribution summed over measured transactions.
@@ -175,12 +184,8 @@ impl Default for MetricsCollector {
             response_hist: Histogram::new(0.0, 10.0, 1000),
             read_response: OnlineStats::new(),
             write_response: OnlineStats::new(),
-            io: IoBreakdown::default(),
-            splits: 0,
-            recluster_moves: 0,
             objects_created: 0,
             objects_deleted: 0,
-            lock_waits: 0,
             lock_wait_time: SimDuration::ZERO,
             span_totals: SpanBreakdown::default(),
             response_us_total: 0,
@@ -276,6 +281,7 @@ impl RunReport {
     pub fn new(
         config_label: String,
         metrics: &MetricsCollector,
+        events: EventCounts,
         buffer: BufferStats,
         log: LogStats,
         disk_utilization: f64,
@@ -305,13 +311,13 @@ impl RunReport {
             } else {
                 0.0
             },
-            io: metrics.io,
+            io: events.io,
             buffer,
             hit_ratio: buffer.hit_ratio(),
             log,
             log_ios: log.total_ios(),
-            splits: metrics.splits,
-            recluster_moves: metrics.recluster_moves,
+            splits: events.splits,
+            recluster_moves: events.recluster_moves,
             objects_created: metrics.objects_created,
             objects_deleted: metrics.objects_deleted,
             span_totals: metrics.span_totals,
@@ -320,11 +326,11 @@ impl RunReport {
                 &metrics.span_totals,
                 metrics.response.count(),
             ),
-            lock_waits: metrics.lock_waits,
-            mean_lock_wait_s: if metrics.lock_waits == 0 {
+            lock_waits: events.lock_waits,
+            mean_lock_wait_s: if events.lock_waits == 0 {
                 0.0
             } else {
-                metrics.lock_wait_time.as_secs_f64() / metrics.lock_waits as f64
+                metrics.lock_wait_time.as_secs_f64() / events.lock_waits as f64
             },
             disk_utilization,
             cpu_utilization,
@@ -468,6 +474,10 @@ mod tests {
         let r = RunReport::new(
             "test".into(),
             &m,
+            EventCounts {
+                splits: 3,
+                ..EventCounts::default()
+            },
             BufferStats::default(),
             LogStats::default(),
             0.5,
@@ -475,6 +485,7 @@ mod tests {
             SimDuration::from_secs(100),
         );
         assert_eq!(r.txns, 1);
+        assert_eq!(r.splits, 3);
         assert!((r.mean_response_s - 0.05).abs() < 1e-9);
         assert_eq!(r.measured_span_s, 100.0);
         assert_eq!(r.response_us_total, 50_000);

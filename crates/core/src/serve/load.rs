@@ -47,7 +47,8 @@ pub struct LoadConfig {
     pub chaos: NetChaosConfig,
     /// Max in-flight transactions per connection.
     pub pipeline: u32,
-    /// Send a SHUTDOWN frame after the load completes (connection 0).
+    /// Send a SHUTDOWN frame (on connection 0) once every connection
+    /// has drained its replies.
     pub shutdown_after: bool,
 }
 
@@ -309,18 +310,55 @@ fn drain_replies(
     true
 }
 
-#[allow(clippy::too_many_lines)]
+/// One connection's whole life: its share of the load, then the
+/// farewell. With `shutdown_after`, "after the load completes" means the
+/// whole load: every connection arrives at a second rendezvous once its
+/// replies are drained (or it has failed — [`drive_load`]'s early
+/// returns land here too, so one failed worker cannot strand the rest),
+/// and only then does connection 0 start the server's drain. Sent any
+/// earlier, the drain closes peers that still have work and their
+/// reconnects meet a listener that has stopped accepting.
 fn conn_worker(
     cfg: &LoadConfig,
     conn_id: u32,
     rendezvous: &std::sync::Barrier,
 ) -> Result<ConnOutcome, ServeError> {
-    let plan = NetChaosPlan::new(cfg.seed, cfg.chaos);
     let mut out = ConnOutcome {
         summary: LoadSummary::default(),
         latencies_us: Vec::new(),
         completed_sessions: 0,
     };
+    let conn = drive_load(cfg, conn_id, rendezvous, &mut out);
+    if cfg.shutdown_after {
+        rendezvous.wait();
+    }
+    let mut conn = conn?;
+    let farewell = if cfg.shutdown_after && conn_id == 0 {
+        Request::Shutdown
+    } else {
+        Request::Bye
+    };
+    let _ = conn.stream.write_all(&farewell.encode().encode());
+    let _ = read_frame(&mut conn.stream);
+    // A session counts as completed when it is not missing any reply —
+    // approximate by scaling sessions by the replied fraction.
+    let replied = out.summary.attempted - out.summary.lost.min(out.summary.attempted);
+    out.completed_sessions = (u64::from(cfg.sessions_per_conn) * replied)
+        .checked_div(out.summary.attempted)
+        .unwrap_or(0);
+    Ok(out)
+}
+
+/// Connect, send this connection's transactions under the chaos plan
+/// and drain their replies; returns the connection still open.
+#[allow(clippy::too_many_lines)]
+fn drive_load(
+    cfg: &LoadConfig,
+    conn_id: u32,
+    rendezvous: &std::sync::Barrier,
+    out: &mut ConnOutcome,
+) -> Result<ClientConn, ServeError> {
+    let plan = NetChaosPlan::new(cfg.seed, cfg.chaos);
     // Rendezvous: every connection registers its sessions (HELLO)
     // before any connection sends traffic, so the server's peak
     // session gauge reflects all configured sessions being live
@@ -362,7 +400,7 @@ fn conn_worker(
                 // lost; reconnect and send this transaction normally.
                 out.summary.chaos_drops += 1;
                 let _ = conn.stream.shutdown(SockShutdown::Both);
-                reconnect(&mut conn, &mut pending, &mut out)?;
+                reconnect(&mut conn, &mut pending, out)?;
                 conn.stream.write_all(&txn)
             }
             NetAction::Stall(ms) => {
@@ -382,12 +420,12 @@ fn conn_worker(
                 let r = conn.stream.write_all(&txn);
                 let _ = conn.stream.shutdown(SockShutdown::Write);
                 if r.is_ok() {
-                    drain_replies(&mut conn, &mut pending, 0, &mut out);
+                    drain_replies(&mut conn, &mut pending, 0, out);
                 } else {
                     out.summary.lost += pending.len() as u64;
                     pending.clear();
                 }
-                reconnect(&mut conn, &mut pending, &mut out)?;
+                reconnect(&mut conn, &mut pending, out)?;
                 continue;
             }
             NetAction::Trickle => {
@@ -417,14 +455,14 @@ fn conn_worker(
                 .encode();
                 let _ = conn.stream.write_all(&junk);
                 // Expect the malformed reply, then EOF from the server.
-                drain_replies(&mut conn, &mut pending, 0, &mut out);
-                reconnect(&mut conn, &mut pending, &mut out)?;
+                drain_replies(&mut conn, &mut pending, 0, out);
+                reconnect(&mut conn, &mut pending, out)?;
                 continue;
             }
         };
         if send_result.is_err() {
             out.summary.lost += 1;
-            reconnect(&mut conn, &mut pending, &mut out)?;
+            reconnect(&mut conn, &mut pending, out)?;
             continue;
         }
         pending.push(Pending {
@@ -432,28 +470,14 @@ fn conn_worker(
             client_txn,
             sent_at: Instant::now(),
         });
-        if pending.len() >= window && !drain_replies(&mut conn, &mut pending, window - 1, &mut out)
-        {
-            reconnect(&mut conn, &mut pending, &mut out)?;
+        if pending.len() >= window && !drain_replies(&mut conn, &mut pending, window - 1, out) {
+            reconnect(&mut conn, &mut pending, out)?;
         }
     }
-    if !drain_replies(&mut conn, &mut pending, 0, &mut out) {
+    if !drain_replies(&mut conn, &mut pending, 0, out) {
         out.summary.lost += pending.len() as u64;
     }
-    if cfg.shutdown_after && conn_id == 0 {
-        let _ = conn.stream.write_all(&Request::Shutdown.encode().encode());
-        let _ = read_frame(&mut conn.stream);
-    } else {
-        let _ = conn.stream.write_all(&Request::Bye.encode().encode());
-        let _ = read_frame(&mut conn.stream);
-    }
-    // A session counts as completed when it is not missing any reply —
-    // approximate by scaling sessions by the replied fraction.
-    let replied = out.summary.attempted - out.summary.lost.min(out.summary.attempted);
-    out.completed_sessions = (u64::from(cfg.sessions_per_conn) * replied)
-        .checked_div(out.summary.attempted)
-        .unwrap_or(0);
-    Ok(out)
+    Ok(conn)
 }
 
 /// Run the configured load and aggregate per-connection outcomes.

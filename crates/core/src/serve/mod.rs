@@ -11,8 +11,9 @@
 //! * [`AdmissionControl`] is a pure hysteresis controller over queue
 //!   depth observations;
 //! * [`stats`] and [`slo`] are the live-telemetry layer — an atomic
-//!   [`ServeStats`] registry plus a clock-free sliding-window
-//!   [`SloTracker`]; both take time only as injected arguments;
+//!   [`ServeStats`] registry (one name table, `semcluster_obs`'s
+//!   histogram cells) plus a clock-free sliding-window [`SloTracker`];
+//!   both take time only as injected arguments;
 //! * [`Server`] and [`run_load`] own the threads, sockets and clocks.
 //!
 //! The simulator remains the oracle: `ServeMode::Oracle` serves a
@@ -38,8 +39,8 @@ pub use server::{ServeConfig, ServeMode, ServeReport, Server, ServerHandle};
 pub use session::{ConnFsm, ConnState, ExecResult, FsmAction, FsmInput};
 pub use slo::{SloSummary, SloTracker};
 pub use stats::{
-    HistSnapshot, RequestCounts, RequestSpans, RequestStamps, RequestTraceRecord, ServeStats,
-    StatsSnapshot, HIST_BUCKETS, SPAN_NAMES, STATS_SCHEMA,
+    RequestCounts, RequestSpans, RequestStamps, RequestTraceRecord, ServeStats, StatsSnapshot,
+    COUNTER_NAMES, SPAN_NAMES, STATS_SCHEMA,
 };
 
 /// Typed failures on the serve/load paths. Each variant maps to a

@@ -335,7 +335,8 @@ impl Request {
     }
 }
 
-/// Typed error kinds a response can carry.
+/// Typed error kinds a response can carry, in the order of their
+/// opcodes and of the `err.*` counters in `stats::COUNTER_NAMES`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
     /// Admission control shed the request (queue saturated).
@@ -362,6 +363,20 @@ impl ErrorKind {
             ErrorKind::RetryExhausted => OP_ERR_RETRY_EXHAUSTED,
             ErrorKind::Internal => OP_ERR_INTERNAL,
         }
+    }
+
+    /// The kind a typed-error response opcode carries (`None` for any
+    /// other opcode).
+    pub(crate) fn from_opcode(opcode: u8) -> Option<ErrorKind> {
+        Some(match opcode {
+            OP_ERR_OVERLOADED => ErrorKind::Overloaded,
+            OP_ERR_DEADLINE => ErrorKind::DeadlineExceeded,
+            OP_ERR_MALFORMED => ErrorKind::Malformed,
+            OP_ERR_SHUTTING_DOWN => ErrorKind::ShuttingDown,
+            OP_ERR_RETRY_EXHAUSTED => ErrorKind::RetryExhausted,
+            OP_ERR_INTERNAL => ErrorKind::Internal,
+            _ => return None,
+        })
     }
 
     /// Machine name (JSON field / log value).
@@ -537,13 +552,10 @@ impl Response {
                 json: String::from_utf8(p.get(4..).unwrap_or(&[]).to_vec())
                     .map_err(|_| ProtocolError::BadPayload("stats not UTF-8"))?,
             }),
-            OP_ERR_OVERLOADED => err(ErrorKind::Overloaded),
-            OP_ERR_DEADLINE => err(ErrorKind::DeadlineExceeded),
-            OP_ERR_MALFORMED => err(ErrorKind::Malformed),
-            OP_ERR_SHUTTING_DOWN => err(ErrorKind::ShuttingDown),
-            OP_ERR_RETRY_EXHAUSTED => err(ErrorKind::RetryExhausted),
-            OP_ERR_INTERNAL => err(ErrorKind::Internal),
-            other => Err(ProtocolError::UnknownOpcode(other)),
+            other => match ErrorKind::from_opcode(other) {
+                Some(kind) => err(kind),
+                None => Err(ProtocolError::UnknownOpcode(other)),
+            },
         }
     }
 }

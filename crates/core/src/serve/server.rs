@@ -50,10 +50,7 @@ use semcluster_vdm::ObjectId;
 use semcluster_wal::{recover, LogConfig, LogManager, TxnToken};
 
 use super::admission::AdmissionControl;
-use super::protocol::{
-    write_frame, ErrorKind, TxnOp, TxnRequest, OP_ERR_DEADLINE, OP_ERR_INTERNAL, OP_ERR_MALFORMED,
-    OP_ERR_OVERLOADED, OP_ERR_RETRY_EXHAUSTED, OP_ERR_SHUTTING_DOWN, OP_OK_HELLO, OP_OK_TXN,
-};
+use super::protocol::{write_frame, ErrorKind, TxnOp, TxnRequest, OP_OK_HELLO, OP_OK_TXN};
 use super::session::{ConnFsm, ExecResult, FsmAction, FsmInput};
 use super::slo::SloTracker;
 use super::stats::{RequestCounts, RequestStamps, RequestTraceRecord, ServeStats, StatsSnapshot};
@@ -756,15 +753,11 @@ fn conn_driver(
                             registered_sessions = u64::from(fsm.sessions());
                             shared.stats.bump_sessions(registered_sessions);
                         }
-                        OP_ERR_DEADLINE => shared.stats.record_error(ErrorKind::DeadlineExceeded),
-                        OP_ERR_MALFORMED => shared.stats.record_error(ErrorKind::Malformed),
-                        OP_ERR_OVERLOADED => shared.stats.record_error(ErrorKind::Overloaded),
-                        OP_ERR_SHUTTING_DOWN => shared.stats.record_error(ErrorKind::ShuttingDown),
-                        OP_ERR_RETRY_EXHAUSTED => {
-                            shared.stats.record_error(ErrorKind::RetryExhausted)
+                        op => {
+                            if let Some(kind) = ErrorKind::from_opcode(op) {
+                                shared.stats.record_error(kind);
+                            }
                         }
-                        OP_ERR_INTERNAL => shared.stats.record_error(ErrorKind::Internal),
-                        _ => {}
                     }
                     let wrote = write_frame(&mut stream, &frame).is_ok() && stream.flush().is_ok();
                     if wrote {

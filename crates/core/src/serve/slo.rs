@@ -12,7 +12,9 @@
 
 use std::collections::VecDeque;
 
-use super::stats::{HistSnapshot, StatsSnapshot, HIST_BUCKETS};
+use semcluster_obs::Histogram;
+
+use super::stats::StatsSnapshot;
 
 /// One tick's worth of deltas between consecutive snapshots.
 #[derive(Debug, Clone, Default)]
@@ -20,9 +22,7 @@ struct TickDelta {
     requests: u64,
     errors: u64,
     sheds: u64,
-    lat_buckets: Vec<u64>,
-    lat_count: u64,
-    lat_max_us: u64,
+    latency: Histogram,
 }
 
 /// Rolling summary over the window, embedded in snapshots and rendered
@@ -72,7 +72,7 @@ pub struct SloTracker {
     prev_txn_ok: u64,
     prev_errors: u64,
     prev_sheds: u64,
-    prev_lat: Option<HistSnapshot>,
+    prev_lat: Histogram,
     ticks: VecDeque<TickDelta>,
 }
 
@@ -84,7 +84,7 @@ impl SloTracker {
             prev_txn_ok: 0,
             prev_errors: 0,
             prev_sheds: 0,
-            prev_lat: None,
+            prev_lat: Histogram::default(),
             ticks: VecDeque::new(),
         }
     }
@@ -105,22 +105,11 @@ impl SloTracker {
         let errors = Self::errors_of(snap);
         let sheds = snap.counter("err.overloaded");
         let lat = snap.latency("total").cloned().unwrap_or_default();
-        let (prev_buckets, prev_count) = match &self.prev_lat {
-            Some(p) => (p.buckets.clone(), p.count),
-            None => (vec![0; HIST_BUCKETS], 0),
-        };
-        let mut lat_buckets = vec![0u64; HIST_BUCKETS];
-        for (b, (delta, now)) in lat_buckets.iter_mut().zip(&lat.buckets).enumerate() {
-            let was = prev_buckets.get(b).copied().unwrap_or(0);
-            *delta = now.saturating_sub(was);
-        }
         self.ticks.push_back(TickDelta {
             requests: txn_ok.saturating_sub(self.prev_txn_ok),
             errors: errors.saturating_sub(self.prev_errors),
             sheds: sheds.saturating_sub(self.prev_sheds),
-            lat_buckets,
-            lat_count: lat.count.saturating_sub(prev_count),
-            lat_max_us: lat.max_us,
+            latency: lat.since(&self.prev_lat),
         });
         while self.ticks.len() > self.window {
             self.ticks.pop_front();
@@ -128,7 +117,7 @@ impl SloTracker {
         self.prev_txn_ok = txn_ok;
         self.prev_errors = errors;
         self.prev_sheds = sheds;
-        self.prev_lat = Some(lat);
+        self.prev_lat = lat;
     }
 
     /// Fold the window into a rolling summary.
@@ -136,19 +125,12 @@ impl SloTracker {
         let mut requests = 0u64;
         let mut errors = 0u64;
         let mut sheds = 0u64;
-        let mut hist = HistSnapshot {
-            buckets: vec![0; HIST_BUCKETS],
-            ..HistSnapshot::default()
-        };
+        let mut latency = Histogram::default();
         for t in &self.ticks {
             requests += t.requests;
             errors += t.errors;
             sheds += t.sheds;
-            hist.count += t.lat_count;
-            hist.max_us = hist.max_us.max(t.lat_max_us);
-            for (b, n) in t.lat_buckets.iter().enumerate() {
-                hist.buckets[b] += n;
-            }
+            latency.merge(&t.latency);
         }
         let outcomes = requests + errors;
         let ppm = |n: u64| {
@@ -161,8 +143,8 @@ impl SloTracker {
             requests,
             errors,
             sheds,
-            p50_us: hist.quantile_bound_us(0.50),
-            p99_us: hist.quantile_bound_us(0.99),
+            p50_us: latency.quantile_bound(0.50),
+            p99_us: latency.quantile_bound(0.99),
             error_ppm: ppm(errors),
             shed_ppm: ppm(sheds),
         }
@@ -174,6 +156,7 @@ mod tests {
     use super::super::protocol::ErrorKind;
     use super::super::stats::{RequestStamps, ServeStats};
     use super::*;
+    use proptest::prelude::*;
 
     fn stamp(total_us: u64) -> RequestStamps {
         RequestStamps {
@@ -232,5 +215,36 @@ mod tests {
         }
         assert_eq!(a.summary(), b.summary());
         assert_eq!(a.summary().to_json(), b.summary().to_json());
+    }
+
+    proptest! {
+        /// Whatever the cumulative snapshots looked like, the window's
+        /// summary is the summary of its ticks' deltas merged: exactly
+        /// the observations of the last `window` ticks (under the
+        /// cumulative maximum — a maximum cannot be subtracted).
+        #[test]
+        fn a_window_summary_is_the_summary_of_its_merged_tick_deltas(
+            ticks in collection::vec(collection::vec(0u64..2_000_000, 0..6), 1..9),
+            window in 1usize..5,
+        ) {
+            let stats = ServeStats::new();
+            let mut slo = SloTracker::new(window);
+            for (i, tick) in ticks.iter().enumerate() {
+                for &us in tick {
+                    stats.record_txn_ok();
+                    stats.record_request_latency(&stamp(us));
+                }
+                slo.observe(&stats.snapshot(i as u64, false));
+                let mut merged = Histogram::default();
+                for &us in ticks[(i + 1).saturating_sub(window)..=i].iter().flatten() {
+                    merged.observe(us);
+                }
+                merged.max_us = ticks[..=i].iter().flatten().copied().max().unwrap_or(0);
+                let summary = slo.summary();
+                prop_assert_eq!(summary.requests, merged.count);
+                prop_assert_eq!(summary.p50_us, merged.quantile_bound(0.50));
+                prop_assert_eq!(summary.p99_us, merged.quantile_bound(0.99));
+            }
+        }
     }
 }

@@ -2,19 +2,21 @@
 //! versioned, byte-stable snapshot.
 //!
 //! The registry is the serve-path analog of the engine's
-//! `MetricsRegistry`: atomic per-opcode request counters, typed-error
-//! counters, gauges (sessions, queue depth, admission state) and
-//! fixed-boundary log-bucketed latency histograms. Everything in this
-//! module is **pure with respect to time and randomness** — latencies
-//! arrive as microsecond stamps taken by the (impure) server, and both
-//! renders ([`StatsSnapshot::to_json`] and
+//! `MetricsRegistry`, and one table: [`COUNTER_NAMES`], [`GAUGE_NAMES`]
+//! and [`SPAN_NAMES`] list every counter, gauge and latency phase once,
+//! in render order, and the registry is an array of atomics against each
+//! list. The latency cells are `semcluster_obs`'s log₂ histogram — the
+//! same layout, quantile routine and snapshot type the engine's registry
+//! uses. Everything in this module is **pure with respect to time and
+//! randomness** — latencies arrive as microsecond stamps taken by the
+//! (impure) server, and both renders ([`StatsSnapshot::to_json`] and
 //! [`StatsSnapshot::to_prometheus`]) are plain functions of the
 //! snapshot, so the module sits behind the CI determinism purity guard
 //! alongside the wire protocol and the connection FSM.
 //!
 //! Two stability properties the tests and the stats golden pin:
 //!
-//! * the histogram bucket layout is **fixed** ([`HIST_BUCKETS`]
+//! * the histogram bucket layout is **fixed** (`HIST_BUCKETS`
 //!   power-of-two boundaries), so a snapshot's shape never depends on
 //!   the values observed;
 //! * [`StatsSnapshot::to_json`] renders one section per line, so the
@@ -23,6 +25,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use semcluster_obs::{bucket_bound, AtomicHistogram, Histogram};
+
 use super::protocol::ErrorKind;
 
 /// Snapshot schema version, stamped into every render and carried in
@@ -30,11 +34,40 @@ use super::protocol::ErrorKind;
 /// renamed so scrapers can detect incompatible servers.
 pub const STATS_SCHEMA: u32 = 1;
 
-/// Fixed bucket count of the log-bucketed latency histograms. Bucket 0
-/// holds zero-microsecond observations; bucket `b ≥ 1` holds values in
-/// `[2^(b-1), 2^b)` µs. Bucket 39 therefore absorbs everything above
-/// ~4.6 days — no observable latency falls off the end.
-pub const HIST_BUCKETS: usize = 40;
+/// Declares an index enum beside its name list, so a counter or gauge
+/// is spelled once and an index cannot drift from its name.
+macro_rules! name_table {
+    ($(#[$doc:meta])* $NAMES:ident / $Index:ident: $($Variant:ident $name:literal),* $(,)?) => {
+        #[derive(Clone, Copy)]
+        #[allow(dead_code)] // the req.* and err.* runs are indexed by position
+        enum $Index { $($Variant),* }
+        $(#[$doc])*
+        pub const $NAMES: &[&str] = &[$($name),*];
+    };
+}
+
+name_table! {
+    /// Monotone counters, in render order: per-opcode requests (in
+    /// [`RequestCounts`] field order), typed-error replies (in
+    /// [`ErrorKind`] order), then progress.
+    COUNTER_NAMES / Counter:
+    ReqHello "req.hello", ReqTxn "req.txn", ReqReport "req.report", ReqStats "req.stats",
+    ReqPing "req.ping", ReqBye "req.bye", ReqShutdown "req.shutdown",
+    ErrOverloaded "err.overloaded", ErrDeadline "err.deadline", ErrMalformed "err.malformed",
+    ErrShuttingDown "err.shutting_down", ErrRetryExhausted "err.retry_exhausted",
+    ErrInternal "err.internal",
+    Connections "connections", Committed "committed", TxnOk "txn_ok", Acked "acked",
+    GroupCommits "group_commits", GroupForces "group_forces", GroupTxns "group_txns",
+}
+
+name_table! {
+    /// Point-in-time gauges, in render order. The last, `draining`, is
+    /// the caller's to supply at snapshot time, not the registry's.
+    GAUGE_NAMES / Gauge:
+    ConnectionsLive "connections_live", SessionsLive "sessions_live",
+    SessionsPeak "sessions_peak", QueueDepth "queue_depth",
+    AdmissionShedding "admission_shedding", Draining "draining",
+}
 
 /// The latency phases recorded per request, in render order: the total
 /// service time first, then the five attribution spans that partition
@@ -47,126 +80,6 @@ pub const SPAN_NAMES: [&str; 6] = [
     "commit_wait",
     "reply_write",
 ];
-
-/// Bucket index for a microsecond value.
-fn bucket_of(us: u64) -> usize {
-    if us == 0 {
-        0
-    } else {
-        (64 - us.leading_zeros() as usize).min(HIST_BUCKETS - 1)
-    }
-}
-
-/// Inclusive upper bound of bucket `b`, in microseconds.
-pub fn bucket_bound_us(b: usize) -> u64 {
-    if b == 0 {
-        0
-    } else if b >= 63 {
-        u64::MAX
-    } else {
-        (1u64 << b) - 1
-    }
-}
-
-/// Lock-free fixed-boundary latency histogram. Counters are relaxed:
-/// a snapshot taken concurrently with recording may be mid-update by
-/// one observation, which is fine for telemetry — the drain-time
-/// snapshot (all recorders joined) is exact.
-pub struct AtomicHistogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum_us: AtomicU64,
-    max_us: AtomicU64,
-}
-
-impl AtomicHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        AtomicHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
-            max_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&self, us: u64) {
-        self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-        self.max_us.fetch_max(us, Ordering::Relaxed);
-    }
-
-    /// Copy out the current state.
-    pub fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum_us: self.sum_us.load(Ordering::Relaxed),
-            max_us: self.max_us.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A plain copy of one histogram: always exactly [`HIST_BUCKETS`]
-/// buckets, so the rendered shape is value-independent.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistSnapshot {
-    /// Per-bucket observation counts (fixed length).
-    pub buckets: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of all observations, in microseconds.
-    pub sum_us: u64,
-    /// Largest observation, in microseconds.
-    pub max_us: u64,
-}
-
-impl HistSnapshot {
-    /// Upper bound on the `q`-quantile (bucket upper boundary, clamped
-    /// to the observed maximum). 0 when empty.
-    pub fn quantile_bound_us(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (b, n) in self.buckets.iter().enumerate() {
-            cum += n;
-            if cum >= rank {
-                return bucket_bound_us(b).min(self.max_us);
-            }
-        }
-        self.max_us
-    }
-
-    /// Compact single-line JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"count\":{},\"sum_us\":{},\"max_us\":{},\"buckets\":[",
-            self.count, self.sum_us, self.max_us
-        );
-        for (i, b) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&b.to_string());
-        }
-        out.push_str("]}");
-        out
-    }
-}
 
 /// Per-opcode request counts. The pure connection FSM owns one and
 /// increments it as frames parse; the (impure) driver diffs successive
@@ -272,13 +185,14 @@ impl RequestSpans {
     /// `(span name, µs)` pairs in [`SPAN_NAMES`] order (without the
     /// leading `total`).
     pub fn named(&self) -> [(&'static str, u64); 5] {
-        [
-            ("admission_wait", self.admission_wait_us),
-            ("lock_wait", self.lock_wait_us),
-            ("engine_exec", self.engine_exec_us),
-            ("commit_wait", self.commit_wait_us),
-            ("reply_write", self.reply_write_us),
-        ]
+        let us = [
+            self.admission_wait_us,
+            self.lock_wait_us,
+            self.engine_exec_us,
+            self.commit_wait_us,
+            self.reply_write_us,
+        ];
+        std::array::from_fn(|i| (SPAN_NAMES[i + 1], us[i]))
     }
 }
 
@@ -297,118 +211,76 @@ pub struct RequestTraceRecord {
 }
 
 /// The registry: every live-telemetry counter, gauge and histogram the
-/// server maintains. All methods are lock-free atomic updates.
+/// server maintains, one atomic per entry of [`COUNTER_NAMES`],
+/// [`GAUGE_NAMES`] (less the caller-supplied `draining`) and
+/// [`SPAN_NAMES`]. All methods are lock-free atomic updates.
 pub struct ServeStats {
-    // Per-opcode request counters (fed by RequestCounts deltas).
-    req_hello: AtomicU64,
-    req_txn: AtomicU64,
-    req_report: AtomicU64,
-    req_stats: AtomicU64,
-    req_ping: AtomicU64,
-    req_bye: AtomicU64,
-    req_shutdown: AtomicU64,
-    // Typed-error reply counters.
-    err_overloaded: AtomicU64,
-    err_deadline: AtomicU64,
-    err_malformed: AtomicU64,
-    err_shutting_down: AtomicU64,
-    err_retry_exhausted: AtomicU64,
-    err_internal: AtomicU64,
-    // Progress counters.
-    connections_total: AtomicU64,
-    committed: AtomicU64,
-    txn_ok: AtomicU64,
-    acked: AtomicU64,
-    group_commits: AtomicU64,
-    group_forces: AtomicU64,
-    group_txns: AtomicU64,
-    // Gauges.
-    connections_live: AtomicU64,
-    sessions_live: AtomicU64,
-    sessions_peak: AtomicU64,
-    queue_depth: AtomicU64,
-    admission_shedding: AtomicU64,
-    // Latency histograms: total + the five spans.
-    lat_total: AtomicHistogram,
-    lat_admission: AtomicHistogram,
-    lat_lock: AtomicHistogram,
-    lat_exec: AtomicHistogram,
-    lat_commit: AtomicHistogram,
-    lat_reply: AtomicHistogram,
+    counters: [AtomicU64; COUNTER_NAMES.len()],
+    gauges: [AtomicU64; Gauge::Draining as usize],
+    latency: [AtomicHistogram; SPAN_NAMES.len()],
 }
 
 impl ServeStats {
     /// All-zero registry.
     pub fn new() -> Self {
         ServeStats {
-            req_hello: AtomicU64::new(0),
-            req_txn: AtomicU64::new(0),
-            req_report: AtomicU64::new(0),
-            req_stats: AtomicU64::new(0),
-            req_ping: AtomicU64::new(0),
-            req_bye: AtomicU64::new(0),
-            req_shutdown: AtomicU64::new(0),
-            err_overloaded: AtomicU64::new(0),
-            err_deadline: AtomicU64::new(0),
-            err_malformed: AtomicU64::new(0),
-            err_shutting_down: AtomicU64::new(0),
-            err_retry_exhausted: AtomicU64::new(0),
-            err_internal: AtomicU64::new(0),
-            connections_total: AtomicU64::new(0),
-            committed: AtomicU64::new(0),
-            txn_ok: AtomicU64::new(0),
-            acked: AtomicU64::new(0),
-            group_commits: AtomicU64::new(0),
-            group_forces: AtomicU64::new(0),
-            group_txns: AtomicU64::new(0),
-            connections_live: AtomicU64::new(0),
-            sessions_live: AtomicU64::new(0),
-            sessions_peak: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            admission_shedding: AtomicU64::new(0),
-            lat_total: AtomicHistogram::new(),
-            lat_admission: AtomicHistogram::new(),
-            lat_lock: AtomicHistogram::new(),
-            lat_exec: AtomicHistogram::new(),
-            lat_commit: AtomicHistogram::new(),
-            lat_reply: AtomicHistogram::new(),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            gauges: std::array::from_fn(|_| AtomicU64::new(0)),
+            latency: std::array::from_fn(|_| AtomicHistogram::default()),
         }
+    }
+
+    /// Add `n` to counter `c`; returns its previous value.
+    fn add(&self, c: Counter, n: u64) -> u64 {
+        self.counters[c as usize].fetch_add(n, Ordering::SeqCst)
+    }
+
+    fn gauge(&self, g: Gauge) -> &AtomicU64 {
+        &self.gauges[g as usize]
     }
 
     /// A connection was accepted.
     pub fn conn_opened(&self) {
-        self.connections_total.fetch_add(1, Ordering::SeqCst);
-        self.connections_live.fetch_add(1, Ordering::SeqCst);
+        self.add(Counter::Connections, 1);
+        self.gauge(Gauge::ConnectionsLive)
+            .fetch_add(1, Ordering::SeqCst);
     }
 
     /// A connection closed.
     pub fn conn_closed(&self) {
-        self.connections_live.fetch_sub(1, Ordering::SeqCst);
+        self.gauge(Gauge::ConnectionsLive)
+            .fetch_sub(1, Ordering::SeqCst);
     }
 
     /// HELLO registered `n` sessions; tracks the peak.
     pub fn bump_sessions(&self, n: u64) {
-        let live = self.sessions_live.fetch_add(n, Ordering::SeqCst) + n;
-        self.sessions_peak.fetch_max(live, Ordering::SeqCst);
+        let live = self
+            .gauge(Gauge::SessionsLive)
+            .fetch_add(n, Ordering::SeqCst)
+            + n;
+        self.gauge(Gauge::SessionsPeak)
+            .fetch_max(live, Ordering::SeqCst);
     }
 
     /// A connection carrying `n` sessions closed.
     pub fn drop_sessions(&self, n: u64) {
-        self.sessions_live.fetch_sub(n, Ordering::SeqCst);
+        self.gauge(Gauge::SessionsLive)
+            .fetch_sub(n, Ordering::SeqCst);
     }
 
     /// Fold the delta between two FSM request-count copies into the
     /// per-opcode counters.
     pub fn add_requests(&self, prev: &RequestCounts, now: &RequestCounts) {
-        for (counter, was, is) in [
-            (&self.req_hello, prev.hello, now.hello),
-            (&self.req_txn, prev.txn, now.txn),
-            (&self.req_report, prev.report, now.report),
-            (&self.req_stats, prev.stats, now.stats),
-            (&self.req_ping, prev.ping, now.ping),
-            (&self.req_bye, prev.bye, now.bye),
-            (&self.req_shutdown, prev.shutdown, now.shutdown),
-        ] {
+        let per_opcode = &self.counters[Counter::ReqHello as usize..];
+        for (counter, (was, is)) in per_opcode.iter().zip([
+            (prev.hello, now.hello),
+            (prev.txn, now.txn),
+            (prev.report, now.report),
+            (prev.stats, now.stats),
+            (prev.ping, now.ping),
+            (prev.bye, now.bye),
+            (prev.shutdown, now.shutdown),
+        ]) {
             let d = is.saturating_sub(was);
             if d > 0 {
                 counter.fetch_add(d, Ordering::SeqCst);
@@ -418,62 +290,55 @@ impl ServeStats {
 
     /// A typed error reply was written.
     pub fn record_error(&self, kind: ErrorKind) {
-        let counter = match kind {
-            ErrorKind::Overloaded => &self.err_overloaded,
-            ErrorKind::DeadlineExceeded => &self.err_deadline,
-            ErrorKind::Malformed => &self.err_malformed,
-            ErrorKind::ShuttingDown => &self.err_shutting_down,
-            ErrorKind::RetryExhausted => &self.err_retry_exhausted,
-            ErrorKind::Internal => &self.err_internal,
-        };
-        counter.fetch_add(1, Ordering::SeqCst);
+        self.counters[Counter::ErrOverloaded as usize + kind as usize]
+            .fetch_add(1, Ordering::SeqCst);
     }
 
     /// A transaction committed; returns the completed count.
     pub fn record_commit(&self) -> u64 {
-        self.committed.fetch_add(1, Ordering::SeqCst) + 1
+        self.add(Counter::Committed, 1) + 1
     }
 
     /// A TxnOk reply was written (all successful transactions,
     /// including read-only fast-path and oracle-mode ones).
     pub fn record_txn_ok(&self) {
-        self.txn_ok.fetch_add(1, Ordering::SeqCst);
+        self.add(Counter::TxnOk, 1);
     }
 
     /// A durable commit was acknowledged (token recorded for the
     /// drain-time ACID verdict).
     pub fn record_ack(&self) {
-        self.acked.fetch_add(1, Ordering::SeqCst);
+        self.add(Counter::Acked, 1);
     }
 
     /// A group-commit batch of `txns` transactions flushed with
     /// `forces` physical log forces.
     pub fn record_group_flush(&self, txns: u64, forces: u64) {
-        self.group_commits.fetch_add(1, Ordering::SeqCst);
-        self.group_forces.fetch_add(forces, Ordering::SeqCst);
-        self.group_txns.fetch_add(txns, Ordering::SeqCst);
+        self.add(Counter::GroupCommits, 1);
+        self.add(Counter::GroupForces, forces);
+        self.add(Counter::GroupTxns, txns);
     }
 
     /// A job is about to enter the bounded execution queue. Call this
     /// *before* the send — the consumer's [`ServeStats::queue_leave`] may
     /// run before the send returns — and leave again if the send fails.
     pub fn queue_enter(&self) {
-        self.queue_depth.fetch_add(1, Ordering::SeqCst);
+        self.gauge(Gauge::QueueDepth).fetch_add(1, Ordering::SeqCst);
     }
 
     /// A job left the queue.
     pub fn queue_leave(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::SeqCst);
+        self.gauge(Gauge::QueueDepth).fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Current queue depth (the admission controller's input).
     pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::SeqCst)
+        self.gauge(Gauge::QueueDepth).load(Ordering::SeqCst)
     }
 
     /// Mirror the admission controller's shed state as a gauge.
     pub fn set_admission_shedding(&self, shedding: bool) {
-        self.admission_shedding
+        self.gauge(Gauge::AdmissionShedding)
             .store(u64::from(shedding), Ordering::SeqCst);
     }
 
@@ -489,12 +354,10 @@ impl ServeStats {
             stamps.total_us(),
             "attribution residual must be zero"
         );
-        self.lat_total.record(stamps.total_us());
-        self.lat_admission.record(spans.admission_wait_us);
-        self.lat_lock.record(spans.lock_wait_us);
-        self.lat_exec.record(spans.engine_exec_us);
-        self.lat_commit.record(spans.commit_wait_us);
-        self.lat_reply.record(spans.reply_write_us);
+        self.latency[0].observe(stamps.total_us());
+        for (cell, (_, us)) in self.latency[1..].iter().zip(spans.named()) {
+            cell.observe(us);
+        }
         spans
     }
 
@@ -502,48 +365,20 @@ impl ServeStats {
     /// `uptime_ms` and `draining` come from the caller — the registry
     /// itself never reads a clock or the shutdown flag.
     pub fn snapshot(&self, uptime_ms: u64, draining: bool) -> StatsSnapshot {
-        let c = |a: &AtomicU64| a.load(Ordering::SeqCst);
+        let load = |a: &AtomicU64| a.load(Ordering::SeqCst);
+        let names = |list: &'static [&'static str]| list.iter().copied();
         StatsSnapshot {
             schema: STATS_SCHEMA,
             uptime_ms,
-            counters: vec![
-                ("req.hello", c(&self.req_hello)),
-                ("req.txn", c(&self.req_txn)),
-                ("req.report", c(&self.req_report)),
-                ("req.stats", c(&self.req_stats)),
-                ("req.ping", c(&self.req_ping)),
-                ("req.bye", c(&self.req_bye)),
-                ("req.shutdown", c(&self.req_shutdown)),
-                ("err.overloaded", c(&self.err_overloaded)),
-                ("err.deadline", c(&self.err_deadline)),
-                ("err.malformed", c(&self.err_malformed)),
-                ("err.shutting_down", c(&self.err_shutting_down)),
-                ("err.retry_exhausted", c(&self.err_retry_exhausted)),
-                ("err.internal", c(&self.err_internal)),
-                ("connections", c(&self.connections_total)),
-                ("committed", c(&self.committed)),
-                ("txn_ok", c(&self.txn_ok)),
-                ("acked", c(&self.acked)),
-                ("group_commits", c(&self.group_commits)),
-                ("group_forces", c(&self.group_forces)),
-                ("group_txns", c(&self.group_txns)),
-            ],
-            gauges: vec![
-                ("connections_live", c(&self.connections_live)),
-                ("sessions_live", c(&self.sessions_live)),
-                ("sessions_peak", c(&self.sessions_peak)),
-                ("queue_depth", c(&self.queue_depth)),
-                ("admission_shedding", c(&self.admission_shedding)),
-                ("draining", u64::from(draining)),
-            ],
-            latency_us: vec![
-                ("total", self.lat_total.snapshot()),
-                ("admission_wait", self.lat_admission.snapshot()),
-                ("lock_wait", self.lat_lock.snapshot()),
-                ("engine_exec", self.lat_exec.snapshot()),
-                ("commit_wait", self.lat_commit.snapshot()),
-                ("reply_write", self.lat_reply.snapshot()),
-            ],
+            counters: names(COUNTER_NAMES)
+                .zip(self.counters.iter().map(load))
+                .collect(),
+            gauges: names(GAUGE_NAMES)
+                .zip(self.gauges.iter().map(load).chain([u64::from(draining)]))
+                .collect(),
+            latency_us: names(&SPAN_NAMES)
+                .zip(self.latency.iter().map(AtomicHistogram::snapshot))
+                .collect(),
             slo: None,
         }
     }
@@ -567,34 +402,30 @@ pub struct StatsSnapshot {
     /// Point-in-time gauges, in fixed render order.
     pub gauges: Vec<(&'static str, u64)>,
     /// Latency histograms, keyed by [`SPAN_NAMES`].
-    pub latency_us: Vec<(&'static str, HistSnapshot)>,
+    pub latency_us: Vec<(&'static str, Histogram)>,
     /// Rolling SLO summary, when the tracker has observed any ticks.
     pub slo: Option<super::slo::SloSummary>,
+}
+
+/// The value listed under `name`, if any.
+fn named<'a, V>(pairs: &'a [(&'static str, V)], name: &str) -> Option<&'a V> {
+    pairs.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
 }
 
 impl StatsSnapshot {
     /// Look up a counter by name (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
+        named(&self.counters, name).copied().unwrap_or(0)
     }
 
     /// Look up a gauge by name (0 when absent).
     pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
+        named(&self.gauges, name).copied().unwrap_or(0)
     }
 
     /// Look up a latency histogram by phase name.
-    pub fn latency(&self, phase: &str) -> Option<&HistSnapshot> {
-        self.latency_us
-            .iter()
-            .find(|(n, _)| *n == phase)
-            .map(|(_, h)| h)
+    pub fn latency(&self, phase: &str) -> Option<&Histogram> {
+        named(&self.latency_us, phase)
     }
 
     fn section(pairs: &[(&'static str, u64)]) -> String {
@@ -695,7 +526,7 @@ impl StatsSnapshot {
                 // Suppress interior all-zero prefixes? No: fixed shape.
                 out.push_str(&format!(
                     "semcluster_latency_us_bucket{{phase=\"{phase}\",le=\"{}\"}} {cum}\n",
-                    bucket_bound_us(b)
+                    bucket_bound(b)
                 ));
             }
             out.push_str(&format!(
@@ -732,30 +563,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buckets_are_log2_with_fixed_shape() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1024), 11);
-        assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
-        assert_eq!(bucket_bound_us(0), 0);
-        assert_eq!(bucket_bound_us(1), 1);
-        assert_eq!(bucket_bound_us(2), 3);
-        assert_eq!(bucket_bound_us(11), 2047);
-        let h = AtomicHistogram::new();
-        let empty = h.snapshot();
-        assert_eq!(empty.buckets.len(), HIST_BUCKETS);
-        h.record(5);
-        h.record(900);
-        let snap = h.snapshot();
-        assert_eq!(snap.buckets.len(), HIST_BUCKETS, "shape is value-free");
-        assert_eq!(snap.count, 2);
-        assert_eq!(snap.sum_us, 905);
-        assert_eq!(snap.max_us, 900);
-        assert_eq!(snap.quantile_bound_us(0.5), 7);
-        assert_eq!(snap.quantile_bound_us(0.99), 900, "clamped to max");
+    fn every_error_kind_and_opcode_lands_on_its_own_named_counter() {
+        // `record_error` and `add_requests` index the name table by
+        // `ErrorKind` / `RequestCounts` declaration order.
+        for (kind, name) in [
+            (ErrorKind::Overloaded, "err.overloaded"),
+            (ErrorKind::DeadlineExceeded, "err.deadline"),
+            (ErrorKind::Malformed, "err.malformed"),
+            (ErrorKind::ShuttingDown, "err.shutting_down"),
+            (ErrorKind::RetryExhausted, "err.retry_exhausted"),
+            (ErrorKind::Internal, "err.internal"),
+        ] {
+            let stats = ServeStats::new();
+            stats.record_error(kind);
+            let snap = stats.snapshot(0, false);
+            assert_eq!(snap.counter(name), 1, "{kind:?}");
+            assert_eq!(snap.counters.iter().map(|(_, v)| v).sum::<u64>(), 1);
+        }
+        let stats = ServeStats::new();
+        let now = RequestCounts {
+            hello: 1,
+            txn: 2,
+            report: 3,
+            stats: 4,
+            ping: 5,
+            bye: 6,
+            shutdown: 7,
+        };
+        stats.add_requests(&RequestCounts::default(), &now);
+        let snap = stats.snapshot(0, true);
+        assert_eq!(
+            snap.counters[..7],
+            [
+                ("req.hello", 1),
+                ("req.txn", 2),
+                ("req.report", 3),
+                ("req.stats", 4),
+                ("req.ping", 5),
+                ("req.bye", 6),
+                ("req.shutdown", 7)
+            ]
+        );
+        assert_eq!(snap.counters.len(), COUNTER_NAMES.len());
+        assert_eq!(snap.gauges.last(), Some(&("draining", 1)));
+        assert_eq!(snap.gauges.len(), GAUGE_NAMES.len());
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! * [`MetricsRegistry`] — named counters/gauges/histograms with
 //!   hierarchical dotted scopes (`buffer.hit`, `wal.flush.commit`,
 //!   `disk.3.busy_us`), snapshot/diff and JSON + ASCII-table export;
+//! * [`Histogram`] / [`AtomicHistogram`] — the one log₂ histogram
+//!   ([`HIST_BUCKETS`] fixed cells, one `quantile_bound`, exact `merge`
+//!   and `since`), as the plain cell the registry and every snapshot
+//!   hold and the lock-free cell the live server records into;
 //! * [`TraceSink`] + [`TraceEvent`] — typed events stamped in simulated
 //!   time, with a JSONL emitter ([`JsonlSink`]), a flight-recorder ring
 //!   ([`RingBufferSink`]) and a free [`NoopSink`] default;
@@ -37,7 +41,10 @@ mod trace;
 
 pub use audit::{milli, AuditKind, AuditSink, CandidateAudit, PlacementAudit, SplitVerdict};
 pub use chrome::ChromeTraceSink;
-pub use metrics::{CounterId, Histogram, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{
+    bucket_bound, AtomicHistogram, CounterId, Histogram, MetricsRegistry, MetricsSnapshot,
+    HIST_BUCKETS,
+};
 pub use profile::{
     allocation_counts, CountingAlloc, FoldedMetric, Phase, PhaseProfiler, PhaseStats, PhaseToken,
     ProfileReport,

@@ -1,56 +1,75 @@
 //! The metrics registry: named counters, gauges and histograms with
 //! hierarchical dotted scopes (`buffer.hit`, `wal.flush.commit`,
 //! `disk.3.busy_us`), snapshot/diff support and JSON + ASCII-table
-//! export.
+//! export — and the repo's one log₂ [`Histogram`], as a plain cell and
+//! as an [`AtomicHistogram`], which the live server's STATS registry
+//! records into as well.
 //!
 //! Everything is integer-valued and keyed through `BTreeMap`s, so
-//! snapshots are deterministic: same run → same snapshot, byte for byte.
+//! snapshots are deterministic: same run → same snapshot, byte for
+//! byte. Nothing here reads a clock or an RNG (CI's purity guard covers
+//! this file: the stats golden replays its bucket math byte-exactly).
 
-use crate::json::{push_json_str, ObjWriter};
+use crate::json::ObjWriter;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Power-of-two-bucket histogram of `u64` observations. Bucket `i`
-/// counts values `v` with `2^i <= v < 2^(i+1)` (bucket 0 counts zeros
-/// and ones), which is plenty of resolution for latency-style data
-/// while staying integer-exact.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Cells in every log₂ histogram. Cell `b` counts the values of bit
+/// length `b`: cell 0 holds zeros, cell `b ≥ 1` holds `[2^(b-1), 2^b)`,
+/// and the last cell is open-ended (everything from 2^38 µs ≈ 3.2 days
+/// up), so a histogram's shape never depends on what it observed.
+pub const HIST_BUCKETS: usize = 40;
+
+/// Cell index of `v`: its bit length, capped at the open-ended last cell.
+fn bucket_of(v: u64) -> usize {
+    ((u64::BITS - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
+}
+
+/// Inclusive upper edge `2^b − 1` of cell `b < HIST_BUCKETS` (nominal
+/// for the open-ended last cell).
+pub fn bucket_bound(b: usize) -> u64 {
+    (1u64 << b) - 1
+}
+
+/// The log₂ histogram, as a plain cell: what the engine's registry
+/// records into and what every snapshot — the registry's, an
+/// [`AtomicHistogram`]'s, the live server's STATS reply — carries.
+/// Integer-exact and fixed-shape, so merging, subtracting and rendering
+/// are deterministic. Every histogram in the repo records microseconds.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
+    /// Per-cell observation counts (see [`HIST_BUCKETS`]).
+    pub buckets: [u64; HIST_BUCKETS],
+    /// Total observations.
+    pub count: u64,
+    /// Sum of all observations (wrapping, like the atomic cell's).
+    pub sum_us: u64,
+    /// Largest observation (0 when empty).
+    pub max_us: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            buckets: [0; HIST_BUCKETS],
+            count: 0,
+            sum_us: 0,
+            max_us: 0,
+        }
+    }
+}
+
+fn join_cells(cells: impl Iterator<Item = u64>) -> String {
+    cells.map(|c| c.to_string()).collect::<Vec<_>>().join(",")
 }
 
 impl Histogram {
-    fn bucket_of(v: u64) -> usize {
-        (64 - v.leading_zeros() as usize).saturating_sub(1)
-    }
-
     /// Record one observation.
     pub fn observe(&mut self, v: u64) {
-        let b = Self::bucket_of(v);
-        if self.buckets.len() <= b {
-            self.buckets.resize(b + 1, 0);
-        }
-        self.buckets[b] += 1;
+        self.buckets[bucket_of(v)] += 1;
         self.count += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
+        self.sum_us = self.sum_us.wrapping_add(v);
+        self.max_us = self.max_us.max(v);
     }
 
     /// Mean observation (0.0 when empty).
@@ -58,65 +77,131 @@ impl Histogram {
         if self.count == 0 {
             0.0
         } else {
-            self.sum as f64 / self.count as f64
+            self.sum_us as f64 / self.count as f64
         }
     }
 
-    /// Merge another histogram into this one. Buckets are power-of-two
-    /// aligned by construction, so the merge is exact: the result equals
-    /// the histogram of the concatenated observation streams regardless
-    /// of how the observations were partitioned.
+    /// Merge another histogram into this one. Cells are value-aligned
+    /// by construction, so the merge is exact: the result equals the
+    /// histogram of the concatenated observation streams regardless of
+    /// how the observations were partitioned.
     pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (i, &c) in other.buckets.iter().enumerate() {
-            self.buckets[i] += c;
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
         }
         self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
+        self.sum_us = self.sum_us.wrapping_add(other.sum_us);
+        self.max_us = self.max_us.max(other.max_us);
+    }
+
+    /// What was observed after `earlier`, a previous copy of the same
+    /// cumulative histogram: merging the result back onto `earlier`
+    /// gives `self`. A maximum cannot be subtracted, so the difference
+    /// keeps the cumulative one.
+    pub fn since(&self, earlier: &Histogram) -> Histogram {
+        let mut delta = self.clone();
+        for (cell, was) in delta.buckets.iter_mut().zip(&earlier.buckets) {
+            *cell = cell.saturating_sub(*was);
+        }
+        delta.count = self.count.saturating_sub(earlier.count);
+        delta.sum_us = self.sum_us.wrapping_sub(earlier.sum_us);
+        delta
     }
 
     /// Upper bound on the q-quantile observation.
     ///
     /// This is **not** an exact quantile: the histogram only keeps
-    /// power-of-two bucket counts, so the returned value is the
-    /// inclusive upper edge `2^(i+1) - 1` of the bucket the q-quantile
-    /// observation fell into, clamped to the observed maximum. The true
-    /// quantile lies somewhere in `[2^i, 2^(i+1))` — up to 2× smaller
-    /// than the reported bound. The estimate is coarse but deterministic
-    /// and merge-stable, which is what the golden gate needs.
+    /// per-cell counts, so the returned value is the inclusive upper
+    /// edge `2^b - 1` of the cell the q-quantile observation fell into,
+    /// clamped to the observed maximum. The true quantile lies somewhere
+    /// in `[2^(b-1), 2^b)` — up to 2× smaller than the reported bound.
+    /// The estimate is coarse but deterministic and merge-stable, which
+    /// is what the golden gate needs.
     pub fn quantile_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
         let rank = ((self.count as f64 * q).ceil() as u64).clamp(1, self.count);
         let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        for (b, &c) in self.buckets[..HIST_BUCKETS - 1].iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return (u64::MAX >> (63 - i)).min(self.max);
+                return bucket_bound(b).min(self.max_us);
             }
         }
-        self.max
+        // The last cell has no upper edge but the maximum.
+        self.max_us
     }
 
-    fn to_json(&self) -> String {
-        let mut s = String::new();
-        let mut w = ObjWriter::begin(&mut s);
-        w.u64("count", self.count)
-            .u64("sum", self.sum)
-            .u64("max", self.max);
-        let buckets = self
-            .buckets
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        w.raw("buckets_pow2", &format!("[{buckets}]"));
-        w.end();
-        s
+    /// The fixed-shape render STATS carries: all [`HIST_BUCKETS`] cells,
+    /// whatever was observed.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"count\":{},\"sum_us\":{},\"max_us\":{},\"buckets\":[{}]}}",
+            self.count,
+            self.sum_us,
+            self.max_us,
+            join_cells(self.buckets.iter().copied())
+        )
+    }
+
+    /// The trimmed render registry snapshots carry: 0 and 1 share the
+    /// first cell and nothing follows the last occupied one. Both
+    /// renders are pinned by goldens, which is why there are two.
+    pub fn to_json_pow2(&self) -> String {
+        let last = self.buckets.iter().rposition(|&c| c > 0);
+        let used = last.map_or(0, |last| last.max(1) + 1);
+        let folded = self.buckets[..used].iter().enumerate().skip(1);
+        let folded = folded.map(|(b, &c)| if b == 1 { c + self.buckets[0] } else { c });
+        format!(
+            "{{\"count\":{},\"sum\":{},\"max\":{},\"buckets_pow2\":[{}]}}",
+            self.count,
+            self.sum_us,
+            self.max_us,
+            join_cells(folded)
+        )
+    }
+}
+
+/// The same histogram as a lock-free cell for concurrent recorders.
+/// Updates are relaxed: a snapshot taken while recording may be
+/// mid-update by one observation, which is fine for telemetry — one
+/// taken after every recorder is joined is exact.
+pub struct AtomicHistogram {
+    buckets: [AtomicU64; HIST_BUCKETS],
+    count: AtomicU64,
+    sum_us: AtomicU64,
+    max_us: AtomicU64,
+}
+
+impl Default for AtomicHistogram {
+    fn default() -> Self {
+        AtomicHistogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum_us: AtomicU64::new(0),
+            max_us: AtomicU64::new(0),
+        }
+    }
+}
+
+impl AtomicHistogram {
+    /// Record one observation.
+    pub fn observe(&self, v: u64) {
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum_us.fetch_add(v, Ordering::Relaxed);
+        self.max_us.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Copy out the current state.
+    pub fn snapshot(&self) -> Histogram {
+        Histogram {
+            buckets: std::array::from_fn(|b| self.buckets[b].load(Ordering::Relaxed)),
+            count: self.count.load(Ordering::Relaxed),
+            sum_us: self.sum_us.load(Ordering::Relaxed),
+            max_us: self.max_us.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -186,6 +271,12 @@ impl MetricsRegistry {
             .map_or(0, |id| self.counters[id.0])
     }
 
+    /// Current value of a declared counter — the by-handle spelling of
+    /// [`MetricsRegistry::counter`].
+    pub fn value(&self, id: CounterId) -> u64 {
+        self.counters[id.0]
+    }
+
     /// Set gauge `name` to `v`.
     pub fn set_gauge(&mut self, name: &str, v: i64) {
         if let Some(g) = self.gauges.get_mut(name) {
@@ -217,7 +308,7 @@ impl MetricsRegistry {
     }
 
     /// Clear every metric (used when the measured interval begins, so
-    /// counters reconcile with per-run report totals).
+    /// counters cover exactly what the per-run report covers).
     ///
     /// Counter *names* are retained and their values zeroed in place,
     /// so every [`CounterId`] stays valid and a post-warmup
@@ -327,44 +418,23 @@ impl MetricsSnapshot {
     /// Render as a deterministic JSON object:
     /// `{"counters":{...},"gauges":{...},"histograms":{...}}`.
     pub fn to_json(&self) -> String {
-        let mut counters = String::from("{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                counters.push(',');
+        fn section<V>(map: &BTreeMap<String, V>, render: impl Fn(&V) -> String) -> String {
+            let mut s = String::new();
+            let mut w = ObjWriter::begin(&mut s);
+            for (k, v) in map {
+                w.raw(k, &render(v));
             }
-            push_json_str(&mut counters, k);
-            counters.push(':');
-            counters.push_str(&v.to_string());
+            w.end();
+            s
         }
-        counters.push('}');
-
-        let mut gauges = String::from("{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                gauges.push(',');
-            }
-            push_json_str(&mut gauges, k);
-            gauges.push(':');
-            gauges.push_str(&v.to_string());
-        }
-        gauges.push('}');
-
-        let mut hists = String::from("{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                hists.push(',');
-            }
-            push_json_str(&mut hists, k);
-            hists.push(':');
-            hists.push_str(&h.to_json());
-        }
-        hists.push('}');
-
         let mut s = String::new();
         let mut w = ObjWriter::begin(&mut s);
-        w.raw("counters", &counters)
-            .raw("gauges", &gauges)
-            .raw("histograms", &hists);
+        w.raw("counters", &section(&self.counters, u64::to_string))
+            .raw("gauges", &section(&self.gauges, i64::to_string))
+            .raw(
+                "histograms",
+                &section(&self.histograms, Histogram::to_json_pow2),
+            );
         w.end();
         s
     }
@@ -384,12 +454,12 @@ impl MetricsSnapshot {
                 "histogram".into(),
                 format!(
                     "n={} mean={:.1} p50<={} p95<={} p99<={} max={}",
-                    h.count(),
+                    h.count,
                     h.mean(),
                     h.quantile_bound(0.50),
                     h.quantile_bound(0.95),
                     h.quantile_bound(0.99),
-                    h.max()
+                    h.max_us
                 ),
             ));
         }
@@ -490,9 +560,36 @@ mod tests {
         for v in [0, 1, 2, 3, 900, 1100] {
             h.observe(v);
         }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 2006);
-        assert_eq!(h.max(), 1100);
+        assert_eq!(h.count, 6);
+        assert_eq!(h.sum_us, 2006);
+        assert_eq!(h.max_us, 1100);
+    }
+
+    #[test]
+    fn buckets_are_log2_with_fixed_shape() {
+        assert_eq!(bucket_of(0), 0);
+        assert_eq!(bucket_of(1), 1);
+        assert_eq!(bucket_of(2), 2);
+        assert_eq!(bucket_of(3), 2);
+        assert_eq!(bucket_of(4), 3);
+        assert_eq!(bucket_of(1024), 11);
+        assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
+        assert_eq!(bucket_bound(0), 0);
+        assert_eq!(bucket_bound(1), 1);
+        assert_eq!(bucket_bound(2), 3);
+        assert_eq!(bucket_bound(11), 2047);
+        let h = AtomicHistogram::default();
+        let empty = h.snapshot();
+        assert_eq!(empty.buckets.len(), HIST_BUCKETS);
+        h.observe(5);
+        h.observe(900);
+        let snap = h.snapshot();
+        assert_eq!(snap.buckets.len(), HIST_BUCKETS, "shape is value-free");
+        assert_eq!(snap.count, 2);
+        assert_eq!(snap.sum_us, 905);
+        assert_eq!(snap.max_us, 900);
+        assert_eq!(snap.quantile_bound(0.5), 7);
+        assert_eq!(snap.quantile_bound(0.99), 900, "clamped to max");
     }
 
     #[test]
@@ -507,7 +604,7 @@ mod tests {
             let exact = sorted[rank - 1];
             let bound = h.quantile_bound(q);
             assert!(bound >= exact, "q={q}: bound {bound} < exact {exact}");
-            assert!(bound <= h.max());
+            assert!(bound <= h.max_us);
         }
         // One observation of 900 used to render as `p99<=512`.
         let mut one = Histogram::default();
@@ -589,7 +686,7 @@ mod tests {
         assert_eq!(ab.counter("io.read"), 7);
         assert_eq!(ab.counter("io.write"), 1);
         assert_eq!(ab.gauge("disk.busy_us"), 130);
-        assert_eq!(ab.histograms["lat"].count(), 2);
+        assert_eq!(ab.histograms["lat"].count, 2);
         let folded = MetricsSnapshot::merged([&a, &b]);
         assert_eq!(folded, ab);
     }

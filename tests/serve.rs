@@ -154,13 +154,58 @@ fn client_shutdown_frame_drains_the_server_gracefully() {
         ..LoadConfig::default()
     })
     .expect("run load");
-    assert!(summary.acked > 0);
+    // SHUTDOWN follows the whole load, not just connection 0's share:
+    // with no chaos, no peer's transaction is refused or lost to the
+    // drain.
+    assert_eq!(summary.attempted, 4 * 16 * 4);
+    assert_eq!(summary.acked, summary.attempted);
+    assert_eq!(summary.rejected_shutdown, 0);
+    assert_eq!(summary.lost, 0);
     // The SHUTDOWN frame (connection 0) started the drain; join must
     // complete without an explicit request_shutdown.
     let report = handle.join().expect("client-initiated drain");
     assert!(report.clean_drain);
     assert_eq!(report.acid_violations, 0);
     assert!(report.acked <= report.committed);
+}
+
+#[test]
+fn a_load_worker_that_fails_early_does_not_strand_the_shutdown_rendezvous() {
+    // A listener that greets one connection and hangs up on the other:
+    // that worker returns early, and the survivor must still get past
+    // the rendezvous that precedes SHUTDOWN.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = std::thread::spawn(move || {
+        let (mut greeted, _) = listener.accept().expect("first connection");
+        let (refused, _) = listener.accept().expect("second connection");
+        drop(refused);
+        read_frame(&mut greeted).expect("HELLO").expect("HELLO");
+        write_frame(
+            &mut greeted,
+            &Response::HelloOk { first_session: 0 }.encode(),
+        )
+        .expect("HelloOk");
+        // Hold the greeted connection until its worker's farewell.
+        read_frame(&mut greeted).expect("farewell");
+    });
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let result = semcluster::serve::run_load(&LoadConfig {
+            addr,
+            connections: 2,
+            sessions_per_conn: 1,
+            txns_per_session: 0,
+            shutdown_after: true,
+            ..LoadConfig::default()
+        });
+        done_tx.send(result.is_err()).ok();
+    });
+    let failed = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("run_load hung at the shutdown rendezvous");
+    assert!(failed, "the refused connection is reported");
+    server.join().expect("fake server");
 }
 
 #[test]
