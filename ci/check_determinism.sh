@@ -72,9 +72,11 @@ echo "determinism guard: OK (no raw HashMap/HashSet in simulation state)"
 # are replayed byte-exactly in unit tests and the chaos/stats goldens,
 # so they must never read a clock or an OS RNG — time enters only as an
 # argument (now_ms / microsecond stamps) and randomness only as a keyed
-# hash of (seed, coordinates). The impure server/load modules own the
-# real clocks and sockets; wall-clock reads on the serve path are
-# confined to server.rs and load.rs. crates/obs/src/metrics.rs is on the
+# hash of (seed, coordinates). The impure modules own the real clocks,
+# threads and sockets; wall-clock reads on the serve path are confined
+# to server.rs, conn.rs, exec.rs and load.rs (mod.rs holds only the
+# error type and the one thread-spawn helper), none of which belongs on
+# this list. crates/obs/src/metrics.rs is on the
 # list because the log₂ histogram — bucket math, quantile bound and the
 # atomic cell stats.rs records into — lives there, and the stats golden
 # replays it byte-exactly.

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Size ledger: non-test Rust lines per crate and in total, then the five
-# largest files (ROADMAP item 1: no engine module over ~800).
+# largest files. Exits non-zero when any counted file is over
+# MAX_FILE_LINES (ROADMAP item 1's module bound, held repo-wide).
 #
 # Counts, for every .rs file under crates/*/src, crates/*/benches,
 # vendor/*/src and the root src/, the lines before the file's first
@@ -33,6 +34,13 @@ for root in crates/*/src crates/*/benches vendor/*/src src; do
 done
 printf '%8d  total\n' "$total"
 echo 'largest files:'
-count_files "${roots[@]}" | sort -k1,1nr -k2 | head -5 | while read -r lines file; do
+sorted=$(count_files "${roots[@]}" | sort -k1,1nr -k2)
+head -5 <<<"$sorted" | while read -r lines file; do
     printf '%8d  %s\n' "$lines" "$file"
 done
+MAX_FILE_LINES=800
+if over=$(awk -v max="$MAX_FILE_LINES" '$1 > max' <<<"$sorted") && [ -n "$over" ]; then
+    echo "files over $MAX_FILE_LINES non-test lines (split them):" >&2
+    echo "$over" >&2
+    exit 1
+fi

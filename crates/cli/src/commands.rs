@@ -34,6 +34,19 @@ macro_rules! config_flags_and {
 /// The flags that build a `SimConfig`.
 pub const CONFIG_FLAGS: &[&str] = config_flags_and![];
 
+/// The `serve` flags only one `--mode` reads — `(the mode, its flags,
+/// what they configure)` — so the other mode can refuse them instead of
+/// dropping them. Oracle mode is one worker over one engine: no worker
+/// bank, no commit window, no object array.
+pub const SERVE_MODE_FLAGS: &[(&str, &[&str], &str)] = &[
+    ("oracle", CONFIG_FLAGS, "the simulator"),
+    (
+        "concurrent",
+        &["workers", "group-window-us", "objects"],
+        "the shared core",
+    ),
+];
+
 /// Every subcommand, in [`USAGE`] order.
 pub const COMMANDS: &[Command] = &[
     Command {

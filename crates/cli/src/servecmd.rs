@@ -13,7 +13,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use crate::args::Args;
-use crate::commands::CONFIG_FLAGS;
+use crate::commands::SERVE_MODE_FLAGS;
 use crate::error::CliError;
 use crate::simulate::config_from_args;
 use semcluster::serve::{
@@ -61,17 +61,9 @@ mod sig {
 
 /// Build a [`ServeConfig`] from flags.
 fn serve_config_from_args(args: &Args) -> Result<ServeConfig, CliError> {
-    let mode = match args.get("mode").unwrap_or("concurrent") {
-        "concurrent" => {
-            // The shared core never builds a simulator; say so rather
-            // than run with a configuration flag silently dropped.
-            if let Some(flag) = CONFIG_FLAGS.iter().find(|f| args.flag(f)) {
-                return Err(CliError::usage(format!(
-                    "serve: --{flag} configures the simulator; it needs --mode oracle"
-                )));
-            }
-            ServeMode::Concurrent
-        }
+    let mode_name = args.get("mode").unwrap_or("concurrent");
+    let mode = match mode_name {
+        "concurrent" => ServeMode::Concurrent,
         "oracle" => ServeMode::Oracle(Box::new(config_from_args(args)?)),
         other => {
             return Err(CliError::usage(format!(
@@ -79,6 +71,15 @@ fn serve_config_from_args(args: &Args) -> Result<ServeConfig, CliError> {
             )))
         }
     };
+    // Say so rather than run with a flag silently dropped.
+    let others = SERVE_MODE_FLAGS.iter().filter(|row| row.0 != mode_name);
+    for (needs, flags, what) in others {
+        if let Some(flag) = flags.iter().find(|f| args.flag(f)) {
+            return Err(CliError::usage(format!(
+                "serve: --{flag} configures {what}; it needs --mode {needs}"
+            )));
+        }
+    }
     let defaults = ServeConfig::default();
     Ok(ServeConfig {
         mode,
@@ -435,6 +436,35 @@ mod tests {
         assert!(matches!(cfg.mode, ServeMode::Oracle(_)));
         assert_eq!(cfg.timeline_interval_ms, 100);
         assert!(serve_config_from_args(&parse("serve --mode nope")).is_err());
+        // A flag only the other mode reads is named and refused, exit 2...
+        for (line, flag, needs) in [
+            (
+                "serve --mode oracle --workers 2",
+                "--workers",
+                "--mode concurrent",
+            ),
+            (
+                "serve --mode oracle --group-window-us 50",
+                "--group-window-us",
+                "--mode concurrent",
+            ),
+            (
+                "serve --mode oracle --objects 16",
+                "--objects",
+                "--mode concurrent",
+            ),
+            ("serve --seed 7", "--seed", "--mode oracle"),
+        ] {
+            let err = serve_config_from_args(&parse(line)).unwrap_err();
+            assert_eq!(err.code, crate::error::EXIT_USAGE, "{line}: {err}");
+            assert!(err.contains(flag) && err.contains(needs), "{line}: {err}");
+        }
+        // ...while the queue bound and the deadline now apply to both.
+        let cfg = serve_config_from_args(&parse(
+            "serve --mode oracle --queue-cap 2 --deadline-ms 250",
+        ))
+        .unwrap();
+        assert_eq!((cfg.queue_cap, cfg.default_deadline_ms), (2, 250));
         let cfg = serve_config_from_args(&parse(
             "serve --metrics-addr 127.0.0.1:9100 --slo-window 12 --chrome-trace t.json \
              --drain-linger-ms 2500",

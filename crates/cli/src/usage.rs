@@ -22,13 +22,14 @@ USAGE:
                          [--suite smoke|faults|timeline|profile|chaos|stats|paper]
                          [--path FILE] [--jobs N]
   semclusterctl serve    [--addr HOST:PORT] [--mode concurrent|oracle]
-                         [--workers N] [--queue-cap N] [--deadline-ms N]
-                         [--max-inflight N] [--group-window-us N]
-                         [--objects N] [--timeline FILE]
+                         [--queue-cap N] [--deadline-ms N]
+                         [--max-inflight N] [--timeline FILE]
                          [--timeline-interval-ms N]
                          [--metrics-addr HOST:PORT] [--slo-window N]
                          [--chrome-trace FILE] [--trace-requests N]
                          [--drain-linger-ms N]
+                         [concurrent mode only: --workers N
+                          --group-window-us N --objects N]
                          [oracle mode only: CONFIG]
   semclusterctl load     --addr HOST:PORT [--connections N] [--sessions N]
                          [--txns N] [--ops N] [--write-pct N] [--objects N]
@@ -100,12 +101,14 @@ CONFIG:
   instead of the proportionally scaled default; other flags still
   apply on top.
   serve boots the engine behind a length-prefixed TCP wire protocol and
-  prints `listening on ADDR` once bound. --mode concurrent (default)
-  drives one shared engine core from a worker pool with strict 2PL and
-  WAL group commit; every request carries a deadline, the execution
-  queue is bounded, and admission control sheds load with hysteresis.
-  --mode oracle serializes every client through a single simulator
-  thread, so one client's REPORT is byte-identical to `simulate`.
+  prints `listening on ADDR` once bound. In either mode every request
+  carries a deadline, the execution queue is bounded (--queue-cap), and
+  admission control sheds load with hysteresis. --mode concurrent
+  (default) drives one shared engine core from a worker pool with strict
+  2PL and WAL group commit. --mode oracle serializes every client
+  through one worker that owns a simulator, so a REPORT is
+  byte-identical to `simulate`. A flag only the other mode reads is
+  refused (exit 2), not dropped.
   SIGTERM/SIGINT (or a client SHUTDOWN frame) drains in-flight work,
   then the server crashes its own WAL, replays recovery, and verifies
   every acknowledged transaction survived — exiting 7 if any did not.

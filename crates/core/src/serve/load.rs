@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use semcluster_faults::{splitmix64, NetAction, NetChaosConfig, NetChaosPlan};
 
 use super::protocol::{read_frame, Frame, Request, Response, TxnOp, TxnRequest};
-use super::ServeError;
+use super::{spawn, ServeError};
 
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
@@ -202,30 +202,19 @@ struct ClientConn {
 }
 
 fn connect(addr: &str, sessions: u32) -> Result<ClientConn, ServeError> {
-    let stream = TcpStream::connect(addr).map_err(|e| ServeError::Net {
-        context: format!("connect {addr}"),
-        source: e.to_string(),
-    })?;
+    let stream =
+        TcpStream::connect(addr).map_err(|e| ServeError::net(format!("connect {addr}"), &e))?;
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
-        .map_err(|e| ServeError::Net {
-            context: "set_read_timeout".into(),
-            source: e.to_string(),
-        })?;
+        .map_err(|e| ServeError::net("set_read_timeout", &e))?;
     stream.set_nodelay(true).ok();
     let mut stream = stream;
     let hello = Request::Hello { sessions }.encode();
     stream
         .write_all(&hello.encode())
-        .map_err(|e| ServeError::Net {
-            context: "send HELLO".into(),
-            source: e.to_string(),
-        })?;
+        .map_err(|e| ServeError::net("send HELLO", &e))?;
     let frame = read_frame(&mut stream)
-        .map_err(|e| ServeError::Net {
-            context: "read HELLO reply".into(),
-            source: e.to_string(),
-        })?
+        .map_err(|e| ServeError::net("read HELLO reply", &e))?
         .ok_or_else(|| ServeError::Net {
             context: "read HELLO reply".into(),
             source: "connection closed".into(),
@@ -488,15 +477,9 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadSummary, ServeError> {
     for conn_id in 0..cfg.connections.max(1) {
         let cfg = cfg.clone();
         let rendezvous = std::sync::Arc::clone(&rendezvous);
-        handles.push(
-            thread::Builder::new()
-                .name(format!("load-conn-{conn_id}"))
-                .spawn(move || conn_worker(&cfg, conn_id, &rendezvous))
-                .map_err(|e| ServeError::Net {
-                    context: "spawn load thread".into(),
-                    source: e.to_string(),
-                })?,
-        );
+        handles.push(spawn(format!("load-conn-{conn_id}"), move || {
+            conn_worker(&cfg, conn_id, &rendezvous)
+        })?);
     }
     let mut summary = LoadSummary::default();
     let mut latencies: Vec<u64> = Vec::new();

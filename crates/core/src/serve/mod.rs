@@ -14,14 +14,24 @@
 //!   [`ServeStats`] registry (one name table, `semcluster_obs`'s
 //!   histogram cells) plus a clock-free sliding-window [`SloTracker`];
 //!   both take time only as injected arguments;
-//! * [`Server`] and [`run_load`] own the threads, sockets and clocks.
+//! * the impure rest is three modules along one seam: `server`
+//!   ([`Server`]: config, report, start/accept/drain, metrics endpoint),
+//!   `conn` (reader, driver, and `submit` — the one admission gate into
+//!   the one bounded queue) and `exec` (the worker loop and the backend
+//!   behind it: the shared core with its committer, or the oracle's
+//!   engine); [`run_load`] is the client side. Every thread any of them
+//!   starts goes through `spawn`, which returns a typed error.
 //!
 //! The simulator remains the oracle: `ServeMode::Oracle` serves a
-//! deterministic [`crate::Engine`] whose REPORT bytes must equal
-//! [`crate::run_simulation`]'s, and concurrent mode must drain with
-//! zero ACID violations (every acked transaction is a recovery winner).
+//! deterministic [`crate::Engine`] — through the same gate, queue,
+//! deadline check and worker loop as concurrent traffic — whose REPORT
+//! bytes must equal [`crate::run_simulation`]'s, and concurrent mode
+//! must drain with zero ACID violations (every acked transaction is a
+//! recovery winner).
 
 mod admission;
+mod conn;
+mod exec;
 mod load;
 mod protocol;
 mod server;
@@ -75,6 +85,30 @@ pub enum ServeError {
     },
     /// Unexpected internal failure.
     Internal(String),
+}
+
+impl ServeError {
+    /// A [`ServeError::Net`] for the step `context` names.
+    fn net(context: impl Into<String>, source: &std::io::Error) -> ServeError {
+        ServeError::Net {
+            context: context.into(),
+            source: source.to_string(),
+        }
+    }
+}
+
+/// Start a named thread. The one spawn site of the serve path: a thread
+/// the OS refuses is a typed error for the caller to contain, not a
+/// panic.
+fn spawn<T: Send + 'static>(
+    name: String,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> Result<std::thread::JoinHandle<T>, ServeError> {
+    let context = format!("spawn {name}");
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .map_err(|e| ServeError::net(context, &e))
 }
 
 impl std::fmt::Display for ServeError {

@@ -1,7 +1,7 @@
-//! Replicated-experiment machinery: run a stochastic model several times
-//! with independent seeds and report a mean with a confidence interval.
+//! The summary of a replicated experiment: a mean with a confidence
+//! interval over independently seeded runs. (The runs themselves are the
+//! core crate's `run_replicated` / `SweepRunner`.)
 
-use crate::rng::SimRng;
 use crate::stats::OnlineStats;
 
 /// Summary of one measured quantity across replications.
@@ -31,74 +31,15 @@ impl Estimate {
     }
 }
 
-/// Run `f` once per replication with an independent seeded RNG and fold the
-/// scalar results into an [`Estimate`].
-///
-/// `base_seed` determines every replication's seed; equal inputs give equal
-/// outputs.
-pub fn replicate<F>(base_seed: u64, replications: u32, mut f: F) -> Estimate
-where
-    F: FnMut(SimRng) -> f64,
-{
-    assert!(replications > 0, "need at least one replication");
-    let mut master = SimRng::seed_from_u64(base_seed);
-    let mut stats = OnlineStats::new();
-    for _ in 0..replications {
-        let child = master.fork();
-        stats.push(f(child));
-    }
-    Estimate::from_stats(&stats)
-}
-
-/// Like [`replicate`] but the model returns several named quantities; each
-/// is folded separately. The set of names must be identical in every
-/// replication.
-pub fn replicate_multi<F>(base_seed: u64, replications: u32, mut f: F) -> Vec<(String, Estimate)>
-where
-    F: FnMut(SimRng) -> Vec<(String, f64)>,
-{
-    assert!(replications > 0, "need at least one replication");
-    let mut master = SimRng::seed_from_u64(base_seed);
-    let mut names: Vec<String> = Vec::new();
-    let mut stats: Vec<OnlineStats> = Vec::new();
-    for rep in 0..replications {
-        let child = master.fork();
-        let row = f(child);
-        if rep == 0 {
-            names = row.iter().map(|(n, _)| n.clone()).collect();
-            stats = vec![OnlineStats::new(); row.len()];
-        }
-        assert_eq!(
-            row.len(),
-            names.len(),
-            "replications must report the same metric set"
-        );
-        for (i, (name, value)) in row.into_iter().enumerate() {
-            assert_eq!(name, names[i], "metric order changed between replications");
-            stats[i].push(value);
-        }
-    }
-    names
-        .into_iter()
-        .zip(stats)
-        .map(|(n, s)| (n, Estimate::from_stats(&s)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn replicate_is_deterministic() {
-        let run = |seed| replicate(seed, 5, |mut rng| rng.f64());
-        assert_eq!(run(9), run(9));
-        assert_ne!(run(9).mean, run(10).mean);
-    }
-
-    #[test]
     fn constant_model_has_zero_ci() {
-        let e = replicate(1, 10, |_| 42.0);
+        let mut stats = OnlineStats::new();
+        (0..10).for_each(|_| stats.push(42.0));
+        let e = Estimate::from_stats(&stats);
         assert_eq!(e.mean, 42.0);
         assert_eq!(e.ci95, 0.0);
         assert_eq!(e.replications, 10);
@@ -123,29 +64,5 @@ mod tests {
         };
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c));
-    }
-
-    #[test]
-    fn multi_metrics_fold_independently() {
-        let rows = replicate_multi(3, 4, |mut rng| {
-            vec![("const".to_string(), 7.0), ("noise".to_string(), rng.f64())]
-        });
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, "const");
-        assert_eq!(rows[0].1.mean, 7.0);
-        assert!(rows[1].1.ci95 > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "same metric set")]
-    fn mismatched_metric_sets_panic() {
-        let mut first = true;
-        replicate_multi(1, 2, move |_| {
-            if std::mem::take(&mut first) {
-                vec![("a".into(), 1.0)]
-            } else {
-                vec![("a".into(), 1.0), ("b".into(), 2.0)]
-            }
-        });
     }
 }

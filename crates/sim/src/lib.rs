@@ -12,7 +12,7 @@
 //!   computable at submission time,
 //! * seeded random variates ([`SimRng`], [`Zipf`], [`HyperExp`]),
 //! * output analysis ([`OnlineStats`], [`Histogram`], [`TimeWeighted`]) and
-//!   a replication harness ([`replicate`], [`replicate_multi`]).
+//!   the mean ± CI summary of replicated runs ([`Estimate`]).
 //!
 //! ```
 //! use semcluster_sim::{EventQueue, FcfsServer, SimDuration, SimTime};
@@ -51,7 +51,7 @@ mod stats;
 mod time;
 
 pub use event::EventQueue;
-pub use experiment::{replicate, replicate_multi, Estimate};
+pub use experiment::Estimate;
 pub use rng::{HyperExp, SimRng, Zipf};
 pub use server::{FcfsServer, ServerBank};
 pub use stats::{Histogram, OnlineStats, TimeWeighted};

@@ -62,9 +62,11 @@ fn io_breakdown_total_is_sum_of_categories() {
     assert!(r.io.total() > 0, "a busy run does physical I/O");
 }
 
-/// The metrics registry is a parallel set of books for the same events
-/// the engine counts in `RunReport::io`; the two must reconcile exactly
-/// over the measured interval.
+/// The metrics registry is the engine's only count of each event, and
+/// `RunReport::io` is read back from it (`Engine::report()`): the names
+/// a traced snapshot carries and the report's fields must agree exactly
+/// over the measured interval, so a renamed or re-mapped counter shows
+/// here.
 #[test]
 fn registry_counters_reconcile_with_report_io() {
     let (report, snapshot, _) = traced_run(busy());

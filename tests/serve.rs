@@ -110,6 +110,124 @@ fn oracle_report_is_byte_identical_to_the_simulator() {
 }
 
 #[test]
+fn oracle_report_is_byte_identical_with_two_interleaved_connections() {
+    let cfg = small_sim();
+    let expected = run_simulation(cfg.clone()).to_json();
+    let handle = Server::start(
+        ServeConfig {
+            mode: ServeMode::Oracle(Box::new(cfg)),
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("start oracle server");
+    // Two connections take turns stepping the one engine; each reply is
+    // read before the other connection sends, so the order is fixed.
+    let mut conns = [connect(handle.addr(), 1), connect(handle.addr(), 1)];
+    for i in 0..8u64 {
+        let (stream, session) = &mut conns[(i % 2) as usize];
+        send(stream, &write_one(*session, i, i as u32));
+        match recv(stream) {
+            Response::TxnOk { completed, .. } => assert_eq!(completed, i + 1),
+            other => panic!("expected TxnOk, got {other:?}"),
+        }
+    }
+    // Whichever connection asks, the report is the simulator's.
+    for (stream, _) in &mut conns {
+        send(stream, &Request::Report);
+        match recv(stream) {
+            Response::ReportOk { json } => assert_eq!(json, expected),
+            other => panic!("expected ReportOk, got {other:?}"),
+        }
+    }
+    handle.request_shutdown();
+    let report = handle.join().expect("oracle drain");
+    assert_eq!(report.acid_violations, 0);
+    assert!(report.clean_drain);
+}
+
+/// The number after `"key":` in a STATS JSON body.
+fn stats_field(json: &str, key: &str) -> u64 {
+    let at = json.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+    let digits = json[at..].chars().take_while(char::is_ascii_digit);
+    digits.collect::<String>().parse().expect(key)
+}
+
+#[test]
+fn the_oracle_queue_is_bounded_and_sheds_like_the_concurrent_one() {
+    // A two-slot queue in front of the one oracle worker, which spends
+    // its first tens of milliseconds building a 16 MiB database on its
+    // own thread. A connection that pipelines 64 TXNs and a STATS in one
+    // write fills the queue with the first two; admission control must
+    // shed the rest with typed OVERLOADED rather than queue them, the
+    // gauges must show it, and a shed TXN must never step the engine.
+    let handle = Server::start(
+        ServeConfig {
+            mode: ServeMode::Oracle(Box::new(SimConfig {
+                database_bytes: 16 * 1024 * 1024,
+                ..small_sim()
+            })),
+            queue_cap: 2,
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("start oracle server");
+    let (mut stream, session) = connect(handle.addr(), 1);
+    let mut burst = Vec::new();
+    for i in 0..64u64 {
+        burst.extend(write_one(session, i, i as u32).encode().encode());
+    }
+    burst.extend(Request::Stats.encode().encode());
+    std::io::Write::write_all(&mut stream, &burst).expect("write burst");
+
+    let (mut answered, mut shed, mut completed_seen) = (vec![0u32; 64], 0u64, 0u64);
+    let mut stats = None;
+    for _ in 0..65 {
+        match recv(&mut stream) {
+            Response::TxnOk {
+                client_txn,
+                completed,
+                ..
+            } => {
+                answered[client_txn as usize] += 1;
+                completed_seen += 1;
+                assert_eq!(completed, completed_seen, "a shed TXN stepped the engine");
+            }
+            Response::Error {
+                kind: ErrorKind::Overloaded,
+                client_txn,
+                ..
+            } => {
+                answered[client_txn as usize] += 1;
+                shed += 1;
+            }
+            Response::StatsOk { json, .. } => stats = Some(json),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert!(answered.iter().all(|&n| n == 1), "{answered:?}");
+    assert!(shed > 0, "a two-slot queue under a 64-deep burst must shed");
+    assert_eq!(completed_seen + shed, 64);
+    // The STATS in the burst was answered the moment it was parsed,
+    // with the queue still full; one sent now counts every shed reply.
+    let stats = stats.expect("a STATS reply");
+    assert_eq!(stats_field(&stats, "admission_shedding"), 1);
+    assert!(stats_field(&stats, "queue_depth") > 0, "{stats}");
+    send(&mut stream, &Request::Stats);
+    match recv(&mut stream) {
+        Response::StatsOk { json, .. } => assert_eq!(stats_field(&json, "err.overloaded"), shed),
+        other => panic!("expected StatsOk, got {other:?}"),
+    }
+
+    handle.request_shutdown();
+    let report = handle.join().expect("oracle drain");
+    assert_eq!(report.sheds, shed);
+    assert_eq!(report.stats.gauge("queue_depth"), 0, "gauge back at rest");
+    assert!(report.clean_drain);
+}
+
+#[test]
 fn concurrent_chaos_load_drains_with_zero_acid_violations() {
     let handle = Server::start(ServeConfig::default(), "127.0.0.1:0").expect("start server");
     let summary = semcluster::serve::run_load(&LoadConfig {
