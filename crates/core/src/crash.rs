@@ -414,17 +414,6 @@ fn sample_points(max: u64, n: usize) -> Vec<u64> {
     out
 }
 
-/// Evenly sample `n` values from `lo..=max` (deduplicated, ascending).
-fn sample_range(lo: u64, max: u64, n: usize) -> Vec<u64> {
-    if max < lo {
-        return Vec::new();
-    }
-    sample_points(max - lo + 1, n)
-        .into_iter()
-        .map(|v| lo + v - 1)
-        .collect()
-}
-
 /// Run the exhaustive crash-recovery matrix: probe the workload once to
 /// learn its commit/event/flush totals, then crash it at every commit
 /// boundary, at `event_samples` intra-transaction points, and at
@@ -489,19 +478,13 @@ fn run_sim_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
 /// Deterministic per-point salt for the filesystem fault schedule.
 const POINT_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-fn file_fault_cfg(config: &CrashMatrixConfig, idx: u64, point: CrashPoint) -> FsFaultConfig {
-    let mut fscfg = FsFaultConfig {
+fn file_fault_cfg(config: &CrashMatrixConfig, idx: u64) -> FsFaultConfig {
+    FsFaultConfig {
         seed: config.cfg.seed ^ idx.wrapping_mul(POINT_SALT),
         short_write_rate: config.short_write_rate,
         skip_physical_sync: config.skip_physical_sync,
         ..FsFaultConfig::default()
-    };
-    match point {
-        CrashPoint::Syscall(k) => fscfg.crash_at_syscall = Some(k),
-        CrashPoint::FsyncFail(k) => fscfg.fsync_fail_at = vec![k],
-        _ => {}
     }
-    fscfg
 }
 
 /// Read the two store files (absent files read as distinct sentinels so
@@ -628,11 +611,8 @@ fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
     let _ = std::fs::remove_dir_all(&probe_root);
     let probe = {
         let mut engine = Engine::new(cfg.clone());
-        let mirror = DurableMirror::create(
-            &probe_root,
-            file_fault_cfg(config, u64::MAX, CrashPoint::End),
-        )
-        .expect("file matrix: probe mirror creation failed");
+        let mirror = DurableMirror::create(&probe_root, file_fault_cfg(config, u64::MAX))
+            .expect("file matrix: probe mirror creation failed");
         engine
             .attach_mirror(mirror)
             .expect("file matrix: probe checkpoint failed");
@@ -647,13 +627,17 @@ fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
         artifacts.report.stats.syscalls,
         artifacts.report.stats.fsyncs,
     );
-    let (ckpt_syscalls, ckpt_fsyncs) = (artifacts.checkpoint_syscalls, artifacts.checkpoint_fsyncs);
-
+    // Filesystem points count K from the end of the checkpoint: the
+    // probe's and every point's checkpoints differ in length (each
+    // point's short-write draws are its own), and each mirror arms its
+    // point once its own is written.
+    let run_syscalls = total_syscalls - artifacts.checkpoint_syscalls;
+    let run_fsyncs = total_fsyncs - artifacts.checkpoint_fsyncs;
     let mut points = logical_points(config, &probe);
-    for k in sample_range(ckpt_syscalls + 1, total_syscalls, config.syscall_samples) {
+    for k in sample_points(run_syscalls, config.syscall_samples) {
         points.push(CrashPoint::Syscall(k));
     }
-    for k in sample_range(ckpt_fsyncs + 1, total_fsyncs, config.fsync_fail_samples) {
+    for k in sample_points(run_fsyncs, config.fsync_fail_samples) {
         points.push(CrashPoint::FsyncFail(k));
     }
 
@@ -664,9 +648,10 @@ fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
         let mut result = CrashPointResult::new(point);
 
         let mut engine = Engine::new(cfg.clone());
-        match DurableMirror::create(&root, file_fault_cfg(config, idx as u64, point))
-            .and_then(|m| engine.attach_mirror(m))
-        {
+        match DurableMirror::create(&root, file_fault_cfg(config, idx as u64)).and_then(|mut m| {
+            m.arm_after_checkpoint(point);
+            engine.attach_mirror(m)
+        }) {
             Err(e) => result
                 .violations
                 .push(format!("file: mirror setup failed: {e}")),

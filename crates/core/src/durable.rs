@@ -8,11 +8,14 @@
 //!
 //! * object placement / removal / movement / update → WAL op records
 //!   owned by the simulated transaction's token;
-//! * page write-back (evict or split flush) → log-forced
-//!   [`WalOp::PageSnapshot`] followed by the real page write;
-//! * commit → commit record + WAL fsync, and the engine only
-//!   acknowledges the transaction if that fsync succeeded (an injected
-//!   fsync failure reroutes the token to `unacked`, never retried);
+//! * page write-back (evict or split flush) → a buffered
+//!   [`WalOp::PageSnapshot`], the real page write queued behind the
+//!   force that makes it durable;
+//! * commit → commit record, one write of the log buffer and the WAL
+//!   fsync, and the engine only acknowledges the transaction if that
+//!   fsync succeeded (an injected fsync failure reroutes the token to
+//!   `unacked`, never retried); the same force releases the queued
+//!   page writes, whose failures are recorded but fail no commit;
 //! * engine abort → abort record.
 //!
 //! Everything is a single `Option` branch when no mirror is attached,
@@ -20,8 +23,8 @@
 //! compiled in — the same inertness discipline as tracing and
 //! profiling.
 
-use semcluster_faults::{FsCrashReport, FsFaultConfig};
-use semcluster_storage::{FilePageStore, StorageManager, StoreError, WalOp};
+use semcluster_faults::{CrashPoint, FsCrashReport, FsFaultConfig};
+use semcluster_storage::{FilePageStore, PageId, StorageManager, StoreError, WalOp};
 use std::path::{Path, PathBuf};
 
 /// How many mirror-side errors are retained verbatim for diagnosis.
@@ -32,7 +35,7 @@ const MAX_ERRORS: usize = 8;
 pub struct MirrorStats {
     /// WAL op records appended (places, removes, moves, touches).
     pub ops_logged: u64,
-    /// Page steals (snapshot + page write + fsyncs).
+    /// Page steals (snapshot logged, page write queued).
     pub steals: u64,
     /// Commits whose WAL fsync succeeded (ackable).
     pub commits_ok: u64,
@@ -61,6 +64,12 @@ pub struct FileCrashArtifacts {
     pub errors: Vec<String>,
 }
 
+/// The `(object, size)` slots of `page` as the durable store takes them.
+fn slots_of(sim: &StorageManager, page: PageId) -> impl Iterator<Item = (u32, u32)> + '_ {
+    let objects = sim.objects_on(page).unwrap_or_default();
+    objects.iter().map(|&(object, size)| (object.0, size))
+}
+
 /// A [`FilePageStore`] wired to shadow one engine run.
 #[derive(Debug)]
 pub struct DurableMirror {
@@ -69,6 +78,10 @@ pub struct DurableMirror {
     errors: Vec<String>,
     checkpoint_syscalls: u64,
     checkpoint_fsyncs: u64,
+    /// A filesystem fault to arm once the checkpoint is written.
+    armed: Option<CrashPoint>,
+    /// Reused slot list of the page being stolen.
+    slots: Vec<(u32, u32)>,
 }
 
 impl DurableMirror {
@@ -81,7 +94,16 @@ impl DurableMirror {
             errors: Vec::new(),
             checkpoint_syscalls: 0,
             checkpoint_fsyncs: 0,
+            armed: None,
+            slots: Vec::new(),
         })
+    }
+
+    /// Arm a [`CrashPoint::Syscall`] or [`CrashPoint::FsyncFail`] whose
+    /// K counts from the end of *this* mirror's checkpoint, however long
+    /// its seed's short-write draws make it. Other points arm nothing.
+    pub fn arm_after_checkpoint(&mut self, point: CrashPoint) {
+        self.armed = Some(point);
     }
 
     /// Store directory.
@@ -93,20 +115,15 @@ impl DurableMirror {
     /// store currently holds) and the `CheckpointEnd` record. Called
     /// once, before the run drives.
     pub fn checkpoint(&mut self, sim: &StorageManager) -> Result<(), StoreError> {
-        let pages: Vec<(u32, Vec<(u32, u32)>)> = (0..sim.page_count() as u32)
-            .map(|p| {
-                let slots = sim
-                    .objects_on(semcluster_storage::PageId(p))
-                    .map(|objs| objs.iter().map(|&(o, s)| (o.0, s)).collect())
-                    .unwrap_or_default();
-                (p, slots)
-            })
-            .collect();
-        self.store
-            .checkpoint(pages.iter().map(|(p, s)| (*p, s.as_slice())))?;
+        let pages =
+            (0..sim.page_count() as u32).map(|p| (p, slots_of(sim, PageId(p)).collect::<Vec<_>>()));
+        self.store.checkpoint(pages)?;
         let stats = self.store.stats();
         self.checkpoint_syscalls = stats.syscalls;
         self.checkpoint_fsyncs = stats.fsyncs;
+        if let Some(point) = self.armed {
+            self.store.arm_from_here(point);
+        }
         Ok(())
     }
 
@@ -137,12 +154,24 @@ impl DurableMirror {
         }
     }
 
-    /// Mirror a page write-back: snapshot-force then page write.
-    pub fn steal(&mut self, page: u32, slots: &[(u32, u32)]) {
-        match self.store.steal(page, slots) {
+    /// Record a failure to write queued page images out. It fails no
+    /// commit: the images are healed from their snapshots at recovery.
+    fn note_drain(&mut self) {
+        if let Some(e) = self.store.take_drain_error() {
+            self.note_err("page drain", &e);
+        }
+    }
+
+    /// Mirror the write-back of `page` as `sim` holds it: snapshot into
+    /// the log buffer, page write queued behind the next force.
+    pub fn steal(&mut self, sim: &StorageManager, page: PageId) {
+        self.slots.clear();
+        self.slots.extend(slots_of(sim, page));
+        match self.store.steal(page.0, &self.slots) {
             Ok(()) => self.stats.steals += 1,
             Err(e) => self.note_err("page steal", &e),
         }
+        self.note_drain();
     }
 
     /// Mirror a commit: append + fsync. Returns `true` only if the
@@ -151,7 +180,9 @@ impl DurableMirror {
     /// semantics the lost records cannot be resynced, and the mirror
     /// never retries.
     pub fn commit(&mut self, txn: u64) -> bool {
-        match self.store.commit(txn) {
+        let forced = self.store.commit(txn);
+        self.note_drain();
+        match forced {
             Ok(_) => {
                 self.stats.commits_ok += 1;
                 true

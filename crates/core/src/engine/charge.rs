@@ -186,18 +186,12 @@ impl Engine {
         t: SimTime,
         cause: FlushCause,
     ) -> Result<SimTime, EngineError> {
-        if self.mirror.is_some() {
-            // Stealing a dirty page to disk: the mirror forces a page
-            // snapshot into the WAL first (so a torn page write is
-            // always repairable), then performs the real write + fsync.
-            let slots: Vec<(u32, u32)> = self
-                .store
-                .objects_on(page)
-                .map(|objs| objs.iter().map(|&(o, s)| (o.0, s)).collect())
-                .unwrap_or_default();
-            if let Some(m) = self.mirror.as_mut() {
-                m.steal(page.0, &slots);
-            }
+        if let Some(m) = self.mirror.as_mut() {
+            // Stealing a dirty page to disk: the mirror logs a page
+            // snapshot (so a torn page write is always repairable) and
+            // queues the real write behind the force that makes it
+            // durable.
+            m.steal(&self.store, page);
         }
         let d = self.layout.disk_of(page) as usize;
         let outcome = self.faulty_disk_io(IoOp::Write, page, d, t);

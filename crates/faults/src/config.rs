@@ -208,12 +208,13 @@ pub enum CrashPoint {
     /// record being written is torn and recovery must truncate it.
     MidFlush(u64),
     /// Kill the process image at the file backend's k-th filesystem
-    /// syscall (1-based). The simulated backend ignores this point and
-    /// runs to completion; the file backend's fault layer fires it.
+    /// syscall (1-based) after its initial checkpoint. The simulated
+    /// backend ignores this point and runs to completion; the file
+    /// backend's fault layer fires it.
     Syscall(u64),
     /// Inject an fsync failure at the file backend's k-th fsync
-    /// (1-based) and run to completion, exercising fsyncgate handling.
-    /// Ignored by the simulated backend.
+    /// (1-based) after its initial checkpoint and run to completion,
+    /// exercising fsyncgate handling. Ignored by the simulated backend.
     FsyncFail(u64),
 }
 

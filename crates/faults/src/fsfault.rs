@@ -27,6 +27,7 @@
 //! given [`FsFaultConfig`] yields one schedule, byte-identical at any
 //! thread count.
 
+use crate::config::CrashPoint;
 use crate::plan::splitmix64;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -176,8 +177,12 @@ pub struct FsFile(usize);
 struct FaultedFile {
     path: PathBuf,
     file: File,
-    /// Buffered writes not yet applied to the real file (offset, data).
-    pending: Vec<(u64, Vec<u8>)>,
+    /// Buffered writes not yet applied to the real file, as (offset,
+    /// length); their bytes lie back to back in `arena`, in order.
+    pending: Vec<(u64, usize)>,
+    /// The bytes of `pending`. Cleared, never shrunk, at every fsync,
+    /// so steady-state buffering allocates nothing.
+    arena: Vec<u8>,
     /// Logical length including pending writes.
     logical_len: u64,
     poisoned: bool,
@@ -186,6 +191,32 @@ struct FaultedFile {
 impl FaultedFile {
     fn path_str(&self) -> String {
         self.path.display().to_string()
+    }
+
+    /// The buffered writes, oldest first, as (offset, data).
+    fn pending_writes(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        let mut at = 0;
+        self.pending.iter().map(move |&(offset, len)| {
+            let data = &self.arena[at..at + len];
+            at += len;
+            (offset, data)
+        })
+    }
+
+    /// Forget the buffered writes; returns how many there were.
+    fn drop_pending(&mut self) -> u64 {
+        let dropped = self.pending.len() as u64;
+        self.pending.clear();
+        self.arena.clear();
+        dropped
+    }
+
+    fn io_err(&self, op: &'static str, e: std::io::Error) -> FsError {
+        FsError::Io {
+            op,
+            path: self.path_str(),
+            detail: e.to_string(),
+        }
     }
 }
 
@@ -199,9 +230,6 @@ pub struct FaultedDir {
     stats: FsStats,
     crashed: bool,
     crash_report: Option<FsCrashReport>,
-    /// (file index, pending index) of the most recent buffered write,
-    /// used by `crash(tear_last_write = true)`.
-    last_pending: Option<(usize, usize)>,
     draw_key: u64,
 }
 
@@ -221,7 +249,6 @@ impl FaultedDir {
             stats: FsStats::default(),
             crashed: false,
             crash_report: None,
-            last_pending: None,
         })
     }
 
@@ -256,6 +283,7 @@ impl FaultedDir {
             path,
             file,
             pending: Vec::new(),
+            arena: Vec::new(),
             logical_len,
             poisoned: false,
         });
@@ -275,6 +303,19 @@ impl FaultedDir {
     /// The crash report, once crashed.
     pub fn crash_report(&self) -> Option<&FsCrashReport> {
         self.crash_report.as_ref()
+    }
+
+    /// Arm a [`CrashPoint::Syscall`] or [`CrashPoint::FsyncFail`] whose
+    /// K counts from now (1 = the very next one); other points arm
+    /// nothing. [`FsFaultConfig`]'s indices count from the directory's
+    /// creation, so a caller whose set-up phase has a length that
+    /// depends on the short-write draws arms from the end of it instead.
+    pub fn arm_from_here(&mut self, point: CrashPoint) {
+        match point {
+            CrashPoint::Syscall(k) => self.cfg.crash_at_syscall = Some(self.stats.syscalls + k),
+            CrashPoint::FsyncFail(k) => self.cfg.fsync_fail_at.push(self.stats.fsyncs + k),
+            _ => {}
+        }
     }
 
     /// Logical file length (pending writes included).
@@ -348,10 +389,10 @@ impl FaultedDir {
             data.len()
         };
         let f = &mut self.files[id.0];
-        f.pending.push((offset, data[..take].to_vec()));
+        f.pending.push((offset, take));
+        f.arena.extend_from_slice(&data[..take]);
         f.logical_len = f.logical_len.max(offset + take as u64);
         self.stats.bytes_written += take as u64;
-        self.last_pending = Some((id.0, f.pending.len() - 1));
         Ok(take)
     }
 
@@ -375,37 +416,24 @@ impl FaultedDir {
         if self.cfg.fsync_fail_at.contains(&self.stats.fsyncs) {
             self.stats.fsync_failures += 1;
             let f = &mut self.files[id.0];
-            self.stats.dropped_writes += f.pending.len() as u64;
-            f.pending.clear();
+            self.stats.dropped_writes += f.drop_pending();
             f.logical_len = file_len(f);
             f.poisoned = true;
             return Err(FsError::SyncFailed { path: f.path_str() });
         }
-        let skip_sync = self.cfg.skip_physical_sync;
         let f = &mut self.files[id.0];
-        let pending: Vec<(u64, Vec<u8>)> = f.pending.drain(..).collect();
-        for (off, data) in pending {
-            f.file.write_all_at(&data, off).map_err(|e| FsError::Io {
-                op: "write",
-                path: f.path.display().to_string(),
-                detail: e.to_string(),
-            })?;
+        for (off, data) in f.pending_writes() {
+            f.file
+                .write_all_at(data, off)
+                .map_err(|e| f.io_err("write", e))?;
             self.stats.bytes_synced += data.len() as u64;
         }
-        if !skip_sync {
-            f.file.sync_all().map_err(|e| FsError::Io {
-                op: "fsync",
-                path: f.path.display().to_string(),
-                detail: e.to_string(),
-            })?;
+        f.drop_pending();
+        if !self.cfg.skip_physical_sync {
+            f.file.sync_all().map_err(|e| f.io_err("fsync", e))?;
         } else {
-            f.file.flush().map_err(|e| FsError::Io {
-                op: "flush",
-                path: f.path.display().to_string(),
-                detail: e.to_string(),
-            })?;
+            f.file.flush().map_err(|e| f.io_err("flush", e))?;
         }
-        self.last_pending = None;
         Ok(())
     }
 
@@ -422,38 +450,31 @@ impl FaultedDir {
             let want = (end - offset) as usize;
             f.file
                 .read_exact_at(&mut buf[..want], offset)
-                .map_err(|e| FsError::Io {
-                    op: "read",
-                    path: f.path.display().to_string(),
-                    detail: e.to_string(),
-                })?;
+                .map_err(|e| f.io_err("read", e))?;
         }
-        for (off, data) in &f.pending {
-            overlay(&mut buf, offset, *off, data);
+        for (off, data) in f.pending_writes() {
+            overlay(&mut buf, offset, off, data);
         }
         Ok(buf)
     }
 
     /// Kill the process image at a non-syscall boundary: every pending
-    /// (unsynced) write is lost; with `tear_last_write` the most recent
-    /// pending write persists a partial prefix onto the real file (the
-    /// analogue of a power cut mid page-cache writeback).
-    pub fn crash(&mut self, tear_last_write: bool) -> FsCrashReport {
+    /// (unsynced) write is lost. `in_flight` is a write the caller was
+    /// about to append to a file when the power went (a log buffer it
+    /// had not handed over yet): a partial prefix of it persists at the
+    /// file's logical end, the analogue of a power cut mid write-out.
+    pub fn crash(&mut self, in_flight: Option<(FsFile, &[u8])>) -> FsCrashReport {
         if self.crashed {
             return self
                 .crash_report
                 .clone()
                 .expect("crashed dir always has a report");
         }
-        let mut torn = None;
-        if tear_last_write {
-            if let Some((fi, pi)) = self.last_pending {
-                if pi < self.files[fi].pending.len() {
-                    let (off, data) = self.files[fi].pending[pi].clone();
-                    torn = self.persist_torn_prefix(fi, off, &data);
-                }
-            }
-        }
+        let torn = in_flight
+            .filter(|(id, data)| !data.is_empty() && !self.files[id.0].poisoned)
+            .and_then(|(id, data)| {
+                self.persist_torn_prefix(id.0, self.files[id.0].logical_len, data)
+            });
         self.finish_crash(torn)
     }
 
@@ -469,17 +490,19 @@ impl FaultedDir {
     /// prefix of the pending writes reached the platter in full, the
     /// next one tore, the rest are lost.
     fn crash_during_fsync(&mut self, id: FsFile) -> FsError {
-        let f = &mut self.files[id.0];
-        let pending: Vec<(u64, Vec<u8>)> = f.pending.drain(..).collect();
+        let pending = std::mem::take(&mut self.files[id.0].pending);
+        let arena = std::mem::take(&mut self.files[id.0].arena);
         let survive = self.int_draw(STREAM_TEAR, self.stats.syscalls, pending.len() as u64 + 1);
         let mut torn = None;
-        for (i, (off, data)) in pending.iter().enumerate() {
+        let mut at = 0;
+        for (i, &(off, len)) in pending.iter().enumerate() {
+            let data = &arena[at..at + len];
+            at += len;
             if (i as u64) < survive {
-                let f = &mut self.files[id.0];
-                let _ = f.file.write_all_at(data, *off);
-                self.stats.bytes_synced += data.len() as u64;
+                let _ = self.files[id.0].file.write_all_at(data, off);
+                self.stats.bytes_synced += len as u64;
             } else {
-                torn = self.persist_torn_prefix(id.0, *off, data);
+                torn = self.persist_torn_prefix(id.0, off, data);
                 break;
             }
         }
@@ -513,8 +536,7 @@ impl FaultedDir {
 
     fn finish_crash(&mut self, torn: Option<TornWrite>) -> FsCrashReport {
         for f in &mut self.files {
-            self.stats.dropped_writes += f.pending.len() as u64;
-            f.pending.clear();
+            self.stats.dropped_writes += f.drop_pending();
             let _ = f.file.flush();
         }
         self.crashed = true;
@@ -566,7 +588,7 @@ mod tests {
         dir.write_at(f, 0, b"durable").unwrap();
         dir.fsync(f).unwrap();
         dir.write_at(f, 7, b" volatile").unwrap();
-        let report = dir.crash(false);
+        let report = dir.crash(None);
         assert_eq!(report.stats.dropped_writes, 1);
         assert_eq!(std::fs::read(root.join("data")).unwrap(), b"durable");
         assert_eq!(dir.fsync(f), Err(FsError::Crashed));

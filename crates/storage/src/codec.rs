@@ -48,6 +48,8 @@ const PAGE_MAGIC: u32 = 0x5350_4731; // "SPG1"
 const WAL_MAGIC: u32 = 0x5357_5231; // "SWR1"
 /// Sanity bound on a WAL payload (a snapshot of a full page).
 const MAX_WAL_PAYLOAD: u32 = DISK_PAGE_BYTES;
+/// Kind byte of a [`WalOp::PageSnapshot`] record.
+const SNAPSHOT_KIND: u8 = 7;
 
 /// Errors from encoding on-disk structures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,8 +79,11 @@ impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------- CRC32
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `[0]` is the classic byte-at-a-time table,
+/// `[k]` carries a byte through `k` further zero bytes, so eight input
+/// bytes fold into the CRC with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -91,21 +96,61 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// IEEE CRC-32 (the zlib polynomial), dependency-free.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    crc32_feed(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+}
+
+/// CRC-32 of `head` followed by `tail`, without joining them: both
+/// on-disk formats checksum a header field range and a payload, with
+/// the checksum field itself sitting between the two.
+fn crc32_pair(head: &[u8], tail: &[u8]) -> u32 {
+    crc32_feed(crc32_feed(0xFFFF_FFFF, head), tail) ^ 0xFFFF_FFFF
+}
+
+fn crc32_feed(mut c: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
     }
-    c ^ 0xFFFF_FFFF
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// Whether every byte of `buf` is zero, sixteen bytes at a time.
+fn all_zero(buf: &[u8]) -> bool {
+    let mut chunks = buf.chunks_exact(16);
+    chunks.all(|c| u128::from_ne_bytes(c.try_into().expect("chunks_exact(16)")) == 0)
+        && chunks.remainder().iter().all(|&b| b == 0)
 }
 
 fn put_u32(buf: &mut [u8], at: usize, v: u32) {
@@ -149,54 +194,72 @@ pub enum PageRead {
 
 /// Encode a page image into a fixed [`DISK_PAGE_BYTES`] buffer.
 pub fn encode_page(page: u32, lsn: u64, slots: &[(u32, u32)]) -> Result<Vec<u8>, CodecError> {
+    let mut buf = vec![0u8; DISK_PAGE_BYTES as usize];
+    encode_page_into(&mut buf, page, lsn, slots)?;
+    Ok(buf)
+}
+
+/// Encode a page image over `buf`, which must be exactly one
+/// [`DISK_PAGE_BYTES`] slot; whatever it held is overwritten, padding
+/// included.
+pub(crate) fn encode_page_into(
+    buf: &mut [u8],
+    page: u32,
+    lsn: u64,
+    slots: &[(u32, u32)],
+) -> Result<(), CodecError> {
+    assert_eq!(buf.len(), DISK_PAGE_BYTES as usize, "one page slot");
     if slots.len() > MAX_DISK_SLOTS {
         return Err(CodecError::PageOverflow {
             page,
             slots: slots.len(),
         });
     }
-    let mut buf = vec![0u8; DISK_PAGE_BYTES as usize];
-    put_u32(&mut buf, 0, PAGE_MAGIC);
-    put_u32(&mut buf, 4, page);
-    put_u64(&mut buf, 8, lsn);
-    let payload_len = 4 + 8 * slots.len() as u32;
-    put_u32(&mut buf, 16, payload_len);
-    let mut at = PAGE_HEADER_BYTES;
-    put_u32(&mut buf, at, slots.len() as u32);
+    put_u32(buf, 0, PAGE_MAGIC);
+    put_u32(buf, 4, page);
+    put_u64(buf, 8, lsn);
+    let payload_len = 4 + 8 * slots.len();
+    put_u32(buf, 16, payload_len as u32);
+    let end = put_slots(buf, PAGE_HEADER_BYTES, slots);
+    buf[end..].fill(0);
+    let crc = page_crc(buf, payload_len);
+    put_u32(buf, 20, crc);
+    Ok(())
+}
+
+/// Write `count` then the `(object, size)` pairs at `at`; returns the
+/// offset just past them.
+fn put_slots(buf: &mut [u8], mut at: usize, slots: &[(u32, u32)]) -> usize {
+    put_u32(buf, at, slots.len() as u32);
     at += 4;
     for &(object, size) in slots {
-        put_u32(&mut buf, at, object);
-        put_u32(&mut buf, at + 4, size);
+        put_u32(buf, at, object);
+        put_u32(buf, at + 4, size);
         at += 8;
     }
-    let crc = page_crc(&buf, payload_len as usize);
-    put_u32(&mut buf, 20, crc);
-    Ok(buf)
+    at
 }
 
 fn page_crc(buf: &[u8], payload_len: usize) -> u32 {
-    let mut region = Vec::with_capacity(16 + payload_len);
-    region.extend_from_slice(&buf[4..20]);
-    region.extend_from_slice(&buf[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + payload_len]);
-    crc32(&region)
+    crc32_pair(
+        &buf[4..20],
+        &buf[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + payload_len],
+    )
 }
 
 /// Decode one on-disk page slot. Anything other than an exact
 /// [`DISK_PAGE_BYTES`] buffer with a valid header and CRC is `Torn`
 /// (or `Missing` for the all-zero never-written slot).
 pub fn decode_page(buf: &[u8]) -> PageRead {
-    if buf.len() != DISK_PAGE_BYTES as usize {
-        return if buf.iter().all(|&b| b == 0) {
+    // A slot that does not open with the magic is never-written if it
+    // is all zero and torn otherwise; one that does is not all zero, so
+    // only its padding is left to scan below.
+    if buf.len() != DISK_PAGE_BYTES as usize || get_u32(buf, 0) != PAGE_MAGIC {
+        return if all_zero(buf) {
             PageRead::Missing
         } else {
             PageRead::Torn
         };
-    }
-    if buf.iter().all(|&b| b == 0) {
-        return PageRead::Missing;
-    }
-    if get_u32(buf, 0) != PAGE_MAGIC {
-        return PageRead::Torn;
     }
     let page = get_u32(buf, 4);
     let lsn = get_u64(buf, 8);
@@ -212,10 +275,7 @@ pub fn decode_page(buf: &[u8]) -> PageRead {
     }
     // Padding beyond the payload must be zero: a torn overwrite that
     // left stale bytes past a shorter valid payload is still detected.
-    if buf[PAGE_HEADER_BYTES + payload_len..]
-        .iter()
-        .any(|&b| b != 0)
-    {
+    if !all_zero(&buf[PAGE_HEADER_BYTES + payload_len..]) {
         return PageRead::Torn;
     }
     let count = get_u32(buf, PAGE_HEADER_BYTES) as usize;
@@ -302,7 +362,7 @@ impl WalOp {
             WalOp::Move { .. } => 4,
             WalOp::Commit => 5,
             WalOp::Abort => 6,
-            WalOp::PageSnapshot { .. } => 7,
+            WalOp::PageSnapshot { .. } => SNAPSHOT_KIND,
         }
     }
 
@@ -332,48 +392,72 @@ pub struct WalRecord {
 
 /// Encode one WAL record.
 pub fn encode_wal_record(lsn: u64, txn: u64, op: &WalOp) -> Vec<u8> {
-    let (a, b, c, d, payload): (u32, u32, u32, u32, Vec<u8>) = match op {
-        WalOp::CheckpointEnd | WalOp::Commit | WalOp::Abort => (0, 0, 0, 0, Vec::new()),
+    let mut buf = Vec::new();
+    encode_wal_record_into(&mut buf, lsn, txn, op);
+    buf
+}
+
+/// Append one encoded WAL record to `out` (a log buffer).
+pub(crate) fn encode_wal_record_into(out: &mut Vec<u8>, lsn: u64, txn: u64, op: &WalOp) {
+    let (fields, slots): ([u32; 4], &[(u32, u32)]) = match op {
+        WalOp::CheckpointEnd | WalOp::Commit | WalOp::Abort => ([0; 4], &[]),
         WalOp::Touch { object, size, page }
         | WalOp::Place { object, size, page }
-        | WalOp::Remove { object, size, page } => (*object, *size, *page, 0, Vec::new()),
+        | WalOp::Remove { object, size, page } => ([*object, *size, *page, 0], &[]),
         WalOp::Move {
             object,
             size,
             from,
             to,
-        } => (*object, *size, *from, *to, Vec::new()),
-        WalOp::PageSnapshot { page, slots } => {
-            let mut p = Vec::with_capacity(4 + 8 * slots.len());
-            p.extend_from_slice(&(slots.len() as u32).to_le_bytes());
-            for &(object, size) in slots {
-                p.extend_from_slice(&object.to_le_bytes());
-                p.extend_from_slice(&size.to_le_bytes());
-            }
-            (*page, 0, 0, 0, p)
-        }
+        } => ([*object, *size, *from, *to], &[]),
+        WalOp::PageSnapshot { page, slots } => ([*page, 0, 0, 0], slots),
     };
-    let mut buf = vec![0u8; WAL_HEADER_BYTES + payload.len()];
-    put_u32(&mut buf, 0, WAL_MAGIC);
-    put_u64(&mut buf, 4, lsn);
-    put_u64(&mut buf, 12, txn);
-    buf[20] = op.kind();
-    put_u32(&mut buf, 21, a);
-    put_u32(&mut buf, 25, b);
-    put_u32(&mut buf, 29, c);
-    put_u32(&mut buf, 33, d);
-    put_u32(&mut buf, 37, payload.len() as u32);
-    buf[WAL_HEADER_BYTES..].copy_from_slice(&payload);
-    let crc = wal_crc(&buf, payload.len());
-    put_u32(&mut buf, 41, crc);
-    buf
+    put_wal_record(out, lsn, txn, op.kind(), fields, slots);
+}
+
+/// Append a system (transaction 0) [`WalOp::PageSnapshot`] record to
+/// `out` straight from a borrowed slot list.
+pub(crate) fn encode_snapshot_into(out: &mut Vec<u8>, lsn: u64, page: u32, slots: &[(u32, u32)]) {
+    put_wal_record(out, lsn, 0, SNAPSHOT_KIND, [page, 0, 0, 0], slots);
+}
+
+/// Only a snapshot record carries a payload: its slot list.
+fn put_wal_record(
+    out: &mut Vec<u8>,
+    lsn: u64,
+    txn: u64,
+    kind: u8,
+    fields: [u32; 4],
+    slots: &[(u32, u32)],
+) {
+    let payload_len = if kind == SNAPSHOT_KIND {
+        4 + 8 * slots.len()
+    } else {
+        0
+    };
+    let start = out.len();
+    out.resize(start + WAL_HEADER_BYTES + payload_len, 0);
+    let buf = &mut out[start..];
+    put_u32(buf, 0, WAL_MAGIC);
+    put_u64(buf, 4, lsn);
+    put_u64(buf, 12, txn);
+    buf[20] = kind;
+    for (i, field) in fields.into_iter().enumerate() {
+        put_u32(buf, 21 + 4 * i, field);
+    }
+    put_u32(buf, 37, payload_len as u32);
+    if payload_len > 0 {
+        put_slots(buf, WAL_HEADER_BYTES, slots);
+    }
+    let crc = wal_crc(buf, payload_len);
+    put_u32(buf, 41, crc);
 }
 
 fn wal_crc(buf: &[u8], payload_len: usize) -> u32 {
-    let mut region = Vec::with_capacity(37 + payload_len);
-    region.extend_from_slice(&buf[4..41]);
-    region.extend_from_slice(&buf[WAL_HEADER_BYTES..WAL_HEADER_BYTES + payload_len]);
-    crc32(&region)
+    crc32_pair(
+        &buf[4..41],
+        &buf[WAL_HEADER_BYTES..WAL_HEADER_BYTES + payload_len],
+    )
 }
 
 /// Decode the record at the start of `buf`. Returns the record and the
@@ -425,7 +509,7 @@ pub fn decode_wal_record(buf: &[u8]) -> Option<(WalRecord, usize)> {
         },
         5 => WalOp::Commit,
         6 => WalOp::Abort,
-        7 => {
+        SNAPSHOT_KIND => {
             let payload = &buf[WAL_HEADER_BYTES..total];
             if payload.len() < 4 {
                 return None;
@@ -486,6 +570,26 @@ mod tests {
         // CRC-32("123456789") is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc_matches_the_bitwise_definition_at_every_length() {
+        let bitwise = |data: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in data {
+                c ^= b as u32;
+                for _ in 0..8 {
+                    c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+                }
+            }
+            c ^ 0xFFFF_FFFF
+        };
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..data.len() {
+            assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "len {len}");
+            let (head, tail) = data[..len].split_at(len / 3);
+            assert_eq!(crc32_pair(head, tail), bitwise(&data[..len]), "split {len}");
+        }
     }
 
     #[test]

@@ -71,6 +71,30 @@ fn file_backend_matrix_is_violation_free_with_full_fault_coverage() {
 }
 
 #[test]
+fn a_failed_fsync_costs_exactly_the_acks_that_waited_on_it() {
+    // Fail every post-checkpoint fsync in turn. A failed WAL force
+    // poisons the log, so no later commit is acked; a failed pages.db
+    // fsync — the drain a successful force released — fails no commit
+    // at all: its images are healed from their logged snapshots.
+    let mut mc = tiny_matrix(MatrixBackend::File, 2);
+    mc.fsync_fail_samples = usize::MAX;
+    let report = run_crash_matrix(&mc);
+    assert_eq!(report.violation_count(), 0, "{}", report.render());
+    let failed: Vec<_> = report.points.iter().filter(|p| p.fsync_failed).collect();
+    let all_acked = report.points.iter().map(|p| p.acked).max().unwrap();
+    assert!(
+        failed.iter().any(|p| p.acked < all_acked),
+        "no WAL force was failed"
+    );
+    assert!(
+        failed
+            .iter()
+            .any(|p| p.acked == all_acked && p.repaired_pages > 0),
+        "no pages.db drain was failed"
+    );
+}
+
+#[test]
 fn crash_matrix_render_is_thread_count_invariant_on_both_backends() {
     for backend in [MatrixBackend::Sim, MatrixBackend::File] {
         let serial = run_crash_matrix(&tiny_matrix(backend, 1));

@@ -200,3 +200,46 @@ fn catalog_creates_and_derivations_do_not_allocate() {
     );
     assert_eq!(db.object_count(), stats.objects + 2 * CALLS as usize);
 }
+
+/// The durable write path in steady state — two op records, a page
+/// steal and the commit that forces them, through the fault layer to
+/// the real files — reuses the store's log buffer and write-behind
+/// queue and the fault layer's pending arenas: once they have grown to
+/// a cycle's size, nothing allocates.
+#[test]
+fn durable_commit_cycle_does_not_allocate() {
+    use semcluster_faults::FsFaultConfig;
+    use semcluster_storage::{FilePageStore, WalOp};
+
+    let root = std::env::temp_dir().join(format!("semcluster-profile-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let quiet = FsFaultConfig {
+        skip_physical_sync: true,
+        ..FsFaultConfig::default()
+    };
+    let mut store = FilePageStore::create(&root, quiet).expect("scratch store");
+    let slots: Vec<(u32, u32)> = (0..12).map(|s| (1000 + s, 200 + s * 7)).collect();
+    store
+        .checkpoint((0..64u32).map(|p| (p, &slots[..])))
+        .expect("checkpoint");
+    let mut cycle = |txn: u64| {
+        let page = (txn % 64) as u32;
+        for object in [2000, 2001] {
+            let op = WalOp::Touch {
+                object,
+                size: 50,
+                page,
+            };
+            store.append_op(txn, &op).expect("buffered");
+        }
+        store.steal(page, &slots).expect("queued");
+        store.commit(txn).expect("forced");
+        assert_eq!(store.take_drain_error(), None);
+    };
+    (1..=8).for_each(&mut cycle);
+    let (before, _) = allocation_counts();
+    (9..=1008).for_each(&mut cycle);
+    let (after, _) = allocation_counts();
+    assert_eq!(after - before, 0, "bytes allocated by 1000 commit cycles");
+    std::fs::remove_dir_all(&root).expect("scratch store removed");
+}
