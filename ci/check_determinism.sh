@@ -22,6 +22,15 @@
 # scope because the transaction generator and the RNG it draws from
 # decide every simulated byte from there; neither holds a std hash
 # container, so the allowlist does not grow.
+#
+# crates/clustering/src admits no hash container at all, DetHashMap and
+# DetHashSet included. Everything that crate folds is an f64 sum (arc
+# weights into affinities, pair weights, broken cost), and the order of
+# a float fold is part of the golden contract (DESIGN.md §14.2): a
+# deterministic hasher makes a bucket-order fold repeatable, not
+# specified — a DetHasher or hashbrown change would re-associate the
+# sums that decide union order and the split verdict. Its folds run
+# over dense, index-ordered arrays (ScoreScratch) instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,7 +73,14 @@ if [ "$status" -ne 0 ]; then
     echo "justifying comment at the use site." >&2
     exit 1
 fi
-echo "determinism guard: OK (no raw HashMap/HashSet in simulation state)"
+if det_hits=$(grep -rn --include='*.rs' -E 'DetHash(Map|Set)' crates/clustering/src); then
+    echo "determinism guard: hash container in crates/clustering/src:" >&2
+    echo "$det_hits" >&2
+    echo "fold in index order over a dense array (ScoreScratch) instead; the" >&2
+    echo "map-based models live in crates/clustering/tests." >&2
+    exit 1
+fi
+echo "determinism guard: OK (no raw HashMap/HashSet in simulation state, no hash container in clustering)"
 
 # Purity guard for the serve path's deterministic layers (DESIGN.md
 # §16–17): the wire protocol, the connection FSM, admission control,

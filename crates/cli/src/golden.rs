@@ -299,16 +299,25 @@ fn timeline_golden_render(threads: usize) -> Result<String, String> {
 /// one of these, so both `run;buffer_lookup` and the nested
 /// `run;placement_score;buffer_lookup` are covered. These are the
 /// engine's per-event inner loops — the page-locality fold, placement
-/// candidate scoring, buffer-pool frame lookup and the event-queue pop
-/// — where a stray allocation multiplies across every simulated event
-/// of a sweep. (`timeline_sample` itself is deliberately not pinned:
-/// each retained sample stores a queue-delay vector by design.)
+/// candidate scoring, the split decision, buffer-pool frame lookup and
+/// the event-queue pop — where a stray allocation multiplies across
+/// every simulated event of a sweep. (`timeline_sample` itself is
+/// deliberately not pinned: each retained sample stores a queue-delay
+/// vector by design.)
 pub const ZERO_ALLOC_PIN_LEAVES: &[&str] = &[
     "page_locality",
     "placement_score",
+    "split_plan",
     "buffer_lookup",
     "event_pop",
 ];
+
+/// Whether a run of `cfg` must show a `leaf` stack at all: every pinned
+/// leaf runs under any configuration except `split_plan`, which only a
+/// splitting policy reaches.
+pub fn pinned_leaf_expected(leaf: &str, cfg: &SimConfig) -> bool {
+    leaf != "split_plan" || cfg.split != SplitPolicy::NoSplit
+}
 
 /// The fixed profiled sweep behind `golden --suite profile`: three tiny
 /// configurations chosen to exercise every instrumented phase —
@@ -356,12 +365,13 @@ pub fn profile_golden_jobs() -> Vec<SweepJob> {
 /// count. Hard-fails — before any golden comparison — if any pinned
 /// hot-path leaf phase allocated at all, or never ran.
 fn profile_golden_render(threads: usize) -> Result<String, String> {
+    let jobs = profile_golden_jobs();
     let outcome = SweepRunner::new(threads)
         .with_timeline(DEFAULT_TIMELINE_INTERVAL_US)
         .with_profile()
-        .run(profile_golden_jobs());
+        .run(jobs.clone());
     let mut out = String::from("{\"golden_schema\":1,\"suite\":\"profile\"}\n");
-    for item in &outcome.items {
+    for (item, job) in outcome.items.iter().zip(&jobs) {
         item.result
             .as_ref()
             .map_err(|e| format!("profile sweep: {e}"))?;
@@ -384,7 +394,7 @@ fn profile_golden_render(threads: usize) -> Result<String, String> {
                     ));
                 }
             }
-            if !seen {
+            if !seen && pinned_leaf_expected(leaf, &job.cfg) {
                 return Err(format!(
                     "profile sweep: job {} never entered a {leaf} stack \
                      (phase disabled, or the instrumentation moved?)",

@@ -22,12 +22,19 @@
 //!   which makes `sort_unstable_by` produce the identical permutation a
 //!   stable sort does, without the stable sort's scratch allocation.
 //!
+//! * the split planner's dependency graph
+//!   ([`build_dependency_graph_in`](crate::build_dependency_graph_in))
+//!   folds each pair's arc weight with nodes ascending and, within a
+//!   node, in `for_each_related` order; its arcs and groups carry unique
+//!   keys, so they too are sorted in place.
+//!
 //! The proptest suite holds the two against each other across
 //! randomized databases.
 //!
 //! [`StructureGraph::for_each_related`]: semcluster_vdm::StructureGraph::for_each_related
 
 use crate::placement::ExaminedCandidate;
+use crate::split::{DependencyGraph, SplitScratch, SPLIT_NODE_CAPACITY};
 use crate::MAX_EXAMINED;
 use semcluster_storage::PageId;
 use semcluster_vdm::ObjectId;
@@ -85,6 +92,22 @@ impl DenseAcc {
             out.push((key, w));
         }
     }
+
+    /// Record `slot` for `index` in the current round.
+    #[inline]
+    pub(crate) fn mark(&mut self, index: usize, slot: u32) {
+        if index >= self.stamp.len() {
+            self.ensure(index + 1);
+        }
+        self.stamp[index] = self.epoch;
+        self.slot[index] = slot;
+    }
+
+    /// The slot recorded for `index` in the current round, if any.
+    #[inline]
+    pub(crate) fn slot_of(&self, index: usize) -> Option<u32> {
+        (self.stamp.get(index) == Some(&self.epoch)).then(|| self.slot[index])
+    }
 }
 
 /// The canonical score ordering: weight descending, id ascending. Keys
@@ -98,12 +121,14 @@ pub(crate) fn sort_scored<K: Ord + Copy>(v: &mut [(K, f64)]) {
 
 /// Reusable scratch space for one scoring pipeline: direct neighbours →
 /// extended (two-hop) neighbourhood → candidate pages → examined
-/// candidates. Own one per engine (or per load pass) and thread it
+/// candidates, and for the split planner that runs when the preferred
+/// page is full. Own one per engine (or per load pass) and thread it
 /// through the `_in` function variants; all capacity lives here and is
 /// reused decision after decision.
 #[derive(Debug, Clone)]
 pub struct ScoreScratch {
-    /// Object-indexed accumulator (direct and extended rounds).
+    /// Object-indexed accumulator (direct and extended rounds, and the
+    /// split planner's object → node index).
     pub(crate) obj: DenseAcc,
     /// Page-indexed accumulator (candidate-page round).
     pub(crate) page: DenseAcc,
@@ -116,6 +141,11 @@ pub struct ScoreScratch {
     /// Recyclable examined-candidates buffer handed to placement plans
     /// and returned by the caller once the plan is consumed.
     examined: Vec<ExaminedCandidate>,
+    /// The split planner's dependency graph; its `objects` / `sizes` are
+    /// lent to a returned plan and come back through `put_split`.
+    pub(crate) graph: DependencyGraph,
+    /// The split planner's working arrays and recycled partition lists.
+    pub(crate) split: SplitScratch,
 }
 
 impl Default for ScoreScratch {
@@ -134,6 +164,8 @@ impl ScoreScratch {
             extended: Vec::new(),
             pages: Vec::new(),
             examined: Vec::with_capacity(MAX_EXAMINED),
+            graph: DependencyGraph::default(),
+            split: SplitScratch::default(),
         }
     }
 
@@ -148,6 +180,16 @@ impl ScoreScratch {
         s.extended.reserve(SCORE_LIST_CAPACITY);
         s.pages.reserve(SCORE_LIST_CAPACITY);
         s
+    }
+
+    /// Pre-size the split planner's buffers for a full page, so an owner
+    /// that splits — the engine; a load pass never does — plans without
+    /// allocating inside its profiled phase.
+    pub fn reserve_split(&mut self) {
+        self.graph.objects.reserve(SPLIT_NODE_CAPACITY);
+        self.graph.sizes.reserve(SPLIT_NODE_CAPACITY);
+        self.graph.arcs.reserve(4 * SPLIT_NODE_CAPACITY);
+        self.split = SplitScratch::with_capacity();
     }
 
     /// Grow the dense index arrays to cover `objects` / `pages`. Call

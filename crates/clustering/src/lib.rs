@@ -47,6 +47,6 @@ pub use recluster::{
     SPLIT_OVERHEAD_WEIGHT,
 };
 pub use split::{
-    build_dependency_graph, linear_split, optimal_split, DependencyGraph, Partition, SplitError,
+    build_dependency_graph_in, linear_split, optimal_split, DependencyGraph, Partition, SplitError,
     MAX_EXACT_NODES,
 };

@@ -15,7 +15,7 @@ use crate::cost::{
     candidate_pages_in, extended_neighbors_in, placement_cost, weighted_neighbors_in, WeightModel,
 };
 use crate::placement::{ExaminedCandidate, ResidencyView};
-use crate::split::{build_dependency_graph, linear_split, optimal_split, Partition};
+use crate::split::{build_dependency_graph_in, linear_split_in, optimal_split, Partition};
 use semcluster_storage::{PageId, StorageError, StorageManager, PAGE_OVERHEAD_BYTES};
 use semcluster_vdm::{Database, ObjectId};
 
@@ -38,12 +38,37 @@ pub struct SplitPlan {
     pub sizes: Vec<u32>,
 }
 
+impl SplitPlan {
+    /// The residents the split carries to the new page, with their
+    /// sizes, in node order.
+    pub fn moved(&self) -> impl Iterator<Item = (ObjectId, u32)> + '_ {
+        let incoming_idx = self.objects.len() - 1;
+        let right = self.partition.right.iter().map(|&idx| idx as usize);
+        right
+            .filter(move |&idx| idx != incoming_idx)
+            .map(|idx| (self.objects[idx], self.sizes[idx]))
+    }
+}
+
+impl ScoreScratch {
+    /// Return a consumed [`SplitPlan`]'s lists so the next
+    /// [`consider_split`] reuses their capacity instead of allocating.
+    pub fn put_split(&mut self, plan: SplitPlan) {
+        self.graph.objects = plan.objects;
+        self.graph.sizes = plan.sizes;
+        self.split.lists = (plan.partition.left, plan.partition.right);
+    }
+}
+
 /// Decide whether to split `full_page` to make room for `incoming`.
 ///
 /// `next_best_affinity` is the affinity the object would enjoy on the best
 /// candidate that *does* have room (0 if none). Splitting wins when
 /// `partition.broken_cost + SPLIT_OVERHEAD_WEIGHT` is below the affinity
 /// forfeited by going elsewhere.
+///
+/// A returned plan's lists are recycled from `scratch`; hand the plan
+/// back with [`ScoreScratch::put_split`] once it has been executed.
 #[allow(clippy::too_many_arguments)]
 pub fn consider_split(
     db: &Database,
@@ -54,71 +79,74 @@ pub fn consider_split(
     full_page_affinity: f64,
     next_best_affinity: f64,
     incoming: (ObjectId, u32),
+    scratch: &mut ScoreScratch,
 ) -> Option<SplitPlan> {
     if policy == SplitPolicy::NoSplit {
         return None;
     }
+    // `broken_cost` is a sum of non-negative weights and `fl(a + b) >= b`
+    // for `a >= 0`, so a split never costs less than its overhead: when
+    // the overhead alone does not beat the next-best candidate, no
+    // partition can (a NaN on either side compares false both ways).
+    let cost_of_next_best = full_page_affinity - next_best_affinity;
+    let can_pay_off = SPLIT_OVERHEAD_WEIGHT < cost_of_next_best;
+    if !can_pay_off {
+        return None;
+    }
     let capacity = store.page_bytes() - PAGE_OVERHEAD_BYTES;
-    let graph = build_dependency_graph(db, store, model, full_page, Some(incoming));
+    build_dependency_graph_in(db, store, model, full_page, Some(incoming), scratch);
+    let ScoreScratch { graph, split, .. } = scratch;
     let partition = match policy {
         SplitPolicy::NoSplit => unreachable!("handled above"),
-        SplitPolicy::Linear => linear_split(&graph, capacity).ok()?,
-        SplitPolicy::Optimal => optimal_split(&graph, capacity).ok()?,
+        SplitPolicy::Linear => linear_split_in(graph, capacity, split).ok()?,
+        SplitPolicy::Optimal => optimal_split(graph, capacity).ok()?,
     };
-    let cost_of_split = partition.broken_cost + SPLIT_OVERHEAD_WEIGHT;
-    let cost_of_next_best = full_page_affinity - next_best_affinity;
-    if cost_of_split < cost_of_next_best {
+    if partition.broken_cost + SPLIT_OVERHEAD_WEIGHT < cost_of_next_best {
         Some(SplitPlan {
             page: full_page,
             partition,
-            objects: graph.objects,
-            sizes: graph.sizes,
+            objects: std::mem::take(&mut graph.objects),
+            sizes: std::mem::take(&mut graph.sizes),
         })
     } else {
+        split.lists = (partition.left, partition.right);
         None
     }
 }
 
 /// What a split did, for I/O accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitOutcome {
     /// The freshly allocated page.
     pub new_page: PageId,
-    /// Objects moved off the original page.
-    pub moved: Vec<ObjectId>,
     /// Where the incoming object landed.
     pub incoming_page: PageId,
 }
 
 /// Execute a split plan: allocate the new page, move the `right` side
-/// there, and place the incoming object (the last node) on its assigned
-/// side.
+/// ([`SplitPlan::moved`]) there, and place the incoming object (the last
+/// node) on its assigned side.
 pub fn execute_split(
     store: &mut StorageManager,
     plan: &SplitPlan,
 ) -> Result<SplitOutcome, StorageError> {
     let new_page = store.allocate_page();
-    let incoming_idx = (plan.objects.len() - 1) as u32;
-    let incoming = plan.objects[incoming_idx as usize];
-    let incoming_size = plan.sizes[incoming_idx as usize];
-    let mut moved = Vec::new();
+    let incoming_idx = plan.objects.len() - 1;
+    let mut incoming_page = plan.page;
     for &idx in &plan.partition.right {
-        if idx == incoming_idx {
-            continue;
+        if idx as usize == incoming_idx {
+            incoming_page = new_page;
+        } else {
+            store.move_object(plan.objects[idx as usize], new_page)?;
         }
-        let obj = plan.objects[idx as usize];
-        store.move_object(obj, new_page)?;
-        moved.push(obj);
     }
-    let incoming_page = if plan.partition.right.contains(&incoming_idx) {
-        new_page
-    } else {
-        plan.page
-    };
-    store.place(incoming, incoming_size, incoming_page)?;
+    store.place(
+        plan.objects[incoming_idx],
+        plan.sizes[incoming_idx],
+        incoming_page,
+    )?;
     Ok(SplitOutcome {
         new_page,
-        moved,
         incoming_page,
     })
 }
@@ -285,6 +313,7 @@ mod tests {
             8.0, // affinity to the full page
             0.0, // nothing else has any affinity
             (incoming, 100),
+            &mut ScoreScratch::new(),
         );
         let plan = plan.expect("high affinity forfeit should justify a split");
         let outcome = execute_split(&mut store, &plan).unwrap();
@@ -315,7 +344,8 @@ mod tests {
                 page,
                 100.0,
                 0.0,
-                (b, 10)
+                (b, 10),
+                &mut ScoreScratch::new(),
             ),
             None
         );
@@ -345,8 +375,49 @@ mod tests {
             4.0,
             3.5,
             (b, 10),
+            &mut ScoreScratch::new(),
         );
         assert_eq!(plan, None);
+    }
+
+    /// The shortcut's boundary: forfeiting exactly the split overhead
+    /// can never pay for a split, the next representable value above it
+    /// can — so that call must reach the partitioner, which here breaks
+    /// nothing (the objects are unrelated).
+    #[test]
+    fn shortcut_declines_at_the_overhead_and_plans_just_above_it() {
+        let (mut db, t) = mkdb();
+        let mut store = StorageManager::new(DEFAULT_PAGE_BYTES);
+        let page = store.allocate_page();
+        let [a, b, incoming] = ["A", "B", "IN"].map(|n| {
+            db.create_object(ObjectName::new(n, 1, "layout"), t, 10)
+                .unwrap()
+        });
+        store.place(a, 10, page).unwrap();
+        store.place(b, 10, page).unwrap();
+        let mut scratch = ScoreScratch::new();
+        let mut consider = |forfeited: f64| {
+            consider_split(
+                &db,
+                &store,
+                &WeightModel::no_hints(),
+                SplitPolicy::Linear,
+                page,
+                forfeited,
+                0.0,
+                (incoming, 10),
+                &mut scratch,
+            )
+        };
+        assert_eq!(consider(SPLIT_OVERHEAD_WEIGHT), None);
+        let just_above = f64::from_bits(SPLIT_OVERHEAD_WEIGHT.to_bits() + 1);
+        let plan = consider(just_above).expect("a free partition costs only the overhead");
+        assert_eq!(plan.partition.broken_cost, 0.0);
+        assert_eq!(plan.objects, [a, b, incoming]);
+        assert!(
+            plan.moved().eq([(a, 10)]),
+            "the first smallest resident crosses"
+        );
     }
 
     #[test]

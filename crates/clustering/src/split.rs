@@ -9,23 +9,33 @@
 //!
 //! * [`linear_split`] — the greedy algorithm: one scan over the arc list,
 //!   merging endpoint groups when the merged group still fits a page;
-//!   linear in the number of arcs.
+//!   linear in the number of arcs. The engine's decision
+//!   ([`crate::consider_split`]) builds the graph and runs this on its
+//!   [`ScoreScratch`], allocating nothing.
 //! * [`optimal_split`] — the "NP split": exhaustive minimum-broken-cost
 //!   partition (exact up to [`MAX_EXACT_NODES`] nodes, after which it
 //!   falls back to the greedy result refined by a local-improvement pass).
 
+use crate::arena::ScoreScratch;
 use crate::cost::WeightModel;
 use semcluster_storage::{PageId, StorageManager};
-use semcluster_vdm::DetHashMap;
 use semcluster_vdm::{Database, ObjectId};
 use std::fmt;
 
 /// Largest node count for which [`optimal_split`] enumerates exhaustively.
 pub const MAX_EXACT_NODES: usize = 20;
 
+/// Nodes the engine's split scratch is pre-sized for: a 4 KiB page of
+/// the smallest objects the workloads create stays well below it, so the
+/// profiled `split_plan` phase never grows a buffer.
+pub(crate) const SPLIT_NODE_CAPACITY: usize = 128;
+
+/// "No next member" in [`SplitScratch::next`].
+const NO_NODE: u32 = u32::MAX;
+
 /// The inheritance-dependency graph of one page (plus, optionally, the
 /// incoming object that caused the overflow).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DependencyGraph {
     /// The objects, in node-index order.
     pub objects: Vec<ObjectId>,
@@ -52,59 +62,107 @@ impl DependencyGraph {
     }
 }
 
+/// The split planner's working arrays in a [`ScoreScratch`], beside the
+/// graph they serve. Everything is refilled per overflow and keeps its
+/// capacity, so planning a split allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SplitScratch {
+    /// `pair_slot[a * n + b]` is one more than the index in the graph's
+    /// `arcs` of the arc joining nodes `a <= b`, or 0. All zero between
+    /// builds.
+    pair_slot: Vec<u32>,
+    /// Union-find parent; a group's root is its smallest member.
+    parent: Vec<u32>,
+    /// Bytes in the group rooted at each index.
+    group_size: Vec<u64>,
+    /// Next member (ascending) of the same group, or [`NO_NODE`].
+    next: Vec<u32>,
+    /// `(bytes, root)` per group.
+    groups: Vec<(u64, u32)>,
+    side: Vec<bool>,
+    /// Recycled lists of the [`Partition`] handed out.
+    pub(crate) lists: (Vec<u32>, Vec<u32>),
+}
+
+impl SplitScratch {
+    /// Scratch whose every buffer already holds a full page's graph.
+    pub(crate) fn with_capacity() -> Self {
+        let n = SPLIT_NODE_CAPACITY;
+        SplitScratch {
+            pair_slot: vec![0; n * n],
+            parent: Vec::with_capacity(n),
+            group_size: Vec::with_capacity(n),
+            next: Vec::with_capacity(n),
+            groups: Vec::with_capacity(n),
+            side: Vec::with_capacity(n),
+            lists: (Vec::with_capacity(n), Vec::with_capacity(n)),
+        }
+    }
+}
+
 /// Build the dependency graph of `page`'s residents, optionally including
-/// the overflowing `incoming` object. Arc weights sum both endpoints'
-/// directed traversal frequencies under `model`. Arcs are returned
+/// the overflowing `incoming` object, in `scratch` (object → node through
+/// the object accumulator's epoch stamps). Arc weights sum both
+/// endpoints' directed traversal frequencies under `model`, folded nodes
+/// ascending and, within a node, in
+/// [`for_each_related`](semcluster_vdm::StructureGraph::for_each_related)
+/// order — the determinism contract in [`crate::arena`]. Arcs are left
 /// heaviest-first so the single-scan greedy keeps the most valuable arcs.
-pub fn build_dependency_graph(
+pub fn build_dependency_graph_in<'s>(
     db: &Database,
     store: &StorageManager,
     model: &WeightModel,
     page: PageId,
     incoming: Option<(ObjectId, u32)>,
-) -> DependencyGraph {
-    let mut objects: Vec<ObjectId> = Vec::new();
-    let mut sizes: Vec<u32> = Vec::new();
-    if let Ok(residents) = store.objects_on(page) {
-        for &(o, s) in residents {
-            objects.push(o);
-            sizes.push(s);
-        }
+    scratch: &'s mut ScoreScratch,
+) -> &'s DependencyGraph {
+    let (graph, pair_slot) = (&mut scratch.graph, &mut scratch.split.pair_slot);
+    let node_of = &mut scratch.obj;
+    graph.objects.clear();
+    graph.sizes.clear();
+    graph.arcs.clear();
+    node_of.begin();
+    let residents = store.objects_on(page).unwrap_or(&[]);
+    for &(o, s) in residents.iter().chain(incoming.iter()) {
+        node_of.mark(o.index(), graph.objects.len() as u32);
+        graph.objects.push(o);
+        graph.sizes.push(s);
     }
-    if let Some((o, s)) = incoming {
-        objects.push(o);
-        sizes.push(s);
+    let (objects, arcs) = (&graph.objects, &mut graph.arcs);
+    let n = objects.len();
+    if pair_slot.len() < n * n {
+        pair_slot.resize(n * n, 0);
     }
-    let index: DetHashMap<ObjectId, u32> = objects
-        .iter()
-        .enumerate()
-        .map(|(i, &o)| (o, i as u32))
-        .collect();
-
-    let mut weights: DetHashMap<(u32, u32), f64> = DetHashMap::default();
-    for (&obj, &i) in &index {
-        let Ok(freqs) = db.frequencies_of(obj) else {
+    for (i, &o) in (0u32..).zip(objects) {
+        let Ok(freqs) = db.frequencies_of(o) else {
             continue;
         };
-        for (kind, dir, other) in db.graph().related(obj) {
-            if let Some(&j) = index.get(&other) {
-                let key = if i < j { (i, j) } else { (j, i) };
-                *weights.entry(key).or_insert(0.0) +=
-                    model.arc_weight(kind, freqs.weight(kind, dir));
+        db.graph().for_each_related(o, |kind, dir, other| {
+            if let Some(j) = node_of.slot_of(other.index()) {
+                let (a, b) = (i.min(j), i.max(j));
+                let w = model.arc_weight(kind, freqs.weight(kind, dir));
+                let slot = &mut pair_slot[a as usize * n + b as usize];
+                if *slot == 0 {
+                    arcs.push((a, b, 0.0 + w));
+                    *slot = arcs.len() as u32;
+                } else {
+                    arcs[*slot as usize - 1].2 += w;
+                }
             }
-        }
+            true
+        });
     }
-    let mut arcs: Vec<(u32, u32, f64)> = weights.into_iter().map(|((a, b), w)| (a, b, w)).collect();
-    arcs.sort_by(|x, y| {
+    for &(a, b, _) in arcs.iter() {
+        pair_slot[a as usize * n + b as usize] = 0;
+    }
+    // Pairs are unique, so the comparator is a strict total order and the
+    // in-place unstable sort yields the one permutation a stable sort would.
+    arcs.sort_unstable_by(|x, y| {
         y.2.partial_cmp(&x.2)
             .expect("finite")
             .then((x.0, x.1).cmp(&(y.0, y.1)))
     });
-    DependencyGraph {
-        objects,
-        sizes,
-        arcs,
-    }
+    graph
 }
 
 /// A two-way partition of a dependency graph.
@@ -143,6 +201,29 @@ impl fmt::Display for SplitError {
 
 impl std::error::Error for SplitError {}
 
+impl Partition {
+    /// The partition `side` describes (`true` = right), listed into the
+    /// given (possibly recycled) vectors.
+    fn from_sides(
+        side: &[bool],
+        (mut left, mut right): (Vec<u32>, Vec<u32>),
+        broken_cost: f64,
+        exact: bool,
+    ) -> Self {
+        left.clear();
+        right.clear();
+        for (i, &r) in side.iter().enumerate() {
+            if r { &mut right } else { &mut left }.push(i as u32);
+        }
+        Partition {
+            left,
+            right,
+            broken_cost,
+            exact,
+        }
+    }
+}
+
 fn check_inputs(g: &DependencyGraph, capacity: u32) -> Result<(), SplitError> {
     if g.len() < 2 {
         return Err(SplitError::TooSmall);
@@ -163,17 +244,23 @@ fn crossing_cost(g: &DependencyGraph, side: &[bool]) -> f64 {
         .sum()
 }
 
-fn sides_from(side: &[bool]) -> (Vec<u32>, Vec<u32>) {
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for (i, &r) in side.iter().enumerate() {
-        if r {
-            right.push(i as u32);
-        } else {
-            left.push(i as u32);
-        }
+fn find(parent: &mut [u32], x: u32) -> u32 {
+    let mut root = x;
+    while parent[root as usize] != root {
+        root = parent[root as usize];
     }
-    (left, right)
+    let mut cur = x;
+    while parent[cur as usize] != root {
+        let next = parent[cur as usize];
+        parent[cur as usize] = root;
+        cur = next;
+    }
+    root
+}
+
+/// The first of the two bins with room for `size` more bytes.
+fn first_fit(bin_used: &[u64; 2], size: u64, capacity: u64) -> Option<usize> {
+    (0..2).find(|&bin| bin_used[bin] + size <= capacity)
 }
 
 /// The greedy single-pass partitioner.
@@ -183,100 +270,104 @@ fn sides_from(side: &[bool]) -> (Vec<u32>, Vec<u32>) {
 /// internal. The resulting groups are then packed into the two pages by
 /// first-fit decreasing.
 pub fn linear_split(g: &DependencyGraph, capacity: u32) -> Result<Partition, SplitError> {
+    linear_split_in(g, capacity, &mut SplitScratch::default())
+}
+
+/// [`linear_split`] on caller-owned working arrays. The partition's
+/// `left` / `right` are `work.lists`, taken; whoever drops the partition
+/// puts them back.
+pub(crate) fn linear_split_in(
+    g: &DependencyGraph,
+    capacity: u32,
+    work: &mut SplitScratch,
+) -> Result<Partition, SplitError> {
     check_inputs(g, capacity)?;
     let n = g.len();
+    let capacity = capacity as u64;
+    let SplitScratch {
+        parent,
+        group_size,
+        next,
+        groups,
+        side,
+        lists,
+        ..
+    } = work;
 
     // Union-find with group byte sizes.
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    let mut group_size: Vec<u64> = g.sizes.iter().map(|&s| s as u64).collect();
-    fn find(parent: &mut [u32], x: u32) -> u32 {
-        let mut root = x;
-        while parent[root as usize] != root {
-            root = parent[root as usize];
-        }
-        let mut cur = x;
-        while parent[cur as usize] != root {
-            let next = parent[cur as usize];
-            parent[cur as usize] = root;
-            cur = next;
-        }
-        root
-    }
+    parent.clear();
+    parent.extend(0..n as u32);
+    group_size.clear();
+    group_size.extend(g.sizes.iter().map(|&s| s as u64));
     for &(a, b, _) in &g.arcs {
-        let ra = find(&mut parent, a);
-        let rb = find(&mut parent, b);
-        if ra != rb && group_size[ra as usize] + group_size[rb as usize] <= capacity as u64 {
-            parent[rb as usize] = ra;
-            group_size[ra as usize] += group_size[rb as usize];
+        let ra = find(parent, a);
+        let rb = find(parent, b);
+        if ra != rb && group_size[ra as usize] + group_size[rb as usize] <= capacity {
+            let (keep, gone) = (ra.min(rb), ra.max(rb));
+            parent[gone as usize] = keep;
+            group_size[keep as usize] += group_size[gone as usize];
         }
     }
 
-    // Collect groups.
-    let mut groups: DetHashMap<u32, Vec<u32>> = DetHashMap::default();
-    for i in 0..n as u32 {
-        groups.entry(find(&mut parent, i)).or_default().push(i);
+    // Chain every group's members, ascending, behind its root.
+    next.clear();
+    next.resize(n, NO_NODE);
+    for m in (0..n as u32).rev() {
+        let root = find(parent, m);
+        if root != m {
+            next[m as usize] = next[root as usize];
+            next[root as usize] = m;
+        }
     }
-    let mut group_list: Vec<(u64, Vec<u32>)> = groups
-        .into_values()
-        .map(|members| {
-            let size: u64 = members.iter().map(|&m| g.sizes[m as usize] as u64).sum();
-            (size, members)
-        })
-        .collect();
+    groups.clear();
+    groups.extend(
+        (0..n as u32)
+            .filter(|&i| parent[i as usize] == i)
+            .map(|i| (group_size[i as usize], i)),
+    );
     // First-fit decreasing into two bins; ties broken by member ids for
-    // determinism.
-    group_list.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    // determinism. Groups are disjoint and a root is its group's first
+    // member, so comparing roots compares the member lists.
+    groups.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     let mut bin_used = [0u64; 2];
-    let mut side = vec![false; n];
-    for (size, members) in group_list {
-        let bin = if bin_used[0] + size <= capacity as u64 {
-            0
-        } else if bin_used[1] + size <= capacity as u64 {
-            1
-        } else {
-            // Group itself fits a page (merge invariant), but the packing
-            // failed: split this group member-by-member as a fallback.
-            for m in members {
-                let s = g.sizes[m as usize] as u64;
-                let bin = if bin_used[0] + s <= capacity as u64 {
-                    0
-                } else if bin_used[1] + s <= capacity as u64 {
-                    1
-                } else {
-                    return Err(SplitError::DoesNotFit);
-                };
-                bin_used[bin] += s;
-                side[m as usize] = bin == 1;
-            }
-            continue;
-        };
-        bin_used[bin] += size;
-        for m in members {
+    side.clear();
+    side.resize(n, false);
+    for &(size, root) in groups.iter() {
+        // A group fits a page (merge invariant); when neither bin has
+        // room for all of it, it is packed member-by-member instead.
+        let whole = first_fit(&bin_used, size, capacity);
+        let mut m = root;
+        while m != NO_NODE {
+            let s = g.sizes[m as usize] as u64;
+            let bin = match whole {
+                Some(bin) => bin,
+                None => first_fit(&bin_used, s, capacity).ok_or(SplitError::DoesNotFit)?,
+            };
+            bin_used[bin] += s;
             side[m as usize] = bin == 1;
+            m = next[m as usize];
         }
     }
     // Degenerate packing (everything on one side) is useless as a split:
-    // force the lightest-connected node across if it fits.
-    if side.iter().all(|&s| !s) || side.iter().all(|&s| s) {
-        let lonely = side.iter().all(|&s| !s);
-        // Move the smallest node to the empty side.
+    // move the smallest node to the empty side.
+    let on_right = side.iter().filter(|&&s| s).count();
+    if on_right == 0 || on_right == n {
         let (idx, _) = g
             .sizes
             .iter()
             .enumerate()
             .min_by_key(|&(_, &s)| s)
             .expect("non-empty");
-        side[idx] = lonely;
+        side[idx] = on_right == 0;
     }
 
-    let broken = crossing_cost(g, &side);
-    let (left, right) = sides_from(&side);
-    Ok(Partition {
-        left,
-        right,
-        broken_cost: broken,
-        exact: false,
-    })
+    let cost = crossing_cost(g, side);
+    Ok(Partition::from_sides(
+        side,
+        std::mem::take(lists),
+        cost,
+        false,
+    ))
 }
 
 /// The exact minimum-broken-cost partition ("NP split").
@@ -318,13 +409,7 @@ pub fn optimal_split(g: &DependencyGraph, capacity: u32) -> Result<Partition, Sp
         }
     }
     let (cost, side) = best.ok_or(SplitError::DoesNotFit)?;
-    let (left, right) = sides_from(&side);
-    Ok(Partition {
-        left,
-        right,
-        broken_cost: cost,
-        exact: true,
-    })
+    Ok(Partition::from_sides(&side, Default::default(), cost, true))
 }
 
 /// One pass of single-node moves that reduce crossing cost while keeping
@@ -374,13 +459,12 @@ fn local_improve(
             cost += delta;
         }
     }
-    let (left, right) = sides_from(&side);
-    Ok(Partition {
-        left,
-        right,
-        broken_cost: cost,
-        exact: false,
-    })
+    Ok(Partition::from_sides(
+        &side,
+        Default::default(),
+        cost,
+        false,
+    ))
 }
 
 #[cfg(test)]

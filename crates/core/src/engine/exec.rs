@@ -248,7 +248,8 @@ impl Engine {
                 if plan.target == PlacementTarget::Append
                     && self.cfg.split != SplitPolicy::NoSplit =>
             {
-                consider_split(
+                let stok = self.prof_enter(Phase::SplitPlan);
+                let split = consider_split(
                     &self.db,
                     &self.store,
                     &self.weights,
@@ -257,8 +258,11 @@ impl Engine {
                     plan.preferred_full_affinity,
                     plan.chosen_affinity,
                     (id, size),
-                )
-                .map(|split| (full, split))
+                    &mut self.scratch,
+                );
+                // Planning is bookkeeping: zero simulated self cost.
+                self.prof_exit(stok, 0);
+                split.map(|split| (full, split))
             }
             _ => None,
         };
@@ -290,10 +294,7 @@ impl Engine {
                 if self.mirror.is_some() {
                     // Each object the split carried off the full page
                     // is a logged move.
-                    for &moved in &outcome.moved {
-                        let Some(size) = self.store.size_of(moved) else {
-                            continue;
-                        };
+                    for (moved, size) in split_plan.moved() {
                         self.mirror_op(
                             token,
                             WalOp::Move {
@@ -314,6 +315,7 @@ impl Engine {
                 split_verdict = SplitVerdict::Executed {
                     new_page: outcome.new_page,
                 };
+                self.scratch.put_split(split_plan);
                 outcome.incoming_page
             }
             None => execute_placement(&mut self.store, id, size, &plan)

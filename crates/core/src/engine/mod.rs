@@ -47,7 +47,7 @@ use crate::crash::CrashOutcome;
 use crate::durable::DurableMirror;
 use crate::metrics::{EventCounts, IoBreakdown, MetricsCollector, RunReport, SpanBreakdown};
 use semcluster_buffer::BufferPool;
-use semcluster_clustering::{HintPolicy, ScoreScratch, WeightModel};
+use semcluster_clustering::{HintPolicy, ScoreScratch, SplitPolicy, WeightModel};
 use semcluster_faults::{CrashPoint, FaultState, IoOp};
 use semcluster_lock::{LockManager, LockMode};
 use semcluster_obs::{
@@ -431,7 +431,13 @@ impl Engine {
         let users = (0..cfg.users).map(|_| UserState::default()).collect();
         let disk_service = SimDuration::from_micros(cfg.disk.service_us());
         let faults = FaultState::new(cfg.seed, cfg.faults.clone());
-        let scratch = ScoreScratch::with_capacity(db.object_count() + 64, store.page_count() + 64);
+        let mut scratch =
+            ScoreScratch::with_capacity(db.object_count() + 64, store.page_count() + 64);
+        // Only a splitting engine plans splits; the others keep the
+        // allocation sequence (and so the heap layout) they always had.
+        if cfg.split != SplitPolicy::NoSplit {
+            scratch.reserve_split();
+        }
         let mut locks = LockManager::new();
         locks.ensure_object_capacity(db.object_count() + 64);
         let queue = EventQueue::with_capacity(cfg.users as usize * 4 + 16);

@@ -121,6 +121,10 @@ pub enum Phase {
     /// Placement / recluster candidate scoring (plus the candidate-page
     /// reads it charges, which nest as `buffer_lookup` below it).
     PlacementScore,
+    /// The page-overflow decision (`consider_split`): dependency graph,
+    /// partition and the cost comparison — pinned allocation-free by the
+    /// profile golden.
+    SplitPlan,
     /// Buffer-pool access: hit bookkeeping or the full miss path
     /// (eviction write-back + demand read).
     BufferLookup,
@@ -145,6 +149,7 @@ impl Phase {
             Phase::EventPop => "event_pop",
             Phase::LockAcquire => "lock_acquire",
             Phase::PlacementScore => "placement_score",
+            Phase::SplitPlan => "split_plan",
             Phase::BufferLookup => "buffer_lookup",
             Phase::Prefetch => "prefetch",
             Phase::WalAppend => "wal_append",

@@ -8,10 +8,11 @@ use std::hint::black_box;
 
 use semcluster::{run_simulation_observed, ObsConfig, SimConfig, SweepRunner};
 use semcluster_cli::golden::{
-    profile_golden_jobs, DEFAULT_TIMELINE_INTERVAL_US, ZERO_ALLOC_PIN_LEAVES,
+    pinned_leaf_expected, profile_golden_jobs, DEFAULT_TIMELINE_INTERVAL_US, ZERO_ALLOC_PIN_LEAVES,
 };
 use semcluster_cli::{dispatch, Args};
-use semcluster_obs::allocation_counts;
+use semcluster_clustering::{ClusteringPolicy, SplitPolicy};
+use semcluster_obs::{allocation_counts, AuditKind};
 use semcluster_workload::StructureDensity;
 
 /// Register the same counting allocator the CLI binary uses, so the
@@ -73,20 +74,21 @@ fn profiler_is_inert() {
 /// The golden sweep's merged profiles — calls, simulated time and
 /// allocation counts — must not depend on the worker-thread count,
 /// and every pinned hot-path leaf phase (page locality, placement
-/// scoring, buffer lookup, event-queue pop) must be allocation-free
-/// under the real counting allocator.
+/// scoring, split planning, buffer lookup, event-queue pop) must be
+/// allocation-free under the real counting allocator.
 #[test]
 fn profile_is_identical_at_any_thread_count() {
+    let jobs = profile_golden_jobs();
     let run = |threads: usize| {
         SweepRunner::new(threads)
             .with_timeline(DEFAULT_TIMELINE_INTERVAL_US)
             .with_profile()
-            .run(profile_golden_jobs())
+            .run(jobs.clone())
     };
     let serial = run(1);
     let parallel = run(4);
     assert_eq!(serial.items.len(), parallel.items.len());
-    for (a, b) in serial.items.iter().zip(&parallel.items) {
+    for ((a, b), job) in serial.items.iter().zip(&parallel.items).zip(&jobs) {
         let pa = a.profile.as_ref().expect("profiled sweep");
         let pb = b.profile.as_ref().expect("profiled sweep");
         assert_eq!(
@@ -100,7 +102,11 @@ fn profile_is_identical_at_any_thread_count() {
                 .phases()
                 .filter(|(path, _)| path.rsplit(';').next() == Some(*leaf))
                 .collect();
-            assert!(!pinned.is_empty(), "job {}: no {leaf} stack", a.label);
+            assert!(
+                !pinned.is_empty() || !pinned_leaf_expected(leaf, &job.cfg),
+                "job {}: no {leaf} stack",
+                a.label
+            );
             for (path, s) in pinned {
                 assert!(s.calls > 0, "job {}: {path} never ran", a.label);
                 assert_eq!(
@@ -115,6 +121,29 @@ fn profile_is_identical_at_any_thread_count() {
     let ma = serial.profile.expect("merged profile");
     let mb = parallel.profile.expect("merged profile");
     assert_eq!(ma.to_json(), mb.to_json());
+}
+
+/// The split decision is its own phase, entered once per create that
+/// was bound for the append cursor because its preferred page was full —
+/// shortcut, partition and verdict alike — and it never allocates.
+#[test]
+fn split_plan_phase_counts_overflowing_creates_and_does_not_allocate() {
+    let cfg = SimConfig {
+        clustering: ClusteringPolicy::NoLimit,
+        split: SplitPolicy::Linear,
+        ..tiny(4200)
+    };
+    let (report, obs) = run_simulation_observed(cfg, ObsConfig::default().profile().audit(4096));
+    let overflowing = obs
+        .audits
+        .iter()
+        .filter(|a| a.kind == AuditKind::Create && a.preferred_full.is_some() && a.chosen.is_none())
+        .count() as u64;
+    assert!(report.splits > 0 && overflowing > report.splits);
+    let profile = obs.profile.expect("profiling was enabled");
+    let phase = profile.get("run;split_plan").expect("split_plan stack");
+    assert_eq!(phase.calls, overflowing);
+    assert_eq!((phase.alloc_bytes, phase.allocs, phase.sim_us), (0, 0, 0));
 }
 
 /// `simulate --profile` puts only deterministic counters on stdout.
