@@ -31,6 +31,13 @@
 # specified — a DetHasher or hashbrown change would re-associate the
 # sums that decide union order and the split verdict. Its folds run
 # over dense, index-ordered arrays (ScoreScratch) instead.
+#
+# crates/lock/src is held to the same rule for a plainer reason: the
+# lock table is a dense object index over a slab plus two short linear
+# lists, walked inside the engine's profiled lock phase, and the one
+# hash set it ever held was the `seen` set of a deadlock walk no caller
+# ran. A conservative table has nothing to look up by hash; one that
+# comes back would bring its allocation pattern into a pinned phase.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,14 +80,15 @@ if [ "$status" -ne 0 ]; then
     echo "justifying comment at the use site." >&2
     exit 1
 fi
-if det_hits=$(grep -rn --include='*.rs' -E 'DetHash(Map|Set)' crates/clustering/src); then
-    echo "determinism guard: hash container in crates/clustering/src:" >&2
+if det_hits=$(grep -rn --include='*.rs' -E 'DetHash(Map|Set)' crates/clustering/src crates/lock/src); then
+    echo "determinism guard: hash container in crates/clustering/src or crates/lock/src:" >&2
     echo "$det_hits" >&2
-    echo "fold in index order over a dense array (ScoreScratch) instead; the" >&2
-    echo "map-based models live in crates/clustering/tests." >&2
+    echo "fold in index order over a dense array (ScoreScratch, the lock" >&2
+    echo "table's slot index) instead; the map-based models live in each" >&2
+    echo "crate's tests/." >&2
     exit 1
 fi
-echo "determinism guard: OK (no raw HashMap/HashSet in simulation state, no hash container in clustering)"
+echo "determinism guard: OK (no raw HashMap/HashSet in simulation state, no hash container in clustering or lock)"
 
 # Purity guard for the serve path's deterministic layers (DESIGN.md
 # §16–17): the wire protocol, the connection FSM, admission control,

@@ -1,19 +1,16 @@
 //! Admission control for the serve path.
 //!
-//! Reuses the hysteresis shape of the cluster-search
-//! [`DegradationPolicy`](semcluster_faults::DegradationPolicy): a hard
-//! enter threshold, a lower exit threshold (`exit_pct` of the enter
-//! level), and a window of consecutive calm observations before
-//! recovering. That keeps the server from flapping between shedding and
-//! accepting when the queue hovers around capacity — exactly the
-//! oscillation the degradation policy exists to prevent on the
-//! clustering path.
+//! The hysteresis shape of the cluster-search degradation policy
+//! (DESIGN.md §11): a hard enter threshold, a lower exit threshold
+//! (`exit_pct` of the enter level), and a window of consecutive calm
+//! observations before recovering. That keeps the server from flapping
+//! between shedding and accepting when the queue hovers around capacity
+//! — exactly the oscillation the degradation policy exists to prevent
+//! on the clustering path.
 //!
 //! The controller is a pure function of the depth observations fed to
 //! it (no clocks, no randomness), so the state machine is unit-testable
 //! deterministically and covered by `ci/check_determinism.sh`.
-
-use semcluster_faults::DegradationPolicy;
 
 /// Hysteresis admission controller over queue depth.
 #[derive(Debug, Clone)]
@@ -31,16 +28,14 @@ pub struct AdmissionControl {
 }
 
 impl AdmissionControl {
-    /// Build from the queue capacity and a degradation policy: enter at
-    /// `queue_cap`, exit at `exit_pct`% of it, after `window_txns`
-    /// consecutive calm observations.
-    pub fn new(queue_cap: usize, policy: &DegradationPolicy) -> Self {
+    /// Enter shedding at `queue_cap`, exit at `exit_pct`% of it, after
+    /// `window` consecutive calm observations.
+    pub fn new(queue_cap: usize, exit_pct: usize, window: usize) -> Self {
         let enter_depth = queue_cap.max(1);
-        let exit_depth = enter_depth * policy.exit_pct.min(100) as usize / 100;
         AdmissionControl {
             enter_depth,
-            exit_depth,
-            window: policy.window_txns.max(1),
+            exit_depth: enter_depth * exit_pct.min(100) / 100,
+            window: window.max(1),
             shedding: false,
             calm_streak: 0,
             sheds: 0,
@@ -97,14 +92,7 @@ mod tests {
 
     fn ctl() -> AdmissionControl {
         // cap 8, exit at 50% (4), recover after 3 calm observations.
-        AdmissionControl::new(
-            8,
-            &DegradationPolicy {
-                window_txns: 3,
-                search_budget_us: 0,
-                exit_pct: 50,
-            },
-        )
+        AdmissionControl::new(8, 50, 3)
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use super::exec::{Job, TxnJob};
 use super::protocol::{write_frame, ErrorKind, TxnRequest, OP_OK_HELLO, OP_OK_TXN};
-use super::server::Shared;
+use super::server::{Shared, TICK_MS};
 use super::session::{ConnFsm, ExecResult, FsmAction, FsmInput};
 use super::stats::{RequestCounts, RequestStamps, RequestTraceRecord};
 use super::ServeError;
@@ -149,7 +149,7 @@ fn conn_driver(
 
     'conn: loop {
         if inputs.is_empty() {
-            match rx.recv_timeout(Duration::from_millis(cfg.tick_ms.max(1))) {
+            match rx.recv_timeout(Duration::from_millis(TICK_MS)) {
                 Ok(ev) => inputs.push_back(ev),
                 Err(RecvTimeoutError::Timeout) => inputs.push_back(ConnEvent::Tick),
                 Err(RecvTimeoutError::Disconnected) => break 'conn,

@@ -90,6 +90,15 @@ impl Core {
     }
 }
 
+/// What a worker resolves a job to (typed INTERNAL) once another, by
+/// panicking under the core mutex, has poisoned it: the core's state
+/// cannot be trusted, so nothing more executes on it, but the survivors
+/// keep draining the queue and answering — as the committer does —
+/// rather than dying in turn and stranding every session behind them.
+fn core_poisoned<T>(_: PoisonError<T>) -> ExecResult {
+    ExecResult::Failed("core mutex poisoned by a panicked worker".into())
+}
+
 /// What travels down the one execution queue.
 pub(super) enum Job {
     /// An admitted transaction.
@@ -243,7 +252,7 @@ fn lockset(ops: &[TxnOp], objects: u32, set: &mut Vec<(ObjectId, LockMode)>) {
 /// (2 + 4 + 8 ms under the default policy), however many releases woke
 /// the waiter meanwhile. The wait is also cut short by the job's
 /// deadline. All-or-nothing acquisition means no hold-and-wait, hence no
-/// deadlock.
+/// deadlock. A poisoned core fails the job ([`core_poisoned`]).
 fn acquire_locks<'a>(
     core: &'a Core,
     requests: &[(ObjectId, LockMode)],
@@ -253,7 +262,7 @@ fn acquire_locks<'a>(
     let max_attempts = retry.max_attempts.max(1);
     let mut attempt = 1u32;
     let mut attempt_ends: Option<Instant> = None;
-    let mut c = core.state.lock().unwrap();
+    let mut c = core.state.lock().map_err(core_poisoned)?;
     loop {
         let lock_id = TxnId(c.next_lock_txn);
         if c.locks.try_acquire_all(lock_id, requests) {
@@ -272,7 +281,11 @@ fn acquire_locks<'a>(
         if now < ends {
             c.lock_waiters += 1;
             let wait = ends.min(deadline_at) - now;
-            c = core.released.wait_timeout(c, wait).unwrap().0;
+            c = core
+                .released
+                .wait_timeout(c, wait)
+                .map_err(core_poisoned)?
+                .0;
             c.lock_waiters -= 1;
         }
         if Instant::now() >= ends {
@@ -352,10 +365,13 @@ impl Executor for StubWorker {
             // The committer is gone, so nothing will ever force this
             // transaction: give its locks back and fail it now (typed
             // INTERNAL) instead of leaving the client to its deadline.
-            let mut c = core.state.lock().unwrap();
-            c.log.abort(p.token);
-            c.locks.release_all(p.lock_id);
-            core.unlock_after_release(c);
+            // (On a core poisoned meanwhile there is nobody left to give
+            // them to: every later job fails before it asks.)
+            if let Ok(mut c) = core.state.lock() {
+                c.log.abort(p.token);
+                c.locks.release_all(p.lock_id);
+                core.unlock_after_release(c);
+            }
             p.job
                 .resolve(ExecResult::Failed("commit thread is gone".into()), None);
         }
@@ -428,10 +444,10 @@ fn process_job(job: Job, dequeued_us: u64, exec: &mut impl Executor, shared: &Sh
 
 fn worker_thread(jobs: &Mutex<Receiver<Job>>, mut exec: impl Executor, shared: &Shared) {
     loop {
-        let job = match jobs.lock().unwrap().recv() {
-            Ok(job) => job,
-            Err(_) => return,
-        };
+        // A poisoned queue mutex still guards a sound receiver (a panic
+        // cannot leave it half-updated), so the survivors keep draining.
+        let next = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(job) = next else { return };
         shared.stats.queue_leave();
         // t1: the job left the queue — everything before this instant
         // is admission wait.
@@ -588,6 +604,18 @@ mod tests {
         }
     }
 
+    /// Poison the core mutex the way production would: a thread panics
+    /// while holding it.
+    fn poison(core: &Arc<Core>) {
+        let poisoner = Arc::clone(core);
+        let died = thread::spawn(move || {
+            let _held = poisoner.state.lock().unwrap();
+            panic!("a worker dies under the core mutex");
+        })
+        .join();
+        assert!(died.is_err() && core.state.is_poisoned());
+    }
+
     fn executed(replies: &Receiver<ConnEvent>) -> (u64, ExecResult) {
         match replies.try_recv() {
             Ok(ConnEvent::Executed {
@@ -691,13 +719,7 @@ mod tests {
             &mut stub(&core, &commits),
             &shared,
         );
-        let poisoner = Arc::clone(&core);
-        let died = thread::spawn(move || {
-            let _held = poisoner.state.lock().unwrap();
-            panic!("a worker dies under the core mutex");
-        })
-        .join();
-        assert!(died.is_err() && core.state.is_poisoned());
+        poison(&core);
         drop(commits);
         let committer = {
             let (core, shared) = (Arc::clone(&core), Arc::clone(&shared));
@@ -708,6 +730,30 @@ mod tests {
         assert_eq!(client_txn, 1);
         assert!(matches!(result, ExecResult::Failed(_)), "got {result:?}");
         assert_eq!(shared.stats.snapshot(0, false).counter("committed"), 0);
+    }
+
+    #[test]
+    fn a_worker_survives_a_poisoned_core_and_fails_each_job_it_drains() {
+        let shared = shared(one_attempt());
+        let core = Arc::new(Core::new(shared.cfg.objects));
+        poison(&core);
+        let (reply, replies) = mpsc::channel();
+        let (commits, _commit_rx) = mpsc::channel();
+        let (queue, jobs) = mpsc::channel();
+        for (client_txn, write) in [(1, true), (2, false)] {
+            shared.stats.queue_enter();
+            let txn = job(client_txn, vec![op(write, 7)], &reply);
+            queue.send(Job::Txn(txn)).expect("receiver alive");
+        }
+        drop(queue);
+        // Returns, rather than panics, once the closed queue is drained.
+        worker_thread(&Mutex::new(jobs), stub(&core, &commits), &shared);
+        for expect in [1, 2] {
+            let (client_txn, result) = executed(&replies);
+            assert_eq!(client_txn, expect, "a failed job does not end the drain");
+            assert!(matches!(result, ExecResult::Failed(_)), "got {result:?}");
+        }
+        assert_eq!(shared.stats.queue_depth(), 0);
     }
 
     #[test]

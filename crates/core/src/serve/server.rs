@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use semcluster_faults::{DegradationPolicy, RetryPolicy};
+use semcluster_faults::RetryPolicy;
 use semcluster_obs::{ServePoint, ServeTimeline};
 
 use super::admission::AdmissionControl;
@@ -40,6 +40,17 @@ use super::slo::SloTracker;
 use super::stats::{RequestTraceRecord, ServeStats, StatsSnapshot};
 use super::{spawn, ServeError};
 use crate::config::SimConfig;
+
+/// The server's clock tick, in milliseconds: how often a connection
+/// driver with nothing to read sweeps its deadlines, and the sampler's
+/// period when no timeline interval is asked for.
+pub(super) const TICK_MS: u64 = 20;
+
+/// Admission hysteresis: shedding starts at `queue_cap` and ends after
+/// [`ADMISSION_CALM_WINDOW`] consecutive admission decisions that saw the
+/// queue at or below this percentage of it.
+const ADMISSION_EXIT_PCT: usize = 50;
+const ADMISSION_CALM_WINDOW: usize = 16;
 
 /// What backs transaction execution.
 #[derive(Debug, Clone)]
@@ -66,10 +77,6 @@ pub struct ServeConfig {
     pub default_deadline_ms: u32,
     /// Per-connection pipelining bound (in-flight transactions).
     pub max_inflight_per_conn: usize,
-    /// Hysteresis parameters for admission control (reuses the
-    /// degradation-policy shape: exit at `exit_pct`% of the enter
-    /// level after `window_txns` calm observations).
-    pub admission: DegradationPolicy,
     /// Retry budget for lock conflicts, counted in elapsed time: attempt
     /// `k` lasts `backoff_after(k)` µs of waiting for a release, and the
     /// request's deadline ends the wait early.
@@ -78,8 +85,6 @@ pub struct ServeConfig {
     pub group_window_us: u64,
     /// Object-id space for concurrent-mode transactions.
     pub objects: u32,
-    /// Driver tick (deadline sweep) interval, in milliseconds.
-    pub tick_ms: u64,
     /// Timeline sampling interval in milliseconds (0 = off).
     pub timeline_interval_ms: u64,
     /// Optional address for the Prometheus text-exposition listener
@@ -105,15 +110,9 @@ impl Default for ServeConfig {
             queue_cap: 256,
             default_deadline_ms: 1_000,
             max_inflight_per_conn: 1_024,
-            admission: DegradationPolicy {
-                window_txns: 16,
-                search_budget_us: 0,
-                exit_pct: 50,
-            },
             retry: RetryPolicy::default(),
             group_window_us: 200,
             objects: 4_096,
-            tick_ms: 20,
             timeline_interval_ms: 0,
             metrics_addr: None,
             slo_window: 30,
@@ -230,7 +229,11 @@ impl Shared {
         exec: Option<SyncSender<Job>>,
     ) -> Shared {
         Shared {
-            admission: Mutex::new(AdmissionControl::new(cfg.queue_cap.max(1), &cfg.admission)),
+            admission: Mutex::new(AdmissionControl::new(
+                cfg.queue_cap,
+                ADMISSION_EXIT_PCT,
+                ADMISSION_CALM_WINDOW,
+            )),
             slo: Mutex::new(SloTracker::new(cfg.slo_window)),
             backend: Backend::new(&cfg),
             timeline: (cfg.timeline_interval_ms > 0)
@@ -391,7 +394,7 @@ fn metrics_conn(mut stream: TcpStream, shared: &Shared) {
 /// additionally records timeline points when sampling was requested.
 fn sampler_loop(shared: &Shared) {
     let interval_ms = match shared.cfg.timeline_interval_ms {
-        0 => shared.cfg.tick_ms.max(1),
+        0 => TICK_MS,
         requested => requested,
     };
     while !shared.watchers_stop.load(Ordering::SeqCst) {

@@ -6,27 +6,28 @@
 //!
 //! * hierarchical lock modes (IS/IX/S/SIX/X) with the classic
 //!   compatibility matrix ([`LockMode`]),
-//! * a lock table with FIFO queues, upgrades and wait-for-graph deadlock
-//!   detection ([`LockManager::request`]),
-//! * deadlock-free conservative pre-declaration
-//!   ([`LockManager::try_acquire_all`]) — what the simulation engine
-//!   uses, since §4.1 transactions know their object set up front, and
+//! * a conservative lock table ([`LockManager::try_acquire_all`] /
+//!   [`LockManager::release_all`]): a transaction takes its whole
+//!   declared lock set or none of it, so there is no hold-and-wait and
+//!   no deadlock — §4.1 transactions know their object set up front —
+//!   and
 //! * composite-object expansion: locking a configuration subtree takes
 //!   intention locks along the composite chain
-//!   ([`LockManager::hierarchical_lockset`]).
+//!   ([`LockManager::hierarchical_lockset_into`]).
 //!
 //! ```
-//! use semcluster_lock::{LockManager, LockMode, LockResult, TxnId};
+//! use semcluster_lock::{LockManager, LockMode, TxnId};
 //! use semcluster_vdm::ObjectId;
 //!
+//! let (a, b) = (ObjectId(7), ObjectId(8));
 //! let mut lm = LockManager::new();
-//! assert_eq!(lm.request(TxnId(1), ObjectId(7), LockMode::Shared), LockResult::Granted);
-//! assert_eq!(lm.request(TxnId(2), ObjectId(7), LockMode::Shared), LockResult::Granted);
-//! assert_eq!(lm.request(TxnId(3), ObjectId(7), LockMode::Exclusive), LockResult::Waiting);
-//! let granted = lm.release_all(TxnId(1));
-//! assert!(granted.is_empty()); // txn 2 still shares it
-//! let granted = lm.release_all(TxnId(2));
-//! assert_eq!(granted[0].0, TxnId(3)); // writer finally promoted
+//! assert!(lm.try_acquire_all(TxnId(1), &[(a, LockMode::Shared), (b, LockMode::Exclusive)]));
+//! assert!(lm.try_acquire_all(TxnId(2), &[(a, LockMode::Shared)]));
+//! // All or nothing: `b` is taken, so txn 3 does not get `a` either.
+//! assert!(!lm.try_acquire_all(TxnId(3), &[(a, LockMode::Shared), (b, LockMode::Shared)]));
+//! assert_eq!(lm.held_mode(TxnId(3), a), None);
+//! assert_eq!(lm.release_all(TxnId(1)), &[a, b]);
+//! assert!(lm.try_acquire_all(TxnId(3), &[(a, LockMode::Shared), (b, LockMode::Shared)]));
 //! ```
 
 #![warn(missing_docs)]
@@ -34,5 +35,5 @@
 mod manager;
 mod mode;
 
-pub use manager::{LockManager, LockResult, LockStats, TxnId};
+pub use manager::{LockManager, TxnId};
 pub use mode::LockMode;

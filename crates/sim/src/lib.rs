@@ -10,9 +10,9 @@
 //!   ([`EventQueue`]) with FIFO tie-breaking for reproducibility,
 //! * FIFO servers ([`FcfsServer`], [`ServerBank`]) whose completions are
 //!   computable at submission time,
-//! * seeded random variates ([`SimRng`], [`Zipf`], [`HyperExp`]),
-//! * output analysis ([`OnlineStats`], [`Histogram`], [`TimeWeighted`]) and
-//!   the mean ± CI summary of replicated runs ([`Estimate`]).
+//! * seeded random variates ([`SimRng`]),
+//! * output analysis ([`OnlineStats`], [`Histogram`]) and the mean ± CI
+//!   summary of replicated runs ([`Estimate`]).
 //!
 //! ```
 //! use semcluster_sim::{EventQueue, FcfsServer, SimDuration, SimTime};
@@ -52,7 +52,7 @@ mod time;
 
 pub use event::EventQueue;
 pub use experiment::Estimate;
-pub use rng::{HyperExp, SimRng, Zipf};
+pub use rng::SimRng;
 pub use server::{FcfsServer, ServerBank};
-pub use stats::{Histogram, OnlineStats, TimeWeighted};
+pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};

@@ -1,6 +1,6 @@
 //! Online statistics for simulation output analysis.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Streaming mean/variance via Welford's algorithm.
 #[derive(Debug, Clone, Default)]
@@ -222,45 +222,6 @@ impl Histogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant quantity (queue length,
-/// buffered dirty pages, …).
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    area: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `t0` with initial value `v0`.
-    pub fn new(t0: SimTime, v0: f64) -> Self {
-        TimeWeighted {
-            last_time: t0,
-            last_value: v0,
-            area: 0.0,
-            start: t0,
-        }
-    }
-
-    /// Record that the quantity changed to `value` at time `now`.
-    pub fn update(&mut self, now: SimTime, value: f64) {
-        self.area += self.last_value * (now - self.last_time).as_secs_f64();
-        self.last_time = now;
-        self.last_value = value;
-    }
-
-    /// Time-average over `[t0, now]`.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let span = (now - self.start).as_secs_f64();
-        if span <= 0.0 {
-            return self.last_value;
-        }
-        let area = self.area + self.last_value * (now - self.last_time).as_secs_f64();
-        area / span
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,14 +293,5 @@ mod tests {
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.count(), 3);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.update(SimTime::from_secs(10), 2.0); // 0 for 10s
-        tw.update(SimTime::from_secs(20), 0.0); // 2 for 10s
-        let avg = tw.average(SimTime::from_secs(20));
-        assert!((avg - 1.0).abs() < 1e-9, "{avg}");
     }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use semcluster_sim::{
-    EventQueue, FcfsServer, Histogram, OnlineStats, SimDuration, SimRng, SimTime, Zipf,
+    EventQueue, FcfsServer, Histogram, OnlineStats, SimDuration, SimRng, SimTime,
 };
 
 proptest! {
@@ -101,16 +101,6 @@ proptest! {
             let x = a.below(n);
             prop_assert_eq!(x, b.below(n));
             prop_assert!(x < n);
-        }
-    }
-
-    /// Zipf samples stay within the support for any skew.
-    #[test]
-    fn zipf_in_support(n in 1usize..500, theta in 0.0f64..3.0, seed in any::<u64>()) {
-        let z = Zipf::new(n, theta);
-        let mut rng = SimRng::seed_from_u64(seed);
-        for _ in 0..100 {
-            prop_assert!(z.sample(&mut rng) < n);
         }
     }
 
