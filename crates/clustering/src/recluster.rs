@@ -199,6 +199,13 @@ pub fn plan_recluster_in(
         return None;
     }
     let current_cost = placement_cost(store, &scratch.direct, current);
+    // A placement cost is a sum of non-negative weights, so no move gains
+    // more than `current_cost`: if that does not clear `min_gain`, no
+    // candidate can (a NaN on either side compares false both ways).
+    let can_gain = current_cost > min_gain;
+    if !can_gain {
+        return None;
+    }
     // Examine every candidate the I/O budget allows (the paper's
     // "amount of I/O allowed to the clustering algorithm as it examines
     // candidate pages for reclustering") and move to the best one. The
@@ -456,8 +463,9 @@ mod tests {
         assert!(store.co_resident(obj, relatives[0]));
     }
 
-    #[test]
-    fn recluster_respects_threshold_and_policy() {
+    /// `X` on a page of its own, its one relative `R` on `home`: moving
+    /// `X` home gains the whole current cost, the config_up weight 4.0.
+    fn one_relative_away() -> (Database, StorageManager, ObjectId, PageId) {
         let (mut db, t) = mkdb();
         let mut store = StorageManager::new(DEFAULT_PAGE_BYTES);
         let home = store.allocate_page();
@@ -471,6 +479,38 @@ mod tests {
             .unwrap();
         db.relate(RelKind::Configuration, r, obj).unwrap();
         store.place(r, 50, home).unwrap();
+        (db, store, obj, home)
+    }
+
+    /// The shortcut's boundary: no move gains more than the current
+    /// cost, so a threshold equal to it declines, and the next
+    /// representable value below it must reach the candidate loop, where
+    /// `home` gains all of it.
+    #[test]
+    fn recluster_declines_at_the_current_cost_and_plans_just_below_it() {
+        let (db, store, obj, home) = one_relative_away();
+        let mut scratch = ScoreScratch::new();
+        let mut plan = |min_gain: f64| {
+            plan_recluster_in(
+                &db,
+                &store,
+                &AllResident,
+                ClusteringPolicy::NoLimit,
+                &WeightModel::no_hints(),
+                obj,
+                min_gain,
+                &mut scratch,
+            )
+        };
+        assert_eq!(plan(4.0), None);
+        let just_below = f64::from_bits(4.0f64.to_bits() - 1);
+        let plan = plan(just_below).expect("home gains the whole current cost");
+        assert_eq!((plan.to, plan.gain), (home, 4.0));
+    }
+
+    #[test]
+    fn recluster_respects_threshold_and_policy() {
+        let (db, store, obj, _) = one_relative_away();
         // Gain is 4.0 (config_up weight); a higher threshold blocks it.
         assert!(plan_recluster_in(
             &db,

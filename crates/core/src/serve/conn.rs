@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use super::exec::{Job, TxnJob};
 use super::protocol::{write_frame, ErrorKind, TxnRequest, OP_OK_HELLO, OP_OK_TXN};
-use super::server::{Shared, TICK_MS};
+use super::server::{lock, wake, Shared, TICK_MS};
 use super::session::{ConnFsm, ExecResult, FsmAction, FsmInput};
 use super::stats::{RequestCounts, RequestStamps, RequestTraceRecord};
 use super::ServeError;
@@ -138,7 +138,7 @@ fn conn_driver(
         cfg.drain_linger_ms,
     );
     shared.stats.conn_opened();
-    let exec = shared.exec.lock().unwrap().clone();
+    let exec = lock(&shared.exec).clone();
     let mut registered_sessions = 0u64;
     let mut actions: Vec<FsmAction> = Vec::new();
     let mut inputs: VecDeque<ConnEvent> = VecDeque::new();
@@ -217,7 +217,7 @@ fn conn_driver(
                         if frame.opcode == OP_OK_TXN {
                             shared.stats.record_txn_ok();
                             if let Some(token) = commit_token.take() {
-                                shared.acked_tokens.lock().unwrap().push(token);
+                                lock(&shared.acked_tokens).push(token);
                                 shared.stats.record_ack();
                             }
                             if let Some((session, client_txn, mut stamps)) = commit_stamps.take() {
@@ -225,7 +225,7 @@ fn conn_driver(
                                 stamps.replied_us = shared.now_us();
                                 let spans = shared.stats.record_request_latency(&stamps);
                                 if cfg.trace_requests > 0 {
-                                    let mut trace = shared.request_trace.lock().unwrap();
+                                    let mut trace = lock(&shared.request_trace);
                                     if trace.len() < cfg.trace_requests {
                                         trace.push(RequestTraceRecord {
                                             session,
@@ -264,7 +264,7 @@ fn conn_driver(
                 FsmAction::SubmitStats => inputs.push_back(ConnEvent::StatsReady {
                     json: shared.stats_json(),
                 }),
-                FsmAction::RequestShutdown => shared.shutdown.store(true, Ordering::SeqCst),
+                FsmAction::RequestShutdown => wake(&shared.shutdown, shared.listen_addr),
                 FsmAction::Close => {
                     let _ = stream.shutdown(SockShutdown::Both);
                     break 'conn;
@@ -291,7 +291,7 @@ fn submit_txn(
         _ => return Some(ExecResult::ShuttingDown),
     };
     let depth = shared.stats.queue_depth() as usize;
-    let admitted = shared.admission.lock().unwrap().admit(depth);
+    let admitted = lock(&shared.admission).admit(depth);
     shared.stats.set_admission_shedding(!admitted);
     if !admitted {
         return Some(ExecResult::Overloaded);

@@ -4,10 +4,10 @@
 //! drain), a reader + driver pair per connection ([`super::conn`]), a
 //! bank of executor workers over the one bounded job queue
 //! ([`super::exec`]), a sampler that advances the SLO window (and the
-//! optional timeline), and an optional Prometheus listener. The two
-//! [`ServeMode`]s share all of it and differ only in the backend the
-//! workers call: the oracle's one worker steps a deterministic
-//! [`crate::Engine`], so REPORT is byte-identical to
+//! optional timeline), and an optional Prometheus listener; none of them
+//! naps ([`wake`]). The two [`ServeMode`]s share all of it and differ
+//! only in the backend the workers call: the oracle's one worker steps
+//! a deterministic [`crate::Engine`], so REPORT is byte-identical to
 //! [`crate::run_simulation`] — the equivalence contract that keeps the
 //! simulator the correctness oracle for the served path — while
 //! concurrent mode drives one shared core under locks and group commit
@@ -23,10 +23,10 @@
 //! drain, never a panicked accept thread.
 
 use std::io::Write as _;
-use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -206,6 +206,8 @@ pub(super) struct Shared {
     pub(super) cfg: ServeConfig,
     pub(super) stats: ServeStats,
     pub(super) shutdown: Arc<AtomicBool>,
+    /// Where the acceptor listens, for [`wake`] (`None` where none runs).
+    pub(super) listen_addr: Option<SocketAddr>,
     start: Instant,
     pub(super) admission: Mutex<AdmissionControl>,
     pub(super) acked_tokens: Mutex<Vec<u64>>,
@@ -219,6 +221,9 @@ pub(super) struct Shared {
     /// Stops the sampler and the Prometheus endpoint. Both run until the
     /// drain has completed, so operators can watch the drain itself.
     watchers_stop: AtomicBool,
+    /// Held by the sampler except while it waits on `sampler_wake`.
+    sampler_gate: Mutex<()>,
+    sampler_wake: Condvar,
     pub(super) request_trace: Mutex<Vec<RequestTraceRecord>>,
 }
 
@@ -239,9 +244,12 @@ impl Shared {
             timeline: (cfg.timeline_interval_ms > 0)
                 .then(|| Mutex::new(ServeTimeline::new(cfg.timeline_interval_ms))),
             watchers_stop: AtomicBool::new(false),
+            sampler_gate: Mutex::new(()),
+            sampler_wake: Condvar::new(),
             cfg,
             stats: ServeStats::new(),
             shutdown,
+            listen_addr: None,
             start: Instant::now(),
             acked_tokens: Mutex::new(Vec::new()),
             exec: Mutex::new(exec),
@@ -264,13 +272,19 @@ impl Shared {
         let mut snap = self
             .stats
             .snapshot(self.now_ms(), self.shutdown.load(Ordering::SeqCst));
-        snap.slo = Some(self.slo.lock().unwrap().summary());
+        snap.slo = Some(lock(&self.slo).summary());
         snap
     }
 
     pub(super) fn stats_json(&self) -> String {
         self.snapshot().to_json()
     }
+}
+
+/// Take `mutex`'s guard even if a panicking holder poisoned it: every
+/// serve mutex guards plain data a panic cannot leave half-written.
+pub(super) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running server, owned by the thread that called [`Server::start`].
@@ -296,7 +310,7 @@ impl ServerHandle {
     /// Begin graceful drain: stop accepting, finish in-flight
     /// transactions, reject new work, close connections.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        wake(&self.shutdown, Some(self.addr));
     }
 
     /// Whether drain has been requested (by signal, client SHUTDOWN
@@ -321,21 +335,18 @@ impl Server {
     /// Bind `addr` and start serving in background threads. Returns
     /// once the listener is bound.
     pub fn start(cfg: ServeConfig, addr: &str) -> Result<ServerHandle, ServeError> {
-        let listener = bind_polled(addr, "")?;
-        let bound = listener
-            .local_addr()
-            .map_err(|e| ServeError::net("local_addr", &e))?;
+        let (listener, bound) = bind(addr, "")?;
         // Bind the metrics endpoint up front so the caller learns the
         // resolved port (metrics_addr may be ":0") before any traffic.
-        let metrics_listener = match &cfg.metrics_addr {
-            Some(addr) => Some(bind_polled(addr, "metrics ")?),
+        let metrics = match &cfg.metrics_addr {
+            Some(addr) => Some(bind(addr, "metrics ")?),
             None => None,
         };
-        let metrics_addr = metrics_listener.as_ref().and_then(|l| l.local_addr().ok());
+        let metrics_addr = metrics.as_ref().map(|&(_, addr)| addr);
         let shutdown = Arc::new(AtomicBool::new(false));
         let shutdown2 = Arc::clone(&shutdown);
         let join = spawn("serve-accept".into(), move || {
-            accept_loop(listener, metrics_listener, cfg, shutdown2)
+            accept_loop((listener, bound), metrics, cfg, shutdown2)
         })?;
         Ok(ServerHandle {
             addr: bound,
@@ -346,26 +357,47 @@ impl Server {
     }
 }
 
-/// Bind a listener for [`accept_until`] to poll.
-fn bind_polled(addr: &str, what: &str) -> Result<TcpListener, ServeError> {
-    let listener =
-        TcpListener::bind(addr).map_err(|e| ServeError::net(format!("bind {what}{addr}"), &e))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ServeError::net(format!("set_nonblocking {what}{addr}"), &e))?;
-    Ok(listener)
+/// Bind a (blocking) listener and resolve the address it took.
+fn bind(addr: &str, what: &str) -> Result<(TcpListener, SocketAddr), ServeError> {
+    let net = |step: &str, e| ServeError::net(format!("{step} {what}{addr}"), &e);
+    let listener = TcpListener::bind(addr).map_err(|e| net("bind", e))?;
+    let bound = listener.local_addr().map_err(|e| net("local_addr", e))?;
+    Ok((listener, bound))
 }
 
-/// Poll a non-blocking listener until `stop` flips, handing each
-/// accepted stream to `on_conn`. `WouldBlock` (nobody is connecting) and
-/// a transient accept failure alike wait a beat and poll again.
+/// Accept until `stop` is set, handing each connection to `on_conn`.
+/// The accept blocks until a client or a [`wake`] arrives; what arrives
+/// once `stop` is set is dropped unserved. Only a failed accept (out of
+/// descriptors, say) backs off, for 5 ms.
 fn accept_until(listener: &TcpListener, stop: &AtomicBool, mut on_conn: impl FnMut(TcpStream)) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
+            Ok(_) if stop.load(Ordering::SeqCst) => break,
             Ok((stream, _peer)) => on_conn(stream),
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }
+}
+
+/// Set `stop`, then end the blocking accept on `addr` (if named) with
+/// one throwaway connection, which is never counted as a client.
+pub(super) fn wake(stop: &AtomicBool, addr: Option<SocketAddr>) {
+    stop.store(true, Ordering::SeqCst);
+    if let Some(addr) = addr {
+        let _ = TcpStream::connect(wake_addr(addr));
+    }
+}
+
+/// An unspecified IP (`0.0.0.0`, `::`) is not connectable: it maps to
+/// the loopback of its family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Minimal read-only HTTP/1.0-style responder for Prometheus scrapes.
@@ -392,40 +424,56 @@ fn metrics_conn(mut stream: TcpStream, shared: &Shared) {
 
 /// The sampler: always runs — it is what advances the SLO window — and
 /// additionally records timeline points when sampling was requested.
+/// Between ticks it waits on `sampler_wake`, which the drain notifies.
 fn sampler_loop(shared: &Shared) {
-    let interval_ms = match shared.cfg.timeline_interval_ms {
+    let period = Duration::from_millis(match shared.cfg.timeline_interval_ms {
         0 => TICK_MS,
         requested => requested,
-    };
+    });
+    let running = |_: &mut ()| !shared.watchers_stop.load(Ordering::SeqCst);
+    let mut gate = lock(&shared.sampler_gate);
     while !shared.watchers_stop.load(Ordering::SeqCst) {
-        let snap = shared
-            .stats
-            .snapshot(shared.now_ms(), shared.shutdown.load(Ordering::SeqCst));
-        shared.slo.lock().unwrap().observe(&snap);
-        if let Some(timeline) = &shared.timeline {
-            timeline.lock().unwrap().push(ServePoint {
-                t_ms: snap.uptime_ms,
-                queue_depth: snap.gauge("queue_depth"),
-                connections: snap.gauge("connections_live"),
-                sessions: snap.gauge("sessions_live"),
-                acked: snap.counter("acked"),
-                sheds: snap.counter("err.overloaded"),
-                deadline_misses: snap.counter("err.deadline"),
-            });
-        }
-        thread::sleep(Duration::from_millis(interval_ms));
+        sample(shared);
+        gate = shared
+            .sampler_wake
+            .wait_timeout_while(gate, period, running)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+    }
+}
+
+/// One sampler tick: advance the SLO window, record a timeline point.
+fn sample(shared: &Shared) {
+    let snap = shared
+        .stats
+        .snapshot(shared.now_ms(), shared.shutdown.load(Ordering::SeqCst));
+    lock(&shared.slo).observe(&snap);
+    if let Some(timeline) = &shared.timeline {
+        lock(timeline).push(ServePoint {
+            t_ms: snap.uptime_ms,
+            queue_depth: snap.gauge("queue_depth"),
+            connections: snap.gauge("connections_live"),
+            sessions: snap.gauge("sessions_live"),
+            acked: snap.counter("acked"),
+            sheds: snap.counter("err.overloaded"),
+            deadline_misses: snap.counter("err.deadline"),
+        });
     }
 }
 
 fn accept_loop(
-    listener: TcpListener,
-    metrics_listener: Option<TcpListener>,
+    (listener, addr): (TcpListener, SocketAddr),
+    metrics: Option<(TcpListener, SocketAddr)>,
     cfg: ServeConfig,
     shutdown: Arc<AtomicBool>,
 ) -> ServeReport {
     // The one execution queue: bounded, and shared by both modes.
     let (jobs, job_rx) = mpsc::sync_channel::<Job>(cfg.queue_cap.max(1));
-    let shared = Arc::new(Shared::new(cfg, Arc::clone(&shutdown), Some(jobs)));
+    let shared = Arc::new(Shared {
+        listen_addr: Some(addr),
+        ..Shared::new(cfg, Arc::clone(&shutdown), Some(jobs))
+    });
+    let metrics_addr = metrics.as_ref().map(|&(_, addr)| addr);
     let (mut workers, mut watchers) = (Vec::new(), Vec::new());
     let start_threads = || -> Result<(), ServeError> {
         shared
@@ -435,7 +483,7 @@ fn accept_loop(
         watchers.push(spawn("serve-timeline".into(), move || {
             sampler_loop(&shared2)
         })?);
-        if let Some(listener) = metrics_listener {
+        if let Some((listener, _)) = metrics {
             let shared2 = Arc::clone(&shared);
             watchers.push(spawn("serve-metrics".into(), move || {
                 let serve = |stream| metrics_conn(stream, &shared2);
@@ -446,7 +494,7 @@ fn accept_loop(
     };
     // A server that cannot start one of its own threads drains at once
     // and says so in its report.
-    let mut clean_drain = start_threads().is_ok();
+    let clean_drain = start_threads().is_ok();
     if !clean_drain {
         shutdown.store(true, Ordering::SeqCst);
     }
@@ -460,9 +508,18 @@ fn accept_loop(
             conns.push(conn);
         }
     });
+    drain(&shared, conns, workers, watchers, metrics_addr, clean_drain)
+}
 
-    // Drain: tell every connection, wait for them, then retire the
-    // executor and compute the ACID verdict.
+/// Drain the connections and the executor, then take the final report.
+fn drain(
+    shared: &Shared,
+    conns: Vec<Conn>,
+    workers: Vec<JoinHandle<()>>,
+    watchers: Vec<JoinHandle<()>>,
+    metrics_addr: Option<SocketAddr>,
+    mut clean_drain: bool,
+) -> ServeReport {
     for conn in &conns {
         let _ = conn.tx.send(ConnEvent::Shutdown);
     }
@@ -470,24 +527,26 @@ fn accept_loop(
         let _ = conn.driver.join();
         let _ = conn.reader.join();
     }
-    shared.exec.lock().unwrap().take();
+    lock(&shared.exec).take();
     for h in workers {
         clean_drain &= h.join().is_ok();
     }
-    let acid_violations = shared
-        .backend
-        .drain_verdict(&shared.acked_tokens.lock().unwrap());
+    let acid_violations = shared.backend.drain_verdict(&lock(&shared.acked_tokens));
 
     // Stop watching only once the final (exact — all recorders joined)
-    // snapshot is about to be taken.
-    shared.watchers_stop.store(true, Ordering::SeqCst);
+    // snapshot is about to be taken. Passing through the sampler's gate
+    // after setting the flag means it is either waiting, and gets the
+    // notify, or has yet to read the flag.
+    wake(&shared.watchers_stop, metrics_addr);
+    drop(lock(&shared.sampler_gate));
+    shared.sampler_wake.notify_all();
     for h in watchers {
         let _ = h.join();
     }
-    let timeline = shared.timeline.as_ref().map(|t| t.lock().unwrap().clone());
+    let timeline = shared.timeline.as_ref().map(|t| lock(t).clone());
 
     let stats = shared.snapshot();
-    let request_trace = std::mem::take(&mut *shared.request_trace.lock().unwrap());
+    let request_trace = std::mem::take(&mut *lock(&shared.request_trace));
     ServeReport {
         connections: stats.counter("connections"),
         sessions_peak: stats.gauge("sessions_peak"),
@@ -506,5 +565,53 @@ fn accept_loop(
         timeline,
         stats,
         request_trace,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_wake_address_of_an_unspecified_ip_is_its_loopback() {
+        let wake = |bound: &str| wake_addr(bound.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:7489"), "127.0.0.1:7489");
+        assert_eq!(wake("[::]:7489"), "[::1]:7489");
+        assert_eq!(wake("10.1.2.3:7489"), "10.1.2.3:7489");
+        assert_eq!(wake("[fe80::1]:7489"), "[fe80::1]:7489");
+    }
+
+    #[test]
+    fn a_panicked_peer_does_not_stop_the_snapshot_sampler_or_drain() {
+        // A ten-second period: the drain must end the sampler's wait, not
+        // sit it out.
+        let cfg = ServeConfig {
+            timeline_interval_ms: 10_000,
+            ..ServeConfig::default()
+        };
+        let shared = Arc::new(Shared::new(cfg, Arc::new(AtomicBool::new(false)), None));
+        let peer = Arc::clone(&shared);
+        let panicked = thread::spawn(move || {
+            let _slo = peer.slo.lock();
+            let _acked = peer.acked_tokens.lock();
+            panic!("a connection driver panics holding both locks");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(shared.slo.is_poisoned() && shared.acked_tokens.is_poisoned());
+
+        assert!(shared.snapshot().slo.is_some());
+        sample(&shared);
+        let sampler = Arc::clone(&shared);
+        let sampler = thread::spawn(move || sampler_loop(&sampler));
+        let draining = Instant::now();
+        let report = drain(&shared, Vec::new(), Vec::new(), vec![sampler], None, true);
+        let took = draining.elapsed();
+        assert!(took < Duration::from_secs(1), "drain took {took:?}");
+        assert!(report.clean_drain);
+        assert_eq!(report.acid_violations, 0);
+        // Our tick, and at most one the sampler took before it stopped.
+        let points = report.timeline.map_or(0, |t| t.points.len());
+        assert!((1..=2).contains(&points), "{points} timeline points");
     }
 }

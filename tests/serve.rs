@@ -691,6 +691,73 @@ fn read_only_closed_loop_is_never_shed_by_an_idle_queue() {
 }
 
 #[test]
+fn an_idle_server_accepts_a_connection_the_moment_it_arrives() {
+    // Each HELLO reaches an acceptor that has been idle since the last
+    // one; a server that polled its listener would make each wait out a
+    // nap.
+    let handle = Server::start(ServeConfig::default(), "127.0.0.1:0").expect("start server");
+    let started = Instant::now();
+    for _ in 0..50 {
+        drop(connect(handle.addr(), 1));
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "50 connect + HELLO round trips took {took:?}"
+    );
+    handle.request_shutdown();
+    let report = handle.join().expect("drain");
+    assert_eq!(report.connections, 50);
+    assert!(report.clean_drain);
+}
+
+/// A server that samples its timeline every ten seconds: a drain that
+/// waited for the sampler's next tick would take that long.
+fn slow_sampling(metrics_addr: Option<String>) -> ServeConfig {
+    ServeConfig {
+        timeline_interval_ms: 10_000,
+        metrics_addr,
+        ..ServeConfig::default()
+    }
+}
+
+#[test]
+fn a_drain_does_not_wait_out_the_sampling_period() {
+    let handle = Server::start(slow_sampling(None), "127.0.0.1:0").expect("start server");
+    let (mut stream, session) = connect(handle.addr(), 1);
+    send(&mut stream, &write_one(session, 1, 1));
+    assert!(matches!(recv(&mut stream), Response::TxnOk { .. }));
+    drop(stream);
+    let draining = Instant::now();
+    handle.request_shutdown();
+    let report = handle.join().expect("drain");
+    let took = draining.elapsed();
+    assert!(took < Duration::from_secs(1), "drain took {took:?}");
+    assert_eq!(report.acked, 1);
+    assert!(report.clean_drain);
+}
+
+#[test]
+fn a_shutdown_frame_wakes_both_acceptors_and_no_wake_is_counted() {
+    let handle = Server::start(slow_sampling(Some("127.0.0.1:0".into())), "127.0.0.1:0")
+        .expect("start server");
+    let (mut idle, _) = connect(handle.addr(), 1);
+    let (mut stream, _) = connect(handle.addr(), 1);
+    // Nothing else connects: the frame alone must end both blocking
+    // accepts and the sampler's wait.
+    let draining = Instant::now();
+    send(&mut stream, &Request::Shutdown);
+    assert!(matches!(recv(&mut stream), Response::ShutdownOk));
+    let report = handle.join().expect("client-initiated drain");
+    let took = draining.elapsed();
+    assert!(took < Duration::from_secs(1), "drain took {took:?}");
+    assert_eq!(report.connections, 2, "wake connections are not clients");
+    assert!(report.clean_drain);
+    // The drain closed the idle connection too.
+    assert!(matches!(read_frame(&mut idle), Ok(None) | Err(_)));
+}
+
+#[test]
 fn chaos_golden_matches_at_any_jobs_count() {
     // The committed chaos golden must verify unchanged regardless of
     // the thread count the suite is rendered with.
