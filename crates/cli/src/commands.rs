@@ -144,15 +144,7 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "crash-matrix",
-        flags: &[
-            "preset",
-            "samples",
-            "seed",
-            "backend",
-            "scratch-dir",
-            "jobs",
-            "json",
-        ],
+        flags: &["preset", "samples", "seed", "scratch-dir", "jobs", "json"],
         run: cmd_crash_matrix,
     },
     Command {

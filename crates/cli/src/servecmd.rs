@@ -149,7 +149,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         // with the dedicated exit code: an ack is a durability promise.
         print!("{json}");
         return Err(CliError::acid(format!(
-            "serve: {} acked transaction(s) not durable after recovery",
+            "serve: {} acked transaction(s) not durable at drain",
             report.acid_violations
         )));
     }

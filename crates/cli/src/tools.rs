@@ -2,9 +2,7 @@
 
 use crate::args::Args;
 use crate::error::CliError;
-use semcluster::{
-    run_crash_matrix, workload_from_label, CrashMatrixConfig, MatrixBackend, SimConfig,
-};
+use semcluster::{run_crash_matrix, workload_from_label, CrashMatrixConfig, SimConfig};
 use semcluster_analysis::Table;
 use semcluster_clustering::{static_recluster, WeightModel};
 use semcluster_sim::SimRng;
@@ -142,44 +140,22 @@ pub fn cmd_crash_matrix(args: &Args) -> Result<String, CliError> {
     if let Some(dir) = args.get("scratch-dir") {
         mc.scratch_dir = Some(std::path::PathBuf::from(dir));
     }
-    let backends = match args.get("backend").unwrap_or("sim") {
-        "sim" => vec![MatrixBackend::Sim],
-        "file" => vec![MatrixBackend::File],
-        "both" => vec![MatrixBackend::Sim, MatrixBackend::File],
-        other => {
-            return Err(CliError::usage(format!(
-                "--backend: expected sim, file or both, got {other:?}"
-            )))
-        }
-    };
-    let labelled = backends.len() > 1;
-    let mut out = String::new();
-    for backend in backends {
-        mc.backend = backend;
-        let report = run_crash_matrix(&mc);
-        if report.violation_count() > 0 {
-            return Err(format!("backend {}:\n{}", backend.name(), report.render()).into());
-        }
-        if args.flag("json") {
-            out.push_str(&format!(
-                concat!(
-                    "{{\"backend\":{backend:?},\"points\":{points},",
-                    "\"commits\":{commits},\"events\":{events},",
-                    "\"log_flushes\":{flushes},\"violations\":{violations}}}\n"
-                ),
-                backend = backend.name(),
-                points = report.points.len(),
-                commits = report.total_commits,
-                events = report.total_events,
-                flushes = report.total_flushes,
-                violations = report.violation_count(),
-            ));
-        } else {
-            if labelled {
-                out.push_str(&format!("== backend {} ==\n", backend.name()));
-            }
-            out.push_str(&report.render());
-        }
+    let report = run_crash_matrix(&mc);
+    if report.violation_count() > 0 {
+        return Err(report.render().into());
     }
-    Ok(out)
+    if !args.flag("json") {
+        return Ok(report.render());
+    }
+    Ok(format!(
+        concat!(
+            "{{\"points\":{points},\"commits\":{commits},\"events\":{events},",
+            "\"log_flushes\":{flushes},\"violations\":{violations}}}\n"
+        ),
+        points = report.points.len(),
+        commits = report.total_commits,
+        events = report.total_events,
+        flushes = report.total_flushes,
+        violations = report.violation_count(),
+    ))
 }

@@ -38,8 +38,7 @@ USAGE:
   semclusterctl top      --addr HOST:PORT [--interval-ms N] [--count N]
                          [--raw]
   semclusterctl crash-matrix [--preset smoke|deep] [--samples N] [--seed N]
-                         [--backend sim|file|both] [--scratch-dir DIR]
-                         [--jobs N] [--json]
+                         [--scratch-dir DIR] [--jobs N] [--json]
   semclusterctl help
 
 CONFIG:
@@ -110,8 +109,8 @@ CONFIG:
   byte-identical to `simulate`. A flag only the other mode reads is
   refused (exit 2), not dropped.
   SIGTERM/SIGINT (or a client SHUTDOWN frame) drains in-flight work,
-  then the server crashes its own WAL, replays recovery, and verifies
-  every acknowledged transaction survived — exiting 7 if any did not.
+  then the server verifies that a group-commit force covered every
+  acknowledged transaction — exiting 7 if one did not.
   load is the matching load generator: N connection threads multiplex
   logical sessions, pipeline transactions, and optionally inject
   client-side network chaos (dropped/stalled/half-closed connections,
@@ -134,18 +133,16 @@ CONFIG:
   terminal view (throughput, queue depth, rolling p50/p99, error rate);
   --raw prints the snapshot JSON verbatim instead. golden --suite stats
   pins the telemetry renders (synthetic replay + live oracle probe).
-  crash-matrix crashes a small workload at every commit boundary plus
-  sampled intra-transaction and torn-log points, replays recovery at
-  each, and verifies ACID invariants (exit 1 on any violation).
-  crash-matrix --backend file shadows every run with the durable
-  file-backed page store, adds crash-at-syscall and fsync-failure
-  points, and verifies ACID by recovering the real files from disk
-  (twice — recovery must be an idempotent byte-level no-op); failing
-  points preserve their store under --scratch-dir (default
-  target/crash-scratch). simulate --backend file runs one replication
-  against the same durable store under --data-dir (default
-  target/simulate-data), pulls the plug at the end, and verifies the
-  recovered files.
+  crash-matrix shadows a small workload with the durable file-backed
+  page store and crashes it at every commit boundary plus sampled
+  intra-transaction, torn-log, crash-at-syscall and fsync-failure
+  points; at each it recovers the real files from disk twice (recovery
+  must be an idempotent byte-level no-op) and verifies ACID (exit 1 on
+  any violation). Failing points preserve their store under
+  --scratch-dir (default target/crash-scratch). simulate --backend file
+  runs one replication against the same durable store under --data-dir
+  (default target/simulate-data), pulls the plug at the end, and
+  verifies the recovered files.
   exit codes: 1 failure, 2 bad flags, 4 unknown stats schema (top),
   5 network unavailable, 6 wire-protocol violation, 7 ACID violation
   (the latter three from serve/load).

@@ -72,8 +72,8 @@ pub struct SimConfig {
     /// static workload's read/write mix per transaction while keeping its
     /// density-driven database. See `semcluster_workload::PhaseSchedule`.
     pub phases: Option<semcluster_workload::PhaseSchedule>,
-    /// Retain log records so the run can end in a simulated crash and
-    /// recovery ([`crate::Engine::run_and_crash_at`]).
+    /// Keep the ground-truth token lists (acked, unacked, aborted) a
+    /// crash verdict needs ([`crate::Engine::run_and_crash_at`]).
     pub retain_log: bool,
     /// Transactions discarded as warmup before measurement starts.
     pub warmup_txns: u64,

@@ -3,13 +3,15 @@
 //!
 //! [`Engine::run_and_crash_at`](crate::Engine::run_and_crash_at) stops a
 //! run at an arbitrary [`CrashPoint`] and returns a [`CrashOutcome`]:
-//! the durable log, the recovery replay, and — crucially — the engine's
-//! *ground truth* about what clients observed before the crash
-//! (acknowledged commits, in-flight transactions, aborts).
-//! [`CrashOutcome::verify_acid`] checks the recovery against that ground
-//! truth, and [`run_crash_matrix`] sweeps a workload across every commit
-//! boundary plus sampled intra-transaction and mid-flush points,
-//! verifying each one.
+//! the engine's *ground truth* about what clients observed before the
+//! crash (acknowledged and unacknowledged commits, in-flight
+//! transactions, aborts) and, with a [`DurableMirror`] attached, the
+//! files the crashed store left behind.
+//! [`CrashOutcome::recover_and_verify`] recovers those files twice and
+//! judges them against the ground truth, and [`run_crash_matrix`] sweeps
+//! a workload across every commit boundary plus sampled
+//! intra-transaction, mid-flush, syscall and fsync-failure points,
+//! judging each one that way.
 
 use crate::config::SimConfig;
 use crate::durable::{DurableMirror, FileCrashArtifacts};
@@ -18,38 +20,33 @@ use crate::metrics::RunReport;
 use crate::sweep::ordered_parallel_map;
 use semcluster_faults::{CrashPoint, FsFaultConfig};
 use semcluster_storage::{recover_dir, FileRecoveryOutcome, PAGES_FILE, WAL_FILE};
-use semcluster_vdm::DetHashSet;
-use semcluster_wal::{DurableLog, RecordKind, RecoveryOutcome, TxnToken};
+use semcluster_wal::TxnToken;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Everything a crashed run leaves behind: the simulation's report up to
-/// the crash, the durable log, the recovery replay over it, and the
-/// engine-side ground truth the replay must be consistent with.
+/// the crash, the engine-side ground truth recovery must be consistent
+/// with, and the durable store's files when a mirror was attached.
 #[derive(Debug)]
 pub struct CrashOutcome {
     /// Where the run crashed.
     pub point: CrashPoint,
     /// Run report covering everything up to the crash.
     pub report: RunReport,
-    /// The log records that survived (possibly with a torn tail).
-    pub durable: DurableLog,
-    /// The analysis/redo/undo replay over `durable`.
-    pub recovery: RecoveryOutcome,
     /// Transactions whose commit was *acknowledged* to the client
     /// (the TxnDone event ran) before the crash. Durability must hold
     /// for exactly these.
     pub acked: Vec<TxnToken>,
-    /// Transactions that finished but whose durable (file-backend)
-    /// commit fsync failed: the client was never acknowledged, so
-    /// recovery owes them nothing — and fsyncgate semantics demand they
-    /// never silently become durable later. Empty without a mirror.
+    /// Transactions that finished but whose durable commit fsync
+    /// failed: the client was never acknowledged, so recovery owes them
+    /// nothing — and fsyncgate semantics demand they never silently
+    /// become durable later. Empty without a mirror.
     pub unacked: Vec<TxnToken>,
     /// Transactions still in flight at the crash. They may legally end
     /// up as winners (commit durable, acknowledgement lost) or losers.
     pub in_flight: Vec<TxnToken>,
     /// Transactions the engine aborted (retry exhaustion, placement
-    /// failure) before the crash. Their effects must never be redone.
+    /// failure) before the crash. They must never be recovery winners.
     pub aborted: Vec<TxnToken>,
     /// Simulation events processed before the crash.
     pub events_seen: u64,
@@ -57,128 +54,61 @@ pub struct CrashOutcome {
     pub commits_seen: u64,
     /// Physical log-device flushes issued before the crash.
     pub log_flushes_seen: u64,
-    /// What the durable file backend left behind (directory, fault
+    /// What the durable file store left behind (directory, fault
     /// stats, torn-write report). `None` when no mirror was attached.
     pub file: Option<FileCrashArtifacts>,
 }
 
 impl CrashOutcome {
-    /// Check the recovery replay against the engine's ground truth.
-    /// Returns one human-readable line per violated invariant; an empty
-    /// vector means the crash was ACID-clean:
+    /// Check what needs no files. Returns one human-readable line per
+    /// violated invariant; an empty vector means the ground truth is
+    /// self-consistent:
     ///
-    /// * **Durability** — every acknowledged commit has a durable commit
-    ///   record, is never rolled back as a loser, and (if it logged any
-    ///   updates) is redone as a winner.
-    /// * **Atomicity** — engine-aborted transactions are never redone;
-    ///   loser effects are undone completely, in reverse LSN order.
-    /// * **Replay fidelity** — the redo list is exactly the durable
-    ///   winner updates in LSN order, and the undo list exactly the
-    ///   durable loser updates reversed.
+    /// * a transaction ends one way — the acked, unacked, in-flight and
+    ///   aborted lists are pairwise disjoint;
+    /// * with a mirror attached, no more commits were acked than the
+    ///   store forced, and no more left unacked than it failed to force.
     pub fn verify_acid(&self) -> Vec<String> {
-        let mut violations = Vec::new();
-        let trusted = self.durable.trusted();
-        let mut committed: DetHashSet<TxnToken> = DetHashSet::default();
-        let mut updated: DetHashSet<TxnToken> = DetHashSet::default();
-        for rec in trusted {
-            match rec.kind {
-                RecordKind::Commit => {
-                    committed.insert(rec.txn);
-                }
-                RecordKind::Update { .. } => {
-                    updated.insert(rec.txn);
-                }
-                RecordKind::Abort => {}
-            }
-        }
-        let winners: DetHashSet<TxnToken> = self.recovery.winners.iter().copied().collect();
-        let losers: DetHashSet<TxnToken> = self.recovery.losers.iter().copied().collect();
-
-        // Durability of acknowledged commits.
-        for t in &self.acked {
-            if !committed.contains(t) {
-                violations.push(format!(
-                    "durability: acked {t:?} has no durable commit record"
-                ));
-            }
-            if losers.contains(t) {
-                violations.push(format!(
-                    "durability: acked {t:?} was rolled back as a loser"
-                ));
-            }
-            if updated.contains(t) && !winners.contains(t) {
-                violations.push(format!(
-                    "durability: acked {t:?} logged updates but recovery did not redo them"
-                ));
-            }
-        }
-
-        // Atomicity of engine-side aborts.
-        for t in &self.aborted {
-            if winners.contains(t) {
-                violations.push(format!(
-                    "atomicity: engine-aborted {t:?} was redone as a winner"
-                ));
-            }
-        }
-
-        // Replay fidelity: redo is exactly the winner updates in LSN
-        // order; undo exactly the loser updates reversed.
-        let expected_redo: Vec<(TxnToken, semcluster_storage::PageId)> = trusted
+        let lists = [
+            ("acked", &self.acked),
+            ("unacked", &self.unacked),
+            ("in-flight", &self.in_flight),
+            ("aborted", &self.aborted),
+        ];
+        let mut all: Vec<(u64, &str)> = lists
             .iter()
-            .filter_map(|r| match r.kind {
-                RecordKind::Update { page, .. } if winners.contains(&r.txn) => Some((r.txn, page)),
-                _ => None,
+            .flat_map(|&(name, list)| list.iter().map(move |t| (t.raw(), name)))
+            .collect();
+        // Stable: a pair names its lists in the order above.
+        all.sort_by_key(|&(raw, _)| raw);
+        let mut violations: Vec<String> = all
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| {
+                format!(
+                    "ground truth: txn {} is both {} and {}",
+                    w[0].0, w[0].1, w[1].1
+                )
             })
             .collect();
-        if expected_redo != self.recovery.redone {
-            violations.push(format!(
-                "replay: redo list diverges from durable winner updates \
-                 (expected {}, got {})",
-                expected_redo.len(),
-                self.recovery.redone.len()
-            ));
-        }
-        let mut expected_undo: Vec<(TxnToken, semcluster_storage::PageId)> = trusted
-            .iter()
-            .filter_map(|r| match r.kind {
-                RecordKind::Update { page, .. } if losers.contains(&r.txn) => Some((r.txn, page)),
-                _ => None,
-            })
-            .collect();
-        expected_undo.reverse();
-        if expected_undo != self.recovery.undone {
-            violations.push(format!(
-                "replay: undo list diverges from reversed durable loser updates \
-                 (expected {}, got {})",
-                expected_undo.len(),
-                self.recovery.undone.len()
-            ));
+        if let Some(files) = &self.file {
+            let stats = files.stats;
+            if self.acked.len() as u64 > stats.commits_ok {
+                violations.push(format!(
+                    "ground truth: {} commits acked but the store forced {}",
+                    self.acked.len(),
+                    stats.commits_ok
+                ));
+            }
+            if self.unacked.len() as u64 > stats.commits_failed {
+                violations.push(format!(
+                    "ground truth: {} commits unacked but the store failed {}",
+                    self.unacked.len(),
+                    stats.commits_failed
+                ));
+            }
         }
         violations
-    }
-}
-
-/// Which storage backend a crash-matrix sweep exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatrixBackend {
-    /// The simulated log only (in-memory `DurableLog` + wal replay).
-    #[default]
-    Sim,
-    /// A real file-backed [`crate::DurableMirror`] per point: crash
-    /// points additionally kill the process image at filesystem syscall
-    /// boundaries and inject fsync failures, and ACID is verified by
-    /// recovering the actual files from disk — twice.
-    File,
-}
-
-impl MatrixBackend {
-    /// Stable lowercase name (CLI flag value and render label).
-    pub fn name(self) -> &'static str {
-        match self {
-            MatrixBackend::Sim => "sim",
-            MatrixBackend::File => "file",
-        }
     }
 }
 
@@ -190,39 +120,37 @@ pub struct CrashMatrixConfig {
     /// Intra-transaction crash points sampled evenly across the run's
     /// event count (on top of every commit boundary).
     pub event_samples: usize,
-    /// Mid-flush (torn log record) points sampled evenly across the
+    /// Mid-flush (torn log write) points sampled evenly across the
     /// run's physical log flushes.
     pub mid_flush_samples: usize,
     /// Worker threads (`0` = host parallelism).
     pub jobs: usize,
-    /// Storage backend under test.
-    pub backend: MatrixBackend,
-    /// File backend only: crash points sampled across the probe run's
-    /// post-checkpoint filesystem syscalls (the fault layer pulls the
-    /// plug mid-syscall, tearing the in-flight write at sector
-    /// granularity).
+    /// Crash points sampled across the probe run's post-checkpoint
+    /// filesystem syscalls (the fault layer pulls the plug mid-syscall,
+    /// tearing the in-flight write at sector granularity).
     pub syscall_samples: usize,
-    /// File backend only: points injecting an fsync *failure* (not a
-    /// crash) at the k-th fsync; the run continues on the poisoned
-    /// handle and the matrix verifies failed commits were never acked
-    /// and never became durable.
+    /// Points injecting an fsync *failure* (not a crash) at the k-th
+    /// fsync; the run continues on the poisoned handle and the matrix
+    /// verifies failed commits were never acked and never became
+    /// durable.
     pub fsync_fail_samples: usize,
-    /// File backend only: probability any raw write syscall accepts
-    /// only a prefix (exercises the short-write retry loop).
+    /// Probability any raw write syscall accepts only a prefix
+    /// (exercises the short-write retry loop).
     pub short_write_rate: f64,
-    /// File backend only: keep the durability semantics of the fault
-    /// layer (pending writes only reach the file at fsync) but skip the
-    /// physical `sync_all` syscall. For fast tests; CI keeps it off.
+    /// Keep the durability semantics of the fault layer (pending writes
+    /// only reach the file at fsync) but skip the physical `sync_all`
+    /// syscall. For fast tests; CI keeps it off.
     pub skip_physical_sync: bool,
-    /// File backend only: where failing points preserve their store
-    /// directory (default `target/crash-scratch`).
+    /// Where failing points preserve their store directory (default
+    /// `target/crash-scratch`).
     pub scratch_dir: Option<PathBuf>,
 }
 
 impl CrashMatrixConfig {
     /// The smoke matrix: a small workload (1 MB database, 16 buffers,
-    /// 80 transactions) crashed at every commit plus 50 event samples
-    /// and 10 mid-flush samples. Runs in seconds; used by CI.
+    /// 80 transactions) crashed at every commit plus 50 event samples,
+    /// 10 mid-flush, 12 syscall and 4 fsync-failure samples. Runs in
+    /// about a second; used by CI.
     pub fn smoke() -> Self {
         CrashMatrixConfig {
             cfg: SimConfig {
@@ -237,7 +165,6 @@ impl CrashMatrixConfig {
             event_samples: 50,
             mid_flush_samples: 10,
             jobs: 0,
-            backend: MatrixBackend::Sim,
             syscall_samples: 12,
             fsync_fail_samples: 4,
             short_write_rate: 0.05,
@@ -262,7 +189,6 @@ impl CrashMatrixConfig {
             event_samples: 200,
             mid_flush_samples: 40,
             jobs: 0,
-            backend: MatrixBackend::Sim,
             syscall_samples: 40,
             fsync_fail_samples: 8,
             short_write_rate: 0.05,
@@ -283,22 +209,20 @@ pub struct CrashPointResult {
     pub winners: usize,
     /// Losers recovery rolled back.
     pub losers: usize,
-    /// Torn records truncated before analysis.
-    pub truncated: u32,
-    /// ACID violations ([`CrashOutcome::verify_acid`], plus the file
-    /// backend's recovery checks); empty = clean.
+    /// ACID violations ([`CrashOutcome::verify_acid`] plus
+    /// [`CrashOutcome::verify_file`]); empty = clean.
     pub violations: Vec<String>,
-    /// File backend: the crash tore a partially written sector.
+    /// The crash tore a partially written sector.
     pub torn_write: bool,
-    /// File backend: an injected fsync failure fired during the run.
+    /// An injected fsync failure fired during the run.
     pub fsync_failed: bool,
-    /// File backend: pages recovery rewrote from WAL snapshots.
+    /// Pages recovery rewrote from WAL snapshots.
     pub repaired_pages: usize,
-    /// File backend: torn WAL tail bytes physically truncated.
+    /// Torn WAL tail bytes physically truncated.
     pub wal_truncated: u64,
-    /// File backend: where the store directory was preserved when this
-    /// point failed verification (`None` when clean — the scratch
-    /// directory is removed).
+    /// Where the store directory was preserved when this point failed
+    /// verification (`None` when clean — the scratch directory is
+    /// removed).
     pub scratch: Option<String>,
 }
 
@@ -310,7 +234,6 @@ impl CrashPointResult {
             acked: 0,
             winners: 0,
             losers: 0,
-            truncated: 0,
             violations: Vec::new(),
             torn_write: false,
             fsync_failed: false,
@@ -325,21 +248,19 @@ impl CrashPointResult {
 /// in deterministic point order.
 #[derive(Debug)]
 pub struct CrashMatrixReport {
-    /// Backend the matrix ran against.
-    pub backend: MatrixBackend,
     /// Commits the uncrashed probe run performed.
     pub total_commits: u64,
     /// Events the uncrashed probe run processed.
     pub total_events: u64,
     /// Physical log flushes the uncrashed probe run issued.
     pub total_flushes: u64,
-    /// File backend: filesystem syscalls the probe run issued.
+    /// Filesystem syscalls the probe run issued.
     pub total_syscalls: u64,
-    /// File backend: fsyncs the probe run issued.
+    /// Fsyncs the probe run issued.
     pub total_fsyncs: u64,
     /// Per-point results, in the order the points were generated
-    /// (commits, then event samples, then mid-flush samples, then —
-    /// file backend — syscall and fsync-failure samples).
+    /// (commits, then event, mid-flush, syscall and fsync-failure
+    /// samples).
     pub points: Vec<CrashPointResult>,
 }
 
@@ -360,19 +281,17 @@ impl CrashMatrixReport {
             self.total_events,
             self.total_flushes
         ));
-        if self.backend == MatrixBackend::File {
-            out.push_str(&format!(
-                "file backend: {} syscalls / {} fsyncs probed; \
-                 {} torn writes, {} fsync-failure runs, \
-                 {} pages repaired, {} wal tails truncated\n",
-                self.total_syscalls,
-                self.total_fsyncs,
-                self.points.iter().filter(|p| p.torn_write).count(),
-                self.points.iter().filter(|p| p.fsync_failed).count(),
-                self.points.iter().map(|p| p.repaired_pages).sum::<usize>(),
-                self.points.iter().filter(|p| p.wal_truncated > 0).count()
-            ));
-        }
+        out.push_str(&format!(
+            "file backend: {} syscalls / {} fsyncs probed; \
+             {} torn writes, {} fsync-failure runs, \
+             {} pages repaired, {} wal tails truncated\n",
+            self.total_syscalls,
+            self.total_fsyncs,
+            self.points.iter().filter(|p| p.torn_write).count(),
+            self.points.iter().filter(|p| p.fsync_failed).count(),
+            self.points.iter().map(|p| p.repaired_pages).sum::<usize>(),
+            self.points.iter().filter(|p| p.wal_truncated > 0).count()
+        ));
         for p in &self.points {
             if !p.violations.is_empty() {
                 out.push_str(&format!("  FAIL {}:\n", p.point.label()));
@@ -414,67 +333,6 @@ fn sample_points(max: u64, n: usize) -> Vec<u64> {
     out
 }
 
-/// Run the exhaustive crash-recovery matrix: probe the workload once to
-/// learn its commit/event/flush totals, then crash it at every commit
-/// boundary, at `event_samples` intra-transaction points, and at
-/// `mid_flush_samples` torn-log points, verifying ACID invariants at
-/// each. With [`MatrixBackend::File`] every point additionally runs a
-/// real file-backed store; the matrix adds crash-at-syscall and
-/// fsync-failure points and verifies ACID by recovering the actual
-/// files from disk, twice (recovery must be idempotent byte-for-byte).
-/// The point list and every result are deterministic; worker count only
-/// affects wall-clock.
-pub fn run_crash_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
-    match config.backend {
-        MatrixBackend::Sim => run_sim_matrix(config),
-        MatrixBackend::File => run_file_matrix(config),
-    }
-}
-
-/// The crash points both backends share: every commit boundary, then
-/// the sampled intra-transaction events and torn-log flushes of the
-/// uncrashed `probe` run.
-fn logical_points(config: &CrashMatrixConfig, probe: &CrashOutcome) -> Vec<CrashPoint> {
-    let commits = (1..=probe.commits_seen).map(CrashPoint::Commit);
-    let events = sample_points(probe.events_seen, config.event_samples);
-    let flushes = sample_points(probe.log_flushes_seen, config.mid_flush_samples);
-    commits
-        .chain(events.into_iter().map(CrashPoint::Event))
-        .chain(flushes.into_iter().map(CrashPoint::MidFlush))
-        .collect()
-}
-
-fn run_sim_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
-    let mut cfg = config.cfg.clone();
-    cfg.retain_log = true;
-
-    // Probe: run to completion to learn the crash-point space.
-    let probe = Engine::new(cfg.clone()).run_and_crash_at(CrashPoint::End);
-    let points = logical_points(config, &probe);
-
-    let run_point = |_idx: usize, &point: &CrashPoint| -> CrashPointResult {
-        let outcome = Engine::new(cfg.clone()).run_and_crash_at(point);
-        CrashPointResult {
-            acked: outcome.acked.len(),
-            winners: outcome.recovery.winners.len(),
-            losers: outcome.recovery.losers.len(),
-            truncated: outcome.recovery.truncated,
-            violations: outcome.verify_acid(),
-            ..CrashPointResult::new(point)
-        }
-    };
-
-    CrashMatrixReport {
-        backend: MatrixBackend::Sim,
-        total_commits: probe.commits_seen,
-        total_events: probe.events_seen,
-        total_flushes: probe.log_flushes_seen,
-        total_syscalls: 0,
-        total_fsyncs: 0,
-        points: ordered_parallel_map(config.jobs, &points, run_point),
-    }
-}
-
 /// Deterministic per-point salt for the filesystem fault schedule.
 const POINT_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -509,12 +367,13 @@ fn preserve_scratch(root: &Path, dest: &Path) -> std::io::Result<()> {
 }
 
 impl CrashOutcome {
-    /// File-backend ACID checks over two consecutive recoveries of the
-    /// real store files: every acknowledged commit is durable on disk,
-    /// no fsync-failed commit silently became durable, the recovery
-    /// itself reports no invariant violations, and the second pass is a
-    /// byte-level no-op (`bytes_stable` is the caller's comparison of
-    /// the store files before and after the second recovery).
+    /// ACID checks over two consecutive recoveries of the real store
+    /// files: every acknowledged commit is durable on disk, no
+    /// fsync-failed commit silently became durable, no engine-aborted
+    /// transaction is a winner, the recovery itself reports no invariant
+    /// violations, and the second pass is a byte-level no-op
+    /// (`bytes_stable` is the caller's comparison of the store files
+    /// before and after the second recovery).
     pub fn verify_file(
         &self,
         rec1: &FileRecoveryOutcome,
@@ -522,21 +381,24 @@ impl CrashOutcome {
         bytes_stable: bool,
     ) -> Vec<String> {
         let mut v = Vec::new();
-        for t in &self.acked {
-            if rec1.winners.binary_search(&t.raw()).is_err() {
-                v.push(format!(
-                    "file durability: acked txn {} has no durable commit on disk",
-                    t.raw()
-                ));
-            }
+        let winner = |t: &TxnToken| rec1.winners.binary_search(&t.raw()).is_ok();
+        for t in self.acked.iter().filter(|t| !winner(t)) {
+            v.push(format!(
+                "file durability: acked txn {} has no durable commit on disk",
+                t.raw()
+            ));
         }
-        for t in &self.unacked {
-            if rec1.winners.binary_search(&t.raw()).is_ok() {
-                v.push(format!(
-                    "file fsyncgate: txn {} failed its commit fsync yet became durable",
-                    t.raw()
-                ));
-            }
+        for t in self.unacked.iter().filter(|t| winner(t)) {
+            v.push(format!(
+                "file fsyncgate: txn {} failed its commit fsync yet became durable",
+                t.raw()
+            ));
+        }
+        for t in self.aborted.iter().filter(|t| winner(t)) {
+            v.push(format!(
+                "file atomicity: engine-aborted txn {} was recovered as a winner",
+                t.raw()
+            ));
         }
         v.extend(
             rec1.violations
@@ -586,7 +448,60 @@ impl CrashOutcome {
     }
 }
 
-fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
+/// Crash one run of `cfg` at `point` with a mirror under `root` behind
+/// `faults`, then recover the files twice and verify them against the
+/// run's ground truth. Leaves the files in place.
+fn crash_and_recover(
+    cfg: &SimConfig,
+    root: &Path,
+    faults: FsFaultConfig,
+    point: CrashPoint,
+) -> CrashPointResult {
+    let mut result = CrashPointResult::new(point);
+    let mut engine = Engine::new(cfg.clone());
+    let attached = DurableMirror::create(root, faults).and_then(|mut m| {
+        m.arm_after_checkpoint(point);
+        engine.attach_mirror(m)
+    });
+    if let Err(e) = attached {
+        result
+            .violations
+            .push(format!("file: mirror setup failed: {e}"));
+        return result;
+    }
+    let outcome = engine.run_and_crash_at(point);
+    result.violations = outcome.verify_acid();
+    result.acked = outcome.acked.len();
+    let artifacts = outcome
+        .file
+        .as_ref()
+        .expect("mirror was attached, so artifacts exist");
+    result.torn_write = artifacts.report.torn.is_some();
+    result.fsync_failed = artifacts.report.stats.fsync_failures > 0;
+    match outcome.recover_and_verify(root) {
+        Err(e) => result.violations.push(e),
+        Ok((rec1, violations)) => {
+            result.violations.extend(violations);
+            result.winners = rec1.winners.len();
+            result.losers = rec1.losers.len();
+            result.repaired_pages = rec1.repaired_pages.len();
+            result.wal_truncated = rec1.wal_truncated_bytes;
+        }
+    }
+    result
+}
+
+/// Run the exhaustive crash-recovery matrix. A probe run learns the
+/// workload's commit, event, log-flush, syscall and fsync totals; then
+/// every point — each commit boundary, `event_samples`
+/// intra-transaction events, `mid_flush_samples` torn log writes,
+/// `syscall_samples` syscall crashes and `fsync_fail_samples` fsync
+/// failures — runs against its own file-backed store, which is
+/// recovered from disk twice (recovery must be idempotent
+/// byte-for-byte) and verified against the run's ground truth. The
+/// point list and every result are deterministic; worker count only
+/// affects wall-clock.
+pub fn run_crash_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
     let mut cfg = config.cfg.clone();
     cfg.retain_log = true;
     // Unique per matrix run, not just per process: two matrices running
@@ -612,10 +527,10 @@ fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
     let probe = {
         let mut engine = Engine::new(cfg.clone());
         let mirror = DurableMirror::create(&probe_root, file_fault_cfg(config, u64::MAX))
-            .expect("file matrix: probe mirror creation failed");
+            .expect("crash matrix: probe mirror creation failed");
         engine
             .attach_mirror(mirror)
-            .expect("file matrix: probe checkpoint failed");
+            .expect("crash matrix: probe checkpoint failed");
         engine.run_and_crash_at(CrashPoint::End)
     };
     let _ = std::fs::remove_dir_all(&probe_root);
@@ -633,57 +548,20 @@ fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
     // point once its own is written.
     let run_syscalls = total_syscalls - artifacts.checkpoint_syscalls;
     let run_fsyncs = total_fsyncs - artifacts.checkpoint_fsyncs;
-    let mut points = logical_points(config, &probe);
-    for k in sample_points(run_syscalls, config.syscall_samples) {
-        points.push(CrashPoint::Syscall(k));
-    }
-    for k in sample_points(run_fsyncs, config.fsync_fail_samples) {
-        points.push(CrashPoint::FsyncFail(k));
-    }
+    let samples = |max, n| sample_points(max, n).into_iter();
+    let points: Vec<CrashPoint> = (1..=probe.commits_seen)
+        .map(CrashPoint::Commit)
+        .chain(samples(probe.events_seen, config.event_samples).map(CrashPoint::Event))
+        .chain(samples(probe.log_flushes_seen, config.mid_flush_samples).map(CrashPoint::MidFlush))
+        .chain(samples(run_syscalls, config.syscall_samples).map(CrashPoint::Syscall))
+        .chain(samples(run_fsyncs, config.fsync_fail_samples).map(CrashPoint::FsyncFail))
+        .collect();
 
     let run_point = |idx: usize, &point: &CrashPoint| -> CrashPointResult {
         let dirname = format!("pt{idx:03}-{}", point.label().replace(':', "-"));
         let root = base.join(&dirname);
         let _ = std::fs::remove_dir_all(&root);
-        let mut result = CrashPointResult::new(point);
-
-        let mut engine = Engine::new(cfg.clone());
-        match DurableMirror::create(&root, file_fault_cfg(config, idx as u64)).and_then(|mut m| {
-            m.arm_after_checkpoint(point);
-            engine.attach_mirror(m)
-        }) {
-            Err(e) => result
-                .violations
-                .push(format!("file: mirror setup failed: {e}")),
-            Ok(()) => {
-                let outcome = engine.run_and_crash_at(point);
-                result.violations.extend(
-                    outcome
-                        .verify_acid()
-                        .into_iter()
-                        .map(|v| format!("sim: {v}")),
-                );
-                result.acked = outcome.acked.len();
-                let artifacts = outcome
-                    .file
-                    .as_ref()
-                    .expect("mirror was attached, so artifacts exist");
-                result.torn_write = artifacts.report.torn.is_some();
-                result.fsync_failed = artifacts.report.stats.fsync_failures > 0;
-                match outcome.recover_and_verify(&root) {
-                    Err(e) => result.violations.push(e),
-                    Ok((rec1, violations)) => {
-                        result.violations.extend(violations);
-                        result.winners = rec1.winners.len();
-                        result.losers = rec1.losers.len();
-                        result.truncated = rec1.wal_truncated_bytes.min(u32::MAX as u64) as u32;
-                        result.repaired_pages = rec1.repaired_pages.len();
-                        result.wal_truncated = rec1.wal_truncated_bytes;
-                    }
-                }
-            }
-        }
-
+        let mut result = crash_and_recover(&cfg, &root, file_fault_cfg(config, idx as u64), point);
         if !result.violations.is_empty() {
             let dest = scratch_base.join(&dirname);
             if preserve_scratch(&root, &dest).is_ok() {
@@ -698,7 +576,6 @@ fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
     let _ = std::fs::remove_dir_all(&base);
 
     CrashMatrixReport {
-        backend: MatrixBackend::File,
         total_commits: probe.commits_seen,
         total_events: probe.events_seen,
         total_flushes: probe.log_flushes_seen,
@@ -711,6 +588,33 @@ fn run_file_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    fn tiny() -> SimConfig {
+        SimConfig {
+            database_bytes: 512 * 1024,
+            buffer_pages: 8,
+            warmup_txns: 5,
+            measured_txns: 20,
+            retain_log: true,
+            ..SimConfig::default()
+        }
+    }
+
+    /// A per-test store directory under the system temp dir.
+    fn scratch(tag: &str) -> PathBuf {
+        let root =
+            std::env::temp_dir().join(format!("semcluster-crash-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        root
+    }
+
+    fn quiet() -> FsFaultConfig {
+        FsFaultConfig {
+            skip_physical_sync: true,
+            ..FsFaultConfig::default()
+        }
+    }
 
     #[test]
     fn sample_points_are_ascending_and_bounded() {
@@ -727,33 +631,69 @@ mod tests {
 
     #[test]
     fn crash_at_first_commit_is_acid_clean() {
-        let cfg = SimConfig {
-            database_bytes: 512 * 1024,
-            buffer_pages: 8,
-            warmup_txns: 5,
-            measured_txns: 20,
-            retain_log: true,
-            ..SimConfig::default()
-        };
-        let outcome = Engine::new(cfg).run_and_crash_at(CrashPoint::Commit(1));
+        let root = scratch("first-commit");
+        let mut engine = Engine::new(tiny());
+        engine
+            .attach_mirror(DurableMirror::create(&root, quiet()).unwrap())
+            .unwrap();
+        let outcome = engine.run_and_crash_at(CrashPoint::Commit(1));
         assert_eq!(outcome.commits_seen, 1, "stopped at the first commit");
-        let violations = outcome.verify_acid();
+        assert!(outcome.acked.is_empty(), "the crash beat the ack");
+        let (rec, violations) = outcome.recover_and_verify(&root).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
         assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(rec.winners.len(), 1, "its force completed, so it wins");
+        assert!(outcome.verify_acid().is_empty());
     }
 
     #[test]
     fn mid_flush_crash_truncates_and_stays_clean() {
-        let cfg = SimConfig {
-            database_bytes: 512 * 1024,
-            buffer_pages: 8,
-            warmup_txns: 5,
-            measured_txns: 20,
-            retain_log: true,
-            ..SimConfig::default()
+        let root = scratch("mid-flush");
+        let torn: Vec<u64> = (1..=6)
+            .map(|k| crash_and_recover(&tiny(), &root, quiet(), CrashPoint::MidFlush(k)))
+            .inspect(|r| assert!(r.violations.is_empty(), "{:?}", r.violations))
+            .map(|r| r.wal_truncated)
+            .collect();
+        let _ = std::fs::remove_dir_all(&root);
+        assert!(
+            torn.iter().any(|&bytes| bytes > 0),
+            "no mid-flush crash tore the WAL tail: {torn:?}"
+        );
+    }
+
+    #[test]
+    fn verify_file_rejects_an_engine_aborted_winner() {
+        let mut outcome = Engine::new(tiny()).run_and_crash_at(CrashPoint::End);
+        let token = outcome.acked[0];
+        outcome.acked.clear();
+        outcome.aborted = vec![token];
+        let rec = FileRecoveryOutcome {
+            checkpoint_seen: true,
+            winners: vec![token.raw()],
+            aborted: Vec::new(),
+            losers: Vec::new(),
+            redone: 0,
+            undone: 0,
+            torn_pages: Vec::new(),
+            repaired_pages: Vec::new(),
+            wal_truncated_bytes: 0,
+            wal_records: 0,
+            violations: Vec::new(),
+            pages: BTreeMap::new(),
         };
-        let outcome = Engine::new(cfg).run_and_crash_at(CrashPoint::MidFlush(3));
+        let violations = outcome.verify_file(&rec, &rec, true);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("atomicity"), "{violations:?}");
+    }
+
+    #[test]
+    fn verify_acid_rejects_a_transaction_that_ends_two_ways() {
+        let mut outcome = Engine::new(tiny()).run_and_crash_at(CrashPoint::End);
+        assert!(outcome.verify_acid().is_empty());
+        outcome.aborted.push(outcome.acked[0]);
         let violations = outcome.verify_acid();
-        assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("both acked and aborted"));
     }
 
     #[test]
@@ -765,6 +705,9 @@ mod tests {
         mc.cfg.measured_txns = 8;
         mc.event_samples = 6;
         mc.mid_flush_samples = 3;
+        mc.syscall_samples = 3;
+        mc.fsync_fail_samples = 1;
+        mc.skip_physical_sync = true;
         mc.jobs = 1;
         let serial = run_crash_matrix(&mc);
         assert_eq!(serial.violation_count(), 0, "{}", serial.render());
@@ -786,15 +729,13 @@ mod tests {
         mc.mid_flush_samples = 2;
         mc.syscall_samples = 4;
         mc.fsync_fail_samples = 2;
-        mc.backend = MatrixBackend::File;
         mc.skip_physical_sync = true;
         mc.jobs = 2;
         let report = run_crash_matrix(&mc);
         assert_eq!(report.violation_count(), 0, "{}", report.render());
-        assert_eq!(report.backend, MatrixBackend::File);
         assert!(report.total_syscalls > report.total_fsyncs);
         assert!(report.total_fsyncs > 0);
-        // The point list must actually cover the file-only fault modes.
+        // The point list must actually cover the filesystem fault modes.
         assert!(report
             .points
             .iter()

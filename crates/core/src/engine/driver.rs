@@ -55,10 +55,10 @@ impl Engine {
         }
         self.events_seen += 1;
         self.sample_timeline(now);
-        match self.crash_point {
-            CrashPoint::Event(k) if self.events_seen >= k => self.crash_pending = true,
-            CrashPoint::Lsn(k) if self.log.current_lsn() >= k => self.crash_pending = true,
-            _ => {}
+        if let CrashPoint::Event(k) = self.crash_point {
+            if self.events_seen >= k {
+                self.crash_pending = true;
+            }
         }
         if let Some(m) = &self.mirror {
             // The fs fault layer pulled the plug at an injected

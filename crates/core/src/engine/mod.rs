@@ -409,11 +409,7 @@ impl Engine {
             HintPolicy::NoHints => WeightModel::no_hints(),
         };
         let store = load::load_database(&cfg, &db, &module_starts, &weights, &mut rng);
-        let log = if cfg.retain_log {
-            LogManager::with_retention(cfg.log)
-        } else {
-            LogManager::new(cfg.log)
-        };
+        let log = LogManager::new(cfg.log);
         let mut pool = BufferPool::new(
             cfg.buffer_pages,
             cfg.replacement,
@@ -612,19 +608,17 @@ impl Engine {
     }
 
     /// Run until `point` fires (or to completion for
-    /// [`CrashPoint::End`]), simulate a server crash there, replay
-    /// recovery over the durable log, and return the full
-    /// [`CrashOutcome`] — including the engine's ground truth
-    /// (acknowledged commits, in-flight and aborted transactions) so
-    /// ACID invariants can be checked against what the clients actually
-    /// observed. Winners are exactly the committed transactions, losers
-    /// are in-flight ones whose records spilled before the crash.
-    /// Requires `cfg.retain_log`.
+    /// [`CrashPoint::End`]), pull the plug there, and return the
+    /// [`CrashOutcome`]: the engine's ground truth (acknowledged,
+    /// unacknowledged, in-flight and aborted transactions) and, with a
+    /// mirror attached, the crashed store's files, which
+    /// [`CrashOutcome::recover_and_verify`] judges against it. Requires
+    /// `cfg.retain_log`, which keeps the ground-truth lists.
     ///
-    /// A [`CrashPoint::MidFlush`] crash tears the log record that was
-    /// being written; recovery truncates it (commit is only
-    /// acknowledged after its force completes, so a torn record never
-    /// belongs to an acknowledged transaction).
+    /// A [`CrashPoint::MidFlush`] crash tears the mirror's log buffer
+    /// mid-write to the WAL; recovery truncates the torn tail (commit is
+    /// only acknowledged after its force completes, so a torn record
+    /// never belongs to an acknowledged transaction).
     pub fn run_and_crash_at(mut self, point: CrashPoint) -> CrashOutcome {
         assert!(
             self.cfg.retain_log,
@@ -639,11 +633,6 @@ impl Engine {
             .iter()
             .filter_map(|u| u.txn.as_ref().and_then(|t| t.token))
             .collect();
-        let durable = match point {
-            CrashPoint::MidFlush(_) => self.log.crash_torn(),
-            _ => self.log.crash(),
-        };
-        let recovery = semcluster_wal::recover(&durable);
         let file = self
             .mirror
             .take()
@@ -651,8 +640,6 @@ impl Engine {
         CrashOutcome {
             point,
             report,
-            durable,
-            recovery,
             acked: self.acked_commits,
             unacked: self.unacked_commits,
             in_flight,
@@ -1118,6 +1105,7 @@ mod delete_tests {
 #[cfg(test)]
 mod crash_tests {
     use super::*;
+    use semcluster_faults::FsFaultConfig;
     use semcluster_workload::StructureDensity;
 
     #[test]
@@ -1131,23 +1119,34 @@ mod crash_tests {
             ..SimConfig::default()
         }
         .with_workload(StructureDensity::Med5, 3.0);
-        let outcome = Engine::new(cfg).run_and_crash_at(CrashPoint::End);
-        let (report, recovery) = (outcome.report, outcome.recovery);
-        // Every winner committed; with force-on-commit nothing committed
-        // can be lost, and in-flight losers are bounded by the user count.
-        assert!(!recovery.winners.is_empty());
+        let users = cfg.users as usize;
+        let root = std::env::temp_dir().join(format!("semcluster-history-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let quiet = FsFaultConfig {
+            skip_physical_sync: true,
+            ..FsFaultConfig::default()
+        };
+        let mut engine = Engine::new(cfg);
+        engine
+            .attach_mirror(DurableMirror::create(&root, quiet).unwrap())
+            .unwrap();
+        let outcome = engine.run_and_crash_at(CrashPoint::End);
+        let (recovery, violations) = outcome.recover_and_verify(&root).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        // Every acked commit is a winner on disk; with force-on-commit
+        // nothing committed can be lost, and in-flight losers are
+        // bounded by the user count.
+        assert!(violations.is_empty(), "{violations:?}");
+        assert!(outcome.verify_acid().is_empty());
+        assert!(recovery.winners.len() >= outcome.acked.len());
+        assert!(!outcome.acked.is_empty());
         assert!(
-            recovery.losers.len() <= 10,
+            recovery.losers.len() <= users,
             "{} losers",
             recovery.losers.len()
         );
-        assert!(
-            !recovery.redone.is_empty(),
-            "committed updates must be redone"
-        );
-        assert!(report.writes > 0);
-        // Redo page set is a subset of pages the store knows.
-        assert!(!recovery.dirty_pages.is_empty());
+        assert!(recovery.redone > 0, "committed updates must be redone");
+        assert!(outcome.report.writes > 0);
     }
 
     #[test]

@@ -40,7 +40,6 @@ mod sweep;
 pub use config::SimConfig;
 pub use crash::{
     run_crash_matrix, CrashMatrixConfig, CrashMatrixReport, CrashOutcome, CrashPointResult,
-    MatrixBackend,
 };
 pub use durable::{DurableMirror, FileCrashArtifacts, MirrorStats};
 pub use engine::{run_simulation, run_simulation_observed, Engine, ObsConfig, RunObservations};

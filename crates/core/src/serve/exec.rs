@@ -25,7 +25,7 @@ use semcluster_faults::RetryPolicy;
 use semcluster_lock::{LockManager, LockMode, TxnId};
 use semcluster_storage::PageId;
 use semcluster_vdm::ObjectId;
-use semcluster_wal::{recover, LogConfig, LogManager, TxnToken};
+use semcluster_wal::{LogConfig, LogManager, TxnToken};
 
 use super::conn::ConnEvent;
 use super::protocol::TxnOp;
@@ -35,11 +35,6 @@ use super::stats::RequestStamps;
 use super::{spawn, ServeError};
 use crate::config::SimConfig;
 use crate::engine::Engine;
-
-/// Retained-log records reserved when the server starts (≈1.3 MB of
-/// address space; its pages are touched only as records land), so no
-/// flush regrows — and re-copies — the log under the core mutex.
-const RETAINED_LOG_RESERVE: usize = 1 << 15;
 
 /// The state every concurrent-mode transaction contends on: the lock
 /// table arbitrates access, the WAL makes effects durable, `values` is
@@ -53,6 +48,9 @@ pub(super) struct SharedCore {
     /// releases locks, under the same mutex, so a release with nobody
     /// waiting costs no wake-up call.
     lock_waiters: usize,
+    /// Every token a [`LogManager::commit_group`] forced, recorded under
+    /// the same hold: what the drain verdict judges acks against.
+    forced: Vec<u64>,
 }
 
 /// The shared core paired with the condvar its lock releases signal: a
@@ -65,15 +63,14 @@ pub(super) struct Core {
 
 impl Core {
     fn new(objects: u32) -> Core {
-        let mut log = LogManager::with_retention(LogConfig::default());
-        log.reserve_retained(RETAINED_LOG_RESERVE);
         Core {
             state: Mutex::new(SharedCore {
                 locks: LockManager::new(),
-                log,
+                log: LogManager::new(LogConfig::default()),
                 values: vec![0; objects.max(1) as usize],
                 next_lock_txn: 1,
                 lock_waiters: 0,
+                forced: Vec::new(),
             }),
             released: Condvar::new(),
         }
@@ -166,10 +163,11 @@ struct PendingCommit {
 /// The group committer: the one thread that forces the log. It blocks
 /// for the first pending commit, gathers for the window, drains whatever
 /// else the workers handed off meanwhile, and then holds the core mutex
-/// **once** for the whole batch — one [`LogManager::commit_group`], then
-/// every member's locks released — before acknowledging each member to
-/// its connection (ack strictly after the force). Workers never wait for
-/// it; it exits when the last worker drops its sender.
+/// **once** for the whole batch — one [`LogManager::commit_group`], its
+/// tokens recorded as forced, then every member's locks released —
+/// before acknowledging each member to its connection (ack strictly
+/// after the force). Workers never wait for it; it exits when the last
+/// worker drops its sender.
 fn commit_thread(rx: Receiver<PendingCommit>, core: Arc<Core>, shared: Arc<Shared>) {
     let window = Duration::from_micros(shared.cfg.group_window_us);
     let mut batch: Vec<PendingCommit> = Vec::new();
@@ -187,6 +185,7 @@ fn commit_thread(rx: Receiver<PendingCommit>, core: Arc<Core>, shared: Arc<Share
         // every session behind it.
         let commit_lsn = core.state.lock().ok().map(|mut c| {
             let forces = c.log.commit_group(&tokens);
+            c.forced.extend(tokens.iter().map(|t| t.raw()));
             let lsn = c.log.current_lsn();
             for p in &batch {
                 c.locks.release_all(p.lock_id);
@@ -459,8 +458,8 @@ fn worker_thread(jobs: &Mutex<Receiver<Job>>, mut exec: impl Executor, shared: &
 /// The seam between the one request path and what executes behind it:
 /// three operations (`spawn_workers`, `report_now`, `drain_verdict`).
 /// Built once per server, on the accept thread: what lives as long as
-/// the server (the core and its reserved log) is sized once, by the
-/// thread that lives as long.
+/// the server (the core) is built once, by the thread that lives as
+/// long.
 pub(super) enum Backend {
     /// Concurrent mode: the shared core.
     Stub(Arc<Core>),
@@ -540,20 +539,19 @@ impl Backend {
         }
     }
 
-    /// *Drain verdict*: how many of the `acked` tokens recovery
-    /// ([`semcluster_wal::recover`] over the stub's own crashed log) does
-    /// not count as winners. The oracle acknowledged nothing durable.
+    /// *Drain verdict*: how many of the `acked` tokens no group force
+    /// committed (see `SharedCore::forced`). The oracle acknowledged
+    /// nothing durable.
     pub(super) fn drain_verdict(&self, acked: &[u64]) -> u64 {
         let Backend::Stub(core) = self else { return 0 };
         // A thread that died under the mutex already reads as an
-        // unclean drain; the log it leaves is still the one to judge.
+        // unclean drain; the forces it leaves are still the ones to judge.
         let mut core = core.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let durable = core.log.crash();
-        let mut winners: Vec<u64> = recover(&durable).winners.iter().map(|t| t.raw()).collect();
-        winners.sort_unstable();
+        let forced = &mut core.forced;
+        forced.sort_unstable();
         acked
             .iter()
-            .filter(|t| winners.binary_search(t).is_err())
+            .filter(|t| forced.binary_search(t).is_err())
             .count() as u64
     }
 }
@@ -730,6 +728,37 @@ mod tests {
         assert_eq!(client_txn, 1);
         assert!(matches!(result, ExecResult::Failed(_)), "got {result:?}");
         assert_eq!(shared.stats.snapshot(0, false).counter("committed"), 0);
+    }
+
+    #[test]
+    fn the_drain_verdict_counts_the_acks_no_group_force_covered() {
+        let shared = Arc::new(shared(one_attempt()));
+        let core = Arc::new(Core::new(shared.cfg.objects));
+        let (reply, replies) = mpsc::channel();
+        let (commits, commit_rx) = mpsc::channel();
+        process_job(
+            Job::Txn(job(1, vec![op(true, 2)], &reply)),
+            0,
+            &mut stub(&core, &commits),
+            &shared,
+        );
+        drop(commits);
+        commit_thread(commit_rx, Arc::clone(&core), Arc::clone(&shared));
+        let token = match executed(&replies) {
+            // One update record and one commit record: LSN 2.
+            (
+                1,
+                ExecResult::Committed {
+                    token: Some(t),
+                    commit_lsn: 2,
+                    ..
+                },
+            ) => t,
+            other => panic!("got {other:?}"),
+        };
+        let backend = Backend::Stub(core);
+        assert_eq!(backend.drain_verdict(&[token]), 0);
+        assert_eq!(backend.drain_verdict(&[token, token + 1]), 1);
     }
 
     #[test]

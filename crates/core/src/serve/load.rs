@@ -10,7 +10,7 @@
 //! trickle bytes one at a time (slow-loris), or send a corrupt frame
 //! the server must reject as malformed. The server's ACID verdict at
 //! drain is what makes this chaos meaningful: whatever the client does
-//! to the transport, every acked transaction must be a recovery winner.
+//! to the transport, every acked transaction must have been forced.
 
 use std::io::Write as _;
 use std::net::{Shutdown as SockShutdown, TcpStream};

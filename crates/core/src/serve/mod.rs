@@ -26,8 +26,8 @@
 //! deterministic [`crate::Engine`] — through the same gate, queue,
 //! deadline check and worker loop as concurrent traffic — whose REPORT
 //! bytes must equal [`crate::run_simulation`]'s, and concurrent mode
-//! must drain with zero ACID violations (every acked transaction is a
-//! recovery winner).
+//! must drain with zero ACID violations (every acked transaction was
+//! forced by a group commit).
 
 mod admission;
 mod conn;
@@ -80,7 +80,7 @@ pub enum ServeError {
     },
     /// Acked transactions were not durable at drain (CLI exit 7).
     Acid {
-        /// Number of acked-but-not-recovered transactions.
+        /// Number of acked transactions no group force committed.
         violations: u64,
     },
     /// Unexpected internal failure.
@@ -125,10 +125,7 @@ impl std::fmt::Display for ServeError {
                 write!(f, "retry budget exhausted after {attempts} attempts")
             }
             ServeError::Acid { violations } => {
-                write!(
-                    f,
-                    "{violations} acked transaction(s) not durable after recovery"
-                )
+                write!(f, "{violations} acked transaction(s) not durable at drain")
             }
             ServeError::Internal(msg) => write!(f, "internal serve failure: {msg}"),
         }

@@ -11,8 +11,8 @@
 //! [`crate::run_simulation`] — the equivalence contract that keeps the
 //! simulator the correctness oracle for the served path — while
 //! concurrent mode drives one shared core under locks and group commit
-//! and, at drain, checks every acknowledged transaction against
-//! [`semcluster_wal::recover`].
+//! and, at drain, checks every acknowledged transaction against the
+//! tokens its committer forced.
 //!
 //! Hardening on every path, in both modes: per-request deadlines
 //! (expired work is dropped, typed timeout replies), admission control
@@ -150,8 +150,8 @@ pub struct ServeReport {
     pub group_forces: u64,
     /// Transactions carried by those batches.
     pub group_txns: u64,
-    /// Acked transactions that recovery does not count as winners.
-    /// Must be zero: an ack is a durability promise.
+    /// Acked transactions no group force committed. Must be zero: an
+    /// ack is a durability promise.
     pub acid_violations: u64,
     /// All connections drained and joined cleanly.
     pub clean_drain: bool,
@@ -320,7 +320,7 @@ impl ServerHandle {
     }
 
     /// Wait for drain to finish and collect the final report (with the
-    /// ACID verdict from replaying the durable log through recovery).
+    /// ACID verdict: every acked transaction was forced).
     pub fn join(self) -> Result<ServeReport, ServeError> {
         self.join
             .join()

@@ -202,49 +202,28 @@ pub enum CrashPoint {
     Event(u64),
     /// Crash after the k-th write-transaction commit (1-based).
     Commit(u64),
-    /// Crash once the log sequence number reaches k.
-    Lsn(u64),
-    /// Crash during the k-th physical log flush (1-based); the tail
-    /// record being written is torn and recovery must truncate it.
+    /// Crash during the k-th physical log flush (1-based) of the
+    /// simulated log: the file store's log buffer is mid-write to the
+    /// WAL, a prefix of it persists, and recovery must truncate it.
     MidFlush(u64),
-    /// Kill the process image at the file backend's k-th filesystem
-    /// syscall (1-based) after its initial checkpoint. The simulated
-    /// backend ignores this point and runs to completion; the file
-    /// backend's fault layer fires it.
+    /// Kill the process image at the file store's k-th filesystem
+    /// syscall (1-based) after its initial checkpoint; the run stops at
+    /// the next event boundary.
     Syscall(u64),
-    /// Inject an fsync failure at the file backend's k-th fsync
-    /// (1-based) after its initial checkpoint and run to completion,
-    /// exercising fsyncgate handling. Ignored by the simulated backend.
+    /// Inject an fsync failure at the file store's k-th fsync (1-based)
+    /// after its initial checkpoint and run to completion, exercising
+    /// fsyncgate handling.
     FsyncFail(u64),
 }
 
 impl CrashPoint {
-    /// Parse `end`, `event:K`, `commit:K`, `lsn:K`, `midflush:K`,
-    /// `syscall:K` or `fsyncfail:K`.
-    pub fn parse(s: &str) -> Option<CrashPoint> {
-        if s == "end" {
-            return Some(CrashPoint::End);
-        }
-        let (kind, k) = s.split_once(':')?;
-        let k: u64 = k.parse().ok()?;
-        Some(match kind {
-            "event" => CrashPoint::Event(k),
-            "commit" => CrashPoint::Commit(k),
-            "lsn" => CrashPoint::Lsn(k),
-            "midflush" => CrashPoint::MidFlush(k),
-            "syscall" => CrashPoint::Syscall(k),
-            "fsyncfail" => CrashPoint::FsyncFail(k),
-            _ => return None,
-        })
-    }
-
-    /// Canonical textual form (inverse of [`CrashPoint::parse`]).
+    /// Canonical textual form (`commit:12`), as crash-matrix reports
+    /// and scratch directories name the point.
     pub fn label(&self) -> String {
         match *self {
             CrashPoint::End => "end".to_string(),
             CrashPoint::Event(k) => format!("event:{k}"),
             CrashPoint::Commit(k) => format!("commit:{k}"),
-            CrashPoint::Lsn(k) => format!("lsn:{k}"),
             CrashPoint::MidFlush(k) => format!("midflush:{k}"),
             CrashPoint::Syscall(k) => format!("syscall:{k}"),
             CrashPoint::FsyncFail(k) => format!("fsyncfail:{k}"),
@@ -286,24 +265,5 @@ mod tests {
         assert_eq!(r.backoff_after(1), 100);
         assert_eq!(r.backoff_after(2), 300);
         assert_eq!(r.backoff_after(3), 900);
-    }
-
-    #[test]
-    fn crash_point_parse_roundtrip() {
-        for s in [
-            "end",
-            "event:500",
-            "commit:12",
-            "lsn:99",
-            "midflush:3",
-            "syscall:777",
-            "fsyncfail:2",
-        ] {
-            let p = CrashPoint::parse(s).unwrap();
-            assert_eq!(p.label(), s);
-        }
-        assert!(CrashPoint::parse("commit").is_none());
-        assert!(CrashPoint::parse("bogus:1").is_none());
-        assert_eq!(CrashPoint::default(), CrashPoint::End);
     }
 }

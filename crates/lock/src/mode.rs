@@ -76,11 +76,6 @@ impl LockMode {
             (Exclusive, _) => Exclusive,
         }
     }
-
-    /// Whether holding `self` implies every right `other` grants.
-    pub fn covers(self, other: LockMode) -> bool {
-        self.join(other) == self
-    }
 }
 
 impl fmt::Display for LockMode {
@@ -136,20 +131,11 @@ mod tests {
         for a in LockMode::ALL {
             for b in LockMode::ALL {
                 let j = a.join(b);
-                assert!(j.covers(a) && j.covers(b), "{a} join {b} = {j}");
+                // An upper bound of both: joining either adds nothing.
+                assert_eq!(j.join(a), j, "{a} join {b} = {j}");
+                assert_eq!(j.join(b), j, "{a} join {b} = {j}");
                 assert_eq!(j, b.join(a), "commutative");
             }
         }
-    }
-
-    #[test]
-    fn covers_is_reflexive_and_ordered() {
-        for m in LockMode::ALL {
-            assert!(m.covers(m));
-            assert!(Exclusive.covers(m));
-        }
-        assert!(!Shared.covers(Exclusive));
-        assert!(SharedIntentionExclusive.covers(Shared));
-        assert!(SharedIntentionExclusive.covers(IntentionExclusive));
     }
 }

@@ -56,15 +56,47 @@
 
 use crate::codec::{
     decode_page, encode_page, encode_page_into, encode_snapshot_into, encode_wal_record_into,
-    scan_wal, PageRead, WalOp, WalRecord, DISK_PAGE_BYTES,
+    scan_wal, CodecError, PageRead, WalOp, WalRecord, DISK_PAGE_BYTES,
 };
-use crate::pagestore::{PageStore, StoreError};
 use semcluster_faults::{
     CrashPoint, FaultedDir, FsCrashReport, FsError, FsFaultConfig, FsFile, FsStats,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+
+/// Errors the file store can raise.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StoreError {
+    /// Filesystem-level failure (path is in the message).
+    Fs(FsError),
+    /// Encoding failure (page overflow).
+    Codec(CodecError),
+}
+
+impl fmt::Display for StoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StoreError::Fs(e) => write!(f, "{e}"),
+            StoreError::Codec(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for StoreError {}
+
+impl From<FsError> for StoreError {
+    fn from(e: FsError) -> Self {
+        StoreError::Fs(e)
+    }
+}
+
+impl From<CodecError> for StoreError {
+    fn from(e: CodecError) -> Self {
+        StoreError::Codec(e)
+    }
+}
 
 /// Page-slot file name inside a store directory.
 pub const PAGES_FILE: &str = "pages.db";
@@ -284,21 +316,22 @@ impl FilePageStore {
         self.sync()?;
         Ok(self.fs.root().to_path_buf())
     }
-}
 
-impl PageStore for FilePageStore {
-    fn backend_name(&self) -> &'static str {
-        "file"
-    }
-
-    fn write_page(&mut self, page: u32, lsn: u64, slots: &[(u32, u32)]) -> Result<(), StoreError> {
+    /// Write (or overwrite) the image of `page` stamped with `lsn`.
+    pub fn write_page(
+        &mut self,
+        page: u32,
+        lsn: u64,
+        slots: &[(u32, u32)],
+    ) -> Result<(), StoreError> {
         let mut image = [0u8; PAGE_BYTES];
         encode_page_into(&mut image, page, lsn, slots)?;
         self.fs.write_at(self.pages, slot_offset(page), &image)?;
         Ok(())
     }
 
-    fn read_page(&mut self, page: u32) -> Result<PageRead, StoreError> {
+    /// Read back the image of `page`, verifying its checksum.
+    pub fn read_page(&mut self, page: u32) -> Result<PageRead, StoreError> {
         // The newest queued image of the page is what the process sees.
         if let Some(i) = self.queued.iter().rposition(|&p| p == page) {
             return Ok(decode_page(&self.queue[i * PAGE_BYTES..][..PAGE_BYTES]));
@@ -307,7 +340,8 @@ impl PageStore for FilePageStore {
         Ok(decode_page(&buf))
     }
 
-    fn sync(&mut self) -> Result<(), StoreError> {
+    /// Force the WAL, then make every written page durable.
+    pub fn sync(&mut self) -> Result<(), StoreError> {
         self.sync_wal()?;
         if let Some(e) = self.take_drain_error() {
             return Err(e);

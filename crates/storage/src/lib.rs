@@ -27,7 +27,6 @@ pub mod codec;
 mod disk;
 mod filestore;
 mod page;
-mod pagestore;
 mod store;
 
 pub use codec::{
@@ -36,8 +35,8 @@ pub use codec::{
 };
 pub use disk::{DiskLayout, DiskParams};
 pub use filestore::{
-    read_wal, recover_dir, FilePageStore, FileRecoveryOutcome, RecoveredPage, PAGES_FILE, WAL_FILE,
+    read_wal, recover_dir, FilePageStore, FileRecoveryOutcome, RecoveredPage, StoreError,
+    PAGES_FILE, WAL_FILE,
 };
 pub use page::{Page, PageError, PageId, DEFAULT_PAGE_BYTES, PAGE_OVERHEAD_BYTES};
-pub use pagestore::{MemPageStore, PageStore, StoreError};
 pub use store::{StorageError, StorageManager};

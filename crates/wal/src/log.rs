@@ -13,9 +13,10 @@
 //!   reduces logging I/O.
 //!
 //! Multiple transactions (one per user of the closed network) may be open
-//! concurrently; each holds its own page set.
+//! concurrently; each holds its own page set. Records are counted, not
+//! kept: every update, commit and abort takes the next log sequence
+//! number, and that is all that is left of it.
 
-use crate::recovery::{DurableLog, LogRecord, RecordKind};
 use semcluster_storage::PageId;
 use semcluster_vdm::{DetHashMap, DetHashSet};
 
@@ -104,17 +105,8 @@ pub struct LogManager {
     // must not depend on the thread's random hash seed (DESIGN.md §13).
     open: DetHashMap<TxnToken, DetHashSet<PageId>>,
     stats: LogStats,
-    /// Record retention for recovery testing (None = count-only mode).
-    retain: Option<Retention>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Retention {
+    /// Log sequence numbers assigned so far.
     next_lsn: u64,
-    /// Records still in the in-memory circular buffer (lost on crash).
-    tail: Vec<LogRecord>,
-    /// Records that reached stable storage.
-    durable: Vec<LogRecord>,
 }
 
 impl LogManager {
@@ -127,86 +119,14 @@ impl LogManager {
             next_token: 0,
             open: DetHashMap::default(),
             stats: LogStats::default(),
-            retain: None,
+            next_lsn: 0,
         }
     }
 
-    /// Like [`LogManager::new`] but retaining log records so a crash can
-    /// be simulated and recovered from (see [`crate::recover`]).
-    pub fn with_retention(cfg: LogConfig) -> Self {
-        let mut mgr = Self::new(cfg);
-        mgr.retain = Some(Retention::default());
-        mgr
-    }
-
-    /// Reserve room for `records` more retained durable records, so the
-    /// flushes that follow append without regrowing (and re-copying) the
-    /// retained log. A long-lived owner calls this once, up front, from
-    /// the thread that built the manager. No-op without retention.
-    pub fn reserve_retained(&mut self, records: usize) {
-        if let Some(r) = self.retain.as_mut() {
-            r.durable.reserve(records);
-        }
-    }
-
-    fn record(&mut self, txn: TxnToken, kind: RecordKind) {
-        if let Some(r) = self.retain.as_mut() {
-            let lsn = r.next_lsn;
-            r.next_lsn += 1;
-            r.tail.push(LogRecord { lsn, txn, kind });
-        }
-    }
-
-    fn flush_tail(&mut self) {
-        if let Some(r) = self.retain.as_mut() {
-            r.durable.append(&mut r.tail);
-        }
-    }
-
-    /// Simulate a crash: the in-memory tail is lost; what reached stable
-    /// storage is returned for recovery. The manager itself is left in
-    /// its post-crash (empty) state.
-    pub fn crash(&mut self) -> DurableLog {
-        self.buffered = 0;
-        self.open.clear();
-        match self.retain.as_mut() {
-            Some(r) => {
-                r.tail.clear();
-                DurableLog {
-                    records: std::mem::take(&mut r.durable),
-                    torn_tail: 0,
-                }
-            }
-            None => DurableLog::default(),
-        }
-    }
-
-    /// Simulate a crash *during* a physical log flush: the tail was
-    /// being written when power cut, so its records reach the durable
-    /// image but the last one is torn (partially written) and must be
-    /// truncated by recovery. With an empty tail this degenerates to
-    /// [`LogManager::crash`].
-    pub fn crash_torn(&mut self) -> DurableLog {
-        self.buffered = 0;
-        self.open.clear();
-        match self.retain.as_mut() {
-            Some(r) => {
-                let torn = if r.tail.is_empty() { 0 } else { 1 };
-                let mut records = std::mem::take(&mut r.durable);
-                records.append(&mut r.tail);
-                DurableLog {
-                    records,
-                    torn_tail: torn,
-                }
-            }
-            None => DurableLog::default(),
-        }
-    }
-
-    /// Next log sequence number to be assigned (0 until the first
-    /// record; always 0 without retention).
+    /// Next log sequence number to be assigned: the update, commit and
+    /// abort records logged so far.
     pub fn current_lsn(&self) -> u64 {
-        self.retain.as_ref().map_or(0, |r| r.next_lsn)
+        self.next_lsn
     }
 
     /// Configuration in use.
@@ -276,16 +196,13 @@ impl LogManager {
             self.stats.before_image_ios += 1;
             io.before_image = true;
         }
-        self.record(txn, RecordKind::Update { page, object_bytes });
+        self.next_lsn += 1;
         // The circular buffer wraps: flush whole buffers as needed. A
         // single huge record can wrap more than once.
         while self.buffered >= self.cfg.buffer_bytes {
             self.buffered -= self.cfg.buffer_bytes;
             self.stats.buffer_flushes += 1;
             io.wrap_flushes += 1;
-        }
-        if io.wrap_flushes > 0 {
-            self.flush_tail();
         }
         io
     }
@@ -298,10 +215,7 @@ impl LogManager {
     pub fn commit(&mut self, txn: TxnToken) -> u32 {
         self.open.remove(&txn).expect("transaction is open");
         self.stats.commits += 1;
-        self.record(txn, RecordKind::Commit);
-        if self.cfg.force_on_commit {
-            self.flush_tail();
-        }
+        self.next_lsn += 1;
         if self.cfg.force_on_commit && self.buffered > 0 {
             self.buffered = 0;
             self.stats.commit_forces += 1;
@@ -329,13 +243,10 @@ impl LogManager {
         for &txn in txns {
             self.open.remove(&txn).expect("transaction is open");
             self.stats.commits += 1;
-            self.record(txn, RecordKind::Commit);
+            self.next_lsn += 1;
         }
         if txns.is_empty() {
             return 0;
-        }
-        if self.cfg.force_on_commit {
-            self.flush_tail();
         }
         if self.cfg.force_on_commit && self.buffered > 0 {
             self.buffered = 0;
@@ -354,7 +265,7 @@ impl LogManager {
     /// Panics if `txn` is not open.
     pub fn abort(&mut self, txn: TxnToken) {
         self.open.remove(&txn).expect("transaction is open");
-        self.record(txn, RecordKind::Abort);
+        self.next_lsn += 1;
     }
 }
 
@@ -429,40 +340,6 @@ mod tests {
         // Empty batch is a no-op.
         assert_eq!(log.commit_group(&[]), 0);
         assert_eq!(log.stats().commit_forces, 1);
-    }
-
-    #[test]
-    fn group_commit_records_are_durable_for_recovery() {
-        let mut log = LogManager::with_retention(LogConfig::default());
-        let a = log.begin();
-        let b = log.begin();
-        let c = log.begin();
-        log.log_update(a, p(1), 10);
-        log.log_update(b, p(2), 10);
-        log.log_update(c, p(3), 10);
-        log.commit_group(&[a, b]);
-        // c is still in flight when the server crashes: its update
-        // record reached disk with the group's force, but no commit —
-        // recovery must roll it back.
-        let durable = log.crash();
-        let outcome = crate::recover(&durable);
-        assert_eq!(outcome.winners, vec![a, b]);
-        assert_eq!(outcome.losers, vec![c]);
-    }
-
-    #[test]
-    fn reserving_the_retained_log_changes_no_outcome() {
-        let mut log = LogManager::with_retention(LogConfig::default());
-        log.reserve_retained(1 << 10);
-        let a = log.begin();
-        log.log_update(a, p(1), 10);
-        log.commit_group(&[a]);
-        assert_eq!(log.current_lsn(), 2);
-        assert_eq!(crate::recover(&log.crash()).winners, vec![a]);
-        // Count-only mode retains nothing, so there is nothing to reserve.
-        let mut plain = mgr(1024);
-        plain.reserve_retained(1 << 10);
-        assert_eq!(plain.current_lsn(), 0);
     }
 
     #[test]

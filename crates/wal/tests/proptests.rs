@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use semcluster_storage::PageId;
-use semcluster_wal::{LogConfig, LogManager};
+use semcluster_wal::{LogConfig, LogManager, TxnToken};
 use std::collections::HashSet;
 
 proptest! {
@@ -77,6 +77,46 @@ proptest! {
         prop_assert_eq!(log.log_update(txns[0], PageId(0), 8), 1);
         for txn in txns {
             let _ = log.commit(txn);
+        }
+    }
+
+    /// The log sequence number counts records: after any script of
+    /// begins, updates, commits, group commits and aborts over up to
+    /// four open transactions, `current_lsn` is the number of update,
+    /// commit and abort records logged — the commit LSN the concurrent
+    /// server puts on the wire.
+    #[test]
+    fn current_lsn_counts_updates_commits_and_aborts(
+        script in proptest::collection::vec((0u8..5, 0usize..4, 0u32..8), 0..150),
+    ) {
+        let mut log = LogManager::new(LogConfig::default());
+        let mut open: Vec<TxnToken> = Vec::new();
+        let mut records = 0u64;
+        for &(action, pick, page) in &script {
+            let picked = pick % open.len().max(1);
+            match action {
+                0 if open.len() < 4 => open.push(log.begin()),
+                1 if !open.is_empty() => {
+                    log.log_update(open[picked], PageId(page), 64);
+                    records += 1;
+                }
+                2 if !open.is_empty() => {
+                    log.commit(open.swap_remove(picked));
+                    records += 1;
+                }
+                3 if !open.is_empty() => {
+                    log.abort(open.swap_remove(picked));
+                    records += 1;
+                }
+                4 => {
+                    let n = (pick + 1).min(open.len());
+                    let group: Vec<TxnToken> = open.drain(..n).collect();
+                    log.commit_group(&group);
+                    records += group.len() as u64;
+                }
+                _ => {}
+            }
+            prop_assert_eq!(log.current_lsn(), records);
         }
     }
 }

@@ -1,14 +1,14 @@
-//! Durable file-backend contract (DESIGN.md §15): the crash matrix run
-//! against real files on disk finds zero ACID violations — including at
+//! Durable file-store contract (DESIGN.md §15): the crash matrix, run
+//! against real files on disk, finds zero ACID violations — including at
 //! injected syscall-crash, torn-write and fsync-failure points — its
 //! render is byte-identical at any worker thread count, and restart
 //! recovery from a crashed directory is an idempotent byte-level no-op.
 
-use semcluster::{run_crash_matrix, CrashMatrixConfig, CrashPoint, MatrixBackend, SimConfig};
+use semcluster::{run_crash_matrix, CrashMatrixConfig, CrashPoint, SimConfig};
 use semcluster_faults::FsFaultConfig;
 use semcluster_storage::{recover_dir, FilePageStore, WalOp, PAGES_FILE, WAL_FILE};
 
-fn tiny_matrix(backend: MatrixBackend, jobs: usize) -> CrashMatrixConfig {
+fn tiny_matrix(jobs: usize) -> CrashMatrixConfig {
     let mut mc = CrashMatrixConfig::smoke();
     mc.cfg = SimConfig {
         database_bytes: 256 * 1024,
@@ -22,7 +22,6 @@ fn tiny_matrix(backend: MatrixBackend, jobs: usize) -> CrashMatrixConfig {
     mc.mid_flush_samples = 2;
     mc.syscall_samples = 5;
     mc.fsync_fail_samples = 2;
-    mc.backend = backend;
     mc.skip_physical_sync = true; // durability semantics kept; physical sync_all skipped
     mc.jobs = jobs;
     mc
@@ -30,13 +29,12 @@ fn tiny_matrix(backend: MatrixBackend, jobs: usize) -> CrashMatrixConfig {
 
 #[test]
 fn file_backend_matrix_is_violation_free_with_full_fault_coverage() {
-    let report = run_crash_matrix(&tiny_matrix(MatrixBackend::File, 2));
+    let report = run_crash_matrix(&tiny_matrix(2));
     assert_eq!(report.violation_count(), 0, "{}", report.render());
-    assert_eq!(report.backend, MatrixBackend::File);
 
-    // The file backend must exercise every fault mode the sim backend
-    // cannot: syscall crashes, torn partial-sector writes, and runs
-    // that survive an injected fsync failure without acking.
+    // The matrix must exercise every filesystem fault mode: syscall
+    // crashes, torn partial-sector writes, and runs that survive an
+    // injected fsync failure without acking.
     assert!(
         report
             .points
@@ -76,7 +74,7 @@ fn a_failed_fsync_costs_exactly_the_acks_that_waited_on_it() {
     // poisons the log, so no later commit is acked; a failed pages.db
     // fsync — the drain a successful force released — fails no commit
     // at all: its images are healed from their logged snapshots.
-    let mut mc = tiny_matrix(MatrixBackend::File, 2);
+    let mut mc = tiny_matrix(2);
     mc.fsync_fail_samples = usize::MAX;
     let report = run_crash_matrix(&mc);
     assert_eq!(report.violation_count(), 0, "{}", report.render());
@@ -96,16 +94,20 @@ fn a_failed_fsync_costs_exactly_the_acks_that_waited_on_it() {
 
 #[test]
 fn crash_matrix_render_is_thread_count_invariant_on_both_backends() {
-    for backend in [MatrixBackend::Sim, MatrixBackend::File] {
-        let serial = run_crash_matrix(&tiny_matrix(backend, 1));
-        let parallel = run_crash_matrix(&tiny_matrix(backend, 4));
-        assert_eq!(
-            serial.render(),
-            parallel.render(),
-            "{} matrix diverges across thread counts",
-            backend.name()
+    // Every point class is sampled: commit boundaries, events, torn
+    // log writes, syscall crashes and fsync failures.
+    let serial = run_crash_matrix(&tiny_matrix(1));
+    let parallel = run_crash_matrix(&tiny_matrix(4));
+    assert_eq!(serial.render(), parallel.render());
+    assert_eq!(serial.violation_count(), 0, "{}", serial.render());
+    for class in ["commit:", "event:", "midflush:", "syscall:", "fsyncfail:"] {
+        assert!(
+            serial
+                .points
+                .iter()
+                .any(|p| p.point.label().starts_with(class)),
+            "no {class} point"
         );
-        assert_eq!(serial.violation_count(), 0, "{}", serial.render());
     }
 }
 
