@@ -38,6 +38,14 @@
 # hash set it ever held was the `seen` set of a deadlock walk no caller
 # ran. A conservative table has nothing to look up by hash; one that
 # comes back would bring its allocation pattern into a pinned phase.
+#
+# crates/vdm/src is held to it too, outside dethash.rs, which defines
+# the Det containers (and lib.rs, which re-exports them). The catalog's
+# name index is dense — each lineage linked by version, so its top is
+# its maximum, and each base chaining its lineages' tops — so a bulk
+# build never rehashes and a create grows no table; a hash index that
+# came back would cost a cache-missing insert per object and regrow as
+# it filled.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -80,15 +88,20 @@ if [ "$status" -ne 0 ]; then
     echo "justifying comment at the use site." >&2
     exit 1
 fi
-if det_hits=$(grep -rn --include='*.rs' -E 'DetHash(Map|Set)' crates/clustering/src crates/lock/src); then
-    echo "determinism guard: hash container in crates/clustering/src or crates/lock/src:" >&2
+det_hits=$( {
+    grep -rn --include='*.rs' -E 'DetHash(Map|Set)' crates/clustering/src crates/lock/src
+    grep -rn --include='*.rs' --exclude=dethash.rs -E 'DetHash(Map|Set)' crates/vdm/src |
+        grep -v '^crates/vdm/src/lib.rs:[0-9]*:pub use dethash::'
+} || true)
+if [ -n "$det_hits" ]; then
+    echo "determinism guard: hash container in crates/clustering/src, crates/lock/src or crates/vdm/src:" >&2
     echo "$det_hits" >&2
     echo "fold in index order over a dense array (ScoreScratch, the lock" >&2
-    echo "table's slot index) instead; the map-based models live in each" >&2
-    echo "crate's tests/." >&2
+    echo "table's slot index, the catalog's name index) instead; the" >&2
+    echo "map-based models live in each crate's tests/." >&2
     exit 1
 fi
-echo "determinism guard: OK (no raw HashMap/HashSet in simulation state, no hash container in clustering or lock)"
+echo "determinism guard: OK (no raw HashMap/HashSet in simulation state, no hash container in clustering, lock or vdm)"
 
 # Purity guard for the serve path's deterministic layers (DESIGN.md
 # §16–17): the wire protocol, the connection FSM, admission control,

@@ -101,16 +101,23 @@ pub fn weighted_neighbors_in(
     sort_scored(&mut scratch.direct);
 }
 
-/// The extended cluster neighbourhood of `object`: direct relatives plus
-/// their relatives at decayed weight. The clustering algorithm explores
-/// this wider pool when searching candidate pages — a cluster often has
-/// room on a page adjacent (in graph terms) to the full preferred page —
-/// and it is precisely this exploration whose I/O the candidate-pool
-/// policy bounds. Reads the direct neighbours already in
-/// `scratch.direct` (fill with [`weighted_neighbors_in`] first) and
-/// leaves the sorted two-hop neighbourhood in `scratch.extended`.
+/// The placed extended cluster neighbourhood of `object`: direct
+/// relatives plus their relatives at decayed weight, those `store` has
+/// placed. The clustering algorithm explores this wider pool when
+/// searching candidate pages — a cluster often has room on a page
+/// adjacent (in graph terms) to the full preferred page — and it is
+/// precisely this exploration whose I/O the candidate-pool policy
+/// bounds. Reads the direct neighbours already in `scratch.direct` (fill
+/// with [`weighted_neighbors_in`] first) and leaves the sorted placed
+/// two-hop neighbourhood in `scratch.extended`.
+///
+/// Unplaced relatives are walked but never folded in. A key's sum has
+/// only its own terms and the order is total, so this is exactly the
+/// placed subsequence of the whole sorted list, and [`candidate_pages_in`]
+/// scores every page from it bit for bit. Only a load has any to drop.
 pub fn extended_neighbors_in(
     db: &Database,
+    store: &StorageManager,
     model: &WeightModel,
     object: ObjectId,
     scratch: &mut ScoreScratch,
@@ -123,16 +130,18 @@ pub fn extended_neighbors_in(
         extended,
         ..
     } = scratch;
-    // Seed with the direct neighbours, in their sorted order.
+    // Seed with the placed direct neighbours, in their sorted order.
     for &(id, w) in direct.iter() {
-        obj.add(extended, id.index(), id, w);
+        if store.page_of(id).is_some() {
+            obj.add(extended, id.index(), id, w);
+        }
     }
     for &(hop, w1) in direct.iter() {
         let Ok(freqs) = db.frequencies_of(hop) else {
             continue;
         };
         db.graph().for_each_related(hop, |kind, dir, two| {
-            if two == object {
+            if two == object || store.page_of(two).is_none() {
                 return true;
             }
             let w2 = model.arc_weight(kind, freqs.weight(kind, dir));
@@ -145,9 +154,10 @@ pub fn extended_neighbors_in(
 
 /// Candidate pages for placing an object, scored by total affinity (sum
 /// of arc weights of related objects resident on the page), best first:
-/// scores the pages holding the extended neighbourhood already in
+/// scores the pages holding the placed extended neighbourhood already in
 /// `scratch.extended` and leaves the sorted candidates in
-/// `scratch.pages`. Unplaced related objects contribute nothing.
+/// `scratch.pages`. A page folds its residents' weights in list order:
+/// the same `f64` from the whole neighbourhood as from its placed part.
 pub fn candidate_pages_in(store: &StorageManager, scratch: &mut ScoreScratch) {
     scratch.pages.clear();
     scratch.page.begin();
@@ -295,7 +305,7 @@ mod tests {
             let mut fresh = ScoreScratch::new();
             for s in [&mut scratch, &mut fresh] {
                 weighted_neighbors_in(&db, &model, probe, s);
-                extended_neighbors_in(&db, &model, probe, s);
+                extended_neighbors_in(&db, &store, &model, probe, s);
                 candidate_pages_in(&store, s);
             }
             assert_eq!(scratch.direct, fresh.direct);
@@ -305,7 +315,7 @@ mod tests {
         // comp's only relative is x (config_up 1.0 × 4); x's other
         // relatives arrive two-hop at 0.25 × min(4.0, their arc).
         weighted_neighbors_in(&db, &model, comp, &mut scratch);
-        extended_neighbors_in(&db, &model, comp, &mut scratch);
+        extended_neighbors_in(&db, &store, &model, comp, &mut scratch);
         assert_eq!(scratch.direct, vec![(x, 4.0)]);
         assert_eq!(scratch.extended[0], (x, 4.0));
         assert_eq!(scratch.extended.len(), 3);

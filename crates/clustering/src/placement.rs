@@ -119,7 +119,7 @@ pub fn plan_placement_in(
     }
     // Candidates come from the extended (two-hop) cluster neighbourhood;
     // exploring it is what the I/O budget pays for.
-    extended_neighbors_in(db, model, object, scratch);
+    extended_neighbors_in(db, store, model, object, scratch);
     candidate_pages_in(store, scratch);
     // The search *examines* every candidate page it may touch — reading
     // each non-resident one (that is the cost the I/O limit bounds) — and

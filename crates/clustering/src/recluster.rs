@@ -211,7 +211,7 @@ pub fn plan_recluster_in(
     // candidate pages for reclustering") and move to the best one. The
     // pool is the extended (two-hop) cluster neighbourhood; the expected
     // access cost that decides the move uses the direct arcs only.
-    extended_neighbors_in(db, model, object, scratch);
+    extended_neighbors_in(db, store, model, object, scratch);
     candidate_pages_in(store, scratch);
     let mut io_budget = policy.io_budget();
     let mut search_ios = 0;

@@ -12,6 +12,12 @@
 //! objects must never show. Any divergence is a golden-output break
 //! waiting to happen.
 //!
+//! Half the scoring and placement worlds are *loading* worlds: only the
+//! ids below a random cut are placed, as a load that places objects in
+//! id order sees the store. There the scratch keeps only the placed
+//! neighbours while the reference sorts the whole neighbourhood, and the
+//! candidate pages must still agree bit for bit.
+//!
 //! The split planner is held the same way: the map-based
 //! `build_dependency_graph`, the groups-map `linear_split` and the
 //! `consider_split` that always partitions before it compares live on in
@@ -387,6 +393,16 @@ fn bits(arcs: &[(u32, u32, f64)]) -> Vec<(u32, u32, u64)> {
     arcs.iter().map(|&(a, b, w)| (a, b, w.to_bits())).collect()
 }
 
+fn score_bits<K: Copy>(scores: &[(K, f64)]) -> Vec<(K, u64)> {
+    scores.iter().map(|&(k, w)| (k, w.to_bits())).collect()
+}
+
+/// The share of ids a world places: all of them, or — a loading world —
+/// those below a random cut.
+fn placed_shares() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(1.0), 0.0f64..1.0]
+}
+
 fn plan_bits(plan: &Option<SplitPlan>) -> Option<u64> {
     plan.as_ref().map(|p| p.partition.broken_cost.to_bits())
 }
@@ -394,18 +410,29 @@ fn plan_bits(plan: &Option<SplitPlan>) -> Option<u64> {
 /// Build a random database and scatter its objects across pages: objects
 /// load in creation order, then a salt-driven subset migrates to freshly
 /// allocated pages so candidate pools span many partially-filled pages.
-fn build_world(spec: &SyntheticDbSpec, scatter_salt: u64) -> (Database, StorageManager) {
-    build_world_paged(spec, scatter_salt, DEFAULT_PAGE_BYTES)
+/// Only the first `placed` share of the ids is placed.
+fn build_world(
+    spec: &SyntheticDbSpec,
+    scatter_salt: u64,
+    placed: f64,
+) -> (Database, StorageManager) {
+    build_world_paged(spec, scatter_salt, DEFAULT_PAGE_BYTES, placed)
 }
 
 fn build_world_paged(
     spec: &SyntheticDbSpec,
     scatter_salt: u64,
     page_bytes: u32,
+    placed: f64,
 ) -> (Database, StorageManager) {
     let (db, _) = spec.build();
     let mut store = StorageManager::new(page_bytes);
-    let ids: Vec<(ObjectId, u32)> = db.objects().map(|o| (o.id, o.size_bytes())).collect();
+    let cut = (db.object_count() as f64 * placed) as usize;
+    let ids: Vec<(ObjectId, u32)> = db
+        .objects()
+        .filter(|o| o.id.index() < cut)
+        .map(|o| (o.id, o.size_bytes()))
+        .collect();
     for &(id, size) in &ids {
         store
             .append(id, size.min(page_bytes / 4))
@@ -458,27 +485,39 @@ proptest! {
     /// The dense-accumulator scoring pipeline leaves exactly the
     /// reference results in scratch — same neighbours, same weights,
     /// same order — even when the scratch is reused dirty across
-    /// objects of different degrees.
+    /// objects of different degrees. The extended neighbourhood is the
+    /// placed subsequence of the reference's whole sorted one, and the
+    /// candidate pages scored from it are the reference's, bit for bit.
     #[test]
     fn scoring_pipeline_matches_reference(
         spec in spec_strategy(),
         scatter in any::<u64>(),
+        placed in placed_shares(),
         model in models(),
     ) {
-        let (db, store) = build_world(&spec, scatter);
+        let (db, store) = build_world(&spec, scatter, placed);
         let mut scratch = ScoreScratch::new();
         for probe in (0..db.object_count()).step_by(3) {
             let object = ObjectId(probe as u32);
             let direct = reference::weighted_neighbors(&db, &model, object);
             let extended = reference::extended_neighbors(&db, &model, object);
             let pages = reference::candidate_pages(&store, &extended);
+            let placed_extended: Vec<(ObjectId, f64)> = extended
+                .iter()
+                .copied()
+                .filter(|&(o, _)| store.page_of(o).is_some())
+                .collect();
 
             weighted_neighbors_in(&db, &model, object, &mut scratch);
             prop_assert_eq!(&scratch.direct, &direct, "direct neighbours diverge");
-            extended_neighbors_in(&db, &model, object, &mut scratch);
-            prop_assert_eq!(&scratch.extended, &extended, "extended neighbours diverge");
+            extended_neighbors_in(&db, &store, &model, object, &mut scratch);
+            prop_assert_eq!(
+                score_bits(&scratch.extended),
+                score_bits(&placed_extended),
+                "extended neighbours diverge"
+            );
             candidate_pages_in(&store, &mut scratch);
-            prop_assert_eq!(&scratch.pages, &pages, "candidate pages diverge");
+            prop_assert_eq!(score_bits(&scratch.pages), score_bits(&pages), "candidate pages diverge");
         }
     }
 
@@ -489,13 +528,14 @@ proptest! {
     fn placement_plans_match_reference(
         spec in spec_strategy(),
         scatter in any::<u64>(),
+        placed in placed_shares(),
         policy in policies(),
         model in models(),
         salt in any::<u64>(),
         density in 0u64..=4,
         size in 16u32..600,
     ) {
-        let (db, store) = build_world(&spec, scatter);
+        let (db, store) = build_world(&spec, scatter, placed);
         let residency = HashResident { salt, density };
         let mut scratch = ScoreScratch::new();
         for probe in (0..db.object_count()).step_by(4) {
@@ -530,7 +570,7 @@ proptest! {
         density in 0u64..=4,
         min_gain in 0.0f64..2.0,
     ) {
-        let (db, store) = build_world(&spec, scatter);
+        let (db, store) = build_world(&spec, scatter, 1.0);
         let residency = HashResident { salt, density };
         let mut scratch = ScoreScratch::new();
         for probe in (0..db.object_count()).step_by(4) {
@@ -561,7 +601,7 @@ proptest! {
         model in split_models(),
         page_bytes in prop_oneof![Just(1024u32), Just(2048), Just(DEFAULT_PAGE_BYTES)],
     ) {
-        let (db, store) = build_world_paged(&spec, scatter, page_bytes);
+        let (db, store) = build_world_paged(&spec, scatter, page_bytes, 1.0);
         let mut scratch = ScoreScratch::new();
         for p in 0..store.page_count() {
             let page = PageId(p as u32);
@@ -588,7 +628,7 @@ proptest! {
         affinities in affinity_pairs(),
         size in 16u32..400,
     ) {
-        let (db, store) = build_world_paged(&spec, scatter, page_bytes);
+        let (db, store) = build_world_paged(&spec, scatter, page_bytes, 1.0);
         let mut scratch = ScoreScratch::new();
         for p in 0..store.page_count() {
             let page = PageId(p as u32);

@@ -74,6 +74,18 @@ pub struct BuildStats {
 }
 
 impl SyntheticDbSpec {
+    /// Expected objects of one module: a tree per representation at the
+    /// mean of [`fanout`](Self::fanout), plus the derived versions.
+    pub fn expected_objects_per_module(&self) -> f64 {
+        let mean_fanout = (self.fanout.0 + self.fanout.1) as f64 / 2.0;
+        let (mut tree_nodes, mut level) = (1.0, 1.0);
+        for _ in 0..self.depth {
+            level *= mean_fanout;
+            tree_nodes += level;
+        }
+        tree_nodes * self.representations.len() as f64 * (1.0 + self.version_prob)
+    }
+
     /// Build the database and report construction statistics.
     pub fn build(&self) -> (Database, BuildStats) {
         assert!(
@@ -123,6 +135,8 @@ impl SyntheticDbSpec {
             .collect();
 
         let mut db = Database::with_lattice(lattice);
+        // An eighth over the expectation covers the realised spread.
+        db.reserve((self.modules as f64 * self.expected_objects_per_module() * 1.125) as usize);
         let mut stats = BuildStats {
             objects: 0,
             configuration_edges: 0,

@@ -10,14 +10,12 @@
 //! through the record's inheritance masks. [`ObjectName`] is the value
 //! type at the boundary; the `_key` siblings serve bulk creators.
 
-use crate::dethash::DetHashMap;
 use crate::graph::{GraphError, StructureGraph};
 use crate::id::{ObjectId, TypeId};
-use crate::name::{Interner, NameKey, ObjectName, Sym};
+use crate::name::{Interner, NameIndex, NameKey, ObjectName, Sym};
 use crate::object::{AttrInstance, DesignObject};
 use crate::relationship::{RelFrequencies, RelKind};
 use crate::types::{TypeError, TypeLattice};
-use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// Errors raised by logical-database operations.
@@ -74,8 +72,7 @@ pub struct Database {
     names: Interner,
     objects: Vec<DesignObject>,
     live: Vec<bool>,
-    by_name: DetHashMap<NameKey, ObjectId>,
-    latest: DetHashMap<(Sym, Sym), u32>,
+    index: NameIndex,
     graph: StructureGraph,
 }
 
@@ -108,6 +105,15 @@ impl Database {
         self.objects.len()
     }
 
+    /// Room for `n` more objects in every per-object array (records,
+    /// liveness, name index, graph nodes), so a bulk build never regrows.
+    pub fn reserve(&mut self, n: usize) {
+        self.objects.reserve(n);
+        self.live.reserve(n);
+        self.index.reserve(n);
+        self.graph.reserve(n);
+    }
+
     /// Intern `s` in this database's name table.
     pub fn intern(&mut self, s: &str) -> Sym {
         self.names.intern(s)
@@ -138,14 +144,12 @@ impl Database {
         ty: TypeId,
         body_bytes: u32,
     ) -> Result<ObjectId, DbError> {
-        let Entry::Vacant(by_name) = self.by_name.entry(name) else {
+        if self.live_named(name).is_some() {
             return Err(DbError::DuplicateName(self.materialise(name)));
-        };
+        }
         let attrs = self.lattice.resolve_attributes(ty)?;
         let id = ObjectId(self.objects.len() as u32);
-        by_name.insert(id);
-        let latest = self.latest.entry((name.base, name.rep)).or_insert(0);
-        *latest = (*latest).max(name.version);
+        self.index.push(name, id, &self.objects);
         self.objects.push(DesignObject {
             id,
             name,
@@ -220,7 +224,14 @@ impl Database {
             version: name.version,
             rep: self.names.find(&name.rep)?,
         };
-        self.by_name.get(&key).copied()
+        self.live_named(key)
+    }
+
+    /// The live object named `key`: only the newest of a name can be
+    /// live, since a name is taken again only after its holder died.
+    fn live_named(&self, key: NameKey) -> Option<ObjectId> {
+        let id = self.index.floor(key, &self.objects)?;
+        (self.objects[id.index()].name == key && self.live[id.index()]).then_some(id)
     }
 
     /// Latest version number in use for `base`/`rep` (None if unused).
@@ -230,7 +241,13 @@ impl Database {
 
     /// [`latest_version`](Database::latest_version) by interned lineage.
     pub fn latest_version_key(&self, base: Sym, rep: Sym) -> Option<u32> {
-        self.latest.get(&(base, rep)).copied()
+        let top = NameKey {
+            base,
+            version: u32::MAX,
+            rep,
+        };
+        let id = self.index.floor(top, &self.objects)?;
+        Some(self.objects[id.index()].name.version)
     }
 
     /// Add a structural relationship.
@@ -285,7 +302,6 @@ impl Database {
             };
             self.graph.remove_edge(kind, from, to)?;
         }
-        self.by_name.remove(&self.objects[id.index()].name);
         self.live[id.index()] = false;
         Ok(())
     }

@@ -11,8 +11,8 @@
 //! pins per-phase `alloc_bytes` in golden files and requires them to be
 //! byte-identical at any worker-thread count.
 //!
-//! Simulation-state maps that live inside profiled phases (buffer-pool
-//! frame table, lock table, WAL open-transaction map) therefore use
+//! Simulation-state maps that live inside profiled phases (the WAL's
+//! open-transaction map) therefore use
 //! [`DetHashMap`]/[`DetHashSet`]: plain hashbrown maps under a
 //! fixed-seed FNV-1a hasher. The keys are small dense IDs ([`ObjectId`],
 //! `PageId`, transaction numbers), for which FNV-1a distributes well and
@@ -72,16 +72,6 @@ pub type DetHashMap<K, V> = HashMap<K, V, DetState>;
 /// A `HashSet` with the same guarantee.
 pub type DetHashSet<K> = HashSet<K, DetState>;
 
-/// Convenience constructor mirroring `HashMap::with_capacity`.
-pub fn det_map_with_capacity<K, V>(capacity: usize) -> DetHashMap<K, V> {
-    DetHashMap::with_capacity_and_hasher(capacity, DetState)
-}
-
-/// Convenience constructor mirroring `HashSet::with_capacity`.
-pub fn det_set_with_capacity<K>(capacity: usize) -> DetHashSet<K> {
-    DetHashSet::with_capacity_and_hasher(capacity, DetState)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,11 +88,11 @@ mod tests {
 
     #[test]
     fn map_and_set_round_trip() {
-        let mut m: DetHashMap<u32, &str> = det_map_with_capacity(4);
+        let mut m: DetHashMap<u32, &str> = DetHashMap::default();
         m.insert(1, "one");
         m.insert(2, "two");
         assert_eq!(m.get(&1), Some(&"one"));
-        let mut s: DetHashSet<u32> = det_set_with_capacity(4);
+        let mut s: DetHashSet<u32> = DetHashSet::default();
         assert!(s.insert(9));
         assert!(!s.insert(9));
     }

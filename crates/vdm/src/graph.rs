@@ -181,6 +181,11 @@ impl StructureGraph {
         }
     }
 
+    /// Room for `n` more node records without regrowing.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.nodes.reserve(n);
+    }
+
     /// Number of node slots (max id + 1).
     pub fn node_slots(&self) -> usize {
         self.nodes.len()

@@ -9,8 +9,11 @@
 //! it is 12 bytes, `Copy`, and hashes without touching a string.
 
 use crate::dethash::DetState;
+use crate::id::ObjectId;
+use crate::object::DesignObject;
 use std::fmt;
 use std::hash::BuildHasher;
+use std::mem::replace;
 use std::str::FromStr;
 
 /// Handle of an interned string; equal handles ⇔ equal strings within
@@ -90,6 +93,74 @@ impl Interner {
         self.ends.push(end);
         self.slots[at] = self.ends.len() as u32;
         Sym(self.slots[at] - 1)
+    }
+}
+
+/// "No entry" in the name index's links.
+const NONE: u32 = u32::MAX;
+
+/// The catalog's dense name index (DESIGN.md §14.5): each lineage (one
+/// `base`/`rep`, tombstones included) is linked top down by version,
+/// newest first among equals, and each base chains its lineages' tops.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NameIndex {
+    /// Per base `Sym`: the top of one of its lineages.
+    heads: Vec<u32>,
+    /// Per object: the next object down its lineage.
+    below: Vec<u32>,
+    /// Per lineage top: the top of its base's next lineage.
+    next_lineage: Vec<u32>,
+}
+
+impl NameIndex {
+    /// Room for `n` more objects, each named under a base of its own.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.heads.reserve(n);
+        self.below.reserve(n);
+        self.next_lineage.reserve(n);
+    }
+
+    /// Walk `key`'s lineage: the top chained before its top, the object
+    /// above the first at or below `key.version`, and that one (or NONE).
+    fn seek(&self, key: NameKey, objects: &[DesignObject]) -> (Option<u32>, Option<u32>, u32) {
+        let mut at = self.heads.get(key.base.0 as usize).copied().unwrap_or(NONE);
+        let (mut before, mut above) = (None, None);
+        while at != NONE && objects[at as usize].name.rep != key.rep {
+            (before, at) = (Some(at), self.next_lineage[at as usize]);
+        }
+        while at != NONE && objects[at as usize].name.version > key.version {
+            (above, at) = (Some(at), self.below[at as usize]);
+        }
+        (before, above, at)
+    }
+
+    /// The highest object of `key`'s lineage at or below its version.
+    pub(crate) fn floor(&self, key: NameKey, objects: &[DesignObject]) -> Option<ObjectId> {
+        let (_, _, at) = self.seek(key, objects);
+        (at != NONE).then_some(ObjectId(at))
+    }
+
+    /// Record that `id`, the object after `objects`, is named `key`.
+    pub(crate) fn push(&mut self, key: NameKey, id: ObjectId, objects: &[DesignObject]) {
+        let base = key.base.0 as usize;
+        if base >= self.heads.len() {
+            self.heads.resize(base + 1, NONE);
+        }
+        let (below, next_lineage) = match self.seek(key, objects) {
+            // Under the last object above its version.
+            (_, Some(above), _) => (replace(&mut self.below[above as usize], id.0), NONE),
+            // A new top replaces the old in the chain; a first (`top` NONE) joins its end.
+            (before, None, top) => {
+                *match before {
+                    Some(at) => &mut self.next_lineage[at as usize],
+                    None => &mut self.heads[base],
+                } = id.0;
+                let next = self.next_lineage.get(top as usize).map_or(NONE, |&n| n);
+                (top, next)
+            }
+        };
+        self.below.push(below);
+        self.next_lineage.push(next_lineage);
     }
 }
 

@@ -4,6 +4,9 @@
 //! is kept here as the reference, and every observable of [`Database`]
 //! must equal the reference's after every step of a random sequence of
 //! creates, derivations, deletions, re-creations and relationship edits.
+//! Derivation chains grow lineages well past the small version space
+//! the creates draw from, in every representation, so names below, at
+//! and above a lineage's top are all looked up.
 
 use proptest::prelude::*;
 use semcluster_vdm::{
@@ -331,7 +334,9 @@ fn assert_same(db: &Database, model: &RefCatalog) {
     assert_eq!(db.name_of(past).err(), Some(DbError::UnknownObject(past)));
     assert!(db.attrs_of(past).is_err() && !db.is_live(past));
 
-    // The whole name space, plus strings the interner never saw.
+    // The whole name space, plus strings the interner never saw, up to
+    // one version past the highest lineage's top.
+    let top = model.latest.values().copied().max().unwrap_or(0);
     for base in BASES.iter().chain(&["never-interned"]) {
         for rep in REPS.iter().chain(&["never-interned"]) {
             assert_eq!(
@@ -342,7 +347,7 @@ fn assert_same(db: &Database, model: &RefCatalog) {
                     .copied(),
                 "latest_version({base}, {rep})"
             );
-            for version in 0..=2 * VERSIONS {
+            for version in 0..=(2 * VERSIONS).max(top + 1) {
                 let name = ObjectName::new(*base, version, *rep);
                 assert_eq!(
                     db.lookup(&name),
@@ -371,6 +376,8 @@ enum Op {
     /// Create again under the name `target` holds or held.
     Recreate(u32),
     Derive(u32, usize),
+    /// Derive `n` versions in a chain, each from the one before.
+    DeriveChain(u32, usize, u32),
     Delete(u32),
     Relate(usize, u32, u32),
     Unrelate(usize, u32, u32),
@@ -401,7 +408,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         create(),
         (0u32..40).prop_map(Op::Recreate),
         (0u32..40, 0usize..3).prop_map(|(t, m)| Op::Derive(t, m)),
-        (0u32..40, 0usize..3).prop_map(|(t, m)| Op::Derive(t, m)),
+        (0u32..40, 0usize..3, 2u32..16).prop_map(|(t, m, n)| Op::DeriveChain(t, m, n)),
         (0u32..40).prop_map(Op::Delete),
         (0u32..40).prop_map(Op::Delete),
         (0usize..4, 0u32..40, 0u32..40).prop_map(|(k, a, b)| Op::Relate(k, a, b)),
@@ -451,6 +458,17 @@ fn apply(db: &mut Database, model: &mut RefCatalog, op: Op) {
                 }
             });
             assert_eq!(got, model.derive(parent, &models()[m]), "{op:?}");
+        }
+        Op::DeriveChain(target, m, n) => {
+            let mut parent = pick(target).0;
+            for _ in 0..n {
+                let before = model.objects.len() as u32;
+                apply(db, model, Op::Derive(parent, m));
+                if model.objects.len() as u32 == before {
+                    break;
+                }
+                parent = before;
+            }
         }
         Op::Delete(target) => {
             let id = pick(target);
@@ -545,4 +563,97 @@ fn every_catalog_error_agrees_with_the_reference() {
     );
     assert_eq!(db.objects().count(), 2);
     assert!(validate(&db).contains(&Violation::MissingInheritanceLink(ObjectId(2), ObjectId(3))));
+}
+
+/// Long lineages in two representations of one base, versions created
+/// below a lineage's top, and a deleted old version created again: the
+/// cases where the index walks a lineage rather than stopping at its top.
+#[test]
+fn long_lineages_and_a_recreated_old_version_agree_with_the_reference() {
+    let mut db = Database::with_lattice(lattice());
+    let mut model = RefCatalog {
+        lattice: lattice(),
+        ..RefCatalog::default()
+    };
+    let create = |base, version, rep| Op::Create {
+        base,
+        version,
+        rep,
+        ty: 1,
+        body: 50,
+    };
+    let copy_everything = 1;
+    let mut script = vec![create(0, 1, 0), create(0, 1, 1)];
+    // o0 ALU[1].layout and o1 ALU[1].netlist grow to versions 21 and 11.
+    script.push(Op::DeriveChain(0, copy_everything, 20));
+    script.push(Op::DeriveChain(1, copy_everything, 10));
+    // A branch off an old version lands on top of its lineage.
+    script.push(Op::Derive(5, copy_everything));
+    // Below the bottom, and a gap inside, of the layout lineage.
+    script.push(create(0, 0, 0));
+    script.push(Op::Delete(8));
+    script.push(Op::Delete(9));
+    // o8's name taken again (o34), then refused while o34 holds it;
+    // o9's taken again (o35).
+    script.push(Op::Recreate(8));
+    script.push(Op::Recreate(8));
+    script.push(Op::Recreate(9));
+    // A third representation of the same base, deleted whole.
+    script.push(create(0, 4, 2));
+    script.push(Op::Delete(36));
+    script.push(Op::Recreate(36));
+    for op in script {
+        apply(&mut db, &mut model, op);
+        assert_same(&db, &model);
+    }
+    assert_eq!(db.latest_version("ALU", "layout"), Some(22));
+    assert_eq!(db.latest_version("ALU", "netlist"), Some(11));
+    assert_eq!(
+        db.lookup(&ObjectName::new("ALU", 8, "layout")),
+        Some(ObjectId(34))
+    );
+    assert_eq!(
+        db.lookup(&ObjectName::new("ALU", 9, "layout")),
+        Some(ObjectId(35))
+    );
+}
+
+/// 50 000 versions of one design object, switching representation every
+/// 100. Each derivation asks for its lineage's latest version and
+/// checks the name above it is free; each step then asks both lineages
+/// for their latest version, their top and the name past it. An index
+/// that walked a lineage's history for any of those would visit billions
+/// of records here; this one reads one record per representation per
+/// question.
+#[test]
+fn fifty_thousand_versions_cost_one_record_per_representation() {
+    const REPS: [&str; 2] = ["layout", "netlist"];
+    let mut lattice = TypeLattice::new();
+    let cell = lattice
+        .define_simple("cell", RelFrequencies::UNIFORM)
+        .unwrap();
+    let mut db = Database::with_lattice(lattice);
+    let model = CopyVsRefModel::default();
+    let mut tops = REPS.map(|rep| {
+        let id = db
+            .create_object(ObjectName::new("ALU", 1, rep), cell, 64)
+            .unwrap();
+        (id, 1)
+    });
+    for i in 0..50_000u32 {
+        let rep = (i / 100) as usize % 2;
+        let (parent, version) = tops[rep];
+        tops[rep] = (
+            derive_version(&mut db, parent, &model).unwrap().id,
+            version + 1,
+        );
+        for (r, &(top, version)) in tops.iter().enumerate() {
+            let name = ObjectName::new("ALU", version, REPS[r]);
+            assert_eq!(db.latest_version("ALU", REPS[r]), Some(version));
+            assert_eq!(db.lookup(&name), Some(top));
+            assert_eq!(db.lookup(&name.successor()), None);
+        }
+    }
+    assert_eq!(tops.map(|(_, version)| version), [25_001, 25_001]);
+    assert_eq!(db.object_count(), 50_002);
 }

@@ -47,34 +47,24 @@ impl StructureDensity {
     /// trees are still worth navigating, in as many modules as bring the
     /// expected population to `target_objects`.
     pub fn database_spec(self, target_objects: u64, seed: u64) -> SyntheticDbSpec {
-        let fanout = self.fanout_range();
         let depth = match self {
             StructureDensity::Low3 => 6,
             StructureDensity::Med5 => 3,
             StructureDensity::High10 => 2,
         };
-        let representations = vec!["layout".to_string(), "netlist".to_string()];
-        let version_prob = 0.2;
-        // Expected nodes of one configuration tree, then of one module:
-        // a tree per representation plus the derived versions.
-        let mean_fanout = (fanout.0 + fanout.1) as f64 / 2.0;
-        let mut tree_nodes = 1.0;
-        let mut level = 1.0;
-        for _ in 0..depth {
-            level *= mean_fanout;
-            tree_nodes += level;
-        }
-        let per_module = tree_nodes * representations.len() as f64 * (1.0 + version_prob);
-        SyntheticDbSpec {
-            modules: ((target_objects as f64 / per_module).round() as usize).max(1),
+        let mut spec = SyntheticDbSpec {
+            modules: 1,
             depth,
-            fanout,
-            representations,
+            fanout: self.fanout_range(),
+            representations: vec!["layout".to_string(), "netlist".to_string()],
             correspondence_prob: 0.5,
-            version_prob,
+            version_prob: 0.2,
             body_bytes: (64, 512),
             seed,
-        }
+        };
+        let per_module = spec.expected_objects_per_module();
+        spec.modules = ((target_objects as f64 / per_module).round() as usize).max(1);
+        spec
     }
 
     /// Classify an observed fan-out into a density bucket (trace
