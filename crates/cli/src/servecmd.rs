@@ -429,6 +429,11 @@ mod tests {
         assert_eq!(cfg.metrics_addr, None, "metrics endpoint off by default");
         assert_eq!(cfg.trace_requests, 0, "trace retention off by default");
         assert_eq!(cfg.drain_linger_ms, 0, "prompt drain by default");
+        let cfg = serve_config_from_args(&parse("serve")).unwrap();
+        assert_eq!(
+            cfg.group_window_us, 0,
+            "the committer forces at once by default"
+        );
         let cfg = serve_config_from_args(&parse(
             "serve --mode oracle --workload med5-10 --timeline t.json",
         ))

@@ -104,8 +104,10 @@ CONFIG:
   carries a deadline, the execution queue is bounded (--queue-cap), and
   admission control sheds load with hysteresis. --mode concurrent
   (default) drives one shared engine core from a worker pool with strict
-  2PL and WAL group commit. --mode oracle serializes every client
-  through one worker that owns a simulator, so a REPORT is
+  2PL and WAL group commit; the committer forces a batch as soon as it
+  has one, and --group-window-us (default 0) only adds a wait before
+  every force, to emulate a slower log device. --mode oracle serializes
+  every client through one worker that owns a simulator, so a REPORT is
   byte-identical to `simulate`. A flag only the other mode reads is
   refused (exit 2), not dropped.
   SIGTERM/SIGINT (or a client SHUTDOWN frame) drains in-flight work,

@@ -3,9 +3,12 @@
 //!
 //! The reader turns socket bytes into [`ConnEvent`]s; the driver feeds
 //! them — and executor results, ticks and the drain signal — to the pure
-//! [`ConnFsm`] and performs the actions it emits: write a reply (and
-//! only then count the ack and attribute the latency), answer STATS from
-//! the registry, or submit. [`submit_txn`] is the only way a transaction
+//! [`ConnFsm`] and performs the actions it emits: buffer a reply, answer
+//! STATS from the registry, or submit. Each pass of the driver takes
+//! every event already on its channel (up to [`BATCH_EVENTS`]) and sends
+//! all their replies with one write; only once that write succeeded are
+//! its TxnOks counted, acked and latency-attributed ([`Replies`]).
+//! [`submit_txn`] is the only way a transaction
 //! reaches an executor, in either mode: shutdown check →
 //! [`AdmissionControl::admit`](super::AdmissionControl::admit) over the
 //! queue-depth gauge → `queue_enter` → `try_send` into the bounded
@@ -24,7 +27,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use super::exec::{Job, TxnJob};
-use super::protocol::{write_frame, ErrorKind, TxnRequest, OP_OK_HELLO, OP_OK_TXN};
+use super::protocol::{ErrorKind, Frame, TxnRequest, OP_OK_HELLO, OP_OK_TXN};
 use super::server::{lock, wake, Shared, TICK_MS};
 use super::session::{ConnFsm, ExecResult, FsmAction, FsmInput};
 use super::stats::{RequestCounts, RequestStamps, RequestTraceRecord};
@@ -122,6 +125,79 @@ fn reader_thread(stream: TcpStream, tx: Sender<ConnEvent>) {
     }
 }
 
+/// The most events one pass of the driver takes off its channel before
+/// it writes, so a client that never pauses still gets its replies.
+const BATCH_EVENTS: usize = 64;
+/// Reply bytes at which a pass stops handling events and writes.
+const BATCH_BYTES: usize = 64 * 1024;
+
+/// A TxnOk in the reply buffer, and what to record once the write that
+/// carries it succeeds.
+#[derive(Default)]
+struct TxnAck {
+    /// The group-commit token the drain verdict judges (a write).
+    token: Option<u64>,
+    /// `(session, client_txn, stamps through t4)`; the write stamps t5.
+    stamps: Option<(u32, u64, RequestStamps)>,
+}
+
+/// The replies of one driver pass: frames appended to one reused buffer
+/// and sent with one write.
+#[derive(Default)]
+struct Replies {
+    bytes: Vec<u8>,
+    txn_oks: Vec<TxnAck>,
+}
+
+impl Replies {
+    fn push(&mut self, frame: &Frame, txn_ok: Option<TxnAck>) {
+        frame.encode_into(&mut self.bytes);
+        self.txn_oks.extend(txn_ok);
+    }
+
+    /// Write every buffered reply at once. Only if the write succeeded
+    /// are its TxnOks counted, their tokens acked and their t5 stamped;
+    /// `false` means the peer is gone.
+    fn flush(&mut self, stream: &mut TcpStream, shared: &Shared) -> bool {
+        if self.bytes.is_empty() {
+            return true;
+        }
+        let wrote = stream.write_all(&self.bytes).is_ok() && stream.flush().is_ok();
+        self.bytes.clear();
+        if !wrote {
+            self.txn_oks.clear();
+            return false;
+        }
+        // t5: the write that carried the replies has returned.
+        let replied_us = shared.now_us();
+        let cfg = &shared.cfg;
+        for ack in self.txn_oks.drain(..) {
+            shared.stats.record_txn_ok();
+            if let Some(token) = ack.token {
+                lock(&shared.acked_tokens).push(token);
+                shared.stats.record_ack();
+            }
+            let Some((session, client_txn, mut stamps)) = ack.stamps else {
+                continue;
+            };
+            stamps.replied_us = replied_us;
+            let spans = shared.stats.record_request_latency(&stamps);
+            if cfg.trace_requests > 0 {
+                let mut trace = lock(&shared.request_trace);
+                if trace.len() < cfg.trace_requests {
+                    trace.push(RequestTraceRecord {
+                        session,
+                        client_txn,
+                        start_us: stamps.submitted_us,
+                        spans,
+                    });
+                }
+            }
+        }
+        true
+    }
+}
+
 #[allow(clippy::too_many_lines)]
 fn conn_driver(
     mut stream: TcpStream,
@@ -142,6 +218,7 @@ fn conn_driver(
     let mut registered_sessions = 0u64;
     let mut actions: Vec<FsmAction> = Vec::new();
     let mut inputs: VecDeque<ConnEvent> = VecDeque::new();
+    let mut replies = Replies::default();
     // The FSM counts parsed requests per opcode; diffing successive
     // copies keeps the registry exact even when one read carries many
     // frames.
@@ -155,121 +232,106 @@ fn conn_driver(
                 Err(RecvTimeoutError::Disconnected) => break 'conn,
             }
         }
-        let ev = inputs.pop_front().expect("non-empty input queue");
-        let now_ms = shared.now_ms();
-        // Token and stamps of a just-committed transaction; recorded as
-        // acked / latency-attributed only after the TxnOk reply is
-        // actually written.
-        let mut commit_token: Option<u64> = None;
-        let mut commit_stamps: Option<(u32, u64, RequestStamps)> = None;
-        actions.clear();
-        match ev {
-            ConnEvent::Bytes(b) => fsm.on_input(FsmInput::Bytes(&b), now_ms, &mut actions),
-            ConnEvent::Eof => fsm.on_input(FsmInput::Eof, now_ms, &mut actions),
-            ConnEvent::Executed {
-                session,
-                client_txn,
-                result,
-                stamps,
-            } => {
-                if let ExecResult::Committed { token, .. } = &result {
-                    commit_token = *token;
-                    commit_stamps = stamps.map(|s| (session, client_txn, s));
-                }
-                fsm.on_input(
-                    FsmInput::Executed {
+        // Whatever else is already on the channel joins this pass.
+        let room = BATCH_EVENTS.saturating_sub(inputs.len());
+        inputs.extend(rx.try_iter().take(room));
+        let mut closed = false;
+        'pass: while let Some(ev) = inputs.pop_front() {
+            let now_ms = shared.now_ms();
+            // A committed transaction's token and stamps ride with its
+            // TxnOk until the write that carries it.
+            let mut ack = TxnAck::default();
+            actions.clear();
+            match ev {
+                ConnEvent::Bytes(b) => fsm.on_input(FsmInput::Bytes(&b), now_ms, &mut actions),
+                ConnEvent::Eof => fsm.on_input(FsmInput::Eof, now_ms, &mut actions),
+                ConnEvent::Executed {
+                    session,
+                    client_txn,
+                    result,
+                    stamps,
+                } => {
+                    if let ExecResult::Committed { token, .. } = &result {
+                        ack.token = *token;
+                        ack.stamps = stamps.map(|s| (session, client_txn, s));
+                    }
+                    let input = FsmInput::Executed {
                         session,
                         client_txn,
                         result,
-                    },
-                    now_ms,
-                    &mut actions,
-                );
+                    };
+                    fsm.on_input(input, now_ms, &mut actions);
+                }
+                ConnEvent::ReportReady { json } => {
+                    fsm.on_input(FsmInput::ReportReady { json }, now_ms, &mut actions)
+                }
+                ConnEvent::StatsReady { json } => {
+                    fsm.on_input(FsmInput::StatsReady { json }, now_ms, &mut actions)
+                }
+                ConnEvent::Shutdown => fsm.on_input(FsmInput::Shutdown, now_ms, &mut actions),
+                ConnEvent::Tick => fsm.on_input(FsmInput::Tick, now_ms, &mut actions),
             }
-            ConnEvent::ReportReady { json } => {
-                fsm.on_input(FsmInput::ReportReady { json }, now_ms, &mut actions)
-            }
-            ConnEvent::StatsReady { json } => {
-                fsm.on_input(FsmInput::StatsReady { json }, now_ms, &mut actions)
-            }
-            ConnEvent::Shutdown => fsm.on_input(FsmInput::Shutdown, now_ms, &mut actions),
-            ConnEvent::Tick => fsm.on_input(FsmInput::Tick, now_ms, &mut actions),
-        }
-        let counts = fsm.request_counts();
-        shared.stats.add_requests(&prev_counts, &counts);
-        prev_counts = counts;
-        for action in actions.drain(..) {
-            match action {
-                FsmAction::Reply(frame) => {
-                    match frame.opcode {
-                        OP_OK_HELLO => {
-                            registered_sessions = u64::from(fsm.sessions());
-                            shared.stats.bump_sessions(registered_sessions);
-                        }
-                        op => {
-                            if let Some(kind) = ErrorKind::from_opcode(op) {
-                                shared.stats.record_error(kind);
+            let counts = fsm.request_counts();
+            shared.stats.add_requests(&prev_counts, &counts);
+            prev_counts = counts;
+            for action in actions.drain(..) {
+                match action {
+                    FsmAction::Reply(frame) => {
+                        match frame.opcode {
+                            OP_OK_HELLO => {
+                                registered_sessions = u64::from(fsm.sessions());
+                                shared.stats.bump_sessions(registered_sessions);
                             }
-                        }
-                    }
-                    let wrote = write_frame(&mut stream, &frame).is_ok() && stream.flush().is_ok();
-                    if wrote {
-                        if frame.opcode == OP_OK_TXN {
-                            shared.stats.record_txn_ok();
-                            if let Some(token) = commit_token.take() {
-                                lock(&shared.acked_tokens).push(token);
-                                shared.stats.record_ack();
-                            }
-                            if let Some((session, client_txn, mut stamps)) = commit_stamps.take() {
-                                // t5: the reply actually hit the socket.
-                                stamps.replied_us = shared.now_us();
-                                let spans = shared.stats.record_request_latency(&stamps);
-                                if cfg.trace_requests > 0 {
-                                    let mut trace = lock(&shared.request_trace);
-                                    if trace.len() < cfg.trace_requests {
-                                        trace.push(RequestTraceRecord {
-                                            session,
-                                            client_txn,
-                                            start_us: stamps.submitted_us,
-                                            spans,
-                                        });
-                                    }
+                            op => {
+                                if let Some(kind) = ErrorKind::from_opcode(op) {
+                                    shared.stats.record_error(kind);
                                 }
                             }
                         }
-                    } else {
-                        // Peer is gone; the FSM sees EOF and closes.
-                        inputs.push_back(ConnEvent::Eof);
+                        let txn_ok = (frame.opcode == OP_OK_TXN).then(|| std::mem::take(&mut ack));
+                        replies.push(&frame, txn_ok);
                     }
-                }
-                FsmAction::Submit(txn) => {
-                    let (session, client_txn) = (txn.session, txn.client_txn);
-                    if let Some(result) = submit_txn(&shared, exec.as_ref(), &tx_self, txn) {
-                        inputs.push_back(ConnEvent::Executed {
-                            session,
-                            client_txn,
-                            result,
-                            stamps: None,
-                        });
+                    FsmAction::Submit(txn) => {
+                        let (session, client_txn) = (txn.session, txn.client_txn);
+                        if let Some(result) = submit_txn(&shared, exec.as_ref(), &tx_self, txn) {
+                            inputs.push_back(ConnEvent::Executed {
+                                session,
+                                client_txn,
+                                result,
+                                stamps: None,
+                            });
+                        }
                     }
-                }
-                FsmAction::SubmitReport => {
-                    if let Some(json) = submit_report(&shared, exec.as_ref(), &tx_self) {
-                        inputs.push_back(ConnEvent::ReportReady { json });
+                    FsmAction::SubmitReport => {
+                        if let Some(json) = submit_report(&shared, exec.as_ref(), &tx_self) {
+                            inputs.push_back(ConnEvent::ReportReady { json });
+                        }
                     }
-                }
-                // Answered synchronously from the registry: STATS never
-                // queues behind the executor, so it stays responsive
-                // under overload and during drain.
-                FsmAction::SubmitStats => inputs.push_back(ConnEvent::StatsReady {
-                    json: shared.stats_json(),
-                }),
-                FsmAction::RequestShutdown => wake(&shared.shutdown, shared.listen_addr),
-                FsmAction::Close => {
-                    let _ = stream.shutdown(SockShutdown::Both);
-                    break 'conn;
+                    // Answered synchronously from the registry: STATS never
+                    // queues behind the executor, so it stays responsive
+                    // under overload and during drain.
+                    FsmAction::SubmitStats => inputs.push_back(ConnEvent::StatsReady {
+                        json: shared.stats_json(),
+                    }),
+                    FsmAction::RequestShutdown => wake(&shared.shutdown, shared.listen_addr),
+                    FsmAction::Close => {
+                        closed = true;
+                        break 'pass;
+                    }
                 }
             }
+            if replies.bytes.len() >= BATCH_BYTES {
+                break;
+            }
+        }
+        // Replies buffered before a close still go out, then the socket
+        // shuts.
+        if !replies.flush(&mut stream, &shared) {
+            // Peer is gone; the FSM sees EOF and closes.
+            inputs.push_back(ConnEvent::Eof);
+        }
+        if closed {
+            break 'conn;
         }
     }
     let _ = stream.shutdown(SockShutdown::Both);
@@ -349,7 +411,7 @@ fn submit_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::protocol::{read_frame, Request, Response};
+    use crate::serve::protocol::{read_frame, write_frame, Request, Response};
     use crate::serve::server::ServeConfig;
     use crate::serve::spawn;
     use std::io::{self, Read as _};

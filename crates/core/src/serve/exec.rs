@@ -161,8 +161,10 @@ struct PendingCommit {
 }
 
 /// The group committer: the one thread that forces the log. It blocks
-/// for the first pending commit, gathers for the window, drains whatever
-/// else the workers handed off meanwhile, and then holds the core mutex
+/// for the first pending commit, takes whatever else the workers handed
+/// off meanwhile — while the previous force and its acks ran — and
+/// forces at once (a nonzero `group_window_us` first waits that long, to
+/// stand in for a slower log device). It holds the core mutex
 /// **once** for the whole batch — one [`LogManager::commit_group`], its
 /// tokens recorded as forced, then every member's locks released —
 /// before acknowledging each member to its connection (ack strictly

@@ -65,12 +65,18 @@ pub struct Frame {
 impl Frame {
     /// Encode as length-prefixed bytes ready for the wire.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(5 + self.payload.len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the length-prefixed bytes to `out`, so several frames can
+    /// leave in one write.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let len = (1 + self.payload.len()) as u32;
-        let mut out = Vec::with_capacity(4 + len as usize);
         out.extend_from_slice(&len.to_le_bytes());
         out.push(self.opcode);
         out.extend_from_slice(&self.payload);
-        out
     }
 }
 

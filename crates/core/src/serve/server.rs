@@ -81,7 +81,10 @@ pub struct ServeConfig {
     /// `k` lasts `backoff_after(k)` µs of waiting for a release, and the
     /// request's deadline ends the wait early.
     pub retry: RetryPolicy,
-    /// Group-commit gather window, in wall-clock microseconds.
+    /// Extra wall-clock microseconds the committer waits before each
+    /// force, standing in for a slower log device. 0 (the default)
+    /// forces a batch the moment there is one: the batch is whatever
+    /// was handed off while the previous force and its acks ran.
     pub group_window_us: u64,
     /// Object-id space for concurrent-mode transactions.
     pub objects: u32,
@@ -111,7 +114,7 @@ impl Default for ServeConfig {
             default_deadline_ms: 1_000,
             max_inflight_per_conn: 1_024,
             retry: RetryPolicy::default(),
-            group_window_us: 200,
+            group_window_us: 0,
             objects: 4_096,
             timeline_interval_ms: 0,
             metrics_addr: None,

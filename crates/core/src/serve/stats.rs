@@ -132,8 +132,9 @@ pub struct RequestStamps {
     /// Group commit flushed and locks released (t4): `t4 - t3` is
     /// group-commit wait.
     pub committed_us: u64,
-    /// TxnOk written to the socket (t5): `t5 - t4` is reply write,
-    /// absorbing the executor→driver handoff.
+    /// The write that carried the TxnOk returned (t5): `t5 - t4` is
+    /// reply write, absorbing the executor→driver handoff and the rest
+    /// of the driver's pass that batched the reply.
     pub replied_us: u64,
 }
 

@@ -509,8 +509,10 @@ fn group_commit_carries_several_transactions_per_force() {
     let report = handle.join().expect("drain");
     assert_eq!(summary.acked, summary.attempted);
     assert_eq!(report.group_txns, summary.acked, "every write was forced");
-    // 16 writes in flight and a 200 µs gather window: a force that
-    // carries one transaction means the workers were parked behind it.
+    // 16 writes in flight and no gather window: a batch is whatever the
+    // workers handed off while the committer forced and acked the one
+    // before. A force that carries one transaction means the workers
+    // were parked behind it.
     assert!(
         report.group_txns >= 2 * report.group_commits,
         "{} transactions over {} forces",
@@ -518,6 +520,68 @@ fn group_commit_carries_several_transactions_per_force() {
         report.group_commits
     );
     assert_eq!(report.acid_violations, 0);
+    assert!(report.clean_drain);
+}
+
+#[test]
+fn a_lone_write_is_forced_at_once() {
+    // One write at a time, each alone in the server when it is handed
+    // off: there is nothing to wait for, so its commit wait is the force
+    // itself. A committer that napped before every force would bill each
+    // write the whole nap.
+    let handle = Server::start(ServeConfig::default(), "127.0.0.1:0").expect("start server");
+    let (mut stream, session) = connect(handle.addr(), 1);
+    for i in 0..100 {
+        send(&mut stream, &write_one(session, i, (i % 16) as u32));
+        assert!(matches!(recv(&mut stream), Response::TxnOk { .. }));
+    }
+    send(&mut stream, &Request::Bye);
+    assert!(matches!(recv(&mut stream), Response::ByeOk));
+    handle.request_shutdown();
+    let report = handle.join().expect("drain");
+    assert_eq!(report.acked, 100);
+    let commit_wait = report.stats.latency("commit_wait").expect("span histogram");
+    assert_eq!(commit_wait.count, 100);
+    let p50 = commit_wait.quantile_bound(0.5);
+    assert!(
+        p50 < 200,
+        "a lone write waited {p50} us at p50 for its force"
+    );
+}
+
+#[test]
+fn replies_ready_before_a_malformed_frame_reach_the_client_before_it_closes() {
+    // Eight PINGs and a garbage frame in one write reach the driver as
+    // one read: all nine replies wait in one buffer when the FSM closes
+    // the connection, and the close must send them before the socket
+    // shuts.
+    let handle = Server::start(ServeConfig::default(), "127.0.0.1:0").expect("start server");
+    let (mut stream, _) = connect(handle.addr(), 1);
+    let mut burst = Vec::new();
+    for _ in 0..8 {
+        burst.extend(Request::Ping.encode().encode());
+    }
+    let garbage = Frame {
+        opcode: 0x7E,
+        payload: vec![0xDE, 0xAD],
+    };
+    burst.extend(garbage.encode());
+    std::io::Write::write_all(&mut stream, &burst).expect("write burst");
+    for i in 0..8 {
+        let reply = recv(&mut stream);
+        assert!(matches!(reply, Response::PingOk), "reply {i}: {reply:?}");
+    }
+    match recv(&mut stream) {
+        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Malformed),
+        other => panic!("expected a MALFORMED error, got {other:?}"),
+    }
+    assert!(
+        read_frame(&mut stream).expect("clean EOF").is_none(),
+        "connection must close after the replies"
+    );
+    handle.request_shutdown();
+    let report = handle.join().expect("drain");
+    assert_eq!(report.malformed, 1);
     assert!(report.clean_drain);
 }
 
