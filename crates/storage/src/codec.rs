@@ -29,9 +29,10 @@
 //! ```
 //!
 //! Fixed 45-byte header; only [`WalOp::PageSnapshot`] carries a
-//! payload (its slot list). [`scan_wal`] walks a byte buffer and stops
-//! at the first short or corrupt record: everything after it is the
-//! torn tail and recovery truncates it.
+//! payload (its slot list). [`WalReader`] decodes a log from any byte
+//! stream through one fixed buffer and stops at the first short or
+//! corrupt record: everything after it is the torn tail and recovery
+//! truncates it. [`scan_wal`] is the same decoder over a byte slice.
 
 use std::fmt;
 
@@ -460,10 +461,31 @@ fn wal_crc(buf: &[u8], payload_len: usize) -> u32 {
     )
 }
 
+/// Length of the record whose header opens `buf`, or `None` if the
+/// header is short, lacks the magic or claims an oversized payload.
+fn wal_record_len(buf: &[u8]) -> Option<usize> {
+    if buf.len() < WAL_HEADER_BYTES || get_u32(buf, 0) != WAL_MAGIC {
+        return None;
+    }
+    let payload_len = get_u32(buf, 37);
+    (payload_len <= MAX_WAL_PAYLOAD).then_some(WAL_HEADER_BYTES + payload_len as usize)
+}
+
 /// Decode the record at the start of `buf`. Returns the record and the
 /// bytes it consumed, or `None` if the prefix is short or corrupt.
 pub fn decode_wal_record(buf: &[u8]) -> Option<(WalRecord, usize)> {
-    if buf.len() < WAL_HEADER_BYTES || get_u32(buf, 0) != WAL_MAGIC {
+    decode_wal_into(buf, &mut Vec::new())
+}
+
+/// [`decode_wal_record`], with a snapshot's slot list built in `spare`'s
+/// allocation (taken, so `spare` is left empty).
+fn decode_wal_into(buf: &[u8], spare: &mut Vec<(u32, u32)>) -> Option<(WalRecord, usize)> {
+    let total = wal_record_len(buf)?;
+    if buf.len() < total {
+        return None;
+    }
+    let payload_len = total - WAL_HEADER_BYTES;
+    if get_u32(buf, 41) != wal_crc(buf, payload_len) {
         return None;
     }
     let lsn = get_u64(buf, 4);
@@ -473,17 +495,6 @@ pub fn decode_wal_record(buf: &[u8]) -> Option<(WalRecord, usize)> {
     let b = get_u32(buf, 25);
     let c = get_u32(buf, 29);
     let d = get_u32(buf, 33);
-    let payload_len = get_u32(buf, 37);
-    if payload_len > MAX_WAL_PAYLOAD {
-        return None;
-    }
-    let total = WAL_HEADER_BYTES + payload_len as usize;
-    if buf.len() < total {
-        return None;
-    }
-    if get_u32(buf, 41) != wal_crc(buf, payload_len as usize) {
-        return None;
-    }
     let op = match kind {
         0 => WalOp::CheckpointEnd,
         1 => WalOp::Touch {
@@ -518,15 +529,134 @@ pub fn decode_wal_record(buf: &[u8]) -> Option<(WalRecord, usize)> {
             if payload.len() != 4 + 8 * count {
                 return None;
             }
-            let mut slots = Vec::with_capacity(count);
-            for i in 0..count {
-                slots.push((get_u32(payload, 4 + 8 * i), get_u32(payload, 8 + 8 * i)));
-            }
+            let mut slots = std::mem::take(spare);
+            slots.clear();
+            slots.extend(
+                payload[4..]
+                    .chunks_exact(8)
+                    .map(|pair| (get_u32(pair, 0), get_u32(pair, 4))),
+            );
             WalOp::PageSnapshot { page: a, slots }
         }
         _ => return None,
     };
     Some((WalRecord { lsn, txn, op }, total))
+}
+
+/// Bytes a [`WalReader`] buffers: room for many records, and always for
+/// the largest one (a header plus a full page's slot list).
+const WAL_READ_BYTES: usize = 64 * 1024;
+
+/// A WAL decoder over any byte stream: it reads through one fixed
+/// buffer and yields the trusted records one at a time, so neither the
+/// log's bytes nor its records are ever held whole. Like [`scan_wal`]
+/// (a thin wrapper over it) it stops at the first short or corrupt
+/// record; [`Self::trusted_bytes`] and [`Self::truncated_bytes`] then
+/// split the stream exactly as that scan does.
+pub struct WalReader<R> {
+    src: R,
+    /// Read buffer; the unconsumed bytes are `buf[at..end]`.
+    buf: Vec<u8>,
+    at: usize,
+    end: usize,
+    /// The source is exhausted.
+    eof: bool,
+    trusted: u64,
+    read: u64,
+    /// The record last yielded, and the slot list the next snapshot
+    /// reuses once that record is replaced.
+    record: WalRecord,
+    spare: Vec<(u32, u32)>,
+}
+
+impl<R: std::io::Read> WalReader<R> {
+    /// A decoder positioned at the start of `src`.
+    pub fn new(src: R) -> Self {
+        WalReader {
+            src,
+            buf: vec![0; WAL_READ_BYTES],
+            at: 0,
+            end: 0,
+            eof: false,
+            trusted: 0,
+            read: 0,
+            record: WalRecord {
+                lsn: 0,
+                txn: 0,
+                op: WalOp::Commit,
+            },
+            spare: Vec::new(),
+        }
+    }
+
+    /// The next trusted record, or `None` once the trusted prefix has
+    /// ended; a snapshot's slot list lives only until the next call.
+    /// The only error is the source's.
+    pub fn next_record(&mut self) -> std::io::Result<Option<&WalRecord>> {
+        if let WalOp::PageSnapshot { slots, .. } = &mut self.record.op {
+            self.spare = std::mem::take(slots);
+        }
+        self.fill(WAL_HEADER_BYTES)?;
+        if let Some(total) = wal_record_len(&self.buf[self.at..self.end]) {
+            self.fill(total)?;
+        }
+        match decode_wal_into(&self.buf[self.at..self.end], &mut self.spare) {
+            Some((record, used)) => {
+                self.record = record;
+                self.at += used;
+                self.trusted += used as u64;
+                Ok(Some(&self.record))
+            }
+            None => {
+                // The rest is the torn tail: count it, keep none of it.
+                // The source stays exhausted, so later calls end here too.
+                while !self.eof {
+                    (self.at, self.end) = (0, 0);
+                    self.read_more()?;
+                }
+                Ok(None)
+            }
+        }
+    }
+
+    /// Bytes of the records yielded so far; once [`Self::next_record`]
+    /// has returned `None`, where the trusted prefix ends.
+    pub fn trusted_bytes(&self) -> u64 {
+        self.trusted
+    }
+
+    /// Once [`Self::next_record`] has returned `None`, the bytes after
+    /// the trusted prefix (the torn tail; 0 = clean).
+    pub fn truncated_bytes(&self) -> u64 {
+        self.read - self.trusted
+    }
+
+    /// Buffer at least `need` unconsumed bytes, or all the source has left.
+    fn fill(&mut self, need: usize) -> std::io::Result<()> {
+        if self.buf.len() - self.at < need {
+            self.buf.copy_within(self.at..self.end, 0);
+            self.end -= self.at;
+            self.at = 0;
+        }
+        while self.end - self.at < need && !self.eof {
+            self.read_more()?;
+        }
+        Ok(())
+    }
+
+    /// One read into the free end of the buffer.
+    fn read_more(&mut self) -> std::io::Result<()> {
+        match self.src.read(&mut self.buf[self.end..]) {
+            Ok(0) => self.eof = true,
+            Ok(n) => {
+                self.end += n;
+                self.read += n as u64;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        Ok(())
+    }
 }
 
 /// Result of scanning a WAL byte buffer.
@@ -543,21 +673,15 @@ pub struct WalScan {
 /// Walk `buf` record by record, stopping at the first short or corrupt
 /// record. Everything after that point is an untrusted torn tail.
 pub fn scan_wal(buf: &[u8]) -> WalScan {
+    let mut reader = WalReader::new(buf);
     let mut records = Vec::new();
-    let mut at = 0usize;
-    while at < buf.len() {
-        match decode_wal_record(&buf[at..]) {
-            Some((rec, used)) => {
-                records.push(rec);
-                at += used;
-            }
-            None => break,
-        }
+    while let Some(rec) = reader.next_record().expect("a byte slice reads") {
+        records.push(rec.clone());
     }
     WalScan {
         records,
-        trusted_bytes: at as u64,
-        truncated_bytes: (buf.len() - at) as u64,
+        trusted_bytes: reader.trusted_bytes(),
+        truncated_bytes: reader.truncated_bytes(),
     }
 }
 

@@ -1,6 +1,5 @@
-//! [`FilePageStore`]: the real file-backed page store, and
-//! [`recover_dir`]: ARIES-style restart recovery over its files
-//! (DESIGN.md §15).
+//! [`FilePageStore`]: the real file-backed page store (DESIGN.md §15).
+//! Restart recovery over its files is [`crate::recover_dir`].
 //!
 //! ## Layout
 //!
@@ -37,33 +36,23 @@
 //!
 //! ## Recovery
 //!
-//! [`recover_dir`] runs on the plain files (no fault layer — it models
-//! the restarted process): scan the WAL and truncate the torn tail;
-//! decode every page slot, treating CRC failures as torn; rebuild each
-//! page from its newest trusted base (valid disk image or logged
-//! snapshot); redo terminated transactions' operations gated on the
-//! per-page LSN; undo in-flight losers in reverse LSN order with
-//! presence-conditioned inverses (idempotent without CLRs); then
-//! repair the files in place — recovering twice is a no-op.
-//!
-//! One deliberate modeling choice: the simulation engine does not roll
-//! back the placement effects of transactions *it* aborts (their
-//! objects stay in the in-memory store), so recovery replays both
-//! committed and aborted transactions and rolls back only transactions
-//! with no durable terminal record. Atomicity is verified for those
-//! losers: an object only ever placed by a loser must be absent from
-//! the recovered state.
+//! [`crate::recover_dir`] runs on the plain files (no fault layer — it
+//! models the restarted process): it truncates the torn WAL tail,
+//! rebuilds each page from its newest trusted base (valid disk image or
+//! logged snapshot), redoes terminated transactions' operations gated
+//! on the per-page LSN, undoes in-flight losers, and repairs the files
+//! in place — recovering twice is a no-op. It streams both files, so
+//! its memory is the recovered pages and the transaction sets, not the
+//! size of either file or the number of log records.
 
 use crate::codec::{
-    decode_page, encode_page, encode_page_into, encode_snapshot_into, encode_wal_record_into,
-    scan_wal, CodecError, PageRead, WalOp, WalRecord, DISK_PAGE_BYTES,
+    decode_page, encode_page_into, encode_snapshot_into, encode_wal_record_into, CodecError,
+    PageRead, WalOp, DISK_PAGE_BYTES,
 };
 use semcluster_faults::{
     CrashPoint, FaultedDir, FsCrashReport, FsError, FsFaultConfig, FsFile, FsStats,
 };
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Errors the file store can raise.
@@ -103,10 +92,10 @@ pub const PAGES_FILE: &str = "pages.db";
 /// WAL file name inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
 
-const PAGE_BYTES: usize = DISK_PAGE_BYTES as usize;
+pub(crate) const PAGE_BYTES: usize = DISK_PAGE_BYTES as usize;
 
 /// Offset of `page`'s slot in `pages.db`.
-fn slot_offset(page: u32) -> u64 {
+pub(crate) fn slot_offset(page: u32) -> u64 {
     page as u64 * PAGE_BYTES as u64
 }
 
@@ -351,434 +340,10 @@ impl FilePageStore {
     }
 }
 
-// ------------------------------------------------------------- recovery
-
-/// One recovered page image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredPage {
-    /// LSN the image is current through.
-    pub lsn: u64,
-    /// `(object, size)` slots in deterministic order.
-    pub slots: Vec<(u32, u32)>,
-}
-
-/// Everything restart recovery derived and did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileRecoveryOutcome {
-    /// Whether a durable `CheckpointEnd` was found. Without one the
-    /// store never finished opening: both files are reset.
-    pub checkpoint_seen: bool,
-    /// Transactions with a durable commit record (ascending).
-    pub winners: Vec<u64>,
-    /// Transactions with a durable abort record (ascending). Their
-    /// placement effects persist — the engine's abort model does not
-    /// roll back placements.
-    pub aborted: Vec<u64>,
-    /// In-flight transactions (ops but no terminal record) rolled back.
-    pub losers: Vec<u64>,
-    /// Redo operations applied (LSN-gated).
-    pub redone: u64,
-    /// Undo operations applied or verified absent.
-    pub undone: u64,
-    /// Page slots whose on-disk image failed verification.
-    pub torn_pages: Vec<u32>,
-    /// Pages rewritten during repair.
-    pub repaired_pages: Vec<u32>,
-    /// Torn WAL tail bytes physically truncated.
-    pub wal_truncated_bytes: u64,
-    /// Trusted WAL records scanned.
-    pub wal_records: usize,
-    /// Invariant violations found during recovery (empty = clean).
-    pub violations: Vec<String>,
-    /// The recovered page images.
-    pub pages: BTreeMap<u32, RecoveredPage>,
-}
-
-fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
-    match std::fs::read(path) {
-        Ok(b) => Ok(b),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(StoreError::Fs(FsError::Io {
-            op: "read",
-            path: path.display().to_string(),
-            detail: e.to_string(),
-        })),
-    }
-}
-
-fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> StoreError {
-    StoreError::Fs(FsError::Io {
-        op,
-        path: path.display().to_string(),
-        detail: e.to_string(),
-    })
-}
-
-/// Remove `object` from a slot list if present; true if it was there.
-fn slot_remove(slots: &mut Vec<(u32, u32)>, object: u32) -> bool {
-    if let Some(i) = slots.iter().position(|&(o, _)| o == object) {
-        slots.remove(i);
-        true
-    } else {
-        false
-    }
-}
-
-/// Insert `(object, size)` if the object is absent; true if inserted.
-fn slot_insert(slots: &mut Vec<(u32, u32)>, object: u32, size: u32) -> bool {
-    if slots.iter().any(|&(o, _)| o == object) {
-        false
-    } else {
-        slots.push((object, size));
-        true
-    }
-}
-
-/// ARIES-style restart recovery over a [`FilePageStore`] directory.
-/// Safe to run any number of times: the second and later runs find a
-/// clean store and change nothing.
-pub fn recover_dir(root: &Path) -> Result<FileRecoveryOutcome, StoreError> {
-    let wal_path = root.join(WAL_FILE);
-    let pages_path = root.join(PAGES_FILE);
-    let wal_bytes = read_file(&wal_path)?;
-    let pages_bytes = read_file(&pages_path)?;
-
-    // 1. Scan the log; everything after the first corruption is the
-    //    torn tail.
-    let scan = scan_wal(&wal_bytes);
-    let checkpoint_seen = scan
-        .records
-        .iter()
-        .any(|r| matches!(r.op, WalOp::CheckpointEnd));
-
-    // A store that never finished opening (no durable CheckpointEnd)
-    // holds no acknowledged state: reset it to empty.
-    if !checkpoint_seen {
-        if !wal_bytes.is_empty() || !pages_bytes.is_empty() {
-            truncate_file(&wal_path, 0)?;
-            truncate_file(&pages_path, 0)?;
-        }
-        return Ok(FileRecoveryOutcome {
-            checkpoint_seen: false,
-            winners: Vec::new(),
-            aborted: Vec::new(),
-            losers: Vec::new(),
-            redone: 0,
-            undone: 0,
-            torn_pages: Vec::new(),
-            repaired_pages: Vec::new(),
-            wal_truncated_bytes: wal_bytes.len() as u64,
-            wal_records: scan.records.len(),
-            violations: Vec::new(),
-            pages: BTreeMap::new(),
-        });
-    }
-
-    // 2. Decode every on-disk page slot.
-    let mut images: BTreeMap<u32, RecoveredPage> = BTreeMap::new();
-    let mut torn_pages: Vec<u32> = Vec::new();
-    let slot_count = pages_bytes.len().div_ceil(DISK_PAGE_BYTES as usize);
-    for i in 0..slot_count {
-        let start = i * DISK_PAGE_BYTES as usize;
-        let end = (start + DISK_PAGE_BYTES as usize).min(pages_bytes.len());
-        match decode_page(&pages_bytes[start..end]) {
-            PageRead::Missing => {}
-            PageRead::Valid { page, lsn, slots } if page == i as u32 => {
-                images.insert(page, RecoveredPage { lsn, slots });
-            }
-            // Valid bytes under the wrong slot, short tail slots and
-            // CRC failures are all torn.
-            _ => torn_pages.push(i as u32),
-        }
-    }
-
-    // 3. Analysis: terminal transactions (commit OR abort — see the
-    //    module docs on the engine's abort model) replay; transactions
-    //    with ops but no terminal record are losers.
-    let mut committed: BTreeSet<u64> = BTreeSet::new();
-    let mut aborted: BTreeSet<u64> = BTreeSet::new();
-    let mut has_ops: BTreeSet<u64> = BTreeSet::new();
-    for rec in &scan.records {
-        match rec.op {
-            WalOp::Commit => {
-                committed.insert(rec.txn);
-            }
-            WalOp::Abort => {
-                aborted.insert(rec.txn);
-            }
-            WalOp::Touch { .. }
-            | WalOp::Place { .. }
-            | WalOp::Remove { .. }
-            | WalOp::Move { .. } => {
-                has_ops.insert(rec.txn);
-            }
-            WalOp::CheckpointEnd | WalOp::PageSnapshot { .. } => {}
-        }
-    }
-    let losers: BTreeSet<u64> = has_ops
-        .iter()
-        .copied()
-        .filter(|t| *t != 0 && !committed.contains(t) && !aborted.contains(t))
-        .collect();
-    let replays = |txn: u64| txn != 0 && !losers.contains(&txn);
-
-    let base_lsn = |images: &BTreeMap<u32, RecoveredPage>, page: u32| -> u64 {
-        images.get(&page).map(|p| p.lsn).unwrap_or(0)
-    };
-
-    // 4. Redo pass, in LSN order, gated per page side.
-    let mut redone = 0u64;
-    for rec in &scan.records {
-        match &rec.op {
-            // A snapshot is a full redo image: it replaces any older
-            // base, which is exactly how torn pages heal.
-            WalOp::PageSnapshot { page, slots } if rec.lsn > base_lsn(&images, *page) => {
-                images.insert(
-                    *page,
-                    RecoveredPage {
-                        lsn: rec.lsn,
-                        slots: slots.clone(),
-                    },
-                );
-            }
-            WalOp::Touch { object, size, page }
-                if replays(rec.txn) && rec.lsn > base_lsn(&images, *page) =>
-            {
-                let img = images.entry(*page).or_insert_with(|| RecoveredPage {
-                    lsn: 0,
-                    slots: Vec::new(),
-                });
-                if let Some(slot) = img.slots.iter_mut().find(|(o, _)| o == object) {
-                    slot.1 = *size;
-                }
-                img.lsn = rec.lsn;
-                redone += 1;
-            }
-            WalOp::Place { object, size, page }
-                if replays(rec.txn) && rec.lsn > base_lsn(&images, *page) =>
-            {
-                let img = images.entry(*page).or_insert_with(|| RecoveredPage {
-                    lsn: 0,
-                    slots: Vec::new(),
-                });
-                slot_insert(&mut img.slots, *object, *size);
-                img.lsn = rec.lsn;
-                redone += 1;
-            }
-            WalOp::Remove { object, page, .. }
-                if replays(rec.txn) && rec.lsn > base_lsn(&images, *page) =>
-            {
-                let img = images.entry(*page).or_insert_with(|| RecoveredPage {
-                    lsn: 0,
-                    slots: Vec::new(),
-                });
-                slot_remove(&mut img.slots, *object);
-                img.lsn = rec.lsn;
-                redone += 1;
-            }
-            WalOp::Move {
-                object,
-                size,
-                from,
-                to,
-            } if replays(rec.txn) => {
-                if rec.lsn > base_lsn(&images, *from) {
-                    let img = images.entry(*from).or_insert_with(|| RecoveredPage {
-                        lsn: 0,
-                        slots: Vec::new(),
-                    });
-                    slot_remove(&mut img.slots, *object);
-                    img.lsn = rec.lsn;
-                    redone += 1;
-                }
-                if rec.lsn > base_lsn(&images, *to) {
-                    let img = images.entry(*to).or_insert_with(|| RecoveredPage {
-                        lsn: 0,
-                        slots: Vec::new(),
-                    });
-                    slot_insert(&mut img.slots, *object, *size);
-                    img.lsn = rec.lsn;
-                    redone += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // 5. Undo pass: loser ops in reverse LSN order. Inverses are
-    //    presence-conditioned, so undoing twice is a no-op and no CLRs
-    //    are needed.
-    let mut undone = 0u64;
-    for rec in scan.records.iter().rev() {
-        if !losers.contains(&rec.txn) {
-            continue;
-        }
-        match &rec.op {
-            WalOp::Place { object, page, .. } => {
-                if let Some(img) = images.get_mut(page) {
-                    slot_remove(&mut img.slots, *object);
-                }
-                undone += 1;
-            }
-            WalOp::Remove { object, size, page } => {
-                let img = images.entry(*page).or_insert_with(|| RecoveredPage {
-                    lsn: 0,
-                    slots: Vec::new(),
-                });
-                slot_insert(&mut img.slots, *object, *size);
-                undone += 1;
-            }
-            WalOp::Move {
-                object,
-                size,
-                from,
-                to,
-            } => {
-                if let Some(img) = images.get_mut(to) {
-                    slot_remove(&mut img.slots, *object);
-                }
-                let img = images.entry(*from).or_insert_with(|| RecoveredPage {
-                    lsn: 0,
-                    slots: Vec::new(),
-                });
-                slot_insert(&mut img.slots, *object, *size);
-                undone += 1;
-            }
-            WalOp::Touch { .. } => {
-                undone += 1;
-            }
-            _ => {}
-        }
-    }
-
-    // 6. Invariant checks on the recovered state.
-    let mut violations = Vec::new();
-    for &page in &torn_pages {
-        let has_snapshot = scan
-            .records
-            .iter()
-            .any(|r| matches!(&r.op, WalOp::PageSnapshot { page: p, .. } if *p == page));
-        if !has_snapshot && images.contains_key(&page) {
-            violations.push(format!(
-                "torn page {page} has no logged snapshot to repair from"
-            ));
-        }
-    }
-    {
-        let mut seen: BTreeMap<u32, u32> = BTreeMap::new();
-        for (page, img) in &images {
-            for &(object, _) in &img.slots {
-                if let Some(other) = seen.insert(object, *page) {
-                    violations.push(format!(
-                        "object {object} recovered on both page {other} and page {page}"
-                    ));
-                }
-            }
-        }
-        // Atomicity: an object only ever placed by losers must be gone.
-        let mut replayed_objects: BTreeSet<u32> = BTreeSet::new();
-        let mut loser_placed: BTreeSet<u32> = BTreeSet::new();
-        for rec in &scan.records {
-            match &rec.op {
-                WalOp::Place { object, .. } if losers.contains(&rec.txn) => {
-                    loser_placed.insert(*object);
-                }
-                WalOp::Touch { object, .. }
-                | WalOp::Place { object, .. }
-                | WalOp::Remove { object, .. }
-                | WalOp::Move { object, .. }
-                    if replays(rec.txn) =>
-                {
-                    replayed_objects.insert(*object);
-                }
-                _ => {}
-            }
-        }
-        for object in loser_placed.difference(&replayed_objects) {
-            if let Some(page) = seen.get(object) {
-                violations.push(format!(
-                    "atomicity: object {object} placed only by an in-flight loser \
-                     survived recovery on page {page}"
-                ));
-            }
-        }
-    }
-
-    // 7. Repair: rewrite any page whose recovered image differs from
-    //    its on-disk bytes, and physically truncate the torn WAL tail.
-    let mut repaired_pages = Vec::new();
-    {
-        let mut out: Option<std::fs::File> = None;
-        for (page, img) in &images {
-            let encoded = encode_page(*page, img.lsn, &img.slots)?;
-            let start = *page as usize * DISK_PAGE_BYTES as usize;
-            let end = start + DISK_PAGE_BYTES as usize;
-            let on_disk = pages_bytes.get(start..end);
-            if on_disk == Some(encoded.as_slice()) {
-                continue;
-            }
-            let f = match &mut out {
-                Some(f) => f,
-                None => out.insert(
-                    std::fs::OpenOptions::new()
-                        .write(true)
-                        .create(true)
-                        .truncate(false)
-                        .open(&pages_path)
-                        .map_err(|e| io_err("open", &pages_path, e))?,
-                ),
-            };
-            f.write_all_at(&encoded, start as u64)
-                .map_err(|e| io_err("write", &pages_path, e))?;
-            repaired_pages.push(*page);
-        }
-        if let Some(f) = out {
-            f.sync_all().map_err(|e| io_err("fsync", &pages_path, e))?;
-        }
-    }
-    if scan.truncated_bytes > 0 {
-        truncate_file(&wal_path, scan.trusted_bytes)?;
-    }
-
-    Ok(FileRecoveryOutcome {
-        checkpoint_seen: true,
-        winners: committed.into_iter().collect(),
-        aborted: aborted.into_iter().collect(),
-        losers: losers.into_iter().collect(),
-        redone,
-        undone,
-        torn_pages,
-        repaired_pages,
-        wal_truncated_bytes: scan.truncated_bytes,
-        wal_records: scan.records.len(),
-        violations,
-        pages: images,
-    })
-}
-
-fn truncate_file(path: &Path, len: u64) -> Result<(), StoreError> {
-    let f = std::fs::OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)
-        .map_err(|e| io_err("open", path, e))?;
-    f.set_len(len).map_err(|e| io_err("truncate", path, e))?;
-    f.sync_all().map_err(|e| io_err("fsync", path, e))?;
-    let _ = f;
-    Ok(())
-}
-
-/// Decoded trusted WAL records of a store directory (post-crash view;
-/// diagnostic helper for the crash harness and tests).
-pub fn read_wal(root: &Path) -> Result<Vec<WalRecord>, StoreError> {
-    let bytes = read_file(&root.join(WAL_FILE))?;
-    Ok(scan_wal(&bytes).records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recover_dir;
 
     fn scratch(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("semcluster-filestore-{name}"));

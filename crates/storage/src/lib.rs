@@ -27,16 +27,15 @@ pub mod codec;
 mod disk;
 mod filestore;
 mod page;
+mod recovery;
 mod store;
 
 pub use codec::{
     crc32, decode_page, decode_wal_record, encode_page, encode_wal_record, scan_wal, CodecError,
-    PageRead, WalOp, WalRecord, WalScan, DISK_PAGE_BYTES, MAX_DISK_SLOTS,
+    PageRead, WalOp, WalReader, WalRecord, WalScan, DISK_PAGE_BYTES, MAX_DISK_SLOTS,
 };
 pub use disk::{DiskLayout, DiskParams};
-pub use filestore::{
-    read_wal, recover_dir, FilePageStore, FileRecoveryOutcome, RecoveredPage, StoreError,
-    PAGES_FILE, WAL_FILE,
-};
+pub use filestore::{FilePageStore, StoreError, PAGES_FILE, WAL_FILE};
 pub use page::{Page, PageError, PageId, DEFAULT_PAGE_BYTES, PAGE_OVERHEAD_BYTES};
+pub use recovery::{recover_dir, FileRecoveryOutcome, RecoveredPage};
 pub use store::{StorageError, StorageManager};

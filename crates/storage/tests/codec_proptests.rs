@@ -1,14 +1,18 @@
 //! Property-based tests for the on-disk page/WAL codec and file-backend
 //! restart recovery: encode/decode round-trips, CRC corruption
 //! detection (every single-bit flip, every truncated tail), WAL prefix
-//! scans, and recover-twice-is-a-no-op on randomized crash points.
+//! scans, the streaming WAL decoder against the whole-buffer scan at
+//! every read size, and recover-twice-is-a-no-op on randomized crash
+//! points.
 
 use proptest::prelude::*;
 use semcluster_faults::FsFaultConfig;
 use semcluster_storage::{
-    decode_page, encode_page, encode_wal_record, recover_dir, scan_wal, FilePageStore, PageRead,
-    WalOp, DISK_PAGE_BYTES, MAX_DISK_SLOTS, PAGES_FILE, WAL_FILE,
+    decode_page, decode_wal_record, encode_page, encode_wal_record, recover_dir, scan_wal,
+    FilePageStore, PageRead, WalOp, WalReader, WalRecord, WalScan, DISK_PAGE_BYTES, MAX_DISK_SLOTS,
+    PAGES_FILE, WAL_FILE,
 };
+use std::io::Read;
 use std::path::PathBuf;
 
 /// Slot lists with unique object ids, built from generated sizes.
@@ -32,7 +36,129 @@ fn scratch(tag: &str, case: u64) -> PathBuf {
     d
 }
 
+/// A source that hands out at most `k` bytes per `read`, so records
+/// straddle reads at every offset.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    k: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.k).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Read sizes the streaming decoder is held to: a byte, a size prime to
+/// the header, exactly one header, and one page.
+const READ_SIZES: [usize; 4] = [1, 7, 45, 4096];
+
+/// The records, trusted and truncated bytes of `wal` as a
+/// [`WalReader`] reading at most `k` bytes at a time sees them.
+fn stream_scan(wal: &[u8], k: usize) -> WalScan {
+    let mut reader = WalReader::new(Trickle { bytes: wal, k });
+    let mut records = Vec::new();
+    while let Some(rec) = reader.next_record().unwrap() {
+        records.push(rec.clone());
+    }
+    // A stopped decoder stays stopped.
+    assert!(reader.next_record().unwrap().is_none());
+    WalScan {
+        records,
+        trusted_bytes: reader.trusted_bytes(),
+        truncated_bytes: reader.truncated_bytes(),
+    }
+}
+
+/// The record-at-a-time walk over a whole buffer, independent of
+/// [`WalReader`]: the reference both scans are held to.
+fn reference_scan(wal: &[u8]) -> WalScan {
+    let mut records: Vec<WalRecord> = Vec::new();
+    let mut at = 0;
+    while let Some((rec, used)) = decode_wal_record(&wal[at..]) {
+        records.push(rec);
+        at += used;
+    }
+    WalScan {
+        records,
+        trusted_bytes: at as u64,
+        truncated_bytes: (wal.len() - at) as u64,
+    }
+}
+
+/// A log of one record per `(kind, slots)`: kind 7 is a snapshot of
+/// `slots` slots, the others the payload-free operations.
+fn build_log(spec: &[(u8, usize)]) -> Vec<u8> {
+    let mut wal = Vec::new();
+    for (i, &(kind, slots)) in spec.iter().enumerate() {
+        let n = i as u32;
+        let op = match kind {
+            0 => WalOp::CheckpointEnd,
+            1 => WalOp::Touch {
+                object: n,
+                size: 10,
+                page: n % 8,
+            },
+            2 => WalOp::Place {
+                object: n,
+                size: 20,
+                page: n % 8,
+            },
+            3 => WalOp::Remove {
+                object: n,
+                size: 30,
+                page: n % 8,
+            },
+            4 => WalOp::Move {
+                object: n,
+                size: 40,
+                from: 0,
+                to: n % 8,
+            },
+            5 => WalOp::Commit,
+            6 => WalOp::Abort,
+            _ => WalOp::PageSnapshot {
+                page: n % 8,
+                slots: (0..slots as u32).map(|s| (s, s + n)).collect(),
+            },
+        };
+        wal.extend_from_slice(&encode_wal_record(i as u64 + 1, u64::from(n % 5), &op));
+    }
+    wal
+}
+
 proptest! {
+    /// The streaming decoder, fed 1, 7, 45 or 4096 bytes per read, yields
+    /// exactly the records, trusted bytes and truncated bytes of the
+    /// whole-buffer scan, on random logs cut at a random byte and with
+    /// random bits flipped. Every log holds a full-page snapshot, whose
+    /// record is longer than any of the read sizes.
+    #[test]
+    fn streamed_wal_scan_matches_the_whole_buffer_scan(
+        mut spec in proptest::collection::vec((0u8..8, 0usize..MAX_DISK_SLOTS + 1), 1..24),
+        full_at in 0usize..24,
+        cut_seed in 0u64..u64::MAX,
+        flips in proptest::collection::vec(0u64..u64::MAX, 0..3),
+    ) {
+        spec.insert(full_at % spec.len(), (7, MAX_DISK_SLOTS));
+        let mut wal = build_log(&spec);
+        wal.truncate((cut_seed % (wal.len() as u64 + 1)) as usize);
+        for flip in flips {
+            if !wal.is_empty() {
+                let bit = (flip % (wal.len() as u64 * 8)) as usize;
+                wal[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        let expected = reference_scan(&wal);
+        prop_assert_eq!(&scan_wal(&wal), &expected);
+        for k in READ_SIZES {
+            prop_assert_eq!(&stream_scan(&wal, k), &expected, "read size {}", k);
+        }
+    }
+
     /// Page images round-trip exactly through the on-disk codec.
     #[test]
     fn page_roundtrip(
@@ -216,6 +342,34 @@ proptest! {
         prop_assert_eq!(&rec1.pages, &rec2.pages);
         prop_assert_eq!(bytes1, bytes2, "recovery must be a byte-level no-op: {}", root.display());
         std::fs::remove_dir_all(&root).unwrap();
+    }
+}
+
+/// A log longer than the decoder's buffer, of full-page snapshots and
+/// small records, ending in a header torn part-way: every read size
+/// yields every whole record and counts the torn header as the tail.
+#[test]
+fn streamed_wal_scan_crosses_its_buffer_and_stops_mid_header() {
+    let spec: Vec<(u8, usize)> = (0..120)
+        .map(|i| {
+            if i % 3 == 0 {
+                (7, MAX_DISK_SLOTS)
+            } else {
+                (i % 7, 0)
+            }
+        })
+        .collect();
+    let mut wal = build_log(&spec);
+    let whole = wal.len();
+    assert!(whole > 128 * 1024, "the log outgrows the read buffer");
+    wal.extend_from_slice(&encode_wal_record(999, 1, &WalOp::Commit)[..20]);
+    let expected = reference_scan(&wal);
+    assert_eq!(expected.records.len(), spec.len());
+    assert_eq!(expected.trusted_bytes, whole as u64);
+    assert_eq!(expected.truncated_bytes, 20);
+    assert_eq!(scan_wal(&wal), expected);
+    for k in READ_SIZES {
+        assert_eq!(stream_scan(&wal, k), expected, "read size {k}");
     }
 }
 

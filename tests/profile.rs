@@ -272,3 +272,66 @@ fn durable_commit_cycle_does_not_allocate() {
     assert_eq!(after - before, 0, "bytes allocated by 1000 commit cycles");
     std::fs::remove_dir_all(&root).expect("scratch store removed");
 }
+
+/// Restart recovery streams both store files: what it allocates is the
+/// recovered pages and the transaction sets, never either file's bytes
+/// or the log's records. A page-heavy store (2 048 pages of 12 slots, an
+/// 8 MiB `pages.db`) and a log-heavy one (64 pages under 24 000 touch +
+/// steal + commit cycles, a 5.6 MiB `wal.log`) each recover for under a
+/// quarter of their larger file. Reading the files whole requested more
+/// than that file's size on both.
+#[test]
+fn recovery_allocates_for_pages_not_for_file_bytes() {
+    use semcluster_faults::FsFaultConfig;
+    use semcluster_storage::{recover_dir, FilePageStore, WalOp, PAGES_FILE, WAL_FILE};
+
+    let page_slots =
+        |page: u32| -> Vec<(u32, u32)> { (0..12).map(|s| (page * 12 + s, 200 + s * 7)).collect() };
+    for (name, pages, cycles) in [("page-heavy", 2048u32, 0u64), ("log-heavy", 64, 24_000)] {
+        let root =
+            std::env::temp_dir().join(format!("semcluster-profile-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let quiet = FsFaultConfig {
+            skip_physical_sync: true,
+            ..FsFaultConfig::default()
+        };
+        let mut store = FilePageStore::create(&root, quiet).expect("scratch store");
+        store
+            .checkpoint((0..pages).map(|p| (p, page_slots(p))))
+            .expect("checkpoint");
+        for txn in 1..=cycles {
+            let page = (txn % u64::from(pages)) as u32;
+            let touch = WalOp::Touch {
+                object: page * 12,
+                size: 50,
+                page,
+            };
+            store.append_op(txn, &touch).expect("buffered");
+            store.steal(page, &page_slots(page)).expect("queued");
+            store.commit(txn).expect("forced");
+        }
+        store.finish().expect("clean shutdown");
+        let larger = [PAGES_FILE, WAL_FILE]
+            .iter()
+            .map(|file| {
+                std::fs::metadata(root.join(file))
+                    .expect("store file")
+                    .len()
+            })
+            .max()
+            .expect("two files");
+
+        let (before, _) = allocation_counts();
+        let rec = recover_dir(&root).expect("recovers");
+        let (after, _) = allocation_counts();
+        assert!(rec.violations.is_empty(), "{name}: {:?}", rec.violations);
+        assert_eq!(rec.pages.len(), pages as usize, "{name}");
+        assert_eq!(rec.winners.len() as u64, cycles, "{name}");
+        assert!(
+            (after - before) * 4 < larger,
+            "{name}: recovery requested {} bytes beside a {larger}-byte file",
+            after - before
+        );
+        std::fs::remove_dir_all(&root).expect("scratch store removed");
+    }
+}
