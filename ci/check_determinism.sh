@@ -135,3 +135,23 @@ if [ -n "$impure_hits" ]; then
     exit 1
 fi
 echo "determinism guard: OK (serve FSM/protocol/admission/stats/slo/chaos and the obs histogram are clock- and RNG-free)"
+
+# Seam guard (ROADMAP item 1): the executor names no time. The cost
+# model — the operation clock (engine/charge.rs's OpClock), the CPU,
+# disk and log-disk servers, the disk layout, span attribution — lives
+# in engine/charge.rs and the event queue in engine/driver.rs. Item
+# 1(a2) runs the same executor over wall-clock time and a FilePageStore
+# by swapping the cost model, not the executor, so nothing in the
+# non-test part of exec.rs (before its first unindented #[cfg(test)])
+# may name a simulated time or reach into those fields.
+exec_rs=crates/core/src/engine/exec.rs
+seam_hits=$(awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$exec_rs" |
+    grep -E 'SimTime|SimDuration|self\.(cpu|disks|log_disk|layout|disk_service|cur_span|queue)\b' || true)
+if [ -n "$seam_hits" ]; then
+    echo "seam guard: the executor names time or the cost model's state:" >&2
+    echo "$seam_hits" >&2
+    echo "charge it through a charge.rs helper (charge_cpu, charge_access," >&2
+    echo "charge_log, ...) or read the stamp off self.clock instead." >&2
+    exit 1
+fi
+echo "seam guard: OK (engine/exec.rs names no simulated time and no cost-model state)"

@@ -64,10 +64,6 @@ pub struct SimConfig {
     /// Override of the context-sensitive priority boost, in access ticks
     /// (None = the pool default of half the capacity).
     pub context_boost_ticks: Option<u64>,
-    /// Whether transactions take hierarchical object locks (conservative
-    /// pre-declaration; §4.1's object/composite-object concurrency
-    /// control). Lock waits are part of response time.
-    pub locking: bool,
     /// Optional phased workload (e.g. the MOSAICO run): overrides the
     /// static workload's read/write mix per transaction while keeping its
     /// density-driven database. See `semcluster_workload::PhaseSchedule`.
@@ -106,7 +102,6 @@ impl Default for SimConfig {
             log: LogConfig::default(),
             cpu_per_access: SimDuration::from_millis(2),
             context_boost_ticks: None,
-            locking: true,
             phases: None,
             retain_log: false,
             warmup_txns: 400,

@@ -1,9 +1,10 @@
 //! The discrete-event driver: pops think/op/txn-done events, asks the
 //! generator what a user submits, takes (or parks on) its locks, hands
-//! it to the executor one operation per event, commits or aborts it and
-//! sends the user back to thinking. Owns the measurement window,
-//! timeline sampling and the crash points.
+//! it to the executor one operation per event on a fresh operation
+//! clock, commits or aborts it and sends the user back to thinking. Owns
+//! the measurement window, timeline sampling and the crash points.
 
+use super::charge::OpClock;
 use super::{fault_op, ActiveTxn, Engine, Event, RW_WINDOW};
 use crate::error::EngineError;
 use crate::metrics::{MetricsCollector, SpanBreakdown};
@@ -120,7 +121,7 @@ impl Engine {
         let txn = self
             .generator
             .next_transaction(u, self.completed, &self.db, &mut self.rng);
-        if self.cfg.locking && !self.try_lock(u, &txn) {
+        if !self.try_lock(u, &txn) {
             // Conservative pre-declaration failed: park until a release.
             self.users[u as usize].parked = Some((txn, now));
             self.parked_fifo.push_back(u);
@@ -135,11 +136,7 @@ impl Engine {
     /// user submitted it (response time includes any lock wait).
     fn begin_txn(&mut self, u: u32, txn: Transaction, submitted: SimTime, now: SimTime) {
         let is_read = txn.is_read();
-        let token = if is_read {
-            None
-        } else {
-            Some(self.log.begin())
-        };
+        let token = (!is_read).then(|| self.log.begin());
         self.txn_seq += 1;
         let id = self.txn_seq;
         // Any gap between submission and lock grant is the lock-wait
@@ -165,6 +162,27 @@ impl Engine {
             span,
         });
         self.run_next_op(u, now);
+    }
+
+    /// Execute the next operation of user `u`'s transaction from `now`
+    /// and schedule its completion — or abort the transaction where the
+    /// operation clock stopped.
+    fn run_next_op(&mut self, u: u32, now: SimTime) {
+        self.clock = OpClock::issued_at(now);
+        let outcome = self.execute_next_op(u).map(|()| self.finish_op());
+        // On failure too — the waits up to the failure were real.
+        self.drain_span(u);
+        match outcome {
+            Ok(done) => self.queue.schedule(done, Event::OpDone(u)),
+            Err(err) => self.abort_txn(u, err, self.clock.now()),
+        }
+    }
+
+    /// Move the attribution the last operation (or the commit force)
+    /// accumulated into the owning transaction's span.
+    fn drain_span(&mut self, u: u32) {
+        let span = std::mem::take(&mut self.cur_span);
+        self.users[u as usize].active().span.add(&span);
     }
 
     /// Hierarchical conservative lock acquisition for a transaction's
@@ -198,7 +216,7 @@ impl Engine {
             return;
         }
         // Commit.
-        let mut done = now;
+        self.clock = OpClock::issued_at(now);
         if let Some(token) = txn.token {
             let ios = self.log.commit(token);
             self.commits_seen += 1;
@@ -210,18 +228,16 @@ impl Engine {
                     self.mirror_failed.push(token);
                 }
             }
-            if let CrashPoint::Commit(k) = self.crash_point {
-                if self.commits_seen == k {
-                    self.crash_pending = true;
-                }
+            if self.crash_point == CrashPoint::Commit(self.commits_seen) {
+                self.crash_pending = true;
             }
             for _ in 0..ios {
-                done = self.submit_log_io(done, LogFlushKind::Commit);
+                self.submit_log_io(LogFlushKind::Commit);
             }
         }
         // The commit force is part of the transaction's log component.
         self.drain_span(u);
-        self.queue.schedule(done, Event::TxnDone(u));
+        self.queue.schedule(self.clock.now(), Event::TxnDone(u));
     }
 
     fn on_txn_done(&mut self, u: u32, now: SimTime) {
@@ -276,7 +292,7 @@ impl Engine {
     /// Aborted transactions are *not* recorded in the response metrics
     /// (reports describe committed work); their count and reasons are
     /// reported separately via [`crate::RunReport::faults`].
-    pub(super) fn abort_txn(&mut self, u: u32, err: EngineError, now: SimTime) {
+    fn abort_txn(&mut self, u: u32, err: EngineError, now: SimTime) {
         let txn = self.users[u as usize].take_active();
         // The failed op charged its waits (attempts + backoff) as they
         // accrued, so attribution still sums exactly; only the CPU tail
@@ -323,10 +339,8 @@ impl Engine {
     /// toward the measured response statistics.
     fn retire_txn(&mut self, u: u32, txn: &ActiveTxn, committed: bool, now: SimTime) {
         self.observe_degradation(txn.span.cluster_search_us, now);
-        if self.cfg.locking {
-            self.locks.release_all(TxnId(u as u64));
-            self.wake_parked(now);
-        }
+        self.locks.release_all(TxnId(u as u64));
+        self.wake_parked(now);
         if self.recent_kinds.len() == RW_WINDOW {
             self.recent_kinds.pop_front();
         }

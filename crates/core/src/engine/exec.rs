@@ -1,9 +1,10 @@
-//! The executor: `run_next_op` hands the next [`TxnOp`] of a transaction
-//! to one of four `exec_*` bodies, which walk it through buffer pool,
-//! cluster manager and log by way of the `charge_*` helpers and return
-//! when it completes — or the typed error that aborts the transaction.
+//! The executor: `execute_next_op` hands the next [`TxnOp`] of a
+//! transaction to one of four `exec_*` bodies, which walk it through
+//! buffer pool, cluster manager and log by way of the `charge_*` helpers
+//! — or return the typed error that aborts the transaction. It names no
+//! time: what each step costs is `charge.rs`'s operation clock.
 
-use super::{Engine, Event};
+use super::Engine;
 use crate::error::EngineError;
 use semcluster_clustering::{
     consider_split, execute_placement, execute_split, plan_placement_in, plan_recluster_in,
@@ -13,15 +14,11 @@ use semcluster_obs::{
     milli, AuditKind, CandidateAudit, FlushCause, Phase, PhaseToken, PlacementAudit, ReadCause,
     SplitVerdict, TraceEvent,
 };
-use semcluster_sim::{SimDuration, SimTime};
 use semcluster_storage::WalOp;
 use semcluster_vdm::{derive_version, CopyVsRefModel, NameKey, ObjectId, ReadQuery, RelKind};
 use semcluster_wal::TxnToken;
 use semcluster_workload::{CreateMode, QueryKind, TxnOp};
 use std::fmt::Write as _;
-
-/// Extra CPU service for running a page-split partition.
-const CPU_PER_SPLIT: SimDuration = SimDuration::from_millis(5);
 
 /// Minimum expected-cost gain before run-time reclustering moves an
 /// object.
@@ -40,56 +37,36 @@ fn audit_candidates(examined: &[ExaminedCandidate]) -> Vec<CandidateAudit> {
 }
 
 impl Engine {
-    /// Execute the next operation of user `u`'s transaction and schedule
-    /// its completion — or abort the transaction where it failed.
-    pub(super) fn run_next_op(&mut self, u: u32, now: SimTime) {
+    /// Execute the next operation of user `u`'s transaction on the
+    /// operation clock the caller started.
+    pub(super) fn execute_next_op(&mut self, u: u32) -> Result<(), EngineError> {
         let txn = self.users[u as usize].active();
         let op = txn.txn.ops[txn.next_op];
         txn.next_op += 1;
         let token = txn.token;
         let log_token =
             || token.expect("write txn holds a log token (invariant: non-read txns begin one)");
-        let done = match op {
-            TxnOp::Read { kind, root } => self.exec_read(u, kind, root, now),
-            TxnOp::Create { anchor, mode } => self.exec_create(u, anchor, mode, log_token(), now),
-            TxnOp::Update { target } => self.exec_update(u, target, log_token(), now),
-            TxnOp::Delete { target } => self.exec_delete(target, log_token(), now),
-        };
-        // On failure too — the waits up to the failure were real.
-        self.drain_span(u);
-        match done {
-            Ok(done) => self.queue.schedule(done.max(now), Event::OpDone(u)),
-            Err(err) => {
-                let at = match &err {
-                    EngineError::Io(e) => SimTime::from_micros(e.at_us),
-                    EngineError::Placement { .. } => now,
-                };
-                self.abort_txn(u, err, at.max(now));
-            }
+        match op {
+            TxnOp::Read { kind, root } => self.exec_read(u, kind, root),
+            TxnOp::Create { anchor, mode } => self.exec_create(u, anchor, mode, log_token()),
+            TxnOp::Update { target } => self.exec_update(u, target, log_token()),
+            TxnOp::Delete { target } => self.exec_delete(target, log_token()),
         }
     }
 
-    /// Move the attribution the last operation (or the commit force)
-    /// accumulated into the owning transaction's span.
-    pub(super) fn drain_span(&mut self, u: u32) {
-        let span = std::mem::take(&mut self.cur_span);
-        self.users[u as usize].active().span.add(&span);
-    }
-
-    /// Charge a placement search's candidate-page reads from `t` on:
-    /// they flow through the buffer manager, and their misses are search
-    /// I/Os, not demand reads. They nest under the scoring phase `ptok`
-    /// (zero simulated self cost: scoring is CPU work, charged through
-    /// the CPU server), closed here before a read failure propagates.
+    /// Charge a placement search's candidate-page reads: they flow
+    /// through the buffer manager, and their misses are search I/Os, not
+    /// demand reads. They nest under the scoring phase `ptok` (zero
+    /// simulated self cost: scoring is CPU work, charged through the CPU
+    /// server), closed here before a read failure propagates.
     fn charge_search(
         &mut self,
         examined: &[ExaminedCandidate],
-        t: SimTime,
         ptok: Option<PhaseToken>,
-    ) -> Result<SimTime, EngineError> {
-        let charged = examined.iter().try_fold(t, |t, c| {
-            self.charge_access(c.page, t, ReadCause::ClusterSearch)
-        });
+    ) -> Result<(), EngineError> {
+        let charged = examined
+            .iter()
+            .try_for_each(|c| self.charge_access(c.page, ReadCause::ClusterSearch));
         self.prof_exit(ptok, 0);
         charged
     }
@@ -111,13 +88,7 @@ impl Engine {
         self.cfg.clustering.resolve_adaptive(reads / writes)
     }
 
-    fn exec_read(
-        &mut self,
-        u: u32,
-        kind: QueryKind,
-        root: ObjectId,
-        now: SimTime,
-    ) -> Result<SimTime, EngineError> {
+    fn exec_read(&mut self, u: u32, kind: QueryKind, root: ObjectId) -> Result<(), EngineError> {
         let query = match kind {
             QueryKind::SimpleLookup => ReadQuery::SimpleLookup,
             QueryKind::ComponentRetrieval => ReadQuery::ComponentRetrieval,
@@ -137,35 +108,21 @@ impl Engine {
             &mut self.read_objects,
         );
 
-        let cpu_time = self
-            .cfg
-            .cpu_per_access
-            .times(self.read_objects.len() as u64);
-        let cpu_done = self.cpu.submit(now, cpu_time);
-
-        let mut t = now;
+        self.charge_cpu(self.read_objects.len() as u64);
         // By index: the accesses below need `&mut self`, and none of them
         // touches `read_objects`.
         for i in 0..self.read_objects.len() {
             let obj = self.read_objects[i];
             if let Some(page) = self.store.page_of(obj) {
-                t = self.charge_access(page, t, ReadCause::Demand)?;
+                self.charge_access(page, ReadCause::Demand)?;
             }
             if i == 0 {
                 self.context_boost(obj);
-                self.do_prefetch(obj, kind, now);
+                self.do_prefetch(obj, kind);
             }
         }
         self.generator.remember(u, root);
-        Ok(self.finish_op(t, cpu_done))
-    }
-
-    /// Close an operation: any time the CPU keeps the transaction busy
-    /// beyond its I/O chain is the operation's CPU component.
-    fn finish_op(&mut self, t: SimTime, cpu_done: SimTime) -> SimTime {
-        let done = cpu_done.max(t);
-        self.cur_span.cpu_us += done.since(t).as_micros();
-        done
+        Ok(())
     }
 
     fn exec_create(
@@ -174,8 +131,7 @@ impl Engine {
         anchor: ObjectId,
         mode: CreateMode,
         token: TxnToken,
-        now: SimTime,
-    ) -> Result<SimTime, EngineError> {
+    ) -> Result<(), EngineError> {
         // 1. Logical creation. The anchor can legally have been deleted
         // by an earlier transaction, so a missing anchor is a run
         // condition (the create aborts), not an invariant violation.
@@ -237,8 +193,8 @@ impl Engine {
             size,
             &mut self.scratch,
         );
-        let cpu_done = self.cpu.submit(now, self.cfg.cpu_per_access);
-        let mut t = self.charge_search(&plan.examined, now, ptok)?;
+        self.charge_cpu(1);
+        self.charge_search(&plan.examined, ptok)?;
 
         // 3. Page-overflow handling: bound for the append cursor because
         // the page it belongs on is full, the newcomer may split that
@@ -279,18 +235,15 @@ impl Engine {
             Some((full, split_plan)) => {
                 let outcome = execute_split(&mut self.store, &split_plan)
                     .map_err(|_| infeasible("split plan no longer feasible against the store"))?;
-                let split_cpu = self.cpu.submit(now, CPU_PER_SPLIT);
-                let chained = t.max(split_cpu);
-                self.cur_span.cpu_us += chained.since(t).as_micros();
-                t = chained;
-                t = self.charge_access(full, t, ReadCause::Demand)?;
-                t = self.charge_install(outcome.new_page, t)?;
+                self.charge_split_cpu();
+                self.charge_access(full, ReadCause::Demand)?;
+                self.charge_install(outcome.new_page)?;
                 self.pool.mark_dirty(full);
                 self.pool.mark_dirty(outcome.new_page);
                 // One extra I/O to flush the new page, plus a log
                 // record for the split (§5.1.2).
-                t = self.charge_flush(outcome.new_page, t, FlushCause::Split)?;
-                t = self.charge_log(token, outcome.new_page, size, t);
+                self.charge_flush(outcome.new_page, FlushCause::Split)?;
+                self.charge_log(token, outcome.new_page, size);
                 if self.mirror.is_some() {
                     // Each object the split carried off the full page
                     // is a logged move.
@@ -307,8 +260,9 @@ impl Engine {
                     }
                 }
                 self.registry.bump(self.counters.cluster_split);
+                let at = self.clock.now();
                 self.emit(|| TraceEvent::Split {
-                    at: t,
+                    at,
                     from: full,
                     new: outcome.new_page,
                 });
@@ -324,7 +278,7 @@ impl Engine {
 
         if let Some(audit) = self.audit.as_mut() {
             audit.push(PlacementAudit {
-                at: now,
+                at: self.clock.issued(),
                 kind: AuditKind::Create,
                 object: id.0,
                 candidates: audit_candidates(&plan.examined),
@@ -347,13 +301,13 @@ impl Engine {
             .page(landed)
             .map(|p| p.object_count() == 1)
             .unwrap_or(false);
-        t = if fresh {
-            self.charge_install(landed, t)?
+        if fresh {
+            self.charge_install(landed)?;
         } else {
-            self.charge_access(landed, t, ReadCause::Demand)?
-        };
+            self.charge_access(landed, ReadCause::Demand)?;
+        }
         self.pool.mark_dirty(landed);
-        t = self.charge_log(token, landed, size, t);
+        self.charge_log(token, landed, size);
         self.mirror_op(
             token,
             WalOp::Place {
@@ -366,7 +320,7 @@ impl Engine {
             self.metrics.objects_created += 1;
         }
         self.generator.remember(u, id);
-        Ok(self.finish_op(t, cpu_done))
+        Ok(())
     }
 
     fn exec_update(
@@ -374,16 +328,15 @@ impl Engine {
         u: u32,
         target: ObjectId,
         token: TxnToken,
-        now: SimTime,
-    ) -> Result<SimTime, EngineError> {
-        let cpu_done = self.cpu.submit(now, self.cfg.cpu_per_access);
+    ) -> Result<(), EngineError> {
+        self.charge_cpu(1);
         let (Some(page), Some(size)) = (self.store.page_of(target), self.store.size_of(target))
         else {
-            return Ok(self.finish_op(now, cpu_done));
+            return Ok(());
         };
-        let mut t = self.charge_access(page, now, ReadCause::Demand)?;
+        self.charge_access(page, ReadCause::Demand)?;
         self.pool.mark_dirty(page);
-        t = self.charge_log(token, page, size, t);
+        self.charge_log(token, page, size);
         self.mirror_op(
             token,
             WalOp::Touch {
@@ -410,13 +363,13 @@ impl Engine {
                 &mut self.scratch,
             );
             let examined = plan.as_ref().map_or(&[][..], |p| &p.examined);
-            t = self.charge_search(examined, t, ptok)?;
+            self.charge_search(examined, ptok)?;
             if let Some(plan) = plan {
                 let moved = self.store.move_object(target, plan.to).is_ok();
                 if moved {
                     self.pool.mark_dirty(page);
                     self.pool.mark_dirty(plan.to);
-                    t = self.charge_log(token, plan.to, size, t);
+                    self.charge_log(token, plan.to, size);
                     self.mirror_op(
                         token,
                         WalOp::Move {
@@ -427,8 +380,9 @@ impl Engine {
                         },
                     );
                     self.registry.bump(self.counters.cluster_recluster_move);
+                    let at = self.clock.now();
                     self.emit(|| TraceEvent::ReclusterMove {
-                        at: t,
+                        at,
                         object: target.0,
                         from: page,
                         to: plan.to,
@@ -436,7 +390,7 @@ impl Engine {
                 }
                 if let Some(audit) = self.audit.as_mut() {
                     audit.push(PlacementAudit {
-                        at: now,
+                        at: self.clock.issued(),
                         kind: AuditKind::Recluster,
                         object: target.0,
                         candidates: audit_candidates(&plan.examined),
@@ -452,30 +406,24 @@ impl Engine {
             }
         }
         self.generator.remember(u, target);
-        Ok(self.finish_op(t, cpu_done))
+        Ok(())
     }
 
     /// §4.1 query type 7 also covers deletion: remove the object
     /// logically (tombstoned; refused while by-reference inheritors
     /// exist) and physically, logging the page update.
-    fn exec_delete(
-        &mut self,
-        target: ObjectId,
-        token: TxnToken,
-        now: SimTime,
-    ) -> Result<SimTime, EngineError> {
-        let cpu_done = self.cpu.submit(now, self.cfg.cpu_per_access);
+    fn exec_delete(&mut self, target: ObjectId, token: TxnToken) -> Result<(), EngineError> {
+        self.charge_cpu(1);
         if self.db.delete_object(target).is_err() {
             // Already gone, or protected by inheritors: a no-op read of
             // the catalog.
-            return Ok(self.finish_op(now, cpu_done));
+            return Ok(());
         }
-        let mut t = now;
         if let (Some(page), Some(size)) = (self.store.page_of(target), self.store.size_of(target)) {
-            t = self.charge_access(page, t, ReadCause::Demand)?;
+            self.charge_access(page, ReadCause::Demand)?;
             let removed = self.store.remove(target).is_ok();
             self.pool.mark_dirty(page);
-            t = self.charge_log(token, page, size, t);
+            self.charge_log(token, page, size);
             if removed {
                 self.mirror_op(
                     token,
@@ -490,6 +438,6 @@ impl Engine {
                 self.metrics.objects_deleted += 1;
             }
         }
-        Ok(self.finish_op(t, cpu_done))
+        Ok(())
     }
 }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use semcluster::{
-    run_crash_matrix, run_simulation_observed, CrashMatrixConfig, FaultConfig, ObsConfig,
+    run_crash_matrix, run_simulation_observed, CrashMatrixConfig, Engine, FaultConfig, ObsConfig,
     SimConfig, SweepJob, SweepRunner,
 };
 use semcluster_clustering::ClusteringPolicy;
@@ -117,23 +117,28 @@ fn zero_rate_faults_are_inert() {
     assert!(!sa.to_json().contains("fault."));
 }
 
+/// Brutal error rates with two attempts per I/O: many page I/Os fail
+/// outright and abort their transactions.
+fn exhausting(seed: u64) -> SimConfig {
+    SimConfig {
+        faults: FaultConfig {
+            read_error_rate: 0.30,
+            write_error_rate: 0.20,
+            retry: semcluster_faults::RetryPolicy {
+                max_attempts: 2,
+                backoff_us: 1_000,
+                backoff_mult: 2,
+            },
+            ..FaultConfig::default()
+        },
+        ..tiny(seed)
+    }
+}
+
 #[test]
 fn retry_exhaustion_aborts_transactions_but_the_run_completes() {
-    // Brutal error rate with a single attempt: many page I/Os fail
-    // outright, their transactions abort — and the run still finishes,
-    // reporting the aborts instead of panicking.
-    let mut cfg = tiny(101);
-    cfg.faults = FaultConfig {
-        read_error_rate: 0.30,
-        write_error_rate: 0.20,
-        retry: semcluster_faults::RetryPolicy {
-            max_attempts: 2,
-            backoff_us: 1_000,
-            backoff_mult: 2,
-        },
-        ..FaultConfig::default()
-    };
-    let (report, obs) = run_simulation_observed(cfg, ObsConfig::default());
+    // The run still finishes, reporting the aborts instead of panicking.
+    let (report, obs) = run_simulation_observed(exhausting(101), ObsConfig::default());
     let snapshot = obs.metrics;
     assert!(report.faults_enabled);
     assert!(
@@ -158,6 +163,26 @@ fn retry_exhaustion_aborts_transactions_but_the_run_completes() {
     let json = snapshot.to_json();
     assert!(json.contains("fault.txn.abort"));
     assert!(json.contains("fault.io.read_error"));
+}
+
+#[test]
+fn stepping_through_aborts_reports_what_an_uninterrupted_run_does() {
+    // An abort ends its transaction where the failed I/O stopped the
+    // operation clock; stepping must land on the same instants.
+    let cfg = exhausting(101);
+    let target = cfg.warmup_txns + cfg.measured_txns;
+    let (whole, whole_obs) = run_simulation_observed(cfg.clone(), ObsConfig::default());
+    let mut engine = Engine::new(cfg);
+    let mut boundaries = 0;
+    while engine.step_transaction() {
+        boundaries += 1;
+        assert_eq!(engine.completed_txns(), boundaries);
+    }
+    assert_eq!(boundaries, target);
+    let (stepped, stepped_obs) = engine.run_observed();
+    assert!(stepped.faults.txn_aborts > 0, "{:?}", stepped.faults);
+    assert_eq!(stepped.to_json(), whole.to_json());
+    assert_eq!(stepped_obs.metrics.to_json(), whole_obs.metrics.to_json());
 }
 
 #[test]
