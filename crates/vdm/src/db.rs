@@ -10,6 +10,7 @@
 //! through the record's inheritance masks. [`ObjectName`] is the value
 //! type at the boundary; the `_key` siblings serve bulk creators.
 
+use crate::column::Column;
 use crate::graph::{GraphError, StructureGraph};
 use crate::id::{ObjectId, TypeId};
 use crate::name::{Interner, NameIndex, NameKey, ObjectName, Sym};
@@ -70,8 +71,8 @@ impl From<GraphError> for DbError {
 pub struct Database {
     lattice: TypeLattice,
     names: Interner,
-    objects: Vec<DesignObject>,
-    live: Vec<bool>,
+    objects: Column<DesignObject>,
+    live: Column<bool>,
     index: NameIndex,
     graph: StructureGraph,
 }
@@ -105,8 +106,9 @@ impl Database {
         self.objects.len()
     }
 
-    /// Room for `n` more objects in every per-object array (records,
-    /// liveness, name index, graph nodes), so a bulk build never regrows.
+    /// Room for `n` more objects in every per-object column (records,
+    /// liveness, name index, graph nodes), allocated up front. Past it
+    /// each column still grows a chunk at a time, moving no record.
     pub fn reserve(&mut self, n: usize) {
         self.objects.reserve(n);
         self.live.reserve(n);
@@ -443,6 +445,32 @@ mod tests {
         // Deleting the inheritor first unblocks the provider.
         db.delete_object(child).unwrap();
         db.delete_object(parent).unwrap();
+    }
+
+    /// Growth past the reservation appends chunks: object 0's record and
+    /// its node's inline neighbour slice stay where they were stored.
+    #[test]
+    fn records_stay_put_as_the_database_outgrows_its_reservation() {
+        let (mut db, ty) = db_with_type();
+        let reserved = 10_000;
+        db.reserve(reserved);
+        let name = |i: usize| ObjectName::new(format!("M{i}"), 1, "layout");
+        let a = db.create_object(name(0), ty, 10).unwrap();
+        let b = db.create_object(name(1), ty, 10).unwrap();
+        db.relate(RelKind::Configuration, a, b).unwrap();
+        let record: *const DesignObject = db.get(a).unwrap();
+        let slice = db.graph().components(a).as_ptr();
+        for i in 2..4 * reserved {
+            db.create_object(name(i), ty, 10).unwrap();
+        }
+        assert_eq!(db.object_count(), 4 * reserved);
+        assert_eq!(db.get(a).unwrap() as *const DesignObject, record);
+        assert_eq!(db.graph().components(a).as_ptr(), slice);
+        assert_eq!(db.graph().components(a), &[b]);
+        assert_eq!(
+            db.lookup(&name(4 * reserved - 1)),
+            Some(ObjectId(4 * reserved as u32 - 1))
+        );
     }
 
     #[test]

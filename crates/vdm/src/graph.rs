@@ -23,6 +23,7 @@
 //! at the end of the segment and `remove_edge` swap-removes within it,
 //! exactly what a `Vec` per list did.
 
+use crate::column::Column;
 use crate::id::ObjectId;
 use crate::relationship::{Direction, RelKind};
 use std::fmt;
@@ -158,7 +159,7 @@ impl WalkScratch {
 /// Typed, bidirectional adjacency over all objects.
 #[derive(Debug, Clone, Default)]
 pub struct StructureGraph {
-    nodes: Vec<Node>,
+    nodes: Column<Node>,
     /// Runs too long for their node record, by `Node::spill`.
     spill: Vec<Vec<ObjectId>>,
     /// Emptied slots of `spill`, reused before it grows.
@@ -176,12 +177,10 @@ impl StructureGraph {
 
     /// Make sure node storage covers `id`.
     pub fn ensure_node(&mut self, id: ObjectId) {
-        if id.index() >= self.nodes.len() {
-            self.nodes.resize_with(id.index() + 1, Node::default);
-        }
+        self.nodes.extend_to(id.index() + 1, Node::default);
     }
 
-    /// Room for `n` more node records without regrowing.
+    /// Room for `n` more node records, allocated up front.
     pub(crate) fn reserve(&mut self, n: usize) {
         self.nodes.reserve(n);
     }

@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 mod builder;
+mod column;
 mod db;
 mod dethash;
 mod graph;

@@ -8,6 +8,7 @@
 //! strings replaced by [`Sym`] handles into the database's interner, so
 //! it is 12 bytes, `Copy`, and hashes without touching a string.
 
+use crate::column::Column;
 use crate::dethash::DetState;
 use crate::id::ObjectId;
 use crate::object::DesignObject;
@@ -107,9 +108,9 @@ pub(crate) struct NameIndex {
     /// Per base `Sym`: the top of one of its lineages.
     heads: Vec<u32>,
     /// Per object: the next object down its lineage.
-    below: Vec<u32>,
+    below: Column<u32>,
     /// Per lineage top: the top of its base's next lineage.
-    next_lineage: Vec<u32>,
+    next_lineage: Column<u32>,
 }
 
 impl NameIndex {
@@ -122,7 +123,11 @@ impl NameIndex {
 
     /// Walk `key`'s lineage: the top chained before its top, the object
     /// above the first at or below `key.version`, and that one (or NONE).
-    fn seek(&self, key: NameKey, objects: &[DesignObject]) -> (Option<u32>, Option<u32>, u32) {
+    fn seek(
+        &self,
+        key: NameKey,
+        objects: &Column<DesignObject>,
+    ) -> (Option<u32>, Option<u32>, u32) {
         let mut at = self.heads.get(key.base.0 as usize).copied().unwrap_or(NONE);
         let (mut before, mut above) = (None, None);
         while at != NONE && objects[at as usize].name.rep != key.rep {
@@ -135,13 +140,13 @@ impl NameIndex {
     }
 
     /// The highest object of `key`'s lineage at or below its version.
-    pub(crate) fn floor(&self, key: NameKey, objects: &[DesignObject]) -> Option<ObjectId> {
+    pub(crate) fn floor(&self, key: NameKey, objects: &Column<DesignObject>) -> Option<ObjectId> {
         let (_, _, at) = self.seek(key, objects);
         (at != NONE).then_some(ObjectId(at))
     }
 
     /// Record that `id`, the object after `objects`, is named `key`.
-    pub(crate) fn push(&mut self, key: NameKey, id: ObjectId, objects: &[DesignObject]) {
+    pub(crate) fn push(&mut self, key: NameKey, id: ObjectId, objects: &Column<DesignObject>) {
         let base = key.base.0 as usize;
         if base >= self.heads.len() {
             self.heads.resize(base + 1, NONE);
