@@ -105,9 +105,11 @@ echo "determinism guard: OK (no raw HashMap/HashSet in simulation state, no hash
 
 # Purity guard for the serve path's deterministic layers (DESIGN.md
 # §16–17): the wire protocol, the connection FSM, admission control,
-# the telemetry registry + SLO tracker, and the network-chaos planner
-# are replayed byte-exactly in unit tests and the chaos/stats goldens,
-# so they must never read a clock or an OS RNG — time enters only as an
+# the telemetry registry, `top`'s client-side window over two STATS
+# snapshots (it windows on the server's uptime_ms, never a local
+# clock), and the network-chaos planner are replayed byte-exactly in
+# unit tests and the chaos/stats goldens, so they must never read a
+# clock or an OS RNG — time enters only as an
 # argument (now_ms / microsecond stamps) and randomness only as a keyed
 # hash of (seed, coordinates). The impure modules own the real clocks,
 # threads and sockets; wall-clock reads on the serve path are confined
@@ -122,7 +124,7 @@ pure=(
     crates/core/src/serve/session.rs
     crates/core/src/serve/admission.rs
     crates/core/src/serve/stats.rs
-    crates/core/src/serve/slo.rs
+    crates/cli/src/topcmd.rs
     crates/obs/src/metrics.rs
     crates/faults/src/netchaos.rs
 )
@@ -134,7 +136,7 @@ if [ -n "$impure_hits" ]; then
     echo "keyed hash of (seed, coordinates) instead." >&2
     exit 1
 fi
-echo "determinism guard: OK (serve FSM/protocol/admission/stats/slo/chaos and the obs histogram are clock- and RNG-free)"
+echo "determinism guard: OK (serve FSM/protocol/admission/stats/chaos, top's window and the obs histogram are clock- and RNG-free)"
 
 # Seam guard (ROADMAP item 1): the executor names no time. The cost
 # model — the operation clock (engine/charge.rs's OpClock), the CPU,

@@ -323,13 +323,6 @@ impl BufferPool {
             .unwrap_or(false)
     }
 
-    /// Clean a page after an explicit flush (checkpoint, commit force).
-    pub fn mark_clean(&mut self, page: PageId) {
-        if let Some(slot) = self.slot_of(page) {
-            self.frames[slot].dirty = false;
-        }
-    }
-
     /// Pin a resident page: pinned pages are never chosen as eviction
     /// victims. Returns `false` when the page is not resident. Pins
     /// nest; match every pin with an [`BufferPool::unpin`].
@@ -616,8 +609,6 @@ mod tests {
         pool.mark_dirty(p(1));
         pool.mark_dirty(p(2));
         assert_eq!(pool.dirty_pages().len(), 2);
-        pool.mark_clean(p(1));
-        assert_eq!(pool.dirty_pages(), vec![p(2)]);
     }
 
     #[test]

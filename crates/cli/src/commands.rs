@@ -109,10 +109,7 @@ pub const COMMANDS: &[Command] = &[
             "max-inflight",
             "group-window-us",
             "objects",
-            "timeline",
-            "timeline-interval-ms",
             "metrics-addr",
-            "slo-window",
             "chrome-trace",
             "trace-requests",
             "drain-linger-ms",
@@ -575,8 +572,15 @@ mod tests {
             assert!(err.contains("--no-such-flag"), "{err}");
             assert!(err.contains(command.name), "{err}");
         }
-        // The near-misses that used to run the default configuration.
-        for line in ["simulate --buffer-page 50", "simulate --mbytes 0"] {
+        // The near-misses that used to run the default configuration,
+        // and the serve flags whose server-side window is gone.
+        for line in [
+            "simulate --buffer-page 50",
+            "simulate --mbytes 0",
+            "serve --slo-window 30",
+            "serve --timeline t.json",
+            "serve --timeline-interval-ms 100",
+        ] {
             assert_eq!(dispatch(&parse(line)).unwrap_err().code, EXIT_USAGE);
         }
         let err = dispatch(&parse("reorg extra")).unwrap_err();

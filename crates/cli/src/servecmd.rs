@@ -18,8 +18,8 @@ use crate::error::CliError;
 use crate::simulate::config_from_args;
 use semcluster::serve::{
     read_frame, run_load, write_frame, ErrorKind, LoadConfig, Request, RequestCounts,
-    RequestStamps, Response, ServeConfig, ServeMode, ServeReport, ServeStats, Server, SloTracker,
-    TxnOp, TxnRequest,
+    RequestStamps, Response, ServeConfig, ServeMode, ServeReport, ServeStats, Server, TxnOp,
+    TxnRequest,
 };
 use semcluster_faults::{NetChaosConfig, NetChaosPlan};
 use semcluster_obs::{ChromeTraceSink, TraceSink};
@@ -89,13 +89,7 @@ fn serve_config_from_args(args: &Args) -> Result<ServeConfig, CliError> {
         max_inflight_per_conn: args.get_parsed("max-inflight", defaults.max_inflight_per_conn)?,
         group_window_us: args.get_parsed("group-window-us", defaults.group_window_us)?,
         objects: args.get_parsed("objects", defaults.objects)?,
-        timeline_interval_ms: if args.get("timeline").is_some() {
-            args.get_parsed("timeline-interval-ms", 100u64)?
-        } else {
-            0
-        },
         metrics_addr: args.get("metrics-addr").map(str::to_string),
-        slo_window: args.get_parsed("slo-window", defaults.slo_window)?,
         drain_linger_ms: args.get_parsed("drain-linger-ms", defaults.drain_linger_ms)?,
         // --chrome-trace needs per-request attribution records retained;
         // the cap bounds drain-time memory on long-running servers.
@@ -130,16 +124,8 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         std::thread::sleep(Duration::from_millis(50));
     }
     let report = handle.join().map_err(|e| CliError::from_serve(&e))?;
-    // The timeline and Chrome-trace artifacts are written before the
-    // ACID check so a failing run still leaves its diagnostics behind.
-    if let Some(path) = args.get("timeline") {
-        let timeline = report
-            .timeline
-            .as_ref()
-            .ok_or_else(|| CliError::general("serve: --timeline requires sampling enabled"))?;
-        std::fs::write(path, timeline.to_json())
-            .map_err(|e| CliError::general(format!("serve: cannot write {path}: {e}")))?;
-    }
+    // The Chrome-trace artifact is written before the ACID check so a
+    // failing run still leaves its diagnostics behind.
     if let Some(path) = args.get("chrome-trace") {
         write_serve_chrome_trace(&report, path)?;
     }
@@ -237,9 +223,9 @@ pub fn chaos_golden_render(_jobs: usize) -> Result<String, String> {
 /// Render the stats golden. Two sections, both byte-stable and
 /// jobs-invariant:
 ///
-/// * `synthetic` — a fixed replay through the public [`ServeStats`] and
-///   [`SloTracker`] APIs (stamps injected, no clocks), pinning the full
-///   JSON *and* Prometheus renders byte-for-byte;
+/// * `synthetic` — a fixed replay through the public [`ServeStats`] API
+///   (stamps injected, no clocks), pinning the full JSON *and*
+///   Prometheus renders byte-for-byte;
 /// * `oracle-live` — a real oracle-mode server probed over TCP with a
 ///   scripted HELLO + 8×TXN + PING + STATS conversation, keeping only
 ///   the wall-clock-free lines of the STATS reply (schema, counters,
@@ -250,7 +236,6 @@ pub fn stats_golden_render(_jobs: usize) -> Result<String, String> {
 
     out.push_str("{\"section\":\"synthetic\"}\n");
     let stats = ServeStats::new();
-    let mut slo = SloTracker::new(3);
     stats.conn_opened();
     stats.bump_sessions(4);
     stats.add_requests(
@@ -279,11 +264,6 @@ pub fn stats_golden_render(_jobs: usize) -> Result<String, String> {
         if i % 2 == 0 {
             stats.record_commit();
         }
-        // Mid-replay observations exercise the tracker's delta logic;
-        // the window of 3 forces the first tick to age out.
-        if i == 1 || i == 3 {
-            slo.observe(&stats.snapshot(100 * i, false));
-        }
     }
     stats.record_ack();
     stats.record_error(ErrorKind::Overloaded);
@@ -293,10 +273,7 @@ pub fn stats_golden_render(_jobs: usize) -> Result<String, String> {
     stats.queue_enter();
     stats.queue_leave();
     stats.set_admission_shedding(true);
-    let mut snap = stats.snapshot(777, false);
-    slo.observe(&snap);
-    slo.observe(&snap);
-    snap.slo = Some(slo.summary());
+    let snap = stats.snapshot(777, false);
     out.push_str(&snap.to_json());
     out.push_str("{\"section\":\"prometheus\"}\n");
     out.push_str(&snap.to_prometheus());
@@ -422,10 +399,6 @@ mod tests {
         assert_eq!(cfg.queue_cap, 32);
         assert_eq!(cfg.default_deadline_ms, 250);
         assert_eq!(cfg.group_window_us, 50);
-        assert_eq!(
-            cfg.timeline_interval_ms, 0,
-            "sampling off without --timeline"
-        );
         assert_eq!(cfg.metrics_addr, None, "metrics endpoint off by default");
         assert_eq!(cfg.trace_requests, 0, "trace retention off by default");
         assert_eq!(cfg.drain_linger_ms, 0, "prompt drain by default");
@@ -434,12 +407,8 @@ mod tests {
             cfg.group_window_us, 0,
             "the committer forces at once by default"
         );
-        let cfg = serve_config_from_args(&parse(
-            "serve --mode oracle --workload med5-10 --timeline t.json",
-        ))
-        .unwrap();
+        let cfg = serve_config_from_args(&parse("serve --mode oracle --workload med5-10")).unwrap();
         assert!(matches!(cfg.mode, ServeMode::Oracle(_)));
-        assert_eq!(cfg.timeline_interval_ms, 100);
         assert!(serve_config_from_args(&parse("serve --mode nope")).is_err());
         // A flag only the other mode reads is named and refused, exit 2...
         for (line, flag, needs) in [
@@ -471,12 +440,10 @@ mod tests {
         .unwrap();
         assert_eq!((cfg.queue_cap, cfg.default_deadline_ms), (2, 250));
         let cfg = serve_config_from_args(&parse(
-            "serve --metrics-addr 127.0.0.1:9100 --slo-window 12 --chrome-trace t.json \
-             --drain-linger-ms 2500",
+            "serve --metrics-addr 127.0.0.1:9100 --chrome-trace t.json --drain-linger-ms 2500",
         ))
         .unwrap();
         assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:9100"));
-        assert_eq!(cfg.slo_window, 12);
         assert_eq!(cfg.drain_linger_ms, 2500);
         assert_eq!(
             cfg.trace_requests, 100_000,

@@ -23,9 +23,7 @@ USAGE:
                          [--path FILE] [--jobs N]
   semclusterctl serve    [--addr HOST:PORT] [--mode concurrent|oracle]
                          [--queue-cap N] [--deadline-ms N]
-                         [--max-inflight N] [--timeline FILE]
-                         [--timeline-interval-ms N]
-                         [--metrics-addr HOST:PORT] [--slo-window N]
+                         [--max-inflight N] [--metrics-addr HOST:PORT]
                          [--chrome-trace FILE] [--trace-requests N]
                          [--drain-linger-ms N]
                          [concurrent mode only: --workers N
@@ -122,7 +120,7 @@ CONFIG:
   serve --metrics-addr additionally serves a read-only Prometheus text
   exposition of the live telemetry registry (per-opcode request
   counters, typed-error counters, gauges, per-phase latency histograms,
-  rolling SLO summary) over HTTP; it keeps answering through drain. A
+  all cumulative) over HTTP; it keeps answering through drain. A
   STATS frame on the main port returns the same snapshot as versioned
   JSON, even while draining or overloaded; --drain-linger-ms keeps idle
   connections open for such probes once a drain begins (default 0 =
@@ -131,10 +129,13 @@ CONFIG:
   lock-wait / engine-exec / commit-wait / reply-write spans that sum to
   the total exactly; serve --chrome-trace writes the retained
   per-request spans as a `serve-requests` lane for chrome://tracing.
-  top polls STATS at a fixed interval and renders a one-line-per-tick
-  terminal view (throughput, queue depth, rolling p50/p99, error rate);
-  --raw prints the snapshot JSON verbatim instead. golden --suite stats
-  pins the telemetry renders (synthetic replay + live oracle probe).
+  The server keeps no window: top polls STATS every --interval-ms and
+  differences each snapshot from the one before (the first from zero)
+  into a one-line-per-tick view (throughput, queue depth, p50/p99 and
+  error/shed rates over that interval); --raw prints each snapshot's
+  JSON verbatim instead, a wall-clock series of every counter, gauge
+  and histogram. golden --suite stats pins the telemetry renders
+  (synthetic replay + live oracle probe).
   crash-matrix shadows a small workload with the durable file-backed
   page store and crashes it at every commit boundary plus sampled
   intra-transaction, torn-log, crash-at-syscall and fsync-failure

@@ -10,10 +10,11 @@
 //!   deadline/drain/malformed races are unit-tested deterministically;
 //! * [`AdmissionControl`] is a pure hysteresis controller over queue
 //!   depth observations;
-//! * [`stats`] and [`slo`] are the live-telemetry layer — an atomic
-//!   [`ServeStats`] registry (one name table, `semcluster_obs`'s
-//!   histogram cells) plus a clock-free sliding-window [`SloTracker`];
-//!   both take time only as injected arguments;
+//! * [`stats`] is the live-telemetry layer — an atomic [`ServeStats`]
+//!   registry (one name table, `semcluster_obs`'s histogram cells) of
+//!   cumulative counters, gauges and histograms, taking time only as
+//!   injected arguments. The server keeps no window of its own: a
+//!   reader differences two snapshots;
 //! * the impure rest is three modules along one seam: `server`
 //!   ([`Server`]: config, report, start/accept/drain, metrics endpoint),
 //!   `conn` (reader, driver, and `submit` — the one admission gate into
@@ -36,7 +37,6 @@ mod load;
 mod protocol;
 mod server;
 mod session;
-pub mod slo;
 pub mod stats;
 
 pub use admission::AdmissionControl;
@@ -47,7 +47,6 @@ pub use protocol::{
 };
 pub use server::{ServeConfig, ServeMode, ServeReport, Server, ServerHandle};
 pub use session::{ConnFsm, ConnState, ExecResult, FsmAction, FsmInput};
-pub use slo::{SloSummary, SloTracker};
 pub use stats::{
     RequestCounts, RequestSpans, RequestStamps, RequestTraceRecord, ServeStats, StatsSnapshot,
     COUNTER_NAMES, SPAN_NAMES, STATS_SCHEMA,

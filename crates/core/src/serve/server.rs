@@ -3,16 +3,17 @@
 //! Std-only threading: one accept thread (which also owns start-up and
 //! drain), a reader + driver pair per connection ([`super::conn`]), a
 //! bank of executor workers over the one bounded job queue
-//! ([`super::exec`]), a sampler that advances the SLO window (and the
-//! optional timeline), and an optional Prometheus listener; none of them
-//! naps ([`wake`]). The two [`ServeMode`]s share all of it and differ
-//! only in the backend the workers call: the oracle's one worker steps
-//! a deterministic [`crate::Engine`], so REPORT is byte-identical to
-//! [`crate::run_simulation`] — the equivalence contract that keeps the
-//! simulator the correctness oracle for the served path — while
-//! concurrent mode drives one shared core under locks and group commit
-//! and, at drain, checks every acknowledged transaction against the
-//! tokens its committer forced.
+//! ([`super::exec`]), and an optional Prometheus listener; none of them
+//! naps ([`wake`]). The server keeps only cumulative books: a reader
+//! that wants a window (`semclusterctl top`, a PromQL `rate`)
+//! differences two snapshots itself. The two [`ServeMode`]s share all
+//! of it and differ only in the backend the workers call: the oracle's
+//! one worker steps a deterministic [`crate::Engine`], so REPORT is
+//! byte-identical to [`crate::run_simulation`] — the equivalence
+//! contract that keeps the simulator the correctness oracle for the
+//! served path — while concurrent mode drives one shared core under
+//! locks and group commit and, at drain, checks every acknowledged
+//! transaction against the tokens its committer forced.
 //!
 //! Hardening on every path, in both modes: per-request deadlines
 //! (expired work is dropped, typed timeout replies), admission control
@@ -26,24 +27,21 @@ use std::io::Write as _;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use semcluster_faults::RetryPolicy;
-use semcluster_obs::{ServePoint, ServeTimeline};
 
 use super::admission::AdmissionControl;
 use super::conn::{open_conn, Conn, ConnEvent};
 use super::exec::{Backend, Job};
-use super::slo::SloTracker;
 use super::stats::{RequestTraceRecord, ServeStats, StatsSnapshot};
 use super::{spawn, ServeError};
 use crate::config::SimConfig;
 
 /// The server's clock tick, in milliseconds: how often a connection
-/// driver with nothing to read sweeps its deadlines, and the sampler's
-/// period when no timeline interval is asked for.
+/// driver with nothing to read sweeps its deadlines.
 pub(super) const TICK_MS: u64 = 20;
 
 /// Admission hysteresis: shedding starts at `queue_cap` and ends after
@@ -88,13 +86,9 @@ pub struct ServeConfig {
     pub group_window_us: u64,
     /// Object-id space for concurrent-mode transactions.
     pub objects: u32,
-    /// Timeline sampling interval in milliseconds (0 = off).
-    pub timeline_interval_ms: u64,
     /// Optional address for the Prometheus text-exposition listener
     /// (`None` = no metrics endpoint).
     pub metrics_addr: Option<String>,
-    /// SLO sliding-window length, in sampler ticks.
-    pub slo_window: usize,
     /// Per-request attribution records to retain for the Chrome-trace
     /// server lane (0 = off).
     pub trace_requests: usize,
@@ -116,9 +110,7 @@ impl Default for ServeConfig {
             retry: RetryPolicy::default(),
             group_window_us: 0,
             objects: 4_096,
-            timeline_interval_ms: 0,
             metrics_addr: None,
-            slo_window: 30,
             trace_requests: 0,
             drain_linger_ms: 0,
         }
@@ -158,8 +150,6 @@ pub struct ServeReport {
     pub acid_violations: u64,
     /// All connections drained and joined cleanly.
     pub clean_drain: bool,
-    /// Wall-clock health samples, when sampling was enabled.
-    pub timeline: Option<ServeTimeline>,
     /// Final telemetry snapshot (the same shape STATS serves live),
     /// taken after every recorder thread joined, so it is exact.
     pub stats: StatsSnapshot,
@@ -218,15 +208,9 @@ pub(super) struct Shared {
     /// clones it, and the drain takes it so the workers see the end.
     pub(super) exec: Mutex<Option<SyncSender<Job>>>,
     pub(super) backend: Backend,
-    slo: Mutex<SloTracker>,
-    /// Health samples, when [`ServeConfig::timeline_interval_ms`] asks.
-    timeline: Option<Mutex<ServeTimeline>>,
-    /// Stops the sampler and the Prometheus endpoint. Both run until the
-    /// drain has completed, so operators can watch the drain itself.
+    /// Stops the Prometheus endpoint. It runs until the drain has
+    /// completed, so operators can watch the drain itself.
     watchers_stop: AtomicBool,
-    /// Held by the sampler except while it waits on `sampler_wake`.
-    sampler_gate: Mutex<()>,
-    sampler_wake: Condvar,
     pub(super) request_trace: Mutex<Vec<RequestTraceRecord>>,
 }
 
@@ -242,13 +226,8 @@ impl Shared {
                 ADMISSION_EXIT_PCT,
                 ADMISSION_CALM_WINDOW,
             )),
-            slo: Mutex::new(SloTracker::new(cfg.slo_window)),
             backend: Backend::new(&cfg),
-            timeline: (cfg.timeline_interval_ms > 0)
-                .then(|| Mutex::new(ServeTimeline::new(cfg.timeline_interval_ms))),
             watchers_stop: AtomicBool::new(false),
-            sampler_gate: Mutex::new(()),
-            sampler_wake: Condvar::new(),
             cfg,
             stats: ServeStats::new(),
             shutdown,
@@ -268,15 +247,12 @@ impl Shared {
         self.start.elapsed().as_micros() as u64
     }
 
-    /// Full telemetry snapshot: registry + rolling SLO summary. The
-    /// only wall-clock read is `uptime_ms`, injected here — the
+    /// Full telemetry snapshot of the cumulative registry. The only
+    /// wall-clock read is `uptime_ms`, injected here — the
     /// snapshot/render code itself stays pure.
     pub(super) fn snapshot(&self) -> StatsSnapshot {
-        let mut snap = self
-            .stats
-            .snapshot(self.now_ms(), self.shutdown.load(Ordering::SeqCst));
-        snap.slo = Some(lock(&self.slo).summary());
-        snap
+        self.stats
+            .snapshot(self.now_ms(), self.shutdown.load(Ordering::SeqCst))
     }
 
     pub(super) fn stats_json(&self) -> String {
@@ -425,45 +401,6 @@ fn metrics_conn(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.shutdown(SockShutdown::Both);
 }
 
-/// The sampler: always runs — it is what advances the SLO window — and
-/// additionally records timeline points when sampling was requested.
-/// Between ticks it waits on `sampler_wake`, which the drain notifies.
-fn sampler_loop(shared: &Shared) {
-    let period = Duration::from_millis(match shared.cfg.timeline_interval_ms {
-        0 => TICK_MS,
-        requested => requested,
-    });
-    let running = |_: &mut ()| !shared.watchers_stop.load(Ordering::SeqCst);
-    let mut gate = lock(&shared.sampler_gate);
-    while !shared.watchers_stop.load(Ordering::SeqCst) {
-        sample(shared);
-        gate = shared
-            .sampler_wake
-            .wait_timeout_while(gate, period, running)
-            .unwrap_or_else(PoisonError::into_inner)
-            .0;
-    }
-}
-
-/// One sampler tick: advance the SLO window, record a timeline point.
-fn sample(shared: &Shared) {
-    let snap = shared
-        .stats
-        .snapshot(shared.now_ms(), shared.shutdown.load(Ordering::SeqCst));
-    lock(&shared.slo).observe(&snap);
-    if let Some(timeline) = &shared.timeline {
-        lock(timeline).push(ServePoint {
-            t_ms: snap.uptime_ms,
-            queue_depth: snap.gauge("queue_depth"),
-            connections: snap.gauge("connections_live"),
-            sessions: snap.gauge("sessions_live"),
-            acked: snap.counter("acked"),
-            sheds: snap.counter("err.overloaded"),
-            deadline_misses: snap.counter("err.deadline"),
-        });
-    }
-}
-
 fn accept_loop(
     (listener, addr): (TcpListener, SocketAddr),
     metrics: Option<(TcpListener, SocketAddr)>,
@@ -476,22 +413,18 @@ fn accept_loop(
         listen_addr: Some(addr),
         ..Shared::new(cfg, Arc::clone(&shutdown), Some(jobs))
     });
-    let metrics_addr = metrics.as_ref().map(|&(_, addr)| addr);
-    let (mut workers, mut watchers) = (Vec::new(), Vec::new());
+    let (mut workers, mut watcher) = (Vec::new(), None);
     let start_threads = || -> Result<(), ServeError> {
         shared
             .backend
             .spawn_workers(job_rx, &shared, &mut workers)?;
-        let shared2 = Arc::clone(&shared);
-        watchers.push(spawn("serve-timeline".into(), move || {
-            sampler_loop(&shared2)
-        })?);
-        if let Some((listener, _)) = metrics {
+        if let Some((listener, addr)) = metrics {
             let shared2 = Arc::clone(&shared);
-            watchers.push(spawn("serve-metrics".into(), move || {
+            let thread = spawn("serve-metrics".into(), move || {
                 let serve = |stream| metrics_conn(stream, &shared2);
                 accept_until(&listener, &shared2.watchers_stop, serve)
-            })?);
+            })?;
+            watcher = Some((thread, addr));
         }
         Ok(())
     };
@@ -511,16 +444,17 @@ fn accept_loop(
             conns.push(conn);
         }
     });
-    drain(&shared, conns, workers, watchers, metrics_addr, clean_drain)
+    drain(&shared, conns, workers, watcher, clean_drain)
 }
 
-/// Drain the connections and the executor, then take the final report.
+/// Drain the connections and the executor, then stop the metrics
+/// listener (`watcher`: its thread and address) and take the final
+/// report.
 fn drain(
     shared: &Shared,
     conns: Vec<Conn>,
     workers: Vec<JoinHandle<()>>,
-    watchers: Vec<JoinHandle<()>>,
-    metrics_addr: Option<SocketAddr>,
+    watcher: Option<(JoinHandle<()>, SocketAddr)>,
     mut clean_drain: bool,
 ) -> ServeReport {
     for conn in &conns {
@@ -537,16 +471,11 @@ fn drain(
     let acid_violations = shared.backend.drain_verdict(&lock(&shared.acked_tokens));
 
     // Stop watching only once the final (exact — all recorders joined)
-    // snapshot is about to be taken. Passing through the sampler's gate
-    // after setting the flag means it is either waiting, and gets the
-    // notify, or has yet to read the flag.
-    wake(&shared.watchers_stop, metrics_addr);
-    drop(lock(&shared.sampler_gate));
-    shared.sampler_wake.notify_all();
-    for h in watchers {
-        let _ = h.join();
+    // snapshot is about to be taken.
+    if let Some((thread, addr)) = watcher {
+        wake(&shared.watchers_stop, Some(addr));
+        let _ = thread.join();
     }
-    let timeline = shared.timeline.as_ref().map(|t| lock(t).clone());
 
     let stats = shared.snapshot();
     let request_trace = std::mem::take(&mut *lock(&shared.request_trace));
@@ -565,7 +494,6 @@ fn drain(
         group_txns: stats.counter("group_txns"),
         acid_violations,
         clean_drain,
-        timeline,
         stats,
         request_trace,
     }
@@ -585,36 +513,20 @@ mod tests {
     }
 
     #[test]
-    fn a_panicked_peer_does_not_stop_the_snapshot_sampler_or_drain() {
-        // A ten-second period: the drain must end the sampler's wait, not
-        // sit it out.
-        let cfg = ServeConfig {
-            timeline_interval_ms: 10_000,
-            ..ServeConfig::default()
-        };
+    fn a_panicked_peer_holding_the_acked_tokens_does_not_stop_the_drain() {
+        let cfg = ServeConfig::default();
         let shared = Arc::new(Shared::new(cfg, Arc::new(AtomicBool::new(false)), None));
         let peer = Arc::clone(&shared);
         let panicked = thread::spawn(move || {
-            let _slo = peer.slo.lock();
             let _acked = peer.acked_tokens.lock();
-            panic!("a connection driver panics holding both locks");
+            panic!("a connection driver panics holding the acked tokens");
         })
         .join();
         assert!(panicked.is_err());
-        assert!(shared.slo.is_poisoned() && shared.acked_tokens.is_poisoned());
+        assert!(shared.acked_tokens.is_poisoned());
 
-        assert!(shared.snapshot().slo.is_some());
-        sample(&shared);
-        let sampler = Arc::clone(&shared);
-        let sampler = thread::spawn(move || sampler_loop(&sampler));
-        let draining = Instant::now();
-        let report = drain(&shared, Vec::new(), Vec::new(), vec![sampler], None, true);
-        let took = draining.elapsed();
-        assert!(took < Duration::from_secs(1), "drain took {took:?}");
+        let report = drain(&shared, Vec::new(), Vec::new(), None, true);
         assert!(report.clean_drain);
         assert_eq!(report.acid_violations, 0);
-        // Our tick, and at most one the sampler took before it stopped.
-        let points = report.timeline.map_or(0, |t| t.points.len());
-        assert!((1..=2).contains(&points), "{points} timeline points");
     }
 }

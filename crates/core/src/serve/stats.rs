@@ -32,7 +32,7 @@ use super::protocol::ErrorKind;
 /// Snapshot schema version, stamped into every render and carried in
 /// the STATS response frame. Bump when a field is added, removed or
 /// renamed so scrapers can detect incompatible servers.
-pub const STATS_SCHEMA: u32 = 1;
+pub const STATS_SCHEMA: u32 = 2;
 
 /// Declares an index enum beside its name list, so a counter or gauge
 /// is spelled once and an index cannot drift from its name.
@@ -380,7 +380,6 @@ impl ServeStats {
             latency_us: names(&SPAN_NAMES)
                 .zip(self.latency.iter().map(AtomicHistogram::snapshot))
                 .collect(),
-            slo: None,
         }
     }
 }
@@ -404,8 +403,6 @@ pub struct StatsSnapshot {
     pub gauges: Vec<(&'static str, u64)>,
     /// Latency histograms, keyed by [`SPAN_NAMES`].
     pub latency_us: Vec<(&'static str, Histogram)>,
-    /// Rolling SLO summary, when the tracker has observed any ticks.
-    pub slo: Option<super::slo::SloSummary>,
 }
 
 /// The value listed under `name`, if any.
@@ -444,12 +441,11 @@ impl StatsSnapshot {
     /// Canonical JSON, one section per line:
     ///
     /// ```json
-    /// {"stats_schema":1,
+    /// {"stats_schema":2,
     /// "uptime_ms":…,
     /// "counters":{…},
     /// "gauges":{…},
-    /// "latency_us":{…},
-    /// "slo":{…}}
+    /// "latency_us":{…}}
     /// ```
     ///
     /// The line-per-section layout is load-bearing: the stats golden
@@ -470,11 +466,7 @@ impl StatsSnapshot {
             }
             out.push_str(&format!("{name:?}:{}", hist.to_json()));
         }
-        out.push_str("},\n");
-        match &self.slo {
-            Some(slo) => out.push_str(&format!("\"slo\":{}}}\n", slo.to_json())),
-            None => out.push_str("\"slo\":null}\n"),
-        }
+        out.push_str("}}\n");
         out
     }
 
@@ -542,18 +534,6 @@ impl StatsSnapshot {
                 "semcluster_latency_us_count{{phase=\"{phase}\"}} {}\n",
                 hist.count
             ));
-        }
-        if let Some(slo) = &self.slo {
-            for (name, v) in [
-                ("slo_window_ticks", slo.window_ticks),
-                ("slo_p50_us", slo.p50_us),
-                ("slo_p99_us", slo.p99_us),
-                ("slo_error_ppm", slo.error_ppm),
-                ("slo_shed_ppm", slo.shed_ppm),
-            ] {
-                out.push_str(&format!("# TYPE semcluster_{name} gauge\n"));
-                out.push_str(&format!("semcluster_{name} {v}\n"));
-            }
         }
         out
     }
@@ -692,11 +672,11 @@ mod tests {
         let a = stats.snapshot(123, false).to_json();
         let b = stats.snapshot(123, false).to_json();
         assert_eq!(a, b, "same state renders byte-identically");
-        assert!(a.starts_with("{\"stats_schema\":1,\n"));
+        assert!(a.starts_with("{\"stats_schema\":2,\n"));
         assert!(a.contains("\n\"counters\":{\"req.hello\":1,\"req.txn\":4,"));
         assert!(a.contains("\"err.overloaded\":1"));
         assert!(a.contains("\n\"gauges\":{\"connections_live\":1,\"sessions_live\":3,"));
-        assert!(a.contains("\"slo\":null}"));
+        assert!(a.ends_with("}}\n"), "the latency section closes the object");
         // Sections land on their own lines (the golden filter contract).
         assert!(a.lines().any(|l| l.starts_with("\"counters\":")));
         assert!(a.lines().any(|l| l.starts_with("\"gauges\":")));

@@ -35,7 +35,6 @@ mod chrome;
 mod json;
 mod metrics;
 mod profile;
-mod serve_timeline;
 mod timeline;
 mod trace;
 
@@ -49,7 +48,6 @@ pub use profile::{
     allocation_counts, CountingAlloc, FoldedMetric, Phase, PhaseProfiler, PhaseStats, PhaseToken,
     ProfileReport,
 };
-pub use serve_timeline::{ServePoint, ServeTimeline};
 pub use timeline::{Timeline, TimelinePoint, TimelineSample, TimelineSampler};
 pub use trace::{
     shared, AbortCause, FaultOp, FlushCause, JsonlSink, LogFlushKind, NoopSink, ReadCause,

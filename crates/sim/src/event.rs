@@ -110,11 +110,6 @@ impl<E> EventQueue<E> {
         Some((entry.time, entry.event))
     }
 
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -206,7 +201,6 @@ mod tests {
     fn peek_does_not_advance() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(1), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
         assert_eq!(q.now(), SimTime::ZERO);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());

@@ -63,14 +63,6 @@ impl FcfsServer {
         self.queue_wait
     }
 
-    /// Mean queueing delay per job (excludes service).
-    pub fn mean_queue_wait(&self) -> SimDuration {
-        match self.queue_wait.as_micros().checked_div(self.jobs) {
-            Some(mean) => SimDuration::from_micros(mean),
-            None => SimDuration::ZERO,
-        }
-    }
-
     /// Fraction of `[0, horizon]` the server was busy.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         if horizon == SimTime::ZERO {
@@ -163,11 +155,6 @@ impl ServerBank {
             .unwrap_or_else(|| panic!("server bank has {n} members; member {i} does not exist"))
     }
 
-    /// Total jobs across the bank.
-    pub fn total_jobs(&self) -> u64 {
-        self.servers.iter().map(|s| s.jobs()).sum()
-    }
-
     /// Mean utilisation across members over `[0, horizon]`.
     pub fn mean_utilization(&self, horizon: SimTime) -> f64 {
         self.servers
@@ -210,7 +197,6 @@ mod tests {
         assert_eq!(first, SimTime::from_millis(10));
         assert_eq!(second, SimTime::from_millis(20));
         assert_eq!(s.total_queue_wait(), ms(10));
-        assert_eq!(s.mean_queue_wait(), ms(5));
     }
 
     #[test]
@@ -231,7 +217,6 @@ mod tests {
         assert_eq!(bank.submit(t0, ms(10)), SimTime::from_millis(10));
         // both busy now, third job queues behind one of them
         assert_eq!(bank.submit(t0, ms(10)), SimTime::from_millis(20));
-        assert_eq!(bank.total_jobs(), 3);
     }
 
     #[test]

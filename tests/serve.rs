@@ -775,40 +775,17 @@ fn an_idle_server_accepts_a_connection_the_moment_it_arrives() {
     assert!(report.clean_drain);
 }
 
-/// A server that samples its timeline every ten seconds: a drain that
-/// waited for the sampler's next tick would take that long.
-fn slow_sampling(metrics_addr: Option<String>) -> ServeConfig {
-    ServeConfig {
-        timeline_interval_ms: 10_000,
-        metrics_addr,
-        ..ServeConfig::default()
-    }
-}
-
-#[test]
-fn a_drain_does_not_wait_out_the_sampling_period() {
-    let handle = Server::start(slow_sampling(None), "127.0.0.1:0").expect("start server");
-    let (mut stream, session) = connect(handle.addr(), 1);
-    send(&mut stream, &write_one(session, 1, 1));
-    assert!(matches!(recv(&mut stream), Response::TxnOk { .. }));
-    drop(stream);
-    let draining = Instant::now();
-    handle.request_shutdown();
-    let report = handle.join().expect("drain");
-    let took = draining.elapsed();
-    assert!(took < Duration::from_secs(1), "drain took {took:?}");
-    assert_eq!(report.acked, 1);
-    assert!(report.clean_drain);
-}
-
 #[test]
 fn a_shutdown_frame_wakes_both_acceptors_and_no_wake_is_counted() {
-    let handle = Server::start(slow_sampling(Some("127.0.0.1:0".into())), "127.0.0.1:0")
-        .expect("start server");
+    let cfg = ServeConfig {
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(cfg, "127.0.0.1:0").expect("start server");
     let (mut idle, _) = connect(handle.addr(), 1);
     let (mut stream, _) = connect(handle.addr(), 1);
     // Nothing else connects: the frame alone must end both blocking
-    // accepts and the sampler's wait.
+    // accepts, the server's and the metrics listener's.
     let draining = Instant::now();
     send(&mut stream, &Request::Shutdown);
     assert!(matches!(recv(&mut stream), Response::ShutdownOk));
