@@ -157,3 +157,31 @@ if [ -n "$seam_hits" ]; then
     exit 1
 fi
 echo "seam guard: OK (engine/exec.rs names no simulated time and no cost-model state)"
+
+# Concurrency guard (DESIGN.md §14.2): the clustering kernels, the
+# catalog and the engine are single-threaded, and the load's placements
+# are exact because one thread chooses and places them in load order.
+# The one exception is engine/load.rs, whose scoped helper scores
+# batches ahead over a shared &Database, the weight model, the load
+# order and an atomic claim cursor, and hands them back over a bounded
+# channel (their buffers come back through a locked spare list); the
+# store, the residency view and every placement stay on the loading
+# thread. So
+# nothing else in crates/clustering/src, crates/vdm/src or
+# crates/core/src/engine/ may spawn or scope a thread, take a lock or
+# touch an atomic or a channel — in non-test code (before a file's first
+# unindented #[cfg(test)]).
+conc_hits=$(find crates/clustering/src crates/vdm/src crates/core/src/engine -name '*.rs' \
+        ! -path crates/core/src/engine/load.rs -print0 |
+    xargs -0 awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { print FILENAME ":" FNR ": " $0 }' |
+    grep -E 'thread::(spawn|scope)|\b(Mutex|RwLock|Condvar)\b|\bAtomic[A-Z][A-Za-z0-9]*|sync::atomic|\bmpsc\b' || true)
+if [ -n "$conc_hits" ]; then
+    echo "concurrency guard: threads, locks or atomics outside engine/load.rs:" >&2
+    echo "$conc_hits" >&2
+    echo "placements stay exact because one thread chooses and places them in" >&2
+    echo "order; only engine/load.rs's scoped helper may run beside it, sharing" >&2
+    echo "&Database, the weight model and its claim cursor. Keep scoring pure" >&2
+    echo "over shared references and give each thread its own ScoreScratch." >&2
+    exit 1
+fi
+echo "concurrency guard: OK (no threads, locks or atomics in clustering, vdm or the engine outside engine/load.rs)"

@@ -28,6 +28,12 @@
 //!   node, in `for_each_related` order; its arcs and groups carry unique
 //!   keys, so they too are sorted in place.
 //!
+//! A [`ScoreScratch::compact`] scratch keeps no object-indexed array:
+//! its direct and extended rounds tag each term with its arrival, sort
+//! the terms by (id, arrival) and sum each id's run in that order — the
+//! same addition sequence per key, so the same `f64`s, with no state
+//! that grows with the database. A load's scoring threads use it.
+//!
 //! The proptest suite holds the two against each other across
 //! randomized databases.
 //!
@@ -110,6 +116,55 @@ impl DenseAcc {
     }
 }
 
+/// The object-keyed fold behind the direct and extended rounds: the
+/// dense accumulator, or — in a compact scratch — a sort of the round's
+/// terms (module docs).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ObjFold {
+    /// The dense accumulator; also the split planner's object → node
+    /// index.
+    pub(crate) dense: DenseAcc,
+    /// A compact scratch's terms, keyed `id << 32 | arrival`.
+    terms: Option<Vec<(u64, f64)>>,
+}
+
+impl ObjFold {
+    /// Start a new round.
+    pub(crate) fn begin(&mut self) {
+        match &mut self.terms {
+            Some(terms) => terms.clear(),
+            None => self.dense.begin(),
+        }
+    }
+
+    /// Fold `w` into `key`'s entry: straight into `out` when dense, into
+    /// the terms (for [`ObjFold::finish`]) when compact.
+    #[inline]
+    pub(crate) fn add(&mut self, out: &mut Vec<(ObjectId, f64)>, key: ObjectId, w: f64) {
+        match &mut self.terms {
+            Some(terms) => {
+                let arrival = terms.len() as u64;
+                terms.push(((key.0 as u64) << 32 | arrival, w));
+            }
+            None => self.dense.add(out, key.index(), key, w),
+        }
+    }
+
+    /// End the round. A compact fold sums each key's terms in arrival
+    /// order and pushes one entry per key onto `out`; a dense one has
+    /// already done so.
+    pub(crate) fn finish(&mut self, out: &mut Vec<(ObjectId, f64)>) {
+        let Some(terms) = &mut self.terms else {
+            return;
+        };
+        terms.sort_unstable_by_key(|&(key, _)| key);
+        for run in terms.chunk_by(|a, b| a.0 >> 32 == b.0 >> 32) {
+            let sum = run[1..].iter().fold(run[0].1, |sum, &(_, w)| sum + w);
+            out.push((ObjectId((run[0].0 >> 32) as u32), sum));
+        }
+    }
+}
+
 /// The canonical score ordering: weight descending, id ascending. Keys
 /// are unique, so this is a strict total order and `sort_unstable_by`
 /// (in-place, allocation-free) yields the identical permutation a stable
@@ -127,9 +182,9 @@ pub(crate) fn sort_scored<K: Ord + Copy>(v: &mut [(K, f64)]) {
 /// reused decision after decision.
 #[derive(Debug, Clone)]
 pub struct ScoreScratch {
-    /// Object-indexed accumulator (direct and extended rounds, and the
-    /// split planner's object → node index).
-    pub(crate) obj: DenseAcc,
+    /// Object-keyed fold (direct and extended rounds, and the split
+    /// planner's object → node index).
+    pub(crate) obj: ObjFold,
     /// Page-indexed accumulator (candidate-page round).
     pub(crate) page: DenseAcc,
     /// Direct weighted neighbours, sorted weight-desc/id-asc.
@@ -158,7 +213,7 @@ impl ScoreScratch {
     /// Empty scratch; arrays grow on demand.
     pub fn new() -> Self {
         ScoreScratch {
-            obj: DenseAcc::default(),
+            obj: ObjFold::default(),
             page: DenseAcc::default(),
             direct: Vec::new(),
             extended: Vec::new(),
@@ -167,6 +222,16 @@ impl ScoreScratch {
             graph: DependencyGraph::default(),
             split: SplitScratch::default(),
         }
+    }
+
+    /// Scratch whose direct and extended rounds fold by sorting their
+    /// terms instead of through an array over every object id, so it
+    /// holds nothing that grows with the database: for a load's scoring
+    /// threads, where dense arrays would raise the peak (module docs).
+    pub fn compact() -> Self {
+        let mut s = ScoreScratch::new();
+        s.obj.terms = Some(Vec::new());
+        s
     }
 
     /// Scratch pre-sized for a database of `objects` objects on `pages`
@@ -197,7 +262,7 @@ impl ScoreScratch {
     /// accumulators also self-grow as a safety net, but that growth would
     /// be attributed to the phase it happens in.
     pub fn ensure_capacity(&mut self, objects: usize, pages: usize) {
-        self.obj.ensure(objects);
+        self.obj.dense.ensure(objects);
         self.page.ensure(pages);
         if self.examined.capacity() < MAX_EXAMINED {
             self.examined.reserve(MAX_EXAMINED - self.examined.len());
@@ -262,6 +327,28 @@ mod tests {
         let mut v = vec![(3u32, 1.0), (1, 2.0), (2, 1.0)];
         sort_scored(&mut v);
         assert_eq!(v, vec![(1, 2.0), (2, 1.0), (3, 1.0)]);
+    }
+
+    /// The compact fold sums each key in arrival order, as the dense one
+    /// does: 1e16 + 1 + 1 loses both ones, 1 + 1 + 1e16 keeps them, so a
+    /// fold in any other order shows in the bits.
+    #[test]
+    fn compact_fold_sums_in_arrival_order() {
+        let terms = [(7u32, 1e16), (3, 0.5), (7, 1.0), (7, 1.0), (3, 1e16)];
+        let fold = |mut fold: ObjFold| {
+            let mut out = Vec::new();
+            fold.begin();
+            for &(id, w) in &terms {
+                fold.add(&mut out, ObjectId(id), w);
+            }
+            fold.finish(&mut out);
+            sort_scored(&mut out);
+            out
+        };
+        let dense = fold(ObjFold::default());
+        let compact = fold(ScoreScratch::compact().obj);
+        assert_eq!(dense, vec![(ObjectId(3), 1e16), (ObjectId(7), 1e16)]);
+        assert_eq!(compact, dense);
     }
 
     #[test]

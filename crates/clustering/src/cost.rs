@@ -95,10 +95,11 @@ pub fn weighted_neighbors_in(
     db.graph().for_each_related(object, |kind, dir, other| {
         let base = freqs.weight(kind, dir);
         let w = model.arc_weight(kind, base);
-        obj.add(direct, other.index(), other, w);
+        obj.add(direct, other, w);
         true
     });
-    sort_scored(&mut scratch.direct);
+    obj.finish(direct);
+    sort_scored(direct);
 }
 
 /// The placed extended cluster neighbourhood of `object`: direct
@@ -110,16 +111,29 @@ pub fn weighted_neighbors_in(
 /// bounds. Reads the direct neighbours already in `scratch.direct` (fill
 /// with [`weighted_neighbors_in`] first) and leaves the sorted placed
 /// two-hop neighbourhood in `scratch.extended`.
-///
-/// Unplaced relatives are walked but never folded in. A key's sum has
-/// only its own terms and the order is total, so this is exactly the
-/// placed subsequence of the whole sorted list, and [`candidate_pages_in`]
-/// scores every page from it bit for bit. Only a load has any to drop.
 pub fn extended_neighbors_in(
     db: &Database,
     store: &StorageManager,
     model: &WeightModel,
     object: ObjectId,
+    scratch: &mut ScoreScratch,
+) {
+    extended_neighbors_where(db, model, object, |o| store.page_of(o).is_some(), scratch);
+}
+
+/// [`extended_neighbors_in`] with "placed" as a predicate, for a caller
+/// that knows what is placed without a store: a load, where an object's
+/// placed relatives are those earlier in its load order.
+///
+/// Unplaced relatives are walked but never folded in. A key's sum has
+/// only its own terms and the order is total, so this is exactly the
+/// placed subsequence of the whole sorted list, and [`candidate_pages_in`]
+/// scores every page from it bit for bit. Only a load has any to drop.
+pub fn extended_neighbors_where(
+    db: &Database,
+    model: &WeightModel,
+    object: ObjectId,
+    placed: impl Fn(ObjectId) -> bool,
     scratch: &mut ScoreScratch,
 ) {
     scratch.extended.clear();
@@ -132,8 +146,8 @@ pub fn extended_neighbors_in(
     } = scratch;
     // Seed with the placed direct neighbours, in their sorted order.
     for &(id, w) in direct.iter() {
-        if store.page_of(id).is_some() {
-            obj.add(extended, id.index(), id, w);
+        if placed(id) {
+            obj.add(extended, id, w);
         }
     }
     for &(hop, w1) in direct.iter() {
@@ -141,14 +155,15 @@ pub fn extended_neighbors_in(
             continue;
         };
         db.graph().for_each_related(hop, |kind, dir, two| {
-            if two == object || store.page_of(two).is_none() {
+            if two == object || !placed(two) {
                 return true;
             }
             let w2 = model.arc_weight(kind, freqs.weight(kind, dir));
-            obj.add(extended, two.index(), two, TWO_HOP_DECAY * w1.min(w2));
+            obj.add(extended, two, TWO_HOP_DECAY * w1.min(w2));
             true
         });
     }
+    obj.finish(extended);
     sort_scored(extended);
 }
 

@@ -7,7 +7,8 @@
 //!   [`weighted_neighbors_in`], [`candidate_pages_in`],
 //!   [`placement_cost`]) over a caller-owned [`ScoreScratch`],
 //! * the candidate-page search with buffer-only / k-I/O-limited /
-//!   unbounded pools ([`plan_placement_in`]),
+//!   unbounded pools ([`plan_placement_in`]: [`score_placement_in`],
+//!   then [`choose_placement_in`]),
 //! * page splitting when the preferred candidate overflows — greedy
 //!   single-pass [`linear_split`] vs the exact [`optimal_split`] — gated
 //!   by a cost comparison ([`consider_split`]), and
@@ -33,14 +34,14 @@ mod split;
 pub use arena::ScoreScratch;
 pub use config::{ClusteringPolicy, HintPolicy, SplitPolicy};
 pub use cost::{
-    candidate_pages_in, extended_neighbors_in, placement_cost, weighted_neighbors_in, WeightModel,
-    HINT_MULTIPLIER, TWO_HOP_DECAY,
+    candidate_pages_in, extended_neighbors_in, extended_neighbors_where, placement_cost,
+    weighted_neighbors_in, WeightModel, HINT_MULTIPLIER, TWO_HOP_DECAY,
 };
 pub use locality::page_locality;
 pub use offline::{broken_arc_weight, static_recluster, ReorgReport};
 pub use placement::{
-    execute_placement, plan_placement_in, AllResident, ExaminedCandidate, PlacementPlan,
-    PlacementTarget, ResidencyView, MAX_EXAMINED,
+    choose_placement_in, execute_placement, plan_placement_in, score_placement_in, AllResident,
+    ExaminedCandidate, PlacementPlan, PlacementTarget, ResidencyView, MAX_EXAMINED,
 };
 pub use recluster::{
     consider_split, execute_split, plan_recluster_in, ReclusterPlan, SplitOutcome, SplitPlan,

@@ -16,7 +16,9 @@
 
 use crate::arena::ScoreScratch;
 use crate::config::ClusteringPolicy;
-use crate::cost::{candidate_pages_in, extended_neighbors_in, weighted_neighbors_in, WeightModel};
+use crate::cost::{
+    candidate_pages_in, extended_neighbors_where, weighted_neighbors_in, WeightModel,
+};
 use semcluster_buffer::BufferPool;
 use semcluster_storage::{PageId, StorageError, StorageManager};
 use semcluster_vdm::{Database, ObjectId};
@@ -90,7 +92,8 @@ pub struct PlacementPlan {
 /// `scratch` for every intermediate — the only allocation-visible state
 /// is the plan's `examined` list, which is recycled from `scratch` and
 /// should be handed back with [`ScoreScratch::put_examined`] once the
-/// plan has been consumed.
+/// plan has been consumed. This is [`score_placement_in`] with the
+/// store's placed objects, then [`choose_placement_in`].
 #[allow(clippy::too_many_arguments)]
 pub fn plan_placement_in(
     db: &Database,
@@ -99,6 +102,45 @@ pub fn plan_placement_in(
     policy: ClusteringPolicy,
     model: &WeightModel,
     object: ObjectId,
+    size: u32,
+    scratch: &mut ScoreScratch,
+) -> PlacementPlan {
+    if policy.clusters() {
+        score_placement_in(db, model, object, |o| store.page_of(o).is_some(), scratch);
+    }
+    choose_placement_in(store, residency, policy, size, scratch)
+}
+
+/// The scoring half of a placement search: leave `object`'s placed
+/// extended neighbourhood in `scratch.extended` (empty when it has no
+/// relatives at all), `placed` saying which objects have a page. It reads
+/// the database and the weight model only, so it can run ahead of the
+/// placements it scores when `placed` is known in advance, as in a load.
+pub fn score_placement_in(
+    db: &Database,
+    model: &WeightModel,
+    object: ObjectId,
+    placed: impl Fn(ObjectId) -> bool,
+    scratch: &mut ScoreScratch,
+) {
+    weighted_neighbors_in(db, model, object, scratch);
+    if scratch.direct.is_empty() {
+        scratch.extended.clear();
+        return;
+    }
+    // Candidates come from the extended (two-hop) cluster neighbourhood;
+    // exploring it is what the I/O budget pays for.
+    extended_neighbors_where(db, model, object, placed, scratch);
+}
+
+/// The choosing half of a placement search: score the pages holding the
+/// neighbourhood in `scratch.extended` (left there by
+/// [`score_placement_in`]) and pick a home for an object of `size`
+/// bytes, examining pages under `residency` and `policy`'s I/O budget.
+pub fn choose_placement_in(
+    store: &StorageManager,
+    residency: &impl ResidencyView,
+    policy: ClusteringPolicy,
     size: u32,
     scratch: &mut ScoreScratch,
 ) -> PlacementPlan {
@@ -113,13 +155,6 @@ pub fn plan_placement_in(
     if !policy.clusters() {
         return plan;
     }
-    weighted_neighbors_in(db, model, object, scratch);
-    if scratch.direct.is_empty() {
-        return plan;
-    }
-    // Candidates come from the extended (two-hop) cluster neighbourhood;
-    // exploring it is what the I/O budget pays for.
-    extended_neighbors_in(db, store, model, object, scratch);
     candidate_pages_in(store, scratch);
     // The search *examines* every candidate page it may touch — reading
     // each non-resident one (that is the cost the I/O limit bounds) — and

@@ -117,7 +117,7 @@ pub fn build_dependency_graph_in<'s>(
     scratch: &'s mut ScoreScratch,
 ) -> &'s DependencyGraph {
     let (graph, pair_slot) = (&mut scratch.graph, &mut scratch.split.pair_slot);
-    let node_of = &mut scratch.obj;
+    let node_of = &mut scratch.obj.dense;
     graph.objects.clear();
     graph.sizes.clear();
     graph.arcs.clear();

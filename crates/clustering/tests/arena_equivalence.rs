@@ -12,6 +12,11 @@
 //! objects must never show. Any divergence is a golden-output break
 //! waiting to happen.
 //!
+//! A load scores with "placed" as a predicate — the objects before the
+//! one being scored in its load order — and, on its scoring threads,
+//! through a compact scratch that folds by sorting; both are held to the
+//! store form over a store holding exactly that prefix.
+//!
 //! Half the scoring and placement worlds are *loading* worlds: only the
 //! ids below a random cut are placed, as a load that places objects in
 //! id order sees the store. There the scratch keeps only the placed
@@ -28,9 +33,9 @@ use proptest::prelude::*;
 use semcluster_buffer::AccessHint;
 use semcluster_clustering::{
     build_dependency_graph_in, candidate_pages_in, consider_split, extended_neighbors_in,
-    linear_split, plan_placement_in, plan_recluster_in, weighted_neighbors_in, AllResident,
-    ClusteringPolicy, DependencyGraph, HintPolicy, ResidencyView, ScoreScratch, SplitPlan,
-    SplitPolicy, WeightModel, MAX_EXACT_NODES,
+    extended_neighbors_where, linear_split, plan_placement_in, plan_recluster_in,
+    weighted_neighbors_in, AllResident, ClusteringPolicy, DependencyGraph, HintPolicy,
+    ResidencyView, ScoreScratch, SplitPlan, SplitPolicy, WeightModel, MAX_EXACT_NODES,
 };
 use semcluster_storage::{PageId, StorageManager, DEFAULT_PAGE_BYTES};
 use semcluster_vdm::{Database, ObjectId, RelKind, SyntheticDbSpec};
@@ -397,6 +402,21 @@ fn score_bits<K: Copy>(scores: &[(K, f64)]) -> Vec<(K, u64)> {
     scores.iter().map(|&(k, w)| (k, w.to_bits())).collect()
 }
 
+/// Every id once: ascending, or shuffled by `salt`.
+fn load_order(n: usize, salt: Option<u64>) -> Vec<ObjectId> {
+    let mut order: Vec<ObjectId> = (0..n as u32).map(ObjectId).collect();
+    if let Some(salt) = salt {
+        let mut state = salt | 1;
+        for i in (1..n).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            order.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+    }
+    order
+}
+
 /// The share of ids a world places: all of them, or — a loading world —
 /// those below a random cut.
 fn placed_shares() -> impl Strategy<Value = f64> {
@@ -518,6 +538,50 @@ proptest! {
             );
             candidate_pages_in(&store, &mut scratch);
             prop_assert_eq!(score_bits(&scratch.pages), score_bits(&pages), "candidate pages diverge");
+        }
+    }
+
+    /// "Placed" as a predicate — a prefix of a load order, structure
+    /// order or a shuffle — gives the extended neighbourhood the store
+    /// form gives over a store holding exactly that prefix: the same
+    /// neighbours, weights bit for bit and order, from a dense scratch
+    /// and from a compact one (whose direct lists match too). Walked as a
+    /// load walks: each object is scored against the objects before it,
+    /// then placed.
+    #[test]
+    fn predicate_neighbourhood_matches_store_prefix(
+        spec in spec_strategy(),
+        model in split_models(),
+        shuffle in prop_oneof![Just(None), any::<u64>().prop_map(Some)],
+    ) {
+        let (db, _) = spec.build();
+        let order = load_order(db.object_count(), shuffle);
+        let mut rank = vec![0usize; order.len()];
+        for (i, id) in order.iter().enumerate() {
+            rank[id.index()] = i;
+        }
+        let mut store = StorageManager::new(DEFAULT_PAGE_BYTES);
+        let mut dense = ScoreScratch::new();
+        let mut compact = ScoreScratch::compact();
+        for (i, &object) in order.iter().enumerate() {
+            let placed = |o: ObjectId| rank[o.index()] < i;
+            weighted_neighbors_in(&db, &model, object, &mut dense);
+            extended_neighbors_in(&db, &store, &model, object, &mut dense);
+            let want = score_bits(&dense.extended);
+            let direct = score_bits(&dense.direct);
+
+            weighted_neighbors_in(&db, &model, object, &mut dense);
+            extended_neighbors_where(&db, &model, object, placed, &mut dense);
+            prop_assert_eq!(score_bits(&dense.extended), want.clone(), "dense scratch diverges");
+            weighted_neighbors_in(&db, &model, object, &mut compact);
+            prop_assert_eq!(score_bits(&compact.direct), direct, "compact direct diverges");
+            extended_neighbors_where(&db, &model, object, placed, &mut compact);
+            prop_assert_eq!(score_bits(&compact.extended), want, "compact scratch diverges");
+
+            let size = db.get(object).expect("dense ids").size_bytes();
+            store
+                .append(object, size.min(DEFAULT_PAGE_BYTES / 4))
+                .expect("synthetic object fits a page");
         }
     }
 
