@@ -9,15 +9,17 @@
 //!
 //! Placement scoring, context boosting, prefetch, composite retrieval
 //! and the hierarchical lock set are all walks over this graph, so a
-//! node visit has to be cheap. Each object is one 64-byte, 64-byte
-//! aligned record (one cache line) holding its eight adjacency lists —
-//! `(kind, direction)` in [`StructureGraph::for_each_related`] order —
-//! laid end to end in a single *run*, with the eight segment ends in
-//! the header. A run of up to [`INLINE_CAP`] ids lives inside the
-//! record; a longer one moves to a spill vector owned by the graph and
-//! moves back as soon as it fits again. On the benchmark's synthetic
-//! databases 94–100 % of nodes stay inline (DESIGN.md §14.4), so a
-//! visit is one cache miss.
+//! node visit has to be cheap. Each object is one 32-byte, 32-byte
+//! aligned record (half a cache line) holding its eight adjacency lists
+//! — `(kind, direction)` in [`StructureGraph::for_each_related`] order —
+//! laid end to end in a single *run*, with the eight segment ends packed
+//! four bits each into one `u32`. A run of up to [`INLINE_CAP`] ids
+//! lives inside the record; a longer one moves to the graph's spill
+//! table — its `u16` ends in a record there, its ids in a block of
+//! 8·2ᵏ slots of one shared pool — and moves back as soon as it fits
+//! again. On the benchmark's synthetic databases 92–100 % of nodes stay
+//! inline (DESIGN.md §14.4), so a visit is one cache miss, and two
+//! records share a line.
 //!
 //! Order inside a segment is part of the contract: `add_edge` appends
 //! at the end of the segment and `remove_edge` swap-removes within it,
@@ -27,6 +29,7 @@ use crate::column::Column;
 use crate::id::ObjectId;
 use crate::relationship::{Direction, RelKind};
 use std::fmt;
+use std::ops::Range;
 
 /// Errors raised by graph mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,7 +43,7 @@ pub enum GraphError {
     /// A version-history edge would create a cycle.
     VersionCycle(ObjectId, ObjectId),
     /// The object already has [`MAX_DEGREE`] edges: one more would not
-    /// fit the node record's 16-bit segment ends.
+    /// fit a spilled run's 16-bit segment ends.
     DegreeOverflow(ObjectId),
 }
 
@@ -66,13 +69,19 @@ impl std::error::Error for GraphError {}
 const SEGMENTS: usize = 8;
 
 /// Ids a node stores inside its own record.
-const INLINE_CAP: usize = 11;
+const INLINE_CAP: usize = 7;
 
-/// Most edges one object can carry (the segment ends are `u16`).
+/// Most edges one object can carry (a spilled run's segment ends are
+/// `u16`).
 pub const MAX_DEGREE: usize = u16::MAX as usize;
 
-/// `Node::spill` of a node whose run is inline.
-const INLINE: u32 = u32::MAX;
+/// `Node::ends` of a node whose run lives in the spill table. No inline
+/// run packs to it: every nibble would read 15, past [`INLINE_CAP`].
+const SPILLED: u32 = u32::MAX;
+
+/// One in every nibble: shifted left by `4 * s`, adding it moves every
+/// packed end from segment `s` onward by one.
+const ONE_EACH: u32 = 0x1111_1111;
 
 /// Segment of the run holding `kind`'s neighbours toward `dir`.
 /// Symmetric kinds keep everything in their forward segment.
@@ -81,37 +90,100 @@ fn segment(kind: RelKind, dir: Direction) -> usize {
     kind.index() * 2 + usize::from(backward)
 }
 
+/// End of segment `seg` in packed ends.
+fn nibble(ends: u32, seg: usize) -> usize {
+    (ends >> (4 * seg) & 0xF) as usize
+}
+
+/// `(start, end)` of segment `seg` in packed ends: shifted up one
+/// nibble, each segment's slot holds where the one before it stops.
+fn packed_bounds(ends: u32, seg: usize) -> (usize, usize) {
+    (nibble(ends << 4, seg), nibble(ends, seg))
+}
+
+/// `(start, end)` of segment `seg` in unpacked ends.
+fn bounds(ends: &[u16; SEGMENTS], seg: usize) -> (usize, usize) {
+    let start = if seg == 0 { 0 } else { ends[seg - 1] };
+    (start as usize, ends[seg] as usize)
+}
+
+fn unpack(ends: u32) -> [u16; SEGMENTS] {
+    std::array::from_fn(|seg| nibble(ends, seg) as u16)
+}
+
+fn pack(ends: &[u16; SEGMENTS]) -> u32 {
+    ends.iter()
+        .rev()
+        .fold(0, |packed, &end| packed << 4 | u32::from(end))
+}
+
+/// Swap-remove `value` from `run[start..end]` and close the gap, which
+/// leaves `run`'s last id spare. False when `value` is not there.
+fn close_up(run: &mut [ObjectId], start: usize, end: usize, value: ObjectId) -> bool {
+    let Some(at) = run[start..end].iter().position(|&o| o == value) else {
+        return false;
+    };
+    run[start + at] = run[end - 1];
+    run.copy_within(end.., end - 1);
+    true
+}
+
 /// One object's adjacency: the eight segments end to end in one run.
 #[derive(Debug, Clone, Copy)]
-#[repr(C, align(64))]
+#[repr(C, align(32))]
 struct Node {
-    /// `ends[s]` is where segment `s` stops in the run; it starts where
-    /// segment `s - 1` stops. `ends[SEGMENTS - 1]` is the node's degree.
-    ends: [u16; SEGMENTS],
-    /// Slot in `StructureGraph::spill` holding the run, or [`INLINE`].
-    spill: u32,
-    /// The run itself while it is at most [`INLINE_CAP`] ids long.
-    inline: [ObjectId; INLINE_CAP],
+    /// Where each segment stops in the run, four bits a segment with
+    /// segment `s` in bits `4s..4s + 4`; segment `s` starts where
+    /// segment `s - 1` stops and the last end is the degree. [`SPILLED`]
+    /// when the run is in the spill table.
+    ends: u32,
+    /// The run itself while it is at most [`INLINE_CAP`] ids long;
+    /// otherwise `ids[0]` is the run's slot in `StructureGraph::spill`.
+    ids: [ObjectId; INLINE_CAP],
 }
 
 impl Default for Node {
     fn default() -> Self {
         Node {
-            ends: [0; SEGMENTS],
-            spill: INLINE,
-            inline: [ObjectId(0); INLINE_CAP],
+            ends: 0,
+            ids: [ObjectId(0); INLINE_CAP],
         }
     }
 }
 
 impl Node {
-    fn degree(&self) -> usize {
-        self.ends[SEGMENTS - 1] as usize
+    /// Slot of the spilled run, or `None` while the run is inline.
+    fn spill_slot(&self) -> Option<usize> {
+        (self.ends == SPILLED).then(|| self.ids[0].index())
+    }
+}
+
+/// Ids in the smallest spill block: one more than a record holds.
+const BLOCK_MIN: usize = INLINE_CAP + 1;
+
+/// Spill block sizes: `BLOCK_MIN << class` ids, up to one that holds
+/// [`MAX_DEGREE`].
+const CLASSES: usize = 14;
+
+const _: () = assert!(BLOCK_MIN << (CLASSES - 1) >= MAX_DEGREE);
+
+/// A run too long for its node record: its segment ends, and the block
+/// of `StructureGraph::pool` holding it from `start`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Spill {
+    ends: [u16; SEGMENTS],
+    start: u32,
+    class: u8,
+}
+
+impl Spill {
+    fn run(&self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.ends[SEGMENTS - 1] as usize
     }
 
-    fn bounds(&self, seg: usize) -> (usize, usize) {
-        let start = if seg == 0 { 0 } else { self.ends[seg - 1] };
-        (start as usize, self.ends[seg] as usize)
+    fn capacity(&self) -> usize {
+        BLOCK_MIN << self.class
     }
 }
 
@@ -160,10 +232,16 @@ impl WalkScratch {
 #[derive(Debug, Clone, Default)]
 pub struct StructureGraph {
     nodes: Column<Node>,
-    /// Runs too long for their node record, by `Node::spill`.
-    spill: Vec<Vec<ObjectId>>,
+    /// Runs too long for their node record, by the slot in `ids[0]`.
+    spill: Vec<Spill>,
     /// Emptied slots of `spill`, reused before it grows.
     free_spill: Vec<u32>,
+    /// The spilled runs' blocks, end to end: a spill allocates only
+    /// when the pool itself grows, so the heap sees a handful of
+    /// doublings, not a vector per spilled run.
+    pool: Vec<ObjectId>,
+    /// Starts of emptied blocks, by class, reused before the pool grows.
+    free_blocks: [Vec<u32>; CLASSES],
     edges: u64,
     /// Scratch for `add_edge`'s version-cycle check.
     cycle_walk: WalkScratch,
@@ -195,84 +273,151 @@ impl StructureGraph {
         self.edges
     }
 
-    fn run<'a>(&'a self, node: &'a Node) -> &'a [ObjectId] {
-        if node.spill == INLINE {
-            &node.inline[..node.degree()]
-        } else {
-            &self.spill[node.spill as usize]
+    /// `node` read once: its segment ends and its run.
+    fn decode<'a>(&'a self, node: &'a Node) -> ([u16; SEGMENTS], &'a [ObjectId]) {
+        match node.spill_slot() {
+            None => (
+                unpack(node.ends),
+                &node.ids[..nibble(node.ends, SEGMENTS - 1)],
+            ),
+            Some(slot) => {
+                let spill = &self.spill[slot];
+                (spill.ends, &self.pool[spill.run()])
+            }
         }
     }
 
     fn segment_of<'a>(&'a self, node: &'a Node, seg: usize) -> &'a [ObjectId] {
-        let (start, end) = node.bounds(seg);
-        &self.run(node)[start..end]
+        match node.spill_slot() {
+            None => {
+                let (start, end) = packed_bounds(node.ends, seg);
+                &node.ids[start..end]
+            }
+            Some(slot) => {
+                let spill = &self.spill[slot];
+                let (start, end) = bounds(&spill.ends, seg);
+                &self.pool[spill.run()][start..end]
+            }
+        }
+    }
+
+    fn degree(&self, node: &Node) -> usize {
+        match node.spill_slot() {
+            None => nibble(node.ends, SEGMENTS - 1),
+            Some(slot) => self.spill[slot].run().len(),
+        }
     }
 
     fn has_room(&self, id: ObjectId) -> Result<(), GraphError> {
-        if self.nodes[id.index()].degree() < MAX_DEGREE {
+        if self.degree(&self.nodes[id.index()]) < MAX_DEGREE {
             Ok(())
         } else {
             Err(GraphError::DegreeOverflow(id))
         }
     }
 
+    /// Start of an empty block of `class`, reusing an emptied one first.
+    fn take_block(&mut self, class: usize) -> u32 {
+        self.free_blocks[class].pop().unwrap_or_else(|| {
+            let start = self.pool.len();
+            self.pool.resize(start + (BLOCK_MIN << class), ObjectId(0));
+            u32::try_from(start).expect("fewer spilled ids than 2^32")
+        })
+    }
+
     /// Append `value` to segment `seg` of `id`, spilling the run out of
     /// the record when it no longer fits.
     fn insert(&mut self, id: ObjectId, seg: usize, value: ObjectId) {
         let node = &mut self.nodes[id.index()];
-        let (len, at) = (node.degree(), node.ends[seg] as usize);
-        if node.spill != INLINE {
-            self.spill[node.spill as usize].insert(at, value);
-        } else if len < INLINE_CAP {
-            node.inline.copy_within(at..len, at + 1);
-            node.inline[at] = value;
+        let Some(slot) = node.spill_slot() else {
+            let (len, at) = (nibble(node.ends, SEGMENTS - 1), nibble(node.ends, seg));
+            if len < INLINE_CAP {
+                node.ids.copy_within(at..len, at + 1);
+                node.ids[at] = value;
+                node.ends += ONE_EACH << (4 * seg);
+            } else {
+                self.spill_out(id, seg, value);
+            }
+            return;
+        };
+        let mut spill = self.spill[slot];
+        let (run, at) = (spill.run(), spill.ends[seg] as usize);
+        if run.len() < spill.capacity() {
+            self.pool
+                .copy_within(run.start + at..run.end, run.start + at + 1);
         } else {
-            let slot = self.free_spill.pop().unwrap_or_else(|| {
-                self.spill.push(Vec::new());
-                u32::try_from(self.spill.len() - 1).expect("fewer spill slots than object ids")
-            });
-            let run = &mut self.spill[slot as usize];
-            run.reserve(len + 1);
-            run.extend_from_slice(&node.inline[..at]);
-            run.push(value);
-            run.extend_from_slice(&node.inline[at..len]);
-            node.spill = slot;
+            // Move to a block twice the size, leaving the gap at `at`.
+            self.free_blocks[usize::from(spill.class)].push(spill.start);
+            spill.class += 1;
+            spill.start = self.take_block(usize::from(spill.class));
+            let to = spill.start as usize;
+            self.pool.copy_within(run.start..run.start + at, to);
+            self.pool.copy_within(run.start + at..run.end, to + at + 1);
         }
-        for end in &mut node.ends[seg..] {
+        self.pool[spill.start as usize + at] = value;
+        for end in &mut spill.ends[seg..] {
             *end = end
                 .checked_add(1)
                 .expect("add_edge checked the node has room");
         }
+        self.spill[slot] = spill;
+    }
+
+    /// Move `id`'s full inline run into a spill block, with `value`
+    /// appended to segment `seg`.
+    fn spill_out(&mut self, id: ObjectId, seg: usize, value: ObjectId) {
+        let node = self.nodes[id.index()];
+        let at = nibble(node.ends, seg);
+        let start = self.take_block(0);
+        let block = &mut self.pool[start as usize..][..BLOCK_MIN];
+        block[..at].copy_from_slice(&node.ids[..at]);
+        block[at] = value;
+        block[at + 1..].copy_from_slice(&node.ids[at..]);
+        let mut ends = unpack(node.ends);
+        for end in &mut ends[seg..] {
+            *end += 1;
+        }
+        let slot = self.free_spill.pop().unwrap_or_else(|| {
+            self.spill.push(Spill::default());
+            u32::try_from(self.spill.len() - 1).expect("fewer spill slots than object ids")
+        });
+        self.spill[slot as usize] = Spill {
+            ends,
+            start,
+            class: 0,
+        };
+        let node = &mut self.nodes[id.index()];
+        node.ends = SPILLED;
+        node.ids[0] = ObjectId(slot);
     }
 
     /// Swap-remove `value` from segment `seg` of `id`, moving the run
     /// back into the record once it fits. False when it is not there.
     fn remove(&mut self, id: ObjectId, seg: usize, value: ObjectId) -> bool {
         let node = &mut self.nodes[id.index()];
-        let (start, end) = node.bounds(seg);
-        let len = node.degree();
-        let run = if node.spill == INLINE {
-            &mut node.inline[..len]
-        } else {
-            &mut self.spill[node.spill as usize][..]
-        };
-        let Some(at) = run[start..end].iter().position(|&o| o == value) else {
-            return false;
-        };
-        run[start + at] = run[end - 1];
-        run.copy_within(end..len, end - 1);
-        for e in &mut node.ends[seg..] {
-            *e -= 1;
-        }
-        if node.spill != INLINE {
-            let run = &mut self.spill[node.spill as usize];
-            run.truncate(len - 1);
-            if run.len() <= INLINE_CAP {
-                node.inline[..run.len()].copy_from_slice(run);
-                run.clear();
-                self.free_spill.push(node.spill);
-                node.spill = INLINE;
+        let Some(slot) = node.spill_slot() else {
+            let (start, end) = packed_bounds(node.ends, seg);
+            let len = nibble(node.ends, SEGMENTS - 1);
+            if !close_up(&mut node.ids[..len], start, end, value) {
+                return false;
             }
+            node.ends -= ONE_EACH << (4 * seg);
+            return true;
+        };
+        let spill = &mut self.spill[slot];
+        let (start, end) = bounds(&spill.ends, seg);
+        if !close_up(&mut self.pool[spill.run()], start, end, value) {
+            return false;
+        }
+        for end in &mut spill.ends[seg..] {
+            *end -= 1;
+        }
+        let run = spill.run();
+        if run.len() <= INLINE_CAP {
+            node.ids[..run.len()].copy_from_slice(&self.pool[run]);
+            node.ends = pack(&spill.ends);
+            self.free_blocks[spill.class as usize].push(spill.start);
+            self.free_spill.push(slot as u32);
         }
         true
     }
@@ -403,9 +548,9 @@ impl StructureGraph {
         let Some(node) = self.nodes.get(id.index()) else {
             return;
         };
-        let run = self.run(node);
+        let (ends, run) = self.decode(node);
         let mut start = 0;
-        for (seg, &end) in node.ends.iter().enumerate() {
+        for (seg, &end) in ends.iter().enumerate() {
             let kind = RelKind::ALL[seg / 2];
             let dir = if seg % 2 == 0 {
                 Direction::Forward
@@ -483,8 +628,10 @@ impl StructureGraph {
     pub fn edges(&self) -> impl Iterator<Item = (RelKind, ObjectId, ObjectId)> + '_ {
         self.nodes.iter().enumerate().flat_map(move |(i, node)| {
             let from = ObjectId(i as u32);
+            let (ends, run) = self.decode(node);
             RelKind::ALL.into_iter().flat_map(move |kind| {
-                self.segment_of(node, segment(kind, Direction::Forward))
+                let (start, end) = bounds(&ends, segment(kind, Direction::Forward));
+                run[start..end]
                     .iter()
                     .filter(move |&&to| !kind.is_symmetric() || from < to)
                     .map(move |&to| (kind, from, to))
@@ -643,9 +790,27 @@ mod tests {
     }
 
     #[test]
-    fn node_record_is_one_cache_line() {
-        assert_eq!(std::mem::size_of::<Node>(), 64);
-        assert_eq!(std::mem::align_of::<Node>(), 64);
+    fn node_record_is_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<Node>(), 32);
+        assert_eq!(std::mem::align_of::<Node>(), 32);
+    }
+
+    /// Adding `ONE_EACH << 4s` is a `+1` on every unpacked end from
+    /// segment `s` on, and never carries into the next nibble.
+    #[test]
+    fn packed_ends_shift_like_unpacked_ones() {
+        let ends = [0, 1, 1, 3, 4, 4, 4, 6];
+        let packed = pack(&ends);
+        assert_eq!(unpack(packed), ends);
+        for seg in 0..SEGMENTS {
+            let mut moved = ends;
+            for end in &mut moved[seg..] {
+                *end += 1;
+            }
+            assert_eq!(unpack(packed + (ONE_EACH << (4 * seg))), moved);
+            assert_eq!(packed_bounds(packed, seg), bounds(&ends, seg));
+        }
+        assert_ne!(pack(&[INLINE_CAP as u16; SEGMENTS]), SPILLED);
     }
 
     #[test]
@@ -656,7 +821,7 @@ mod tests {
             g.add_edge(RelKind::Configuration, o(0), o(i)).unwrap();
             g.add_edge(RelKind::Inheritance, o(i), o(0)).unwrap();
         }
-        assert_ne!(g.nodes[0].spill, INLINE);
+        assert_eq!(g.nodes[0].ends, SPILLED);
         assert_eq!(g.components(o(0)).len(), n as usize);
         assert_eq!(g.providers(o(0)).len(), n as usize);
         for i in 1..=n {
@@ -665,14 +830,17 @@ mod tests {
         for i in 4..=n {
             g.remove_edge(RelKind::Configuration, o(0), o(i)).unwrap();
         }
-        assert_eq!(g.nodes[0].spill, INLINE);
+        assert_ne!(g.nodes[0].ends, SPILLED);
         assert_eq!(g.components(o(0)), &[o(1), o(2), o(3)]);
-        // The freed slot is reused by the next node that outgrows its record.
+        // The freed slot and blocks are reused by the next node that
+        // outgrows its record.
+        let pool = g.pool.len();
         for i in 1..=n {
             g.add_edge(RelKind::VersionHistory, o(50), o(50 + i))
                 .unwrap();
         }
         assert_eq!(g.spill.len(), 1);
+        assert_eq!(g.pool.len(), pool);
     }
 
     /// A node at the 16-bit degree limit refuses the edge with a typed
@@ -682,10 +850,17 @@ mod tests {
         let mut g = StructureGraph::new();
         g.ensure_node(o(1));
         // Forge a full node: MAX_DEGREE components with ids far from 0/1.
-        g.spill
-            .push((0..MAX_DEGREE as u32).map(|i| o(1000 + i)).collect());
-        g.nodes[0].spill = 0;
-        g.nodes[0].ends = [u16::MAX; SEGMENTS];
+        let class = CLASSES - 1;
+        g.pool = (0..BLOCK_MIN << class)
+            .map(|i| o(1000 + i as u32))
+            .collect();
+        g.spill.push(Spill {
+            ends: [u16::MAX; SEGMENTS],
+            start: 0,
+            class: class as u8,
+        });
+        g.nodes[0].ends = SPILLED;
+        g.nodes[0].ids[0] = o(0);
         for (from, to) in [(0, 1), (1, 0)] {
             assert_eq!(
                 g.add_edge(RelKind::Configuration, o(from), o(to)),
@@ -705,7 +880,7 @@ mod tests {
         // One below the limit still fits.
         g.remove(o(0), 0, o(1000));
         g.add_edge(RelKind::VersionHistory, o(1), o(0)).unwrap();
-        assert_eq!(g.nodes[0].degree(), MAX_DEGREE);
+        assert_eq!(g.degree(&g.nodes[0]), MAX_DEGREE);
         assert_eq!(g.ancestors(o(0)), &[o(1)]);
     }
 

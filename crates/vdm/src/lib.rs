@@ -19,8 +19,8 @@
 //! * the copy-vs-reference cost model ([`CopyVsRefModel`]) whose decisions
 //!   add or remove inheritance arcs from that graph.
 //!
-//! Both halves of the model are flat: a [`StructureGraph`] node is one
-//! cache line, and the object catalog is one fixed-size `Copy`
+//! Both halves of the model are flat: a [`StructureGraph`] node is half
+//! a cache line, and the object catalog is one fixed-size `Copy`
 //! [`DesignObject`] per object with no heap behind it — names are
 //! [`NameKey`]s into the [`Database`]'s string interner, a type's
 //! attribute list is resolved once when the type is defined, and an

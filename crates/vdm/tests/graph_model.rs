@@ -8,7 +8,7 @@ use semcluster_vdm::{Direction, GraphError, ObjectId, RelKind, StructureGraph, W
 use std::collections::HashSet;
 
 /// Longest run a node record holds inline (`graph::INLINE_CAP`).
-const INLINE_CAP: usize = 11;
+const INLINE_CAP: usize = 7;
 
 const DIRECTIONS: [Direction; 2] = [Direction::Forward, Direction::Backward];
 
@@ -341,4 +341,65 @@ fn walks_on_a_shared_component_dag_and_on_a_cycle() {
     out.clear();
     g.transitive_components(ObjectId(0), 10_000, &mut WalkScratch::default(), &mut out);
     assert_eq!(out, [ObjectId(1), ObjectId(2), ObjectId(3)]);
+}
+
+/// The segments a hub can fill, in run order, as (kind, outward): the
+/// symmetric kind keeps both directions in its forward segment, so its
+/// backward segment (the sixth) stays empty and only moves with the
+/// segments before it.
+const FILLABLE: [(RelKind, bool); INLINE_CAP] = [
+    (RelKind::Configuration, true),
+    (RelKind::Configuration, false),
+    (RelKind::VersionHistory, true),
+    (RelKind::VersionHistory, false),
+    (RelKind::Correspondence, true),
+    (RelKind::Inheritance, true),
+    (RelKind::Inheritance, false),
+];
+
+/// Crossing the inline capacity lands in each segment in turn: an insert
+/// taking the hub (object 0) from 7 to 8 edges and a remove taking it
+/// from 8 back to 7, both in that segment. The seven base edges lie one
+/// per segment, all in the first, all in the last, or all in the landing
+/// segment itself, so every nibble shift, up and down, moves ends that
+/// are and are not zero.
+#[test]
+fn every_segment_crosses_the_inline_capacity_both_ways() {
+    let edge = |(kind, outward): (RelKind, bool), other: u32| {
+        if outward {
+            (kind, 0, other)
+        } else {
+            (kind, other, 0)
+        }
+    };
+    for landing in FILLABLE {
+        let layouts = [
+            FILLABLE,
+            [FILLABLE[0]; INLINE_CAP],
+            [FILLABLE[INLINE_CAP - 1]; INLINE_CAP],
+            [landing; INLINE_CAP],
+        ];
+        for layout in layouts {
+            // Remove either the newcomer or the landing segment's oldest
+            // id, so the swap-remove fills the gap from either end.
+            let oldest = layout.iter().position(|&s| s == landing);
+            for victim in std::iter::once(100).chain(oldest.map(|at| at as u32 + 1)) {
+                let (mut g, mut model) = (StructureGraph::new(), RefGraph::default());
+                for (other, s) in (1..).zip(layout) {
+                    let (k, a, b) = edge(s, other);
+                    assert!(apply(&mut g, &mut model, Op::Add(k, a, b)));
+                }
+                assert_eq!(assert_same(&g, &model), INLINE_CAP);
+                let (k, a, b) = edge(landing, 100);
+                assert!(apply(&mut g, &mut model, Op::Add(k, a, b)));
+                assert_eq!(assert_same(&g, &model), INLINE_CAP + 1, "spilled");
+                let (k, a, b) = edge(landing, victim);
+                assert!(apply(&mut g, &mut model, Op::Remove(k, a, b)));
+                assert_eq!(assert_same(&g, &model), INLINE_CAP, "back inline");
+                // The reinstated record spills again just the same.
+                assert!(apply(&mut g, &mut model, Op::Add(k, a, b)));
+                assert_same(&g, &model);
+            }
+        }
+    }
 }
