@@ -185,3 +185,26 @@ if [ -n "$conc_hits" ]; then
     exit 1
 fi
 echo "concurrency guard: OK (no threads, locks or atomics in clustering, vdm or the engine outside engine/load.rs)"
+
+# Ledger guard (DESIGN.md §9.2): the engine keeps one cumulative book of
+# every event, its MetricsRegistry, and never resets it; the report and
+# the observed snapshot read the measured interval as the end state less
+# the state at measurement start. A reset or a second tally in a layer
+# below would let the report and `--metrics` drift apart again, so the
+# non-test code (before a file's first unindented #[cfg(test)]) of the
+# crates the engine books through may neither define nor call
+# `reset_stats` or a registry `reset`, nor define `BufferStats` or
+# `LogStats`.
+ledger_hits=$(find crates/obs/src crates/buffer/src crates/wal/src crates/sim/src \
+        crates/faults/src crates/core/src -name '*.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { print FILENAME ":" FNR ": " $0 }' |
+    grep -E '\breset_stats\b|fn reset\(|registry\.reset\(|MetricsRegistry::reset\b|\b(struct|enum|type) (BufferStats|LogStats)\b' || true)
+if [ -n "$ledger_hits" ]; then
+    echo "ledger guard: a reset or a second book in the engine's layers:" >&2
+    echo "$ledger_hits" >&2
+    echo "count the event once in the engine's registry and read an interval" >&2
+    echo "through a window (MetricsRegistry::counter_values_into / value_since)" >&2
+    echo "instead of resetting." >&2
+    exit 1
+fi
+echo "ledger guard: OK (no reset_stats, registry reset, BufferStats or LogStats in obs, buffer, wal, sim, faults or core)"

@@ -1,7 +1,7 @@
 //! Exhibits beyond the paper set: ablations of design points the paper
 //! fixes or defers, extension experiments, and the fault sweep.
 
-use crate::experiments::run_jobs;
+use crate::experiments::{run_items, run_jobs};
 use crate::FigureOpts;
 use semcluster::{buffering_study_base, clustering_study_base, FaultConfig, SweepJob};
 use semcluster_analysis::Table;
@@ -232,20 +232,16 @@ pub fn ablate_logbuf(opts: &FigureOpts) {
             SweepJob::new(format!("log buffer {kb} KB"), cfg, opts.reps)
         })
         .collect();
-    let results = run_jobs(opts, jobs);
+    let items = run_items(opts, jobs);
     let mut table = Table::new(vec![
         "log buffer",
         "log I/Os",
         "buffer flushes",
         "response (s)",
     ]);
-    for (kb, r) in sizes.iter().zip(&results) {
-        let flushes: f64 = r
-            .reports
-            .iter()
-            .map(|rep| rep.log.buffer_flushes as f64)
-            .sum::<f64>()
-            / r.reports.len() as f64;
+    for (kb, item) in sizes.iter().zip(&items) {
+        let r = item.result.as_ref().expect("run_items panics on a failure");
+        let flushes = item.metrics.counter("wal.flush.full") as f64 / r.reports.len() as f64;
         table.row(vec![
             format!("{kb} KB"),
             format!("{:.0}", r.log_ios.mean),

@@ -8,7 +8,7 @@
 use crate::FigureOpts;
 use semcluster::{
     buffering_study_base, clustering_study_base, figure_5_11_combos, ReplicatedResult, SimConfig,
-    SweepJob, SweepRunner,
+    SweepItem, SweepJob, SweepRunner,
 };
 use semcluster_analysis::{find_break_even, BreakEven, Corners, FactorialDesign, Table};
 use semcluster_buffer::{PrefetchScope, ReplacementPolicy};
@@ -62,6 +62,14 @@ impl Sweep {
 /// host-side summary (wall-clock, speedup) goes to stderr; any failed
 /// run panics.
 pub fn run_jobs(opts: &FigureOpts, jobs: Vec<SweepJob>) -> Vec<ReplicatedResult> {
+    let items = run_items(opts, jobs).into_iter();
+    items
+        .map(|item| item.result.expect("run_items panics on a failure"))
+        .collect()
+}
+
+/// [`run_jobs`], keeping each job's merged metrics beside its result.
+pub fn run_items(opts: &FigureOpts, jobs: Vec<SweepJob>) -> Vec<SweepItem> {
     let outcome = SweepRunner::new(opts.jobs).run(jobs);
     if opts.verbose {
         for (_, result) in outcome.ok_results() {
@@ -69,10 +77,10 @@ pub fn run_jobs(opts: &FigureOpts, jobs: Vec<SweepJob>) -> Vec<ReplicatedResult>
         }
     }
     eprintln!("{}", outcome.summary.render());
-    match outcome.into_results() {
-        Ok(results) => results,
-        Err(e) => panic!("{e}"),
+    if let Some(e) = outcome.errors().first() {
+        panic!("{e}");
     }
+    outcome.items
 }
 
 /// Run a `workloads × cols` grid (row-major submission): each cell is
@@ -213,7 +221,7 @@ pub fn log_io_effect(opts: &FigureOpts) -> Sweep {
         |result| {
             let mut stats = OnlineStats::new();
             for report in &result.reports {
-                stats.push(report.log_ios as f64 / report.log.commits.max(1) as f64);
+                stats.push(report.log_ios as f64 / report.commits.max(1) as f64);
             }
             Estimate::from_stats(&stats)
         },

@@ -22,12 +22,10 @@
 
 #![warn(missing_docs)]
 
-mod locality;
 mod policy;
 mod pool;
 mod prefetch;
 
-pub use locality::resident_locality;
 pub use policy::{AccessHint, PrefetchScope, ReplacementPolicy};
-pub use pool::{Access, BufferPool, BufferStats};
+pub use pool::{Access, BufferPool};
 pub use prefetch::{apply_prefetch, prefetch_group, PrefetchEffect};

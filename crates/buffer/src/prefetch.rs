@@ -23,13 +23,6 @@ pub struct PrefetchEffect {
     pub boosted: usize,
 }
 
-impl PrefetchEffect {
-    /// Physical I/Os implied (reads + write-backs).
-    pub fn physical_ios(&self) -> usize {
-        self.fetched.len() + self.write_backs.len()
-    }
-}
-
 /// The pages holding the prefetch group of `object` under `hint`:
 /// immediate subcomponents for configuration access, immediate ancestor +
 /// descendants for version access, all correspondents for correspondence
@@ -178,7 +171,6 @@ mod tests {
         let effect = apply_prefetch(&mut pool, &group, PrefetchScope::WithinDatabase);
         assert_eq!(effect.fetched, vec![pages[1], pages[2]]);
         assert_eq!(effect.boosted, 0);
-        assert_eq!(effect.physical_ios(), 2);
         assert!(pool.contains(pages[1]) && pool.contains(pages[2]));
     }
 
@@ -191,7 +183,6 @@ mod tests {
         let effect = apply_prefetch(&mut pool, &group, PrefetchScope::WithinBuffer);
         assert!(effect.fetched.is_empty());
         assert_eq!(effect.boosted, 1);
-        assert_eq!(effect.physical_ios(), 0);
         assert!(!pool.contains(pages[2]), "missing page not fetched");
     }
 

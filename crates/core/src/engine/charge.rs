@@ -105,7 +105,10 @@ impl Engine {
         let mut attempt = 1u32;
         let mut t = self.clock.at;
         loop {
-            let mult = self.faults.service_mult(d as u32);
+            let (mult, spiked) = self.faults.service_mult(d as u32);
+            if spiked {
+                self.registry.bump(self.counters.fault_io_spike);
+            }
             let done = self.disks.submit_to(d, t, self.disk_service.times(mult));
             self.clock.at = done;
             let failed = match op {
@@ -140,7 +143,6 @@ impl Engine {
             let backoff = retry.backoff_after(attempt);
             t = done + SimDuration::from_micros(backoff);
             attempt += 1;
-            self.faults.stats.retries += 1;
             self.registry.bump(self.counters.fault_io_retry);
             self.emit(|| TraceEvent::IoRetry {
                 at: t,
@@ -168,13 +170,11 @@ impl Engine {
         match self.pool.access(page) {
             Access::Hit => {
                 self.registry.bump(self.counters.buffer_hit);
-                self.tl.hits += 1;
                 self.prof_exit(tok, 0);
                 Ok(())
             }
             Access::Miss { evicted_dirty } => {
                 self.registry.bump(self.counters.buffer_miss);
-                self.tl.misses += 1;
                 let issued = self.clock.at;
                 let mut ios = 1u32;
                 if let Some(victim) = evicted_dirty {

@@ -7,8 +7,7 @@
 use super::charge::OpClock;
 use super::{fault_op, ActiveTxn, Engine, Event, RW_WINDOW};
 use crate::error::EngineError;
-use crate::metrics::{MetricsCollector, SpanBreakdown};
-use semcluster_buffer::resident_locality;
+use crate::metrics::SpanBreakdown;
 use semcluster_clustering::page_locality;
 use semcluster_faults::CrashPoint;
 use semcluster_lock::{LockManager, LockMode, TxnId};
@@ -74,8 +73,8 @@ impl Engine {
 
     /// Record a timeline point for every interval boundary simulated
     /// time has crossed since the last sample. Pure observation: reads
-    /// engine state, touches no RNG, schedules nothing — with sampling
-    /// off this is one branch.
+    /// engine state and the registry's cumulative counters, touches no
+    /// RNG, schedules nothing — with sampling off this is one branch.
     fn sample_timeline(&mut self, now: SimTime) {
         let due = match &self.timeline {
             Some(sampler) => sampler.due(now.as_micros()),
@@ -93,18 +92,26 @@ impl Engine {
                 let free = self.disks.member(i).free_at().as_micros();
                 queue_us.push(free.saturating_sub(t_us));
             }
-            // The locality fold is pinned allocation-free by the profile
-            // golden; nothing else may creep inside this bracket.
+            // Structural locality summed over the resident set. The
+            // walk is pinned allocation-free by the profile golden;
+            // nothing else may creep inside this bracket.
             let ptok = self.prof_enter(Phase::PageLocality);
-            let (loc_on_page, loc_refs) = resident_locality(&self.pool, |page| {
-                page_locality(&self.db, &self.store, page)
-            });
+            let (mut loc_on_page, mut loc_refs) = (0, 0);
+            for &page in self.pool.resident_pages() {
+                let (on, all) = page_locality(&self.db, &self.store, page);
+                loc_on_page += on;
+                loc_refs += all;
+            }
             self.prof_exit(ptok, 0);
+            let c = &self.counters;
+            let aborts = self.registry.value(c.fault_txn_abort);
             sampler.record(TimelineSample {
-                hits: self.tl.hits,
-                misses: self.tl.misses,
-                commits: self.tl.commits,
-                aborts: self.tl.aborts,
+                hits: self.registry.value(c.buffer_hit),
+                misses: self.registry.value(c.buffer_miss),
+                // Both are bumped within one event, so at an event
+                // boundary every retired transaction not aborted committed.
+                commits: self.completed - aborts,
+                aborts,
                 queue_us,
                 log_buffered: self.log.buffered_bytes() as u64,
                 loc_on_page,
@@ -251,8 +258,10 @@ impl Engine {
             response.as_micros(),
             "span components must sum exactly to the response time"
         );
-        self.registry
-            .observe("txn.response_us", response.as_micros());
+        if self.measuring {
+            self.registry
+                .observe("txn.response_us", response.as_micros());
+        }
         self.emit(|| TraceEvent::TxnCommit {
             at: now,
             user: u,
@@ -311,9 +320,7 @@ impl Engine {
                 self.aborted_tokens.push(token);
             }
         }
-        self.faults.stats.txn_aborts += 1;
         self.registry.bump(self.counters.fault_txn_abort);
-        self.tl.aborts += 1;
         if self.abort_reasons.len() < 8 {
             self.abort_reasons.push(err.to_string());
         }
@@ -347,12 +354,9 @@ impl Engine {
         self.recent_kinds.push_back(txn.is_read);
         // Only now: a transaction the wake above restarted may already
         // have aborted and opened the measurement window.
-        if committed {
-            self.tl.commits += 1;
-            if self.measuring {
-                self.metrics
-                    .record_txn(now.since(txn.started), txn.is_read, txn.span);
-            }
+        if committed && self.measuring {
+            self.metrics
+                .record_txn(now.since(txn.started), txn.is_read, txn.span);
         }
         self.completed += 1;
         if !self.measuring && self.completed >= self.cfg.warmup_txns {
@@ -395,19 +399,21 @@ impl Engine {
         self.parked_fifo = still_parked;
     }
 
+    /// Open the measured interval: note where every book stands, so
+    /// the report can read the interval off them. Nothing is reset —
+    /// the collector has recorded only while `measuring`, and the
+    /// registry, the servers' busy time and the timeline run on.
     fn begin_measurement(&mut self, now: SimTime) {
         self.measuring = true;
         self.measure_start = now;
-        self.metrics = MetricsCollector::default();
-        // Counters restart with the measured interval: the RunReport
-        // reads its I/O breakdown from them.
-        self.registry.reset();
-        self.pool.reset_stats();
-        self.log.reset_stats();
-        self.disks.reset_stats();
-        self.cpu.reset_stats();
-        self.log_disk.reset_stats();
-        self.faults.reset_stats();
+        let w = &mut self.window;
+        self.registry.counter_values_into(&mut w.counters);
+        w.commits = self.commits_seen;
+        w.cpu_busy = self.cpu.busy_time();
+        w.log_disk_busy = self.log_disk.busy_time();
+        for (i, busy) in w.disk_busy.iter_mut().enumerate() {
+            *busy = self.disks.member(i).busy_time();
+        }
         self.abort_reasons.clear();
     }
 

@@ -45,7 +45,9 @@ mod load;
 use crate::config::SimConfig;
 use crate::crash::CrashOutcome;
 use crate::durable::DurableMirror;
-use crate::metrics::{EventCounts, IoBreakdown, MetricsCollector, RunReport, SpanBreakdown};
+use crate::metrics::{
+    EventCounts, FaultStats, IoBreakdown, MetricsCollector, RunReport, SpanBreakdown,
+};
 use charge::OpClock;
 use semcluster_buffer::BufferPool;
 use semcluster_clustering::{HintPolicy, ScoreScratch, SplitPolicy, WeightModel};
@@ -93,6 +95,7 @@ struct EngineCounters {
     fault_io_read_error: CounterId,
     fault_io_write_error: CounterId,
     fault_io_retry: CounterId,
+    fault_io_spike: CounterId,
     fault_log_stall: CounterId,
     fault_txn_abort: CounterId,
     fault_degrade_enter: CounterId,
@@ -125,6 +128,7 @@ fn engine_registry() -> (MetricsRegistry, EngineCounters) {
         fault_io_read_error: r.declare("fault.io.read_error"),
         fault_io_write_error: r.declare("fault.io.write_error"),
         fault_io_retry: r.declare("fault.io.retry"),
+        fault_io_spike: r.declare("fault.io.spike"),
         fault_log_stall: r.declare("fault.log.stall"),
         fault_txn_abort: r.declare("fault.txn.abort"),
         fault_degrade_enter: r.declare("fault.degrade.enter"),
@@ -262,16 +266,20 @@ impl RunObservations {
     }
 }
 
-/// Never-reset whole-run counters feeding the timeline sampler. These
-/// are kept separate from the metrics registry, which resets when the
-/// measured interval begins; the timeline spans warmup too, and its
-/// per-interval deltas must not jump backwards at that boundary.
-#[derive(Debug, Clone, Copy, Default)]
-struct TimelineCounters {
-    hits: u64,
-    misses: u64,
+/// Where the engine's books stood when the measured interval began.
+/// Nothing is reset at that boundary: the report and the observed
+/// snapshot are the end state less this. All zeros until measurement
+/// starts, and sized at construction, so taking it allocates nothing.
+#[derive(Debug)]
+struct WindowStart {
+    /// Every registry counter ([`MetricsRegistry::counter_values_into`]).
+    counters: Vec<u64>,
+    /// `commits_seen`.
     commits: u64,
-    aborts: u64,
+    cpu_busy: SimDuration,
+    log_disk_busy: SimDuration,
+    /// Per data disk.
+    disk_busy: Vec<SimDuration>,
 }
 
 #[derive(Debug, Default)]
@@ -327,13 +335,16 @@ pub struct Engine {
     completed: u64,
     measuring: bool,
     measure_start: SimTime,
+    /// Where the books stood at `measure_start`.
+    window: WindowStart,
     create_seq: u64,
     /// Reused buffer `exec_create` formats a generated base name into.
     name_buf: String,
     disk_service: SimDuration,
-    /// Named counters/gauges/histograms, reset at measurement start.
-    /// The only count of each engine event: [`Self::report`] reads
-    /// [`RunReport::io`] and the split/move/lock-wait totals from here.
+    /// Named counters/gauges/histograms, never reset. The only count of
+    /// each engine event: [`Self::report`] reads [`RunReport::io`], the
+    /// hit ratio, the fault counts and the split/move/lock-wait totals
+    /// from here, through `window`.
     registry: MetricsRegistry,
     /// Handles to the registry's counters.
     counters: EngineCounters,
@@ -354,8 +365,6 @@ pub struct Engine {
     /// *before* any trace emission so the report never observes its own
     /// export.
     profile_report: Option<ProfileReport>,
-    /// Whole-run counters backing the timeline's per-interval deltas.
-    tl: TimelineCounters,
     /// Global transaction sequence number.
     txn_seq: u64,
     /// Scratch attribution for the operation currently executing; drained
@@ -441,6 +450,14 @@ impl Engine {
         locks.ensure_object_capacity(db.object_count() + 64);
         let queue = EventQueue::with_capacity(cfg.users as usize * 4 + 16);
         let (registry, counters) = engine_registry();
+        let mut window = WindowStart {
+            counters: Vec::new(),
+            commits: 0,
+            cpu_busy: SimDuration::ZERO,
+            log_disk_busy: SimDuration::ZERO,
+            disk_busy: vec![SimDuration::ZERO; disks.len()],
+        };
+        registry.counter_values_into(&mut window.counters);
         let mut engine = Engine {
             cfg,
             db,
@@ -465,6 +482,7 @@ impl Engine {
             completed: 0,
             measuring: false,
             measure_start: SimTime::ZERO,
+            window,
             create_seq: 0,
             name_buf: String::new(),
             disk_service,
@@ -477,7 +495,6 @@ impl Engine {
             audit: obs.audit_capacity.map(AuditSink::with_capacity),
             profiler: obs.profile.then(PhaseProfiler::new),
             profile_report: None,
-            tl: TimelineCounters::default(),
             txn_seq: 0,
             cur_span: SpanBreakdown::default(),
             clock: OpClock::default(),
@@ -533,7 +550,7 @@ impl Engine {
         self.finalize_obs();
         let report = self.report();
         let obs = RunObservations {
-            metrics: self.registry.snapshot(),
+            metrics: self.registry.snapshot_since(&self.window.counters),
             timeline: self.timeline.take().map(TimelineSampler::into_timeline),
             audits: self
                 .audit
@@ -571,19 +588,21 @@ impl Engine {
         }
     }
 
-    /// Stamp end-of-run utilisation gauges and flush the trace sink.
+    /// Stamp end-of-run utilisation gauges (busy time over the measured
+    /// interval) and flush the trace sink.
     fn finalize_obs(&mut self) {
+        let w = &self.window;
         for i in 0..self.disks.len() {
-            let busy = self.disks.member(i).busy_time().as_micros();
+            let busy = self.disks.member(i).busy_time() - w.disk_busy[i];
             self.registry
-                .set_gauge(&format!("disk.{i}.busy_us"), busy as i64);
+                .set_gauge(&format!("disk.{i}.busy_us"), busy.as_micros() as i64);
         }
-        self.registry.set_gauge(
-            "log_disk.busy_us",
-            self.log_disk.busy_time().as_micros() as i64,
-        );
+        let log_busy = self.log_disk.busy_time() - w.log_disk_busy;
+        let cpu_busy = self.cpu.busy_time() - w.cpu_busy;
         self.registry
-            .set_gauge("cpu.busy_us", self.cpu.busy_time().as_micros() as i64);
+            .set_gauge("log_disk.busy_us", log_busy.as_micros() as i64);
+        self.registry
+            .set_gauge("cpu.busy_us", cpu_busy.as_micros() as i64);
         self.registry.set_gauge(
             "lock.wait_us",
             self.metrics.lock_wait_time.as_micros() as i64,
@@ -700,13 +719,14 @@ impl Engine {
     }
 
     /// Assemble the run report. Event totals are read off the registry
-    /// — the engine's one ledger — so the report and a `--metrics`
-    /// snapshot cannot disagree (DESIGN.md §9.2 is this mapping).
+    /// — the engine's one ledger — through the measurement window, so
+    /// the report and a `--metrics` snapshot cannot disagree (DESIGN.md
+    /// §9.2 is this mapping).
     fn report(&self) -> RunReport {
         let now = self.queue.now();
         let span = now - self.measure_start;
-        let c = &self.counters;
-        let n = |id| self.registry.value(id);
+        let (c, w) = (&self.counters, &self.window);
+        let n = |id| self.registry.value_since(id, &w.counters);
         let events = EventCounts {
             io: IoBreakdown {
                 data_reads: n(c.io_read_demand),
@@ -719,20 +739,34 @@ impl Engine {
             splits: n(c.cluster_split),
             recluster_moves: n(c.cluster_recluster_move),
             lock_waits: n(c.lock_wait),
+            buffer_hits: n(c.buffer_hit),
+            buffer_misses: n(c.buffer_miss),
         };
         let mut report = RunReport::new(
             self.cfg.label(),
             &self.metrics,
             events,
-            self.pool.stats(),
-            self.log.stats(),
-            self.disks.mean_utilization(now),
-            self.cpu.utilization(now),
+            // Known bug (ROADMAP 6(a)): the busy time is windowed but
+            // `now` spans the warm-up too, so both under-read.
+            self.disks.mean_utilization_since(&w.disk_busy, now),
+            self.cpu.utilization_since(w.cpu_busy, now),
             span,
         );
         report.breakdown.think_s = self.cfg.think_time.as_secs_f64();
+        report.commits = self.commits_seen - w.commits;
         report.faults_enabled = self.faults.enabled();
-        report.faults = self.faults.stats;
+        report.faults = FaultStats {
+            read_errors: n(c.fault_io_read_error),
+            write_errors: n(c.fault_io_write_error),
+            retries: n(c.fault_io_retry),
+            spikes: n(c.fault_io_spike),
+            log_stalls: n(c.fault_log_stall),
+            // Every injected stall lasts the configured `log_stall_us`.
+            stall_us: n(c.fault_log_stall) * self.cfg.faults.log_stall_us,
+            txn_aborts: n(c.fault_txn_abort),
+            degrade_enters: n(c.fault_degrade_enter),
+            degrade_exits: n(c.fault_degrade_exit),
+        };
         report.abort_reasons = self.abort_reasons.clone();
         report
     }
@@ -811,15 +845,16 @@ mod tests {
         let mut base = tiny();
         base.measured_txns = 2000;
         base.workload = semcluster_workload::WorkloadSpec::new(StructureDensity::Med5, 2.0);
-        let clustered = run_simulation(base.clone().with_clustering(ClusteringPolicy::NoLimit));
-        let scattered = run_simulation(base.with_clustering(ClusteringPolicy::NoCluster));
-        let rate =
-            |r: &crate::RunReport| r.log.before_image_ios as f64 / r.log.commits.max(1) as f64;
+        let rate = |policy| {
+            let cfg = base.clone().with_clustering(policy);
+            let (r, obs) = run_simulation_observed(cfg, ObsConfig::default());
+            obs.metrics.counter("wal.flush.before_image") as f64 / r.commits.max(1) as f64
+        };
+        let clustered = rate(ClusteringPolicy::NoLimit);
+        let scattered = rate(ClusteringPolicy::NoCluster);
         assert!(
-            rate(&clustered) < rate(&scattered),
-            "clustered {:.3} vs scattered {:.3} images/commit",
-            rate(&clustered),
-            rate(&scattered)
+            clustered < scattered,
+            "clustered {clustered:.3} vs scattered {scattered:.3} images/commit"
         );
     }
 
@@ -1049,10 +1084,11 @@ mod delete_tests {
                 _ => {}
             }
         }
-        // The whole-run counters, not the report's: the trace spans the
-        // warmup too.
-        assert_eq!(commits, engine.tl.commits);
-        assert_eq!(placement_aborts, engine.tl.aborts);
+        // The whole-run counters, not the report's window: the trace
+        // spans the warmup too.
+        let aborts = engine.registry.value(engine.counters.fault_txn_abort);
+        assert_eq!(commits, engine.completed - aborts);
+        assert_eq!(placement_aborts, aborts);
         assert!(engine.report().faults.txn_aborts > 0);
         // Only what the end of the run caught in flight is still open.
         assert!(open
@@ -1067,7 +1103,7 @@ mod delete_tests {
         let mut engine = Engine::with_obs(deleting(), ObsConfig::with_sink(Box::new(sink)));
         engine.drive();
         engine.finalize_obs();
-        assert!(engine.tl.aborts > 0);
+        assert!(engine.registry.value(engine.counters.fault_txn_abort) > 0);
         let text = String::from_utf8(buf.bytes()).unwrap();
         // Per user lane: begins minus ends.
         let mut depth = vec![0i64; engine.users.len()];
@@ -1173,5 +1209,169 @@ mod crash_tests {
         assert!(report.p50_response_s <= report.p95_response_s);
         assert!(report.p95_response_s <= report.max_response_s + 0.011);
         assert!(report.p50_response_s > 0.0);
+    }
+}
+
+#[cfg(test)]
+mod ledger_tests {
+    use super::*;
+    use semcluster_buffer::{PrefetchScope, ReplacementPolicy};
+    use semcluster_clustering::{ClusteringPolicy, SplitPolicy};
+    use semcluster_faults::FaultConfig;
+    use semcluster_workload::{StructureDensity, WorkloadSpec};
+
+    /// Every event source busy, under the `stress` fault preset: retries,
+    /// spikes, stalls, aborts and degradation all fire.
+    fn stressed() -> SimConfig {
+        SimConfig {
+            database_bytes: 2 * 1024 * 1024,
+            buffer_pages: 24,
+            warmup_txns: 100,
+            measured_txns: 400,
+            workload: WorkloadSpec::new(StructureDensity::Med5, 2.0),
+            clustering: ClusteringPolicy::NoLimit,
+            split: SplitPolicy::Linear,
+            prefetch: PrefetchScope::WithinDatabase,
+            replacement: ReplacementPolicy::ContextSensitive,
+            faults: FaultConfig::preset("stress").expect("a preset"),
+            ..SimConfig::default()
+        }
+    }
+
+    /// The registry is never reset: what the report and the observed
+    /// snapshot say about the measured interval is, counter by counter,
+    /// the count at the end less the count where the window opened — and
+    /// the window opened inside the event that completed the warm-up.
+    #[test]
+    fn report_and_snapshot_are_the_ledger_less_its_measurement_start() {
+        let mut engine = Engine::new(stressed());
+        let mut before = engine.registry.clone();
+        while !engine.measuring {
+            before = engine.registry.clone();
+            assert!(engine.step_event());
+        }
+        let opened = engine.registry.clone();
+        engine.drive();
+        let (end, start, c) = (
+            engine.registry.clone(),
+            engine.window.counters.clone(),
+            engine.counters,
+        );
+        let now_us = engine.queue.now().as_micros();
+        let (report, obs) = engine.run_observed();
+        let at_start = |id| end.value(id) - end.value_since(id, &start);
+        let w = |id| end.value_since(id, &start);
+        let all = [
+            ("buffer.hit", c.buffer_hit),
+            ("buffer.miss", c.buffer_miss),
+            ("buffer.evict.dirty", c.buffer_evict_dirty),
+            ("io.read.demand", c.io_read_demand),
+            ("cluster.search.candidate_io", c.cluster_search_candidate_io),
+            ("cluster.split", c.cluster_split),
+            ("cluster.recluster.move", c.cluster_recluster_move),
+            ("split.io", c.split_io),
+            ("lock.wait", c.lock_wait),
+            ("prefetch.issue", c.prefetch_issue),
+            ("prefetch.io", c.prefetch_io),
+            ("wal.flush.before_image", c.wal_flush_before_image),
+            ("wal.flush.full", c.wal_flush_full),
+            ("wal.flush.commit", c.wal_flush_commit),
+            ("fault.io.read_error", c.fault_io_read_error),
+            ("fault.io.write_error", c.fault_io_write_error),
+            ("fault.io.retry", c.fault_io_retry),
+            ("fault.io.spike", c.fault_io_spike),
+            ("fault.log.stall", c.fault_log_stall),
+            ("fault.txn.abort", c.fault_txn_abort),
+            ("fault.degrade.enter", c.fault_degrade_enter),
+            ("fault.degrade.exit", c.fault_degrade_exit),
+        ];
+        for name in end.snapshot().counters.keys() {
+            assert!(all.iter().any(|&(n, _)| n == name), "{name} is not checked");
+        }
+        for (name, id) in all {
+            assert_eq!(
+                end.counter(name),
+                end.value(id),
+                "{name}: handle and name differ"
+            );
+            assert_eq!(
+                obs.metrics.counter(name),
+                w(id),
+                "{name}: snapshot not windowed"
+            );
+            let s = at_start(id);
+            assert!(
+                (before.value(id)..=opened.value(id)).contains(&s),
+                "{name}: window opened at {s}, outside the event that ended the warm-up"
+            );
+        }
+        assert!(at_start(c.buffer_hit) > 0, "the warm-up counted nothing");
+        let io = report.io;
+        assert_eq!(io.data_reads, w(c.io_read_demand));
+        assert_eq!(io.cluster_search_ios, w(c.cluster_search_candidate_io));
+        assert_eq!(io.dirty_writebacks, w(c.buffer_evict_dirty));
+        assert_eq!(io.prefetch_ios, w(c.prefetch_io));
+        assert_eq!(io.split_ios, w(c.split_io));
+        let log_ios = w(c.wal_flush_before_image) + w(c.wal_flush_full) + w(c.wal_flush_commit);
+        assert_eq!((io.log_ios, report.log_ios), (log_ios, log_ios));
+        assert_eq!(report.splits, w(c.cluster_split));
+        assert_eq!(report.recluster_moves, w(c.cluster_recluster_move));
+        assert_eq!(report.lock_waits, w(c.lock_wait));
+        let (hits, misses) = (w(c.buffer_hit), w(c.buffer_miss));
+        assert_eq!(report.hit_ratio, hits as f64 / (hits + misses) as f64);
+        let f = report.faults;
+        assert_eq!(f.read_errors, w(c.fault_io_read_error));
+        assert_eq!(f.write_errors, w(c.fault_io_write_error));
+        assert_eq!(f.retries, w(c.fault_io_retry));
+        assert_eq!(f.spikes, w(c.fault_io_spike));
+        assert_eq!(f.log_stalls, w(c.fault_log_stall));
+        assert_eq!(f.stall_us, f.log_stalls * stressed().faults.log_stall_us);
+        assert_eq!(f.txn_aborts, w(c.fault_txn_abort));
+        assert_eq!(f.degrade_enters, w(c.fault_degrade_enter));
+        assert_eq!(f.degrade_exits, w(c.fault_degrade_exit));
+        assert!(f.spikes > 0 && f.retries > 0 && f.log_stalls > 0 && f.txn_aborts > 0);
+        // Utilisation is the windowed busy gauge over the whole run's
+        // horizon (the known under-read: ROADMAP 6(a)).
+        let cpu_busy = obs.metrics.gauge("cpu.busy_us") as f64;
+        assert_eq!(report.cpu_utilization, (cpu_busy / now_us as f64).min(1.0));
+    }
+
+    /// The timeline reads the same cumulative ledger: its per-interval
+    /// deltas sum to the registry's hits, misses and aborts, and to the
+    /// transactions completed, as they stood at the last sample.
+    #[test]
+    fn timeline_deltas_sum_to_the_ledger_at_the_last_sample() {
+        let obs = ObsConfig::default().timeline(1_000_000);
+        let mut engine = Engine::with_obs(stressed(), obs);
+        let c = engine.counters;
+        let mut at_last_sample = (0, 0, 0, 0);
+        let mut due = engine.timeline.as_ref().map(TimelineSampler::next_due_us);
+        while engine.step_event() {
+            let next = engine.timeline.as_ref().map(TimelineSampler::next_due_us);
+            if next != due {
+                let aborts = engine.registry.value(c.fault_txn_abort);
+                at_last_sample = (
+                    engine.registry.value(c.buffer_hit),
+                    engine.registry.value(c.buffer_miss),
+                    engine.completed - aborts,
+                    aborts,
+                );
+                due = next;
+            }
+        }
+        let timeline = engine.timeline.take().expect("sampling on").into_timeline();
+        let mut sums = (0, 0, 0, 0);
+        for (_, p) in timeline.points() {
+            sums.0 += p.hits;
+            sums.1 += p.misses;
+            sums.2 += p.commits;
+            sums.3 += p.aborts;
+        }
+        assert!(
+            timeline.len() > 10 && sums.3 > 0,
+            "{} points",
+            timeline.len()
+        );
+        assert_eq!(sums, at_last_sample);
     }
 }

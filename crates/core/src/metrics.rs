@@ -1,9 +1,6 @@
 //! Output metrics of one simulation run.
 
-use semcluster_buffer::BufferStats;
-use semcluster_faults::FaultStats;
 use semcluster_sim::{Histogram, OnlineStats, SimDuration};
-use semcluster_wal::LogStats;
 
 /// Physical-I/O breakdown by cause.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,6 +46,35 @@ pub struct EventCounts {
     pub recluster_moves: u64,
     /// Transactions that had to wait for locks.
     pub lock_waits: u64,
+    /// Page requests the buffer pool served from memory.
+    pub buffer_hits: u64,
+    /// Page requests that faulted.
+    pub buffer_misses: u64,
+}
+
+/// What the fault layer injected over the measured interval, and the
+/// engine's responses: the report's view of the `fault.*` counters
+/// (DESIGN.md §9.2). All zero when injection is inert.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultStats {
+    /// Transient page-read failures injected.
+    pub read_errors: u64,
+    /// Transient page-write failures injected.
+    pub write_errors: u64,
+    /// Retries the engine performed (successful or not).
+    pub retries: u64,
+    /// Latency spikes injected on data-disk I/Os.
+    pub spikes: u64,
+    /// Log-device stalls injected.
+    pub log_stalls: u64,
+    /// Total simulated µs of injected log stall.
+    pub stall_us: u64,
+    /// Transactions aborted after retry exhaustion.
+    pub txn_aborts: u64,
+    /// Transitions into degraded (append-placement) mode.
+    pub degrade_enters: u64,
+    /// Transitions back to normal clustering.
+    pub degrade_exits: u64,
 }
 
 /// Per-transaction response-time attribution in integer simulated
@@ -233,14 +259,13 @@ pub struct RunReport {
     pub p95_response_s: f64,
     /// Physical-I/O breakdown.
     pub io: IoBreakdown,
-    /// Buffer-pool counters.
-    pub buffer: BufferStats,
     /// Buffer hit ratio over the measured interval.
     pub hit_ratio: f64,
-    /// Log-manager counters.
-    pub log: LogStats,
-    /// Physical log I/Os over the measured interval.
+    /// Physical log I/Os over the measured interval (`io.log_ios`).
     pub log_ios: u64,
+    /// Write transactions whose commit was logged over the measured
+    /// interval (Figure 5.5's per-commit denominator).
+    pub commits: u64,
     /// Page splits performed.
     pub splits: u64,
     /// Recluster moves performed.
@@ -267,7 +292,7 @@ pub struct RunReport {
     pub measured_span_s: f64,
     /// Whether fault injection was active for this run.
     pub faults_enabled: bool,
-    /// Fault-injection counters over the measured interval (all zero
+    /// Fault-injection counts over the measured interval (all zero
     /// when injection is inert).
     pub faults: FaultStats,
     /// Display strings of the first few transaction-abort causes (retry
@@ -282,8 +307,6 @@ impl RunReport {
         config_label: String,
         metrics: &MetricsCollector,
         events: EventCounts,
-        buffer: BufferStats,
-        log: LogStats,
         disk_utilization: f64,
         cpu_utilization: f64,
         measured_span: SimDuration,
@@ -312,10 +335,12 @@ impl RunReport {
                 0.0
             },
             io: events.io,
-            buffer,
-            hit_ratio: buffer.hit_ratio(),
-            log,
-            log_ios: log.total_ios(),
+            hit_ratio: match events.buffer_hits + events.buffer_misses {
+                0 => 0.0,
+                requests => events.buffer_hits as f64 / requests as f64,
+            },
+            log_ios: events.io.log_ios,
+            commits: 0,
             splits: events.splits,
             recluster_moves: events.recluster_moves,
             objects_created: metrics.objects_created,
@@ -476,16 +501,17 @@ mod tests {
             &m,
             EventCounts {
                 splits: 3,
+                buffer_hits: 3,
+                buffer_misses: 1,
                 ..EventCounts::default()
             },
-            BufferStats::default(),
-            LogStats::default(),
             0.5,
             0.1,
             SimDuration::from_secs(100),
         );
         assert_eq!(r.txns, 1);
         assert_eq!(r.splits, 3);
+        assert_eq!(r.hit_ratio, 0.75);
         assert!((r.mean_response_s - 0.05).abs() < 1e-9);
         assert_eq!(r.measured_span_s, 100.0);
         assert_eq!(r.response_us_total, 50_000);

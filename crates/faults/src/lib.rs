@@ -34,4 +34,4 @@ mod plan;
 pub use config::{CrashPoint, DegradationPolicy, FaultConfig, RetryPolicy};
 pub use fsfault::{FaultedDir, FsCrashReport, FsError, FsFaultConfig, FsFile, FsStats, TornWrite};
 pub use netchaos::{NetAction, NetChaosConfig, NetChaosPlan};
-pub use plan::{splitmix64, FaultPlan, FaultState, FaultStats, IoError, IoOp};
+pub use plan::{splitmix64, FaultPlan, FaultState, IoError, IoOp};

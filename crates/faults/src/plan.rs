@@ -2,11 +2,12 @@
 //!
 //! [`FaultPlan`] answers "does the n-th draw of stream S fault?" as a
 //! pure function of `(seed, S, n)` — a splitmix64 hash, no mutable RNG.
-//! [`FaultState`] owns the per-stream draw counters, the fault
-//! statistics, and the sliding window behind graceful degradation; the
-//! engine holds one per run. Nothing here touches the engine's main
-//! RNG stream, so an inert configuration leaves the simulation's
-//! stochastic choices untouched.
+//! [`FaultState`] owns the per-stream draw counters and the sliding
+//! window behind graceful degradation; the engine holds one per run.
+//! Every hook reports what it injected, and the engine counts it in its
+//! own ledger: the plan keeps no tallies. Nothing here touches the
+//! engine's main RNG stream, so an inert configuration leaves the
+//! simulation's stochastic choices untouched.
 
 use crate::config::{DegradationPolicy, FaultConfig};
 use std::collections::VecDeque;
@@ -64,31 +65,6 @@ impl std::fmt::Display for IoError {
 
 impl std::error::Error for IoError {}
 
-/// Counters of everything the fault layer injected (and the engine's
-/// responses). Reset at measurement start so reports cover the
-/// measured interval like every other counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Transient page-read failures injected.
-    pub read_errors: u64,
-    /// Transient page-write failures injected.
-    pub write_errors: u64,
-    /// Retries the engine performed (successful or not).
-    pub retries: u64,
-    /// Latency spikes injected on data-disk I/Os.
-    pub spikes: u64,
-    /// Log-device stalls injected.
-    pub log_stalls: u64,
-    /// Total simulated µs of injected log stall.
-    pub stall_us: u64,
-    /// Transactions aborted after retry exhaustion.
-    pub txn_aborts: u64,
-    /// Transitions into degraded (append-placement) mode.
-    pub degrade_enters: u64,
-    /// Transitions back to normal clustering.
-    pub degrade_exits: u64,
-}
-
 const SALT: u64 = 0xFA17_5EED_0DB5_1989;
 
 /// The splitmix64 mixing function behind every keyed-hash schedule in
@@ -139,15 +115,13 @@ impl FaultPlan {
 }
 
 /// Runtime fault state the engine owns for one run: the plan, the
-/// per-stream draw counters, statistics, and the degradation window.
+/// per-stream draw counters and the degradation window.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     cfg: FaultConfig,
     plan: FaultPlan,
     enabled: bool,
     counters: [u64; 4],
-    /// Injection/response counters (reset at measurement start).
-    pub stats: FaultStats,
     window: VecDeque<u64>,
     window_sum: u64,
     degraded: bool,
@@ -161,7 +135,6 @@ impl FaultState {
             plan: FaultPlan::new(seed),
             enabled,
             counters: [0; 4],
-            stats: FaultStats::default(),
             window: VecDeque::with_capacity(cfg.degradation.window_txns),
             window_sum: 0,
             degraded: false,
@@ -178,13 +151,6 @@ impl FaultState {
     /// Configuration in force.
     pub fn config(&self) -> &FaultConfig {
         &self.cfg
-    }
-
-    /// Reset statistics (measurement start). Draw counters and the
-    /// degradation window carry on — the fault *schedule* is a
-    /// property of the whole run, not of the measured interval.
-    pub fn reset_stats(&mut self) {
-        self.stats = FaultStats::default();
     }
 
     fn draw(&mut self, stream: Stream) -> f64 {
@@ -211,17 +177,17 @@ impl FaultState {
 
     /// Service-time multiplier for one data-disk I/O attempt: the
     /// static degraded-disk multiplier times any latency spike drawn
-    /// for this attempt.
-    pub fn service_mult(&mut self, disk: u32) -> u64 {
+    /// for this attempt, and whether a spike was drawn.
+    pub fn service_mult(&mut self, disk: u32) -> (u64, bool) {
         if !self.enabled {
-            return 1;
+            return (1, false);
         }
-        let mut mult = self.disk_mult(disk);
+        let mult = self.disk_mult(disk);
         if self.cfg.spike_rate > 0.0 && self.draw(Stream::Spike) < self.cfg.spike_rate {
-            self.stats.spikes += 1;
-            mult = mult.saturating_mul(self.cfg.spike_mult.max(1) as u64);
+            (mult.saturating_mul(self.cfg.spike_mult.max(1) as u64), true)
+        } else {
+            (mult, false)
         }
-        mult
     }
 
     fn io_fails(&mut self, stream: Stream, rate: f64, disk: u32) -> bool {
@@ -238,20 +204,12 @@ impl FaultState {
 
     /// Whether the next page-read attempt on `disk` fails transiently.
     pub fn read_fails(&mut self, disk: u32) -> bool {
-        let failed = self.io_fails(Stream::ReadError, self.cfg.read_error_rate, disk);
-        if failed {
-            self.stats.read_errors += 1;
-        }
-        failed
+        self.io_fails(Stream::ReadError, self.cfg.read_error_rate, disk)
     }
 
     /// Whether the next page-write attempt on `disk` fails transiently.
     pub fn write_fails(&mut self, disk: u32) -> bool {
-        let failed = self.io_fails(Stream::WriteError, self.cfg.write_error_rate, disk);
-        if failed {
-            self.stats.write_errors += 1;
-        }
-        failed
+        self.io_fails(Stream::WriteError, self.cfg.write_error_rate, disk)
     }
 
     /// Stall injected before the next physical log I/O, in simulated
@@ -261,8 +219,6 @@ impl FaultState {
             return 0;
         }
         if self.draw(Stream::LogStall) < self.cfg.log_stall_rate {
-            self.stats.log_stalls += 1;
-            self.stats.stall_us += self.cfg.log_stall_us;
             self.cfg.log_stall_us
         } else {
             0
@@ -301,13 +257,11 @@ impl FaultState {
         }
         if !self.degraded && self.window_sum > search_budget_us {
             self.degraded = true;
-            self.stats.degrade_enters += 1;
             Some(true)
         } else if self.degraded
             && self.window_sum < search_budget_us.saturating_mul(exit_pct as u64) / 100
         {
             self.degraded = false;
-            self.stats.degrade_exits += 1;
             Some(false)
         } else {
             None
@@ -376,14 +330,12 @@ mod tests {
                     s.log_stall_us(),
                 ));
             }
-            (trace, s.stats)
+            trace
         };
-        let (ta, sa) = run();
-        let (tb, sb) = run();
-        assert_eq!(ta, tb);
-        assert_eq!(sa, sb);
-        assert!(sa.read_errors > 0 && sa.write_errors > 0);
-        assert!(sa.spikes > 0 && sa.log_stalls > 0);
+        let trace = run();
+        assert_eq!(trace, run());
+        assert!(trace.iter().any(|t| t.0) && trace.iter().any(|t| t.1));
+        assert!(trace.iter().any(|t| t.2 .1) && trace.iter().any(|t| t.3 > 0));
     }
 
     #[test]
@@ -409,11 +361,10 @@ mod tests {
         for d in 0..4 {
             assert!(!s.read_fails(d));
             assert!(!s.write_fails(d));
-            assert_eq!(s.service_mult(d), 1);
+            assert_eq!(s.service_mult(d), (1, false));
         }
         assert_eq!(s.log_stall_us(), 0);
         assert_eq!(s.counters, [0; 4], "inert state must not consume draws");
-        assert_eq!(s.stats, FaultStats::default());
         assert!(s.observe_txn_search(1_000_000).is_none());
         assert!(!s.degraded());
     }
@@ -428,8 +379,8 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut s = FaultState::new(9, cfg);
-        assert_eq!(s.service_mult(0), 1);
-        assert_eq!(s.service_mult(1), 4);
+        assert_eq!(s.service_mult(0), (1, false));
+        assert_eq!(s.service_mult(1), (4, false));
         let mut hot = 0;
         let mut cold = 0;
         for _ in 0..2000 {
@@ -465,8 +416,6 @@ mod tests {
         assert_eq!(s.observe_txn_search(0), None);
         assert_eq!(s.observe_txn_search(0), Some(false));
         assert!(!s.degraded());
-        assert_eq!(s.stats.degrade_enters, 1);
-        assert_eq!(s.stats.degrade_exits, 1);
     }
 
     #[test]

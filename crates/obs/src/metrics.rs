@@ -307,31 +307,40 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Clear every metric (used when the measured interval begins, so
-    /// counters cover exactly what the per-run report covers).
-    ///
-    /// Counter *names* are retained and their values zeroed in place,
-    /// so every [`CounterId`] stays valid and a post-warmup
-    /// [`MetricsRegistry::inc`] allocates no `String` inside a profiled
-    /// phase. Zero-valued counters are filtered out of
-    /// [`MetricsRegistry::snapshot`], so the observable state is
-    /// byte-identical to a full clear.
-    pub fn reset(&mut self) {
-        self.counters.fill(0);
-        self.gauges.clear();
-        self.histograms.clear();
+    /// Copy every counter's value into `out`, reusing its buffer: the
+    /// start of a window that [`MetricsRegistry::value_since`] and
+    /// [`MetricsRegistry::snapshot_since`] read through. Counters are
+    /// never reset, so a window is the only way to count from an
+    /// instant; a buffer copied once at construction never reallocates.
+    pub fn counter_values_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend_from_slice(&self.counters);
+    }
+
+    /// Growth of a declared counter since `start`, a copy taken by
+    /// [`MetricsRegistry::counter_values_into`] (counters it predates
+    /// count from zero).
+    pub fn value_since(&self, id: CounterId, start: &[u64]) -> u64 {
+        self.counters[id.0] - start.get(id.0).copied().unwrap_or(0)
     }
 
     /// Deterministic point-in-time copy of every metric. Zero-valued
-    /// counters (declared, or retained by [`MetricsRegistry::reset`])
-    /// are omitted — a counter that never fired is indistinguishable
-    /// from one that was never created.
+    /// counters (declared but never bumped) are omitted — a counter
+    /// that never fired is indistinguishable from one never created.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        self.snapshot_since(&[])
+    }
+
+    /// [`MetricsRegistry::snapshot`] with every counter windowed from
+    /// `start` (see [`MetricsRegistry::counter_values_into`]). Gauges
+    /// and histograms are copied whole: a recorder that wants them
+    /// windowed records them only inside the window.
+    pub fn snapshot_since(&self, start: &[u64]) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
                 .counter_ids
                 .iter()
-                .map(|(k, id)| (k, self.counters[id.0]))
+                .map(|(k, &id)| (k, self.value_since(id, start)))
                 .filter(|&(_, v)| v > 0)
                 .map(|(k, v)| (k.clone(), v))
                 .collect(),
@@ -363,9 +372,10 @@ impl MetricsSnapshot {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
-    /// Counter and gauge deltas since `earlier` (histograms are omitted
-    /// from diffs — they don't subtract meaningfully bucket-wise once
-    /// reset semantics differ). Counters absent earlier count from zero.
+    /// What happened since `earlier`, a snapshot of the same cumulative
+    /// registry: counter and gauge deltas, and histograms windowed with
+    /// [`Histogram::since`]. Metrics absent earlier count from zero;
+    /// metrics that did not move are omitted.
     pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let mut counters = BTreeMap::new();
         for (k, &v) in &self.counters {
@@ -381,10 +391,20 @@ impl MetricsSnapshot {
                 gauges.insert(k.clone(), delta);
             }
         }
+        let mut histograms = BTreeMap::new();
+        for (k, h) in &self.histograms {
+            let delta = match earlier.histograms.get(k) {
+                Some(was) => h.since(was),
+                None => h.clone(),
+            };
+            if delta.count > 0 {
+                histograms.insert(k.clone(), delta);
+            }
+        }
         MetricsSnapshot {
             counters,
             gauges,
-            histograms: BTreeMap::new(),
+            histograms,
         }
     }
 
@@ -535,23 +555,55 @@ mod tests {
             r.snapshot().to_ascii_table(),
             by_name.snapshot().to_ascii_table()
         );
-        r.reset();
-        assert!(r.snapshot().counters.is_empty());
         r.bump(idle);
-        assert_eq!(r.counter("idle"), 1, "handles survive reset");
+        assert_eq!(r.counter("idle"), 1);
     }
 
     #[test]
     fn diff_subtracts_counters() {
         let mut r = MetricsRegistry::new();
         r.add("a", 5);
+        r.observe("lat", 3);
         let early = r.snapshot();
         r.add("a", 3);
         r.inc("b");
+        r.observe("lat", 900);
+        r.observe("new", 7);
         let late = r.snapshot();
         let d = late.diff(&early);
         assert_eq!(d.counter("a"), 3);
         assert_eq!(d.counter("b"), 1);
+        assert_eq!(
+            d.histograms["lat"],
+            late.histograms["lat"].since(&early.histograms["lat"])
+        );
+        assert_eq!(d.histograms["lat"].count, 1);
+        assert_eq!(d.histograms["new"], late.histograms["new"]);
+        let mut merged = early.clone();
+        merged.merge(&d);
+        assert_eq!(merged.counters, late.counters);
+        assert_eq!(merged.histograms, late.histograms);
+        assert_eq!(late.diff(&late), MetricsSnapshot::default());
+    }
+
+    #[test]
+    fn a_window_counts_from_its_start() {
+        let mut r = MetricsRegistry::new();
+        let a = r.declare("a");
+        let b = r.declare("b");
+        let mut start = Vec::new();
+        r.counter_values_into(&mut start);
+        let sized = start.capacity();
+        r.add("a", 4);
+        let early = r.snapshot();
+        r.counter_values_into(&mut start);
+        assert_eq!(start.capacity(), sized, "re-marking reuses the buffer");
+        r.bump(a);
+        r.bump(b);
+        assert_eq!(r.value_since(a, &start), 1);
+        assert_eq!(r.value_since(a, &[]), 5);
+        assert_eq!(r.snapshot_since(&start), r.snapshot().diff(&early));
+        assert_eq!(r.snapshot_since(&[]), r.snapshot());
     }
 
     #[test]
@@ -689,16 +741,5 @@ mod tests {
         assert_eq!(ab.histograms["lat"].count, 2);
         let folded = MetricsSnapshot::merged([&a, &b]);
         assert_eq!(folded, ab);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut r = MetricsRegistry::new();
-        r.inc("x");
-        r.set_gauge("y", 1);
-        r.observe("z", 1);
-        r.reset();
-        let s = r.snapshot();
-        assert!(s.counters.is_empty() && s.gauges.is_empty() && s.histograms.is_empty());
     }
 }

@@ -38,7 +38,7 @@
 //!     }
 //! }
 //! assert_eq!(completed, 3);
-//! assert_eq!(disk.jobs(), 3);
+//! assert_eq!(disk.busy_time(), SimDuration::from_millis(3 * 28));
 //! ```
 
 #![warn(missing_docs)]

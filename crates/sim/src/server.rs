@@ -15,8 +15,6 @@ pub struct FcfsServer {
     name: String,
     free_at: SimTime,
     busy: SimDuration,
-    jobs: u64,
-    queue_wait: SimDuration,
 }
 
 impl FcfsServer {
@@ -26,20 +24,15 @@ impl FcfsServer {
             name: name.into(),
             free_at: SimTime::ZERO,
             busy: SimDuration::ZERO,
-            jobs: 0,
-            queue_wait: SimDuration::ZERO,
         }
     }
 
     /// Submit a job arriving at `now` that needs `service` time.
     /// Returns the absolute completion time.
     pub fn submit(&mut self, now: SimTime, service: SimDuration) -> SimTime {
-        let start = self.free_at.max(now);
-        self.queue_wait += start - now;
-        let done = start + service;
+        let done = self.free_at.max(now) + service;
         self.free_at = done;
         self.busy += service;
-        self.jobs += 1;
         done
     }
 
@@ -48,42 +41,25 @@ impl FcfsServer {
         &self.name
     }
 
-    /// Jobs served so far.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
-    /// Total service time delivered so far.
+    /// Total service time delivered so far. It is never reset: a
+    /// measurement window subtracts the value it read at its start.
     pub fn busy_time(&self) -> SimDuration {
         self.busy
     }
 
-    /// Total time jobs spent waiting in queue (excludes service).
-    pub fn total_queue_wait(&self) -> SimDuration {
-        self.queue_wait
-    }
-
-    /// Fraction of `[0, horizon]` the server was busy.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
+    /// Fraction of `[0, horizon]` filled by the service delivered since
+    /// the busy time stood at `start`.
+    pub fn utilization_since(&self, start: SimDuration, horizon: SimTime) -> f64 {
         if horizon == SimTime::ZERO {
             0.0
         } else {
-            (self.busy.as_micros() as f64 / horizon.as_micros() as f64).min(1.0)
+            ((self.busy - start).as_micros() as f64 / horizon.as_micros() as f64).min(1.0)
         }
     }
 
     /// Next instant the server is idle.
     pub fn free_at(&self) -> SimTime {
         self.free_at
-    }
-
-    /// Reset statistics (jobs, busy time, queue wait) but keep `free_at`,
-    /// so a measurement interval can start after warmup without emptying
-    /// the queue.
-    pub fn reset_stats(&mut self) {
-        self.busy = SimDuration::ZERO;
-        self.jobs = 0;
-        self.queue_wait = SimDuration::ZERO;
     }
 }
 
@@ -155,20 +131,15 @@ impl ServerBank {
             .unwrap_or_else(|| panic!("server bank has {n} members; member {i} does not exist"))
     }
 
-    /// Mean utilisation across members over `[0, horizon]`.
-    pub fn mean_utilization(&self, horizon: SimTime) -> f64 {
+    /// Mean over members of [`FcfsServer::utilization_since`], member
+    /// `i` counted from `start[i]`.
+    pub fn mean_utilization_since(&self, start: &[SimDuration], horizon: SimTime) -> f64 {
         self.servers
             .iter()
-            .map(|s| s.utilization(horizon))
+            .zip(start)
+            .map(|(s, &from)| s.utilization_since(from, horizon))
             .sum::<f64>()
             / self.servers.len() as f64
-    }
-
-    /// Reset statistics on every member.
-    pub fn reset_stats(&mut self) {
-        for s in &mut self.servers {
-            s.reset_stats();
-        }
     }
 }
 
@@ -185,7 +156,6 @@ mod tests {
         let mut s = FcfsServer::new("cpu");
         let done = s.submit(SimTime::from_millis(10), ms(5));
         assert_eq!(done, SimTime::from_millis(15));
-        assert_eq!(s.total_queue_wait(), SimDuration::ZERO);
     }
 
     #[test]
@@ -196,7 +166,6 @@ mod tests {
         let second = s.submit(t0, ms(10));
         assert_eq!(first, SimTime::from_millis(10));
         assert_eq!(second, SimTime::from_millis(20));
-        assert_eq!(s.total_queue_wait(), ms(10));
     }
 
     #[test]
@@ -205,8 +174,10 @@ mod tests {
         s.submit(SimTime::from_millis(0), ms(10));
         s.submit(SimTime::from_millis(100), ms(10));
         assert_eq!(s.busy_time(), ms(20));
-        let u = s.utilization(SimTime::from_millis(200));
+        let u = s.utilization_since(SimDuration::ZERO, SimTime::from_millis(200));
         assert!((u - 0.1).abs() < 1e-9, "{u}");
+        let windowed = s.utilization_since(ms(10), SimTime::from_millis(200));
+        assert!((windowed - 0.05).abs() < 1e-9, "{windowed}");
     }
 
     #[test]
@@ -223,18 +194,9 @@ mod tests {
     fn bank_directed_submission() {
         let mut bank = ServerBank::new("disk", 3);
         bank.submit_to(1, SimTime::ZERO, ms(7));
-        assert_eq!(bank.member(1).jobs(), 1);
-        assert_eq!(bank.member(0).jobs(), 0);
-    }
-
-    #[test]
-    fn reset_stats_keeps_backlog() {
-        let mut s = FcfsServer::new("disk");
-        s.submit(SimTime::ZERO, ms(50));
-        s.reset_stats();
-        assert_eq!(s.jobs(), 0);
-        // Queue backlog survives: next job still waits for the first.
-        let done = s.submit(SimTime::ZERO, ms(10));
-        assert_eq!(done, SimTime::from_millis(60));
+        assert_eq!(bank.member(1).busy_time(), ms(7));
+        assert_eq!(bank.member(0).busy_time(), SimDuration::ZERO);
+        let u = bank.mean_utilization_since(&[SimDuration::ZERO; 3], SimTime::from_millis(7));
+        assert!((u - 1.0 / 3.0).abs() < 1e-9, "{u}");
     }
 }

@@ -35,12 +35,6 @@ impl DiskParams {
     pub fn service_us(&self) -> u64 {
         self.avg_seek_us + self.rotation_us / 2 + self.page_transfer_us
     }
-
-    /// Service time for a sequential follow-on page (no seek, no
-    /// rotational delay) — used for multi-page prefetch transfers.
-    pub fn sequential_us(&self) -> u64 {
-        self.page_transfer_us
-    }
 }
 
 /// Static page → disk striping.
@@ -79,7 +73,6 @@ mod tests {
         let p = DiskParams::default();
         let ms = p.service_us() as f64 / 1000.0;
         assert!((20.0..40.0).contains(&ms), "{ms} ms");
-        assert!(p.sequential_us() < p.service_us());
     }
 
     #[test]

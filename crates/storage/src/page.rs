@@ -111,11 +111,6 @@ impl Page {
         self.capacity - self.used
     }
 
-    /// Used fraction in `[0, 1]`.
-    pub fn fill_factor(&self) -> f64 {
-        self.used as f64 / self.capacity as f64
-    }
-
     /// Number of resident objects.
     pub fn object_count(&self) -> usize {
         self.slots.len()
@@ -225,7 +220,6 @@ mod tests {
         ));
         p.insert(o(2), 10).unwrap();
         assert_eq!(p.free(), 0);
-        assert_eq!(p.fill_factor(), 1.0);
     }
 
     #[test]

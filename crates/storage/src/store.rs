@@ -212,15 +212,6 @@ impl StorageManager {
         self.pages.iter().map(|p| p.used() as u64).sum()
     }
 
-    /// Mean fill factor over allocated pages (0 when no pages).
-    pub fn mean_fill_factor(&self) -> f64 {
-        if self.pages.is_empty() {
-            0.0
-        } else {
-            self.pages.iter().map(Page::fill_factor).sum::<f64>() / self.pages.len() as f64
-        }
-    }
-
     fn set_dir(&mut self, object: ObjectId, page: Option<PageId>) {
         if object.index() >= self.dir.len() {
             self.dir.resize(object.index() + 1, None);
@@ -340,10 +331,8 @@ mod tests {
     #[test]
     fn fill_factor_accounting() {
         let mut s = store();
-        assert_eq!(s.mean_fill_factor(), 0.0);
         s.append(o(1), 1000).unwrap();
         s.append(o(2), 1000).unwrap();
-        assert!(s.mean_fill_factor() > 0.0);
         assert_eq!(s.used_bytes(), 2000);
     }
 }

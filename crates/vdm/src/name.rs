@@ -204,12 +204,6 @@ impl ObjectName {
     pub fn same_entity(&self, other: &ObjectName) -> bool {
         self.base == other.base && self.rep != other.rep
     }
-
-    /// Whether `other` could be a version-history relative: same base and
-    /// representation, different version.
-    pub fn same_lineage(&self, other: &ObjectName) -> bool {
-        self.base == other.base && self.rep == other.rep && self.version != other.version
-    }
 }
 
 impl fmt::Display for ObjectName {
@@ -334,7 +328,5 @@ mod tests {
         let layout5 = ObjectName::new("ALU", 5, "layout");
         assert!(layout2.same_entity(&netlist3));
         assert!(!layout2.same_entity(&layout5));
-        assert!(layout2.same_lineage(&layout5));
-        assert!(!layout2.same_lineage(&netlist3));
     }
 }

@@ -229,14 +229,6 @@ impl TypeLattice {
         Ok(out)
     }
 
-    /// Whether `sub` is `sup` or inherits (transitively) from it.
-    pub fn is_subtype(&self, sub: TypeId, sup: TypeId) -> Result<bool, TypeError> {
-        if sub == sup {
-            return Ok(true);
-        }
-        Ok(self.ancestors(sub)?.contains(&sup))
-    }
-
     /// The full attribute set visible on `id`: its own attributes plus all
     /// inherited ones, with subtype definitions shadowing supertype
     /// definitions of the same name. An instance's slot `i` is entry `i`
@@ -246,19 +238,6 @@ impl TypeLattice {
             Some(attrs) => Ok(attrs),
             None => Err(TypeError::UnknownType(id)),
         }
-    }
-
-    /// The full operation set visible on `id`, subtype definitions winning.
-    pub fn resolve_operations(&self, id: TypeId) -> Result<Vec<OpDef>, TypeError> {
-        let mut out: Vec<OpDef> = self.get(id)?.operations.clone();
-        for anc in self.ancestors(id)? {
-            for op in &self.get(anc)?.operations {
-                if !out.iter().any(|existing| existing.name == op.name) {
-                    out.push(op.clone());
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Effective traversal frequencies for instances of `id`: the type's
@@ -324,9 +303,6 @@ mod tests {
     fn ancestors_are_transitive() {
         let (l, base, cell, mc) = lattice();
         assert_eq!(l.ancestors(mc).unwrap(), vec![cell, base]);
-        assert!(l.is_subtype(mc, base).unwrap());
-        assert!(!l.is_subtype(base, mc).unwrap());
-        assert!(l.is_subtype(cell, cell).unwrap());
     }
 
     #[test]
@@ -434,14 +410,6 @@ mod tests {
             RelFrequencies::UNIFORM,
         )
         .unwrap();
-    }
-
-    #[test]
-    fn operation_resolution_unions() {
-        let (l, _, _, mc) = lattice();
-        let ops = l.resolve_operations(mc).unwrap();
-        let names: Vec<&str> = ops.iter().map(|o| o.name.as_str()).collect();
-        assert_eq!(names, ["route", "describe"]);
     }
 
     #[test]

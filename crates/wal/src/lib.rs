@@ -27,4 +27,4 @@
 
 mod log;
 
-pub use crate::log::{LogConfig, LogManager, LogStats, TxnToken, UpdateLogIo};
+pub use crate::log::{LogConfig, LogManager, TxnToken, UpdateLogIo};

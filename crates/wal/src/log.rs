@@ -13,9 +13,11 @@
 //!   reduces logging I/O.
 //!
 //! Multiple transactions (one per user of the closed network) may be open
-//! concurrently; each holds its own page set. Records are counted, not
-//! kept: every update, commit and abort takes the next log sequence
-//! number, and that is all that is left of it.
+//! concurrently; each holds its own page set. Records are not kept:
+//! every update, commit and abort takes the next log sequence number,
+//! and that is all that is left of it. Nor are I/Os tallied here: every
+//! call returns the physical I/Os it triggered, and the caller counts
+//! them in its own ledger.
 
 use semcluster_storage::PageId;
 use semcluster_vdm::{DetHashMap, DetHashSet};
@@ -53,30 +55,6 @@ impl Default for LogConfig {
     }
 }
 
-/// Counters the experiments report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LogStats {
-    /// Records appended.
-    pub records: u64,
-    /// Bytes appended (records + headers).
-    pub bytes: u64,
-    /// Physical I/Os from the circular buffer wrapping.
-    pub buffer_flushes: u64,
-    /// Physical I/Os from before-images of updated pages.
-    pub before_image_ios: u64,
-    /// Physical I/Os from commit forces.
-    pub commit_forces: u64,
-    /// Transactions committed.
-    pub commits: u64,
-}
-
-impl LogStats {
-    /// All physical logging I/Os.
-    pub fn total_ios(&self) -> u64 {
-        self.buffer_flushes + self.before_image_ios + self.commit_forces
-    }
-}
-
 /// Physical log I/Os triggered by one [`LogManager::log_update`],
 /// broken down by kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,7 +82,6 @@ pub struct LogManager {
     // the engine's profiled WAL-append phase, so its allocation pattern
     // must not depend on the thread's random hash seed (DESIGN.md §13).
     open: DetHashMap<TxnToken, DetHashSet<PageId>>,
-    stats: LogStats,
     /// Log sequence numbers assigned so far.
     next_lsn: u64,
 }
@@ -118,7 +95,6 @@ impl LogManager {
             buffered: 0,
             next_token: 0,
             open: DetHashMap::default(),
-            stats: LogStats::default(),
             next_lsn: 0,
         }
     }
@@ -142,16 +118,6 @@ impl LogManager {
     /// Number of transactions currently open.
     pub fn open_transactions(&self) -> usize {
         self.open.len()
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> LogStats {
-        self.stats
-    }
-
-    /// Reset statistics (after warmup) without touching buffer state.
-    pub fn reset_stats(&mut self) {
-        self.stats = LogStats::default();
     }
 
     /// Open a transaction.
@@ -187,21 +153,14 @@ impl LogManager {
     ) -> UpdateLogIo {
         let pages = self.open.get_mut(&txn).expect("transaction is open");
         let mut io = UpdateLogIo::default();
-        let record = self.cfg.record_header_bytes + object_bytes;
-        self.stats.records += 1;
-        self.stats.bytes += record as u64;
-        self.buffered += record;
+        self.buffered += self.cfg.record_header_bytes + object_bytes;
         // Before-image of the original page, once per transaction.
-        if pages.insert(page) {
-            self.stats.before_image_ios += 1;
-            io.before_image = true;
-        }
+        io.before_image = pages.insert(page);
         self.next_lsn += 1;
         // The circular buffer wraps: flush whole buffers as needed. A
         // single huge record can wrap more than once.
         while self.buffered >= self.cfg.buffer_bytes {
             self.buffered -= self.cfg.buffer_bytes;
-            self.stats.buffer_flushes += 1;
             io.wrap_flushes += 1;
         }
         io
@@ -214,11 +173,9 @@ impl LogManager {
     /// Panics if `txn` is not open.
     pub fn commit(&mut self, txn: TxnToken) -> u32 {
         self.open.remove(&txn).expect("transaction is open");
-        self.stats.commits += 1;
         self.next_lsn += 1;
         if self.cfg.force_on_commit && self.buffered > 0 {
             self.buffered = 0;
-            self.stats.commit_forces += 1;
             1
         } else {
             0
@@ -242,7 +199,6 @@ impl LogManager {
     pub fn commit_group(&mut self, txns: &[TxnToken]) -> u32 {
         for &txn in txns {
             self.open.remove(&txn).expect("transaction is open");
-            self.stats.commits += 1;
             self.next_lsn += 1;
         }
         if txns.is_empty() {
@@ -250,7 +206,6 @@ impl LogManager {
         }
         if self.cfg.force_on_commit && self.buffered > 0 {
             self.buffered = 0;
-            self.stats.commit_forces += 1;
             1
         } else {
             0
@@ -293,7 +248,6 @@ mod tests {
         assert_eq!(ios, 1, "first touch of the page logs a before-image");
         let ios = log.commit(t);
         assert_eq!(ios, 1, "commit forces the tail");
-        assert_eq!(log.stats().total_ios(), 2);
         assert_eq!(log.buffered_bytes(), 0);
     }
 
@@ -333,13 +287,12 @@ mod tests {
             .collect();
         let ios = log.commit_group(&group);
         assert_eq!(ios, 1, "one force covers four commits");
-        assert_eq!(log.stats().commits, 4);
-        assert_eq!(log.stats().commit_forces, 1);
+        assert_eq!(log.current_lsn(), 8, "four updates, four commit records");
         assert_eq!(log.open_transactions(), 0);
         assert_eq!(log.buffered_bytes(), 0);
         // Empty batch is a no-op.
         assert_eq!(log.commit_group(&[]), 0);
-        assert_eq!(log.stats().commit_forces, 1);
+        assert_eq!(log.current_lsn(), 8);
     }
 
     #[test]
@@ -354,8 +307,7 @@ mod tests {
         assert_eq!(log.log_update(a, p(1), 10), 0);
         log.commit(a);
         log.commit(b);
-        assert_eq!(log.stats().before_image_ios, 2);
-        assert_eq!(log.stats().commits, 2);
+        assert_eq!(log.open_transactions(), 0);
     }
 
     #[test]
@@ -369,7 +321,6 @@ mod tests {
         assert_eq!(io1, 1); // before-image only
         assert_eq!(io2, 1); // buffer reaches exactly 1000 → flush
         assert_eq!(io3, 0); // 500 buffered, same page
-        assert_eq!(log.stats().buffer_flushes, 1);
         assert_eq!(log.buffered_bytes(), 500);
     }
 
@@ -377,9 +328,9 @@ mod tests {
     fn oversized_record_wraps_multiple_times() {
         let mut log = mgr(100);
         let t = log.begin();
-        let ios = log.log_update(t, p(1), 276); // 300 bytes vs 100-byte buffer
-        assert_eq!(log.stats().buffer_flushes, 3);
-        assert_eq!(ios, 4); // 3 wraps + 1 before-image
+        let io = log.log_update_detail(t, p(1), 276); // 300 bytes vs 100-byte buffer
+        assert_eq!(io.wrap_flushes, 3);
+        assert_eq!(io.total(), 4); // 3 wraps + 1 before-image
         assert_eq!(log.buffered_bytes(), 0);
     }
 
@@ -392,7 +343,6 @@ mod tests {
         let t2 = log.begin();
         assert_eq!(log.log_update(t2, p(1), 10), 1, "new txn, new image");
         log.commit(t2);
-        assert_eq!(log.stats().before_image_ios, 2);
     }
 
     #[test]

@@ -6,10 +6,10 @@ use semcluster_wal::{LogConfig, LogManager, TxnToken};
 use std::collections::HashSet;
 
 proptest! {
-    /// For any update stream inside one transaction: before-image I/Os
-    /// equal the number of *distinct* pages touched, buffer flushes equal
-    /// the byte arithmetic, and commit forces exactly once when anything
-    /// is buffered.
+    /// For any update stream inside one transaction, summing what the
+    /// calls return: before-image I/Os equal the number of *distinct*
+    /// pages touched, buffer flushes equal the byte arithmetic, and
+    /// commit forces exactly once when anything is buffered.
     #[test]
     fn accounting_matches_model(
         buffer_kb in 1u32..64,
@@ -24,20 +24,19 @@ proptest! {
         let txn = log.begin();
         let mut distinct = HashSet::new();
         let mut total_bytes = 0u64;
-        let mut ios = 0u32;
+        let (mut flushes, mut images, mut ios) = (0u64, 0u64, 0u64);
         for &(page, size) in &updates {
             distinct.insert(page);
             total_bytes += (size + 24) as u64;
-            ios += log.log_update(txn, PageId(page), size);
+            let io = log.log_update_detail(txn, PageId(page), size);
+            flushes += u64::from(io.wrap_flushes);
+            images += u64::from(io.before_image);
+            ios += u64::from(io.total());
         }
         let expected_flushes = total_bytes / cfg.buffer_bytes as u64;
-        prop_assert_eq!(log.stats().buffer_flushes, expected_flushes);
-        prop_assert_eq!(log.stats().before_image_ios, distinct.len() as u64);
-        prop_assert_eq!(
-            ios as u64,
-            expected_flushes + distinct.len() as u64,
-            "per-call I/Os must sum to the totals"
-        );
+        prop_assert_eq!(flushes, expected_flushes);
+        prop_assert_eq!(images, distinct.len() as u64);
+        prop_assert_eq!(ios, flushes + images, "an update's I/Os are its kinds' sum");
         let commit_io = log.commit(txn);
         let leftover = total_bytes % cfg.buffer_bytes as u64;
         prop_assert_eq!(commit_io, u32::from(leftover > 0));
@@ -58,16 +57,11 @@ proptest! {
         let mut txns = [log.begin(), log.begin(), log.begin()];
         let mut sets: [HashSet<u32>; 3] =
             [HashSet::new(), HashSet::new(), HashSet::new()];
-        let mut expected_images = 0u64;
         for &(t, page) in &script {
             let ios = log.log_update(txns[t], PageId(page), 8);
             let first = sets[t].insert(page);
             prop_assert_eq!(ios, u32::from(first));
-            if first {
-                expected_images += 1;
-            }
         }
-        prop_assert_eq!(log.stats().before_image_ios, expected_images);
         for (t, txn) in txns.iter().enumerate() {
             prop_assert_eq!(log.commit(*txn), 0, "no force configured");
             let _ = t;

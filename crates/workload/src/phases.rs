@@ -43,11 +43,6 @@ impl PhaseSchedule {
         self.phases.is_empty()
     }
 
-    /// Transactions in one full cycle.
-    pub fn cycle_length(&self) -> u64 {
-        self.cycle
-    }
-
     /// The workload in force for the `completed`-th transaction (the
     /// schedule repeats).
     pub fn spec_at(&self, completed: u64) -> &WorkloadSpec {
@@ -94,7 +89,6 @@ mod tests {
             (WorkloadSpec::new(StructureDensity::Low3, 1.0), 10),
             (WorkloadSpec::new(StructureDensity::Low3, 100.0), 5),
         ]);
-        assert_eq!(s.cycle_length(), 15);
         assert_eq!(s.spec_at(0).rw_ratio, 1.0);
         assert_eq!(s.spec_at(9).rw_ratio, 1.0);
         assert_eq!(s.spec_at(10).rw_ratio, 100.0);
@@ -107,7 +101,6 @@ mod tests {
     fn mosaico_matches_figure_3_2() {
         let s = PhaseSchedule::mosaico(StructureDensity::Med5, 100);
         assert_eq!(s.len(), 5);
-        assert_eq!(s.cycle_length(), 500);
         let ratios: Vec<f64> = (0..5).map(|i| s.spec_at(i * 100).rw_ratio).collect();
         assert_eq!(ratios, vec![0.52, 3.2, 12.0, 45.0, 170.0]);
     }

@@ -7,7 +7,8 @@
 //! ```
 
 use semcluster_buffer::{
-    apply_prefetch, prefetch_group, AccessHint, BufferPool, PrefetchScope, ReplacementPolicy,
+    apply_prefetch, prefetch_group, Access, AccessHint, BufferPool, PrefetchScope,
+    ReplacementPolicy,
 };
 use semcluster_clustering::{
     plan_placement_in, AllResident, ClusteringPolicy, ScoreScratch, WeightModel,
@@ -17,7 +18,8 @@ use semcluster_storage::{StorageManager, DEFAULT_PAGE_BYTES, PAGE_OVERHEAD_BYTES
 use semcluster_vdm::{Database, ObjectId, SyntheticDbSpec};
 
 /// Browse: visit a composite, then all its components (one screenful),
-/// hopping between modules like a designer reviewing a chip.
+/// hopping between modules like a designer reviewing a chip. Returns the
+/// hits, misses and pages read ahead by prefetch.
 fn browse(
     db: &Database,
     store: &StorageManager,
@@ -25,7 +27,12 @@ fn browse(
     prefetch: PrefetchScope,
     rng: &mut SimRng,
     steps: usize,
-) -> (u64, u64) {
+) -> (u64, u64, usize) {
+    let (mut hits, mut misses, mut prefetched) = (0, 0, 0);
+    let mut access = |pool: &mut BufferPool, page| match pool.access(page) {
+        Access::Hit => hits += 1,
+        Access::Miss { .. } => misses += 1,
+    };
     let composites: Vec<ObjectId> = db
         .objects()
         .filter(|o| db.graph().downward_fanout(o.id) > 0)
@@ -34,7 +41,7 @@ fn browse(
     for _ in 0..steps {
         let root = *rng.pick(&composites);
         if let Some(page) = store.page_of(root) {
-            pool.access(page);
+            access(pool, page);
         }
         // The context-sensitive policy's defining behaviour: touching an
         // object raises the priority of its relatives' resident pages.
@@ -46,15 +53,14 @@ fn browse(
             }
         }
         let group = prefetch_group(db, store, root, AccessHint::ByConfiguration);
-        apply_prefetch(pool, &group, prefetch);
+        prefetched += apply_prefetch(pool, &group, prefetch).fetched.len();
         for &c in db.graph().components(root) {
             if let Some(page) = store.page_of(c) {
-                pool.access(page);
+                access(pool, page);
             }
         }
     }
-    let s = pool.stats();
-    (s.hits, s.misses)
+    (hits, misses, prefetched)
 }
 
 fn main() {
@@ -129,12 +135,11 @@ fn main() {
     ] {
         let mut pool = BufferPool::new(24, policy, 7);
         let mut rng = SimRng::seed_from_u64(5);
-        let (hits, misses) = browse(&db, &store, &mut pool, prefetch, &mut rng, steps);
+        let (hits, misses, prefetched) = browse(&db, &store, &mut pool, prefetch, &mut rng, steps);
         let ratio = hits as f64 / (hits + misses) as f64;
         println!(
-            "  {label}: hit ratio {:5.1}%  (prefetch reads: {})",
+            "  {label}: hit ratio {:5.1}%  (prefetch reads: {prefetched})",
             ratio * 100.0,
-            pool.stats().prefetch_reads
         );
     }
     println!("\nthe smart buffer manager keeps a navigation working set alive that");

@@ -181,7 +181,7 @@ fn full_stack_determinism() {
     let b = run_simulation(cfg);
     assert_eq!(a.mean_response_s, b.mean_response_s);
     assert_eq!(a.io, b.io);
-    assert_eq!(a.log, b.log);
+    assert_eq!(a.commits, b.commits);
     assert_eq!(a.splits, b.splits);
     assert_eq!(a.recluster_moves, b.recluster_moves);
 }
