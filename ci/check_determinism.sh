@@ -208,3 +208,23 @@ if [ -n "$ledger_hits" ]; then
     exit 1
 fi
 echo "ledger guard: OK (no reset_stats, registry reset, BufferStats or LogStats in obs, buffer, wal, sim, faults or core)"
+
+# The same ledger is the report's only histogram and only window
+# (DESIGN.md §9.2): p50/p95 are quantile bounds of the registry's log₂
+# `txn.response_us`, and utilisation divides the windowed busy-time
+# gauges by the measured span. So no non-test code under crates/*/src
+# may define a second `struct Histogram` (the one is in
+# crates/obs/src/metrics.rs), nor define or call a `utilization_since`
+# that divides by some other horizon.
+window_hits=$(find crates/*/src -name '*.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { print FILENAME ":" FNR ": " $0 }' |
+    grep -E '\bstruct Histogram\b|utilization_since' |
+    grep -vE '^crates/obs/src/metrics\.rs:[0-9]+: pub struct Histogram \{$' || true)
+if [ -n "$window_hits" ]; then
+    echo "ledger guard: a second histogram or utilisation window:" >&2
+    echo "$window_hits" >&2
+    echo "read quantiles from the registry's log2 histogram (Histogram::quantile_bound)" >&2
+    echo "and divide windowed busy time by the measured span, as Engine::report does." >&2
+    exit 1
+fi
+echo "ledger guard: OK (one struct Histogram, in obs/src/metrics.rs; no utilization_since)"

@@ -191,7 +191,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         ),
     ]);
     table.row(vec![
-        "p50 / p95 response".to_string(),
+        "p50 / p95 response ≤".to_string(),
         format!(
             "{:.1} / {:.1} ms",
             r.p50_response_s * 1e3,
@@ -274,17 +274,15 @@ fn simulate_file_backend(args: &Args, mut cfg: SimConfig) -> Result<String, CliE
         .as_ref()
         .expect("mirror attached, so the outcome carries file artifacts");
 
-    let (rec1, violations) = outcome
-        .recover_and_verify(&dir)
-        .map_err(|e| format!("file backend: {e} (store in {})", dir.display()))?;
-    if !violations.is_empty() {
+    let (rec1, violations) = outcome.recover_and_verify(&dir);
+    let Some(rec1) = rec1.filter(|_| violations.is_empty()) else {
         return Err(format!(
             "file backend: ACID violations after recovery from {}:\n  {}",
             dir.display(),
             violations.join("\n  ")
         )
         .into());
-    }
+    };
 
     let r = &outcome.report;
     let fs = artifacts.report.stats;

@@ -429,22 +429,27 @@ impl CrashOutcome {
         v
     }
 
-    /// Recover the real store files under `root` twice — recovery must
-    /// be an idempotent byte-level no-op — and run [`Self::verify_file`]
-    /// over the pair. Returns the first pass's outcome with every
-    /// violation found (a failed second pass is one); `Err` when the
-    /// first pass itself fails.
-    pub fn recover_and_verify(
-        &self,
-        root: &Path,
-    ) -> Result<(FileRecoveryOutcome, Vec<String>), String> {
-        let rec1 = recover_dir(root).map_err(|e| format!("file recovery failed: {e}"))?;
+    /// The whole verdict on this outcome: [`Self::verify_acid`]'s
+    /// ground-truth lines, then those of recovering the real store files
+    /// under `root` twice — recovery must be an idempotent byte-level
+    /// no-op — and running [`Self::verify_file`] over the pair (a failed
+    /// pass is one line). Returns the first pass's outcome, `None` when
+    /// that pass failed, with every violation found.
+    pub fn recover_and_verify(&self, root: &Path) -> (Option<FileRecoveryOutcome>, Vec<String>) {
+        let mut violations = self.verify_acid();
+        let rec1 = match recover_dir(root) {
+            Err(e) => {
+                violations.push(format!("file recovery failed: {e}"));
+                return (None, violations);
+            }
+            Ok(rec1) => rec1,
+        };
         let snap1 = store_bytes(root);
-        let violations = match recover_dir(root) {
+        violations.extend(match recover_dir(root) {
             Err(e) => vec![format!("file recovery (2nd pass) failed: {e}")],
             Ok(rec2) => self.verify_file(&rec1, &rec2, snap1 == store_bytes(root)),
-        };
-        Ok((rec1, violations))
+        });
+        (Some(rec1), violations)
     }
 }
 
@@ -470,7 +475,6 @@ fn crash_and_recover(
         return result;
     }
     let outcome = engine.run_and_crash_at(point);
-    result.violations = outcome.verify_acid();
     result.acked = outcome.acked.len();
     let artifacts = outcome
         .file
@@ -478,15 +482,13 @@ fn crash_and_recover(
         .expect("mirror was attached, so artifacts exist");
     result.torn_write = artifacts.report.torn.is_some();
     result.fsync_failed = artifacts.report.stats.fsync_failures > 0;
-    match outcome.recover_and_verify(root) {
-        Err(e) => result.violations.push(e),
-        Ok((rec1, violations)) => {
-            result.violations.extend(violations);
-            result.winners = rec1.winners.len();
-            result.losers = rec1.losers.len();
-            result.repaired_pages = rec1.repaired_pages.len();
-            result.wal_truncated = rec1.wal_truncated_bytes;
-        }
+    let (rec1, violations) = outcome.recover_and_verify(root);
+    result.violations = violations;
+    if let Some(rec1) = rec1 {
+        result.winners = rec1.winners.len();
+        result.losers = rec1.losers.len();
+        result.repaired_pages = rec1.repaired_pages.len();
+        result.wal_truncated = rec1.wal_truncated_bytes;
     }
     result
 }
@@ -639,11 +641,31 @@ mod tests {
         let outcome = engine.run_and_crash_at(CrashPoint::Commit(1));
         assert_eq!(outcome.commits_seen, 1, "stopped at the first commit");
         assert!(outcome.acked.is_empty(), "the crash beat the ack");
-        let (rec, violations) = outcome.recover_and_verify(&root).unwrap();
+        let (rec, violations) = outcome.recover_and_verify(&root);
         std::fs::remove_dir_all(&root).unwrap();
         assert!(violations.is_empty(), "{violations:?}");
+        let rec = rec.expect("the first recovery pass succeeded");
         assert_eq!(rec.winners.len(), 1, "its force completed, so it wins");
-        assert!(outcome.verify_acid().is_empty());
+    }
+
+    #[test]
+    fn recover_and_verify_reports_the_ground_truth_first() {
+        let root = scratch("ground-truth");
+        let mut engine = Engine::new(tiny());
+        engine
+            .attach_mirror(DurableMirror::create(&root, quiet()).unwrap())
+            .unwrap();
+        let mut outcome = engine.run_and_crash_at(CrashPoint::End);
+        let token = outcome.acked[0].raw();
+        outcome.aborted.push(outcome.acked[0]);
+        let (rec, violations) = outcome.recover_and_verify(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        assert!(rec.is_some());
+        assert_eq!(
+            violations.first().map(String::as_str),
+            Some(format!("ground truth: txn {token} is both acked and aborted").as_str()),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -258,10 +258,6 @@ impl Engine {
             response.as_micros(),
             "span components must sum exactly to the response time"
         );
-        if self.measuring {
-            self.registry
-                .observe("txn.response_us", response.as_micros());
-        }
         self.emit(|| TraceEvent::TxnCommit {
             at: now,
             user: u,
@@ -355,8 +351,10 @@ impl Engine {
         // Only now: a transaction the wake above restarted may already
         // have aborted and opened the measurement window.
         if committed && self.measuring {
-            self.metrics
-                .record_txn(now.since(txn.started), txn.is_read, txn.span);
+            let response = now.since(txn.started);
+            self.metrics.record_txn(response, txn.is_read, txn.span);
+            self.registry
+                .observe("txn.response_us", response.as_micros());
         }
         self.completed += 1;
         if !self.measuring && self.completed >= self.cfg.warmup_txns {

@@ -1,6 +1,7 @@
 //! Output metrics of one simulation run.
 
-use semcluster_sim::{Histogram, OnlineStats, SimDuration};
+use semcluster_obs::Histogram;
+use semcluster_sim::{OnlineStats, SimDuration};
 
 /// Physical-I/O breakdown by cause.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -185,8 +186,6 @@ impl ResponseBreakdown {
 pub struct MetricsCollector {
     /// Response time of every transaction, in seconds.
     pub response: OnlineStats,
-    /// Response-time distribution (seconds; 0–10 s, 1000 bins).
-    pub response_hist: Histogram,
     /// Response time of read transactions.
     pub read_response: OnlineStats,
     /// Response time of write transactions.
@@ -207,7 +206,6 @@ impl Default for MetricsCollector {
     fn default() -> Self {
         MetricsCollector {
             response: OnlineStats::new(),
-            response_hist: Histogram::new(0.0, 10.0, 1000),
             read_response: OnlineStats::new(),
             write_response: OnlineStats::new(),
             objects_created: 0,
@@ -223,7 +221,6 @@ impl MetricsCollector {
     /// Record a completed transaction.
     pub fn record_txn(&mut self, response: SimDuration, is_read: bool, span: SpanBreakdown) {
         self.response.push_duration(response);
-        self.response_hist.record(response.as_secs_f64());
         if is_read {
             self.read_response.push_duration(response);
         } else {
@@ -253,9 +250,14 @@ pub struct RunReport {
     pub write_response_s: f64,
     /// Maximum observed response time in seconds.
     pub max_response_s: f64,
-    /// Median response time in seconds (histogram estimate).
+    /// Upper bound on the median response time in seconds: the upper
+    /// edge of the log₂ `txn.response_us` cell holding the median
+    /// observation, clamped to the maximum
+    /// ([`Histogram::quantile_bound`]). Never below the true median, at
+    /// most twice it.
     pub p50_response_s: f64,
-    /// 95th-percentile response time in seconds (histogram estimate).
+    /// Upper bound on the 95th-percentile response time in seconds,
+    /// read the same way as [`Self::p50_response_s`].
     pub p95_response_s: f64,
     /// Physical-I/O breakdown.
     pub io: IoBreakdown,
@@ -284,9 +286,12 @@ pub struct RunReport {
     pub lock_waits: u64,
     /// Mean lock wait per waiting transaction, in seconds.
     pub mean_lock_wait_s: f64,
-    /// Mean disk utilisation over the measured interval.
+    /// Mean over the data disks of each one's busy time in the measured
+    /// interval (its `disk.N.busy_us` gauge) over `measured_span_s`,
+    /// each capped at 1; 0 for an empty interval.
     pub disk_utilization: f64,
-    /// CPU utilisation over the measured interval.
+    /// The CPU's busy time in the measured interval (`cpu.busy_us`)
+    /// over `measured_span_s`, capped at 1; 0 for an empty interval.
     pub cpu_utilization: f64,
     /// Simulated time the measurement covered, in seconds.
     pub measured_span_s: f64,
@@ -301,16 +306,20 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Assemble a report.
+    /// Assemble a report. `response_us` is the registry's
+    /// `txn.response_us` histogram over the same transactions as
+    /// `metrics`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         config_label: String,
         metrics: &MetricsCollector,
         events: EventCounts,
+        response_us: &Histogram,
         disk_utilization: f64,
         cpu_utilization: f64,
         measured_span: SimDuration,
     ) -> Self {
+        let quantile_s = |q| SimDuration::from_micros(response_us.quantile_bound(q)).as_secs_f64();
         RunReport {
             config_label,
             txns: metrics.response.count(),
@@ -324,16 +333,8 @@ impl RunReport {
             } else {
                 0.0
             },
-            p50_response_s: if metrics.response.count() > 0 {
-                metrics.response_hist.quantile(0.5)
-            } else {
-                0.0
-            },
-            p95_response_s: if metrics.response.count() > 0 {
-                metrics.response_hist.quantile(0.95)
-            } else {
-                0.0
-            },
+            p50_response_s: quantile_s(0.5),
+            p95_response_s: quantile_s(0.95),
             io: events.io,
             hit_ratio: match events.buffer_hits + events.buffer_misses {
                 0 => 0.0,
@@ -496,6 +497,8 @@ mod tests {
             ..Default::default()
         };
         m.record_txn(SimDuration::from_millis(50), true, span);
+        let mut response_us = Histogram::default();
+        response_us.observe(50_000);
         let r = RunReport::new(
             "test".into(),
             &m,
@@ -505,6 +508,7 @@ mod tests {
                 buffer_misses: 1,
                 ..EventCounts::default()
             },
+            &response_us,
             0.5,
             0.1,
             SimDuration::from_secs(100),
@@ -515,6 +519,8 @@ mod tests {
         assert!((r.mean_response_s - 0.05).abs() < 1e-9);
         assert_eq!(r.measured_span_s, 100.0);
         assert_eq!(r.response_us_total, 50_000);
+        // One observation: its cell's upper edge clamps to the maximum.
+        assert_eq!((r.p50_response_s, r.p95_response_s), (0.05, 0.05));
         assert!((r.breakdown.cpu_s - 0.02).abs() < 1e-12);
         assert!((r.breakdown.data_read_s - 0.03).abs() < 1e-12);
     }

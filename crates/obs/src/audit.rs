@@ -146,7 +146,6 @@ impl PlacementAudit {
 pub struct AuditSink {
     capacity: usize,
     records: VecDeque<PlacementAudit>,
-    seen: u64,
 }
 
 impl AuditSink {
@@ -156,7 +155,6 @@ impl AuditSink {
         AuditSink {
             capacity,
             records: VecDeque::with_capacity(capacity),
-            seen: 0,
         }
     }
 
@@ -166,27 +164,6 @@ impl AuditSink {
             self.records.pop_front();
         }
         self.records.push_back(audit);
-        self.seen += 1;
-    }
-
-    /// Retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &PlacementAudit> {
-        self.records.iter()
-    }
-
-    /// Retained record count (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Total records ever pushed (including evicted ones).
-    pub fn total_seen(&self) -> u64 {
-        self.seen
     }
 
     /// Consume the sink, yielding retained records oldest first.
@@ -266,10 +243,11 @@ mod tests {
         for t in 0..5 {
             sink.push(audit(t));
         }
-        assert_eq!(sink.len(), 2);
-        assert_eq!(sink.total_seen(), 5);
-        let ts: Vec<u64> = sink.records().map(|a| a.at.as_micros()).collect();
+        let ts: Vec<u64> = sink
+            .into_records()
+            .iter()
+            .map(|a| a.at.as_micros())
+            .collect();
         assert_eq!(ts, vec![3, 4]);
-        assert_eq!(sink.into_records().len(), 2);
     }
 }

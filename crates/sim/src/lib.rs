@@ -11,8 +11,8 @@
 //! * FIFO servers ([`FcfsServer`], [`ServerBank`]) whose completions are
 //!   computable at submission time,
 //! * seeded random variates ([`SimRng`]),
-//! * output analysis ([`OnlineStats`], [`Histogram`]) and the mean ± CI
-//!   summary of replicated runs ([`Estimate`]).
+//! * output analysis ([`OnlineStats`]) and the mean ± CI summary of
+//!   replicated runs ([`Estimate`]).
 //!
 //! ```
 //! use semcluster_sim::{EventQueue, FcfsServer, SimDuration, SimTime};
@@ -54,5 +54,5 @@ pub use event::EventQueue;
 pub use experiment::Estimate;
 pub use rng::SimRng;
 pub use server::{FcfsServer, ServerBank};
-pub use stats::{Histogram, OnlineStats};
+pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};

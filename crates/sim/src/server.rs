@@ -47,16 +47,6 @@ impl FcfsServer {
         self.busy
     }
 
-    /// Fraction of `[0, horizon]` filled by the service delivered since
-    /// the busy time stood at `start`.
-    pub fn utilization_since(&self, start: SimDuration, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            0.0
-        } else {
-            ((self.busy - start).as_micros() as f64 / horizon.as_micros() as f64).min(1.0)
-        }
-    }
-
     /// Next instant the server is idle.
     pub fn free_at(&self) -> SimTime {
         self.free_at
@@ -130,17 +120,6 @@ impl ServerBank {
             .get(i)
             .unwrap_or_else(|| panic!("server bank has {n} members; member {i} does not exist"))
     }
-
-    /// Mean over members of [`FcfsServer::utilization_since`], member
-    /// `i` counted from `start[i]`.
-    pub fn mean_utilization_since(&self, start: &[SimDuration], horizon: SimTime) -> f64 {
-        self.servers
-            .iter()
-            .zip(start)
-            .map(|(s, &from)| s.utilization_since(from, horizon))
-            .sum::<f64>()
-            / self.servers.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -172,12 +151,11 @@ mod tests {
     fn idle_gap_is_not_busy_time() {
         let mut s = FcfsServer::new("disk");
         s.submit(SimTime::from_millis(0), ms(10));
+        let window_start = s.busy_time();
         s.submit(SimTime::from_millis(100), ms(10));
         assert_eq!(s.busy_time(), ms(20));
-        let u = s.utilization_since(SimDuration::ZERO, SimTime::from_millis(200));
-        assert!((u - 0.1).abs() < 1e-9, "{u}");
-        let windowed = s.utilization_since(ms(10), SimTime::from_millis(200));
-        assert!((windowed - 0.05).abs() < 1e-9, "{windowed}");
+        // A window counts only the service delivered since its start.
+        assert_eq!(s.busy_time() - window_start, ms(10));
     }
 
     #[test]
@@ -196,7 +174,6 @@ mod tests {
         bank.submit_to(1, SimTime::ZERO, ms(7));
         assert_eq!(bank.member(1).busy_time(), ms(7));
         assert_eq!(bank.member(0).busy_time(), SimDuration::ZERO);
-        let u = bank.mean_utilization_since(&[SimDuration::ZERO; 3], SimTime::from_millis(7));
-        assert!((u - 1.0 / 3.0).abs() < 1e-9, "{u}");
+        assert_eq!(bank.member(2).busy_time(), SimDuration::ZERO);
     }
 }

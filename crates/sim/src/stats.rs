@@ -133,95 +133,6 @@ fn t_quantile_975(df: u64) -> f64 {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// `bins` equal-width buckets spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "empty histogram range");
-        Histogram {
-            lo,
-            width: (hi - lo) / bins as f64,
-            buckets: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Record an observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else {
-            let idx = ((x - self.lo) / self.width) as usize;
-            if idx >= self.buckets.len() {
-                self.overflow += 1;
-            } else {
-                self.buckets[idx] += 1;
-            }
-        }
-    }
-
-    /// Count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of buckets.
-    pub fn bins(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range's upper edge.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Approximate p-quantile by linear walk (`p` in `[0, 1]`).
-    pub fn quantile(&self, p: f64) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let target = (p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut acc = self.underflow;
-        if acc >= target {
-            return self.lo;
-        }
-        for (i, b) in self.buckets.iter().enumerate() {
-            acc += b;
-            if acc >= target {
-                return self.lo + (i as f64 + 0.5) * self.width;
-            }
-        }
-        self.lo + self.width * self.buckets.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,28 +181,5 @@ mod tests {
             large.push((i % 5) as f64);
         }
         assert!(large.ci95_half_width() < small.ci95_half_width());
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantile() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.record(i as f64 / 10.0);
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.bucket(0), 10);
-        let median = h.quantile(0.5);
-        assert!((median - 4.5).abs() <= 0.5, "median {median}");
-    }
-
-    #[test]
-    fn histogram_overflow_underflow() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record(-1.0);
-        h.record(5.0);
-        h.record(0.5);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 3);
     }
 }
