@@ -1014,7 +1014,7 @@ mod adaptive_tests {
 #[cfg(test)]
 mod delete_tests {
     use super::*;
-    use semcluster_obs::{shared, AbortCause, ChromeTraceSink, RingBufferSink, SharedBuf};
+    use semcluster_obs::{shared, AbortCause, ChromeTraceSink, SyncBuf};
     use semcluster_workload::{StructureDensity, WorkloadSpec};
 
     /// A write-heavy run in which half the component updates delete.
@@ -1070,16 +1070,15 @@ mod delete_tests {
 
     #[test]
     fn every_begun_transaction_ends_exactly_once_in_the_trace() {
-        let ring = shared(RingBufferSink::with_capacity(1 << 17));
-        let mut engine = Engine::with_obs(deleting(), ObsConfig::with_sink(Box::new(ring.clone())));
+        let events = shared(Vec::<TraceEvent>::new());
+        let mut engine =
+            Engine::with_obs(deleting(), ObsConfig::with_sink(Box::new(events.clone())));
         engine.drive();
         engine.finalize_obs();
-        let ring = ring.borrow();
-        assert_eq!(ring.total_seen(), ring.len() as u64, "ring dropped events");
 
         let mut open = std::collections::BTreeSet::new();
         let (mut commits, mut placement_aborts) = (0, 0);
-        for event in ring.events() {
+        for event in events.borrow().iter() {
             match *event {
                 TraceEvent::TxnBegin { txn, .. } => assert!(open.insert(txn), "{txn} began twice"),
                 TraceEvent::TxnCommit { txn, .. } => {
@@ -1108,7 +1107,7 @@ mod delete_tests {
 
     #[test]
     fn chrome_trace_closes_every_transaction_span() {
-        let buf = SharedBuf::new();
+        let buf = SyncBuf::new();
         let sink = ChromeTraceSink::new(buf.clone());
         let mut engine = Engine::with_obs(deleting(), ObsConfig::with_sink(Box::new(sink)));
         engine.drive();

@@ -198,8 +198,6 @@ pub struct MetricsCollector {
     pub lock_wait_time: SimDuration,
     /// Exact response-time attribution summed over measured transactions.
     pub span_totals: SpanBreakdown,
-    /// Total response time in integer microseconds (= `span_totals.total_us()`).
-    pub response_us_total: u64,
 }
 
 impl Default for MetricsCollector {
@@ -212,7 +210,6 @@ impl Default for MetricsCollector {
             objects_deleted: 0,
             lock_wait_time: SimDuration::ZERO,
             span_totals: SpanBreakdown::default(),
-            response_us_total: 0,
         }
     }
 }
@@ -227,7 +224,6 @@ impl MetricsCollector {
             self.write_response.push_duration(response);
         }
         self.span_totals.add(&span);
-        self.response_us_total += response.as_micros();
     }
 }
 
@@ -278,8 +274,6 @@ pub struct RunReport {
     pub objects_deleted: u64,
     /// Exact response-time attribution totals (integer microseconds).
     pub span_totals: SpanBreakdown,
-    /// Total measured response time in integer microseconds.
-    pub response_us_total: u64,
     /// Mean per-transaction response composition in seconds.
     pub breakdown: ResponseBreakdown,
     /// Transactions that waited for locks.
@@ -347,7 +341,6 @@ impl RunReport {
             objects_created: metrics.objects_created,
             objects_deleted: metrics.objects_deleted,
             span_totals: metrics.span_totals,
-            response_us_total: metrics.response_us_total,
             breakdown: ResponseBreakdown::from_totals(
                 &metrics.span_totals,
                 metrics.response.count(),
@@ -466,7 +459,6 @@ mod tests {
         assert_eq!(m.read_response.count(), 1);
         assert_eq!(m.write_response.count(), 1);
         assert!((m.response.mean() - 0.2).abs() < 1e-9);
-        assert_eq!(m.response_us_total, 400_000);
     }
 
     #[test]
@@ -518,7 +510,7 @@ mod tests {
         assert_eq!(r.hit_ratio, 0.75);
         assert!((r.mean_response_s - 0.05).abs() < 1e-9);
         assert_eq!(r.measured_span_s, 100.0);
-        assert_eq!(r.response_us_total, 50_000);
+        assert_eq!(r.span_totals.total_us(), 50_000);
         // One observation: its cell's upper edge clamps to the maximum.
         assert_eq!((r.p50_response_s, r.p95_response_s), (0.05, 0.05));
         assert!((r.breakdown.cpu_s - 0.02).abs() < 1e-12);

@@ -289,7 +289,10 @@ fn acquire_locks<'a>(
                 .0;
             c.lock_waiters -= 1;
         }
-        if Instant::now() >= ends {
+        // An interval that ends after the deadline is never spent: a
+        // late wake-up past both answers with the deadline, which came
+        // first, not with the budget.
+        if Instant::now() >= ends && ends < deadline_at {
             attempt += 1;
             attempt_ends = None;
         }
@@ -815,6 +818,38 @@ mod tests {
         c.locks.release_all(holder);
         core.unlock_after_release(c);
         assert!(acquire_locks(&core, &x, &one_attempt(), far).is_ok());
+    }
+
+    #[test]
+    fn a_late_wake_past_the_deadline_and_the_attempt_answers_deadline() {
+        let core = Arc::new(Core::new(16));
+        let x = [(ObjectId(4), LockMode::Exclusive)];
+        let far = Instant::now() + Duration::from_secs(30);
+        let (c, _holder) = acquire_locks(&core, &x, &one_attempt(), far).expect("free object");
+        drop(c);
+        // The deadline (50 ms) comes before the first interval ends
+        // (100 ms); the waiter cannot wake before 200 ms, past both.
+        let retry = RetryPolicy {
+            max_attempts: 2,
+            backoff_us: 100_000,
+            backoff_mult: 2,
+        };
+        let deadline_at = Instant::now() + Duration::from_millis(50);
+        let waiter = {
+            let core = Arc::clone(&core);
+            thread::spawn(move || acquire_locks(&core, &x, &retry, deadline_at).map(|(_, id)| id))
+        };
+        while !waiter.is_finished() {
+            let c = core.state.lock().unwrap();
+            if c.lock_waiters == 1 {
+                thread::sleep(Duration::from_millis(200));
+                break;
+            }
+            drop(c);
+            thread::yield_now();
+        }
+        let err = waiter.join().expect("waiter thread").err();
+        assert_eq!(err, Some(ExecResult::DeadlineExceeded));
     }
 
     #[test]

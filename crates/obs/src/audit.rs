@@ -5,8 +5,8 @@
 //! one [`PlacementAudit`] carrying the candidate pages examined, each
 //! candidate's affinity and whether it had room, the chosen page, and
 //! the split verdict. A bounded [`AuditSink`] retains the last N records
-//! (flight-recorder style, mirroring `RingBufferSink`) so audit memory
-//! stays O(capacity) on arbitrarily long runs.
+//! (flight-recorder style) so audit memory stays O(capacity) on
+//! arbitrarily long runs.
 //!
 //! Affinities are fixed-point **milli-units** (`affinity × 1000`,
 //! rounded) so the JSON stays integer-only and byte-stable.

@@ -28,10 +28,16 @@
 //!   the server's retained trace records; timestamps are wall-clock µs
 //!   since server start rather than simulated time.
 //!
+//! Every event record's `args` are the event's JSONL fields less `t`
+//! ([`TraceEvent::to_json`]): `ev` first, so an abort's closing `E`
+//! record reads `"ev":"txn_abort"` where a commit's reads
+//! `"ev":"txn_commit"`. A `C` counter record keeps only the numeric
+//! fields, since the viewer plots each arg as a series.
+//!
 //! Output is deterministic: same run, byte-identical trace file.
 
 use crate::json::ObjWriter;
-use crate::trace::{AbortCause, TraceEvent, TraceSink};
+use crate::trace::{ReadCause, TraceEvent, TraceSink};
 use std::io::Write;
 
 const PID_TXNS: u64 = 1;
@@ -44,27 +50,63 @@ const PID_SERVER: u64 = 6;
 /// Streams [`TraceEvent`]s as a Chrome `trace_event` JSON array.
 pub struct ChromeTraceSink<W: Write> {
     writer: W,
-    events: u64,
     closed: bool,
 }
 
+/// What a record says besides its `ts` and `args`.
 struct Record<'a> {
     name: &'a str,
-    ph: &'a str,
-    ts: u64,
+    ph: &'static str,
     dur: Option<u64>,
     pid: u64,
     tid: u64,
-    args: String,
 }
 
-impl<'a> Record<'a> {
-    fn render(&self) -> String {
+impl Record<'_> {
+    /// The event's record: which lane it belongs on, under what name,
+    /// and as which phase.
+    fn of(event: &TraceEvent) -> Record<'_> {
+        use TraceEvent::*;
+        let (ph, pid, tid, done) = match *event {
+            TxnBegin { user, .. } => ("B", PID_TXNS, user, None),
+            TxnCommit { user, .. } | TxnAbort { user, .. } => ("E", PID_TXNS, user, None),
+            LockWait { user, .. } | LockGrant { user, .. } => ("i", PID_TXNS, user, None),
+            PageRead { disk, done, .. }
+            | PageFlush { disk, done, .. }
+            | PrefetchIo { disk, done, .. } => ("X", PID_DISKS, disk, Some(done)),
+            IoFault { disk, .. } | IoRetry { disk, .. } => ("i", PID_DISKS, disk, None),
+            LogFlush { done, .. } => ("X", PID_LOG, 0, Some(done)),
+            LogStall { .. } => ("i", PID_LOG, 0, None),
+            IoExpand { .. }
+            | PrefetchIssue { .. }
+            | ReclusterMove { .. }
+            | Split { .. }
+            | Degrade { .. } => ("i", PID_ENGINE, 0, None),
+            ProfilePhase { .. } => ("C", PID_PROFILE, 0, None),
+        };
+        let name = match event {
+            TxnBegin { .. } | TxnCommit { .. } | TxnAbort { .. } => "txn",
+            PageRead {
+                cause: ReadCause::ClusterSearch,
+                ..
+            } => "cluster_search_read",
+            ProfilePhase { path, .. } => path,
+            _ => event.kind(),
+        };
+        let ts = event.at().as_micros();
+        Record {
+            name,
+            ph,
+            dur: done.map(|done| done.as_micros().saturating_sub(ts)),
+            pid,
+            tid: u64::from(tid),
+        }
+    }
+
+    fn render(&self, ts: u64, args: impl FnOnce(&mut ObjWriter)) -> String {
         let mut s = String::new();
         let mut w = ObjWriter::begin(&mut s);
-        w.str("name", self.name)
-            .str("ph", self.ph)
-            .u64("ts", self.ts);
+        w.str("name", self.name).str("ph", self.ph).u64("ts", ts);
         if let Some(d) = self.dur {
             w.u64("dur", d);
         }
@@ -72,20 +114,10 @@ impl<'a> Record<'a> {
         if self.ph == "i" {
             w.str("s", "t");
         }
-        if !self.args.is_empty() {
-            w.raw("args", &self.args);
-        }
+        w.obj("args", args);
         w.end();
         s
     }
-}
-
-fn args<F: FnOnce(&mut ObjWriter)>(f: F) -> String {
-    let mut s = String::new();
-    let mut w = ObjWriter::begin(&mut s);
-    f(&mut w);
-    w.end();
-    s
 }
 
 impl<W: Write> ChromeTraceSink<W> {
@@ -94,7 +126,6 @@ impl<W: Write> ChromeTraceSink<W> {
     pub fn new(writer: W) -> Self {
         let mut sink = ChromeTraceSink {
             writer,
-            events: 0,
             closed: false,
         };
         sink.writer
@@ -108,24 +139,18 @@ impl<W: Write> ChromeTraceSink<W> {
             (PID_PROFILE, "profiler"),
             (PID_SERVER, "serve-requests"),
         ] {
-            sink.write_record(&Record {
+            let meta = Record {
                 name: "process_name",
                 ph: "M",
-                ts: 0,
                 dur: None,
                 pid,
                 tid: 0,
-                args: args(|w| {
-                    w.str("name", name);
-                }),
-            });
+            };
+            sink.write_line(meta.render(0, |w| {
+                w.str("name", name);
+            }));
         }
         sink
-    }
-
-    /// Events written so far (excluding metadata).
-    pub fn events(&self) -> u64 {
-        self.events
     }
 
     /// Emit one served request on the `serve-requests` lane: the spans
@@ -144,322 +169,39 @@ impl<W: Write> ChromeTraceSink<W> {
         let mut at = start_us;
         for (phase, dur) in spans {
             if *dur > 0 {
-                self.write_record(&Record {
+                let slice = Record {
                     name: phase,
                     ph: "X",
-                    ts: at,
                     dur: Some(*dur),
                     pid: PID_SERVER,
                     tid: u64::from(session),
-                    args: args(|w| {
-                        w.u64("client_txn", client_txn);
-                    }),
-                });
-                self.events += 1;
+                };
+                self.write_line(slice.render(at, |w| {
+                    w.u64("client_txn", client_txn);
+                }));
             }
             at += dur;
         }
     }
 
-    fn write_record(&mut self, rec: &Record) {
-        let mut line = rec.render();
+    fn write_line(&mut self, mut line: String) {
         line.push_str(",\n");
         self.writer
             .write_all(line.as_bytes())
             .expect("chrome trace write failed");
     }
-
-    fn map(event: &TraceEvent) -> Record<'_> {
-        let ts = event.at().as_micros();
-        match *event {
-            TraceEvent::TxnBegin {
-                user,
-                txn,
-                is_read,
-                ops,
-                ..
-            } => Record {
-                name: "txn",
-                ph: "B",
-                ts,
-                dur: None,
-                pid: PID_TXNS,
-                tid: user as u64,
-                args: args(|w| {
-                    w.u64("txn", txn)
-                        .bool("read", is_read)
-                        .u64("ops", ops as u64);
-                }),
-            },
-            TraceEvent::TxnCommit {
-                user,
-                txn,
-                response_us,
-                cpu_us,
-                data_read_us,
-                dirty_flush_us,
-                cluster_search_us,
-                log_us,
-                lock_wait_us,
-                ..
-            } => Record {
-                name: "txn",
-                ph: "E",
-                ts,
-                dur: None,
-                pid: PID_TXNS,
-                tid: user as u64,
-                args: args(|w| {
-                    w.u64("txn", txn)
-                        .u64("response_us", response_us)
-                        .u64("cpu_us", cpu_us)
-                        .u64("data_read_us", data_read_us)
-                        .u64("dirty_flush_us", dirty_flush_us)
-                        .u64("cluster_search_us", cluster_search_us)
-                        .u64("log_us", log_us)
-                        .u64("lock_wait_us", lock_wait_us);
-                }),
-            },
-            TraceEvent::TxnAbort {
-                user, txn, cause, ..
-            } => Record {
-                name: "txn",
-                ph: "E",
-                ts,
-                dur: None,
-                pid: PID_TXNS,
-                tid: user as u64,
-                args: args(|w| {
-                    w.u64("txn", txn).bool("aborted", true);
-                    match cause {
-                        AbortCause::Io { page, disk, .. } => {
-                            w.u64("page", page.0 as u64).u64("disk", disk as u64);
-                        }
-                        AbortCause::Placement { object } => {
-                            w.u64("object", object as u64);
-                        }
-                    }
-                }),
-            },
-            TraceEvent::PageRead {
-                page,
-                disk,
-                cause,
-                done,
-                ..
-            } => Record {
-                name: match cause {
-                    crate::trace::ReadCause::Demand => "page_read",
-                    crate::trace::ReadCause::ClusterSearch => "cluster_search_read",
-                },
-                ph: "X",
-                ts,
-                dur: Some(done.as_micros().saturating_sub(ts)),
-                pid: PID_DISKS,
-                tid: disk as u64,
-                args: args(|w| {
-                    w.u64("page", page.0 as u64);
-                }),
-            },
-            TraceEvent::PageFlush {
-                page, disk, done, ..
-            } => Record {
-                name: "page_flush",
-                ph: "X",
-                ts,
-                dur: Some(done.as_micros().saturating_sub(ts)),
-                pid: PID_DISKS,
-                tid: disk as u64,
-                args: args(|w| {
-                    w.u64("page", page.0 as u64);
-                }),
-            },
-            TraceEvent::PrefetchIo {
-                page,
-                disk,
-                write_back,
-                done,
-                ..
-            } => Record {
-                name: "prefetch_io",
-                ph: "X",
-                ts,
-                dur: Some(done.as_micros().saturating_sub(ts)),
-                pid: PID_DISKS,
-                tid: disk as u64,
-                args: args(|w| {
-                    w.u64("page", page.0 as u64).bool("write_back", write_back);
-                }),
-            },
-            TraceEvent::LogFlush { done, .. } => Record {
-                name: "log_flush",
-                ph: "X",
-                ts,
-                dur: Some(done.as_micros().saturating_sub(ts)),
-                pid: PID_LOG,
-                tid: 0,
-                args: String::new(),
-            },
-            TraceEvent::LockWait { user, .. } => Record {
-                name: "lock_wait",
-                ph: "i",
-                ts,
-                dur: None,
-                pid: PID_TXNS,
-                tid: user as u64,
-                args: String::new(),
-            },
-            TraceEvent::LockGrant { user, wait_us, .. } => Record {
-                name: "lock_grant",
-                ph: "i",
-                ts,
-                dur: None,
-                pid: PID_TXNS,
-                tid: user as u64,
-                args: args(|w| {
-                    w.u64("wait_us", wait_us);
-                }),
-            },
-            TraceEvent::IoFault {
-                page,
-                disk,
-                attempt,
-                ..
-            } => Record {
-                name: "io_fault",
-                ph: "i",
-                ts,
-                dur: None,
-                pid: PID_DISKS,
-                tid: disk as u64,
-                args: args(|w| {
-                    w.u64("page", page.0 as u64).u64("attempt", attempt as u64);
-                }),
-            },
-            TraceEvent::IoRetry {
-                page,
-                disk,
-                attempt,
-                backoff_us,
-                ..
-            } => Record {
-                name: "io_retry",
-                ph: "i",
-                ts,
-                dur: None,
-                pid: PID_DISKS,
-                tid: disk as u64,
-                args: args(|w| {
-                    w.u64("page", page.0 as u64)
-                        .u64("attempt", attempt as u64)
-                        .u64("backoff_us", backoff_us);
-                }),
-            },
-            TraceEvent::LogStall { stall_us, .. } => Record {
-                name: "log_stall",
-                ph: "i",
-                ts,
-                dur: None,
-                pid: PID_LOG,
-                tid: 0,
-                args: args(|w| {
-                    w.u64("stall_us", stall_us);
-                }),
-            },
-            TraceEvent::IoExpand { page, ios, .. } => Record {
-                name: "io_expand",
-                ph: "i",
-                ts,
-                dur: None,
-                pid: PID_ENGINE,
-                tid: 0,
-                args: args(|w| {
-                    w.u64("page", page.0 as u64).u64("ios", ios as u64);
-                }),
-            },
-            TraceEvent::PrefetchIssue {
-                fetched,
-                write_backs,
-                ..
-            } => Record {
-                name: "prefetch_issue",
-                ph: "i",
-                ts,
-                dur: None,
-                pid: PID_ENGINE,
-                tid: 0,
-                args: args(|w| {
-                    w.u64("fetched", fetched as u64)
-                        .u64("write_backs", write_backs as u64);
-                }),
-            },
-            TraceEvent::ReclusterMove {
-                object, from, to, ..
-            } => Record {
-                name: "recluster_move",
-                ph: "i",
-                ts,
-                dur: None,
-                pid: PID_ENGINE,
-                tid: 0,
-                args: args(|w| {
-                    w.u64("object", object as u64)
-                        .u64("from", from.0 as u64)
-                        .u64("to", to.0 as u64);
-                }),
-            },
-            TraceEvent::Split { from, new, .. } => Record {
-                name: "split",
-                ph: "i",
-                ts,
-                dur: None,
-                pid: PID_ENGINE,
-                tid: 0,
-                args: args(|w| {
-                    w.u64("from", from.0 as u64).u64("new", new.0 as u64);
-                }),
-            },
-            TraceEvent::Degrade { entered, .. } => Record {
-                name: "degrade",
-                ph: "i",
-                ts,
-                dur: None,
-                pid: PID_ENGINE,
-                tid: 0,
-                args: args(|w| {
-                    w.bool("entered", entered);
-                }),
-            },
-            TraceEvent::ProfilePhase {
-                ref path,
-                calls,
-                sim_us,
-                alloc_bytes,
-                allocs,
-                ..
-            } => Record {
-                name: path,
-                ph: "C",
-                ts,
-                dur: None,
-                pid: PID_PROFILE,
-                tid: 0,
-                args: args(|w| {
-                    w.u64("calls", calls)
-                        .u64("sim_us", sim_us)
-                        .u64("alloc_bytes", alloc_bytes)
-                        .u64("allocs", allocs);
-                }),
-            },
-        }
-    }
 }
 
 impl<W: Write> TraceSink for ChromeTraceSink<W> {
     fn emit(&mut self, event: &TraceEvent) {
-        let rec = Self::map(event);
-        self.write_record(&rec);
-        self.events += 1;
+        let rec = Record::of(event);
+        let line = rec.render(event.at().as_micros(), |w| {
+            if rec.ph == "C" {
+                w.numbers_only();
+            }
+            event.fields(w);
+        });
+        self.write_line(line);
     }
 
     fn flush(&mut self) {
@@ -478,13 +220,193 @@ impl<W: Write> TraceSink for ChromeTraceSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{ReadCause, SharedBuf};
+    use crate::trace::{AbortCause, FaultOp, FlushCause, LogFlushKind, SyncBuf};
     use semcluster_sim::SimTime;
     use semcluster_storage::PageId;
 
+    /// The `args` object of one record line.
+    fn args_of(line: &str) -> &str {
+        let line = line.strip_suffix(',').unwrap_or(line);
+        &line[line.find(r#""args":"#).expect("record has args") + 7..line.len() - 1]
+    }
+
+    /// A flat JSON object keeping only its numeric fields.
+    fn numeric_fields(obj: &str) -> String {
+        let kept: Vec<&str> = obj[1..obj.len() - 1]
+            .split(',')
+            .filter(|f| {
+                f.split(':')
+                    .nth(1)
+                    .is_some_and(|v| v.starts_with(|c: char| c.is_ascii_digit()))
+            })
+            .collect();
+        format!("{{{}}}", kept.join(","))
+    }
+
+    /// One event of every variant, both read causes and both abort
+    /// causes included.
+    fn every_variant() -> Vec<TraceEvent> {
+        let t = SimTime::from_micros;
+        let (page, disk) = (PageId(7), 2);
+        let abort = |cause| TraceEvent::TxnAbort {
+            at: t(90),
+            user: 3,
+            txn: 41,
+            cause,
+        };
+        vec![
+            TraceEvent::TxnBegin {
+                at: t(10),
+                user: 3,
+                txn: 41,
+                is_read: false,
+                ops: 4,
+            },
+            TraceEvent::TxnCommit {
+                at: t(80),
+                user: 3,
+                txn: 41,
+                response_us: 70,
+                cpu_us: 1,
+                data_read_us: 2,
+                dirty_flush_us: 3,
+                cluster_search_us: 4,
+                log_us: 5,
+                lock_wait_us: 55,
+            },
+            TraceEvent::IoExpand {
+                at: t(11),
+                page,
+                ios: 2,
+            },
+            TraceEvent::PageRead {
+                at: t(12),
+                page,
+                disk,
+                cause: ReadCause::Demand,
+                done: t(40),
+            },
+            TraceEvent::PageRead {
+                at: t(13),
+                page,
+                disk,
+                cause: ReadCause::ClusterSearch,
+                done: t(41),
+            },
+            TraceEvent::PageFlush {
+                at: t(14),
+                page,
+                disk,
+                cause: FlushCause::Split,
+                done: t(42),
+            },
+            TraceEvent::PrefetchIssue {
+                at: t(15),
+                fetched: 3,
+                write_backs: 1,
+            },
+            TraceEvent::PrefetchIo {
+                at: t(16),
+                page,
+                disk,
+                write_back: true,
+                done: t(43),
+            },
+            TraceEvent::ReclusterMove {
+                at: t(17),
+                object: 9,
+                from: page,
+                to: PageId(8),
+            },
+            TraceEvent::Split {
+                at: t(18),
+                from: page,
+                new: PageId(8),
+            },
+            TraceEvent::LockWait { at: t(19), user: 3 },
+            TraceEvent::LockGrant {
+                at: t(20),
+                user: 3,
+                wait_us: 1,
+            },
+            TraceEvent::LogFlush {
+                at: t(21),
+                kind: LogFlushKind::Commit,
+                done: t(44),
+            },
+            TraceEvent::IoFault {
+                at: t(22),
+                op: FaultOp::Read,
+                page,
+                disk,
+                attempt: 1,
+            },
+            TraceEvent::IoRetry {
+                at: t(23),
+                op: FaultOp::Write,
+                page,
+                disk,
+                attempt: 2,
+                backoff_us: 6,
+            },
+            TraceEvent::LogStall {
+                at: t(24),
+                stall_us: 7,
+            },
+            abort(AbortCause::Io {
+                op: FaultOp::Log,
+                page,
+                disk,
+            }),
+            abort(AbortCause::Placement { object: 12 }),
+            TraceEvent::Degrade {
+                at: t(25),
+                entered: true,
+            },
+            TraceEvent::ProfilePhase {
+                at: t(99),
+                path: "run;wal_append".into(),
+                calls: 5,
+                sim_us: 6,
+                alloc_bytes: 7,
+                allocs: 8,
+            },
+        ]
+    }
+
+    #[test]
+    fn every_records_args_are_its_jsonl_fields() {
+        let events = every_variant();
+        let kinds: std::collections::BTreeSet<_> = events.iter().map(|e| e.kind()).collect();
+        assert_eq!(kinds.len(), 18, "one event of each variant");
+        let buf = SyncBuf::new();
+        let mut sink = ChromeTraceSink::new(buf.clone());
+        for event in &events {
+            sink.emit(event);
+        }
+        sink.flush();
+        let text = String::from_utf8(buf.bytes()).unwrap();
+        let records: Vec<&str> = text.lines().skip(7).take(events.len()).collect();
+        for (event, line) in events.iter().zip(records) {
+            let json = event.to_json();
+            let fields = format!("{{{}", &json[json.find(',').unwrap() + 1..]);
+            let expected = if line.contains(r#""ph":"C""#) {
+                numeric_fields(&fields)
+            } else {
+                fields
+            };
+            assert_eq!(args_of(line), expected, "{line}");
+        }
+        // A commit force is told from a before-image one, an abort's
+        // closing record names the abort and its operation.
+        assert!(text.contains(r#""args":{"ev":"log_flush","kind":"commit","done":44}"#));
+        assert!(text.contains(r#""ph":"E","ts":90,"pid":1,"tid":3,"args":{"ev":"txn_abort","user":3,"txn":41,"op":"log""#));
+        assert!(text.contains(r#""name":"run;wal_append","ph":"C","ts":99,"pid":5,"tid":0,"args":{"calls":5,"sim_us":6,"alloc_bytes":7,"allocs":8}"#));
+    }
+
     #[test]
     fn emits_valid_array_with_metadata_and_durations() {
-        let buf = SharedBuf::new();
+        let buf = SyncBuf::new();
         let mut sink = ChromeTraceSink::new(buf.clone());
         sink.emit(&TraceEvent::TxnBegin {
             at: SimTime::from_micros(10),
@@ -507,7 +429,8 @@ mod tests {
         assert!(text.contains(r#""name":"process_name","ph":"M""#));
         assert!(text.contains(r#""name":"txn","ph":"B","ts":10"#));
         assert!(text.contains(r#""name":"page_read","ph":"X","ts":20,"dur":30"#));
-        assert_eq!(sink.events(), 2);
+        // "[", six lane names, two events, the closing "{}" and "]".
+        assert_eq!(text.lines().count(), 11);
         // Structural sanity: balanced brackets and braces.
         let opens = text.matches('{').count();
         let closes = text.matches('}').count();
@@ -516,7 +439,7 @@ mod tests {
 
     #[test]
     fn serve_request_spans_tile_the_service_time() {
-        let buf = SharedBuf::new();
+        let buf = SyncBuf::new();
         let mut sink = ChromeTraceSink::new(buf.clone());
         sink.emit_serve_request(
             3,
@@ -542,12 +465,12 @@ mod tests {
         assert!(text.contains(r#""name":"commit_wait","ph":"X","ts":1035,"dur":100"#));
         assert!(text.contains(r#""name":"reply_write","ph":"X","ts":1135,"dur":5"#));
         assert!(!text.contains(r#""name":"lock_wait""#));
-        assert_eq!(sink.events(), 4);
+        assert_eq!(text.matches(r#""args":{"client_txn":42}"#).count(), 4);
     }
 
     #[test]
     fn flush_is_idempotent() {
-        let buf = SharedBuf::new();
+        let buf = SyncBuf::new();
         let mut sink = ChromeTraceSink::new(buf.clone());
         sink.flush();
         sink.flush();

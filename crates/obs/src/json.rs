@@ -29,13 +29,18 @@ pub fn push_json_str(out: &mut String, s: &str) {
 pub struct ObjWriter<'a> {
     out: &'a mut String,
     first: bool,
+    numbers_only: bool,
 }
 
 impl<'a> ObjWriter<'a> {
     /// Open an object on `out`.
     pub fn begin(out: &'a mut String) -> Self {
         out.push('{');
-        ObjWriter { out, first: true }
+        ObjWriter {
+            out,
+            first: true,
+            numbers_only: false,
+        }
     }
 
     fn key(&mut self, k: &str) {
@@ -54,8 +59,18 @@ impl<'a> ObjWriter<'a> {
         self
     }
 
+    /// From here on, drop every field that is not a number: a Chrome
+    /// counter record plots each of its args as a series.
+    pub fn numbers_only(&mut self) -> &mut Self {
+        self.numbers_only = true;
+        self
+    }
+
     /// Write a boolean field.
     pub fn bool(&mut self, k: &str, v: bool) -> &mut Self {
+        if self.numbers_only {
+            return self;
+        }
         self.key(k);
         self.out.push_str(if v { "true" } else { "false" });
         self
@@ -63,6 +78,9 @@ impl<'a> ObjWriter<'a> {
 
     /// Write a string field.
     pub fn str(&mut self, k: &str, v: &str) -> &mut Self {
+        if self.numbers_only {
+            return self;
+        }
         self.key(k);
         push_json_str(self.out, v);
         self
@@ -72,6 +90,15 @@ impl<'a> ObjWriter<'a> {
     pub fn raw(&mut self, k: &str, v: &str) -> &mut Self {
         self.key(k);
         self.out.push_str(v);
+        self
+    }
+
+    /// Write a field whose value is an object that `f` fills in.
+    pub fn obj(&mut self, k: &str, f: impl FnOnce(&mut ObjWriter)) -> &mut Self {
+        self.key(k);
+        let mut inner = ObjWriter::begin(self.out);
+        f(&mut inner);
+        inner.end();
         self
     }
 
@@ -92,6 +119,22 @@ mod tests {
         w.str("a", "he said \"hi\"\n").u64("b", 7).bool("c", false);
         w.end();
         assert_eq!(s, r#"{"a":"he said \"hi\"\n","b":7,"c":false}"#);
+    }
+
+    #[test]
+    fn nested_object_and_numbers_only() {
+        let mut s = String::new();
+        let mut w = ObjWriter::begin(&mut s);
+        w.str("a", "x").obj("o", |w| {
+            w.str("s", "y")
+                .numbers_only()
+                .str("t", "z")
+                .u64("n", 1)
+                .bool("b", true);
+        });
+        w.u64("c", 2);
+        w.end();
+        assert_eq!(s, r#"{"a":"x","o":{"s":"y","n":1},"c":2}"#);
     }
 
     #[test]

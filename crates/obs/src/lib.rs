@@ -13,8 +13,11 @@
 //!   and `since`), as the plain cell the registry and every snapshot
 //!   hold and the lock-free cell the live server records into;
 //! * [`TraceSink`] + [`TraceEvent`] — typed events stamped in simulated
-//!   time, with a JSONL emitter ([`JsonlSink`]), a flight-recorder ring
-//!   ([`RingBufferSink`]) and a free [`NoopSink`] default;
+//!   time, each event's fields listed once and written by both
+//!   emitters: JSON Lines ([`JsonlSink`]) and the Chrome `trace_event`
+//!   array ([`ChromeTraceSink`], whose record `args` are the JSONL
+//!   fields less `t`); a free [`NoopSink`] default, and a
+//!   `Vec<TraceEvent>` sink for tests that read events back typed;
 //! * [`PhaseProfiler`] + [`ProfileReport`] — hierarchical self-cost
 //!   profiles of the engine's hot paths (calls, simulated time, heap
 //!   allocation via [`CountingAlloc`], wall clock), with deterministic
@@ -51,5 +54,5 @@ pub use profile::{
 pub use timeline::{Timeline, TimelinePoint, TimelineSample, TimelineSampler};
 pub use trace::{
     shared, AbortCause, FaultOp, FlushCause, JsonlSink, LogFlushKind, NoopSink, ReadCause,
-    RingBufferSink, SharedBuf, SharedSink, SyncBuf, TraceEvent, TraceSink,
+    SharedSink, SyncBuf, TraceEvent, TraceSink,
 };

@@ -10,7 +10,6 @@ use crate::json::ObjWriter;
 use semcluster_sim::SimTime;
 use semcluster_storage::PageId;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::rc::Rc;
 
@@ -383,12 +382,22 @@ impl TraceEvent {
         }
     }
 
-    /// Render as one deterministic JSON object (no trailing newline).
-    /// Field order is fixed: `t`, `ev`, then event-specific fields.
+    /// Render as one deterministic JSON object (no trailing newline):
+    /// `t`, then [`Self::fields`].
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         let mut w = ObjWriter::begin(&mut s);
-        w.u64("t", self.at().as_micros()).str("ev", self.kind());
+        w.u64("t", self.at().as_micros());
+        self.fields(&mut w);
+        w.end();
+        s
+    }
+
+    /// Write `ev` and then the event-specific fields, in a fixed order.
+    /// This is the one list of an event's fields: the JSONL line and
+    /// the Chrome record's `args` both come from it.
+    pub(crate) fn fields(&self, w: &mut ObjWriter) {
+        w.str("ev", self.kind());
         match *self {
             TraceEvent::TxnBegin {
                 user,
@@ -552,8 +561,6 @@ impl TraceEvent {
                     .u64("allocs", allocs);
             }
         }
-        w.end();
-        s
     }
 }
 
@@ -589,24 +596,12 @@ impl TraceSink for NoopSink {
 /// Streams events as JSON Lines to any writer.
 pub struct JsonlSink<W: Write> {
     writer: W,
-    events: u64,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Wrap `writer`; one JSON object per line.
     pub fn new(writer: W) -> Self {
-        JsonlSink { writer, events: 0 }
-    }
-
-    /// Events written so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Unwrap the inner writer (flushing first).
-    pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
+        JsonlSink { writer }
     }
 }
 
@@ -617,7 +612,6 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         self.writer
             .write_all(line.as_bytes())
             .expect("trace sink write failed");
-        self.events += 1;
     }
 
     fn flush(&mut self) {
@@ -625,54 +619,11 @@ impl<W: Write> TraceSink for JsonlSink<W> {
     }
 }
 
-/// Keeps the last `capacity` events in memory — a flight recorder for
-/// tests and post-mortem inspection without unbounded growth.
-#[derive(Debug, Clone)]
-pub struct RingBufferSink {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    seen: u64,
-}
-
-impl RingBufferSink {
-    /// Ring holding at most `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingBufferSink {
-            capacity,
-            events: VecDeque::with_capacity(capacity),
-            seen: 0,
-        }
-    }
-
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Retained event count (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total events ever emitted (including evicted ones).
-    pub fn total_seen(&self) -> u64 {
-        self.seen
-    }
-}
-
-impl TraceSink for RingBufferSink {
+/// Keeps every event, typed, in order (tests read them back through
+/// [`shared`]).
+impl TraceSink for Vec<TraceEvent> {
     fn emit(&mut self, event: &TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event.clone());
-        self.seen += 1;
+        self.push(event.clone());
     }
 }
 
@@ -699,39 +650,11 @@ impl<T: TraceSink> TraceSink for SharedSink<T> {
     }
 }
 
-/// A growable in-memory byte buffer with shared ownership, usable as the
-/// writer of a [`JsonlSink`] while the caller keeps a handle to read the
-/// bytes back after the run (byte-identity tests, CLI capture).
-#[derive(Debug, Clone, Default)]
-pub struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-
-impl SharedBuf {
-    /// New empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Copy of the bytes written so far.
-    pub fn bytes(&self) -> Vec<u8> {
-        self.0.borrow().clone()
-    }
-}
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// The cross-thread counterpart of [`SharedBuf`]: a growable in-memory
-/// byte buffer with shared ownership that is `Send + Sync`, so a sink
-/// created on one thread (e.g. by a sweep executor's sink factory) can
-/// be read back from another after the run completes.
+/// A growable in-memory byte buffer with shared ownership that is
+/// `Send + Sync`: usable as the writer of a [`JsonlSink`] or a
+/// [`ChromeTraceSink`](crate::ChromeTraceSink) while the caller keeps a
+/// handle to read the bytes back after the run, on any thread (a sweep
+/// executor's sink factory builds its sinks on worker threads).
 #[derive(Debug, Clone, Default)]
 pub struct SyncBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
 
@@ -806,7 +729,7 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_lines() {
-        let buf = SharedBuf::new();
+        let buf = SyncBuf::new();
         let mut sink = JsonlSink::new(buf.clone());
         sink.emit(&ev(1));
         sink.emit(&ev(2));
@@ -814,33 +737,20 @@ mod tests {
         let text = String::from_utf8(buf.bytes()).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.ends_with('\n'));
-        assert_eq!(sink.events(), 2);
-    }
-
-    #[test]
-    fn ring_keeps_last_n() {
-        let mut ring = RingBufferSink::with_capacity(3);
-        for t in 0..10 {
-            ring.emit(&ev(t));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.total_seen(), 10);
-        let ts: Vec<u64> = ring.events().map(|e| e.at().as_micros()).collect();
-        assert_eq!(ts, vec![7, 8, 9]);
     }
 
     #[test]
     fn noop_reports_disabled() {
         assert!(!NoopSink.enabled());
-        assert!(RingBufferSink::with_capacity(1).enabled());
     }
 
     #[test]
     fn shared_sink_observable_after_handoff() {
-        let ring = shared(RingBufferSink::with_capacity(8));
-        let mut handle: Box<dyn TraceSink> = Box::new(ring.clone());
+        let events = shared(Vec::<TraceEvent>::new());
+        let mut handle: Box<dyn TraceSink> = Box::new(events.clone());
+        assert!(handle.enabled());
         handle.emit(&ev(5));
-        assert_eq!(ring.borrow().len(), 1);
+        assert_eq!(*events.borrow(), [ev(5)]);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use semcluster::{
 };
 use semcluster_buffer::{PrefetchScope, ReplacementPolicy};
 use semcluster_clustering::{ClusteringPolicy, SplitPolicy};
-use semcluster_obs::{JsonlSink, MetricsSnapshot, SharedBuf};
+use semcluster_obs::{JsonlSink, MetricsSnapshot, SyncBuf};
 use semcluster_workload::{StructureDensity, WorkloadSpec};
 
 fn base() -> SimConfig {
@@ -33,7 +33,7 @@ fn busy() -> SimConfig {
 }
 
 fn traced_run(cfg: SimConfig) -> (RunReport, MetricsSnapshot, Vec<u8>) {
-    let buf = SharedBuf::default();
+    let buf = SyncBuf::default();
     let sink = JsonlSink::new(buf.clone());
     let (report, obs) = run_simulation_observed(cfg, ObsConfig::with_sink(Box::new(sink)));
     let bytes = buf.bytes();
@@ -128,7 +128,6 @@ fn tracing_does_not_change_results() {
     assert!(!trace.is_empty());
     assert_eq!(plain.mean_response_s, traced.mean_response_s);
     assert_eq!(plain.p95_response_s, traced.p95_response_s);
-    assert_eq!(plain.response_us_total, traced.response_us_total);
     assert_eq!(plain.span_totals, traced.span_totals);
     assert_eq!(plain.io, traced.io);
     assert_eq!(plain.txns, traced.txns);
@@ -136,11 +135,14 @@ fn tracing_does_not_change_results() {
 }
 
 /// The per-transaction attribution is exact: the component totals sum to
-/// the total measured response time, microsecond for microsecond.
+/// the total measured response time (the ledger's `txn.response_us`
+/// sum), microsecond for microsecond.
 #[test]
 fn span_components_sum_to_response_time() {
     for cfg in [base(), busy()] {
-        let r = run_simulation(cfg);
+        let (r, obs) = run_simulation_observed(cfg, ObsConfig::default());
+        let response_us = &obs.metrics.histograms["txn.response_us"];
+        assert_eq!(response_us.count, r.txns);
         let SpanBreakdown {
             cpu_us,
             data_read_us,
@@ -151,10 +153,11 @@ fn span_components_sum_to_response_time() {
         } = r.span_totals;
         assert_eq!(
             cpu_us + data_read_us + dirty_flush_us + cluster_search_us + log_us + lock_wait_us,
-            r.response_us_total,
+            response_us.sum_us,
             "attribution must be exact"
         );
-        assert!(r.response_us_total > 0);
+        assert_eq!(r.span_totals.total_us(), response_us.sum_us);
+        assert!(response_us.sum_us > 0);
         // The derived mean breakdown reconstructs the mean response.
         let err = (r.breakdown.response_total_s() - r.mean_response_s).abs();
         assert!(err < 1e-6, "breakdown drifts from mean response by {err}");

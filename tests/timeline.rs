@@ -1,8 +1,8 @@
 //! Timeline sampling, placement auditing and Chrome trace export:
 //! behavioural inertness of the new observers, determinism of the
 //! sampled timeline under thread counts and zero-rate fault configs,
-//! bounded retention of the audit and ring sinks, and structural
-//! validity of the Chrome trace on a real run.
+//! bounded retention of the audit sink, and structural validity of the
+//! Chrome trace on a real run, whose args are the JSONL trace's fields.
 
 use semcluster::{
     run_simulation, run_simulation_observed, FaultConfig, ObsConfig, RunReport, SimConfig,
@@ -10,7 +10,7 @@ use semcluster::{
 };
 use semcluster_buffer::{PrefetchScope, ReplacementPolicy};
 use semcluster_clustering::{ClusteringPolicy, SplitPolicy};
-use semcluster_obs::{shared, AuditKind, ChromeTraceSink, RingBufferSink, SharedBuf, SplitVerdict};
+use semcluster_obs::{AuditKind, ChromeTraceSink, JsonlSink, SplitVerdict, SyncBuf};
 use semcluster_workload::{StructureDensity, WorkloadSpec};
 
 fn base() -> SimConfig {
@@ -38,7 +38,6 @@ fn busy() -> SimConfig {
 fn assert_reports_equal(plain: &RunReport, observed: &RunReport) {
     assert_eq!(plain.mean_response_s, observed.mean_response_s);
     assert_eq!(plain.p95_response_s, observed.p95_response_s);
-    assert_eq!(plain.response_us_total, observed.response_us_total);
     assert_eq!(plain.span_totals, observed.span_totals);
     assert_eq!(plain.io, observed.io);
     assert_eq!(plain.txns, observed.txns);
@@ -156,28 +155,6 @@ fn placement_audits_are_bounded_and_consistent() {
     }
 }
 
-/// An engine-attached ring sink retains exactly the last `capacity`
-/// events while counting everything it saw.
-#[test]
-fn engine_ring_sink_wraps_and_counts() {
-    let ring = shared(RingBufferSink::with_capacity(64));
-    let handle = ring.clone();
-    let (report, _) = run_simulation_observed(busy(), ObsConfig::with_sink(Box::new(ring)));
-    let sink = handle.borrow();
-    assert_eq!(sink.len(), 64, "ring is full");
-    assert!(
-        sink.total_seen() > 64,
-        "a busy run emits far more events than the ring holds"
-    );
-    // The survivors are the chronological tail of the stream.
-    let mut prev = 0u64;
-    for ev in sink.events() {
-        assert!(ev.at().as_micros() >= prev);
-        prev = ev.at().as_micros();
-    }
-    assert!(report.txns > 0);
-}
-
 /// A Chrome trace of a real run is a structurally valid JSON array:
 /// balanced braces, the six process-name records (transactions,
 /// data-disks, log-device, engine, profiler, serve-requests),
@@ -185,7 +162,7 @@ fn engine_ring_sink_wraps_and_counts() {
 /// per user lane, and durations on every complete event.
 #[test]
 fn chrome_trace_of_real_run_is_wellformed() {
-    let buf = SharedBuf::new();
+    let buf = SyncBuf::new();
     let (report, _) = run_simulation_observed(
         busy(),
         ObsConfig::with_sink(Box::new(ChromeTraceSink::new(buf.clone()))),
@@ -207,5 +184,68 @@ fn chrome_trace_of_real_run_is_wellformed() {
     // Complete events always carry a duration.
     for line in text.lines().filter(|l| l.contains("\"ph\":\"X\"")) {
         assert!(line.contains("\"dur\":"), "{line}");
+    }
+}
+
+/// The `args` object of one Chrome record line.
+fn args_of(record: &str) -> &str {
+    let record = record.strip_suffix(',').unwrap_or(record);
+    &record[record.find(r#""args":"#).expect("record has args") + 7..record.len() - 1]
+}
+
+/// A flat JSON object keeping only its numeric fields.
+fn numeric_fields(obj: &str) -> String {
+    let kept: Vec<&str> = obj[1..obj.len() - 1]
+        .split(',')
+        .filter(|f| {
+            f.split(':')
+                .nth(1)
+                .is_some_and(|v| v.starts_with(|c: char| c.is_ascii_digit()))
+        })
+        .collect();
+    format!("{{{}}}", kept.join(","))
+}
+
+/// One seed run once per sink: every Chrome record's args are the
+/// matching JSONL line less `t` (a profiler counter's, its numeric
+/// fields only), on a faulted, splitting, prefetching, profiled run.
+#[test]
+fn chrome_args_are_the_jsonl_fields() {
+    let mut cfg = busy();
+    cfg.faults = FaultConfig::preset("stress").expect("stress preset exists");
+    let (jsonl, chrome) = (SyncBuf::new(), SyncBuf::new());
+    let sinks: [Box<dyn semcluster_obs::TraceSink>; 2] = [
+        Box::new(JsonlSink::new(jsonl.clone())),
+        Box::new(ChromeTraceSink::new(chrome.clone())),
+    ];
+    for sink in sinks {
+        run_simulation_observed(cfg.clone(), ObsConfig::with_sink(sink).profile());
+    }
+    let jsonl = String::from_utf8(jsonl.bytes()).expect("trace is UTF-8");
+    let chrome = String::from_utf8(chrome.bytes()).expect("trace is UTF-8");
+    // "[", six lane names, then one record per event and "{}", "]".
+    let records: Vec<&str> = chrome.lines().skip(7).collect();
+    assert_eq!(records.len(), jsonl.lines().count() + 2);
+    let mut kinds = std::collections::BTreeSet::new();
+    for (line, record) in jsonl.lines().zip(records) {
+        let fields = format!("{{{}", &line[line.find(',').expect("t, then ev") + 1..]);
+        let expected = if record.contains(r#""ph":"C""#) {
+            numeric_fields(&fields)
+        } else {
+            fields
+        };
+        assert_eq!(args_of(record), expected, "{record}");
+        kinds.insert(line.split('"').nth(5).expect("ev value").to_owned());
+    }
+    for kind in [
+        "txn_abort",
+        "io_fault",
+        "io_retry",
+        "log_flush",
+        "split",
+        "prefetch_io",
+        "profile_phase",
+    ] {
+        assert!(kinds.contains(kind), "no {kind} in {kinds:?}");
     }
 }
