@@ -30,7 +30,11 @@
 # deterministic hasher makes a bucket-order fold repeatable, not
 # specified — a DetHasher or hashbrown change would re-associate the
 # sums that decide union order and the split verdict. Its folds run
-# over dense, index-ordered arrays (ScoreScratch) instead.
+# in first-touch order into ScoreScratch's output lists instead, and
+# semcluster_vdm::SlotIndex (vdm/src/slot_index.rs) only maps a key to
+# its entry's slot in such a list. The index has no removal and no
+# iteration, so its bucket order cannot reach a sum; the SlotIndex guard
+# below fails if that file ever grows a way to walk its buckets.
 #
 # crates/lock/src is held to the same rule for a plainer reason: the
 # lock table is a dense object index over a slab plus two short linear
@@ -45,7 +49,8 @@
 # its maximum, and each base chaining its lineages' tops — so a bulk
 # build never rehashes and a create grows no table; a hash index that
 # came back would cost a cache-missing insert per object and regrow as
-# it filled.
+# it filled. slot_index.rs is a hash table, but a round-scoped one that
+# holds a single neighbourhood's keys and cannot be iterated.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -102,6 +107,19 @@ if [ -n "$det_hits" ]; then
     exit 1
 fi
 echo "determinism guard: OK (no raw HashMap/HashSet in simulation state, no hash container in clustering, lock or vdm)"
+
+# SlotIndex guard: the scoring folds' key → slot index must stay
+# unwalkable. An iterator over its buckets would hand the table's
+# hash order to whoever sums what it yields.
+slot_hits=$(grep -nE '\bfn (iter|keys|values|drain)\b|\bimpl\b.*\bIntoIterator\b' \
+    crates/vdm/src/slot_index.rs || true)
+if [ -n "$slot_hits" ]; then
+    echo "SlotIndex guard: crates/vdm/src/slot_index.rs exposes its bucket order:" >&2
+    echo "$slot_hits" >&2
+    echo "fold in first-touch order into the caller's list; the index only maps key -> slot." >&2
+    exit 1
+fi
+echo "SlotIndex guard: OK (no iteration over slot_index.rs's buckets)"
 
 # Purity guard for the serve path's deterministic layers (DESIGN.md
 # §16–17): the wire protocol, the connection FSM, admission control,

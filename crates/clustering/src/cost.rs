@@ -8,7 +8,7 @@
 //! placement is the total weight of arcs it leaves crossing page
 //! boundaries.
 
-use crate::arena::{sort_scored, ScoreScratch};
+use crate::arena::{fold, sort_scored, ScoreScratch};
 use crate::config::HintPolicy;
 use semcluster_buffer::AccessHint;
 use semcluster_storage::{PageId, StorageManager};
@@ -90,15 +90,14 @@ pub fn weighted_neighbors_in(
     let Ok(freqs) = db.frequencies_of(object) else {
         return;
     };
-    scratch.obj.begin();
+    scratch.obj.clear();
     let ScoreScratch { obj, direct, .. } = scratch;
     db.graph().for_each_related(object, |kind, dir, other| {
         let base = freqs.weight(kind, dir);
         let w = model.arc_weight(kind, base);
-        obj.add(direct, other, w);
+        fold(obj, direct, other.0, other, w);
         true
     });
-    obj.finish(direct);
     sort_scored(direct);
 }
 
@@ -137,7 +136,7 @@ pub fn extended_neighbors_where(
     scratch: &mut ScoreScratch,
 ) {
     scratch.extended.clear();
-    scratch.obj.begin();
+    scratch.obj.clear();
     let ScoreScratch {
         obj,
         direct,
@@ -147,7 +146,7 @@ pub fn extended_neighbors_where(
     // Seed with the placed direct neighbours, in their sorted order.
     for &(id, w) in direct.iter() {
         if placed(id) {
-            obj.add(extended, id, w);
+            fold(obj, extended, id.0, id, w);
         }
     }
     for &(hop, w1) in direct.iter() {
@@ -159,11 +158,10 @@ pub fn extended_neighbors_where(
                 return true;
             }
             let w2 = model.arc_weight(kind, freqs.weight(kind, dir));
-            obj.add(extended, two, TWO_HOP_DECAY * w1.min(w2));
+            fold(obj, extended, two.0, two, TWO_HOP_DECAY * w1.min(w2));
             true
         });
     }
-    obj.finish(extended);
     sort_scored(extended);
 }
 
@@ -175,16 +173,16 @@ pub fn extended_neighbors_where(
 /// the same `f64` from the whole neighbourhood as from its placed part.
 pub fn candidate_pages_in(store: &StorageManager, scratch: &mut ScoreScratch) {
     scratch.pages.clear();
-    scratch.page.begin();
+    scratch.page.clear();
     let ScoreScratch {
-        page: acc,
+        page: index,
         extended,
         pages,
         ..
     } = scratch;
     for &(obj, w) in extended.iter() {
         if let Some(page) = store.page_of(obj) {
-            acc.add(pages, page.index(), page, w);
+            fold(index, pages, page.0, page, w);
         }
     }
     sort_scored(pages);

@@ -102,10 +102,9 @@ impl SplitScratch {
 
 /// Build the dependency graph of `page`'s residents, optionally including
 /// the overflowing `incoming` object, in `scratch` (object → node through
-/// the object accumulator's epoch stamps). Arc weights sum both
-/// endpoints' directed traversal frequencies under `model`, folded nodes
-/// ascending and, within a node, in
-/// [`for_each_related`](semcluster_vdm::StructureGraph::for_each_related)
+/// the object index). Arc weights sum both endpoints' directed traversal
+/// frequencies under `model`, folded nodes ascending and, within a node,
+/// in [`for_each_related`](semcluster_vdm::StructureGraph::for_each_related)
 /// order — the determinism contract in [`crate::arena`]. Arcs are left
 /// heaviest-first so the single-scan greedy keeps the most valuable arcs.
 pub fn build_dependency_graph_in<'s>(
@@ -117,14 +116,14 @@ pub fn build_dependency_graph_in<'s>(
     scratch: &'s mut ScoreScratch,
 ) -> &'s DependencyGraph {
     let (graph, pair_slot) = (&mut scratch.graph, &mut scratch.split.pair_slot);
-    let node_of = &mut scratch.obj.dense;
+    let node_of = &mut scratch.obj;
     graph.objects.clear();
     graph.sizes.clear();
     graph.arcs.clear();
-    node_of.begin();
+    node_of.clear();
     let residents = store.objects_on(page).unwrap_or(&[]);
     for &(o, s) in residents.iter().chain(incoming.iter()) {
-        node_of.mark(o.index(), graph.objects.len() as u32);
+        node_of.insert(o.0, graph.objects.len() as u32);
         graph.objects.push(o);
         graph.sizes.push(s);
     }
@@ -138,7 +137,7 @@ pub fn build_dependency_graph_in<'s>(
             continue;
         };
         db.graph().for_each_related(o, |kind, dir, other| {
-            if let Some(j) = node_of.slot_of(other.index()) {
+            if let Some(j) = node_of.get(other.0) {
                 let (a, b) = (i.min(j), i.max(j));
                 let w = model.arc_weight(kind, freqs.weight(kind, dir));
                 let slot = &mut pair_slot[a as usize * n + b as usize];

@@ -1,8 +1,9 @@
 //! Property-based equivalence tests for the arena-backed hot paths.
 //!
 //! The scoring pipeline (`weighted_neighbors_in` / `extended_neighbors_in`
-//! / `candidate_pages_in`) folds arc weights through dense accumulators
-//! in a caller-owned [`ScoreScratch`]. The map-based fold it replaced
+//! / `candidate_pages_in`) folds arc weights into output lists in
+//! first-touch order, through the slot indexes of a caller-owned
+//! [`ScoreScratch`]. The map-based fold it replaced
 //! lives on here, and only here, as the reference model ([`reference`]);
 //! these tests drive both over randomized databases, placements, policies
 //! and residency views and require *identical* results — not just the
@@ -13,9 +14,9 @@
 //! waiting to happen.
 //!
 //! A load scores with "placed" as a predicate — the objects before the
-//! one being scored in its load order — and, on its scoring threads,
-//! through a compact scratch that folds by sorting; both are held to the
-//! store form over a store holding exactly that prefix.
+//! one being scored in its load order — on scratches that start empty;
+//! both that and an engine's pre-sized scratch are held to the reference
+//! over exactly that prefix.
 //!
 //! Half the scoring and placement worlds are *loading* worlds: only the
 //! ids below a random cut are placed, as a load that places objects in
@@ -502,7 +503,7 @@ fn spec_strategy() -> impl Strategy<Value = SyntheticDbSpec> {
 }
 
 proptest! {
-    /// The dense-accumulator scoring pipeline leaves exactly the
+    /// The scratch-backed scoring pipeline leaves exactly the
     /// reference results in scratch — same neighbours, same weights,
     /// same order — even when the scratch is reused dirty across
     /// objects of different degrees. The extended neighbourhood is the
@@ -542,12 +543,12 @@ proptest! {
     }
 
     /// "Placed" as a predicate — a prefix of a load order, structure
-    /// order or a shuffle — gives the extended neighbourhood the store
-    /// form gives over a store holding exactly that prefix: the same
-    /// neighbours, weights bit for bit and order, from a dense scratch
-    /// and from a compact one (whose direct lists match too). Walked as a
-    /// load walks: each object is scored against the objects before it,
-    /// then placed.
+    /// order or a shuffle — gives the reference's neighbourhood over
+    /// exactly that prefix: the same neighbours, weights bit for bit and
+    /// order, through the store form and the predicate form of an engine
+    /// scratch (pre-sized, reused dirty) and of a load thread's scratch
+    /// (built empty, grown on demand). Walked as a load walks: each
+    /// object is scored against the objects before it, then placed.
     #[test]
     fn predicate_neighbourhood_matches_store_prefix(
         spec in spec_strategy(),
@@ -561,22 +562,28 @@ proptest! {
             rank[id.index()] = i;
         }
         let mut store = StorageManager::new(DEFAULT_PAGE_BYTES);
-        let mut dense = ScoreScratch::new();
-        let mut compact = ScoreScratch::compact();
+        let mut engine = ScoreScratch::with_capacity(db.object_count(), 0);
+        let mut load = ScoreScratch::new();
         for (i, &object) in order.iter().enumerate() {
             let placed = |o: ObjectId| rank[o.index()] < i;
-            weighted_neighbors_in(&db, &model, object, &mut dense);
-            extended_neighbors_in(&db, &store, &model, object, &mut dense);
-            let want = score_bits(&dense.extended);
-            let direct = score_bits(&dense.direct);
+            let direct = score_bits(&reference::weighted_neighbors(&db, &model, object));
+            let want: Vec<(ObjectId, u64)> = reference::extended_neighbors(&db, &model, object)
+                .into_iter()
+                .filter(|&(o, _)| placed(o))
+                .map(|(o, w)| (o, w.to_bits()))
+                .collect();
 
-            weighted_neighbors_in(&db, &model, object, &mut dense);
-            extended_neighbors_where(&db, &model, object, placed, &mut dense);
-            prop_assert_eq!(score_bits(&dense.extended), want.clone(), "dense scratch diverges");
-            weighted_neighbors_in(&db, &model, object, &mut compact);
-            prop_assert_eq!(score_bits(&compact.direct), direct, "compact direct diverges");
-            extended_neighbors_where(&db, &model, object, placed, &mut compact);
-            prop_assert_eq!(score_bits(&compact.extended), want, "compact scratch diverges");
+            weighted_neighbors_in(&db, &model, object, &mut engine);
+            prop_assert_eq!(score_bits(&engine.direct), direct.clone(), "engine direct diverges");
+            extended_neighbors_in(&db, &store, &model, object, &mut engine);
+            prop_assert_eq!(score_bits(&engine.extended), want.clone(), "store form diverges");
+            extended_neighbors_where(&db, &model, object, placed, &mut engine);
+            prop_assert_eq!(score_bits(&engine.extended), want.clone(), "engine scratch diverges");
+
+            weighted_neighbors_in(&db, &model, object, &mut load);
+            prop_assert_eq!(score_bits(&load.direct), direct, "load direct diverges");
+            extended_neighbors_where(&db, &model, object, placed, &mut load);
+            prop_assert_eq!(score_bits(&load.extended), want, "load scratch diverges");
 
             let size = db.get(object).expect("dense ids").size_bytes();
             store

@@ -39,15 +39,13 @@ impl Engine {
         let Some((now, ev)) = popped else {
             return false; // all users idle — cannot happen in a closed network
         };
-        // Pre-grow every dense index outside the profiled phases so
-        // in-phase self-growth (which would charge its allocation to
-        // the phase it happens in) never fires: the headroom covers
-        // every object/page a single event can create.
-        let obj_cap = self.db.object_count() + 64;
-        let page_cap = self.store.page_count() + 64;
-        self.scratch.ensure_capacity(obj_cap, page_cap);
-        self.pool.ensure_page_capacity(page_cap);
-        self.locks.ensure_object_capacity(obj_cap);
+        // Pre-grow the pool's and the lock table's dense indexes outside
+        // the profiled phases so in-phase self-growth (which would charge
+        // its allocation to the phase it happens in) never fires: the
+        // headroom covers every object/page a single event can create.
+        self.pool.ensure_page_capacity(self.store.page_count() + 64);
+        self.locks
+            .ensure_object_capacity(self.db.object_count() + 64);
         match ev {
             Event::ThinkDone(u) => self.on_think_done(u, now),
             Event::OpDone(u) => self.on_op_done(u, now),
@@ -285,7 +283,7 @@ impl Engine {
                 }
             }
         }
-        self.retire_txn(u, &txn, true, now);
+        self.retire_txn(u, txn, true, now);
     }
 
     /// Abort the transaction in flight for user `u` after a run-path
@@ -333,14 +331,15 @@ impl Engine {
                 EngineError::Placement { object, .. } => AbortCause::Placement { object },
             },
         });
-        self.retire_txn(u, &txn, false, now);
+        self.retire_txn(u, txn, false, now);
     }
 
     /// What commit and abort share: free the locks, count the
-    /// transaction, send the user back to thinking. An abort counts
+    /// transaction, hand its op list back to the generator, send the user
+    /// back to thinking. An abort counts
     /// toward run progress (the closed network must not wedge) but not
     /// toward the measured response statistics.
-    fn retire_txn(&mut self, u: u32, txn: &ActiveTxn, committed: bool, now: SimTime) {
+    fn retire_txn(&mut self, u: u32, txn: ActiveTxn, committed: bool, now: SimTime) {
         self.observe_degradation(txn.span.cluster_search_us, now);
         self.locks.release_all(TxnId(u as u64));
         self.wake_parked(now);
@@ -367,6 +366,7 @@ impl Engine {
             &mut self.walk,
             &mut self.read_objects,
         );
+        self.generator.recycle(txn.txn.ops);
         let think = self.rng.exp_duration(self.cfg.think_time);
         self.queue.schedule(now + think, Event::ThinkDone(u));
     }

@@ -364,7 +364,7 @@ impl<'a> Placer<'a> {
                 s.spawn(move || {
                     #[cfg(test)]
                     assert!(hook != tests::Hook::Panic, "injected helper panic");
-                    let mut scratch = ScoreScratch::compact();
+                    let mut scratch = ScoreScratch::new();
                     while let Some(b) = claim(cursor, batches) {
                         #[cfg(test)]
                         if hook == tests::Hook::Stall {
@@ -411,7 +411,7 @@ impl<'a> Placer<'a> {
                 assert!(arrived.batch < b, "load batches arrive in order");
                 self.spares.lock().expect(SPARES).push(arrived);
             };
-            let mut scratch = ScoreScratch::compact();
+            let mut scratch = ScoreScratch::new();
             for b in 0..batches {
                 let scored = next(b, &mut scratch);
                 self.place(scored, store, view, &mut scratch);

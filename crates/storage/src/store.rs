@@ -40,12 +40,16 @@ impl From<PageError> for StorageError {
     }
 }
 
+/// The directory's "not placed".
+const NONE: u32 = u32::MAX;
+
 /// Physical placement state for the whole database.
 #[derive(Debug, Clone)]
 pub struct StorageManager {
     page_bytes: u32,
     pages: Vec<Page>,
-    dir: Vec<Option<PageId>>,
+    /// Each object's page id, or [`NONE`]: 4 bytes an object.
+    dir: Vec<u32>,
     append_cursor: Option<PageId>,
 }
 
@@ -73,6 +77,7 @@ impl StorageManager {
     /// Allocate a fresh empty page.
     pub fn allocate_page(&mut self) -> PageId {
         let id = PageId(self.pages.len() as u32);
+        debug_assert_ne!(id.0, NONE, "page ids stop below the directory's sentinel");
         self.pages.push(Page::new(id, self.page_bytes));
         id
     }
@@ -86,7 +91,10 @@ impl StorageManager {
 
     /// Where an object lives, if placed.
     pub fn page_of(&self, object: ObjectId) -> Option<PageId> {
-        self.dir.get(object.index()).copied().flatten()
+        match self.dir.get(object.index()) {
+            Some(&page) if page != NONE => Some(PageId(page)),
+            _ => None,
+        }
     }
 
     /// The recorded size of a placed object.
@@ -214,9 +222,9 @@ impl StorageManager {
 
     fn set_dir(&mut self, object: ObjectId, page: Option<PageId>) {
         if object.index() >= self.dir.len() {
-            self.dir.resize(object.index() + 1, None);
+            self.dir.resize(object.index() + 1, NONE);
         }
-        self.dir[object.index()] = page;
+        self.dir[object.index()] = page.map_or(NONE, |p| p.0);
     }
 }
 

@@ -62,6 +62,7 @@ mod name;
 mod object;
 mod query;
 mod relationship;
+mod slot_index;
 mod types;
 mod validate;
 
@@ -75,5 +76,6 @@ pub use name::{NameKey, ObjectName, ParseNameError, Sym};
 pub use object::{AttrImpl, AttrInstance, DesignObject, REF_SIZE_BYTES};
 pub use query::{execute_read, ReadQuery};
 pub use relationship::{Direction, RelFrequencies, RelKind};
+pub use slot_index::SlotIndex;
 pub use types::{AttrDef, OpDef, TypeDef, TypeError, TypeLattice, MAX_RESOLVED_ATTRS};
 pub use validate::{validate, Violation};

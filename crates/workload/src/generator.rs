@@ -64,6 +64,8 @@ pub struct Generator {
     spec: WorkloadSpec,
     phases: Option<PhaseSchedule>,
     users: Vec<UserSession>,
+    /// Op lists handed back through [`Generator::recycle`].
+    spare: Vec<Vec<TxnOp>>,
 }
 
 impl Generator {
@@ -81,6 +83,7 @@ impl Generator {
             spec,
             phases,
             users,
+            spare: Vec::new(),
         }
     }
 
@@ -135,26 +138,28 @@ impl Generator {
 
     /// Sample user `u`'s next transaction: a read with the probability
     /// of the spec in force `completed` transactions into the run, else
-    /// a write.
+    /// a write. Its op list is one handed back through
+    /// [`Generator::recycle`] when there is one.
     pub fn next_transaction(
-        &self,
+        &mut self,
         u: u32,
         completed: u64,
         db: &Database,
         rng: &mut SimRng,
     ) -> Transaction {
+        let mut ops = self.spare.pop().unwrap_or_default();
         let spec = match &self.phases {
             Some(schedule) => schedule.spec_at(completed),
             None => &self.spec,
         };
         let ws = &self.users[u as usize].working_set;
-        let ops = if rng.chance(spec.read_probability()) {
+        if rng.chance(spec.read_probability()) {
             let kind = QueryKind::READS[rng.weighted_index(&READ_MIX)];
             let root = match kind {
                 QueryKind::CompositeRetrieval => pick_composite(ws, db, rng),
                 _ => pick_target(ws, db, rng),
             };
-            vec![TxnOp::Read { kind, root }]
+            ops.push(TxnOp::Read { kind, root });
         } else {
             // A write transaction is a checkin: every mutation targets one
             // anchor's neighbourhood (§4.1 — "a checkin operation invokes
@@ -162,54 +167,62 @@ impl Generator {
             // touched objects share pages, which is what lets the log
             // manager coalesce before-images (Figure 5.5).
             let anchor = pick_target(ws, db, rng);
-            sample_write_shape(spec, rng)
-                .into_iter()
-                .map(|create| match create {
-                    Some(mode) => TxnOp::Create { anchor, mode },
-                    None => {
-                        let comps = db.graph().components(anchor);
-                        let target = if comps.is_empty() {
-                            anchor
-                        } else {
-                            let i = rng.below(comps.len() as u64 + 1) as usize;
-                            if i == comps.len() {
-                                anchor
-                            } else {
-                                comps[i]
-                            }
-                        };
-                        // A checkin occasionally removes an obsolete
-                        // component instead of updating it.
-                        if target != anchor && rng.chance(spec.delete_fraction) {
-                            TxnOp::Delete { target }
-                        } else {
-                            TxnOp::Update { target }
-                        }
-                    }
-                })
-                .collect()
-        };
+            // The shape first — for each mutation, create or update —
+            // then each update's target, in that order of draws.
+            let n = rng.range_inclusive(spec.writes_per_txn.0 as u64, spec.writes_per_txn.1 as u64);
+            for _ in 0..n {
+                ops.push(if rng.chance(spec.create_fraction) {
+                    let mode = if rng.chance(NEW_COMPONENT_FRACTION) {
+                        CreateMode::NewComponent
+                    } else {
+                        CreateMode::NewVersion
+                    };
+                    TxnOp::Create { anchor, mode }
+                } else {
+                    TxnOp::Update { target: anchor }
+                });
+            }
+            for op in &mut ops {
+                if matches!(op, TxnOp::Update { .. }) {
+                    *op = checkin_mutation(spec, anchor, db, rng);
+                }
+            }
+        }
         Transaction { ops }
+    }
+
+    /// Take back a retired transaction's op list, so a later
+    /// [`Generator::next_transaction`] refills it instead of allocating.
+    pub fn recycle(&mut self, mut ops: Vec<TxnOp>) {
+        ops.clear();
+        self.spare.push(ops);
     }
 }
 
-/// Sample the shape of a write transaction: for each mutation, whether it
-/// creates (`Some(mode)`) or updates (`None`).
-fn sample_write_shape(spec: &WorkloadSpec, rng: &mut SimRng) -> Vec<Option<CreateMode>> {
-    let n = rng.range_inclusive(spec.writes_per_txn.0 as u64, spec.writes_per_txn.1 as u64);
-    (0..n)
-        .map(|_| {
-            if rng.chance(spec.create_fraction) {
-                Some(if rng.chance(NEW_COMPONENT_FRACTION) {
-                    CreateMode::NewComponent
-                } else {
-                    CreateMode::NewVersion
-                })
-            } else {
-                None
-            }
-        })
-        .collect()
+/// A checkin's non-create mutation: an update of the anchor or one of
+/// its components, or now and then the removal of an obsolete component.
+fn checkin_mutation(
+    spec: &WorkloadSpec,
+    anchor: ObjectId,
+    db: &Database,
+    rng: &mut SimRng,
+) -> TxnOp {
+    let comps = db.graph().components(anchor);
+    let target = if comps.is_empty() {
+        anchor
+    } else {
+        let i = rng.below(comps.len() as u64 + 1) as usize;
+        if i == comps.len() {
+            anchor
+        } else {
+            comps[i]
+        }
+    };
+    if target != anchor && rng.chance(spec.delete_fraction) {
+        TxnOp::Delete { target }
+    } else {
+        TxnOp::Update { target }
+    }
 }
 
 /// A uniformly random object id (live or tombstoned).
@@ -272,7 +285,7 @@ mod tests {
         (gen, rng)
     }
 
-    fn draw(gen: &Generator, db: &Database, rng: &mut SimRng, n: usize) -> Vec<Transaction> {
+    fn draw(gen: &mut Generator, db: &Database, rng: &mut SimRng, n: usize) -> Vec<Transaction> {
         (0..n)
             .map(|_| gen.next_transaction(0, 0, db, rng))
             .collect()
@@ -303,9 +316,9 @@ mod tests {
     #[test]
     fn read_write_mix_tracks_ratio() {
         let db = db();
-        let (gen, mut rng) = session(&db, WorkloadSpec::new(StructureDensity::Low3, 5.0), 2);
+        let (mut gen, mut rng) = session(&db, WorkloadSpec::new(StructureDensity::Low3, 5.0), 2);
         let n = 20_000;
-        let reads = draw(&gen, &db, &mut rng, n)
+        let reads = draw(&mut gen, &db, &mut rng, n)
             .iter()
             .filter(|t| t.is_read())
             .count();
@@ -317,8 +330,8 @@ mod tests {
     fn writes_have_spec_bounded_ops() {
         let db = db();
         let spec = WorkloadSpec::new(StructureDensity::Med5, ALL_WRITES);
-        let (gen, mut rng) = session(&db, spec, 3);
-        for t in draw(&gen, &db, &mut rng, 500) {
+        let (mut gen, mut rng) = session(&db, spec, 3);
+        for t in draw(&mut gen, &db, &mut rng, 500) {
             assert!((1..=3).contains(&t.ops.len()));
             assert!(!t.is_read());
         }
@@ -328,8 +341,8 @@ mod tests {
     fn reads_are_single_op_and_in_range() {
         let db = db();
         let spec = WorkloadSpec::new(StructureDensity::Med5, ALL_READS);
-        let (gen, mut rng) = session(&db, spec, 4);
-        for t in draw(&gen, &db, &mut rng, 500) {
+        let (mut gen, mut rng) = session(&db, spec, 4);
+        for t in draw(&mut gen, &db, &mut rng, 500) {
             assert_eq!(t.ops.len(), 1);
             match t.ops[0] {
                 TxnOp::Read { root, .. } => {
@@ -344,9 +357,9 @@ mod tests {
     fn composite_retrieval_dominates_reads() {
         let db = db();
         let spec = WorkloadSpec::new(StructureDensity::Med5, ALL_READS);
-        let (gen, mut rng) = session(&db, spec, 5);
+        let (mut gen, mut rng) = session(&db, spec, 5);
         let n = 5_000;
-        let composite = draw(&gen, &db, &mut rng, n)
+        let composite = draw(&mut gen, &db, &mut rng, n)
             .iter()
             .filter(|t| {
                 matches!(
@@ -366,12 +379,12 @@ mod tests {
     fn same_seed_same_transactions() {
         let db = db();
         let spec = WorkloadSpec::new(StructureDensity::Med5, 2.0);
-        let (a, mut rng_a) = session(&db, spec.clone(), 6);
-        let (b, mut rng_b) = session(&db, spec.clone(), 6);
-        let first = draw(&a, &db, &mut rng_a, 300);
-        assert_eq!(first, draw(&b, &db, &mut rng_b, 300));
-        let (c, mut rng_c) = session(&db, spec, 7);
-        assert_ne!(first, draw(&c, &db, &mut rng_c, 300));
+        let (mut a, mut rng_a) = session(&db, spec.clone(), 6);
+        let (mut b, mut rng_b) = session(&db, spec.clone(), 6);
+        let first = draw(&mut a, &db, &mut rng_a, 300);
+        assert_eq!(first, draw(&mut b, &db, &mut rng_b, 300));
+        let (mut c, mut rng_c) = session(&db, spec, 7);
+        assert_ne!(first, draw(&mut c, &db, &mut rng_c, 300));
     }
 
     #[test]
@@ -433,10 +446,10 @@ mod tests {
     fn working_set_share_matches_the_bias() {
         let db = db();
         let spec = WorkloadSpec::new(StructureDensity::Med5, ALL_READS);
-        let (gen, mut rng) = session(&db, spec, 9);
-        let ws = &gen.users[0].working_set;
+        let (mut gen, mut rng) = session(&db, spec, 9);
+        let ws = gen.users[0].working_set.clone();
         let (mut direct, mut local) = (0u32, 0u32);
-        for t in draw(&gen, &db, &mut rng, 40_000) {
+        for t in draw(&mut gen, &db, &mut rng, 40_000) {
             // Every read but composite retrieval roots at the drawn
             // target itself.
             match t.ops[0] {
@@ -471,9 +484,9 @@ mod tests {
         }
         .build();
         let spec = WorkloadSpec::new(StructureDensity::Med5, ALL_READS);
-        let (gen, mut rng) = session(&trees, spec.clone(), 10);
+        let (mut gen, mut rng) = session(&trees, spec.clone(), 10);
         let mut composites = 0;
-        for t in draw(&gen, &trees, &mut rng, 5_000) {
+        for t in draw(&mut gen, &trees, &mut rng, 5_000) {
             if let TxnOp::Read {
                 kind: QueryKind::CompositeRetrieval,
                 root,
@@ -492,8 +505,8 @@ mod tests {
             ..SyntheticDbSpec::default()
         }
         .build();
-        let (gen, mut rng) = session(&flat, spec, 10);
-        for t in draw(&gen, &flat, &mut rng, 500) {
+        let (mut gen, mut rng) = session(&flat, spec, 10);
+        for t in draw(&mut gen, &flat, &mut rng, 500) {
             let TxnOp::Read { root, .. } = t.ops[0] else {
                 unreachable!("reads only")
             };
@@ -506,8 +519,8 @@ mod tests {
         let db = db();
         let mut spec = WorkloadSpec::new(StructureDensity::Med5, ALL_WRITES);
         spec.delete_fraction = 0.3;
-        let (gen, mut rng) = session(&db, spec, 11);
-        for t in draw(&gen, &db, &mut rng, 3_000) {
+        let (mut gen, mut rng) = session(&db, spec, 11);
+        for t in draw(&mut gen, &db, &mut rng, 3_000) {
             assert!(common_anchor(&db, &t).is_some(), "scattered checkin {t:?}");
         }
     }
@@ -517,15 +530,15 @@ mod tests {
         let db = db();
         let mut spec = WorkloadSpec::new(StructureDensity::Med5, ALL_WRITES);
         assert_eq!(spec.delete_fraction, 0.0);
-        let (gen, mut rng) = session(&db, spec.clone(), 12);
-        for t in draw(&gen, &db, &mut rng, 3_000) {
+        let (mut gen, mut rng) = session(&db, spec.clone(), 12);
+        for t in draw(&mut gen, &db, &mut rng, 3_000) {
             assert!(!t.ops.iter().any(|op| matches!(op, TxnOp::Delete { .. })));
         }
 
         spec.delete_fraction = 1.0;
-        let (gen, mut rng) = session(&db, spec, 12);
+        let (mut gen, mut rng) = session(&db, spec, 12);
         let mut deletes = 0;
-        for t in draw(&gen, &db, &mut rng, 3_000) {
+        for t in draw(&mut gen, &db, &mut rng, 3_000) {
             // Every update left is the anchor's own, so a transaction's
             // updates agree on their target and no delete names it.
             let mut anchor = t.ops.iter().find_map(|op| match *op {
