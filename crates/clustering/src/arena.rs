@@ -176,12 +176,27 @@ impl ScoreScratch {
 mod tests {
     use super::*;
 
-    /// Entries come out in first-touch order, a key's terms summed in
-    /// arrival order: 1e16 + 1 + 1 loses both ones, 1 + 1 + 1e16 keeps
-    /// them, so a fold in any other order shows in the bits. A cleared
-    /// index starts the next round empty.
+    /// Entries come out in first-touch order, each key's terms summed
+    /// into its first slot; a cleared index starts the next round empty.
     #[test]
-    fn fold_sums_in_first_touch_order() {
+    fn dense_acc_folds_in_first_touch_order() {
+        let mut index = SlotIndex::with_capacity(0);
+        let mut out: Vec<(u32, f64)> = Vec::new();
+        fold(&mut index, &mut out, 5, 5, 1.0);
+        fold(&mut index, &mut out, 2, 2, 2.0);
+        fold(&mut index, &mut out, 5, 5, 0.5);
+        assert_eq!(out, vec![(5, 1.5), (2, 2.0)]);
+        out.clear();
+        index.clear();
+        fold(&mut index, &mut out, 2, 2, 4.0);
+        assert_eq!(out, vec![(2, 4.0)]);
+    }
+
+    /// The fold sums each key in arrival order: 1e16 + 1 + 1 loses both
+    /// ones, 1 + 1 + 1e16 keeps them, so a fold in any other order shows
+    /// in the bits.
+    #[test]
+    fn compact_fold_sums_in_arrival_order() {
         let terms = [
             (7u32, 1e16),
             (3, 1.0),
@@ -196,10 +211,6 @@ mod tests {
             fold(&mut index, &mut out, id, id, w);
         }
         assert_eq!(out, vec![(7, 1e16), (3, 1e16 + 2.0)]);
-        out.clear();
-        index.clear();
-        fold(&mut index, &mut out, 3, 3, 4.0);
-        assert_eq!(out, vec![(3, 4.0)]);
     }
 
     #[test]
