@@ -241,7 +241,7 @@ pub fn ablate_logbuf(opts: &FigureOpts) {
     ]);
     for (kb, item) in sizes.iter().zip(&items) {
         let r = item.result.as_ref().expect("run_items panics on a failure");
-        let flushes = item.metrics.counter("wal.flush.full") as f64 / r.reports.len() as f64;
+        let flushes = item.obs.metrics.counter("wal.flush.full") as f64 / r.reports.len() as f64;
         table.row(vec![
             format!("{kb} KB"),
             format!("{:.0}", r.log_ios.mean),

@@ -195,7 +195,10 @@ fn golden_render(jobs: Vec<SweepJob>, threads: usize) -> Result<String, String> 
             ));
         }
     }
-    out.push_str(&format!("{{\"metrics\":{}}}\n", outcome.metrics.to_json()));
+    out.push_str(&format!(
+        "{{\"metrics\":{}}}\n",
+        outcome.obs.metrics.to_json()
+    ));
     Ok(out)
 }
 
@@ -277,10 +280,10 @@ fn timeline_golden_render(threads: usize) -> Result<String, String> {
         item.result
             .as_ref()
             .map_err(|e| format!("timeline sweep: {e}"))?;
-        let timeline = item
-            .timeline
-            .as_ref()
-            .ok_or_else(|| format!("timeline sweep: job {} produced no timeline", item.label))?;
+        let timeline =
+            item.obs.timeline.as_ref().ok_or_else(|| {
+                format!("timeline sweep: job {} produced no timeline", item.label)
+            })?;
         out.push_str(&format!(
             "{{\"job\":{:?},\"timeline\":{}}}\n",
             item.label,
@@ -288,6 +291,7 @@ fn timeline_golden_render(threads: usize) -> Result<String, String> {
         ));
     }
     let merged = outcome
+        .obs
         .timeline
         .ok_or("timeline sweep: no merged timeline")?;
     out.push_str(&format!("{{\"merged\":{}}}\n", merged.to_json()));
@@ -376,6 +380,7 @@ fn profile_golden_render(threads: usize) -> Result<String, String> {
             .as_ref()
             .map_err(|e| format!("profile sweep: {e}"))?;
         let profile = item
+            .obs
             .profile
             .as_ref()
             .ok_or_else(|| format!("profile sweep: job {} produced no profile", item.label))?;

@@ -231,7 +231,7 @@ impl ObsConfig {
 
 /// Everything the observability layer collected during one run (or,
 /// after merging, across the runs of a sweep).
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct RunObservations {
     /// Final metrics-registry snapshot ([`RunReport::io`] is read from
     /// these counters).
@@ -250,17 +250,17 @@ impl RunObservations {
     /// Merge another run's observations into this one. Metrics,
     /// timelines and profiles merge order-independently; audits
     /// concatenate.
-    pub fn absorb(&mut self, other: RunObservations) {
+    pub fn absorb(&mut self, other: &RunObservations) {
         self.metrics.merge(&other.metrics);
-        match (&mut self.timeline, other.timeline) {
-            (Some(mine), Some(theirs)) => mine.merge(&theirs),
-            (slot @ None, Some(theirs)) => *slot = Some(theirs),
+        match (&mut self.timeline, &other.timeline) {
+            (Some(mine), Some(theirs)) => mine.merge(theirs),
+            (slot @ None, Some(theirs)) => *slot = Some(theirs.clone()),
             _ => {}
         }
-        self.audits.extend(other.audits);
-        match (&mut self.profile, other.profile) {
-            (Some(mine), Some(theirs)) => mine.merge(&theirs),
-            (slot @ None, Some(theirs)) => *slot = Some(theirs),
+        self.audits.extend_from_slice(&other.audits);
+        match (&mut self.profile, &other.profile) {
+            (Some(mine), Some(theirs)) => mine.merge(theirs),
+            (slot @ None, Some(theirs)) => *slot = Some(theirs.clone()),
             _ => {}
         }
     }

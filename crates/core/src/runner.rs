@@ -79,7 +79,7 @@ pub fn run_replicated_observed(
     let mut merged = RunObservations::default();
     for r in 0..replications {
         let (report, obs) = run_simulation_observed(replication_config(cfg, r), obs_for(r));
-        merged.absorb(obs);
+        merged.absorb(&obs);
         reports.push(report);
     }
     (ReplicatedResult::from_reports(reports), merged)

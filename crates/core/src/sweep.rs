@@ -25,9 +25,9 @@
 //! callers print those to stderr so stdout stays canonical.
 
 use crate::config::SimConfig;
-use crate::engine::ObsConfig;
+use crate::engine::{ObsConfig, RunObservations};
 use crate::runner::{run_replicated_observed, ReplicatedResult};
-use semcluster_obs::{MetricsSnapshot, ProfileReport, Timeline, TraceSink};
+use semcluster_obs::TraceSink;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -98,15 +98,10 @@ pub struct SweepItem {
     pub label: String,
     /// The folded replications, or the captured panic.
     pub result: Result<ReplicatedResult, SweepError>,
-    /// Merged metrics snapshots of this job's replications (empty on
+    /// This job's replications' observations, merged: metrics always,
+    /// a timeline or profile when the runner enables it (empty on
     /// failure).
-    pub metrics: MetricsSnapshot,
-    /// Merged timeline of this job's replications (when the runner has
-    /// timeline sampling enabled; `None` on failure or when disabled).
-    pub timeline: Option<Timeline>,
-    /// Merged phase profile of this job's replications (when the runner
-    /// has profiling enabled; `None` on failure or when disabled).
-    pub profile: Option<ProfileReport>,
+    pub obs: RunObservations,
     /// Host wall-clock this job took on its worker.
     pub wall: Duration,
 }
@@ -166,15 +161,10 @@ impl SweepSummary {
 pub struct SweepOutcome {
     /// Per-job outcomes, in submission order.
     pub items: Vec<SweepItem>,
-    /// All successful jobs' metrics, merged in submission order.
-    pub metrics: MetricsSnapshot,
-    /// All successful jobs' timelines, merged in submission order
-    /// (`None` unless the runner had timeline sampling enabled).
-    pub timeline: Option<Timeline>,
-    /// All successful jobs' phase profiles, merged in submission order
-    /// (`None` unless the runner had profiling enabled). The merge is
-    /// per-stack sums, so this is byte-identical at any thread count.
-    pub profile: Option<ProfileReport>,
+    /// All successful jobs' observations, merged in submission order.
+    /// Every merge is order-independent (the profile's is per-stack
+    /// sums), so this is byte-identical at any thread count.
+    pub obs: RunObservations,
     /// Host wall-clock facts (stderr material).
     pub summary: SweepSummary,
 }
@@ -251,8 +241,8 @@ impl SweepRunner {
 
     /// Enable timeline sampling for every run, at `interval_us`
     /// simulated microseconds. Each job's replications merge into
-    /// [`SweepItem::timeline`]; all jobs merge into
-    /// [`SweepOutcome::timeline`]. Because sample boundaries are
+    /// [`SweepItem::obs`]; all jobs merge into
+    /// [`SweepOutcome::obs`]. Because sample boundaries are
     /// interval multiples and the merge is order-independent, the merged
     /// timelines are byte-identical at any thread count.
     pub fn with_timeline(mut self, interval_us: u64) -> Self {
@@ -261,8 +251,8 @@ impl SweepRunner {
     }
 
     /// Enable phase profiling for every run. Each job's replications
-    /// merge into [`SweepItem::profile`]; all jobs merge into
-    /// [`SweepOutcome::profile`]. Per-stack counters are deterministic
+    /// merge into [`SweepItem::obs`]; all jobs merge into
+    /// [`SweepOutcome::obs`]. Per-stack counters are deterministic
     /// sums, so the merged profile (minus wall clock, which never enters
     /// canonical output) is byte-identical at any thread count.
     pub fn with_profile(mut self) -> Self {
@@ -275,34 +265,20 @@ impl SweepRunner {
         let started = Instant::now();
         let threads = self.jobs.clamp(1, jobs.len().max(1));
         let items = ordered_parallel_map(threads, &jobs, |index, job| self.run_one(index, job));
-        // Join: fold metrics, timelines and wall-clocks in submission
-        // order (both merges are order-independent anyway).
-        let mut metrics = MetricsSnapshot::default();
-        let mut timeline: Option<Timeline> = None;
-        let mut profile: Option<ProfileReport> = None;
+        // Join: fold observations and wall-clocks in submission order
+        // (every merge is order-independent anyway).
+        let mut obs = RunObservations::default();
         let mut serial_equivalent = Duration::ZERO;
         let mut failed = 0;
         for item in &items {
-            metrics.merge(&item.metrics);
-            match (&mut timeline, &item.timeline) {
-                (Some(merged), Some(t)) => merged.merge(t),
-                (slot @ None, Some(t)) => *slot = Some(t.clone()),
-                _ => {}
-            }
-            match (&mut profile, &item.profile) {
-                (Some(merged), Some(p)) => merged.merge(p),
-                (slot @ None, Some(p)) => *slot = Some(p.clone()),
-                _ => {}
-            }
+            obs.absorb(&item.obs);
             serial_equivalent += item.wall;
             if item.result.is_err() {
                 failed += 1;
             }
         }
         SweepOutcome {
-            metrics,
-            timeline,
-            profile,
+            obs,
             summary: SweepSummary {
                 runs: items.len(),
                 failed,
@@ -335,26 +311,22 @@ impl SweepRunner {
                 obs
             })
         }));
-        let (result, metrics, timeline, profile) = match outcome {
-            Ok((result, obs)) => (Ok(result), obs.metrics, obs.timeline, obs.profile),
+        let (result, obs) = match outcome {
+            Ok((result, obs)) => (Ok(result), obs),
             Err(payload) => (
                 Err(SweepError {
                     index,
                     label: label.clone(),
                     message: panic_message(payload.as_ref()),
                 }),
-                MetricsSnapshot::default(),
-                None,
-                None,
+                RunObservations::default(),
             ),
         };
         SweepItem {
             index,
             label: label.clone(),
             result,
-            metrics,
-            timeline,
-            profile,
+            obs,
             wall: t0.elapsed(),
         }
     }
@@ -450,13 +422,13 @@ mod tests {
         assert_eq!(serial.items.len(), 4);
         assert_eq!(serial.summary.threads, 1);
         assert_eq!(parallel.summary.threads, 4);
-        assert_eq!(serial.metrics, parallel.metrics);
+        assert_eq!(serial.obs.metrics, parallel.obs.metrics);
         for (a, b) in serial.items.iter().zip(&parallel.items) {
             assert_eq!(a.label, b.label);
             let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
             assert_eq!(ra.response.mean.to_bits(), rb.response.mean.to_bits());
             assert_eq!(ra.reports[0].io, rb.reports[0].io);
-            assert_eq!(a.metrics, b.metrics);
+            assert_eq!(a.obs.metrics, b.obs.metrics);
         }
     }
 
@@ -470,11 +442,14 @@ mod tests {
         let serial = SweepRunner::new(1).with_timeline(1_000_000).run(jobs());
         let parallel = SweepRunner::new(4).with_timeline(1_000_000).run(jobs());
         for (a, b) in serial.items.iter().zip(&parallel.items) {
-            let (ta, tb) = (a.timeline.as_ref().unwrap(), b.timeline.as_ref().unwrap());
+            let (ta, tb) = (
+                a.obs.timeline.as_ref().unwrap(),
+                b.obs.timeline.as_ref().unwrap(),
+            );
             assert!(!ta.is_empty());
             assert_eq!(ta.to_json(), tb.to_json());
         }
-        let (ma, mb) = (serial.timeline.unwrap(), parallel.timeline.unwrap());
+        let (ma, mb) = (serial.obs.timeline.unwrap(), parallel.obs.timeline.unwrap());
         assert_eq!(ma.to_json(), mb.to_json());
         // Each job contributed 2 replications to the first boundary.
         let first = ma.points().next().unwrap().1;

@@ -14,12 +14,12 @@
 //! — `(kind, direction)` in [`StructureGraph::for_each_related`] order —
 //! laid end to end in a single *run*, with the eight segment ends packed
 //! four bits each into one `u32`. A run of up to [`INLINE_CAP`] ids
-//! lives inside the record; a longer one moves to the graph's spill
-//! table — its `u16` ends in a record there, its ids in a block of
-//! 8·2ᵏ slots of one shared pool — and moves back as soon as it fits
-//! again. On the benchmark's synthetic databases 92–100 % of nodes stay
-//! inline (DESIGN.md §14.4), so a visit is one cache miss, and two
-//! records share a line.
+//! lives inside the record; a longer one moves to a block of 8·2ᵏ
+//! slots of one shared pool, the record's id slots then holding its
+//! `u16` ends and its block — and moves back as soon as it fits again.
+//! On the benchmark's synthetic databases 92–100 % of nodes stay inline
+//! (DESIGN.md §14.4), so a visit is one cache miss, and two records
+//! share a line; a spilled visit adds one more, for the block.
 //!
 //! Order inside a segment is part of the contract: `add_edge` appends
 //! at the end of the segment and `remove_edge` swap-removes within it,
@@ -75,7 +75,7 @@ const INLINE_CAP: usize = 7;
 /// `u16`).
 pub const MAX_DEGREE: usize = u16::MAX as usize;
 
-/// `Node::ends` of a node whose run lives in the spill table. No inline
+/// `Node::ends` of a node whose run lives in a pool block. No inline
 /// run packs to it: every nibble would read 15, past [`INLINE_CAP`].
 const SPILLED: u32 = u32::MAX;
 
@@ -135,10 +135,10 @@ struct Node {
     /// Where each segment stops in the run, four bits a segment with
     /// segment `s` in bits `4s..4s + 4`; segment `s` starts where
     /// segment `s - 1` stops and the last end is the degree. [`SPILLED`]
-    /// when the run is in the spill table.
+    /// when the run is in a pool block.
     ends: u32,
     /// The run itself while it is at most [`INLINE_CAP`] ids long;
-    /// otherwise `ids[0]` is the run's slot in `StructureGraph::spill`.
+    /// otherwise the run's [`Spill`] record.
     ids: [ObjectId; INLINE_CAP],
 }
 
@@ -148,13 +148,6 @@ impl Default for Node {
             ends: 0,
             ids: [ObjectId(0); INLINE_CAP],
         }
-    }
-}
-
-impl Node {
-    /// Slot of the spilled run, or `None` while the run is inline.
-    fn spill_slot(&self) -> Option<usize> {
-        (self.ends == SPILLED).then(|| self.ids[0].index())
     }
 }
 
@@ -168,15 +161,37 @@ const CLASSES: usize = 14;
 const _: () = assert!(BLOCK_MIN << (CLASSES - 1) >= MAX_DEGREE);
 
 /// A run too long for its node record: its segment ends, and the block
-/// of `StructureGraph::pool` holding it from `start`.
-#[derive(Debug, Clone, Copy, Default)]
+/// of `StructureGraph::pool` holding it from `start`. Kept in the node's
+/// own `ids`: two ends an id, then `start`, then `class`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Spill {
     ends: [u16; SEGMENTS],
     start: u32,
     class: u8,
 }
 
+const _: () = assert!(SEGMENTS / 2 + 2 <= INLINE_CAP);
+
 impl Spill {
+    /// `node`'s record, or `None` while its run is inline.
+    fn of(node: &Node) -> Option<Spill> {
+        (node.ends == SPILLED).then(|| Spill {
+            ends: std::array::from_fn(|seg| (node.ids[seg / 2].0 >> (16 * (seg % 2))) as u16),
+            start: node.ids[SEGMENTS / 2].0,
+            class: node.ids[SEGMENTS / 2 + 1].0 as u8,
+        })
+    }
+
+    /// Write this record into `node` and mark its run spilled.
+    fn store(&self, node: &mut Node) {
+        node.ends = SPILLED;
+        for (id, pair) in node.ids.iter_mut().zip(self.ends.chunks_exact(2)) {
+            *id = ObjectId(u32::from(pair[0]) | u32::from(pair[1]) << 16);
+        }
+        node.ids[SEGMENTS / 2] = ObjectId(self.start);
+        node.ids[SEGMENTS / 2 + 1] = ObjectId(u32::from(self.class));
+    }
+
     fn run(&self) -> Range<usize> {
         let start = self.start as usize;
         start..start + self.ends[SEGMENTS - 1] as usize
@@ -232,10 +247,6 @@ impl WalkScratch {
 #[derive(Debug, Clone, Default)]
 pub struct StructureGraph {
     nodes: Column<Node>,
-    /// Runs too long for their node record, by the slot in `ids[0]`.
-    spill: Vec<Spill>,
-    /// Emptied slots of `spill`, reused before it grows.
-    free_spill: Vec<u32>,
     /// The spilled runs' blocks, end to end: a spill allocates only
     /// when the pool itself grows, so the heap sees a handful of
     /// doublings, not a vector per spilled run.
@@ -275,26 +286,22 @@ impl StructureGraph {
 
     /// `node` read once: its segment ends and its run.
     fn decode<'a>(&'a self, node: &'a Node) -> ([u16; SEGMENTS], &'a [ObjectId]) {
-        match node.spill_slot() {
+        match Spill::of(node) {
             None => (
                 unpack(node.ends),
                 &node.ids[..nibble(node.ends, SEGMENTS - 1)],
             ),
-            Some(slot) => {
-                let spill = &self.spill[slot];
-                (spill.ends, &self.pool[spill.run()])
-            }
+            Some(spill) => (spill.ends, &self.pool[spill.run()]),
         }
     }
 
     fn segment_of<'a>(&'a self, node: &'a Node, seg: usize) -> &'a [ObjectId] {
-        match node.spill_slot() {
+        match Spill::of(node) {
             None => {
                 let (start, end) = packed_bounds(node.ends, seg);
                 &node.ids[start..end]
             }
-            Some(slot) => {
-                let spill = &self.spill[slot];
+            Some(spill) => {
                 let (start, end) = bounds(&spill.ends, seg);
                 &self.pool[spill.run()][start..end]
             }
@@ -302,9 +309,9 @@ impl StructureGraph {
     }
 
     fn degree(&self, node: &Node) -> usize {
-        match node.spill_slot() {
+        match Spill::of(node) {
             None => nibble(node.ends, SEGMENTS - 1),
-            Some(slot) => self.spill[slot].run().len(),
+            Some(spill) => spill.run().len(),
         }
     }
 
@@ -329,7 +336,7 @@ impl StructureGraph {
     /// the record when it no longer fits.
     fn insert(&mut self, id: ObjectId, seg: usize, value: ObjectId) {
         let node = &mut self.nodes[id.index()];
-        let Some(slot) = node.spill_slot() else {
+        let Some(mut spill) = Spill::of(node) else {
             let (len, at) = (nibble(node.ends, SEGMENTS - 1), nibble(node.ends, seg));
             if len < INLINE_CAP {
                 node.ids.copy_within(at..len, at + 1);
@@ -340,7 +347,6 @@ impl StructureGraph {
             }
             return;
         };
-        let mut spill = self.spill[slot];
         let (run, at) = (spill.run(), spill.ends[seg] as usize);
         if run.len() < spill.capacity() {
             self.pool
@@ -360,7 +366,7 @@ impl StructureGraph {
                 .checked_add(1)
                 .expect("add_edge checked the node has room");
         }
-        self.spill[slot] = spill;
+        spill.store(&mut self.nodes[id.index()]);
     }
 
     /// Move `id`'s full inline run into a spill block, with `value`
@@ -377,25 +383,19 @@ impl StructureGraph {
         for end in &mut ends[seg..] {
             *end += 1;
         }
-        let slot = self.free_spill.pop().unwrap_or_else(|| {
-            self.spill.push(Spill::default());
-            u32::try_from(self.spill.len() - 1).expect("fewer spill slots than object ids")
-        });
-        self.spill[slot as usize] = Spill {
+        Spill {
             ends,
             start,
             class: 0,
-        };
-        let node = &mut self.nodes[id.index()];
-        node.ends = SPILLED;
-        node.ids[0] = ObjectId(slot);
+        }
+        .store(&mut self.nodes[id.index()]);
     }
 
     /// Swap-remove `value` from segment `seg` of `id`, moving the run
     /// back into the record once it fits. False when it is not there.
     fn remove(&mut self, id: ObjectId, seg: usize, value: ObjectId) -> bool {
         let node = &mut self.nodes[id.index()];
-        let Some(slot) = node.spill_slot() else {
+        let Some(mut spill) = Spill::of(node) else {
             let (start, end) = packed_bounds(node.ends, seg);
             let len = nibble(node.ends, SEGMENTS - 1);
             if !close_up(&mut node.ids[..len], start, end, value) {
@@ -404,7 +404,6 @@ impl StructureGraph {
             node.ends -= ONE_EACH << (4 * seg);
             return true;
         };
-        let spill = &mut self.spill[slot];
         let (start, end) = bounds(&spill.ends, seg);
         if !close_up(&mut self.pool[spill.run()], start, end, value) {
             return false;
@@ -413,11 +412,13 @@ impl StructureGraph {
             *end -= 1;
         }
         let run = spill.run();
+        let node = &mut self.nodes[id.index()];
         if run.len() <= INLINE_CAP {
             node.ids[..run.len()].copy_from_slice(&self.pool[run]);
             node.ends = pack(&spill.ends);
             self.free_blocks[spill.class as usize].push(spill.start);
-            self.free_spill.push(slot as u32);
+        } else {
+            spill.store(node);
         }
         true
     }
@@ -832,15 +833,38 @@ mod tests {
         }
         assert_ne!(g.nodes[0].ends, SPILLED);
         assert_eq!(g.components(o(0)), &[o(1), o(2), o(3)]);
-        // The freed slot and blocks are reused by the next node that
-        // outgrows its record.
+        // The freed blocks are reused by the next node that outgrows
+        // its record.
         let pool = g.pool.len();
         for i in 1..=n {
             g.add_edge(RelKind::VersionHistory, o(50), o(50 + i))
                 .unwrap();
         }
-        assert_eq!(g.spill.len(), 1);
+        assert_eq!(g.nodes[50].ends, SPILLED);
         assert_eq!(g.pool.len(), pool);
+    }
+
+    /// `store` then `of` gives the record back at every field's limit,
+    /// and a stored node reads as spilled.
+    #[test]
+    fn spill_record_round_trips_through_the_node() {
+        let edge = Spill {
+            ends: [u16::MAX; SEGMENTS],
+            start: u32::MAX,
+            class: (CLASSES - 1) as u8,
+        };
+        let mixed = Spill {
+            ends: [1, 2, 300, 4_000, 50_000, 50_001, 65_534, u16::MAX],
+            start: 8,
+            class: 3,
+        };
+        for spill in [edge, mixed] {
+            let mut node = Node::default();
+            spill.store(&mut node);
+            assert_eq!(node.ends, SPILLED);
+            assert_eq!(Spill::of(&node), Some(spill));
+        }
+        assert_eq!(Spill::of(&Node::default()), None);
     }
 
     /// A node at the 16-bit degree limit refuses the edge with a typed
@@ -854,13 +878,12 @@ mod tests {
         g.pool = (0..BLOCK_MIN << class)
             .map(|i| o(1000 + i as u32))
             .collect();
-        g.spill.push(Spill {
+        Spill {
             ends: [u16::MAX; SEGMENTS],
             start: 0,
             class: class as u8,
-        });
-        g.nodes[0].ends = SPILLED;
-        g.nodes[0].ids[0] = o(0);
+        }
+        .store(&mut g.nodes[0]);
         for (from, to) in [(0, 1), (1, 0)] {
             assert_eq!(
                 g.add_edge(RelKind::Configuration, o(from), o(to)),

@@ -68,7 +68,7 @@ fn fault_injection_is_thread_count_invariant() {
     };
     let (serial, serial_traces) = traced(1);
     let (parallel, parallel_traces) = traced(4);
-    assert_eq!(serial.metrics, parallel.metrics, "merged metrics");
+    assert_eq!(serial.obs.metrics, parallel.obs.metrics, "merged metrics");
     for (a, b) in serial.items.iter().zip(&parallel.items) {
         let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
         for (pa, pb) in ra.reports.iter().zip(&rb.reports) {

@@ -69,12 +69,12 @@ fn assert_outcomes_identical(serial: &SweepOutcome, parallel: &SweepOutcome) {
             assert_eq!(pa.log_ios, pb.log_ios);
             assert_eq!(pa.span_totals, pb.span_totals);
         }
-        assert_eq!(a.metrics, b.metrics, "{}: per-run metrics", a.label);
+        assert_eq!(a.obs.metrics, b.obs.metrics, "{}: per-run metrics", a.label);
     }
-    assert_eq!(serial.metrics, parallel.metrics, "merged metrics");
+    assert_eq!(serial.obs.metrics, parallel.obs.metrics, "merged metrics");
     assert_eq!(
-        serial.metrics.to_json(),
-        parallel.metrics.to_json(),
+        serial.obs.metrics.to_json(),
+        parallel.obs.metrics.to_json(),
         "merged metrics must serialize to identical bytes"
     );
 }

@@ -89,8 +89,8 @@ fn profile_is_identical_at_any_thread_count() {
     let parallel = run(4);
     assert_eq!(serial.items.len(), parallel.items.len());
     for ((a, b), job) in serial.items.iter().zip(&parallel.items).zip(&jobs) {
-        let pa = a.profile.as_ref().expect("profiled sweep");
-        let pb = b.profile.as_ref().expect("profiled sweep");
+        let pa = a.obs.profile.as_ref().expect("profiled sweep");
+        let pb = b.obs.profile.as_ref().expect("profiled sweep");
         assert_eq!(
             pa.to_json(),
             pb.to_json(),
@@ -118,8 +118,8 @@ fn profile_is_identical_at_any_thread_count() {
             }
         }
     }
-    let ma = serial.profile.expect("merged profile");
-    let mb = parallel.profile.expect("merged profile");
+    let ma = serial.obs.profile.expect("merged profile");
+    let mb = parallel.obs.profile.expect("merged profile");
     assert_eq!(ma.to_json(), mb.to_json());
 }
 
@@ -198,8 +198,10 @@ fn catalog_creates_and_derivations_do_not_allocate() {
     }
     let (_, after) = allocation_counts();
     assert!(by_reference >= CALLS, "derivations inherited nothing");
+    // 33 at seed 1989: a spill table beside the graph's nodes adds its
+    // own doublings (43).
     assert!(
-        after - before <= 64,
+        after - before <= 40,
         "{CALLS} derivations made {} allocator calls",
         after - before
     );

@@ -91,8 +91,8 @@ fn sweep_timeline_json_matches_across_jobs() {
     let serial = SweepRunner::new(1).with_timeline(1_000_000).run(jobs());
     let parallel = SweepRunner::new(4).with_timeline(1_000_000).run(jobs());
     assert_eq!(
-        serial.timeline.expect("sampled").to_json(),
-        parallel.timeline.expect("sampled").to_json()
+        serial.obs.timeline.expect("sampled").to_json(),
+        parallel.obs.timeline.expect("sampled").to_json()
     );
 }
 
