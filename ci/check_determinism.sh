@@ -176,6 +176,27 @@ if [ -n "$seam_hits" ]; then
 fi
 echo "seam guard: OK (engine/exec.rs names no simulated time and no cost-model state)"
 
+# Window guard: engine/observe.rs is the one engine file that knows the
+# measured interval (the steady state after the warm-up). It opens the
+# window, keeps the collector that records only while it is open, and
+# builds the report from it; the driver and the executor book into it
+# through record_retired, record_lock_wait and record_delete. So no
+# other engine file may, in non-test code, name `measuring`,
+# `measure_start`, `WindowStart` or `MetricsCollector`, or reach into
+# `self.window` or `self.metrics`: a gate anywhere else would split the
+# interval's one definition across files.
+measured_hits=$(find crates/core/src/engine -name '*.rs' ! -name observe.rs -print0 |
+    xargs -0 awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { print FILENAME ":" FNR ": " $0 }' |
+    grep -E '\b(measuring|measure_start|WindowStart|MetricsCollector)\b|self\.(window|metrics)\b' || true)
+if [ -n "$measured_hits" ]; then
+    echo "window guard: an engine file other than observe.rs reads the measured window:" >&2
+    echo "$measured_hits" >&2
+    echo "book through an observe.rs method (record_retired, record_lock_wait," >&2
+    echo "record_delete) instead of testing the window yourself." >&2
+    exit 1
+fi
+echo "window guard: OK (only engine/observe.rs names the measured window or its collector)"
+
 # Concurrency guard (DESIGN.md §14.2): the clustering kernels, the
 # catalog and the engine are single-threaded, and the load's placements
 # are exact because one thread chooses and places them in load order.

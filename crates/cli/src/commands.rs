@@ -351,6 +351,25 @@ mod tests {
     }
 
     #[test]
+    fn instrumented_simulate_rejects_reps() {
+        // Each of these runs one replication: asking for more is a usage
+        // error, not a silently shorter run.
+        for flags in [
+            "--metrics json",
+            "--trace t.jsonl",
+            "--chrome-trace t.json",
+            "--timeline t.json",
+            "--profile",
+            "--backend file",
+        ] {
+            let line = format!("simulate --preset low3-5 --reps 5 {flags}");
+            let err = dispatch(&parse(&line)).unwrap_err();
+            assert_eq!(err.code, EXIT_USAGE, "{line}: {err}");
+            assert!(err.contains("single replication"), "{line}: {err}");
+        }
+    }
+
+    #[test]
     fn golden_bless_check_and_drift() {
         let dir = std::env::temp_dir().join("semcluster-golden-test");
         std::fs::create_dir_all(&dir).unwrap();

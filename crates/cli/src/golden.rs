@@ -4,7 +4,7 @@
 
 use crate::args::Args;
 use crate::error::CliError;
-use semcluster::{workload_from_label, FaultConfig, SimConfig, SweepJob, SweepRunner};
+use semcluster::{workload_from_label, FaultConfig, ObsConfig, SimConfig, SweepJob, SweepRunner};
 use semcluster_buffer::{PrefetchScope, ReplacementPolicy};
 use semcluster_clustering::{ClusteringPolicy, SplitPolicy};
 use semcluster_obs::ProfileReport;
@@ -273,7 +273,7 @@ pub fn timeline_golden_jobs() -> Vec<SweepJob> {
 /// count.
 fn timeline_golden_render(threads: usize) -> Result<String, String> {
     let outcome = SweepRunner::new(threads)
-        .with_timeline(DEFAULT_TIMELINE_INTERVAL_US)
+        .with_obs(|_, _| ObsConfig::default().timeline(DEFAULT_TIMELINE_INTERVAL_US))
         .run(timeline_golden_jobs());
     let mut out = String::new();
     for item in &outcome.items {
@@ -371,8 +371,11 @@ pub fn profile_golden_jobs() -> Vec<SweepJob> {
 fn profile_golden_render(threads: usize) -> Result<String, String> {
     let jobs = profile_golden_jobs();
     let outcome = SweepRunner::new(threads)
-        .with_timeline(DEFAULT_TIMELINE_INTERVAL_US)
-        .with_profile()
+        .with_obs(|_, _| {
+            ObsConfig::default()
+                .timeline(DEFAULT_TIMELINE_INTERVAL_US)
+                .profile()
+        })
         .run(jobs.clone());
     let mut out = String::from("{\"golden_schema\":1,\"suite\":\"profile\"}\n");
     for (item, job) in outcome.items.iter().zip(&jobs) {

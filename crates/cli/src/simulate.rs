@@ -224,6 +224,17 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     Ok(table.render())
 }
 
+/// Refuse a `--reps` other than 1 on a `path` that runs one replication,
+/// rather than run one and ignore the rest.
+fn single_replication(args: &Args, path: &str) -> Result<(), CliError> {
+    match args.get_parsed("reps", 1u32)? {
+        1 => Ok(()),
+        _ => Err(CliError::usage(format!(
+            "{path}: runs a single replication (drop --reps)"
+        ))),
+    }
+}
+
 /// `simulate --backend file`: one replication shadowed by the durable
 /// file-backed store under `--data-dir` (default `target/simulate-data`),
 /// then the plug is pulled and the run's durability is verified by
@@ -231,11 +242,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
 /// idempotent. The recovered `pages.db`/`wal.log` are left in place for
 /// inspection.
 fn simulate_file_backend(args: &Args, mut cfg: SimConfig) -> Result<String, CliError> {
-    if args.get_parsed("reps", 1u32)? != 1 {
-        return Err(CliError::usage(
-            "--backend file: runs a single replication (drop --reps)",
-        ));
-    }
+    single_replication(args, "--backend file")?;
     cfg.retain_log = true;
     let dir = std::path::PathBuf::from(args.get("data-dir").unwrap_or("target/simulate-data"));
     std::fs::create_dir_all(&dir)
@@ -332,6 +339,10 @@ fn simulate_file_backend(args: &Args, mut cfg: SimConfig) -> Result<String, CliE
 /// optional sampled timeline, optional metrics-registry snapshot (JSON
 /// or ASCII table).
 fn simulate_instrumented(args: &Args, cfg: SimConfig) -> Result<String, CliError> {
+    single_replication(
+        args,
+        "--trace/--chrome-trace/--timeline/--metrics/--profile",
+    )?;
     let trace_path = args.get("trace");
     let chrome_path = args.get("chrome-trace");
     if trace_path.is_some() && chrome_path.is_some() {

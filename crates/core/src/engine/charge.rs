@@ -4,7 +4,8 @@
 //! and account every microsecond waited to one span component. Also
 //! what an access does for *later* accesses: prefetch and boosting.
 
-use super::{fault_op, Engine, CONTEXT_BOOST_FANOUT};
+use super::observe::fault_op;
+use super::{Engine, CONTEXT_BOOST_FANOUT};
 use crate::error::EngineError;
 use semcluster_buffer::{
     apply_prefetch, prefetch_group, Access, AccessHint, PrefetchScope, ReplacementPolicy,
@@ -370,7 +371,7 @@ impl Engine {
                 AccessHint::ByVersionHistory
             }
             QueryKind::CorrespondentRetrieval => AccessHint::ByCorrespondence,
-            QueryKind::SimpleLookup | QueryKind::Mutation => return,
+            QueryKind::SimpleLookup => return,
         };
         let group = prefetch_group(&self.db, &self.store, obj, hint);
         if group.is_empty() {

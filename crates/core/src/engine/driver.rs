@@ -2,16 +2,16 @@
 //! generator what a user submits, takes (or parks on) its locks, hands
 //! it to the executor one operation per event on a fresh operation
 //! clock, commits or aborts it and sends the user back to thinking. Owns
-//! the measurement window, timeline sampling and the crash points.
+//! the crash points.
 
 use super::charge::OpClock;
-use super::{fault_op, ActiveTxn, Engine, Event, RW_WINDOW};
+use super::observe::fault_op;
+use super::{ActiveTxn, Engine, Event, RW_WINDOW};
 use crate::error::EngineError;
 use crate::metrics::SpanBreakdown;
-use semcluster_clustering::page_locality;
 use semcluster_faults::CrashPoint;
 use semcluster_lock::{LockManager, LockMode, TxnId};
-use semcluster_obs::{AbortCause, LogFlushKind, Phase, TimelineSample, TraceEvent};
+use semcluster_obs::{AbortCause, LogFlushKind, Phase, TraceEvent};
 use semcluster_sim::SimTime;
 use semcluster_storage::PageId;
 use semcluster_workload::{Transaction, TxnOp};
@@ -67,57 +67,6 @@ impl Engine {
         }
         // Crash point fired: stop at this event boundary.
         !self.crash_pending
-    }
-
-    /// Record a timeline point for every interval boundary simulated
-    /// time has crossed since the last sample. Pure observation: reads
-    /// engine state and the registry's cumulative counters, touches no
-    /// RNG, schedules nothing — with sampling off this is one branch.
-    fn sample_timeline(&mut self, now: SimTime) {
-        let due = match &self.timeline {
-            Some(sampler) => sampler.due(now.as_micros()),
-            None => false,
-        };
-        if !due {
-            return;
-        }
-        let tok = self.prof_enter(Phase::TimelineSample);
-        let mut sampler = self.timeline.take().expect("due implies a sampler");
-        while sampler.due(now.as_micros()) {
-            let t_us = sampler.next_due_us();
-            let mut queue_us = Vec::with_capacity(self.disks.len());
-            for i in 0..self.disks.len() {
-                let free = self.disks.member(i).free_at().as_micros();
-                queue_us.push(free.saturating_sub(t_us));
-            }
-            // Structural locality summed over the resident set. The
-            // walk is pinned allocation-free by the profile golden;
-            // nothing else may creep inside this bracket.
-            let ptok = self.prof_enter(Phase::PageLocality);
-            let (mut loc_on_page, mut loc_refs) = (0, 0);
-            for &page in self.pool.resident_pages() {
-                let (on, all) = page_locality(&self.db, &self.store, page);
-                loc_on_page += on;
-                loc_refs += all;
-            }
-            self.prof_exit(ptok, 0);
-            let c = &self.counters;
-            let aborts = self.registry.value(c.fault_txn_abort);
-            sampler.record(TimelineSample {
-                hits: self.registry.value(c.buffer_hit),
-                misses: self.registry.value(c.buffer_miss),
-                // Both are bumped within one event, so at an event
-                // boundary every retired transaction not aborted committed.
-                commits: self.completed - aborts,
-                aborts,
-                queue_us,
-                log_buffered: self.log.buffered_bytes() as u64,
-                loc_on_page,
-                loc_refs,
-            });
-        }
-        self.timeline = Some(sampler);
-        self.prof_exit(tok, 0);
     }
 
     /// A user stopped thinking: ask the generator what they submit, then
@@ -347,18 +296,10 @@ impl Engine {
             self.recent_kinds.pop_front();
         }
         self.recent_kinds.push_back(txn.is_read);
+        self.completed += 1;
         // Only now: a transaction the wake above restarted may already
         // have aborted and opened the measurement window.
-        if committed && self.measuring {
-            let response = now.since(txn.started);
-            self.metrics.record_txn(response, txn.is_read, txn.span);
-            self.registry
-                .observe("txn.response_us", response.as_micros());
-        }
-        self.completed += 1;
-        if !self.measuring && self.completed >= self.cfg.warmup_txns {
-            self.begin_measurement(now);
-        }
+        self.record_retired(&txn, committed, now);
         self.generator.finish_transaction(
             u,
             &self.db,
@@ -380,9 +321,7 @@ impl Engine {
                 continue;
             };
             if self.try_lock(u, &txn) {
-                if self.measuring {
-                    self.metrics.lock_wait_time += now - submitted;
-                }
+                self.record_lock_wait(now - submitted);
                 self.emit(|| TraceEvent::LockGrant {
                     at: now,
                     user: u,
@@ -395,24 +334,6 @@ impl Engine {
             }
         }
         self.parked_fifo = still_parked;
-    }
-
-    /// Open the measured interval: note where every book stands, so
-    /// the report can read the interval off them. Nothing is reset —
-    /// the collector has recorded only while `measuring`, and the
-    /// registry, the servers' busy time and the timeline run on.
-    fn begin_measurement(&mut self, now: SimTime) {
-        self.measuring = true;
-        self.measure_start = now;
-        let w = &mut self.window;
-        self.registry.counter_values_into(&mut w.counters);
-        w.commits = self.commits_seen;
-        w.cpu_busy = self.cpu.busy_time();
-        w.log_disk_busy = self.log_disk.busy_time();
-        for (i, busy) in w.disk_busy.iter_mut().enumerate() {
-            *busy = self.disks.member(i).busy_time();
-        }
-        self.abort_reasons.clear();
     }
 
     /// Feed a finished transaction's cluster-search time into the

@@ -98,7 +98,6 @@ impl Engine {
             QueryKind::DescendantRetrieval => ReadQuery::DescendantRetrieval,
             QueryKind::AncestorRetrieval => ReadQuery::AncestorRetrieval,
             QueryKind::CorrespondentRetrieval => ReadQuery::CorrespondentRetrieval,
-            QueryKind::Mutation => unreachable!("reads only"),
         };
         semcluster_vdm::execute_read(
             &self.db,
@@ -316,9 +315,6 @@ impl Engine {
                 page: landed.0,
             },
         );
-        if self.measuring {
-            self.metrics.objects_created += 1;
-        }
         self.generator.remember(u, id);
         Ok(())
     }
@@ -434,9 +430,7 @@ impl Engine {
                     },
                 );
             }
-            if self.measuring {
-                self.metrics.objects_deleted += 1;
-            }
+            self.record_delete();
         }
         Ok(())
     }

@@ -12,15 +12,17 @@
 //! target — are a [`Generator`], which the driver asks for one
 //! [`Transaction`] each time a user stops thinking and which hears back
 //! only through `remember` (DESIGN.md §3.1). The file server is this
-//! module — state, constructor, public API, end-of-run reporting — and
-//! four children that share its private fields:
+//! module — state, constructor, public API — and five children that
+//! share its private fields:
 //!
 //! * `load` — the synthetic database and its history-shaped layout;
 //! * `driver` — the event loop: think/op/txn-done, lock park and wake,
-//!   the measurement window, crash points;
+//!   crash points;
 //! * `exec` — one `TxnOp` through buffer, cluster manager and log;
 //! * `charge` — the cost model: the operation clock, and what each
-//!   access costs in simulated time and physical I/O, retries included.
+//!   access costs in simulated time and physical I/O, retries included;
+//! * `observe` — the measured window and the report read through it,
+//!   the event registry, and the trace, profiler and timeline hooks.
 //!
 //! ## Model notes (documented deviations and interpretations)
 //!
@@ -41,22 +43,22 @@ mod charge;
 mod driver;
 mod exec;
 mod load;
+mod observe;
+
+pub use observe::{ObsConfig, RunObservations};
 
 use crate::config::SimConfig;
 use crate::crash::CrashOutcome;
 use crate::durable::DurableMirror;
-use crate::metrics::{
-    EventCounts, FaultStats, IoBreakdown, MetricsCollector, RunReport, SpanBreakdown,
-};
+use crate::metrics::{RunReport, SpanBreakdown};
 use charge::OpClock;
+use observe::{engine_registry, EngineCounters, Window};
 use semcluster_buffer::BufferPool;
 use semcluster_clustering::{HintPolicy, ScoreScratch, SplitPolicy, WeightModel};
-use semcluster_faults::{CrashPoint, FaultState, IoOp};
+use semcluster_faults::{CrashPoint, FaultState};
 use semcluster_lock::{LockManager, LockMode};
 use semcluster_obs::{
-    AuditSink, CounterId, FaultOp, MetricsRegistry, MetricsSnapshot, NoopSink, Phase,
-    PhaseProfiler, PhaseToken, PlacementAudit, ProfileReport, Timeline, TimelineSampler,
-    TraceEvent, TraceSink,
+    AuditSink, MetricsRegistry, PhaseProfiler, ProfileReport, TimelineSampler, TraceSink,
 };
 use semcluster_sim::{EventQueue, FcfsServer, ServerBank, SimDuration, SimRng, SimTime};
 use semcluster_storage::{DiskLayout, StorageManager, StoreError, WalOp};
@@ -72,79 +74,6 @@ const CONTEXT_BOOST_FANOUT: usize = 8;
 /// Transactions remembered when estimating the run-time read/write ratio
 /// for the adaptive clustering policy.
 const RW_WINDOW: usize = 100;
-
-/// Handles to every counter the engine bumps, resolved once by
-/// [`engine_registry`] so a bump on a hot path is an indexed add, not a
-/// search for the name.
-#[derive(Debug, Clone, Copy)]
-struct EngineCounters {
-    buffer_hit: CounterId,
-    buffer_miss: CounterId,
-    buffer_evict_dirty: CounterId,
-    io_read_demand: CounterId,
-    cluster_search_candidate_io: CounterId,
-    cluster_split: CounterId,
-    cluster_recluster_move: CounterId,
-    split_io: CounterId,
-    lock_wait: CounterId,
-    prefetch_issue: CounterId,
-    prefetch_io: CounterId,
-    wal_flush_before_image: CounterId,
-    wal_flush_full: CounterId,
-    wal_flush_commit: CounterId,
-    fault_io_read_error: CounterId,
-    fault_io_write_error: CounterId,
-    fault_io_retry: CounterId,
-    fault_io_spike: CounterId,
-    fault_log_stall: CounterId,
-    fault_txn_abort: CounterId,
-    fault_degrade_enter: CounterId,
-    fault_degrade_exit: CounterId,
-}
-
-/// Build the engine's metrics registry with every counter the hot
-/// paths bump pre-declared at zero. First-touch of a counter name
-/// allocates its `String` key and possibly a tree node; declaring them
-/// all here — before any profiled phase opens — keeps the zero-alloc
-/// pins on the inner loops honest. Zero-valued counters are filtered
-/// out of snapshots, so unfired declarations are invisible.
-fn engine_registry() -> (MetricsRegistry, EngineCounters) {
-    let mut r = MetricsRegistry::new();
-    let counters = EngineCounters {
-        buffer_hit: r.declare("buffer.hit"),
-        buffer_miss: r.declare("buffer.miss"),
-        buffer_evict_dirty: r.declare("buffer.evict.dirty"),
-        io_read_demand: r.declare("io.read.demand"),
-        cluster_search_candidate_io: r.declare("cluster.search.candidate_io"),
-        cluster_split: r.declare("cluster.split"),
-        cluster_recluster_move: r.declare("cluster.recluster.move"),
-        split_io: r.declare("split.io"),
-        lock_wait: r.declare("lock.wait"),
-        prefetch_issue: r.declare("prefetch.issue"),
-        prefetch_io: r.declare("prefetch.io"),
-        wal_flush_before_image: r.declare("wal.flush.before_image"),
-        wal_flush_full: r.declare("wal.flush.full"),
-        wal_flush_commit: r.declare("wal.flush.commit"),
-        fault_io_read_error: r.declare("fault.io.read_error"),
-        fault_io_write_error: r.declare("fault.io.write_error"),
-        fault_io_retry: r.declare("fault.io.retry"),
-        fault_io_spike: r.declare("fault.io.spike"),
-        fault_log_stall: r.declare("fault.log.stall"),
-        fault_txn_abort: r.declare("fault.txn.abort"),
-        fault_degrade_enter: r.declare("fault.degrade.enter"),
-        fault_degrade_exit: r.declare("fault.degrade.exit"),
-    };
-    (r, counters)
-}
-
-/// Map the fault layer's I/O kind onto the trace vocabulary.
-fn fault_op(op: IoOp) -> FaultOp {
-    match op {
-        IoOp::Read => FaultOp::Read,
-        IoOp::Write => FaultOp::Write,
-        IoOp::Log => FaultOp::Log,
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 #[allow(clippy::enum_variant_names)]
@@ -165,121 +94,6 @@ struct ActiveTxn {
     id: u64,
     /// Exact response-time attribution accumulated so far.
     span: SpanBreakdown,
-}
-
-/// Observability wiring for an engine run.
-///
-/// The default is behaviourally free: a [`NoopSink`] whose
-/// `enabled() == false` short-circuits event construction, no timeline
-/// sampling and no placement auditing, so an uninstrumented run does no
-/// observability work beyond a branch. Every observer is pure —
-/// attaching one changes no simulation result.
-pub struct ObsConfig {
-    /// Trace sink receiving every typed event, stamped in simulated time.
-    pub sink: Box<dyn TraceSink>,
-    /// When set, sample the timeline signals every this many simulated
-    /// microseconds (see [`Timeline`]).
-    pub timeline_interval_us: Option<u64>,
-    /// When set, record a [`PlacementAudit`] for every (re)cluster
-    /// decision, retaining the most recent this-many records.
-    pub audit_capacity: Option<usize>,
-    /// When true, bracket the engine's hot paths with a
-    /// [`PhaseProfiler`] and return the per-phase self costs in
-    /// [`RunObservations::profile`]. Purely observational: the simulated
-    /// results are byte-identical with profiling on or off.
-    pub profile: bool,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            sink: Box::new(NoopSink),
-            timeline_interval_us: None,
-            audit_capacity: None,
-            profile: false,
-        }
-    }
-}
-
-impl ObsConfig {
-    /// Wire a specific trace sink.
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
-        ObsConfig {
-            sink,
-            ..ObsConfig::default()
-        }
-    }
-
-    /// Enable timeline sampling at `interval_us` simulated microseconds.
-    pub fn timeline(mut self, interval_us: u64) -> Self {
-        self.timeline_interval_us = Some(interval_us);
-        self
-    }
-
-    /// Enable placement auditing, retaining the last `capacity` records.
-    pub fn audit(mut self, capacity: usize) -> Self {
-        self.audit_capacity = Some(capacity);
-        self
-    }
-
-    /// Enable hierarchical phase profiling.
-    pub fn profile(mut self) -> Self {
-        self.profile = true;
-        self
-    }
-}
-
-/// Everything the observability layer collected during one run (or,
-/// after merging, across the runs of a sweep).
-#[derive(Debug, Default)]
-pub struct RunObservations {
-    /// Final metrics-registry snapshot ([`RunReport::io`] is read from
-    /// these counters).
-    pub metrics: MetricsSnapshot,
-    /// Sampled timeline, when sampling was enabled.
-    pub timeline: Option<Timeline>,
-    /// Retained placement audits, oldest first, when auditing was
-    /// enabled (runs are concatenated in replication order on merge).
-    pub audits: Vec<PlacementAudit>,
-    /// Per-phase self-cost profile, when profiling was enabled (runs
-    /// merge by per-stack sums, order-independently).
-    pub profile: Option<ProfileReport>,
-}
-
-impl RunObservations {
-    /// Merge another run's observations into this one. Metrics,
-    /// timelines and profiles merge order-independently; audits
-    /// concatenate.
-    pub fn absorb(&mut self, other: &RunObservations) {
-        self.metrics.merge(&other.metrics);
-        match (&mut self.timeline, &other.timeline) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (slot @ None, Some(theirs)) => *slot = Some(theirs.clone()),
-            _ => {}
-        }
-        self.audits.extend_from_slice(&other.audits);
-        match (&mut self.profile, &other.profile) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (slot @ None, Some(theirs)) => *slot = Some(theirs.clone()),
-            _ => {}
-        }
-    }
-}
-
-/// Where the engine's books stood when the measured interval began.
-/// Nothing is reset at that boundary: the report and the observed
-/// snapshot are the end state less this. All zeros until measurement
-/// starts, and sized at construction, so taking it allocates nothing.
-#[derive(Debug)]
-struct WindowStart {
-    /// Every registry counter ([`MetricsRegistry::counter_values_into`]).
-    counters: Vec<u64>,
-    /// `commits_seen`.
-    commits: u64,
-    cpu_busy: SimDuration,
-    log_disk_busy: SimDuration,
-    /// Per data disk.
-    disk_busy: Vec<SimDuration>,
 }
 
 #[derive(Debug, Default)]
@@ -331,12 +145,9 @@ pub struct Engine {
     /// Sliding window of recent transaction kinds (true = read) for the
     /// adaptive clustering policy.
     recent_kinds: VecDeque<bool>,
-    metrics: MetricsCollector,
     completed: u64,
-    measuring: bool,
-    measure_start: SimTime,
-    /// Where the books stood at `measure_start`.
-    window: WindowStart,
+    /// The measured interval, which only `observe.rs` reads or writes.
+    window: Window,
     create_seq: u64,
     /// Reused buffer `exec_create` formats a generated base name into.
     name_buf: String,
@@ -450,14 +261,7 @@ impl Engine {
         locks.ensure_object_capacity(db.object_count() + 64);
         let queue = EventQueue::with_capacity(cfg.users as usize * 4 + 16);
         let (registry, counters) = engine_registry();
-        let mut window = WindowStart {
-            counters: Vec::new(),
-            commits: 0,
-            cpu_busy: SimDuration::ZERO,
-            log_disk_busy: SimDuration::ZERO,
-            disk_busy: vec![SimDuration::ZERO; disks.len()],
-        };
-        registry.counter_values_into(&mut window.counters);
+        let window = Window::new(&registry, disks.len());
         let mut engine = Engine {
             cfg,
             db,
@@ -478,10 +282,7 @@ impl Engine {
             lock_requests: Vec::with_capacity(64),
             parked_fifo: VecDeque::new(),
             recent_kinds: VecDeque::with_capacity(RW_WINDOW),
-            metrics: MetricsCollector::default(),
             completed: 0,
-            measuring: false,
-            measure_start: SimTime::ZERO,
             window,
             create_seq: 0,
             name_buf: String::new(),
@@ -548,87 +349,7 @@ impl Engine {
     pub fn run_observed(mut self) -> (RunReport, RunObservations) {
         self.drive();
         self.finalize_obs();
-        let report = self.report();
-        let obs = RunObservations {
-            metrics: self.registry.snapshot_since(&self.window.counters),
-            timeline: self.timeline.take().map(TimelineSampler::into_timeline),
-            audits: self
-                .audit
-                .take()
-                .map(AuditSink::into_records)
-                .unwrap_or_default(),
-            profile: self.profile_report.take(),
-        };
-        (report, obs)
-    }
-
-    /// Open a profiled phase. One branch when profiling is off.
-    #[inline]
-    fn prof_enter(&mut self, phase: Phase) -> Option<PhaseToken> {
-        self.profiler.as_mut().map(|p| p.enter(phase))
-    }
-
-    /// Close a profiled phase, attributing `sim_us` of simulated self
-    /// cost to it.
-    #[inline]
-    fn prof_exit(&mut self, token: Option<PhaseToken>, sim_us: u64) {
-        if let Some(token) = token {
-            self.profiler
-                .as_mut()
-                .expect("a live token implies a live profiler")
-                .exit(token, sim_us);
-        }
-    }
-
-    /// Deliver a trace event, constructing it only when a sink listens.
-    #[inline]
-    fn emit(&mut self, event: impl FnOnce() -> TraceEvent) {
-        if self.trace.enabled() {
-            self.trace.emit(&event());
-        }
-    }
-
-    /// Stamp the end-of-run busy-time gauges (service delivered in the
-    /// measured interval), which [`Self::report`] divides by the span,
-    /// and flush the trace sink.
-    fn finalize_obs(&mut self) {
-        let w = &self.window;
-        for i in 0..self.disks.len() {
-            let busy = self.disks.member(i).busy_time() - w.disk_busy[i];
-            self.registry
-                .set_gauge(&format!("disk.{i}.busy_us"), busy.as_micros() as i64);
-        }
-        let log_busy = self.log_disk.busy_time() - w.log_disk_busy;
-        let cpu_busy = self.cpu.busy_time() - w.cpu_busy;
-        self.registry
-            .set_gauge("log_disk.busy_us", log_busy.as_micros() as i64);
-        self.registry
-            .set_gauge("cpu.busy_us", cpu_busy.as_micros() as i64);
-        self.registry.set_gauge(
-            "lock.wait_us",
-            self.metrics.lock_wait_time.as_micros() as i64,
-        );
-        if let Some(profiler) = self.profiler.as_mut() {
-            profiler.add_root_sim_us(self.queue.now().as_micros());
-            let report = profiler.report();
-            // Counter events ride the trace stream; the report itself is
-            // staged first so exporting it cannot perturb its numbers.
-            if self.trace.enabled() {
-                let at = self.queue.now();
-                for (path, s) in report.phases() {
-                    self.trace.emit(&TraceEvent::ProfilePhase {
-                        at,
-                        path: path.to_string(),
-                        calls: s.calls,
-                        sim_us: s.sim_us,
-                        alloc_bytes: s.alloc_bytes,
-                        allocs: s.allocs,
-                    });
-                }
-            }
-            self.profile_report = Some(report);
-        }
-        self.trace.flush();
+        (self.report(), self.observations())
     }
 
     /// Run until `point` fires (or to completion for
@@ -717,68 +438,6 @@ impl Engine {
     /// Total transactions the run will execute (warmup + measured).
     pub fn target_txns(&self) -> u64 {
         self.cfg.warmup_txns + self.cfg.measured_txns
-    }
-
-    /// Assemble the run report, after [`Self::finalize_obs`]. Event
-    /// totals, the response-time quantiles and the busy time are read
-    /// off the registry — the engine's one ledger — through the
-    /// measurement window, so the report and a `--metrics` snapshot
-    /// cannot disagree (DESIGN.md §9.2 is this mapping).
-    fn report(&self) -> RunReport {
-        let span = self.queue.now() - self.measure_start;
-        let (c, w) = (&self.counters, &self.window);
-        let n = |id| self.registry.value_since(id, &w.counters);
-        let events = EventCounts {
-            io: IoBreakdown {
-                data_reads: n(c.io_read_demand),
-                dirty_writebacks: n(c.buffer_evict_dirty),
-                log_ios: n(c.wal_flush_before_image) + n(c.wal_flush_full) + n(c.wal_flush_commit),
-                cluster_search_ios: n(c.cluster_search_candidate_io),
-                prefetch_ios: n(c.prefetch_io),
-                split_ios: n(c.split_io),
-            },
-            splits: n(c.cluster_split),
-            recluster_moves: n(c.cluster_recluster_move),
-            lock_waits: n(c.lock_wait),
-            buffer_hits: n(c.buffer_hit),
-            buffer_misses: n(c.buffer_miss),
-        };
-        let utilization = |gauge: &str| match span.as_micros() {
-            0 => 0.0,
-            span_us => (self.registry.gauge(gauge) as f64 / span_us as f64).min(1.0),
-        };
-        let disks = self.disks.len();
-        let disk_utilization = (0..disks)
-            .map(|i| utilization(&format!("disk.{i}.busy_us")))
-            .sum::<f64>()
-            / disks as f64;
-        let response_us = self.registry.histogram("txn.response_us").cloned();
-        let mut report = RunReport::new(
-            self.cfg.label(),
-            &self.metrics,
-            events,
-            &response_us.unwrap_or_default(),
-            disk_utilization,
-            utilization("cpu.busy_us"),
-            span,
-        );
-        report.breakdown.think_s = self.cfg.think_time.as_secs_f64();
-        report.commits = self.commits_seen - w.commits;
-        report.faults_enabled = self.faults.enabled();
-        report.faults = FaultStats {
-            read_errors: n(c.fault_io_read_error),
-            write_errors: n(c.fault_io_write_error),
-            retries: n(c.fault_io_retry),
-            spikes: n(c.fault_io_spike),
-            log_stalls: n(c.fault_log_stall),
-            // Every injected stall lasts the configured `log_stall_us`.
-            stall_us: n(c.fault_log_stall) * self.cfg.faults.log_stall_us,
-            txn_aborts: n(c.fault_txn_abort),
-            degrade_enters: n(c.fault_degrade_enter),
-            degrade_exits: n(c.fault_degrade_exit),
-        };
-        report.abort_reasons = self.abort_reasons.clone();
-        report
     }
 }
 
@@ -939,12 +598,15 @@ mod lock_tests {
         };
         cfg.think_time = SimDuration::from_millis(100);
         cfg.workload = semcluster_workload::WorkloadSpec::new(StructureDensity::Med5, 0.5);
-        let locked = run_simulation(cfg);
+        let (locked, obs) = run_simulation_observed(cfg, ObsConfig::default());
         assert!(
             locked.lock_waits > 0,
             "expected lock waits under contention"
         );
-        assert!(locked.mean_lock_wait_s >= 0.0);
+        // The waits are booked: in the woken transactions' response
+        // attribution and in the window's `lock.wait_us` gauge.
+        assert!(locked.span_totals.lock_wait_us > 0);
+        assert!(obs.metrics.gauge("lock.wait_us") > 0);
         assert_eq!(locked.txns, 600);
     }
 
@@ -1014,7 +676,7 @@ mod adaptive_tests {
 #[cfg(test)]
 mod delete_tests {
     use super::*;
-    use semcluster_obs::{shared, AbortCause, ChromeTraceSink, SyncBuf};
+    use semcluster_obs::{shared, AbortCause, ChromeTraceSink, SyncBuf, TraceEvent};
     use semcluster_workload::{StructureDensity, WorkloadSpec};
 
     /// A write-heavy run in which half the component updates delete.
@@ -1255,7 +917,7 @@ mod ledger_tests {
     fn report_and_snapshot_are_the_ledger_less_its_measurement_start() {
         let mut engine = Engine::new(stressed());
         let mut before = engine.registry.clone();
-        while !engine.measuring {
+        while !engine.window.measuring {
             before = engine.registry.clone();
             assert!(engine.step_event());
         }

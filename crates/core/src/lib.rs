@@ -44,16 +44,12 @@ pub use crash::{
 pub use durable::{DurableMirror, FileCrashArtifacts, MirrorStats};
 pub use engine::{run_simulation, run_simulation_observed, Engine, ObsConfig, RunObservations};
 pub use error::EngineError;
-pub use metrics::{
-    EventCounts, FaultStats, IoBreakdown, MetricsCollector, ResponseBreakdown, RunReport,
-    SpanBreakdown,
-};
+pub use metrics::{FaultStats, IoBreakdown, ResponseBreakdown, RunReport, SpanBreakdown};
 pub use presets::{
     buffering_study_base, clustering_study_base, figure_5_11_combos, workload_from_label,
 };
 pub use runner::{replication_config, run_replicated, run_replicated_observed, ReplicatedResult};
 pub use semcluster_faults::{CrashPoint, FaultConfig};
 pub use sweep::{
-    default_parallelism, SinkFactory, SweepError, SweepItem, SweepJob, SweepOutcome, SweepRunner,
-    SweepSummary,
+    default_parallelism, SweepError, SweepItem, SweepJob, SweepOutcome, SweepRunner, SweepSummary,
 };

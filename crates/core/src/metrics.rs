@@ -1,6 +1,5 @@
 //! Output metrics of one simulation run.
 
-use semcluster_obs::Histogram;
 use semcluster_sim::{OnlineStats, SimDuration};
 
 /// Physical-I/O breakdown by cause.
@@ -31,26 +30,6 @@ impl IoBreakdown {
             + self.prefetch_ios
             + self.split_ios
     }
-}
-
-/// The event totals a [`RunReport`] reads from the engine's counter
-/// registry rather than from the [`MetricsCollector`]: each event is
-/// counted once, there (DESIGN.md §9.2 lists which counter feeds which
-/// field).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCounts {
-    /// Physical-I/O breakdown.
-    pub io: IoBreakdown,
-    /// Page splits performed.
-    pub splits: u64,
-    /// Run-time recluster moves performed.
-    pub recluster_moves: u64,
-    /// Transactions that had to wait for locks.
-    pub lock_waits: u64,
-    /// Page requests the buffer pool served from memory.
-    pub buffer_hits: u64,
-    /// Page requests that faulted.
-    pub buffer_misses: u64,
 }
 
 /// What the fault layer injected over the measured interval, and the
@@ -180,49 +159,28 @@ impl ResponseBreakdown {
     }
 }
 
-/// Collects per-transaction observations during the measured interval
-/// — what has no counter in the engine's registry.
-#[derive(Debug, Clone)]
-pub struct MetricsCollector {
-    /// Response time of every transaction, in seconds.
-    pub response: OnlineStats,
-    /// Response time of read transactions.
-    pub read_response: OnlineStats,
-    /// Response time of write transactions.
-    pub write_response: OnlineStats,
-    /// Objects created during measurement.
-    pub objects_created: u64,
+/// What the engine's measured window records that has no counter in
+/// its registry: per-commit responses, and the deletes and lock waits
+/// the report and the `lock.wait_us` gauge read (DESIGN.md §9.2).
+#[derive(Debug, Default)]
+pub(crate) struct MetricsCollector {
+    /// Response time of every measured commit, in seconds.
+    pub(crate) response: OnlineStats,
+    /// How many of those commits were read transactions.
+    pub(crate) reads: u64,
     /// Objects deleted during measurement.
-    pub objects_deleted: u64,
+    pub(crate) objects_deleted: u64,
     /// Total time transactions spent waiting for locks.
-    pub lock_wait_time: SimDuration,
+    pub(crate) lock_wait_time: SimDuration,
     /// Exact response-time attribution summed over measured transactions.
-    pub span_totals: SpanBreakdown,
-}
-
-impl Default for MetricsCollector {
-    fn default() -> Self {
-        MetricsCollector {
-            response: OnlineStats::new(),
-            read_response: OnlineStats::new(),
-            write_response: OnlineStats::new(),
-            objects_created: 0,
-            objects_deleted: 0,
-            lock_wait_time: SimDuration::ZERO,
-            span_totals: SpanBreakdown::default(),
-        }
-    }
+    pub(crate) span_totals: SpanBreakdown,
 }
 
 impl MetricsCollector {
-    /// Record a completed transaction.
-    pub fn record_txn(&mut self, response: SimDuration, is_read: bool, span: SpanBreakdown) {
+    /// Record a committed transaction.
+    pub(crate) fn record_txn(&mut self, response: SimDuration, is_read: bool, span: SpanBreakdown) {
         self.response.push_duration(response);
-        if is_read {
-            self.read_response.push_duration(response);
-        } else {
-            self.write_response.push_duration(response);
-        }
+        self.reads += u64::from(is_read);
         self.span_totals.add(&span);
     }
 }
@@ -240,17 +198,13 @@ pub struct RunReport {
     pub writes: u64,
     /// Mean transaction response time in seconds.
     pub mean_response_s: f64,
-    /// Mean read-transaction response time in seconds.
-    pub read_response_s: f64,
-    /// Mean write-transaction response time in seconds.
-    pub write_response_s: f64,
     /// Maximum observed response time in seconds.
     pub max_response_s: f64,
     /// Upper bound on the median response time in seconds: the upper
     /// edge of the log₂ `txn.response_us` cell holding the median
     /// observation, clamped to the maximum
-    /// ([`Histogram::quantile_bound`]). Never below the true median, at
-    /// most twice it.
+    /// ([`semcluster_obs::Histogram::quantile_bound`]). Never below the
+    /// true median, at most twice it.
     pub p50_response_s: f64,
     /// Upper bound on the 95th-percentile response time in seconds,
     /// read the same way as [`Self::p50_response_s`].
@@ -268,8 +222,6 @@ pub struct RunReport {
     pub splits: u64,
     /// Recluster moves performed.
     pub recluster_moves: u64,
-    /// Objects created during the measured interval.
-    pub objects_created: u64,
     /// Objects deleted during the measured interval.
     pub objects_deleted: u64,
     /// Exact response-time attribution totals (integer microseconds).
@@ -278,8 +230,6 @@ pub struct RunReport {
     pub breakdown: ResponseBreakdown,
     /// Transactions that waited for locks.
     pub lock_waits: u64,
-    /// Mean lock wait per waiting transaction, in seconds.
-    pub mean_lock_wait_s: f64,
     /// Mean over the data disks of each one's busy time in the measured
     /// interval (its `disk.N.busy_us` gauge) over `measured_span_s`,
     /// each capped at 1; 0 for an empty interval.
@@ -297,68 +247,6 @@ pub struct RunReport {
     /// Display strings of the first few transaction-abort causes (retry
     /// exhaustion, placement failure), capped so the report stays small.
     pub abort_reasons: Vec<String>,
-}
-
-impl RunReport {
-    /// Assemble a report. `response_us` is the registry's
-    /// `txn.response_us` histogram over the same transactions as
-    /// `metrics`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        config_label: String,
-        metrics: &MetricsCollector,
-        events: EventCounts,
-        response_us: &Histogram,
-        disk_utilization: f64,
-        cpu_utilization: f64,
-        measured_span: SimDuration,
-    ) -> Self {
-        let quantile_s = |q| SimDuration::from_micros(response_us.quantile_bound(q)).as_secs_f64();
-        RunReport {
-            config_label,
-            txns: metrics.response.count(),
-            reads: metrics.read_response.count(),
-            writes: metrics.write_response.count(),
-            mean_response_s: metrics.response.mean(),
-            read_response_s: metrics.read_response.mean(),
-            write_response_s: metrics.write_response.mean(),
-            max_response_s: if metrics.response.count() > 0 {
-                metrics.response.max()
-            } else {
-                0.0
-            },
-            p50_response_s: quantile_s(0.5),
-            p95_response_s: quantile_s(0.95),
-            io: events.io,
-            hit_ratio: match events.buffer_hits + events.buffer_misses {
-                0 => 0.0,
-                requests => events.buffer_hits as f64 / requests as f64,
-            },
-            log_ios: events.io.log_ios,
-            commits: 0,
-            splits: events.splits,
-            recluster_moves: events.recluster_moves,
-            objects_created: metrics.objects_created,
-            objects_deleted: metrics.objects_deleted,
-            span_totals: metrics.span_totals,
-            breakdown: ResponseBreakdown::from_totals(
-                &metrics.span_totals,
-                metrics.response.count(),
-            ),
-            lock_waits: events.lock_waits,
-            mean_lock_wait_s: if events.lock_waits == 0 {
-                0.0
-            } else {
-                metrics.lock_wait_time.as_secs_f64() / events.lock_waits as f64
-            },
-            disk_utilization,
-            cpu_utilization,
-            measured_span_s: measured_span.as_secs_f64(),
-            faults_enabled: false,
-            faults: FaultStats::default(),
-            abort_reasons: Vec::new(),
-        }
-    }
 }
 
 impl RunReport {
@@ -456,8 +344,7 @@ mod tests {
             SpanBreakdown::default(),
         );
         assert_eq!(m.response.count(), 2);
-        assert_eq!(m.read_response.count(), 1);
-        assert_eq!(m.write_response.count(), 1);
+        assert_eq!(m.reads, 1);
         assert!((m.response.mean() - 0.2).abs() < 1e-9);
     }
 
@@ -478,42 +365,5 @@ mod tests {
         let rb = ResponseBreakdown::from_totals(&b, 2);
         assert!((rb.response_total_s() - 21e-6).abs() < 1e-12);
         assert!((rb.log_s - 5e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn report_assembles() {
-        let mut m = MetricsCollector::default();
-        let span = SpanBreakdown {
-            cpu_us: 20_000,
-            data_read_us: 30_000,
-            ..Default::default()
-        };
-        m.record_txn(SimDuration::from_millis(50), true, span);
-        let mut response_us = Histogram::default();
-        response_us.observe(50_000);
-        let r = RunReport::new(
-            "test".into(),
-            &m,
-            EventCounts {
-                splits: 3,
-                buffer_hits: 3,
-                buffer_misses: 1,
-                ..EventCounts::default()
-            },
-            &response_us,
-            0.5,
-            0.1,
-            SimDuration::from_secs(100),
-        );
-        assert_eq!(r.txns, 1);
-        assert_eq!(r.splits, 3);
-        assert_eq!(r.hit_ratio, 0.75);
-        assert!((r.mean_response_s - 0.05).abs() < 1e-9);
-        assert_eq!(r.measured_span_s, 100.0);
-        assert_eq!(r.span_totals.total_us(), 50_000);
-        // One observation: its cell's upper edge clamps to the maximum.
-        assert_eq!((r.p50_response_s, r.p95_response_s), (0.05, 0.05));
-        assert!((r.breakdown.cpu_s - 0.02).abs() < 1e-12);
-        assert!((r.breakdown.data_read_s - 0.03).abs() < 1e-12);
     }
 }

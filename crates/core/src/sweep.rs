@@ -27,7 +27,6 @@
 use crate::config::SimConfig;
 use crate::engine::{ObsConfig, RunObservations};
 use crate::runner::{run_replicated_observed, ReplicatedResult};
-use semcluster_obs::TraceSink;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -194,17 +193,10 @@ impl SweepOutcome {
     }
 }
 
-/// Per-replication trace-sink factory: `(job index, replication)` → sink.
-/// Called on the worker thread that owns the run, so the sink itself
-/// never crosses threads.
-pub type SinkFactory = dyn Fn(usize, u32) -> Option<Box<dyn TraceSink>> + Send + Sync;
-
 /// The deterministic parallel sweep executor.
 pub struct SweepRunner {
     jobs: usize,
-    sink_factory: Option<Box<SinkFactory>>,
-    timeline_interval_us: Option<u64>,
-    profile: bool,
+    obs: Box<dyn Fn(usize, u32) -> ObsConfig + Send + Sync>,
 }
 
 impl SweepRunner {
@@ -218,9 +210,7 @@ impl SweepRunner {
         };
         SweepRunner {
             jobs,
-            sink_factory: None,
-            timeline_interval_us: None,
-            profile: false,
+            obs: Box::new(|_, _| ObsConfig::default()),
         }
     }
 
@@ -229,34 +219,18 @@ impl SweepRunner {
         self.jobs
     }
 
-    /// Attach a per-replication trace-sink factory (e.g. one JSONL file
-    /// per run). Each run still gets an isolated registry either way.
-    pub fn with_sink_factory(
-        mut self,
-        f: impl Fn(usize, u32) -> Option<Box<dyn TraceSink>> + Send + Sync + 'static,
-    ) -> Self {
-        self.sink_factory = Some(Box::new(f));
-        self
-    }
-
-    /// Enable timeline sampling for every run, at `interval_us`
-    /// simulated microseconds. Each job's replications merge into
-    /// [`SweepItem::obs`]; all jobs merge into
-    /// [`SweepOutcome::obs`]. Because sample boundaries are
-    /// interval multiples and the merge is order-independent, the merged
-    /// timelines are byte-identical at any thread count.
-    pub fn with_timeline(mut self, interval_us: u64) -> Self {
-        self.timeline_interval_us = Some(interval_us);
-        self
-    }
-
-    /// Enable phase profiling for every run. Each job's replications
-    /// merge into [`SweepItem::obs`]; all jobs merge into
-    /// [`SweepOutcome::obs`]. Per-stack counters are deterministic
-    /// sums, so the merged profile (minus wall clock, which never enters
-    /// canonical output) is byte-identical at any thread count.
-    pub fn with_profile(mut self) -> Self {
-        self.profile = true;
+    /// Observe every replication as `f(job index, replication)` says
+    /// (a trace sink per run, timeline sampling, profiling); without
+    /// it each run gets [`ObsConfig::default`]. `f` is called on the
+    /// worker thread that owns the run, so a sink never crosses threads,
+    /// and each run still gets an isolated registry. Each job's
+    /// replications merge into [`SweepItem::obs`] and all jobs into
+    /// [`SweepOutcome::obs`]; timeline boundaries are interval
+    /// multiples and every merge is order-independent, so the merged
+    /// timelines and profiles (minus wall clock, which never enters
+    /// canonical output) are byte-identical at any thread count.
+    pub fn with_obs(mut self, f: impl Fn(usize, u32) -> ObsConfig + Send + Sync + 'static) -> Self {
+        self.obs = Box::new(f);
         self
     }
 
@@ -293,23 +267,8 @@ impl SweepRunner {
     fn run_one(&self, index: usize, job: &SweepJob) -> SweepItem {
         let SweepJob { label, cfg, reps } = job;
         let t0 = Instant::now();
-        let factory = self.sink_factory.as_deref();
-        let interval = self.timeline_interval_us;
-        let profiled = self.profile;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_replicated_observed(cfg, *reps, &mut |rep| {
-                let mut obs = match factory.and_then(|f| f(index, rep)) {
-                    Some(sink) => ObsConfig::with_sink(sink),
-                    None => ObsConfig::default(),
-                };
-                if let Some(us) = interval {
-                    obs = obs.timeline(us);
-                }
-                if profiled {
-                    obs = obs.profile();
-                }
-                obs
-            })
+            run_replicated_observed(cfg, *reps, &mut |rep| (self.obs)(index, rep))
         }));
         let (result, obs) = match outcome {
             Ok((result, obs)) => (Ok(result), obs),
@@ -439,8 +398,11 @@ mod tests {
                 .map(|i| SweepJob::new(format!("job{i}"), tiny(200 + i), 2))
                 .collect::<Vec<_>>()
         };
-        let serial = SweepRunner::new(1).with_timeline(1_000_000).run(jobs());
-        let parallel = SweepRunner::new(4).with_timeline(1_000_000).run(jobs());
+        let sampled = |threads| {
+            SweepRunner::new(threads).with_obs(|_, _| ObsConfig::default().timeline(1_000_000))
+        };
+        let serial = sampled(1).run(jobs());
+        let parallel = sampled(4).run(jobs());
         for (a, b) in serial.items.iter().zip(&parallel.items) {
             let (ta, tb) = (
                 a.obs.timeline.as_ref().unwrap(),
@@ -526,14 +488,14 @@ mod tests {
     }
 
     #[test]
-    fn sink_factory_runs_per_replication() {
+    fn obs_factory_runs_per_replication() {
         use std::sync::atomic::AtomicU32;
         use std::sync::Arc;
         let calls = Arc::new(AtomicU32::new(0));
         let seen = Arc::clone(&calls);
-        let runner = SweepRunner::new(2).with_sink_factory(move |_, _| {
+        let runner = SweepRunner::new(2).with_obs(move |_, _| {
             seen.fetch_add(1, Ordering::Relaxed);
-            None
+            ObsConfig::default()
         });
         let jobs = (0..3).map(|i| SweepJob::of(tiny(i), 2)).collect();
         let out = runner.run(jobs);

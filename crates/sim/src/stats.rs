@@ -3,13 +3,19 @@
 use crate::time::SimDuration;
 
 /// Streaming mean/variance via Welford's algorithm.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl OnlineStats {

@@ -3,7 +3,8 @@
 //! The workload-definition layer of the simulation model (§4.1) plus the
 //! Section 3 measurement study, reconstructed:
 //!
-//! * the seven engineering-DB query types ([`QueryKind`]),
+//! * the six engineering-DB read query types ([`QueryKind`]; type 7,
+//!   insertion / deletion / update, is the write ops of [`TxnOp`]),
 //! * workload characterisation by structure density and read/write ratio
 //!   ([`StructureDensity`], [`WorkloadSpec`]), optionally phased
 //!   ([`PhaseSchedule`]), and the synthetic database a density implies

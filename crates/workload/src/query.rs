@@ -1,4 +1,6 @@
-//! The seven engineering-database query types (§4.1).
+//! The engineering-database query types (§4.1). Type (7), object
+//! insertion, deletion and update, is not a query kind: the generator
+//! emits it as the write operations `TxnOp::{Create, Update, Delete}`.
 
 use std::fmt;
 
@@ -19,12 +21,10 @@ pub enum QueryKind {
     AncestorRetrieval,
     /// (6) Corresponding objects retrieval.
     CorrespondentRetrieval,
-    /// (7) Object insertion / deletion / update.
-    Mutation,
 }
 
 impl QueryKind {
-    /// The six read-only query types, in paper order.
+    /// Every query type, in paper order.
     pub const READS: [QueryKind; 6] = [
         QueryKind::SimpleLookup,
         QueryKind::ComponentRetrieval,
@@ -33,18 +33,6 @@ impl QueryKind {
         QueryKind::AncestorRetrieval,
         QueryKind::CorrespondentRetrieval,
     ];
-
-    /// Whether this query reads without writing.
-    pub fn is_read(self) -> bool {
-        self != QueryKind::Mutation
-    }
-
-    /// Whether this query navigates structural relationships (vs a simple
-    /// name lookup). Used to classify trace events into structure vs
-    /// simple reads (§3.2).
-    pub fn is_structural(self) -> bool {
-        !matches!(self, QueryKind::SimpleLookup | QueryKind::Mutation)
-    }
 }
 
 impl fmt::Display for QueryKind {
@@ -56,7 +44,6 @@ impl fmt::Display for QueryKind {
             QueryKind::DescendantRetrieval => "descendant-retrieval",
             QueryKind::AncestorRetrieval => "ancestor-retrieval",
             QueryKind::CorrespondentRetrieval => "correspondent-retrieval",
-            QueryKind::Mutation => "mutation",
         };
         f.write_str(s)
     }
@@ -67,12 +54,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reads_and_structure_classification() {
-        assert_eq!(QueryKind::READS.len(), 6);
-        assert!(QueryKind::READS.iter().all(|q| q.is_read()));
-        assert!(!QueryKind::Mutation.is_read());
-        assert!(QueryKind::CompositeRetrieval.is_structural());
-        assert!(!QueryKind::SimpleLookup.is_structural());
-        assert!(!QueryKind::Mutation.is_structural());
+    fn reads_lists_every_kind_once() {
+        let names: std::collections::BTreeSet<String> =
+            QueryKind::READS.iter().map(ToString::to_string).collect();
+        assert_eq!(names.len(), QueryKind::READS.len());
+        for kind in QueryKind::READS {
+            // Exhaustive: a new kind fails to compile here until READS
+            // is checked for it.
+            let position = match kind {
+                QueryKind::SimpleLookup => 0,
+                QueryKind::ComponentRetrieval => 1,
+                QueryKind::CompositeRetrieval => 2,
+                QueryKind::DescendantRetrieval => 3,
+                QueryKind::AncestorRetrieval => 4,
+                QueryKind::CorrespondentRetrieval => 5,
+            };
+            assert_eq!(QueryKind::READS[position], kind);
+        }
     }
 }

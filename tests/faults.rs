@@ -51,10 +51,10 @@ fn fault_injection_is_thread_count_invariant() {
     let traced = |threads: usize| {
         let bufs = Arc::new(Mutex::new(BTreeMap::<(usize, u32), SyncBuf>::new()));
         let registry = Arc::clone(&bufs);
-        let runner = SweepRunner::new(threads).with_sink_factory(move |index, rep| {
+        let runner = SweepRunner::new(threads).with_obs(move |index, rep| {
             let buf = SyncBuf::default();
             registry.lock().unwrap().insert((index, rep), buf.clone());
-            Some(Box::new(JsonlSink::new(buf)))
+            ObsConfig::with_sink(Box::new(JsonlSink::new(buf)))
         });
         let outcome = runner.run(faulty_jobs());
         assert_eq!(outcome.summary.failed, 0);

@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use semcluster::{
-    replication_config, run_replicated, ReplicatedResult, SimConfig, SweepJob, SweepOutcome,
-    SweepRunner,
+    replication_config, run_replicated, ObsConfig, ReplicatedResult, SimConfig, SweepJob,
+    SweepOutcome, SweepRunner,
 };
 use semcluster_buffer::{PrefetchScope, ReplacementPolicy};
 use semcluster_clustering::{ClusteringPolicy, SplitPolicy};
@@ -99,10 +99,10 @@ fn traces_are_thread_count_invariant() {
     let traced = |threads: usize| -> BTreeMap<(usize, u32), Vec<u8>> {
         let bufs = Arc::new(Mutex::new(BTreeMap::<(usize, u32), SyncBuf>::new()));
         let registry = Arc::clone(&bufs);
-        let runner = SweepRunner::new(threads).with_sink_factory(move |index, rep| {
+        let runner = SweepRunner::new(threads).with_obs(move |index, rep| {
             let buf = SyncBuf::default();
             registry.lock().unwrap().insert((index, rep), buf.clone());
-            Some(Box::new(JsonlSink::new(buf)))
+            ObsConfig::with_sink(Box::new(JsonlSink::new(buf)))
         });
         let outcome = runner.run(mixed_jobs());
         assert_eq!(outcome.summary.failed, 0);

@@ -81,8 +81,11 @@ fn profile_is_identical_at_any_thread_count() {
     let jobs = profile_golden_jobs();
     let run = |threads: usize| {
         SweepRunner::new(threads)
-            .with_timeline(DEFAULT_TIMELINE_INTERVAL_US)
-            .with_profile()
+            .with_obs(|_, _| {
+                ObsConfig::default()
+                    .timeline(DEFAULT_TIMELINE_INTERVAL_US)
+                    .profile()
+            })
             .run(jobs.clone())
     };
     let serial = run(1);

@@ -88,8 +88,11 @@ fn sweep_timeline_json_matches_across_jobs() {
             SweepJob::new("b", SimConfig { seed: 77, ..busy() }, 2),
         ]
     };
-    let serial = SweepRunner::new(1).with_timeline(1_000_000).run(jobs());
-    let parallel = SweepRunner::new(4).with_timeline(1_000_000).run(jobs());
+    let sampled = |threads| {
+        SweepRunner::new(threads).with_obs(|_, _| ObsConfig::default().timeline(1_000_000))
+    };
+    let serial = sampled(1).run(jobs());
+    let parallel = sampled(4).run(jobs());
     assert_eq!(
         serial.obs.timeline.expect("sampled").to_json(),
         parallel.obs.timeline.expect("sampled").to_json()
