@@ -97,3 +97,32 @@ fn figures_6_1_and_6_2_share_one_sweep_and_leave_no_file() {
     assert_eq!(std::fs::read_dir(&tmp).unwrap().count(), 0);
     std::fs::remove_dir_all(&tmp).unwrap();
 }
+
+/// `ext_static_drift` ignores `FigureOpts`, so its whole stdout is fixed:
+/// the structure-order layout of a 40-module database, then that layout
+/// drifting under appends with and without run-time reclustering.
+#[test]
+fn ext_static_drift_output_is_pinned() {
+    let out = figures().arg("ext_static_drift").output().unwrap();
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        "================================================================\n\
+         Extension — static layout drift vs run-time reclustering\n\
+         ================================================================\n\
+         offline reorganisation: broken weight 12580 → 11009 (12% repaired)\n\
+         \n\
+         mutations  static only (broken wt)  with run-time reclustering\n\
+         --------------------------------------------------------------\n\
+         0          11009                    11009\n\
+         120        11485                    11090\n\
+         240        11961                    11186\n\
+         360        12441                    11378\n\
+         480        12921                    11574\n\
+         600        13401                    11778\n\
+         720        13881                    11924\n\
+         \n\
+         expected: the static-only layout decays steadily; run-time\n\
+         reclustering holds broken weight near the reorganised optimum.\n"
+    );
+}

@@ -511,8 +511,9 @@ mod tests {
         assert!(out.contains("repaired"));
     }
 
-    /// `reorg` at its defaults prints what it printed before one scratch
-    /// was hoisted out of `static_recluster`'s per-object loop.
+    /// `reorg` at its defaults prints the static layout the engine's
+    /// structure-order load (`semcluster::static_layout`) gives a
+    /// stride-scattered 20-module database.
     #[test]
     fn reorg_output_is_pinned() {
         let out = dispatch(&parse("reorg --modules 20 --seed 7")).unwrap();
@@ -523,9 +524,11 @@ mod tests {
         );
     }
 
-    /// `inspect` builds the database the engine builds for the label and
-    /// size (`StructureDensity::database_spec`): sized for a 0.2 version
-    /// probability and built with it, not with the builder's default.
+    /// `inspect` builds a database of the shape the engine builds for the
+    /// label and size (`StructureDensity::database_spec`: sized for a 0.2
+    /// version probability and built with it, not with
+    /// `SyntheticDbSpec`'s default), under `--seed` itself rather than the
+    /// spec seed the engine derives from its run seed.
     #[test]
     fn inspect_output_is_pinned() {
         let out = dispatch(&parse("inspect --mbytes 8 --workload med5-10")).unwrap();

@@ -26,7 +26,6 @@ pub mod arena;
 mod config;
 mod cost;
 mod locality;
-mod offline;
 mod placement;
 mod recluster;
 mod split;
@@ -37,8 +36,7 @@ pub use cost::{
     candidate_pages_in, extended_neighbors_in, extended_neighbors_where, placement_cost,
     weighted_neighbors_in, WeightModel, HINT_MULTIPLIER, TWO_HOP_DECAY,
 };
-pub use locality::page_locality;
-pub use offline::{broken_arc_weight, static_recluster, ReorgReport};
+pub use locality::{broken_arc_weight, page_locality, repaired_share};
 pub use placement::{
     choose_placement_in, execute_placement, plan_placement_in, score_placement_in, AllResident,
     ExaminedCandidate, PlacementPlan, PlacementTarget, ResidencyView, MAX_EXAMINED,

@@ -1,6 +1,12 @@
-//! The clustering-locality score: how well the current physical layout
-//! honours the structure semantics.
+//! Layout quality: how well the current physical layout honours the
+//! structure semantics.
 //!
+//! [`broken_arc_weight`] is the whole-database objective the clustering
+//! algorithms minimise, which compares two layouts of one database —
+//! a scattered one against the static structure-order layout, or a
+//! static layout drifting as design evolution appends objects.
+//!
+//! [`page_locality`] is the per-page clustering-locality score.
 //! For a page, every structural arc leaving an object on that page is
 //! one *co-reference*; it is *satisfied* when the related object lives
 //! on the same page. The ratio `on_page / total` is the locality score
@@ -9,17 +15,47 @@
 //! over the buffer-resident pages, which is exactly the set whose
 //! locality determines the hit ratio the paper's figures track.
 //!
-//! This runs on every timeline sample, so it walks the graph's adjacency
-//! slices directly instead of going through `weighted_neighbors_in` — no
-//! allocation, no sort, and parallel arcs of different kinds each count
-//! as their own co-reference (each is a distinct traversal the layout
-//! can satisfy or fault). "No allocation" is not just an intention:
+//! `page_locality` runs on every timeline sample, so it walks the
+//! graph's adjacency slices directly instead of going through
+//! `weighted_neighbors_in` — no allocation, no sort, and parallel arcs
+//! of different kinds each count as their own co-reference (each is a
+//! distinct traversal the layout can satisfy or fault). "No allocation" is not just an intention:
 //! the fold is bracketed by the profiler's `page_locality` phase and
 //! `golden --suite profile` pins its `alloc_bytes` at zero under the
 //! counting allocator, so an allocation sneaking in here fails CI.
 
+use crate::cost::WeightModel;
 use semcluster_storage::{PageId, StorageManager};
 use semcluster_vdm::{Database, Direction, RelKind};
+
+/// Total weight of arcs whose endpoints live on different pages — the
+/// layout-quality objective the clustering algorithms minimise. Unplaced
+/// objects count as broken.
+pub fn broken_arc_weight(db: &Database, store: &StorageManager, model: &WeightModel) -> f64 {
+    let mut total = 0.0;
+    for (kind, a, b) in db.graph().edges() {
+        if !store.co_resident(a, b) {
+            // Arc weight: sum of both endpoints' traversal frequencies
+            // for this relationship (forward from a, so use a's profile).
+            let w = db
+                .frequencies_of(a)
+                .map(|f| model.arc_weight(kind, f.weight(kind, Direction::Forward)))
+                .unwrap_or(1.0);
+            total += w;
+        }
+    }
+    total
+}
+
+/// The share of the broken weight `before` that a new layout with
+/// broken weight `after` repaired (0 when nothing was broken).
+pub fn repaired_share(before: f64, after: f64) -> f64 {
+    if before == 0.0 {
+        0.0
+    } else {
+        1.0 - after / before
+    }
+}
 
 /// Count `(on_page, total)` structural co-references for `page`.
 ///
@@ -102,6 +138,28 @@ mod tests {
         let (on1, total1) = page_locality(&db, &store, p1);
         assert_eq!(on1, 0);
         assert!(total1 >= 1);
+    }
+
+    #[test]
+    fn broken_weight_is_zero_when_everything_fits_one_page() {
+        let (db, _) = semcluster_vdm::SyntheticDbSpec {
+            modules: 1,
+            depth: 1,
+            fanout: (2, 2),
+            representations: vec!["layout".into()],
+            correspondence_prob: 0.0,
+            version_prob: 0.0,
+            body_bytes: (32, 64),
+            seed: 5,
+        }
+        .build();
+        let model = WeightModel::no_hints();
+        let mut store = StorageManager::new(4096);
+        let page = store.allocate_page();
+        for obj in db.objects() {
+            store.place(obj.id, obj.size_bytes(), page).unwrap();
+        }
+        assert_eq!(broken_arc_weight(&db, &store, &model), 0.0);
     }
 
     #[test]

@@ -574,7 +574,7 @@ pub fn run_crash_matrix(config: &CrashMatrixConfig) -> CrashMatrixReport {
         result
     };
 
-    let points_out = ordered_parallel_map(config.jobs, &points, run_point);
+    let (points_out, _) = ordered_parallel_map(config.jobs, &points, run_point);
     let _ = std::fs::remove_dir_all(&base);
 
     CrashMatrixReport {

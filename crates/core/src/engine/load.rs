@@ -2,6 +2,10 @@
 //! the workload's density implies, laid out as the configured policy's
 //! history would have left it (model notes on [`super`]).
 //!
+//! The structure-order arm is also the paper's §2.1 static clustering
+//! pass, [`static_layout`], which `reorg`, `inspect` and the static-drift
+//! exhibit run on databases of their own.
+//!
 //! A clustered load uses two threads. Each search is scored against
 //! the objects before it in the load order — exactly what the store
 //! holds when it is placed — so one scoped helper scores batches ahead
@@ -142,34 +146,61 @@ fn load_database_with(
     helper: bool,
     batch: usize,
 ) -> StorageManager {
-    let mut store = StorageManager::new(cfg.page_bytes);
     match cfg.clustering {
         ClusteringPolicy::NoCluster => {
             // Arrival-order append over the interleaved history.
+            let mut store = StorageManager::new(cfg.page_bytes);
             for id in history_order(db, module_starts, rng, 16) {
                 let obj = db.get(id).expect(DENSE_IDS);
                 store.append(obj.id, obj.size_bytes()).expect(APPEND_FITS);
             }
+            store
         }
         ClusteringPolicy::WithinBuffer => {
             // The same interleaved history, but the candidate search
             // only ever saw the recency window of buffered pages.
+            let mut store = StorageManager::new(cfg.page_bytes);
             let mut window = RecencyWindow {
                 cap: cfg.buffer_pages,
                 set: DetHashSet::default(),
                 queue: VecDeque::new(),
             };
             let order = LoadOrder::history(history_order(db, module_starts, rng, 16));
-            Placer::new(cfg, db, weights, &order, batch).run(&mut store, &mut window, helper);
+            let placer = Placer::new(ClusteringPolicy::WithinBuffer, db, weights, &order, batch);
+            placer.run(&mut store, &mut window, helper);
+            store
         }
         ClusteringPolicy::IoLimit(_) | ClusteringPolicy::NoLimit | ClusteringPolicy::Adaptive => {
             // Unbounded search plus months of run-time reclustering
-            // converge on relationship-order placement; load in
-            // structure order with full visibility.
-            let order = LoadOrder::Structure(db.object_count());
-            Placer::new(cfg, db, weights, &order, batch).run(&mut store, &mut AllResident, helper);
+            // converge on relationship-order placement: the static
+            // layout.
+            structure_layout(db, weights, cfg.page_bytes, helper, batch)
         }
     }
+}
+
+/// The static clustering pass of the paper's §2.1, run on a quiesced
+/// database: every object affinity-placed in id (structure) order with
+/// full visibility and no search limit, each appended page keeping
+/// about 30 % slack for relatives placed later. It is also the layout
+/// every I/O-capable policy's engine starts from (DESIGN.md §7.1).
+pub fn static_layout(db: &Database, weights: &WeightModel, page_bytes: u32) -> StorageManager {
+    structure_layout(db, weights, page_bytes, true, BATCH)
+}
+
+/// [`static_layout`] with the scoring helper on or off and `batch`
+/// objects per scoring batch.
+fn structure_layout(
+    db: &Database,
+    weights: &WeightModel,
+    page_bytes: u32,
+    helper: bool,
+    batch: usize,
+) -> StorageManager {
+    let mut store = StorageManager::new(page_bytes);
+    let order = LoadOrder::Structure(db.object_count());
+    let placer = Placer::new(ClusteringPolicy::NoLimit, db, weights, &order, batch);
+    placer.run(&mut store, &mut AllResident, helper);
     store
 }
 
@@ -254,8 +285,10 @@ struct Placer<'a> {
     weights: &'a WeightModel,
     order: &'a LoadOrder,
     batch: usize,
+    /// The search limit: `Cluster_within_Buffer` for a within-buffer
+    /// history, `No_limit` for every other clustering history, which in
+    /// the long run had none.
     policy: ClusteringPolicy,
-    reserve: u32,
     /// Placed batches' buffers, reused by the next batch either thread
     /// scores.
     spares: Mutex<Vec<Scored>>,
@@ -265,7 +298,7 @@ const SPARES: &str = "nothing panics while holding the spare batches";
 
 impl<'a> Placer<'a> {
     fn new(
-        cfg: &SimConfig,
+        policy: ClusteringPolicy,
         db: &'a Database,
         weights: &'a WeightModel,
         order: &'a LoadOrder,
@@ -277,15 +310,7 @@ impl<'a> Placer<'a> {
             order,
             batch,
             spares: Mutex::new(Vec::new()),
-            // A within-buffer history searched within its buffer; every
-            // other clustering history had, in the long run, no limit.
-            policy: match cfg.clustering {
-                ClusteringPolicy::WithinBuffer => ClusteringPolicy::WithinBuffer,
-                _ => ClusteringPolicy::NoLimit,
-            },
-            // Clustering stores keep slack on freshly filled pages so
-            // later relatives can join (~30 % of the page).
-            reserve: (cfg.page_bytes - PAGE_OVERHEAD_BYTES) * 3 / 10,
+            policy,
         }
     }
 
@@ -318,6 +343,9 @@ impl<'a> Placer<'a> {
         view: &mut impl HistoryView,
         scratch: &mut ScoreScratch,
     ) {
+        // Clustering stores keep slack on freshly filled pages so later
+        // relatives can join (~30 % of the page).
+        let reserve = (store.page_bytes() - PAGE_OVERHEAD_BYTES) * 3 / 10;
         let mut start = 0;
         for (k, &(size, end)) in scored.objects.iter().enumerate() {
             let id = self.order.at(scored.batch * self.batch + k);
@@ -335,7 +363,7 @@ impl<'a> Placer<'a> {
                     page
                 }
                 PlacementTarget::Append => store
-                    .append_reserving(id, size, self.reserve)
+                    .append_reserving(id, size, reserve)
                     .expect(APPEND_FITS),
             };
             scratch.put_examined(plan.examined);

@@ -15,7 +15,8 @@
 //! module — state, constructor, public API — and five children that
 //! share its private fields:
 //!
-//! * `load` — the synthetic database and its history-shaped layout;
+//! * `load` — the synthetic database and its history-shaped layout, and
+//!   the static structure-order layout;
 //! * `driver` — the event loop: think/op/txn-done, lock park and wake,
 //!   crash points;
 //! * `exec` — one `TxnOp` through buffer, cluster manager and log;
@@ -45,6 +46,7 @@ mod exec;
 mod load;
 mod observe;
 
+pub use load::static_layout;
 pub use observe::{ObsConfig, RunObservations};
 
 use crate::config::SimConfig;

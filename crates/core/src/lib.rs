@@ -42,7 +42,9 @@ pub use crash::{
     run_crash_matrix, CrashMatrixConfig, CrashMatrixReport, CrashOutcome, CrashPointResult,
 };
 pub use durable::{DurableMirror, FileCrashArtifacts, MirrorStats};
-pub use engine::{run_simulation, run_simulation_observed, Engine, ObsConfig, RunObservations};
+pub use engine::{
+    run_simulation, run_simulation_observed, static_layout, Engine, ObsConfig, RunObservations,
+};
 pub use error::EngineError;
 pub use metrics::{FaultStats, IoBreakdown, ResponseBreakdown, RunReport, SpanBreakdown};
 pub use presets::{

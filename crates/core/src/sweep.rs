@@ -200,23 +200,13 @@ pub struct SweepRunner {
 }
 
 impl SweepRunner {
-    /// An executor using `jobs` worker threads; `0` means the host's
-    /// available parallelism.
+    /// An executor using up to `jobs` worker threads, never more than
+    /// there are jobs; `0` means the host's available parallelism.
     pub fn new(jobs: usize) -> Self {
-        let jobs = if jobs == 0 {
-            default_parallelism()
-        } else {
-            jobs
-        };
         SweepRunner {
             jobs,
             obs: Box::new(|_, _| ObsConfig::default()),
         }
-    }
-
-    /// Worker threads this executor will use.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Observe every replication as `f(job index, replication)` says
@@ -237,8 +227,8 @@ impl SweepRunner {
     /// Run every job and assemble the outcome in submission order.
     pub fn run(&self, jobs: Vec<SweepJob>) -> SweepOutcome {
         let started = Instant::now();
-        let threads = self.jobs.clamp(1, jobs.len().max(1));
-        let items = ordered_parallel_map(threads, &jobs, |index, job| self.run_one(index, job));
+        let (items, threads) =
+            ordered_parallel_map(self.jobs, &jobs, |index, job| self.run_one(index, job));
         // Join: fold observations and wall-clocks in submission order
         // (every merge is order-independent anyway).
         let mut obs = RunObservations::default();
@@ -292,14 +282,16 @@ impl SweepRunner {
 }
 
 /// Map `f` over `items` on up to `threads` scoped workers (`0` = the
-/// host's available parallelism) pulling indices from a shared atomic
-/// cursor, and return the results in item order — so the output never
-/// depends on worker count or completion order. One thread runs inline.
+/// host's available parallelism; never more than there are items)
+/// pulling indices from a shared atomic cursor, and return the results
+/// in item order — so the output never depends on worker count or
+/// completion order — with the number of workers used. One thread runs
+/// inline.
 pub(crate) fn ordered_parallel_map<T: Sync, R: Send>(
     threads: usize,
     items: &[T],
     f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R> {
+) -> (Vec<R>, usize) {
     let n = items.len();
     let threads = if threads == 0 {
         default_parallelism()
@@ -308,7 +300,7 @@ pub(crate) fn ordered_parallel_map<T: Sync, R: Send>(
     }
     .clamp(1, n.max(1));
     if threads == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return (items.iter().enumerate().map(|(i, t)| f(i, t)).collect(), 1);
     }
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
@@ -330,10 +322,11 @@ pub(crate) fn ordered_parallel_map<T: Sync, R: Send>(
         }
     });
     drop(out);
-    slots
+    let results = slots
         .into_iter()
         .map(|s| s.expect("every index < n is claimed exactly once by the atomic cursor"))
-        .collect()
+        .collect();
+    (results, threads)
 }
 
 /// The host's available parallelism (1 when unknown).
@@ -464,10 +457,21 @@ mod tests {
         }
     }
 
+    /// A 0-job runner resolves to the host's parallelism, clamped to
+    /// the jobs there are, and still returns every item in order.
     #[test]
     fn zero_jobs_means_available_parallelism() {
-        assert!(SweepRunner::new(0).jobs() >= 1);
-        assert_eq!(SweepRunner::new(3).jobs(), 3);
+        let jobs = (0..3)
+            .map(|i| SweepJob::new(format!("job{i}"), tiny(300 + i), 1))
+            .collect();
+        let out = SweepRunner::new(0).run(jobs);
+        assert!((1..=3).contains(&out.summary.threads));
+        let labels: Vec<&str> = out.items.iter().map(|i| i.label.as_str()).collect();
+        assert_eq!(labels, ["job0", "job1", "job2"]);
+        for (index, item) in out.items.iter().enumerate() {
+            assert_eq!(item.index, index);
+            assert!(item.result.is_ok());
+        }
     }
 
     #[test]

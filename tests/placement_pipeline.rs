@@ -1,15 +1,18 @@
-//! Cross-crate pipeline tests below the engine: vdm → storage →
-//! clustering → buffer, exercised directly.
+//! Cross-crate pipeline tests: vdm → storage → clustering → buffer,
+//! exercised directly, and the engine's static structure-order layout
+//! ([`static_layout`]) against the layout-quality metric.
 
+use semcluster::{static_layout, Engine, SimConfig};
 use semcluster_buffer::{
     apply_prefetch, prefetch_group, AccessHint, BufferPool, PrefetchScope, ReplacementPolicy,
 };
 use semcluster_clustering::{
-    execute_placement, plan_placement_in, plan_recluster_in, AllResident, ClusteringPolicy,
-    PlacementTarget, ScoreScratch, WeightModel,
+    broken_arc_weight, execute_placement, plan_placement_in, plan_recluster_in, repaired_share,
+    AllResident, ClusteringPolicy, HintPolicy, PlacementTarget, ScoreScratch, WeightModel,
 };
 use semcluster_storage::{StorageManager, DEFAULT_PAGE_BYTES};
-use semcluster_vdm::{RelKind, SyntheticDbSpec};
+use semcluster_vdm::{ObjectId, ObjectName, RelKind, SyntheticDbSpec};
+use semcluster_workload::StructureDensity;
 
 fn spec(seed: u64) -> SyntheticDbSpec {
     SyntheticDbSpec {
@@ -29,34 +32,7 @@ fn spec(seed: u64) -> SyntheticDbSpec {
 fn affinity_load_co_locates_related_objects() {
     let (db, _) = spec(11).build();
     let model = WeightModel::no_hints();
-    let mut scratch = ScoreScratch::new();
-
-    let mut clustered = StorageManager::new(DEFAULT_PAGE_BYTES);
-    // As the engine does on load: leave ~30 % slack on appended pages so
-    // relatives placed later can join.
-    let reserve = (DEFAULT_PAGE_BYTES - semcluster_storage::PAGE_OVERHEAD_BYTES) * 3 / 10;
-    for obj in db.objects() {
-        let size = obj.size_bytes();
-        let plan = plan_placement_in(
-            &db,
-            &clustered,
-            &AllResident,
-            ClusteringPolicy::NoLimit,
-            &model,
-            obj.id,
-            size,
-            &mut scratch,
-        );
-        match plan.target {
-            PlacementTarget::Existing(page) => {
-                clustered.place(obj.id, size, page).unwrap();
-            }
-            PlacementTarget::Append => {
-                clustered.append_reserving(obj.id, size, reserve).unwrap();
-            }
-        }
-        scratch.put_examined(plan.examined);
-    }
+    let clustered = static_layout(&db, &model, DEFAULT_PAGE_BYTES);
 
     let mut scattered = StorageManager::new(DEFAULT_PAGE_BYTES);
     // Stride order approximates interleaved arrival.
@@ -220,4 +196,99 @@ fn plans_execute_as_stated() {
         store.used_bytes(),
         db.objects().map(|o| o.size_bytes() as u64).sum::<u64>()
     );
+}
+
+/// The static layout of a scattered database places every object and
+/// repairs more than a quarter of the broken arc weight.
+#[test]
+fn reorganisation_repairs_a_scattered_layout() {
+    let (db, _) = SyntheticDbSpec {
+        modules: 8,
+        depth: 3,
+        fanout: (2, 4),
+        seed: 3,
+        ..SyntheticDbSpec::default()
+    }
+    .build();
+    let model = WeightModel::no_hints();
+    // Stride order: a layout that ignores structure.
+    let mut old = StorageManager::new(DEFAULT_PAGE_BYTES);
+    let n = db.object_count();
+    for k in 0..n {
+        let obj = db.get(ObjectId(((k * 197) % n) as u32)).unwrap();
+        old.append(obj.id, obj.size_bytes()).unwrap();
+    }
+    let fresh = static_layout(&db, &model, DEFAULT_PAGE_BYTES);
+    let before = broken_arc_weight(&db, &old, &model);
+    let after = broken_arc_weight(&db, &fresh, &model);
+    assert!(after < before * 0.75, "before {before} after {after}");
+    assert!(repaired_share(before, after) > 0.25);
+    for obj in db.objects() {
+        assert!(fresh.page_of(obj.id).is_some());
+    }
+    assert_eq!(fresh.used_bytes(), old.used_bytes());
+}
+
+/// The §2.1 argument: a statically clustered layout degrades as
+/// structure keeps changing — the reason for run-time reclustering.
+#[test]
+fn static_layout_drifts_without_reclustering() {
+    let (mut db, _) = SyntheticDbSpec {
+        modules: 6,
+        depth: 3,
+        fanout: (2, 4),
+        seed: 8,
+        ..SyntheticDbSpec::default()
+    }
+    .build();
+    let model = WeightModel::no_hints();
+    let mut store = static_layout(&db, &model, DEFAULT_PAGE_BYTES);
+    let baseline = broken_arc_weight(&db, &store, &model);
+    // Design evolution: new components appended without clustering.
+    let ty = db.lattice().id_of("layout").unwrap();
+    let n0 = db.object_count() as u32;
+    for i in 0..150u32 {
+        let anchor = ObjectId((i * 53) % n0);
+        let id = db
+            .create_object(ObjectName::new(format!("drift{i}"), 1, "layout"), ty, 128)
+            .unwrap();
+        db.relate(RelKind::Configuration, anchor, id).unwrap();
+        store.append(id, db.get(id).unwrap().size_bytes()).unwrap();
+    }
+    let drifted = broken_arc_weight(&db, &store, &model);
+    assert!(
+        drifted > baseline * 1.2,
+        "layout should drift: baseline {baseline}, drifted {drifted}"
+    );
+}
+
+/// DESIGN.md §7.1: a fresh `No_limit` engine's store is the static
+/// layout of its database, page for page, with or without user hints.
+#[test]
+fn no_limit_engine_starts_from_the_static_layout() {
+    for hints in [HintPolicy::NoHints, HintPolicy::UserHints] {
+        let cfg = SimConfig {
+            database_bytes: 2 * 1024 * 1024,
+            clustering: ClusteringPolicy::NoLimit,
+            hints,
+            ..SimConfig::default()
+        }
+        .with_workload(StructureDensity::High10, 100.0);
+        let weights = match hints {
+            HintPolicy::UserHints => WeightModel::with_hint(cfg.session_hint),
+            HintPolicy::NoHints => WeightModel::no_hints(),
+        };
+        let engine = Engine::new(cfg.clone());
+        let db = engine.database();
+        let layout = static_layout(db, &weights, cfg.page_bytes);
+        for obj in db.objects() {
+            assert_eq!(
+                layout.page_of(obj.id),
+                engine.store().page_of(obj.id),
+                "{hints:?}: {:?}",
+                obj.id
+            );
+        }
+        assert_eq!(format!("{layout:?}"), format!("{:?}", engine.store()));
+    }
 }
