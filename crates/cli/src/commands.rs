@@ -470,10 +470,25 @@ mod tests {
         assert!(!lines.is_empty() && lines.len() <= 8);
         for line in &lines {
             assert!(line.starts_with("{\"t\":"));
+            assert!(line.contains("\"ev\":\"placement\""));
             assert!(line.contains("\"candidates\":["));
             assert!(line.contains("\"search_ios\":"));
         }
         assert!(dispatch(&parse("explain-placement --last 0")).is_err());
+
+        // Retention is bounded and keeps the *last* N: three records are
+        // the tail of what a large `--last` keeps.
+        let json = |last: usize| {
+            dispatch(&parse(&format!(
+                "explain-placement --preset med5-10 --clustering nolimit --split linear \
+                 --txns 80 --buffer-pages 16 --last {last} --json"
+            )))
+            .unwrap()
+        };
+        let all = json(100_000);
+        let all: Vec<&str> = all.lines().collect();
+        assert!(all.len() > 3);
+        assert_eq!(json(3).lines().collect::<Vec<_>>(), all[all.len() - 3..]);
     }
 
     #[test]

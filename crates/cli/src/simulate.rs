@@ -10,7 +10,10 @@ use semcluster::{
 use semcluster_analysis::Table;
 use semcluster_buffer::{PrefetchScope, ReplacementPolicy};
 use semcluster_clustering::{ClusteringPolicy, SplitPolicy};
-use semcluster_obs::{ChromeTraceSink, FoldedMetric, JsonlSink, SplitVerdict};
+use semcluster_obs::{
+    shared, ChromeTraceSink, FoldedMetric, JsonlSink, SplitVerdict, TraceEvent, TraceSink,
+};
+use std::collections::VecDeque;
 
 /// Parse the clustering policy flag.
 pub fn parse_clustering(v: &str) -> Result<ClusteringPolicy, String> {
@@ -534,30 +537,52 @@ pub fn cmd_explain(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `explain-placement` subcommand: replay a run with placement auditing
-/// enabled and show the last N clustering decisions the engine made —
-/// which candidate pages the placement search examined, their
-/// affinity/gain scores, which page won, whether a split was weighed,
-/// and what the search cost in I/Os.
+/// The last `capacity` placement decisions of a run: memory stays
+/// O(capacity) however long the run.
+struct LastPlacements {
+    capacity: usize,
+    events: VecDeque<TraceEvent>,
+}
+
+impl TraceSink for LastPlacements {
+    fn emit(&mut self, event: &TraceEvent) {
+        if matches!(event, TraceEvent::Placement { .. }) {
+            if self.events.len() == self.capacity {
+                self.events.pop_front();
+            }
+            self.events.push_back(event.clone());
+        }
+    }
+}
+
+/// `explain-placement` subcommand: replay a run with a sink that keeps
+/// the last N placement decisions the engine traced — which candidate
+/// pages the placement search examined, their affinity/gain scores,
+/// which page won, whether a split was weighed, and what the search
+/// cost in I/Os.
 pub fn cmd_explain_placement(args: &Args) -> Result<String, CliError> {
     let cfg = config_from_args(args)?;
     let last: usize = args.get_parsed("last", 12)?;
     if last == 0 {
         return Err(CliError::usage("--last: need at least one record"));
     }
-    let (report, observed) = run_simulation_observed(cfg, ObsConfig::default().audit(last));
-    let audits = observed.audits;
+    let kept = shared(LastPlacements {
+        capacity: last,
+        events: VecDeque::new(),
+    });
+    let (report, _) = run_simulation_observed(cfg, ObsConfig::with_sink(Box::new(kept.clone())));
+    let decisions = std::mem::take(&mut kept.borrow_mut().events);
     if args.flag("json") {
         let mut out = String::new();
-        for a in &audits {
-            out.push_str(&a.to_json());
+        for event in &decisions {
+            out.push_str(&event.to_json());
             out.push('\n');
         }
         return Ok(out);
     }
-    if audits.is_empty() {
+    if decisions.is_empty() {
         return Ok(format!(
-            "no placement decisions recorded — {} (is clustering `none`?)\n",
+            "no placement decisions recorded — {} (the run made no create and no recluster)\n",
             report.config_label
         ));
     }
@@ -571,30 +596,45 @@ pub fn cmd_explain_placement(args: &Args) -> Result<String, CliError> {
         "split",
         "ios",
     ]);
-    for a in &audits {
-        let chosen = match a.chosen {
-            Some(p) => format!("{}→{}", p.0, a.landed.0),
-            None => format!("append→{}", a.landed.0),
+    for event in &decisions {
+        let TraceEvent::Placement {
+            at,
+            kind,
+            object,
+            ref candidates,
+            chosen,
+            landed,
+            score_milli,
+            split,
+            search_ios,
+            ..
+        } = *event
+        else {
+            continue;
         };
-        let split = match a.split {
+        let chosen = match chosen {
+            Some(p) => format!("{}→{}", p.0, landed.0),
+            None => format!("append→{}", landed.0),
+        };
+        let split = match split {
             SplitVerdict::NotConsidered => "-".to_string(),
             SplitVerdict::Declined => "declined".to_string(),
             SplitVerdict::Executed { new_page } => format!("new p{}", new_page.0),
         };
         table.row(vec![
-            format!("{:.1}", a.at.as_micros() as f64 / 1e3),
-            a.kind.as_str().to_string(),
-            a.object.to_string(),
-            a.candidates.len().to_string(),
+            format!("{:.1}", at.as_micros() as f64 / 1e3),
+            kind.as_str().to_string(),
+            object.to_string(),
+            candidates.len().to_string(),
             chosen,
-            format!("{:.3}", a.score_milli as f64 / 1e3),
+            format!("{:.3}", score_milli as f64 / 1e3),
             split,
-            a.search_ios.to_string(),
+            search_ios.to_string(),
         ]);
     }
     let mut out = format!(
         "last {} placement decisions — {}\n",
-        audits.len(),
+        decisions.len(),
         report.config_label
     );
     out.push_str(&table.render());

@@ -67,10 +67,11 @@ CONFIG:
   --folded writes flamegraph-ready folded stacks (pick the value with
   --folded-metric; default wall_ns). explain attributes mean response
   time into CPU / demand-read / dirty-flush / cluster-search / log /
-  lock-wait components. explain-placement replays a run with placement
-  auditing on and prints the last N (re)cluster decisions: candidate
-  pages with per-candidate affinity/gain, the chosen vs landed page,
-  the split verdict and the I/Os the search charged.
+  lock-wait components. explain-placement replays a run and prints its
+  last N placement trace records, one per create or recluster decision:
+  candidate pages with per-candidate affinity/gain, the chosen vs landed
+  page, the split verdict and the I/Os the search charged (--json: the
+  records' trace lines).
 
   simulate --jobs N runs the replications on N worker threads (0 or
   omitted = all cores); output is byte-identical at any thread count.

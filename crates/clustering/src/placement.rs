@@ -56,7 +56,7 @@ pub enum PlacementTarget {
 }
 
 /// One page the candidate search examined, with the facts the decision
-/// was based on — the raw material for placement audit records.
+/// was based on — the raw material for placement trace records.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExaminedCandidate {
     /// The candidate page.

@@ -11,8 +11,8 @@ use semcluster_clustering::{
     ClusteringPolicy, ExaminedCandidate, PlacementTarget, SplitPolicy,
 };
 use semcluster_obs::{
-    milli, AuditKind, CandidateAudit, FlushCause, Phase, PhaseToken, PlacementAudit, ReadCause,
-    SplitVerdict, TraceEvent,
+    milli, AuditKind, CandidateAudit, FlushCause, Phase, PhaseToken, ReadCause, SplitVerdict,
+    TraceEvent,
 };
 use semcluster_storage::WalOp;
 use semcluster_vdm::{derive_version, CopyVsRefModel, NameKey, ObjectId, ReadQuery, RelKind};
@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 /// object.
 const RECLUSTER_MIN_GAIN: f64 = 3.0;
 
-/// The audit-record view of the pages a placement search examined.
+/// The trace-record view of the pages a placement search examined.
 fn audit_candidates(examined: &[ExaminedCandidate]) -> Vec<CandidateAudit> {
     examined
         .iter()
@@ -259,12 +259,6 @@ impl Engine {
                     }
                 }
                 self.registry.bump(self.counters.cluster_split);
-                let at = self.clock.now();
-                self.emit(|| TraceEvent::Split {
-                    at,
-                    from: full,
-                    new: outcome.new_page,
-                });
                 split_verdict = SplitVerdict::Executed {
                     new_page: outcome.new_page,
                 };
@@ -275,23 +269,23 @@ impl Engine {
                 .map_err(|_| infeasible("planned target page could not take the object"))?,
         };
 
-        if let Some(audit) = self.audit.as_mut() {
-            audit.push(PlacementAudit {
-                at: self.clock.issued(),
-                kind: AuditKind::Create,
-                object: id.0,
-                candidates: audit_candidates(&plan.examined),
-                chosen: match plan.target {
-                    PlacementTarget::Existing(p) => Some(p),
-                    PlacementTarget::Append => None,
-                },
-                landed,
-                score_milli: milli(plan.chosen_affinity),
-                preferred_full: plan.preferred_full,
-                split: split_verdict,
-                search_ios: plan.search_ios,
-            });
-        }
+        let at = self.clock.issued();
+        self.emit(|| TraceEvent::Placement {
+            at,
+            kind: AuditKind::Create,
+            object: id.0,
+            from: None,
+            candidates: audit_candidates(&plan.examined),
+            chosen: match plan.target {
+                PlacementTarget::Existing(p) => Some(p),
+                PlacementTarget::Append => None,
+            },
+            landed,
+            score_milli: milli(plan.chosen_affinity),
+            preferred_full: plan.preferred_full,
+            split: split_verdict,
+            search_ios: plan.search_ios,
+        });
         self.scratch.put_examined(plan.examined);
 
         // 4. Touch + dirty + log the landing page.
@@ -376,28 +370,21 @@ impl Engine {
                         },
                     );
                     self.registry.bump(self.counters.cluster_recluster_move);
-                    let at = self.clock.now();
-                    self.emit(|| TraceEvent::ReclusterMove {
-                        at,
-                        object: target.0,
-                        from: page,
-                        to: plan.to,
-                    });
                 }
-                if let Some(audit) = self.audit.as_mut() {
-                    audit.push(PlacementAudit {
-                        at: self.clock.issued(),
-                        kind: AuditKind::Recluster,
-                        object: target.0,
-                        candidates: audit_candidates(&plan.examined),
-                        chosen: Some(plan.to),
-                        landed: if moved { plan.to } else { page },
-                        score_milli: milli(plan.gain),
-                        preferred_full: None,
-                        split: SplitVerdict::NotConsidered,
-                        search_ios: plan.search_ios,
-                    });
-                }
+                let at = self.clock.issued();
+                self.emit(|| TraceEvent::Placement {
+                    at,
+                    kind: AuditKind::Recluster,
+                    object: target.0,
+                    from: Some(page),
+                    candidates: audit_candidates(&plan.examined),
+                    chosen: Some(plan.to),
+                    landed: if moved { plan.to } else { page },
+                    score_milli: milli(plan.gain),
+                    preferred_full: None,
+                    split: SplitVerdict::NotConsidered,
+                    search_ios: plan.search_ios,
+                });
                 self.scratch.put_examined(plan.examined);
             }
         }

@@ -59,9 +59,7 @@ use semcluster_buffer::BufferPool;
 use semcluster_clustering::{HintPolicy, ScoreScratch, SplitPolicy, WeightModel};
 use semcluster_faults::{CrashPoint, FaultState};
 use semcluster_lock::{LockManager, LockMode};
-use semcluster_obs::{
-    AuditSink, MetricsRegistry, PhaseProfiler, ProfileReport, TimelineSampler, TraceSink,
-};
+use semcluster_obs::{MetricsRegistry, PhaseProfiler, ProfileReport, TimelineSampler, TraceSink};
 use semcluster_sim::{EventQueue, FcfsServer, ServerBank, SimDuration, SimRng, SimTime};
 use semcluster_storage::{DiskLayout, StorageManager, StoreError, WalOp};
 use semcluster_vdm::{Database, ObjectId, WalkScratch};
@@ -170,8 +168,6 @@ pub struct Engine {
     trace: Box<dyn TraceSink>,
     /// Fixed-interval timeline sampler (None unless enabled).
     timeline: Option<TimelineSampler>,
-    /// Bounded placement-audit recorder (None unless enabled).
-    audit: Option<AuditSink>,
     /// Hierarchical phase profiler (None unless enabled); pure observer.
     profiler: Option<PhaseProfiler>,
     /// The profiler's final report, staged by [`Self::finalize_obs`]
@@ -295,7 +291,6 @@ impl Engine {
             read_objects: Vec::with_capacity(64),
             trace: obs.sink,
             timeline: obs.timeline_interval_us.map(TimelineSampler::new),
-            audit: obs.audit_capacity.map(AuditSink::with_capacity),
             profiler: obs.profile.then(PhaseProfiler::new),
             profile_report: None,
             txn_seq: 0,
@@ -347,7 +342,7 @@ impl Engine {
 
     /// Run to completion, returning the report plus everything the
     /// observability layer collected (metrics snapshot — the counters
-    /// [`RunReport::io`] is read from — timeline, placement audits).
+    /// [`RunReport::io`] is read from — timeline, profile).
     pub fn run_observed(mut self) -> (RunReport, RunObservations) {
         self.drive();
         self.finalize_obs();
@@ -449,7 +444,7 @@ pub fn run_simulation(cfg: SimConfig) -> RunReport {
 }
 
 /// Run one configured simulation with observability attached, returning
-/// the report plus everything collected (metrics, timeline, audits).
+/// the report plus everything collected (metrics, timeline, profile).
 pub fn run_simulation_observed(cfg: SimConfig, obs: ObsConfig) -> (RunReport, RunObservations) {
     Engine::with_obs(cfg, obs).run_observed()
 }

@@ -16,9 +16,8 @@ use crate::metrics::{FaultStats, IoBreakdown, MetricsCollector, ResponseBreakdow
 use semcluster_clustering::page_locality;
 use semcluster_faults::IoOp;
 use semcluster_obs::{
-    AuditSink, CounterId, FaultOp, MetricsRegistry, MetricsSnapshot, NoopSink, Phase, PhaseToken,
-    PlacementAudit, ProfileReport, Timeline, TimelineSample, TimelineSampler, TraceEvent,
-    TraceSink,
+    CounterId, FaultOp, MetricsRegistry, MetricsSnapshot, NoopSink, Phase, PhaseToken,
+    ProfileReport, Timeline, TimelineSample, TimelineSampler, TraceEvent, TraceSink,
 };
 use semcluster_sim::{SimDuration, SimTime};
 
@@ -98,8 +97,8 @@ pub(super) fn fault_op(op: IoOp) -> FaultOp {
 /// Observability wiring for an engine run.
 ///
 /// The default is behaviourally free: a [`NoopSink`] whose
-/// `enabled() == false` short-circuits event construction, no timeline
-/// sampling and no placement auditing, so an uninstrumented run does no
+/// `enabled() == false` short-circuits event construction, and no
+/// timeline sampling or profiling, so an uninstrumented run does no
 /// observability work beyond a branch. Every observer is pure —
 /// attaching one changes no simulation result.
 pub struct ObsConfig {
@@ -108,9 +107,6 @@ pub struct ObsConfig {
     /// When set, sample the timeline signals every this many simulated
     /// microseconds (see [`Timeline`]).
     pub timeline_interval_us: Option<u64>,
-    /// When set, record a [`PlacementAudit`] for every (re)cluster
-    /// decision, retaining the most recent this-many records.
-    pub audit_capacity: Option<usize>,
     /// When true, bracket the engine's hot paths with a
     /// [`semcluster_obs::PhaseProfiler`] and return the per-phase self
     /// costs in [`RunObservations::profile`]. Purely observational: the
@@ -123,7 +119,6 @@ impl Default for ObsConfig {
         ObsConfig {
             sink: Box::new(NoopSink),
             timeline_interval_us: None,
-            audit_capacity: None,
             profile: false,
         }
     }
@@ -144,12 +139,6 @@ impl ObsConfig {
         self
     }
 
-    /// Enable placement auditing, retaining the last `capacity` records.
-    pub fn audit(mut self, capacity: usize) -> Self {
-        self.audit_capacity = Some(capacity);
-        self
-    }
-
     /// Enable hierarchical phase profiling.
     pub fn profile(mut self) -> Self {
         self.profile = true;
@@ -166,9 +155,6 @@ pub struct RunObservations {
     pub metrics: MetricsSnapshot,
     /// Sampled timeline, when sampling was enabled.
     pub timeline: Option<Timeline>,
-    /// Retained placement audits, oldest first, when auditing was
-    /// enabled (runs are concatenated in replication order on merge).
-    pub audits: Vec<PlacementAudit>,
     /// Per-phase self-cost profile, when profiling was enabled (runs
     /// merge by per-stack sums, order-independently).
     pub profile: Option<ProfileReport>,
@@ -176,8 +162,7 @@ pub struct RunObservations {
 
 impl RunObservations {
     /// Merge another run's observations into this one. Metrics,
-    /// timelines and profiles merge order-independently; audits
-    /// concatenate.
+    /// timelines and profiles merge order-independently.
     pub fn absorb(&mut self, other: &RunObservations) {
         self.metrics.merge(&other.metrics);
         match (&mut self.timeline, &other.timeline) {
@@ -185,7 +170,6 @@ impl RunObservations {
             (slot @ None, Some(theirs)) => *slot = Some(theirs.clone()),
             _ => {}
         }
-        self.audits.extend_from_slice(&other.audits);
         match (&mut self.profile, &other.profile) {
             (Some(mine), Some(theirs)) => mine.merge(theirs),
             (slot @ None, Some(theirs)) => *slot = Some(theirs.clone()),
@@ -397,16 +381,11 @@ impl Engine {
 
     /// Hand over what the observers collected, after
     /// [`Self::finalize_obs`]: the registry snapshot through the
-    /// measured interval, the timeline, the audits and the profile.
+    /// measured interval, the timeline and the profile.
     pub(super) fn observations(&mut self) -> RunObservations {
         RunObservations {
             metrics: self.registry.snapshot_since(&self.window.counters),
             timeline: self.timeline.take().map(TimelineSampler::into_timeline),
-            audits: self
-                .audit
-                .take()
-                .map(AuditSink::into_records)
-                .unwrap_or_default(),
             profile: self.profile_report.take(),
         }
     }

@@ -66,9 +66,8 @@ pub fn run_replicated(cfg: &SimConfig, replications: u32) -> ReplicatedResult {
 }
 
 /// The fully general replicated runner: `obs_for` builds a complete
-/// [`ObsConfig`] per replication (sink, timeline sampling, auditing).
-/// Metrics and timelines merge order-independently; audits concatenate
-/// in replication order.
+/// [`ObsConfig`] per replication (sink, timeline sampling, profiling).
+/// Metrics, timelines and profiles merge order-independently.
 pub fn run_replicated_observed(
     cfg: &SimConfig,
     replications: u32,

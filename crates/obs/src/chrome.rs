@@ -16,7 +16,7 @@
 //!   service duration, faults and retries as instants;
 //! * pid 3 `log-device` — physical log flushes and injected stalls;
 //! * pid 4 `engine` — global instants (I/O expansion, prefetch issue,
-//!   recluster moves, splits, degradation transitions);
+//!   placement decisions, degradation transitions);
 //! * pid 5 `profiler` — end-of-run `C` counter events, one per phase
 //!   stack, carrying the deterministic profile columns (calls,
 //!   simulated µs, allocated bytes/count);
@@ -77,11 +77,9 @@ impl Record<'_> {
             IoFault { disk, .. } | IoRetry { disk, .. } => ("i", PID_DISKS, disk, None),
             LogFlush { done, .. } => ("X", PID_LOG, 0, Some(done)),
             LogStall { .. } => ("i", PID_LOG, 0, None),
-            IoExpand { .. }
-            | PrefetchIssue { .. }
-            | ReclusterMove { .. }
-            | Split { .. }
-            | Degrade { .. } => ("i", PID_ENGINE, 0, None),
+            IoExpand { .. } | PrefetchIssue { .. } | Placement { .. } | Degrade { .. } => {
+                ("i", PID_ENGINE, 0, None)
+            }
             ProfilePhase { .. } => ("C", PID_PROFILE, 0, None),
         };
         let name = match event {
@@ -220,7 +218,10 @@ impl<W: Write> TraceSink for ChromeTraceSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{AbortCause, FaultOp, FlushCause, LogFlushKind, SyncBuf};
+    use crate::trace::{
+        AbortCause, AuditKind, CandidateAudit, FaultOp, FlushCause, LogFlushKind, SplitVerdict,
+        SyncBuf,
+    };
     use semcluster_sim::SimTime;
     use semcluster_storage::PageId;
 
@@ -243,8 +244,41 @@ mod tests {
         format!("{{{}}}", kept.join(","))
     }
 
-    /// One event of every variant, both read causes and both abort
-    /// causes included.
+    /// A placement decision of `kind` off `from` with split `split`.
+    fn placement(
+        at: SimTime,
+        kind: AuditKind,
+        from: Option<PageId>,
+        split: SplitVerdict,
+    ) -> TraceEvent {
+        TraceEvent::Placement {
+            at,
+            kind,
+            object: 9,
+            from,
+            candidates: vec![
+                CandidateAudit {
+                    page: PageId(7),
+                    score_milli: 1500,
+                    fits: false,
+                },
+                CandidateAudit {
+                    page: PageId(8),
+                    score_milli: 500,
+                    fits: true,
+                },
+            ],
+            chosen: Some(PageId(8)),
+            landed: PageId(8),
+            score_milli: 500,
+            preferred_full: Some(PageId(7)),
+            split,
+            search_ios: 1,
+        }
+    }
+
+    /// One event of every variant, both read causes, both abort causes,
+    /// both placement kinds and all three split verdicts included.
     fn every_variant() -> Vec<TraceEvent> {
         let t = SimTime::from_micros;
         let (page, disk) = (PageId(7), 2);
@@ -312,17 +346,22 @@ mod tests {
                 write_back: true,
                 done: t(43),
             },
-            TraceEvent::ReclusterMove {
-                at: t(17),
-                object: 9,
-                from: page,
-                to: PageId(8),
-            },
-            TraceEvent::Split {
-                at: t(18),
-                from: page,
-                new: PageId(8),
-            },
+            placement(t(17), AuditKind::Create, None, SplitVerdict::NotConsidered),
+            placement(t(18), AuditKind::Create, None, SplitVerdict::Declined),
+            placement(
+                t(18),
+                AuditKind::Create,
+                None,
+                SplitVerdict::Executed {
+                    new_page: PageId(8),
+                },
+            ),
+            placement(
+                t(18),
+                AuditKind::Recluster,
+                Some(page),
+                SplitVerdict::NotConsidered,
+            ),
             TraceEvent::LockWait { at: t(19), user: 3 },
             TraceEvent::LockGrant {
                 at: t(20),
@@ -378,7 +417,7 @@ mod tests {
     fn every_records_args_are_its_jsonl_fields() {
         let events = every_variant();
         let kinds: std::collections::BTreeSet<_> = events.iter().map(|e| e.kind()).collect();
-        assert_eq!(kinds.len(), 18, "one event of each variant");
+        assert_eq!(kinds.len(), 17, "an event of each variant");
         let buf = SyncBuf::new();
         let mut sink = ChromeTraceSink::new(buf.clone());
         for event in &events {
@@ -401,6 +440,11 @@ mod tests {
         // closing record names the abort and its operation.
         assert!(text.contains(r#""args":{"ev":"log_flush","kind":"commit","done":44}"#));
         assert!(text.contains(r#""ph":"E","ts":90,"pid":1,"tid":3,"args":{"ev":"txn_abort","user":3,"txn":41,"op":"log""#));
+        // A placement decision is an instant on the engine lane, its
+        // candidates and split verdict included.
+        assert!(text.contains(r#""name":"placement","ph":"i","ts":17,"pid":4,"tid":0,"s":"t","args":{"ev":"placement","kind":"create","object":9,"from":null,"candidates":[{"page":7,"score_milli":1500,"fits":false},"#));
+        assert!(text.contains(r#""split":"executed","split_new_page":8,"search_ios":1}"#));
+        assert!(text.contains(r#""kind":"recluster","object":9,"from":7,"#));
         assert!(text.contains(r#""name":"run;wal_append","ph":"C","ts":99,"pid":5,"tid":0,"args":{"calls":5,"sim_us":6,"alloc_bytes":7,"allocs":8}"#));
     }
 

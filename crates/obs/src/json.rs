@@ -86,6 +86,14 @@ impl<'a> ObjWriter<'a> {
         self
     }
 
+    /// Write an optional unsigned integer field, `null` when absent.
+    pub fn opt_u64(&mut self, k: &str, v: Option<u64>) -> &mut Self {
+        match v {
+            Some(v) => self.u64(k, v),
+            None => self.raw(k, "null"),
+        }
+    }
+
     /// Write a field whose value is a pre-rendered JSON fragment.
     pub fn raw(&mut self, k: &str, v: &str) -> &mut Self {
         self.key(k);

@@ -17,7 +17,10 @@
 //!   emitters: JSON Lines ([`JsonlSink`]) and the Chrome `trace_event`
 //!   array ([`ChromeTraceSink`], whose record `args` are the JSONL
 //!   fields less `t`); a free [`NoopSink`] default, and a
-//!   `Vec<TraceEvent>` sink for tests that read events back typed;
+//!   `Vec<TraceEvent>` sink for tests that read events back typed. Each
+//!   run-time placement decision is one [`TraceEvent::Placement`]
+//!   record (candidates with [`milli`] scores, chosen and landed page,
+//!   [`SplitVerdict`]), which is all `explain-placement` reads;
 //! * [`PhaseProfiler`] + [`ProfileReport`] — hierarchical self-cost
 //!   profiles of the engine's hot paths (calls, simulated time, heap
 //!   allocation via [`CountingAlloc`], wall clock), with deterministic
@@ -33,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-mod audit;
 mod chrome;
 mod json;
 mod metrics;
@@ -41,7 +43,6 @@ mod profile;
 mod timeline;
 mod trace;
 
-pub use audit::{milli, AuditKind, AuditSink, CandidateAudit, PlacementAudit, SplitVerdict};
 pub use chrome::ChromeTraceSink;
 pub use metrics::{
     bucket_bound, AtomicHistogram, CounterId, Histogram, MetricsRegistry, MetricsSnapshot,
@@ -53,6 +54,6 @@ pub use profile::{
 };
 pub use timeline::{Timeline, TimelinePoint, TimelineSample, TimelineSampler};
 pub use trace::{
-    shared, AbortCause, FaultOp, FlushCause, JsonlSink, LogFlushKind, NoopSink, ReadCause,
-    SharedSink, SyncBuf, TraceEvent, TraceSink,
+    milli, shared, AbortCause, AuditKind, CandidateAudit, FaultOp, FlushCause, JsonlSink,
+    LogFlushKind, NoopSink, ReadCause, SharedSink, SplitVerdict, SyncBuf, TraceEvent, TraceSink,
 };

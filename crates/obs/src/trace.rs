@@ -114,6 +114,62 @@ pub enum AbortCause {
     },
 }
 
+/// Convert an affinity/gain value to integer milli-units for export.
+/// Negative values clamp to zero (placement scores are magnitudes).
+pub fn milli(v: f64) -> u64 {
+    if v <= 0.0 {
+        0
+    } else {
+        (v * 1000.0).round() as u64
+    }
+}
+
+/// Which placement decision a [`TraceEvent::Placement`] records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AuditKind {
+    /// Initial placement of a newly created object.
+    Create,
+    /// Update-time reclustering of an existing object.
+    Recluster,
+}
+
+impl AuditKind {
+    /// The label used in JSON and table renderings.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            AuditKind::Create => "create",
+            AuditKind::Recluster => "recluster",
+        }
+    }
+}
+
+/// Outcome of the split check attached to a placement decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SplitVerdict {
+    /// No full preferred page, so a split was never on the table.
+    NotConsidered,
+    /// A full preferred page existed but the split policy declined.
+    Declined,
+    /// The preferred page was split and this new page allocated.
+    Executed {
+        /// The freshly allocated page.
+        new_page: PageId,
+    },
+}
+
+/// One candidate page the placement search examined. Scores are
+/// fixed-point milli-units (see [`milli`]) so the JSON stays
+/// integer-only and byte-stable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CandidateAudit {
+    /// The candidate page.
+    pub page: PageId,
+    /// Its affinity (create) or expected gain (recluster), milli-units.
+    pub score_milli: u64,
+    /// Whether the object fit on the page at decision time.
+    pub fits: bool,
+}
+
 /// One observable moment of the simulation. All `at` fields are
 /// simulated time; `done` fields are the completion times the FCFS
 /// servers computed for the corresponding physical I/O.
@@ -213,25 +269,38 @@ pub enum TraceEvent {
         /// Completion time.
         done: SimTime,
     },
-    /// The cluster manager moved an object at update time.
-    ReclusterMove {
-        /// Decision time.
+    /// One run-time placement decision of the cluster manager (§2,
+    /// §5.1): the initial placement of a created object or the
+    /// update-time recluster of an existing one — the candidate pages
+    /// the search examined, the page it chose, where the object landed
+    /// and what the split check decided.
+    Placement {
+        /// Decision time: when the create or update was issued.
         at: SimTime,
-        /// Object moved.
+        /// Create placement or update-time recluster.
+        kind: AuditKind,
+        /// The object being placed or moved.
         object: u32,
-        /// Source page.
-        from: PageId,
-        /// Destination page.
-        to: PageId,
-    },
-    /// A full preferred page was split.
-    Split {
-        /// Split time.
-        at: SimTime,
-        /// Overflowing page.
-        from: PageId,
-        /// Newly allocated page.
-        new: PageId,
+        /// The page a recluster considered moving the object off
+        /// (`None` for a create); it moved when `landed` differs.
+        from: Option<PageId>,
+        /// Candidate pages in examination order, with per-candidate scores.
+        candidates: Vec<CandidateAudit>,
+        /// The page the search selected, or `None` when no candidate won
+        /// (a create falls back to appending).
+        chosen: Option<PageId>,
+        /// The page the object actually ended up on.
+        landed: PageId,
+        /// Score of the winning candidate in milli-units (affinity for
+        /// create, expected gain for recluster); 0 when none won.
+        score_milli: u64,
+        /// Full preferred page that could not take the object, if any;
+        /// the page an executed split divided.
+        preferred_full: Option<PageId>,
+        /// What the split check decided.
+        split: SplitVerdict,
+        /// Candidate-page reads the search charged to the transaction.
+        search_ios: u32,
     },
     /// A transaction could not acquire its pre-declared locks and parked.
     LockWait {
@@ -344,8 +413,7 @@ impl TraceEvent {
             | TraceEvent::PageFlush { at, .. }
             | TraceEvent::PrefetchIssue { at, .. }
             | TraceEvent::PrefetchIo { at, .. }
-            | TraceEvent::ReclusterMove { at, .. }
-            | TraceEvent::Split { at, .. }
+            | TraceEvent::Placement { at, .. }
             | TraceEvent::LockWait { at, .. }
             | TraceEvent::LockGrant { at, .. }
             | TraceEvent::LogFlush { at, .. }
@@ -368,8 +436,7 @@ impl TraceEvent {
             TraceEvent::PageFlush { .. } => "page_flush",
             TraceEvent::PrefetchIssue { .. } => "prefetch_issue",
             TraceEvent::PrefetchIo { .. } => "prefetch_io",
-            TraceEvent::ReclusterMove { .. } => "recluster_move",
-            TraceEvent::Split { .. } => "split",
+            TraceEvent::Placement { .. } => "placement",
             TraceEvent::LockWait { .. } => "lock_wait",
             TraceEvent::LockGrant { .. } => "lock_grant",
             TraceEvent::LogFlush { .. } => "log_flush",
@@ -480,15 +547,48 @@ impl TraceEvent {
                     .bool("write_back", write_back)
                     .u64("done", done.as_micros());
             }
-            TraceEvent::ReclusterMove {
-                object, from, to, ..
+            TraceEvent::Placement {
+                kind,
+                object,
+                from,
+                ref candidates,
+                chosen,
+                landed,
+                score_milli,
+                preferred_full,
+                split,
+                search_ios,
+                ..
             } => {
-                w.u64("object", object as u64)
-                    .u64("from", from.0 as u64)
-                    .u64("to", to.0 as u64);
-            }
-            TraceEvent::Split { from, new, .. } => {
-                w.u64("from", from.0 as u64).u64("new", new.0 as u64);
+                let mut cands = String::from("[");
+                for (i, c) in candidates.iter().enumerate() {
+                    if i > 0 {
+                        cands.push(',');
+                    }
+                    let mut cw = ObjWriter::begin(&mut cands);
+                    cw.u64("page", c.page.0 as u64)
+                        .u64("score_milli", c.score_milli)
+                        .bool("fits", c.fits);
+                    cw.end();
+                }
+                cands.push(']');
+                let page = |p: Option<PageId>| p.map(|p| p.0 as u64);
+                w.str("kind", kind.as_str())
+                    .u64("object", object as u64)
+                    .opt_u64("from", page(from))
+                    .raw("candidates", &cands)
+                    .opt_u64("chosen", page(chosen))
+                    .u64("landed", landed.0 as u64)
+                    .u64("score_milli", score_milli)
+                    .opt_u64("preferred_full", page(preferred_full));
+                match split {
+                    SplitVerdict::NotConsidered => w.str("split", "not_considered"),
+                    SplitVerdict::Declined => w.str("split", "declined"),
+                    SplitVerdict::Executed { new_page } => w
+                        .str("split", "executed")
+                        .u64("split_new_page", new_page.0 as u64),
+                };
+                w.u64("search_ios", search_ios as u64);
             }
             TraceEvent::LockWait { user, .. } => {
                 w.u64("user", user as u64);
@@ -702,6 +802,66 @@ mod tests {
             j,
             r#"{"t":100,"ev":"page_read","page":7,"disk":2,"cause":"demand","done":130}"#
         );
+    }
+
+    fn placement(split: SplitVerdict) -> TraceEvent {
+        TraceEvent::Placement {
+            at: SimTime::from_micros(100),
+            kind: AuditKind::Create,
+            object: 42,
+            from: None,
+            candidates: vec![
+                CandidateAudit {
+                    page: PageId(3),
+                    score_milli: 2500,
+                    fits: true,
+                },
+                CandidateAudit {
+                    page: PageId(9),
+                    score_milli: 1000,
+                    fits: false,
+                },
+            ],
+            chosen: Some(PageId(3)),
+            landed: PageId(3),
+            score_milli: 2500,
+            preferred_full: None,
+            split,
+            search_ios: 1,
+        }
+    }
+
+    #[test]
+    fn milli_rounds_and_clamps() {
+        assert_eq!(milli(2.5), 2500);
+        assert_eq!(milli(0.0004), 0);
+        assert_eq!(milli(0.0006), 1);
+        assert_eq!(milli(-1.0), 0);
+    }
+
+    #[test]
+    fn placement_json_shape() {
+        assert_eq!(
+            placement(SplitVerdict::NotConsidered).to_json(),
+            "{\"t\":100,\"ev\":\"placement\",\"kind\":\"create\",\"object\":42,\"from\":null,\
+             \"candidates\":[{\"page\":3,\"score_milli\":2500,\"fits\":true},\
+             {\"page\":9,\"score_milli\":1000,\"fits\":false}],\
+             \"chosen\":3,\"landed\":3,\"score_milli\":2500,\
+             \"preferred_full\":null,\"split\":\"not_considered\",\
+             \"search_ios\":1}"
+        );
+    }
+
+    #[test]
+    fn split_verdict_variants_render() {
+        let executed = placement(SplitVerdict::Executed {
+            new_page: PageId(17),
+        });
+        assert!(executed
+            .to_json()
+            .contains("\"split\":\"executed\",\"split_new_page\":17,\"search_ios\":1}"));
+        let declined = placement(SplitVerdict::Declined).to_json();
+        assert!(declined.contains("\"split\":\"declined\",\"search_ios\""));
     }
 
     #[test]

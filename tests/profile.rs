@@ -12,7 +12,7 @@ use semcluster_cli::golden::{
 };
 use semcluster_cli::{dispatch, Args};
 use semcluster_clustering::{ClusteringPolicy, SplitPolicy};
-use semcluster_obs::{allocation_counts, AuditKind};
+use semcluster_obs::{allocation_counts, shared, AuditKind, TraceEvent};
 use semcluster_workload::StructureDensity;
 
 /// Register the same counting allocator the CLI binary uses, so the
@@ -136,11 +136,25 @@ fn split_plan_phase_counts_overflowing_creates_and_does_not_allocate() {
         split: SplitPolicy::Linear,
         ..tiny(4200)
     };
-    let (report, obs) = run_simulation_observed(cfg, ObsConfig::default().profile().audit(4096));
-    let overflowing = obs
-        .audits
+    let events = shared(Vec::<TraceEvent>::new());
+    let (report, obs) = run_simulation_observed(
+        cfg,
+        ObsConfig::with_sink(Box::new(events.clone())).profile(),
+    );
+    let overflowing = events
+        .borrow()
         .iter()
-        .filter(|a| a.kind == AuditKind::Create && a.preferred_full.is_some() && a.chosen.is_none())
+        .filter(|e| {
+            matches!(
+                e,
+                TraceEvent::Placement {
+                    kind: AuditKind::Create,
+                    preferred_full: Some(_),
+                    chosen: None,
+                    ..
+                }
+            )
+        })
         .count() as u64;
     assert!(report.splits > 0 && overflowing > report.splits);
     let profile = obs.profile.expect("profiling was enabled");

@@ -757,17 +757,24 @@ fn read_only_closed_loop_is_never_shed_by_an_idle_queue() {
 #[test]
 fn an_idle_server_accepts_a_connection_the_moment_it_arrives() {
     // Each HELLO reaches an acceptor that has been idle since the last
-    // one; a server that polled its listener would make each wait out a
-    // nap.
+    // one. A server that polled its listener would make nearly every
+    // one wait out most of a nap (5 ms, for the poll this server once
+    // had); a blocking accept answers at once. The median is bounded,
+    // not the total: a loaded machine stalls a few round trips, which a
+    // total adds up, but it does not stall half of them.
     let handle = Server::start(ServeConfig::default(), "127.0.0.1:0").expect("start server");
-    let started = Instant::now();
-    for _ in 0..50 {
-        drop(connect(handle.addr(), 1));
-    }
-    let took = started.elapsed();
+    let mut round_trips: Vec<Duration> = (0..50)
+        .map(|_| {
+            let started = Instant::now();
+            drop(connect(handle.addr(), 1));
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
     assert!(
-        took < Duration::from_millis(100),
-        "50 connect + HELLO round trips took {took:?}"
+        median < Duration::from_micros(2_500),
+        "median connect + HELLO round trip {median:?}, sorted: {round_trips:?}"
     );
     handle.request_shutdown();
     let report = handle.join().expect("drain");

@@ -1,8 +1,9 @@
-//! Timeline sampling, placement auditing and Chrome trace export:
-//! behavioural inertness of the new observers, determinism of the
-//! sampled timeline under thread counts and zero-rate fault configs,
-//! bounded retention of the audit sink, and structural validity of the
-//! Chrome trace on a real run, whose args are the JSONL trace's fields.
+//! Timeline sampling, placement records and Chrome trace export:
+//! behavioural inertness of the observers, determinism of the sampled
+//! timeline under thread counts and zero-rate fault configs, placement
+//! records that are consistent and reconcile with the report, and
+//! structural validity of the Chrome trace on a real run, whose args
+//! are the JSONL trace's fields.
 
 use semcluster::{
     run_simulation, run_simulation_observed, FaultConfig, ObsConfig, RunReport, SimConfig,
@@ -10,7 +11,9 @@ use semcluster::{
 };
 use semcluster_buffer::{PrefetchScope, ReplacementPolicy};
 use semcluster_clustering::{ClusteringPolicy, SplitPolicy};
-use semcluster_obs::{AuditKind, ChromeTraceSink, JsonlSink, SplitVerdict, SyncBuf};
+use semcluster_obs::{
+    shared, AuditKind, ChromeTraceSink, JsonlSink, SharedSink, SplitVerdict, SyncBuf, TraceEvent,
+};
 use semcluster_workload::{StructureDensity, WorkloadSpec};
 
 fn base() -> SimConfig {
@@ -46,17 +49,35 @@ fn assert_reports_equal(plain: &RunReport, observed: &RunReport) {
     assert_eq!(plain.recluster_moves, observed.recluster_moves);
 }
 
-/// Timeline sampling and placement auditing are pure observation: every
-/// reported number is identical to the unobserved run.
+/// Run `busy()` with a sink keeping every event, typed.
+fn busy_events() -> (RunReport, Vec<TraceEvent>) {
+    let events: SharedSink<Vec<TraceEvent>> = shared(Vec::new());
+    let (report, _) =
+        run_simulation_observed(busy(), ObsConfig::with_sink(Box::new(events.clone())));
+    let events = events.take();
+    (report, events)
+}
+
+/// Timeline sampling and a trace sink that keeps the placement records
+/// are pure observation: every reported number is identical to the
+/// unobserved run.
 #[test]
 fn timeline_and_audit_are_inert() {
     let plain = run_simulation(busy());
-    let (observed, obs) =
-        run_simulation_observed(busy(), ObsConfig::default().timeline(500_000).audit(32));
+    let events: SharedSink<Vec<TraceEvent>> = shared(Vec::new());
+    let (observed, obs) = run_simulation_observed(
+        busy(),
+        ObsConfig::with_sink(Box::new(events.clone())).timeline(500_000),
+    );
     assert_reports_equal(&plain, &observed);
     let timeline = obs.timeline.expect("timeline sampling was on");
     assert!(!timeline.is_empty(), "a 300-txn run crosses sample points");
-    assert!(!obs.audits.is_empty(), "a clustered run places objects");
+    let placements = events
+        .borrow()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Placement { .. }))
+        .count();
+    assert!(placements > 0, "a clustered run places objects");
 }
 
 /// The all-zero `none` fault preset is the inert default: the sampled
@@ -125,37 +146,95 @@ fn timeline_points_are_sensible() {
     assert!(commits > 0, "sampled interval saw commits");
 }
 
-/// Placement audits describe real decisions: bounded retention keeps
-/// the *last* N records, and every record is internally consistent.
+/// Every placement record describes a real decision: records come in
+/// decision order, a create lands where its search chose unless it
+/// appended or split, a recluster has a target and a gain, and the
+/// search is charged no more I/Os than it examined candidates. (The
+/// last-N retention `explain-placement` keeps is checked by its own
+/// test in `crates/cli/src/commands.rs`.)
 #[test]
 fn placement_audits_are_bounded_and_consistent() {
-    let capacity = 8;
-    let (_, obs) = run_simulation_observed(busy(), ObsConfig::default().audit(capacity));
-    let audits = obs.audits;
-    assert_eq!(audits.len(), capacity, "busy run overflows the sink");
+    let (_, events) = busy_events();
     let mut prev = 0u64;
-    for a in &audits {
-        assert!(a.at.as_micros() >= prev, "records in decision order");
-        prev = a.at.as_micros();
-        match a.kind {
+    let mut seen = [0u32; 2];
+    for event in &events {
+        let TraceEvent::Placement {
+            at,
+            kind,
+            from,
+            ref candidates,
+            chosen,
+            landed,
+            score_milli,
+            split,
+            search_ios,
+            ..
+        } = *event
+        else {
+            continue;
+        };
+        assert!(at.as_micros() >= prev, "records in decision order");
+        prev = at.as_micros();
+        match kind {
             AuditKind::Create => {
+                seen[0] += 1;
+                assert_eq!(from, None, "a create comes off no page");
                 // The landed page is the chosen page unless the search
                 // appended or a split redirected the object.
-                if let (Some(chosen), SplitVerdict::NotConsidered) = (a.chosen, a.split) {
-                    assert_eq!(a.landed, chosen);
+                if let Some(chosen) = chosen {
+                    if !matches!(split, SplitVerdict::Executed { .. }) {
+                        assert_eq!(landed, chosen);
+                    }
                 }
             }
             AuditKind::Recluster => {
-                assert!(a.chosen.is_some(), "recluster always has a target");
-                assert!(a.score_milli > 0, "recluster only moves on gain");
+                seen[1] += 1;
+                assert!(from.is_some(), "a recluster names its source page");
+                assert!(chosen.is_some(), "recluster always has a target");
+                assert!(score_milli > 0, "recluster only moves on gain");
             }
         }
         // Only non-resident examined pages cost I/O, so the charge is
         // bounded by (not equal to) the candidate count.
-        assert!(a.search_ios as usize <= a.candidates.len());
-        let json = a.to_json();
+        assert!(search_ios as usize <= candidates.len());
+        let json = event.to_json();
         assert!(json.starts_with("{\"t\":") && json.ends_with('}'));
     }
+    assert!(seen[0] > 0 && seen[1] > 0, "both kinds recorded: {seen:?}");
+}
+
+/// One record per placement decision, and the records reconcile with
+/// the report: over the measured window (the placement records after
+/// the retirement that ends the warm-up) the executed splits are the
+/// report's splits and the reclusters that left their page are its
+/// recluster moves.
+#[test]
+fn placement_records_reconcile_with_the_ledger() {
+    let (report, events) = busy_events();
+    let warmup = busy().warmup_txns;
+    let mut retired = 0u64;
+    let (mut splits, mut moves) = (0u64, 0u64);
+    for event in &events {
+        match *event {
+            TraceEvent::TxnCommit { .. } | TraceEvent::TxnAbort { .. } => retired += 1,
+            TraceEvent::Placement {
+                from,
+                landed,
+                split,
+                ..
+            } if retired >= warmup => {
+                splits += u64::from(matches!(split, SplitVerdict::Executed { .. }));
+                moves += u64::from(from.is_some_and(|from| from != landed));
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        report.splits > 0 && report.recluster_moves > 0,
+        "{report:?}"
+    );
+    assert_eq!(splits, report.splits);
+    assert_eq!(moves, report.recluster_moves);
 }
 
 /// A Chrome trace of a real run is a structurally valid JSON array:
@@ -245,10 +324,14 @@ fn chrome_args_are_the_jsonl_fields() {
         "io_fault",
         "io_retry",
         "log_flush",
-        "split",
+        "placement",
         "prefetch_io",
         "profile_phase",
     ] {
         assert!(kinds.contains(kind), "no {kind} in {kinds:?}");
     }
+    assert!(
+        jsonl.contains(r#""split":"executed""#),
+        "the run splits a page"
+    );
 }
